@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-noasm race vet fmt-check lint bench bench-smoke bench-gate tune throughput chaos fault-smoke fuzz-smoke serve-smoke dist-smoke clean
+.PHONY: all build test test-noasm race vet fmt-check lint bench bench-e2e bench-smoke bench-gate tune throughput chaos fault-smoke fuzz-smoke serve-smoke dist-smoke clean
 
 all: lint build test
 
@@ -75,6 +75,12 @@ fuzz-smoke:
 bench:
 	$(GO) run ./cmd/qrperf -kernels-json BENCH_kernels.json
 
+# bench-e2e runs the repository benchmark declared in BENCHMARK.json: every
+# workload end to end with tracing off, then the traced per-layer pass;
+# results land in bench/out/results.json (see bench/README.md).
+bench-e2e:
+	$(GO) run ./bench
+
 # bench-gate is the benchmark-regression gate CI runs on every PR: quickly
 # re-measure the kernel GFLOP/s and streaming rows/sec series and fail if
 # any of them regressed more than TOLERANCE percent below the committed
@@ -104,13 +110,13 @@ tune:
 throughput:
 	$(GO) run ./cmd/qrperf -throughput
 
-# bench-smoke is the CI-sized benchmark run: one iteration of the kernel and
-# streaming figures, a tiny qrstream ingestion with verification (plain and
+# bench-smoke is the CI-sized benchmark run: one iteration of the kernel,
+# least-squares solve and streaming figures, a tiny qrstream ingestion with verification (plain and
 # sliding-window/forgetting modes), and short fleet sweeps (factorization
 # throughput and windowed-stream ingestion), to prove the harnesses still
 # work.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Figure4|StreamAppendDouble$$' -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench 'Figure4|^BenchmarkSolveLS$$|StreamAppendDouble$$' -benchtime 1x ./...
 	$(GO) run ./cmd/qrstream -n 96 -nb 32 -batch 64 -batches 6 -rhs 1 -verify
 	$(GO) run ./cmd/qrstream -n 96 -nb 32 -batch 64 -batches 8 -rhs 1 -window 192 -forget 0.99 -verify
 	$(GO) run ./cmd/qrperf -throughput -quick

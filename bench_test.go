@@ -231,6 +231,37 @@ func BenchmarkFigure6FlatTreeTSDouble(b *testing.B) {
 	b.Run("FlatTreeTT", func(b *testing.B) { benchFactor(b, FlatTree, TT, 12, 4, false) })
 }
 
+// --- least-squares solve ----------------------------------------------------------
+
+// The paper's least-squares regime (p = 40, q = 4) at the repo benchmark's
+// tall_ls sizes.
+const solveLSM, solveLSN, solveLSNB, solveLSIB = 2560, 256, 64, 16
+
+// BenchmarkSolveLS times SolveLS alone (the factorization is set-up) at 1, 8
+// and 64 right-hand sides. GFLOP/s uses the Qᴴb model count 4·m·n·nrhs, so
+// the narrow vector-form appliers (nrhs < 4) and the block-reflector path
+// read on one scale.
+func BenchmarkSolveLS(b *testing.B) {
+	a := RandomDense(solveLSM, solveLSN, 1)
+	f, err := Factor(a, Options{TileSize: solveLSNB, InnerBlock: solveLSIB})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, nrhs := range []int{1, 8, 64} {
+		rhs := RandomDense(solveLSM, nrhs, 2)
+		b.Run(fmt.Sprintf("nrhs=%d", nrhs), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := f.SolveLS(rhs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			sec := b.Elapsed().Seconds() / float64(b.N)
+			b.ReportMetric(sec*1e3, "ms/op")
+			b.ReportMetric(4*float64(solveLSM)*float64(solveLSN)*float64(nrhs)/sec/1e9, "GFLOP/s")
+		})
+	}
+}
+
 // --- streaming TSQR ---------------------------------------------------------------
 
 // benchStreamAppend measures streaming ingestion throughput in rows/sec:

@@ -138,7 +138,9 @@ func TestDistPowerOfTwoWorkers(t *testing.T) {
 // and every worker exits without error — the SIGTERM semantics of
 // cmd/qrdist.
 func TestDistDrain(t *testing.T) {
-	const W, rounds = 2, 1000
+	// Far more rounds than any host finishes before the cancel below fires
+	// (a round of this shape is ~0.25 ms; 1000 of them fit in the delay).
+	const W, rounds = 2, 1_000_000
 	c, err := NewCoordinator(Config{
 		Workers: W, NB: 32, IB: 8, Rounds: rounds, Window: 2, LocalWorkers: 1,
 		GenSeed: 42, GenRows: 96, GenCols: 32, GenRHS: 1,

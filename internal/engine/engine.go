@@ -352,9 +352,14 @@ func ExecTasks[T vec.Scalar](src Source[T], p *sched.Plan, env Env, opts RunOpts
 // tile row i (1-based) and their row stride. trans replays Qᴴ in execution
 // order; !trans replays Q by walking the tasks backwards (task IDs are
 // topological). Update-kernel tasks (UNMQR/TSMQR/TTMQR) carry no new
-// reflectors and are skipped. A non-nil ctx cancels the replay at the next
-// task boundary, returning ctx.Err() — the partially transformed RHS is
-// then garbage, so callers must not serve it.
+// reflectors and are skipped. The replay is sequential on the calling
+// goroutine. ws is kernel scratch: any length ≥ ib·nrhs works, and
+// kernel.ApplyWorkLen(nb, ib, nrhs) lets wide right-hand sides use the
+// packed bulk path; nrhs < vec.GemmMinCols runs the kernels' vector form,
+// which needs ib elements and costs ≈ 4 flops per stored reflector entry
+// per column. A non-nil ctx cancels the replay at the next task boundary,
+// returning ctx.Err() — the partially transformed RHS is then garbage, so
+// callers must not serve it.
 func Replay[T vec.Scalar](ctx context.Context, src Source[T], d *core.DAG, trans bool, row func(i int) ([]T, int), nrhs, ib int, ws []T) error {
 	var cancelCh <-chan struct{}
 	if ctx != nil {
@@ -433,8 +438,6 @@ type Factorization[T vec.Scalar] struct {
 	valid   bool  // false between a failed execution and the next rebuild
 	ferr    error // cause of the last failed execution, cleared on success
 	trace   *sched.Trace
-
-	workPool sync.Pool // scratch slices for ApplyQ/ApplyQT/SolveLS
 }
 
 // Factor computes the tiled QR factorization A = Q·R of an m×n matrix
@@ -593,18 +596,30 @@ func (f *Factorization[T]) T2Factor(i, k int) []T { return f.t2[f.tidx(i, k)] }
 // KCols returns the column count of tile column k (1-based).
 func (f *Factorization[T]) KCols(k int) int { return f.grid.TileCols(k - 1) }
 
-// getWork fetches a pooled scratch slice of at least n elements; putWork
-// returns it. Steady-state Q applications allocate nothing.
-func (f *Factorization[T]) getWork(n int) []T {
-	if w, ok := f.workPool.Get().(*[]T); ok && len(*w) >= n {
-		return *w
+// scratchPools holds the ApplyQ/ApplyQT/SolveLS scratch, one pool per
+// scalar domain (package-level variables cannot be generic; indexed by
+// wsSlot like the worker workspaces). They are package-level on purpose: a
+// sync.Pool embedded in a Factorization is registered with the runtime on
+// its first Put and keeps its owner — tile arena included — reachable until
+// two garbage collections later, so cold factorizations that each solve
+// once pile up dead arenas.
+var scratchPools [4]sync.Pool
+
+// getScratch fetches a pooled scratch slice of at least n elements;
+// putScratch returns it. Steady-state Q applications and solves allocate
+// nothing here.
+func getScratch[T vec.Scalar](n int) *[]T {
+	p, _ := scratchPools[wsSlot[T]()].Get().(*[]T)
+	if p == nil {
+		p = new([]T)
 	}
-	return make([]T, n)
+	if len(*p) < n {
+		*p = make([]T, n)
+	}
+	return p
 }
 
-func (f *Factorization[T]) putWork(w []T) {
-	f.workPool.Put(&w)
-}
+func putScratch[T vec.Scalar](p *[]T) { scratchPools[wsSlot[T]()].Put(p) }
 
 // errInvalid is the state guard shared by every factor accessor: a failed
 // Factor/FactorInto/Refactor leaves half-factored tiles that must never be
@@ -633,15 +648,27 @@ func (f *Factorization[T]) R() *tile.Dense[T] {
 	if err := f.errInvalid("R"); err != nil {
 		panic(err) // value-returning accessor: fail loudly, never silently serve garbage
 	}
-	k := min(f.grid.M, f.grid.N)
-	r := tile.NewDense[T](k, f.grid.N)
-	nb := f.grid.NB
+	r := tile.NewDense[T](min(f.grid.M, f.grid.N), f.grid.N)
+	f.copyR(r.Data, r.Stride)
+	return r
+}
+
+// copyR writes the upper triangle (trapezoid) of R into dst at row stride
+// ldr, one copy per tile-row segment; dst's strictly lower part is not
+// touched.
+func (f *Factorization[T]) copyR(dst []T, ldr int) {
+	nb, k := f.grid.NB, min(f.grid.M, f.grid.N)
 	for i := 0; i < k; i++ {
-		for j := i; j < f.grid.N; j++ {
-			r.Set(i, j, f.mat.Tile(i/nb, j/nb).At(i%nb, j%nb))
+		ti, li := i/nb, i%nb
+		for tj := ti; tj < f.grid.Q; tj++ {
+			t := f.mat.Tile(ti, tj)
+			start := 0
+			if tj == ti {
+				start = li // diagonal tile: below the diagonal lie reflectors
+			}
+			copy(dst[i*ldr+tj*nb+start:i*ldr+tj*nb+t.Cols], t.Data[li*t.Stride+start:li*t.Stride+t.Cols])
 		}
 	}
-	return r
 }
 
 // RInto writes the leading k×k (k = min(m,n), capped at dst's shape by ldr
@@ -662,14 +689,7 @@ func (f *Factorization[T]) RInto(dst []T, ldr int) error {
 	if need := (k-1)*ldr + n; len(dst) < need {
 		return fmt.Errorf("tiledqr: RInto: dst has %d elements, need %d", len(dst), need)
 	}
-	nb := f.grid.NB
-	for i := 0; i < k; i++ {
-		ti, li := i/nb, i%nb
-		row := dst[i*ldr : i*ldr+n]
-		for j := i; j < n; j++ {
-			row[j] = f.mat.Tile(ti, j/nb).At(li, j%nb)
-		}
-	}
+	f.copyR(dst, ldr)
 	return nil
 }
 
@@ -686,14 +706,20 @@ func (f *Factorization[T]) Apply(ctx context.Context, b *tile.Dense[T], trans bo
 	if b.Rows != f.grid.M {
 		return fmt.Errorf("tiledqr: ApplyQ: b has %d rows, want %d", b.Rows, f.grid.M)
 	}
-	nrhs := b.Cols
-	ws := f.getWork(kernel.ApplyWorkLen(f.grid.NB, f.ib, max(nrhs, 1)))
-	defer f.putWork(ws)
-	// row returns a view of b's tile row i (1-based).
-	row := func(i int) ([]T, int) {
-		v := b.View((i-1)*f.grid.NB, 0, f.grid.TileRows(i-1), nrhs)
-		return v.Data, v.Stride
-	}
+	ws := getScratch[T](f.applyWorkLen(b.Cols))
+	defer putScratch(ws)
+	return f.replay(ctx, b.Data, b.Stride, b.Cols, trans, *ws)
+}
+
+// applyWorkLen is the kernel scratch a replay over nrhs columns needs.
+func (f *Factorization[T]) applyWorkLen(nrhs int) int {
+	return kernel.ApplyWorkLen(f.grid.NB, f.ib, max(nrhs, 1))
+}
+
+// replay runs Replay over the m×nrhs block b (row stride ldb) with the
+// plain grid mapping: tile row i (1-based) is rows (i−1)·nb onward.
+func (f *Factorization[T]) replay(ctx context.Context, b []T, ldb, nrhs int, trans bool, ws []T) error {
+	row := func(i int) ([]T, int) { return b[(i-1)*f.grid.NB*ldb:], ldb }
 	return Replay[T](ctx, f, f.dag, trans, row, nrhs, f.ib, ws)
 }
 
@@ -738,19 +764,26 @@ func (f *Factorization[T]) SolveLS(ctx context.Context, b *tile.Dense[T]) (*tile
 	if b.Rows != m {
 		return nil, fmt.Errorf("tiledqr: SolveLS: b has %d rows, want %d", b.Rows, m)
 	}
-	qtb := b.Clone()
-	if err := f.Apply(ctx, qtb, true); err != nil {
+	// One pooled block holds everything but the result: kernel scratch, the
+	// working copy of b, the n×n copy of R's upper triangle and one solution
+	// column.
+	nrhs := b.Cols
+	wsLen := f.applyWorkLen(nrhs)
+	scratch := getScratch[T](wsLen + m*nrhs + n*n + n)
+	defer putScratch(scratch)
+	ws, rest := (*scratch)[:wsLen], (*scratch)[wsLen:]
+	qtb, rest := rest[:m*nrhs], rest[m*nrhs:]
+	r, xcol := rest[:n*n], rest[n*n:n*n+n]
+	for i := 0; i < m; i++ {
+		copy(qtb[i*nrhs:i*nrhs+nrhs], b.Data[i*b.Stride:i*b.Stride+nrhs])
+	}
+	if err := f.replay(ctx, qtb, nrhs, nrhs, true, ws); err != nil {
 		return nil, err
 	}
-	r := f.R()
-	x := tile.NewDense[T](n, b.Cols)
-	// Row-oriented back-substitution (shared with the streaming path); the
-	// solution column lives in a pooled contiguous scratch until written
-	// back.
-	wbuf := f.getWork(n)
-	defer f.putWork(wbuf)
-	if err := work.SolveUpper(n, b.Cols, r.Data, r.Stride, qtb.Data, qtb.Stride,
-		x.Data, x.Stride, wbuf[:n]); err != nil {
+	f.copyR(r, n)
+	x := tile.NewDense[T](n, nrhs)
+	// Row-oriented back-substitution (shared with the streaming path).
+	if err := work.SolveUpper(n, nrhs, r, n, qtb, nrhs, x.Data, x.Stride, xcol); err != nil {
 		return nil, err
 	}
 	return x, nil

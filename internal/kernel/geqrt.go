@@ -105,6 +105,10 @@ func geqrt2[T vec.Scalar](m int, a []T, lda, j0, kb int, t []T, ldt int, comb []
 // micro-GEMM scratch and may be empty (the packed bulk path then stays
 // off).
 //
+// C narrower than vec.GemmMinCols takes the vector form (applyPanelNarrow,
+// sweeps along V's rows); the rest of this function is the block-reflector
+// form, whose sweeps run along C's rows.
+//
 // Rows r0+kb:m sit below the unit-lower-triangular head of the panel, so
 // every reflector column has a full V entry there: over that region both
 // sweeps are plain matrix products, handed to the packed micro-GEMM when
@@ -112,6 +116,10 @@ func geqrt2[T vec.Scalar](m int, a []T, lda, j0, kb int, t []T, ldt int, comb []
 // diagonal copy/Sub and the ragged column starts don't map onto GEMM.
 func applyPanel[T vec.Scalar](trans bool, m int, v []T, ldv, r0, vc0, kb int,
 	t []T, ldt, tc0 int, c []T, ldc, cc0, nc int, w, pack []T) {
+	if nc < vec.GemmMinCols {
+		applyPanelNarrow(trans, m, v, ldv, r0, vc0, kb, t, ldt, tc0, c, ldc, cc0, nc, w)
+		return
+	}
 	xBlock := xBlockOf[T]()
 	cc := vec.IsComplex[T]()
 	mb := r0 + kb // first bulk row
@@ -261,8 +269,13 @@ func GEQRT[T vec.Scalar](m, n, ib int, a []T, lda int, t []T, ldt int, work []T)
 // UNMQR applies the orthogonal (unitary) factor of a GEQRT factorization to
 // the m×nc tile c: C := Qᴴ·C if trans, else C := Q·C. v and t are the
 // outputs of GEQRT on an m×· tile with k reflectors and inner block size
-// ib. work may be nil or a scratch slice of length ≥ ib·nc; length ≥
-// ApplyWorkLen(m, ib, nc) additionally enables the packed bulk path.
+// ib. c may be a strided view (ldc > nc). work may be nil or a scratch slice
+// of length ≥ ib·nc; length ≥ ApplyWorkLen(m, ib, nc) additionally enables
+// the packed bulk path. Which path a call takes depends on nc alone:
+// nc < vec.GemmMinCols runs the vector form (one column at a time along V's
+// rows, ≈ 4·m·k flops per column, ib elements of work); wider C runs the
+// block-reflector form, with the full-height rows on the packed micro-GEMM
+// when the backend, the domain and the scratch allow.
 func UNMQR[T vec.Scalar](trans bool, m, k, ib int, v []T, ldv int, t []T, ldt int,
 	c []T, ldc, nc int, work []T) {
 	if k == 0 || nc == 0 {

@@ -107,7 +107,9 @@ func tpqrt2[T vec.Scalar](m, n, l int, a []T, lda int, b []T, ldb, j0, kb int,
 // acts on row vc0+x of C1; the pentagonal part acts on C2. If trans it
 // applies (I − V·Tᴴ·Vᴴ), else I − V·T·Vᴴ. w must have length ≥ kb·nc;
 // pack is micro-GEMM scratch and may be empty (the packed bulk path then
-// stays off).
+// stays off). C narrower than vec.GemmMinCols takes the vector form
+// (applyPentPanelNarrow); the rest of this function is the block-reflector
+// form.
 //
 // Rows 0:mFull of C2, where mFull = pentRows(m, l, vc0), lie inside the
 // pentagonal part of every reflector column (pentRows is nondecreasing in
@@ -119,6 +121,10 @@ func applyPentPanel[T vec.Scalar](trans bool, m, l int, v []T, ldv, vc0, kb int,
 	t []T, ldt int,
 	c1 []T, ldc1, c1c0 int,
 	c2 []T, ldc2, c2c0, nc int, w, pack []T) {
+	if nc < vec.GemmMinCols {
+		applyPentPanelNarrow(trans, m, l, v, ldv, vc0, kb, t, ldt, c1, ldc1, c1c0, c2, ldc2, c2c0, nc, w)
+		return
+	}
 	xBlock := xBlockOf[T]()
 	cc := vec.IsComplex[T]()
 	mFull := pentRows(m, l, vc0)
@@ -245,9 +251,11 @@ func TTQRT[T vec.Scalar](m, n, ib int, a []T, lda int, b []T, ldb int,
 // TPMQRT applies the transformation computed by TPQRT to the stacked pair
 // [C1; C2]: rows 0:k of the tile c1 and the full m×nc tile c2. v (m×k
 // pentagonal, trapezoid height l) and t are TPQRT's outputs; trans selects
-// Qᴴ (as used during factorization) versus Q. work may be nil or a scratch
-// slice of length ≥ ib·nc; length ≥ ApplyWorkLen(m, ib, nc) additionally
-// enables the packed bulk path.
+// Qᴴ (as used during factorization) versus Q. c1 and c2 may be strided
+// views. work may be nil or a scratch slice of length ≥ ib·nc; length ≥
+// ApplyWorkLen(m, ib, nc) additionally enables the packed bulk path. As in
+// UNMQR, nc < vec.GemmMinCols selects the vector form (ib elements of work)
+// and wider C the block-reflector form.
 func TPMQRT[T vec.Scalar](trans bool, m, k, l, ib int, v []T, ldv int, t []T, ldt int,
 	c1 []T, ldc1 int, c2 []T, ldc2, nc int, work []T) {
 	if k == 0 || nc == 0 {

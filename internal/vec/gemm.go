@@ -35,9 +35,15 @@ const (
 
 // gemmMinWork gates dispatch by m·n·k: below this the packing pass costs
 // more than the vector win. The bound also rejects degenerate shapes, and
-// skinny-C calls (n < mr columns) are declined separately — a 1-column
+// skinny-C calls (n < GemmMinCols) are declined separately — a 1-column
 // "GEMM" would waste 7/8 of every micro-tile on padding.
 const gemmMinWork = 4096
+
+// GemmMinCols is the narrowest C the packed path accepts. The Q-application
+// kernels share it as the width below which they drop the block-reflector
+// sweeps along C's rows for the vector form along V's rows (GemvTc /
+// GemvNSub), so the two regimes meet at one constant.
+const GemmMinCols = gemmMR
 
 func roundUpTo(v, q int) int { return (v + q - 1) / q * q }
 
@@ -79,7 +85,7 @@ func GemmOK[T Scalar](m, n, k, packLen int) bool {
 	if m <= 0 || n <= 0 || k <= 0 {
 		return false
 	}
-	if !simdEnabled.Load() || n < gemmMR || m*n*k < gemmMinWork {
+	if !simdEnabled.Load() || n < GemmMinCols || m*n*k < gemmMinWork {
 		return false
 	}
 	pl := GemmPackLen[T](m, n, k)

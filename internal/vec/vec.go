@@ -167,6 +167,84 @@ func axpy2Generic[T Scalar](alpha T, x1 []T, beta T, x2, y []T) {
 	}
 }
 
+// GemvTc accumulates y[0:k] += Σ_{i<m} conj(x[i·incx]) · a[i·lda : i·lda+k]:
+// y += Aᵀ·conj(x) for a row-major m×k A, i.e. conj(y) gathers Aᴴ·x (the
+// conjugation is the identity in the real domains). It is the W = Vᴴ·c sweep
+// of a block reflector applied to a single column c, taken along V's
+// contiguous rows: one call per panel, where m separate Axpy calls would pay
+// the backend dispatch per row. A zero x element is a structural zero and
+// its row is skipped, as in Axpy.
+func GemvTc[T Scalar](m, k int, a []T, lda int, x []T, incx int, y []T) {
+	if m <= 0 || k <= 0 {
+		return
+	}
+	y = y[:k]
+	if simdEnabled.Load() && k >= simdMinLen {
+		switch as := any(a).(type) {
+		case []float64:
+			xs, ys := any(x).([]float64), any(y).([]float64)
+			for i := 0; i < m; i++ {
+				if xi := xs[i*incx]; xi != 0 {
+					row := as[i*lda : i*lda+k]
+					axpyF64(xi, &row[0], &ys[0], k)
+				}
+			}
+			return
+		case []float32:
+			xs, ys := any(x).([]float32), any(y).([]float32)
+			for i := 0; i < m; i++ {
+				if xi := xs[i*incx]; xi != 0 {
+					row := as[i*lda : i*lda+k]
+					axpyF32(xi, &row[0], &ys[0], k)
+				}
+			}
+			return
+		}
+	}
+	cc := IsComplex[T]()
+	for i := 0; i < m; i++ {
+		xi := x[i*incx]
+		if xi == 0 {
+			continue
+		}
+		if cc {
+			xi = Conj(xi)
+		}
+		axpyGeneric(xi, a[i*lda:i*lda+k], y)
+	}
+}
+
+// GemvNSub computes y[i·incy] −= a[i·lda : i·lda+k] · x[0:k] (unconjugated)
+// for i < m: y −= A·x for a row-major m×k A. It is the c −= V·w sweep that
+// pairs with GemvTc, one Dot per contiguous row of V.
+func GemvNSub[T Scalar](m, k int, a []T, lda int, x, y []T, incy int) {
+	if m <= 0 || k <= 0 {
+		return
+	}
+	x = x[:k]
+	if simdEnabled.Load() && k >= simdMinLen {
+		switch as := any(a).(type) {
+		case []float64:
+			xs, ys := any(x).([]float64), any(y).([]float64)
+			for i := 0; i < m; i++ {
+				row := as[i*lda : i*lda+k]
+				ys[i*incy] -= dotF64(&row[0], &xs[0], k)
+			}
+			return
+		case []float32:
+			xs, ys := any(x).([]float32), any(y).([]float32)
+			for i := 0; i < m; i++ {
+				row := as[i*lda : i*lda+k]
+				ys[i*incy] -= dotF32(&row[0], &xs[0], k)
+			}
+			return
+		}
+	}
+	for i := 0; i < m; i++ {
+		y[i*incy] -= dotGeneric(a[i*lda:i*lda+k], x)
+	}
+}
+
 // Scal computes x *= α in place.
 func Scal[T Scalar](alpha T, x []T) {
 	n := len(x)

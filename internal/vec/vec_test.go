@@ -325,3 +325,70 @@ func TestNrm2IncOverflowUnderflow(t *testing.T) {
 		t.Errorf("Nrm2Inc(nil, 0)=%g want 0", got)
 	}
 }
+
+// testGemv holds GemvTc and GemvNSub against naive loops on an m×k block
+// with lda > k and strided vectors, under every kernel family. k spans both
+// sides of the SIMD dispatch length; one x element is zero (a skipped row).
+func testGemv[T Scalar](t *testing.T, tol float64) {
+	rng := rand.New(rand.NewSource(7))
+	rnd := func(n int) []T {
+		s := make([]T, n)
+		for i := range s {
+			s[i] = FromParts[T](rng.NormFloat64(), rng.NormFloat64())
+		}
+		return s
+	}
+	const m, lda, inc = 9, 41, 3
+	for _, k := range []int{1, 7, 16, 37} {
+		a, x, y0 := rnd(m*lda), rnd(m*inc), rnd(k)
+		x[2*inc] = 0
+		want := append([]T(nil), y0...)
+		for i := 0; i < m; i++ {
+			for j := 0; j < k; j++ {
+				want[j] += Conj(x[i*inc]) * a[i*lda+j]
+			}
+		}
+		got := append([]T(nil), y0...)
+		GemvTc(m, k, a, lda, x, inc, got)
+		for j := range got {
+			if d := Abs(got[j] - want[j]); d > tol {
+				t.Errorf("GemvTc k=%d: y[%d] = %v, want %v", k, j, got[j], want[j])
+			}
+		}
+
+		w, c0 := rnd(k), rnd(m*inc)
+		wantC := append([]T(nil), c0...)
+		for i := 0; i < m; i++ {
+			for j := 0; j < k; j++ {
+				wantC[i*inc] -= a[i*lda+j] * w[j]
+			}
+		}
+		gotC := append([]T(nil), c0...)
+		GemvNSub(m, k, a, lda, w, gotC, inc)
+		for i := range gotC {
+			if d := Abs(gotC[i] - wantC[i]); d > tol {
+				t.Errorf("GemvNSub k=%d: y[%d] = %v, want %v", k, i, gotC[i], wantC[i])
+			}
+		}
+	}
+}
+
+func TestGemvTcGemvNSub(t *testing.T) {
+	prev := ActiveFamily()
+	defer func() {
+		if err := SetFamily(prev); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for _, fam := range Families() {
+		if err := SetFamily(fam); err != nil {
+			t.Fatal(err)
+		}
+		t.Run(fam, func(t *testing.T) {
+			testGemv[float64](t, 1e-12)
+			testGemv[float32](t, 1e-4)
+			testGemv[complex128](t, 1e-12)
+			testGemv[complex64](t, 1e-4)
+		})
+	}
+}

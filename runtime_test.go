@@ -208,6 +208,67 @@ func TestRefactorAllocsO1(t *testing.T) {
 	if !equalData(f.R().Data, refR(a2, opt).Data) {
 		t.Error("steady-state Refactor R differs from per-call R")
 	}
+	// The same bound holds with a solve riding on every refactorization: its
+	// scratch comes from the package-level pools, so only the returned
+	// solution is allocated.
+	b := RandomDense(64, 1, 3)
+	solve := func() {
+		if err := f.Refactor(a2); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.SolveLS(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve()
+	if allocs := testing.AllocsPerRun(10, solve); allocs > 16 {
+		t.Errorf("Refactor+SolveLS did %.1f allocs/run, want O(1) ≤ 16", allocs)
+	}
+}
+
+// TestColdFactorizationsAreCollectable: a dropped factorization must be
+// garbage at the next collection, so nothing inside it may register with a
+// process-global list. A sync.Pool field would: the runtime's pool registry
+// holds a pool from its first Put until two GC cycles later — here with the
+// whole factorization, tile arena included — and a loop of cold
+// Factor+SolveLS then grows the live heap without bound.
+func TestColdFactorizationsAreCollectable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100 cold 2560×256 factorizations skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("heap accounting skipped under the race detector")
+	}
+	const m, n, nb, ib = 2560, 256, 64, 16
+	rt := NewRuntime(2)
+	defer rt.Close()
+	a := RandomDense(m, n, 1)
+	b := RandomDense(m, 1, 2)
+	opt := Options{TileSize: nb, InnerBlock: ib, Runtime: rt}
+	var ms runtime.MemStats
+	for i := 0; i < 100; i++ {
+		f, err := Factor(a, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.SolveLS(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One collection, not several: a pool registry pin expires after two
+	// cycles, so repeated GCs would hide it.
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(a)
+	runtime.KeepAlive(b)
+	// The input plus one arena (tiles and T factors, ~1.5× the input).
+	unit := uint64(m*n*8) * 5 / 2
+	t.Logf("HeapAlloc after 100 cold Factor+SolveLS and one GC: %.1f MB (input+arena %.1f MB)",
+		float64(ms.HeapAlloc)/1e6, float64(unit)/1e6)
+	if ms.HeapAlloc > 2*unit {
+		t.Errorf("HeapAlloc %.1f MB after a GC, want ≤ %.1f MB: dropped factorizations are still reachable",
+			float64(ms.HeapAlloc)/1e6, float64(2*unit)/1e6)
+	}
 }
 
 // TestFactorIntoRebuildsOnNewShape: FactorInto must transparently rebuild
