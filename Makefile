@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-noasm race vet fmt-check lint bench bench-e2e bench-smoke bench-gate tune throughput chaos fault-smoke fuzz-smoke serve-smoke dist-smoke clean
+.PHONY: all build test test-noasm race vet fmt-check lint loc bench bench-e2e bench-smoke bench-gate tune throughput chaos fault-smoke fuzz-smoke serve-smoke dist-smoke clean
 
 all: lint build test
 
@@ -21,6 +21,14 @@ lint: fmt-check vet
 
 test:
 	$(GO) test ./...
+
+# loc prints the non-test Go line count per top-level directory (bench/, the
+# benchmark harness, excluded) — the figure CHANGES.md reports for
+# simplification PRs, so it is reproducible.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' | xargs wc -l | \
+		awk '$$2 != "total" { n = split($$2, part, "/"); d = (n > 2) ? part[2] : "."; s[d] += $$1; t += $$1 } \
+		END { for (d in s) printf "%8d  %s\n", s[d], d; printf "%8d  total\n", t }' | sort -k2
 
 # test-noasm proves the pure-Go fallback family: once with the assembly
 # compiled out entirely and once with the binary intact but the vector
@@ -112,13 +120,14 @@ throughput:
 
 # bench-smoke is the CI-sized benchmark run: one iteration of the kernel,
 # least-squares solve and streaming figures, a tiny qrstream ingestion with verification (plain and
-# sliding-window/forgetting modes), and short fleet sweeps (factorization
-# throughput and windowed-stream ingestion), to prove the harnesses still
-# work.
+# sliding-window/forgetting modes), a traced complex qrfactor run that must
+# print its Gantt chart, and short fleet sweeps (factorization throughput
+# and windowed-stream ingestion), to prove the harnesses still work.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Figure4|^BenchmarkSolveLS$$|StreamAppendDouble$$' -benchtime 1x ./...
 	$(GO) run ./cmd/qrstream -n 96 -nb 32 -batch 64 -batches 6 -rhs 1 -verify
 	$(GO) run ./cmd/qrstream -n 96 -nb 32 -batch 64 -batches 8 -rhs 1 -window 192 -forget 0.99 -verify
+	$(GO) run ./cmd/qrfactor -m 300 -n 100 -nb 50 -workers 2 -complex -gantt | grep '^w0 '
 	$(GO) run ./cmd/qrperf -throughput -quick
 	$(GO) run ./cmd/qrperf -fleet -quick
 

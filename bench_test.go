@@ -361,11 +361,15 @@ func BenchmarkDAGBuild40x40(b *testing.B) {
 }
 
 func BenchmarkSchedulerOverhead(b *testing.B) {
-	// Empty-kernel execution isolates runtime dispatch cost per task.
+	// Empty-kernel execution on a resident pool and a prebuilt plan isolates
+	// runtime dispatch cost per task.
 	d := core.BuildDAG(core.GreedyList(20, 10), core.TT)
+	plan := sched.NewPlan(d)
+	rt := sched.NewRuntime(2)
+	defer rt.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.Run(d, sched.Options{Workers: 2}, func(int32, int) {}); err != nil {
+		if _, err := rt.Exec(plan, sched.Options{}, func(int32, *sched.Local) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}

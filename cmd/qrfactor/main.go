@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -13,6 +14,7 @@ import (
 
 	"tiledqr"
 	"tiledqr/internal/model"
+	"tiledqr/internal/tile"
 )
 
 func main() {
@@ -82,40 +84,35 @@ func main() {
 	fmt.Printf("%s(%s): %d×%d, %d×%d tiles of %d, critical path %d units\n",
 		*algName, *kern, *m, *n, p, q, *nb, cp)
 
-	flops := model.Flops(*m, *n)
 	if *complexArith {
-		flops = model.ComplexFlops(*m, *n)
-		a := tiledqr.RandomZDense(*m, *n, *seed)
-		start := time.Now()
-		f, err := tiledqr.FactorComplex(a, opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		el := time.Since(start)
-		fmt.Printf("factored in %v (%.3f GFLOP/s, %d tasks)\n", el, flops/el.Seconds()/1e9, f.TaskCount())
-		if *verify {
-			q := f.ThinQ()
-			fmt.Printf("‖A−QR‖/‖A‖ = %.2e   ‖QᴴQ−I‖ = %.2e\n",
-				tiledqr.ZQRResidual(a, q, f.R()), tiledqr.ZOrthoResidual(q))
-		}
-		return
+		err = run[complex128](*m, *n, *seed, opt, model.ComplexFlops(*m, *n), *verify, *gantt)
+	} else {
+		err = run[float64](*m, *n, *seed, opt, model.Flops(*m, *n), *verify, *gantt)
 	}
-	a := tiledqr.RandomDense(*m, *n, *seed)
-	start := time.Now()
-	f, err := tiledqr.Factor(a, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// run factors one random m×n matrix in T's domain and reports timing,
+// optionally residuals and the Gantt chart — one body for both arithmetics.
+func run[T tiledqr.Scalar](m, n int, seed int64, opt tiledqr.Options, flops float64, verify, gantt bool) error {
+	a := tiledqr.RandomMat[T](m, n, seed)
+	start := time.Now()
+	f, err := tiledqr.FactorOf(context.Background(), a, opt)
+	if err != nil {
+		return err
+	}
 	el := time.Since(start)
 	fmt.Printf("factored in %v (%.3f GFLOP/s, %d tasks)\n", el, flops/el.Seconds()/1e9, f.TaskCount())
-	if *verify {
-		qf := f.ThinQ()
-		fmt.Printf("‖A−QR‖/‖A‖ = %.2e   ‖QᵀQ−I‖ = %.2e\n",
-			tiledqr.QRResidual(a, qf, f.R()), tiledqr.OrthoResidual(qf))
+	if verify {
+		q, r := (*tile.Dense[T])(f.ThinQ()), (*tile.Dense[T])(f.R())
+		fmt.Printf("‖A−QR‖/‖A‖ = %.2e   ‖QᴴQ−I‖ = %.2e\n",
+			tile.ResidualQR((*tile.Dense[T])(a), q, r), tile.OrthoResidual(q))
 	}
-	if *gantt {
+	if gantt {
 		fmt.Print(f.GanttChart(100))
-		u := f.Utilization()
-		fmt.Printf("parallel efficiency: %.0f%%\n", 100*u.Overall)
+		fmt.Printf("parallel efficiency: %.0f%%\n", 100*f.Utilization().Overall)
 	}
+	return nil
 }

@@ -61,6 +61,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -235,26 +236,23 @@ func bestPlasma(kern core.Kernels, kt kernelTimes, p, q, nb, workers int, comple
 	return best
 }
 
-// measured runs a real factorization on the host.
+// measured runs a real factorization on the host and returns its GFLOP/s.
 func measured(alg tiledqr.Algorithm, kern tiledqr.Kernels, bs, p, q, nb, ib int, complexArith bool) float64 {
 	opt := tiledqr.Options{Algorithm: alg, Kernels: kern, TileSize: nb, InnerBlock: ib, BS: bs}
-	flops := model.Flops(p*nb, q*nb)
-	start := time.Now()
 	if complexArith {
-		a := tiledqr.RandomZDense(p*nb, q*nb, 7)
-		start = time.Now()
-		if _, err := tiledqr.FactorComplex(a, opt); err != nil {
-			die(err)
-		}
-		flops = model.ComplexFlops(p*nb, q*nb)
-	} else {
-		a := tiledqr.RandomDense(p*nb, q*nb, 7)
-		start = time.Now()
-		if _, err := tiledqr.Factor(a, opt); err != nil {
-			die(err)
-		}
+		return model.ComplexFlops(p*nb, q*nb) / factorSecs[complex128](p*nb, q*nb, opt) / 1e9
 	}
-	return flops / time.Since(start).Seconds() / 1e9
+	return model.Flops(p*nb, q*nb) / factorSecs[float64](p*nb, q*nb, opt) / 1e9
+}
+
+// factorSecs times one factorization of a random m×n matrix in T's domain.
+func factorSecs[T tiledqr.Scalar](m, n int, opt tiledqr.Options) float64 {
+	a := tiledqr.RandomMat[T](m, n, 7)
+	start := time.Now()
+	if _, err := tiledqr.FactorOf(context.Background(), a, opt); err != nil {
+		die(err)
+	}
+	return time.Since(start).Seconds()
 }
 
 func qGrid(dflt []int) []int {
@@ -668,12 +666,17 @@ func writeKernelsJSON(path string, quick bool) error {
 	if err := vec.SetFamily(startFam); err != nil {
 		die(err)
 	}
+	// Dispatch cost proper: a resident pool and a prebuilt plan, so neither
+	// plan construction nor pool spin-up and teardown is in the sample.
 	d := core.BuildDAG(core.GreedyList(20, 10), core.TT)
+	plan := sched.NewPlan(d)
+	pool := sched.NewRuntime(rep.SchedulerWorkers)
 	sec := timeIt(func() {
-		if _, err := sched.Run(d, sched.Options{Workers: 2}, func(int32, int) {}); err != nil {
+		if _, err := pool.Exec(plan, sched.Options{}, func(int32, *sched.Local) error { return nil }); err != nil {
 			die(err)
 		}
 	})
+	pool.Close()
 	rep.SchedulerNsPerTask = sec * 1e9 / float64(d.NumTasks())
 	rep.Stream = measureStream()
 	rep.Fleet = measureFleet(quick)

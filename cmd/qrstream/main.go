@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"tiledqr"
+	"tiledqr/internal/vec"
 )
 
 var (
@@ -50,9 +51,9 @@ func main() {
 	}
 	var err error
 	if *flagComplex {
-		err = run[complex128]("double complex", 16, tiledqr.FactorComplex)
+		err = run[complex128]("double complex", 16)
 	} else {
-		err = run[float64]("double", 8, tiledqr.Factor)
+		err = run[float64]("double", 8)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qrstream:", err)
@@ -74,11 +75,8 @@ func report(domain string, rows int64, elapsed time.Duration, residual float64, 
 }
 
 // run ingests, times, reports and verifies in one generic body — the
-// streaming API is precision-blind, so qrstream is too. factorization is
-// the domain's one-shot entry point for -verify.
-func run[T tiledqr.Scalar, F interface {
-	R() *tiledqr.Mat[T]
-}](domain string, elemBytes int, factor func(*tiledqr.Mat[T], tiledqr.Options) (F, error)) error {
+// library API is precision-blind, so qrstream is too.
+func run[T tiledqr.Scalar](domain string, elemBytes int) error {
 	n, batch, batches := *flagN, *flagBatch, *flagBatches
 	opt := tiledqr.Options{
 		TileSize: *flagNB, InnerBlock: *flagIB, Workers: *flagWorkers,
@@ -130,7 +128,7 @@ func run[T tiledqr.Scalar, F interface {
 	fmt.Printf("retained footprint: %d scalars (%.1f MiB) — %s\n",
 		s.Footprint(), float64(s.Footprint())*float64(elemBytes)/(1<<20), bound)
 	if *flagVerify {
-		return verify(s, data, factor, opt)
+		return verify(s, data, opt)
 	}
 	return nil
 }
@@ -140,9 +138,7 @@ func run[T tiledqr.Scalar, F interface {
 // by its accumulated forgetting decay — and compares R factors after
 // per-row sign alignment (the reflector construction keeps the diagonal
 // real in the complex domains too, so the row ambiguity is ±1).
-func verify[T tiledqr.Scalar, F interface {
-	R() *tiledqr.Mat[T]
-}](s *tiledqr.Stream[T], data []*tiledqr.Mat[T], factor func(*tiledqr.Mat[T], tiledqr.Options) (F, error), opt tiledqr.Options) error {
+func verify[T tiledqr.Scalar](s *tiledqr.Stream[T], data []*tiledqr.Mat[T], opt tiledqr.Options) error {
 	n, batch, batches := *flagN, *flagBatch, *flagBatches
 	total := batch * batches
 	kept := total
@@ -158,12 +154,12 @@ func verify[T tiledqr.Scalar, F interface {
 			w = math.Pow(*flagForget, float64(batches-1-bi)/2)
 		}
 		for c := 0; c < n; c++ {
-			all.Set(r-first, c, scale[T](w)*data[bi].At(r%batch, c))
+			all.Set(r-first, c, vec.FromParts[T](w, 0)*data[bi].At(r%batch, c))
 		}
 	}
 	refOpt := opt
 	refOpt.WindowRows, refOpt.Forget = 0, 0
-	f, err := factor(all, refOpt)
+	f, err := tiledqr.FactorOf(nil, all, refOpt)
 	if err != nil {
 		return err
 	}
@@ -174,12 +170,12 @@ func verify[T tiledqr.Scalar, F interface {
 	rRef := f.R()
 	var worst float64
 	for i := 0; i < n; i++ {
-		sign := scale[T](1)
-		if realPart(rStream.At(i, i))*realPart(rRef.At(i, i)) < 0 {
-			sign = scale[T](-1)
+		sign := T(1)
+		if vec.RealPart(rStream.At(i, i))*vec.RealPart(rRef.At(i, i)) < 0 {
+			sign = -1
 		}
 		for j := i; j < n; j++ {
-			worst = math.Max(worst, absOf(sign*rStream.At(i, j)-rRef.At(i, j)))
+			worst = math.Max(worst, vec.Abs(sign*rStream.At(i, j)-rRef.At(i, j)))
 		}
 	}
 	fmt.Printf("verify: max |R_stream − R_oneshot| = %.3e (sign-aligned, %d represented rows)\n", worst, kept)
@@ -193,45 +189,4 @@ func verify[T tiledqr.Scalar, F interface {
 		return fmt.Errorf("verification failed: deviation %.3e", worst)
 	}
 	return nil
-}
-
-func scale[T tiledqr.Scalar](w float64) T {
-	var z T
-	switch any(z).(type) {
-	case float32:
-		return any(float32(w)).(T)
-	case float64:
-		return any(w).(T)
-	case complex64:
-		return any(complex64(complex(w, 0))).(T)
-	default:
-		return any(complex(w, 0)).(T)
-	}
-}
-
-func realPart[T tiledqr.Scalar](v T) float64 {
-	switch x := any(v).(type) {
-	case float32:
-		return float64(x)
-	case float64:
-		return x
-	case complex64:
-		return float64(real(x))
-	default:
-		return real(any(v).(complex128))
-	}
-}
-
-func absOf[T tiledqr.Scalar](v T) float64 {
-	switch x := any(v).(type) {
-	case float32:
-		return math.Abs(float64(x))
-	case float64:
-		return math.Abs(x)
-	case complex64:
-		return math.Hypot(float64(real(x)), float64(imag(x)))
-	default:
-		x128 := any(v).(complex128)
-		return math.Hypot(real(x128), imag(x128))
-	}
 }

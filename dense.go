@@ -6,8 +6,8 @@ import (
 
 // Scalar is the set of element types the package factors: the four
 // precision domains of the paper's kernel family. Generic entry points
-// (Mat, Stream, NewStreamOf) are parameterized over it; the per-precision
-// named types below are aliases of their generic instantiations.
+// (Mat, QR, FactorOf, Stream, NewStreamOf) are parameterized over it; the
+// per-precision named types are aliases of their generic instantiations.
 type Scalar interface {
 	float32 | float64 | complex64 | complex128
 }

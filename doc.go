@@ -35,10 +35,10 @@
 //
 // # Architecture: one generic engine, four precisions
 //
-// Every numeric layer is a single generic implementation parameterized by
-// the scalar constraint (float32 | float64 | complex64 | complex128); the
-// public API instantiates it four times behind thin typed wrappers. From
-// the bottom up:
+// Every layer, the public API included, is a single generic implementation
+// parameterized by the scalar constraint (float32 | float64 | complex64 |
+// complex128) — the paper's trees and DAGs never mention the arithmetic.
+// From the bottom up:
 //
 //	internal/vec    — the Scalar constraint, the real/complex hooks
 //	                  (Conj, Abs, RealPart, FromParts), and the tuned
@@ -52,11 +52,14 @@
 //	internal/engine — the one Factorization[T]: DAG execution loop (task →
 //	                  kernel dispatch with error reporting), ApplyQ/ApplyQT
 //	                  replay, SolveLS, workspace pooling, tracing
-//	public API      — Factor (float64), Factor32 (float32), FactorComplex
-//	                  (complex128), CFactor (complex64), and one generic
-//	                  Stream[T] for all four (NewStreamOf[T]; the historic
-//	                  StreamQR / StreamQR32 / ZStreamQR / CStreamQR names
-//	                  remain as deprecated aliases of its instantiations)
+//	public API      — one QR[T] (FactorOf[T], FactorIntoOf[T]), one
+//	                  Stream[T] (NewStreamOf[T]) and one Mat[T]. The
+//	                  per-precision names — Factor/Factorization (float64),
+//	                  Factor32, FactorComplex/ZFactorization, CFactor, the
+//	                  *Into and *Ctx forms, NewStream/StreamQR and friends
+//	                  — are the compat layer in compat.go: aliases of the
+//	                  instantiations and one-line shims, same types and
+//	                  same code path
 //
 // The real/complex difference never forks the code: conjugation is the
 // identity in the real domains and every hook compiles to straight-line

@@ -17,9 +17,9 @@ import (
 	"time"
 
 	"tiledqr/internal/core"
+	"tiledqr/internal/engine"
 	"tiledqr/internal/tile"
 	"tiledqr/internal/vec"
-	"tiledqr/internal/work"
 )
 
 // Config shapes a distributed run. Zero values take the documented
@@ -333,7 +333,7 @@ func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T])
 	if nrhs > 0 && final > 0 {
 		res.X = tile.NewDense[T](n, nrhs)
 		xcol := make([]T, n)
-		if err := work.SolveUpper(n, nrhs, res.R.Data, res.R.Stride,
+		if err := engine.SolveUpper(n, nrhs, res.R.Data, res.R.Stride,
 			res.QTB.Data, res.QTB.Stride, res.X.Data, res.X.Stride, xcol); err != nil {
 			return nil, fmt.Errorf("dist: back-substitution: %w", err)
 		}

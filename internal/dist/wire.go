@@ -176,19 +176,8 @@ func putBuf(b []byte) {
 	bufPool.Put(&b)
 }
 
-// precOf returns the BLAS-style precision letter of T, the wire's type tag.
-func precOf[T vec.Scalar]() byte {
-	switch any((*T)(nil)).(type) {
-	case *float32:
-		return 's'
-	case *float64:
-		return 'd'
-	case *complex64:
-		return 'c'
-	default: // *complex128
-		return 'z'
-	}
-}
+// precOf returns the wire's type tag for T: the precision letter as a byte.
+func precOf[T vec.Scalar]() byte { return vec.Prec[T]().Tag()[0] }
 
 // scalarBytes returns the wire size of one scalar of precision prec, or 0
 // for an unknown tag.

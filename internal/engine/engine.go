@@ -3,9 +3,9 @@
 // the generic tile kernels through a Source), the Q application replay used
 // by ApplyQ/ApplyQT and the streaming Qᵀb fold, one-shot factorization
 // state (R extraction, thin/full Q, least squares, workspace pooling), and
-// tracing. The public package instantiates Factorization at
-// float32/float64/complex64/complex128 behind thin typed wrappers;
-// internal/stream reuses ExecTasks/Replay for its resident-triangle merges.
+// tracing. The public package wraps Factorization[T] in its one generic
+// QR[T]; internal/stream reuses ExecTasks/Replay for its resident-triangle
+// merges.
 //
 // Execution placement goes through Env: a shared persistent sched.Runtime
 // (the default — many factorizations, one worker pool), a per-call pool
@@ -30,7 +30,6 @@ import (
 	"tiledqr/internal/sched"
 	"tiledqr/internal/tile"
 	"tiledqr/internal/vec"
-	"tiledqr/internal/work"
 )
 
 // Env selects where a DAG executes.
@@ -38,8 +37,9 @@ type Env struct {
 	// Runtime, when non-nil, is the shared persistent pool to execute on.
 	Runtime *sched.Runtime
 	// Workers is honored only when Runtime is nil: a per-call pool of that
-	// size is built and torn down around the execution (0 = GOMAXPROCS);
-	// Workers == 1 runs inline on the calling goroutine, deterministically.
+	// size is built and torn down around the execution (0 =
+	// sched.DefaultWorkers: TILEDQR_WORKERS if set, else GOMAXPROCS); one
+	// worker runs inline on the calling goroutine, deterministically.
 	Workers int
 }
 
@@ -68,7 +68,11 @@ func (e Env) run(p *sched.Plan, opts RunOpts, exec sched.Exec) (*sched.Trace, er
 	if e.Runtime != nil {
 		return e.Runtime.Exec(p, sched.Options{Trace: opts.Trace, Ctx: opts.Ctx, Stats: opts.Stats}, exec)
 	}
-	if work.WorkersOrDefault(e.Workers) == 1 {
+	workers := e.Workers
+	if workers <= 0 {
+		workers = sched.DefaultWorkers()
+	}
+	if workers == 1 {
 		tr, err := sched.RunInline(opts.Ctx, p.DAG(), opts.Trace, exec)
 		if opts.Stats != nil {
 			// Inline runs have no idle worker time: busy equals wall.
@@ -76,24 +80,9 @@ func (e Env) run(p *sched.Plan, opts RunOpts, exec sched.Exec) (*sched.Trace, er
 		}
 		return tr, err
 	}
-	rt := sched.NewRuntime(e.Workers)
+	rt := sched.NewRuntime(workers)
 	defer rt.Close()
 	return rt.Exec(p, sched.Options{Trace: opts.Trace, Ctx: opts.Ctx, Stats: opts.Stats}, exec)
-}
-
-// wsSlot maps a scalar type to its sched.Local slot: one kernel workspace
-// per arithmetic domain per worker.
-func wsSlot[T vec.Scalar]() int {
-	switch any((*T)(nil)).(type) {
-	case *float32:
-		return 0
-	case *float64:
-		return 1
-	case *complex64:
-		return 2
-	default: // *complex128
-		return 3
-	}
 }
 
 // WorkerWS returns worker-local kernel scratch of length n, growing the
@@ -101,28 +90,13 @@ func wsSlot[T vec.Scalar]() int {
 // the owning worker touches a Local, so no synchronization is needed, and
 // steady-state executions allocate nothing here.
 func WorkerWS[T vec.Scalar](loc *sched.Local, n int) []T {
-	s := &loc.Slots[wsSlot[T]()]
+	s := &loc.Slots[vec.Prec[T]()]
 	if ws, ok := (*s).([]T); ok && cap(ws) >= n {
 		return ws[:n]
 	}
 	ws := make([]T, n)
 	*s = ws
 	return ws
-}
-
-// precName maps a scalar type to its BLAS-style precision letter, the
-// identity the fault injector and diagnostics use.
-func precName[T vec.Scalar]() string {
-	switch any((*T)(nil)).(type) {
-	case *float32:
-		return "s"
-	case *float64:
-		return "d"
-	case *complex64:
-		return "c"
-	default: // *complex128
-		return "z"
-	}
 }
 
 // Config carries the resolved factorization parameters from the public
@@ -245,15 +219,16 @@ func checkTask[T vec.Scalar](src Source[T], task core.Task) error {
 // panics here — the scheduler's containment turns it into a job error —
 // and ModeStall sleeps before the kernel executes.
 func injectFault[T vec.Scalar](task core.Task) (bool, error) {
-	act, hit := fault.Check(task.Kind, precName[T]())
+	prec := vec.Prec[T]().Tag()
+	act, hit := fault.Check(task.Kind, prec)
 	if !hit {
 		return false, nil
 	}
 	switch act.Mode {
 	case fault.ModeError:
-		return false, fault.Errorf(task.Kind, precName[T]())
+		return false, fault.Errorf(task.Kind, prec)
 	case fault.ModePanic:
-		panic(fault.PanicMsg(task.Kind, precName[T]()))
+		panic(fault.PanicMsg(task.Kind, prec))
 	case fault.ModeStall:
 		time.Sleep(act.Stall)
 	case fault.ModeNaN:
@@ -521,7 +496,7 @@ func (f *Factorization[T]) Refactor(a *tile.Dense[T]) error {
 // execution only and is never retained by the factorization.
 func (f *Factorization[T]) RefactorCtx(ctx context.Context, a *tile.Dense[T]) error {
 	if f.mat == nil {
-		return fmt.Errorf("tiledqr: Refactor on an empty factorization (use Factor first)")
+		return errEmpty("Refactor")
 	}
 	cfg := Config{
 		Algorithm: f.key.algorithm, Kernels: f.key.kernels, CoreOpts: f.key.coreOpts,
@@ -598,8 +573,8 @@ func (f *Factorization[T]) KCols(k int) int { return f.grid.TileCols(k - 1) }
 
 // scratchPools holds the ApplyQ/ApplyQT/SolveLS scratch, one pool per
 // scalar domain (package-level variables cannot be generic; indexed by
-// wsSlot like the worker workspaces). They are package-level on purpose: a
-// sync.Pool embedded in a Factorization is registered with the runtime on
+// vec.Prec like the worker workspaces). They are package-level on purpose:
+// a sync.Pool embedded in a Factorization is registered with the runtime on
 // its first Put and keeps its owner — tile arena included — reachable until
 // two garbage collections later, so cold factorizations that each solve
 // once pile up dead arenas.
@@ -609,7 +584,7 @@ var scratchPools [4]sync.Pool
 // putScratch returns it. Steady-state Q applications and solves allocate
 // nothing here.
 func getScratch[T vec.Scalar](n int) *[]T {
-	p, _ := scratchPools[wsSlot[T]()].Get().(*[]T)
+	p, _ := scratchPools[vec.Prec[T]()].Get().(*[]T)
 	if p == nil {
 		p = new([]T)
 	}
@@ -619,14 +594,23 @@ func getScratch[T vec.Scalar](n int) *[]T {
 	return p
 }
 
-func putScratch[T vec.Scalar](p *[]T) { scratchPools[wsSlot[T]()].Put(p) }
+func putScratch[T vec.Scalar](p *[]T) { scratchPools[vec.Prec[T]()].Put(p) }
 
-// errInvalid is the state guard shared by every factor accessor: a failed
-// Factor/FactorInto/Refactor leaves half-factored tiles that must never be
-// served as results.
+// errEmpty is what every entry point but FactorInto reports on a
+// factorization that has never been factored (the zero value).
+func errEmpty(op string) error {
+	return fmt.Errorf("tiledqr: %s on an empty factorization (use Factor or FactorInto first)", op)
+}
+
+// errInvalid is the state guard shared by every factor accessor: the zero
+// value holds nothing, and a failed Factor/FactorInto/Refactor leaves
+// half-factored tiles that must never be served as results.
 func (f *Factorization[T]) errInvalid(op string) error {
 	if f.valid {
 		return nil
+	}
+	if f.mat == nil {
+		return errEmpty(op)
 	}
 	if f.ferr != nil {
 		return fmt.Errorf("tiledqr: %s on an invalid factorization (the last factorization attempt failed: %w; re-run Factor, FactorInto or Refactor)", op, f.ferr)
@@ -635,10 +619,14 @@ func (f *Factorization[T]) errInvalid(op string) error {
 }
 
 // Err returns the cause of the last failed execution (nil when the
-// factorization is valid) — the sticky error the accessors wrap.
+// factorization is valid) — the sticky error the accessors wrap — or the
+// empty-factorization error on a value that was never factored.
 func (f *Factorization[T]) Err() error {
 	if f.valid {
 		return nil
+	}
+	if f.mat == nil {
+		return errEmpty("Err")
 	}
 	return f.ferr
 }
@@ -783,10 +771,36 @@ func (f *Factorization[T]) SolveLS(ctx context.Context, b *tile.Dense[T]) (*tile
 	f.copyR(r, n)
 	x := tile.NewDense[T](n, nrhs)
 	// Row-oriented back-substitution (shared with the streaming path).
-	if err := work.SolveUpper(n, nrhs, r, n, qtb, nrhs, x.Data, x.Stride, xcol); err != nil {
+	if err := SolveUpper(n, nrhs, r, n, qtb, nrhs, x.Data, x.Stride, xcol); err != nil {
 		return nil, err
 	}
 	return x, nil
+}
+
+// SolveUpper solves R·X = B by row-oriented back-substitution: R is n×n
+// upper triangular with row stride ldr (its strictly lower part is never
+// read), B provides the top n rows of the right-hand sides at stride ldb,
+// and the solution is written to x at stride ldx. xcol is an n-element
+// scratch holding each solution column contiguously so every inner product
+// runs over a contiguous row of R via the unconjugated vec.Dot. Shared by
+// SolveLS, the streaming core and the distributed coordinator.
+func SolveUpper[T vec.Scalar](n, nrhs int, r []T, ldr int, b []T, ldb int,
+	x []T, ldx int, xcol []T) error {
+	for c := 0; c < nrhs; c++ {
+		for i := n - 1; i >= 0; i-- {
+			row := r[i*ldr : i*ldr+n]
+			s := b[i*ldb+c] - vec.Dot(row[i+1:], xcol[i+1:n])
+			d := row[i]
+			if d == 0 {
+				return fmt.Errorf("tiledqr: SolveLS: R(%d,%d) = 0, matrix is rank deficient", i, i)
+			}
+			xcol[i] = s / d
+		}
+		for i := 0; i < n; i++ {
+			x[i*ldx+c] = xcol[i]
+		}
+	}
+	return nil
 }
 
 // Trace returns the execution trace (nil unless Config.Trace was set).
@@ -810,8 +824,14 @@ func (f *Factorization[T]) Utilization() sched.Utilization {
 	return f.trace.Utilization()
 }
 
-// TaskCount returns the number of kernel tasks the factorization executed.
-func (f *Factorization[T]) TaskCount() int { return f.dag.NumTasks() }
+// TaskCount returns the number of kernel tasks the factorization executed
+// (0 before the first factorization).
+func (f *Factorization[T]) TaskCount() int {
+	if f.dag == nil {
+		return 0
+	}
+	return f.dag.NumTasks()
+}
 
 // DAG exposes the executed task DAG (trace validation in tests).
 func (f *Factorization[T]) DAG() *core.DAG { return f.dag }

@@ -8,13 +8,17 @@ import (
 )
 
 // BenchmarkRunDispatch measures pure runtime dispatch cost per task (empty
-// kernels) at several worker counts.
+// kernels, resident pool, prebuilt plan) at several worker counts.
 func BenchmarkRunDispatch(b *testing.B) {
 	d := core.BuildDAG(core.GreedyList(20, 10), core.TT)
+	plan := NewPlan(d)
 	for _, workers := range []int{2, 4} {
 		b.Run(map[int]string{2: "workers=2", 4: "workers=4"}[workers], func(b *testing.B) {
+			rt := NewRuntime(workers)
+			defer rt.Close()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(d, Options{Workers: workers}, func(int32, int) {}); err != nil {
+				if _, err := rt.Exec(plan, Options{}, func(int32, *Local) error { return nil }); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -36,7 +40,7 @@ func BenchmarkRunWeightedDAG(b *testing.B) {
 		}
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(d, Options{}, busy); err != nil {
+		if _, err := runDAG(d, DefaultWorkers(), false, busy); err != nil {
 			b.Fatal(err)
 		}
 	}

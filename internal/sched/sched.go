@@ -7,15 +7,13 @@
 // The pool is persistent (see Runtime in runtime.go): one set of worker
 // goroutines executes the DAGs of any number of concurrent factorizations,
 // with critical-path priorities inside each DAG and weighted-fair admission
-// across DAGs. Run in this file is the one-shot convenience (and the
-// per-call baseline the throughput benchmarks compare against): it builds
-// a fresh pool, executes one DAG, and tears the pool down.
+// across DAGs. A per-call pool is just an ephemeral Runtime (NewRuntime,
+// Exec, Close), and RunInline is the deterministic single-goroutine path.
 package sched
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"tiledqr/internal/core"
@@ -38,9 +36,6 @@ type Trace struct {
 
 // Options configures a DAG execution.
 type Options struct {
-	// Workers is the number of executor goroutines for the one-shot Run;
-	// 0 means GOMAXPROCS. Runtime.Exec ignores it (the pool is fixed).
-	Workers int
 	// Trace enables per-task span recording.
 	Trace bool
 	// Ctx, when non-nil, cancels the job: in-flight tasks finish, queued
@@ -91,34 +86,6 @@ func Priorities(d *core.DAG) []int64 {
 		prio[t] = best + weight(d.Tasks[t].Kind)
 	}
 	return prio
-}
-
-// Run executes every task of the DAG on a pool created for this one call
-// and torn down afterwards — the legacy per-call mode, kept as the
-// explicit-Workers path and as the baseline the shared Runtime is
-// benchmarked against. exec is called as exec(task, worker) with worker in
-// [0, Workers); workers own disjoint scratch space indexed by that id.
-// Workers == 1 selects the deterministic sequential path on the calling
-// goroutine. Run returns a Trace (nil Spans unless Options.Trace) and the
-// first panic raised by exec, if any, wrapped as an error.
-func Run(d *core.DAG, opt Options, exec func(task int32, worker int)) (*Trace, error) {
-	wrapped := func(t int32, loc *Local) error {
-		exec(t, loc.ID)
-		return nil
-	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if d.NumTasks() == 0 {
-		return &Trace{Workers: workers}, nil
-	}
-	if workers == 1 {
-		return RunInline(opt.Ctx, d, opt.Trace, wrapped)
-	}
-	rt := NewRuntime(workers)
-	defer rt.Close()
-	return rt.Exec(NewPlan(d), Options{Trace: opt.Trace, Ctx: opt.Ctx, Stats: opt.Stats}, wrapped)
 }
 
 // Validate checks that a trace respects every DAG dependency (each task

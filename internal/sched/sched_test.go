@@ -13,11 +13,27 @@ func testDAG() *core.DAG {
 	return core.BuildDAG(core.GreedyList(10, 5), core.TT)
 }
 
+// runDAG executes the DAG once the way the engine places a per-call job:
+// inline for one worker, otherwise on a pool built for this call and torn
+// down afterwards. exec sees the executing worker's id.
+func runDAG(d *core.DAG, workers int, trace bool, exec func(task int32, worker int)) (*Trace, error) {
+	wrapped := func(t int32, loc *Local) error {
+		exec(t, loc.ID)
+		return nil
+	}
+	if workers == 1 {
+		return RunInline(nil, d, trace, wrapped)
+	}
+	rt := NewRuntime(workers)
+	defer rt.Close()
+	return rt.Exec(NewPlan(d), Options{Trace: trace}, wrapped)
+}
+
 func TestRunExecutesEveryTaskOnce(t *testing.T) {
 	d := testDAG()
 	for _, workers := range []int{1, 2, 4, 8} {
 		counts := make([]int32, d.NumTasks())
-		_, err := Run(d, Options{Workers: workers}, func(task int32, w int) {
+		_, err := runDAG(d, workers, false, func(task int32, w int) {
 			atomic.AddInt32(&counts[task], 1)
 			if w < 0 || w >= workers {
 				panic(fmt.Sprintf("worker id %d out of range", w))
@@ -39,7 +55,7 @@ func TestRunRespectsDependencies(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		done := make([]atomic.Bool, d.NumTasks())
 		var violations atomic.Int32
-		_, err := Run(d, Options{Workers: workers}, func(task int32, _ int) {
+		_, err := runDAG(d, workers, false, func(task int32, _ int) {
 			for _, p := range d.Preds(int(task)) {
 				if !done[p].Load() {
 					violations.Add(1)
@@ -58,7 +74,7 @@ func TestRunRespectsDependencies(t *testing.T) {
 
 func TestRunTraceValidates(t *testing.T) {
 	d := testDAG()
-	tr, err := Run(d, Options{Workers: 4, Trace: true}, func(int32, int) {})
+	tr, err := runDAG(d, 4, true, func(int32, int) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +89,7 @@ func TestRunTraceValidates(t *testing.T) {
 func TestRunPanicBecomesError(t *testing.T) {
 	d := testDAG()
 	for _, workers := range []int{1, 3} {
-		_, err := Run(d, Options{Workers: workers}, func(task int32, _ int) {
+		_, err := runDAG(d, workers, false, func(task int32, _ int) {
 			if task == 5 {
 				panic(errors.New("boom"))
 			}
@@ -89,7 +105,7 @@ func TestRunEmptyDAG(t *testing.T) {
 	// A 1×1 grid has one GEQRT task; an empty list on a 1×1 grid still
 	// triangularizes the diagonal.
 	ran := 0
-	if _, err := Run(d, Options{Workers: 2}, func(int32, int) { ran++ }); err != nil {
+	if _, err := runDAG(d, 2, false, func(int32, int) { ran++ }); err != nil {
 		t.Fatal(err)
 	}
 	if ran != d.NumTasks() {
@@ -100,7 +116,7 @@ func TestRunEmptyDAG(t *testing.T) {
 func TestSequentialIsTopological(t *testing.T) {
 	d := testDAG()
 	last := int32(-1)
-	_, err := Run(d, Options{Workers: 1}, func(task int32, _ int) {
+	_, err := runDAG(d, 1, false, func(task int32, _ int) {
 		if task <= last {
 			t.Fatalf("sequential mode executed %d after %d", task, last)
 		}
@@ -113,7 +129,7 @@ func TestSequentialIsTopological(t *testing.T) {
 
 func TestTraceValidateDetectsViolation(t *testing.T) {
 	d := testDAG()
-	tr, err := Run(d, Options{Workers: 2, Trace: true}, func(int32, int) {})
+	tr, err := runDAG(d, 2, true, func(int32, int) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +155,7 @@ func TestUtilizationAndGantt(t *testing.T) {
 		}
 		_ = s
 	}
-	tr, err := Run(d, Options{Workers: 2, Trace: true}, busyWork)
+	tr, err := runDAG(d, 2, true, busyWork)
 	if err != nil {
 		t.Fatal(err)
 	}

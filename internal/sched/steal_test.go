@@ -31,7 +31,7 @@ func TestStealingStress(t *testing.T) {
 				counts := make([]int32, d.NumTasks())
 				ended := make([]atomic.Bool, d.NumTasks())
 				var violations atomic.Int32
-				tr, err := Run(d, Options{Workers: workers, Trace: true}, func(task int32, w int) {
+				tr, err := runDAG(d, workers, true, func(task int32, w int) {
 					if w < 0 || w >= workers {
 						panic("worker id out of range")
 					}
@@ -70,7 +70,7 @@ func TestSequentialDeterminism(t *testing.T) {
 	var first []int32
 	for run := 0; run < 5; run++ {
 		var order []int32
-		if _, err := Run(d, Options{Workers: 1}, func(task int32, _ int) {
+		if _, err := runDAG(d, 1, false, func(task int32, _ int) {
 			order = append(order, task)
 		}); err != nil {
 			t.Fatal(err)
@@ -146,7 +146,7 @@ func TestRunManySmallDAGsSequentially(t *testing.T) {
 	d := core.BuildDAG(core.GreedyList(4, 2), core.TT)
 	for i := 0; i < 200; i++ {
 		ran := int32(0)
-		if _, err := Run(d, Options{Workers: 3}, func(int32, int) {
+		if _, err := runDAG(d, 3, false, func(int32, int) {
 			atomic.AddInt32(&ran, 1)
 		}); err != nil {
 			t.Fatal(err)

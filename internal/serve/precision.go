@@ -6,18 +6,14 @@ import (
 	"strings"
 
 	"tiledqr"
-	"tiledqr/internal/tile"
 	"tiledqr/internal/vec"
 )
 
 // The handlers are precision-blind: they speak to one of four domains
 // through the ops interface below, whose single generic implementation
-// (domain[T]) works on tile.Dense[T] and reaches the public tiledqr API
-// directly where it is generic (tiledqr.Stream[T]) and through a small
-// per-precision adapter interface where it is not. The factorization
-// adapters are the only per-precision code left in the package — four
-// mechanical blocks wrapping Factor/FactorInto/SolveLS whose receivers
-// differ in name only; streaming sessions have no adapters at all.
+// (domain[T]) works on tiledqr.Mat[T] and calls the generic public API
+// (tiledqr.FactorOf/FactorIntoOf, tiledqr.Stream[T]) directly. The only
+// per-precision code in the package is the four-entry domains table.
 
 // ops is one precision's view of the library, expressed over wire matrices.
 type ops interface {
@@ -60,25 +56,10 @@ type reusableOps interface {
 	Submit(ctx context.Context, a, rhs *Matrix) (*Matrix, int, error)
 }
 
-// factorization adapts one precision's (reusable) factorization. It
-// operates on tile.Dense[T], which the public wrapper types convert to for
-// free.
-type factorization[T vec.Scalar] interface {
-	FactorIntoCtx(ctx context.Context, a *tile.Dense[T]) error
-	R() *tile.Dense[T]
-	SolveLSCtx(ctx context.Context, b *tile.Dense[T]) (*tile.Dense[T], error)
-	TaskCount() int
-}
+// domain is the one generic ops implementation.
+type domain[T vec.Scalar] struct{}
 
-// domain is the one generic ops implementation, parameterized by the
-// per-precision factorization constructor; streams need no constructor
-// parameter because tiledqr.Stream is itself generic.
-type domain[T vec.Scalar] struct {
-	tag     string
-	newFact func(opt tiledqr.Options) factorization[T]
-}
-
-func (d *domain[T]) Precision() string { return d.tag }
+func (d *domain[T]) Precision() string { return vec.Prec[T]().Tag() }
 func (d *domain[T]) IsComplex() bool   { return vec.IsComplex[T]() }
 
 func (d *domain[T]) CheckMatrix(m *Matrix, maxElems int) error {
@@ -86,8 +67,8 @@ func (d *domain[T]) CheckMatrix(m *Matrix, maxElems int) error {
 }
 
 func (d *domain[T]) Factor(ctx context.Context, a *Matrix, opt tiledqr.Options) (*Matrix, int, error) {
-	f := d.newFact(opt)
-	if err := f.FactorIntoCtx(ctx, decode[T](a)); err != nil {
+	f, err := tiledqr.FactorOf(ctx, decode[T](a), opt)
+	if err != nil {
 		return nil, 0, err
 	}
 	return encode(f.R()), f.TaskCount(), nil
@@ -104,8 +85,8 @@ func (d *domain[T]) Solve(ctx context.Context, a *Matrix, rhs []*Matrix, opt til
 		}
 		widths[k] = b.Cols
 	}
-	f := d.newFact(opt)
-	if err := f.FactorIntoCtx(ctx, decode[T](a)); err != nil {
+	f, err := tiledqr.FactorOf(ctx, decode[T](a), opt)
+	if err != nil {
 		return nil, 0, err
 	}
 	x, err := f.SolveLSCtx(ctx, hcat[T](rhs, vec.IsComplex[T]()))
@@ -124,7 +105,7 @@ func (d *domain[T]) NewStream(n int, opt tiledqr.Options) (streamOps, error) {
 }
 
 func (d *domain[T]) NewReusable(opt tiledqr.Options) reusableOps {
-	return &reusableSession[T]{f: d.newFact(opt)}
+	return &reusableSession[T]{opt: opt}
 }
 
 // streamSession lifts the generic tiledqr.Stream to the wire level —
@@ -133,9 +114,9 @@ type streamSession[T vec.Scalar] struct{ s *tiledqr.Stream[T] }
 
 func (w *streamSession[T]) Append(ctx context.Context, batch, rhs *Matrix) error {
 	if rhs != nil {
-		return w.s.AppendRHSCtx(ctx, (*tiledqr.Mat[T])(decode[T](batch)), (*tiledqr.Mat[T])(decode[T](rhs)))
+		return w.s.AppendRHSCtx(ctx, decode[T](batch), decode[T](rhs))
 	}
-	return w.s.AppendRowsCtx(ctx, (*tiledqr.Mat[T])(decode[T](batch)))
+	return w.s.AppendRowsCtx(ctx, decode[T](batch))
 }
 
 func (w *streamSession[T]) Downdate(ctx context.Context, k int) (int64, error) {
@@ -157,7 +138,7 @@ func (w *streamSession[T]) Solve() (*Matrix, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return encode((*tile.Dense[T])(x)), resid, nil
+	return encode(x), resid, nil
 }
 
 func (w *streamSession[T]) R() (*Matrix, error) {
@@ -165,11 +146,14 @@ func (w *streamSession[T]) R() (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	return encode((*tile.Dense[T])(r)), nil
+	return encode(r), nil
 }
 
-// reusableSession lifts a factorization[T] to the wire level.
-type reusableSession[T vec.Scalar] struct{ f factorization[T] }
+// reusableSession lifts one FactorIntoOf target to the wire level.
+type reusableSession[T vec.Scalar] struct {
+	f   tiledqr.QR[T]
+	opt tiledqr.Options
+}
 
 func (w *reusableSession[T]) Submit(ctx context.Context, a, rhs *Matrix) (*Matrix, int, error) {
 	if rhs != nil && a.Rows < a.Cols {
@@ -178,7 +162,7 @@ func (w *reusableSession[T]) Submit(ctx context.Context, a, rhs *Matrix) (*Matri
 	if rhs != nil && rhs.Rows != a.Rows {
 		return nil, 0, fmt.Errorf("right-hand side has %d rows, matrix has %d", rhs.Rows, a.Rows)
 	}
-	if err := w.f.FactorIntoCtx(ctx, decode[T](a)); err != nil {
+	if err := tiledqr.FactorIntoOf(ctx, &w.f, decode[T](a), w.opt); err != nil {
 		return nil, 0, err
 	}
 	if rhs == nil {
@@ -191,86 +175,12 @@ func (w *reusableSession[T]) Submit(ctx context.Context, a, rhs *Matrix) (*Matri
 	return encode(x), w.f.TaskCount(), nil
 }
 
-// ---- per-precision adapters: the only non-generic code ----
-
-type dFact struct {
-	f   tiledqr.Factorization
-	opt tiledqr.Options
-}
-
-func (a *dFact) FactorIntoCtx(ctx context.Context, m *tile.Dense[float64]) error {
-	return tiledqr.FactorIntoCtx(ctx, &a.f, (*tiledqr.Dense)(m), a.opt)
-}
-func (a *dFact) R() *tile.Dense[float64] { return (*tile.Dense[float64])(a.f.R()) }
-func (a *dFact) TaskCount() int          { return a.f.TaskCount() }
-func (a *dFact) SolveLSCtx(ctx context.Context, b *tile.Dense[float64]) (*tile.Dense[float64], error) {
-	x, err := a.f.SolveLSCtx(ctx, (*tiledqr.Dense)(b))
-	return (*tile.Dense[float64])(x), err
-}
-
-type zFact struct {
-	f   tiledqr.ZFactorization
-	opt tiledqr.Options
-}
-
-func (a *zFact) FactorIntoCtx(ctx context.Context, m *tile.Dense[complex128]) error {
-	return tiledqr.ZFactorIntoCtx(ctx, &a.f, (*tiledqr.ZDense)(m), a.opt)
-}
-func (a *zFact) R() *tile.Dense[complex128] { return (*tile.Dense[complex128])(a.f.R()) }
-func (a *zFact) TaskCount() int             { return a.f.TaskCount() }
-func (a *zFact) SolveLSCtx(ctx context.Context, b *tile.Dense[complex128]) (*tile.Dense[complex128], error) {
-	x, err := a.f.SolveLSCtx(ctx, (*tiledqr.ZDense)(b))
-	return (*tile.Dense[complex128])(x), err
-}
-
-type sFact struct {
-	f   tiledqr.Factorization32
-	opt tiledqr.Options
-}
-
-func (a *sFact) FactorIntoCtx(ctx context.Context, m *tile.Dense[float32]) error {
-	return tiledqr.FactorInto32Ctx(ctx, &a.f, (*tiledqr.Dense32)(m), a.opt)
-}
-func (a *sFact) R() *tile.Dense[float32] { return (*tile.Dense[float32])(a.f.R()) }
-func (a *sFact) TaskCount() int          { return a.f.TaskCount() }
-func (a *sFact) SolveLSCtx(ctx context.Context, b *tile.Dense[float32]) (*tile.Dense[float32], error) {
-	x, err := a.f.SolveLSCtx(ctx, (*tiledqr.Dense32)(b))
-	return (*tile.Dense[float32])(x), err
-}
-
-type cFact struct {
-	f   tiledqr.CFactorization
-	opt tiledqr.Options
-}
-
-func (a *cFact) FactorIntoCtx(ctx context.Context, m *tile.Dense[complex64]) error {
-	return tiledqr.CFactorIntoCtx(ctx, &a.f, (*tiledqr.CDense)(m), a.opt)
-}
-func (a *cFact) R() *tile.Dense[complex64] { return (*tile.Dense[complex64])(a.f.R()) }
-func (a *cFact) TaskCount() int            { return a.f.TaskCount() }
-func (a *cFact) SolveLSCtx(ctx context.Context, b *tile.Dense[complex64]) (*tile.Dense[complex64], error) {
-	x, err := a.f.SolveLSCtx(ctx, (*tiledqr.CDense)(b))
-	return (*tile.Dense[complex64])(x), err
-}
-
 // domains maps the wire precision tag to its ops.
 var domains = map[string]ops{
-	"d": &domain[float64]{
-		tag:     "d",
-		newFact: func(opt tiledqr.Options) factorization[float64] { return &dFact{opt: opt} },
-	},
-	"z": &domain[complex128]{
-		tag:     "z",
-		newFact: func(opt tiledqr.Options) factorization[complex128] { return &zFact{opt: opt} },
-	},
-	"s": &domain[float32]{
-		tag:     "s",
-		newFact: func(opt tiledqr.Options) factorization[float32] { return &sFact{opt: opt} },
-	},
-	"c": &domain[complex64]{
-		tag:     "c",
-		newFact: func(opt tiledqr.Options) factorization[complex64] { return &cFact{opt: opt} },
-	},
+	"d": &domain[float64]{},
+	"z": &domain[complex128]{},
+	"s": &domain[float32]{},
+	"c": &domain[complex64]{},
 }
 
 // opsFor resolves a request's precision tag ("" defaults to double).

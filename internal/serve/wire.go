@@ -11,7 +11,7 @@ import (
 	"errors"
 	"fmt"
 
-	"tiledqr/internal/tile"
+	"tiledqr"
 	"tiledqr/internal/vec"
 )
 
@@ -54,8 +54,8 @@ func (m *Matrix) check(isComplex bool, maxElems int) error {
 }
 
 // decode converts a checked wire matrix into a dense matrix of T's domain.
-func decode[T vec.Scalar](m *Matrix) *tile.Dense[T] {
-	d := tile.NewDense[T](m.Rows, m.Cols)
+func decode[T vec.Scalar](m *Matrix) *tiledqr.Mat[T] {
+	d := tiledqr.NewMat[T](m.Rows, m.Cols)
 	if vec.IsComplex[T]() {
 		for i := 0; i < m.Rows; i++ {
 			row := d.Data[i*d.Stride:]
@@ -77,7 +77,7 @@ func decode[T vec.Scalar](m *Matrix) *tile.Dense[T] {
 }
 
 // encode converts a dense matrix back to the wire form.
-func encode[T vec.Scalar](d *tile.Dense[T]) *Matrix {
+func encode[T vec.Scalar](d *tiledqr.Mat[T]) *Matrix {
 	m := &Matrix{Rows: d.Rows, Cols: d.Cols}
 	if vec.IsComplex[T]() {
 		m.Data = make([]float64, 2*d.Rows*d.Cols)
@@ -105,12 +105,12 @@ func encode[T vec.Scalar](d *tile.Dense[T]) *Matrix {
 // hcat concatenates checked wire matrices with equal row counts column-wise
 // into one dense matrix — the coalescing path stacks many small right-hand
 // sides into a single multi-column solve.
-func hcat[T vec.Scalar](ms []*Matrix, isComplex bool) *tile.Dense[T] {
+func hcat[T vec.Scalar](ms []*Matrix, isComplex bool) *tiledqr.Mat[T] {
 	rows, cols := ms[0].Rows, 0
 	for _, m := range ms {
 		cols += m.Cols
 	}
-	d := tile.NewDense[T](rows, cols)
+	d := tiledqr.NewMat[T](rows, cols)
 	off := 0
 	for _, m := range ms {
 		for i := 0; i < rows; i++ {
@@ -133,7 +133,7 @@ func hcat[T vec.Scalar](ms []*Matrix, isComplex bool) *tile.Dense[T] {
 }
 
 // splitCols slices an encoded solution back into per-request column blocks.
-func splitCols[T vec.Scalar](x *tile.Dense[T], widths []int) []*Matrix {
+func splitCols[T vec.Scalar](x *tiledqr.Mat[T], widths []int) []*Matrix {
 	out := make([]*Matrix, len(widths))
 	off := 0
 	for k, w := range widths {

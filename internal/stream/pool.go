@@ -23,32 +23,17 @@ type staging[T vec.Scalar] struct {
 	rhs    []T             // batch RHS staging
 }
 
-// stagingPools holds one sync.Pool per scalar domain. Package-level
-// variables cannot be generic, so the pool is picked by a type switch on
-// the zero value (mirroring the engine's workspace slotting).
+// stagingPools holds one sync.Pool per scalar domain (package-level
+// variables cannot be generic), indexed by vec.Prec.
 var stagingPools [4]sync.Pool
 
-func poolIdx[T vec.Scalar]() int {
-	var z T
-	switch any(z).(type) {
-	case float64:
-		return 0
-	case complex128:
-		return 1
-	case float32:
-		return 2
-	default: // complex64
-		return 3
-	}
-}
-
 func getStaging[T vec.Scalar]() *staging[T] {
-	if v := stagingPools[poolIdx[T]()].Get(); v != nil {
+	if v := stagingPools[vec.Prec[T]()].Get(); v != nil {
 		return v.(*staging[T])
 	}
 	return &staging[T]{}
 }
 
 func putStaging[T vec.Scalar](st *staging[T]) {
-	stagingPools[poolIdx[T]()].Put(st)
+	stagingPools[vec.Prec[T]()].Put(st)
 }

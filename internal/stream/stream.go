@@ -31,7 +31,6 @@ import (
 	"tiledqr/internal/sched"
 	"tiledqr/internal/tile"
 	"tiledqr/internal/vec"
-	"tiledqr/internal/work"
 )
 
 // seqTaskThreshold is the DAG size below which a batch merge runs on the
@@ -579,5 +578,5 @@ func (c *Core[T]) SolveLS(x []T, ldx int) error {
 		c.xcol = make([]T, c.n)
 	}
 	c.CopyR(c.rwork, c.n)
-	return work.SolveUpper(c.n, c.nrhs, c.rwork, c.n, c.qtb, c.nrhs, x, ldx, c.xcol)
+	return engine.SolveUpper(c.n, c.nrhs, c.rwork, c.n, c.qtb, c.nrhs, x, ldx, c.xcol)
 }

@@ -122,3 +122,27 @@ func IsComplex[T Scalar]() bool {
 	}
 	return false
 }
+
+// Precision identifies which of the four scalar domains a type parameter
+// is, as an index 0..3 in BLAS order s, d, c, z — the one answer to "which
+// of s/d/c/z is T" that per-domain pools, worker scratch slots, the fault
+// injector's prec= filter, the serve precision tags and the dist wire
+// header all share.
+type Precision int
+
+// Prec returns T's precision identity.
+func Prec[T Scalar]() Precision {
+	switch any((*T)(nil)).(type) {
+	case *float32:
+		return 0
+	case *float64:
+		return 1
+	case *complex64:
+		return 2
+	default: // *complex128
+		return 3
+	}
+}
+
+// Tag returns the BLAS-style precision letter: "s", "d", "c" or "z".
+func (p Precision) Tag() string { return "sdcz"[p : p+1] }

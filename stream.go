@@ -263,18 +263,3 @@ func (s *Stream[T]) ResidualNorm() (float64, error) {
 // Per-append staging is pooled across all streams of a domain and is not
 // counted; with retention, the compact row history is.
 func (s *Stream[T]) Footprint() int { return s.c.Footprint() }
-
-// StreamQR is the float64 stream instantiation — an alias of
-// Stream[float64], kept for compatibility with the original per-precision
-// API.
-//
-// Deprecated: use Stream[float64] (or keep using this alias; they are the
-// same type). New stream capabilities land on the generic Stream.
-type StreamQR = Stream[float64]
-
-// NewStream creates a float64 streaming factorization for rows with n
-// columns. The triangle starts at zero: a stream with no ingested rows
-// represents the QR factorization of an empty (0×n) matrix.
-func NewStream(n int, opt Options) (*StreamQR, error) {
-	return NewStreamOf[float64](n, opt)
-}
