@@ -32,7 +32,9 @@ loc:
 
 # test-noasm proves the pure-Go fallback family: once with the assembly
 # compiled out entirely and once with the binary intact but the vector
-# backend disabled at startup.
+# backend disabled at startup. Both passes include internal/kernel's panel
+# conformance table (TestPanelConformance), which is what holds the generic
+# family's column-contiguous panel path to the ε-scaled bounds.
 test-noasm:
 	$(GO) build -tags noasm ./...
 	$(GO) test -tags noasm ./...

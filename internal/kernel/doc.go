@@ -23,6 +23,25 @@
 // panel's triangular factor T is stored in an ib×n array. Matrices are
 // row-major with an explicit leading dimension (row stride).
 //
+// The factor kernels (GEQRT, TPQRT) alternate two phases per panel. The
+// panel factorization (geqrt2, tpqrt2) is Level-2 work on a tall, thin
+// block — m rows by at most ib columns — whose every vector (the column a
+// reflector is generated from, the reflector, the columns it updates) runs
+// down the row-major tile at stride lda. It therefore works on a
+// column-contiguous copy: gather the panel into the idle micro-GEMM pack
+// region of the workspace (for TPQRT only each column's structural rows),
+// run larfg, the in-panel update and the T-column products as sweeps over
+// contiguous columns of length ~m (vec.Nrm2/Scal, vec.ReflectCols,
+// vec.DotcCols), scatter back. Sweeping the rows in place instead is the
+// same flops as ~2·m primitive calls per reflector on vectors of at most ib
+// elements — under the SIMD dispatch length half the time, and dominated by
+// call dispatch the rest — where the column form makes ~ib calls on vectors
+// of length ~m; the two transposing copies cost 2·ib·m element moves
+// against ~2·ib²·m flops. The trailing update inside the tile (applyPanel,
+// applyPentPanel) is the Level-3 phase and is shared with the apply
+// kernels: block-reflector sweeps along C's rows, with the full-height part
+// on the packed micro-GEMM.
+//
 // Householder conventions match LAPACK: H = I − τ·v·vᴴ with v[0] = 1 and a
 // real β, the factorization applies Hᴴ from the left, Q = H₁·H₂···H_k. In
 // the real domains the conjugations degenerate to the familiar

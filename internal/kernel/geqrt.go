@@ -7,93 +7,150 @@ import (
 	"tiledqr/internal/vec"
 )
 
-// larfgCol generates an elementary Householder reflector H = I − τ·v·vᴴ with
-// v[r0] = 1 acting on the column vector [a(r0,c); a(r0+1:m,c)] so that
-// Hᴴ·x = [β; 0] with β real. On return a(r0,c) = β; the tail a(r0+1:m,c)
-// still holds the RAW column — the caller multiplies it by the returned
-// scale (fused into its next row sweep) to obtain v[r0+1:]. scale is 1 when
-// τ = 0. For the real domains the conjugation degenerates and this is
-// exactly LAPACK's dlarfg; for the complex domains τ is complex and β is
-// forced real, as in zlarfg.
+// larfg generates an elementary Householder reflector H = I − τ·v·vᴴ with
+// v = (1; v₂) for the column (α; x) so that Hᴴ·(α; x) = (β; 0) with β real.
+// x is contiguous and is overwritten with v₂; β and τ are returned. When
+// x = 0 and α is real, H = I: τ = 0, β = α and x is left alone. For the real
+// domains the conjugation degenerates and this is exactly LAPACK's dlarfg;
+// for the complex domains τ is complex and β is forced real, as in zlarfg.
 //
 // The tail norm uses the safe single-pass Nrm2 — one Sqrt per reflector
 // instead of one Hypot (or Hypot+Abs) per element — and the final α/xnorm
 // combination keeps one Hypot for its overflow safety. The β/τ arithmetic
 // runs in float64 for every domain, so the single-precision types only
 // round once at the end.
-func larfgCol[T vec.Scalar](a []T, lda, r0, c, m int) (tau, scale T) {
-	alpha := a[r0*lda+c]
-	n := m - r0 - 1
+func larfg[T vec.Scalar](alpha T, x []T) (beta, tau T) {
 	var xnorm float64
-	if n > 0 {
-		xnorm = vec.Nrm2Inc(a[(r0+1)*lda+c:], n, lda)
+	if len(x) > 0 {
+		xnorm = vec.Nrm2(x)
 	}
 	if xnorm == 0 && vec.ImagPart(alpha) == 0 {
-		return 0, 1
+		return alpha, 0
 	}
-	beta := -math.Copysign(math.Hypot(vec.Abs(alpha), xnorm), vec.RealPart(alpha))
-	tau = vec.FromParts[T]((beta-vec.RealPart(alpha))/beta, -vec.ImagPart(alpha)/beta)
-	betaT := vec.FromParts[T](beta, 0)
-	a[r0*lda+c] = betaT
-	return tau, 1 / (alpha - betaT)
+	b := -math.Copysign(math.Hypot(vec.Abs(alpha), xnorm), vec.RealPart(alpha))
+	tau = vec.FromParts[T]((b-vec.RealPart(alpha))/b, -vec.ImagPart(alpha)/b)
+	beta = vec.FromParts[T](b, 0)
+	vec.Scal(1/(alpha-beta), x)
+	return beta, tau
+}
+
+// gatherPanel copies columns j0:j0+kb of the row-major array b (row stride
+// ldb) into p column by column: column c lands contiguously at p[c·ldp:].
+// Rows 0:full are copied for every column; row full+d (d < ragged) only for
+// columns c > d — the staircase of a pentagonal panel, whose column c is
+// one row taller than column c−1 — and the columns c ≤ d get an explicit
+// zero there, so that sweeps over a later, taller column's height may run
+// over the earlier ones too. Nothing outside the staircase is read from b,
+// and scatterPanel, the inverse copy, writes nothing outside it.
+//
+// The full rows go four at a time: each source row is read once,
+// sequentially, and every destination column receives four adjacent
+// elements per visit, which is what keeps a transposing copy from paying
+// one cache line per element.
+func gatherPanel[T vec.Scalar](b []T, ldb, j0, kb, full, ragged int, p []T, ldp int) {
+	i := 0
+	for ; i+4 <= full; i += 4 {
+		r0 := b[i*ldb+j0 : i*ldb+j0+kb]
+		r1 := b[(i+1)*ldb+j0 : (i+1)*ldb+j0+kb]
+		r2 := b[(i+2)*ldb+j0 : (i+2)*ldb+j0+kb]
+		r3 := b[(i+3)*ldb+j0 : (i+3)*ldb+j0+kb]
+		for c := range r0 {
+			d := p[c*ldp+i : c*ldp+i+4]
+			d[0], d[1], d[2], d[3] = r0[c], r1[c], r2[c], r3[c]
+		}
+	}
+	for ; i < full+ragged; i++ {
+		row := b[i*ldb+j0 : i*ldb+j0+kb]
+		c := 0
+		for ; c <= i-full; c++ {
+			p[c*ldp+i] = 0
+		}
+		for ; c < kb; c++ {
+			p[c*ldp+i] = row[c]
+		}
+	}
+}
+
+func scatterPanel[T vec.Scalar](p []T, ldp int, b []T, ldb, j0, kb, full, ragged int) {
+	i := 0
+	for ; i+4 <= full; i += 4 {
+		r0 := b[i*ldb+j0 : i*ldb+j0+kb]
+		r1 := b[(i+1)*ldb+j0 : (i+1)*ldb+j0+kb]
+		r2 := b[(i+2)*ldb+j0 : (i+2)*ldb+j0+kb]
+		r3 := b[(i+3)*ldb+j0 : (i+3)*ldb+j0+kb]
+		for c := range r0 {
+			d := p[c*ldp+i : c*ldp+i+4]
+			r0[c], r1[c], r2[c], r3[c] = d[0], d[1], d[2], d[3]
+		}
+	}
+	for ; i < full+ragged; i++ {
+		row := b[i*ldb+j0 : i*ldb+j0+kb]
+		for c := max(0, i-full+1); c < kb; c++ {
+			row[c] = p[c*ldp+i]
+		}
+	}
+}
+
+// tColumn finishes column j0+jj of a panel's triangular factor from the
+// reflector's τ and the products z[c] = v_cᴴ·v_jj (c < jj) of the earlier
+// reflector columns with the new one:
+// T(0:jj, jj) = −τ·T(0:jj, 0:jj)·z, T(jj, jj) = τ. With τ = 0 (H = I) the
+// column is zero and z is not read.
+func tColumn[T vec.Scalar](t []T, ldt, j0, jj int, tau T, z []T) {
+	j := j0 + jj
+	for r := 0; r < jj; r++ {
+		var trj T
+		if tau != 0 {
+			trj = -tau * vec.Dot(t[r*ldt+j0+r:r*ldt+j0+jj], z[r:jj])
+		}
+		t[r*ldt+j] = trj
+	}
+	t[jj*ldt+j] = tau
 }
 
 // geqrt2 factors the panel A[j0:m, j0:j0+kb] in place by Householder
 // reflections and stores the panel's kb×kb triangular factor in columns
-// j0:j0+kb of t (which has row stride ldt and at least kb rows). comb must
-// have length ≥ kb.
+// j0:j0+kb of t (which has row stride ldt and at least kb rows). z must
+// have length ≥ kb and p length ≥ kb·(m−j0).
 //
-// Each reflector makes two row-contiguous sweeps over the panel instead of
-// the column-strided loops of the unblocked reference: the first sweep
-// accumulates every dot product the reflector needs into comb (positions
-// below jj feed the T column, positions above jj feed the trailing update),
-// the second applies the update. Row slices keep the accesses sequential in
-// memory, which column walks at stride lda are not. comb[c] accumulates
-// Σ_{i>j} conj(v_i)·a(i, j0+c): the Vᴴ·A dot the update columns need
-// directly, and the conjugate of the T-column dot for c < jj.
-func geqrt2[T vec.Scalar](m int, a []T, lda, j0, kb int, t []T, ldt int, comb []T) {
+// The panel is tall and thin (m−j0 rows, kb ≤ ib columns) inside a
+// row-major tile, so every vector the reflectors need — the column whose
+// norm larfg takes, the reflector itself, the columns it updates — runs
+// down the tile at stride lda, while the contiguous direction is only kb
+// long. The panel is therefore gathered into p column by column, factored
+// there, and scattered back: larfg, the in-panel update (ReflectCols, one
+// fused dot-then-axpy per remaining column) and the T-column products
+// (DotcCols) all sweep contiguous vectors of length ~m−j0. Sweeping the
+// rows in place instead costs one primitive call per kb-element row —
+// ~2·(m−j0) calls per reflector where this form makes kb — and at kb ≤ 32
+// those calls are mostly dispatch. The two transposing copies move
+// 2·kb·(m−j0) elements against the panel's ~2·kb²·(m−j0) flops.
+func geqrt2[T vec.Scalar](m int, a []T, lda, j0, kb int, t []T, ldt int, z, p []T) {
 	cc := vec.IsComplex[T]()
+	rows := m - j0
+	gatherPanel(a[j0*lda:], lda, j0, kb, rows, 0, p, rows)
 	for jj := 0; jj < kb; jj++ {
-		j := j0 + jj
-		tau, scale := larfgCol(a, lda, j, j, m)
-		ctau := vec.Conj(tau)
-		cb := comb[:kb]
-		clear(cb)
-		// Sweep 1: scale the raw reflector column in passing (larfgCol
-		// defers it) and accumulate the conjugated dots. comb[jj] gathers
-		// Σ|v|² and is never read.
-		for i := j + 1; i < m; i++ {
-			row := a[i*lda+j0 : i*lda+j0+kb]
-			vi := row[jj] * scale
-			row[jj] = vi
-			vec.Axpy(conjIf(cc, vi), row, cb)
-		}
-		// Apply Hᴴ to the remaining panel columns: finish the update scalars
-		// w = conj(τ)·(row j + comb) in place, apply them to row j, then
-		// sweep 2 applies them to the rows below.
-		if jj+1 < kb {
-			w := cb[jj+1:]
-			arow := a[j*lda+j+1 : j*lda+j0+kb]
-			for y, av := range arow {
-				wv := ctau * (av + w[y])
-				arow[y] = av - wv
-				w[y] = wv
+		col := p[jj*rows : (jj+1)*rows]
+		v := col[jj+1:]
+		var tau T
+		col[jj], tau = larfg(col[jj], v)
+		if tau != 0 {
+			// Apply Hᴴ to the remaining panel columns, then form
+			// z[c] = v_cᴴ·v_jj: v_c has its unit at row c < jj and v_jj has
+			// zeros above its own unit at row jj, so the product is
+			// conj(v_c[jj]) plus the dot over the rows below jj.
+			if jj+1 < kb {
+				next := p[(jj+1)*rows+jj:]
+				vec.ReflectCols(conjIf(cc, tau), v, next, rows, next[1:], rows, kb-jj-1)
 			}
-			for i := j + 1; i < m; i++ {
-				vec.Axpy(-a[i*lda+j], w, a[i*lda+j+1:i*lda+j0+kb])
+			vec.DotcCols(v, p[jj+1:], rows, jj, z)
+			for c := 0; c < jj; c++ {
+				z[c] += conjIf(cc, p[c*rows+jj])
 			}
 		}
-		// T(0:jj, jj) = −τ·T(0:jj, 0:jj)·(V(:, 0:jj)ᴴ·v_j). The conjugated
-		// dot tails are already in comb; add the row-j terms (v_c's row j
-		// times v_j[j] = 1) and conjugate (identity in the real domains).
-		for c := 0; c < jj; c++ {
-			cb[c] = conjIf(cc, a[j*lda+j0+c]+cb[c])
-		}
-		for r := 0; r < jj; r++ {
-			t[r*ldt+j] = -tau * vec.Dot(t[r*ldt+j0+r:r*ldt+j0+jj], cb[r:jj])
-		}
-		t[jj*ldt+j] = tau
+		tColumn(t, ldt, j0, jj, tau, z)
 	}
+	scatterPanel(p, rows, a[j0*lda:], lda, j0, kb, rows, 0)
 }
 
 // applyPanel applies the block reflector of a GEQRT panel to C.
@@ -248,18 +305,22 @@ func triMulW[T vec.Scalar](trans bool, kb int, t []T, ldt, tc0 int, w []T, nc in
 // triangle/trapezoid of a holds R, the strictly lower part holds the
 // Householder vectors V, and t (ib rows, row stride ldt ≥ n) holds the
 // ib×ib triangular T factors of each column panel. work may be nil or a
-// scratch slice of length ≥ WorkLen(n, ib).
+// scratch slice. Length ≥ WorkLen(max(m, n), ib) is always enough (every
+// engine workspace is sized that way); the kernel's own need is
+// FactorWorkLen(m, n, ib) — WorkLen(n, ib) unless the tile is so much
+// taller than wide that its ib-column panel copy outgrows the pack region —
+// and a shorter slice is replaced by a fresh allocation.
 func GEQRT[T vec.Scalar](m, n, ib int, a []T, lda int, t []T, ldt int, work []T) {
 	k := min(m, n)
 	if k == 0 {
 		return
 	}
 	ib = clampIB(ib, k)
-	work = ensureWork(work, WorkLen(n, ib))
-	comb, w, pack := work[:ib], work[ib:ib+ib*n], work[ib+ib*n:]
+	work = ensureWork(work, FactorWorkLen(m, n, ib))
+	z, w, pack := work[:ib], work[ib:ib+ib*n], work[ib+ib*n:]
 	for k0 := 0; k0 < k; k0 += ib {
 		kb := min(ib, k-k0)
-		geqrt2(m, a, lda, k0, kb, t, ldt, comb)
+		geqrt2(m, a, lda, k0, kb, t, ldt, z, pack)
 		if k0+kb < n {
 			applyPanel(true, m, a, lda, k0, k0, kb, t, ldt, k0, a, lda, k0+kb, n-k0-kb, w, pack)
 		}
@@ -300,13 +361,28 @@ func UNMQR[T vec.Scalar](trans bool, m, k, ib int, v []T, ldv int, t []T, ldt in
 
 // WorkLen returns the scratch length the tile kernels need for square-ish
 // tiles of at most n rows and columns at inner block size ib: one
-// ib-vector of fused dot accumulators, the ib×n block-reflector workspace,
-// and packed micro-GEMM scratch covering every product the factor and
-// update kernels form on such tiles (including the full n×n×n GEMM task).
-// Kernels handed less scratch than this still run — a short pack region
-// only disables the packed bulk path.
+// ib-vector of T-column products, the ib×n block-reflector workspace, and
+// packed micro-GEMM scratch covering every product the factor and update
+// kernels form on such tiles (including the full n×n×n GEMM task). The
+// pack region doubles as the factor kernels' column-contiguous panel copy
+// (ib·n elements at most on such tiles, and idle while a panel is being
+// factored). Kernels handed less scratch than this still run: the apply
+// kernels lose only the packed bulk path, and GEQRT/TPQRT — which accept
+// any m, n — allocate what their own shape needs (FactorWorkLen) when work
+// is shorter than that.
 func WorkLen(n, ib int) int {
 	return ib*(n+1) + vec.GemmPackBound(n, n, n)
+}
+
+// FactorWorkLen returns the scratch GEQRT and TPQRT need to factor an m×n
+// tile (B, for TPQRT) without allocating: WorkLen(n, ib), stretched when
+// the tile is so much taller than wide that its ib-column panel copy (at
+// most ib·m elements) outgrows the pack region. It is monotone in each
+// argument, so callers whose tiles are not square-ish — a stream's nb-row
+// batch tiles over a narrow system — size worker scratch from their largest
+// tile shape with it; for m, ib ≤ n it is WorkLen(n, ib).
+func FactorWorkLen(m, n, ib int) int {
+	return max(WorkLen(n, ib), ib*(n+1)+ib*m)
 }
 
 // ApplyWorkLen returns the scratch length the Q-application kernels

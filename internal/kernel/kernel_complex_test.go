@@ -129,8 +129,7 @@ func TestComplexLarfgMakesBetaReal(t *testing.T) {
 		n := 1 + rng.Intn(8)
 		a := tile.RandDense[complex128](n, 1, int64(iter))
 		orig := a.Clone()
-		tau, scale := larfgCol(a.Data, a.Stride, 0, 0, n)
-		beta := a.At(0, 0)
+		beta, tau := larfg(a.Data[0], a.Data[1:])
 		if math.Abs(imag(beta)) > tol {
 			t.Fatalf("iter %d: β = %v not real", iter, beta)
 		}
@@ -147,11 +146,11 @@ func TestComplexLarfgMakesBetaReal(t *testing.T) {
 			t.Fatalf("iter %d: β² = %g, ‖x‖² = %g", iter, real(beta)*real(beta), norm2)
 		}
 		// Hᴴ·x = β·e₁ with H = I − τ·v·vᴴ.
-		// The tail is returned raw; the caller applies scale to obtain v.
+		// The tail now holds v below its implicit unit.
 		v := make([]complex128, n)
 		v[0] = 1
 		for i := 1; i < n; i++ {
-			v[i] = a.At(i, 0) * scale
+			v[i] = a.At(i, 0)
 		}
 		var vhx complex128
 		for i := 0; i < n; i++ {

@@ -346,31 +346,32 @@ func TestUNMQRNoReflectorsIsIdentity(t *testing.T) {
 	}
 }
 
-func TestLarfgColZeroTail(t *testing.T) {
+func TestLarfgZeroTail(t *testing.T) {
 	a := tile.NewDense[float64](4, 1)
 	a.Set(0, 0, 3)
-	tau, scale := larfgCol(a.Data, a.Stride, 0, 0, 4)
-	if tau != 0 || scale != 1 {
-		t.Errorf("tau, scale = %g, %g, want 0, 1 for zero tail", tau, scale)
+	beta, tau := larfg(a.Data[0], a.Data[1:])
+	if tau != 0 || beta != 3 {
+		t.Errorf("beta, tau = %g, %g, want 3, 0 for zero tail", beta, tau)
 	}
-	if a.At(0, 0) != 3 {
-		t.Errorf("alpha modified: %g", a.At(0, 0))
+	if a.At(1, 0) != 0 || a.At(2, 0) != 0 || a.At(3, 0) != 0 {
+		t.Errorf("zero tail modified: %v", a.Data)
 	}
 }
 
-func TestLarfgColAnnihilates(t *testing.T) {
+func TestLarfgAnnihilates(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for iter := 0; iter < 50; iter++ {
 		n := 2 + rng.Intn(8)
 		a := tile.RandDense[float64](n, 1, int64(iter))
 		orig := a.Clone()
-		tau, scale := larfgCol(a.Data, a.Stride, 0, 0, n)
-		// Reconstruct H·x and verify it equals [β; 0]. The tail is
-		// returned raw; the caller applies scale to obtain v.
+		var tau float64
+		a.Data[0], tau = larfg(a.Data[0], a.Data[1:])
+		// Reconstruct H·x and verify it equals [β; 0]; the tail now holds
+		// v below its implicit unit.
 		v := make([]float64, n)
 		v[0] = 1
 		for i := 1; i < n; i++ {
-			v[i] = a.At(i, 0) * scale
+			v[i] = a.At(i, 0)
 		}
 		var vx float64
 		for i := 0; i < n; i++ {

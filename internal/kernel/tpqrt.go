@@ -1,10 +1,6 @@
 package kernel
 
-import (
-	"math"
-
-	"tiledqr/internal/vec"
-)
+import "tiledqr/internal/vec"
 
 // pentRows returns the number of rows of the pentagonal block B that
 // participate in reflector j (0-based), for an m×n B with trapezoid height l:
@@ -14,91 +10,41 @@ func pentRows(m, l, j int) int {
 	return m - l + min(l, j+1)
 }
 
-// larfgPent generates the reflector for TPQRT column j: the vector is
-// [a(j,j); b(0:p, j)] where p = pentRows(m, l, j). On return a(j,j) = β
-// (real); b(0:p, j) still holds the raw column — the caller multiplies it by
-// the returned scale (fused into its next row sweep) to obtain v₂. The tail
-// norm is the safe single-pass Nrm2 (one Sqrt per reflector instead of one
-// Hypot per element), and the β/τ arithmetic runs in float64 for every
-// domain as in larfgCol.
-func larfgPent[T vec.Scalar](a []T, lda int, b []T, ldb, j, p int) (tau, scale T) {
-	alpha := a[j*lda+j]
-	var xnorm float64
-	if p > 0 {
-		xnorm = vec.Nrm2Inc(b[j:], p, ldb)
-	}
-	if xnorm == 0 && vec.ImagPart(alpha) == 0 {
-		return 0, 1
-	}
-	beta := -math.Copysign(math.Hypot(vec.Abs(alpha), xnorm), vec.RealPart(alpha))
-	tau = vec.FromParts[T]((beta-vec.RealPart(alpha))/beta, -vec.ImagPart(alpha)/beta)
-	betaT := vec.FromParts[T](beta, 0)
-	a[j*lda+j] = betaT
-	return tau, 1 / (alpha - betaT)
-}
-
 // tpqrt2 factors one panel (columns j0:j0+kb) of the stacked matrix
 // [A; B] where A is n×n upper triangular and B is m×n pentagonal with
-// trapezoid height l. comb must have length ≥ kb.
+// trapezoid height l. z must have length ≥ kb and p length ≥
+// kb·pentRows(m, l, j0+kb−1).
 //
-// As in geqrt2, each reflector is applied with row-contiguous sweeps over B.
-// The only pentagonal subtlety is in the T-column dot products: column
-// j0+c of B has pentRows(m, l, j0+c) structural rows, so row i contributes
-// to comb[c] only when that height exceeds i — a per-row start offset,
-// since pentRows is nondecreasing in the column index. The update columns
-// (c > jj) always take all p rows, and start never exceeds jj, so one Axpy
-// per row covers both. comb[c] accumulates Σ conj(v_i)·b(i, j0+c): the
-// Vᴴ·B dot for update columns, the conjugate of the T-column dot for c < jj.
-func tpqrt2[T vec.Scalar](m, n, l int, a []T, lda int, b []T, ldb, j0, kb int,
-	t []T, ldt int, comb []T) {
+// As in geqrt2 the panel of B is gathered into p column by column —
+// only each column's pentRows structural rows, so nothing below the
+// trapezoid is read, copied or written back — and factored there with
+// contiguous sweeps. Reflector jj is (e_jj; v₂) with v₂ = B(0:pj, j),
+// pj = pentRows(m, l, j): its unit sits in A's row j, which is row-major
+// contiguous already and stays in place. The update columns (c > jj) are at
+// least pj tall and take all of v₂; an earlier reflector column c < jj has
+// only pentRows(m, l, j0+c) ≤ pj structural rows, and the zeros gatherPanel
+// put below them let its T-column product run to pj as well. The
+// reflectors' tops are distinct identity columns, so A contributes nothing
+// to those products.
+func tpqrt2[T vec.Scalar](m, l int, a []T, lda int, b []T, ldb, j0, kb int,
+	t []T, ldt int, z, p []T) {
 	cc := vec.IsComplex[T]()
+	full, ldp := pentRows(m, l, j0), pentRows(m, l, j0+kb-1)
+	gatherPanel(b, ldb, j0, kb, full, ldp-full, p, ldp)
 	for jj := 0; jj < kb; jj++ {
 		j := j0 + jj
-		p := pentRows(m, l, j)
-		tau, scale := larfgPent(a, lda, b, ldb, j, p)
-		ctau := vec.Conj(tau)
-		cb := comb[:kb]
-		clear(cb)
-		// Sweep 1: scale the raw reflector column in passing and accumulate
-		// the conjugated dots over each column's structural rows. The top
-		// parts of the reflectors are distinct identity columns, so A
-		// contributes nothing here.
-		for i := 0; i < p; i++ {
-			start := 0
-			if d := i - (m - l) - j0; d > 0 {
-				start = d
+		v := p[jj*ldp : jj*ldp+pentRows(m, l, j)]
+		var tau T
+		a[j*lda+j], tau = larfg(a[j*lda+j], v)
+		if tau != 0 {
+			if jj+1 < kb {
+				vec.ReflectCols(conjIf(cc, tau), v, a[j*lda+j+1:], 1, p[(jj+1)*ldp:], ldp, kb-jj-1)
 			}
-			row := b[i*ldb+j0 : i*ldb+j0+kb]
-			vi := row[jj] * scale
-			row[jj] = vi
-			vec.Axpy(conjIf(cc, vi), row[start:], cb[start:])
+			vec.DotcCols(v, p, ldp, jj, z)
 		}
-		// Apply Hᴴ to the remaining panel columns: update scalars
-		// w = conj(τ)·(A row j + comb), applied to A's row j and then to all
-		// p rows of B.
-		if jj+1 < kb {
-			w := cb[jj+1:]
-			arow := a[j*lda+j+1 : j*lda+j0+kb]
-			for y, av := range arow {
-				wv := ctau * (av + w[y])
-				arow[y] = av - wv
-				w[y] = wv
-			}
-			for i := 0; i < p; i++ {
-				vec.Axpy(-b[i*ldb+j], w, b[i*ldb+j+1:i*ldb+j0+kb])
-			}
-		}
-		// T(0:jj, jj) = −τ·T(0:jj, 0:jj)·(V₂(:, 0:jj)ᴴ·v₂ⱼ); the conjugated
-		// dots are already in comb (no top-part terms), so conjugate back
-		// (identity in the real domains).
-		for c := 0; c < jj; c++ {
-			cb[c] = conjIf(cc, cb[c])
-		}
-		for r := 0; r < jj; r++ {
-			t[r*ldt+j] = -tau * vec.Dot(t[r*ldt+j0+r:r*ldt+j0+jj], cb[r:jj])
-		}
-		t[jj*ldt+j] = tau
+		tColumn(t, ldt, j0, jj, tau, z)
 	}
+	scatterPanel(p, ldp, b, ldb, j0, kb, full, ldp-full)
 }
 
 // applyPentPanel applies the block reflector of a TPQRT panel (columns
@@ -208,7 +154,9 @@ func applyPentPanel[T vec.Scalar](trans bool, m, l int, v []T, ldv, vc0, kb int,
 //
 // On return A holds the updated R, B holds the V₂ parts of the reflectors,
 // and t (ib rows, stride ldt ≥ n) holds the panel T factors. work may be
-// nil or a scratch slice of length ≥ WorkLen(n, ib).
+// nil or a scratch slice; as for GEQRT, length ≥ WorkLen(max(m, n), ib) is
+// always enough, the kernel's own need is FactorWorkLen(m, n, ib), and a
+// shorter slice is replaced by a fresh allocation.
 func TPQRT[T vec.Scalar](m, n, l, ib int, a []T, lda int, b []T, ldb int,
 	t []T, ldt int, work []T) {
 	if n == 0 || m == 0 {
@@ -218,11 +166,11 @@ func TPQRT[T vec.Scalar](m, n, l, ib int, a []T, lda int, b []T, ldb int,
 		panic("kernel: TPQRT requires 0 ≤ l ≤ min(m,n)")
 	}
 	ib = clampIB(ib, n)
-	work = ensureWork(work, WorkLen(n, ib))
-	comb, w, pack := work[:ib], work[ib:ib+ib*n], work[ib+ib*n:]
+	work = ensureWork(work, FactorWorkLen(m, n, ib))
+	z, w, pack := work[:ib], work[ib:ib+ib*n], work[ib+ib*n:]
 	for k0 := 0; k0 < n; k0 += ib {
 		kb := min(ib, n-k0)
-		tpqrt2(m, n, l, a, lda, b, ldb, k0, kb, t, ldt, comb)
+		tpqrt2(m, l, a, lda, b, ldb, k0, kb, t, ldt, z, pack)
 		if k0+kb < n {
 			// Trailing update inside [A; B]: C1 is A's rows k0:k0+kb,
 			// columns k0+kb:n; C2 is B's columns k0+kb:n.

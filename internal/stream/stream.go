@@ -107,7 +107,7 @@ type Core[T vec.Scalar] struct {
 	hist []histBatch[T] // retained batches, oldest first (retention only)
 
 	plans map[int]*sched.Plan // merge execution plans keyed by batch tile rows pb
-	rws   []T                 // replay scratch for the Qᵀb fold
+	rws   []T                 // replay scratch for the Qᵀb fold; its length also sizes the merge workers' scratch
 
 	// cur points at the pooled staging while a merge is in flight (the
 	// Source methods need it).
@@ -148,7 +148,8 @@ func NewCore[T vec.Scalar](n int, cfg Config) (*Core[T], error) {
 		grid:  g,
 		res:   make([]tile.Dense[T], g.Q*g.Q),
 		plans: make(map[int]*sched.Plan),
-		rws:   make([]T, kernel.WorkLen(min(cfg.NB, n), cfg.IB)),
+		// Batch tiles are up to NB rows tall however narrow the system is.
+		rws: make([]T, kernel.FactorWorkLen(cfg.NB, min(cfg.NB, n), cfg.IB)),
 	}
 	for i := 0; i < g.Q; i++ {
 		for k := i; k < g.Q; k++ {

@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -38,8 +39,11 @@ import (
 // the host is re-measured. Version 2 added the kernel-family axis (points
 // are stored per vec family per precision), so version-1 caches — which
 // cannot say whether their numbers came from the generic or the SIMD
-// backend — recalibrate on first use.
-const SchemaVersion = 2
+// backend — recalibrate on first use. Version 3 changes no field: it retires
+// calibrations taken before the panel kernels went column-contiguous and
+// while the timing harness still allocated a tile per timed call (biased
+// against the cheap kernels), so old and new speeds are never mixed.
+const SchemaVersion = 3
 
 // EnvCalibration overrides the calibration cache location. Set it to a file
 // path to relocate the cache, or to "off" to disable persistence (the
@@ -313,17 +317,28 @@ func measureAll[T vec.Scalar]() []Point {
 // calibration stays well under a second per precision.
 const calWindow = 8 * time.Millisecond
 
-// timeKernel returns seconds per call, doubling the repetition count until
-// the sample window is long enough to trust.
-func timeKernel(f func(), window time.Duration) float64 {
-	f() // warm up
+// timeKernel returns seconds per run() call, doubling the repetition count
+// until the sample window is long enough to trust. restore puts the kernel's
+// inputs back before every call; its cost is then timed alone over the same
+// repetition count and subtracted, so the figure is the kernel's, not the
+// kernel's plus a tile copy.
+func timeKernel(restore, run func(), window time.Duration) float64 {
+	restore()
+	run() // warm up
 	for reps := 1; ; reps *= 2 {
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			f()
+			restore()
+			run()
 		}
-		if el := time.Since(start); el > window || reps >= 1<<16 {
-			return el.Seconds() / float64(reps)
+		el := time.Since(start)
+		if el > window || reps >= 1<<16 {
+			start = time.Now()
+			for i := 0; i < reps; i++ {
+				restore()
+			}
+			el -= time.Since(start)
+			return max(el.Seconds(), 1e-9) / float64(reps)
 		}
 	}
 }
@@ -348,51 +363,48 @@ func measurePoint[T vec.Scalar](nb, ib int) map[string]float64 {
 // nb×nb tiles and returns seconds per invocation, sampling each kernel for
 // at least the given window. It is the one kernel-timing harness in the
 // repo: calibration uses it at a short window, qrperf's experiments and the
-// benchmark-JSON emitter at a longer one.
+// benchmark-JSON emitter at a longer one. Every tile is allocated once up
+// front and the timed calls restore their inputs by copy (see timeKernel):
+// a fresh tile per call would put the allocator and the collector inside
+// the sample, which weighs most on the cheapest kernels — the TT pair whose
+// trade-off against TS the tuner exists to decide.
 func MeasureKernelSecs[T vec.Scalar](nb, ib int, window time.Duration) map[core.Kind]float64 {
-	da := tile.RandDense[T](nb, nb, 1)
-	db := tile.RandDense[T](nb, nb, 2)
-	dc := tile.RandDense[T](nb, nb, 3)
+	full1 := tile.RandDense[T](nb, nb, 1).Data
+	full2 := tile.RandDense[T](nb, nb, 2).Data
+	c0 := tile.RandDense[T](nb, nb, 3).Data
 	tf := make([]T, ib*nb)
 	t2 := make([]T, ib*nb)
 	ws := make([]T, kernel.WorkLen(nb, ib))
+	// tri1 and tri2 are GEQRT outputs (R on top of V), the inputs of the
+	// TS/TT factor kernels; a, b, c1, c2 are the tiles the timed calls
+	// overwrite.
+	tri1, tri2 := slices.Clone(full1), slices.Clone(full2)
+	kernel.GEQRT(nb, nb, ib, tri1, nb, tf, nb, ws)
+	kernel.GEQRT(nb, nb, ib, tri2, nb, t2, nb, ws)
+	a, b := make([]T, nb*nb), make([]T, nb*nb)
+	c1, c2 := make([]T, nb*nb), make([]T, nb*nb)
+	restoreC := func() { copy(c1, c0); copy(c2, c0) }
+
 	sec := map[core.Kind]float64{}
-	sec[core.KGEQRT] = timeKernel(func() {
-		a := da.Clone()
-		kernel.GEQRT(nb, nb, ib, a.Data, nb, tf, nb, ws)
+	sec[core.KGEQRT] = timeKernel(func() { copy(a, full1) }, func() {
+		kernel.GEQRT(nb, nb, ib, a, nb, t2, nb, ws)
 	}, window)
-	v := da.Clone()
-	kernel.GEQRT(nb, nb, ib, v.Data, nb, tf, nb, ws)
-	sec[core.KUNMQR] = timeKernel(func() {
-		c := dc.Clone()
-		kernel.UNMQR(true, nb, nb, ib, v.Data, nb, tf, nb, c.Data, nb, nb, ws)
+	sec[core.KUNMQR] = timeKernel(func() { copy(c1, c0) }, func() {
+		kernel.UNMQR(true, nb, nb, ib, tri1, nb, tf, nb, c1, nb, nb, ws)
 	}, window)
-	rTri := v
-	sec[core.KTSQRT] = timeKernel(func() {
-		a := rTri.Clone()
-		b := db.Clone()
-		kernel.TSQRT(nb, nb, ib, a.Data, nb, b.Data, nb, t2, nb, ws)
+	sec[core.KTSQRT] = timeKernel(func() { copy(a, tri1); copy(b, full2) }, func() {
+		kernel.TSQRT(nb, nb, ib, a, nb, b, nb, t2, nb, ws)
 	}, window)
-	vts := db.Clone()
-	kernel.TSQRT(nb, nb, ib, rTri.Clone().Data, nb, vts.Data, nb, t2, nb, ws)
-	sec[core.KTSMQR] = timeKernel(func() {
-		c1 := dc.Clone()
-		c2 := dc.Clone()
-		kernel.TSMQR(true, nb, nb, ib, vts.Data, nb, t2, nb, c1.Data, nb, c2.Data, nb, nb, ws)
+	vts := slices.Clone(b) // the last timed call left TSQRT's V₂ in b, its T in t2
+	sec[core.KTSMQR] = timeKernel(restoreC, func() {
+		kernel.TSMQR(true, nb, nb, ib, vts, nb, t2, nb, c1, nb, c2, nb, nb, ws)
 	}, window)
-	rTri2 := db.Clone()
-	kernel.GEQRT(nb, nb, ib, rTri2.Data, nb, tf, nb, ws)
-	sec[core.KTTQRT] = timeKernel(func() {
-		a := rTri.Clone()
-		b := rTri2.Clone()
-		kernel.TTQRT(nb, nb, ib, a.Data, nb, b.Data, nb, t2, nb, ws)
+	sec[core.KTTQRT] = timeKernel(func() { copy(a, tri1); copy(b, tri2) }, func() {
+		kernel.TTQRT(nb, nb, ib, a, nb, b, nb, t2, nb, ws)
 	}, window)
-	vtt := rTri2.Clone()
-	kernel.TTQRT(nb, nb, ib, rTri.Clone().Data, nb, vtt.Data, nb, t2, nb, ws)
-	sec[core.KTTMQR] = timeKernel(func() {
-		c1 := dc.Clone()
-		c2 := dc.Clone()
-		kernel.TTMQR(true, nb, nb, ib, vtt.Data, nb, t2, nb, c1.Data, nb, c2.Data, nb, nb, ws)
+	// Likewise b and t2 now hold TTQRT's V₂ and T; nothing overwrites them.
+	sec[core.KTTMQR] = timeKernel(restoreC, func() {
+		kernel.TTMQR(true, nb, nb, ib, b, nb, t2, nb, c1, nb, c2, nb, nb, ws)
 	}, window)
 	return sec
 }

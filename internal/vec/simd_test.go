@@ -171,14 +171,14 @@ func TestSIMDSumsqAgree(t *testing.T) {
 		for _, off := range offsets {
 			x := randSlice(n+off, rng)[off:]
 			SetSIMD(false) // reference via the generic accumulation
-			want := sumSquares(x, n, 1)
+			want := sumSquares(x[:n])
 			SetSIMD(prev)
 			if got := sumsqF64(ptrF64(x), n); !closeAt(got, want, want, tolF64) {
 				t.Errorf("sumsqF64 n=%d off=%d: got %g want %g", n, off, got, want)
 			}
 			x32 := toF32(x)
 			SetSIMD(false)
-			want32 := sumSquares(x32, n, 1)
+			want32 := sumSquares(x32[:n])
 			SetSIMD(prev)
 			// float32 data, float64 accumulation on both sides: only the
 			// summation order differs, so the bound is the float64 one.
@@ -470,7 +470,7 @@ func FuzzVecSIMD(f *testing.F) {
 		case 2:
 			prev := SIMDEnabled()
 			SetSIMD(false)
-			want := sumSquares(x, n, 1)
+			want := sumSquares(x[:n])
 			SetSIMD(prev)
 			got := sumsqF64(ptrF64(x), n)
 			if isFinite(got) != isFinite(want) {

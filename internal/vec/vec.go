@@ -59,26 +59,50 @@ func dotGeneric[T Scalar](x, y []T) T {
 }
 
 // Dotc returns the conjugated product Σ conj(x[i])·y[i] (BLAS dotc); for
-// real types it coincides with Dot.
+// real types it coincides with Dot. The complex domains dispatch once, at
+// the slice level, to a monomorphic loop: a per-element Conj hook inside
+// generic (gcshape) code compiles to a dictionary type switch per element
+// (see sumSquares), and this is the inner loop of the complex panel
+// factorizations.
 func Dotc[T Scalar](x, y []T) T {
-	if !IsComplex[T]() {
-		return Dot(x, y)
+	switch xs := any(x).(type) {
+	case []complex128:
+		return any(dotcC128(xs, any(y).([]complex128))).(T)
+	case []complex64:
+		return any(dotcC64(xs, any(y).([]complex64))).(T)
 	}
-	n := len(x)
-	if n == 0 {
-		return 0
+	return Dot(x, y)
+}
+
+// dotcC128 and dotcC64 are deliberate twins (the real/imag builtins do not
+// apply to type parameters): four real accumulators, one per partial
+// product of the conjugated multiply, so no complex multiply is formed and
+// the four add chains run side by side. (Unrolling to eight accumulators
+// measured slower — the loop then spills.)
+func dotcC128(x, y []complex128) complex128 {
+	y = y[:len(x)]
+	var rr, ii, ri, ir float64
+	for i, xv := range x {
+		yv := y[i]
+		rr += real(xv) * real(yv)
+		ii += imag(xv) * imag(yv)
+		ri += real(xv) * imag(yv)
+		ir += imag(xv) * real(yv)
 	}
-	y = y[:n]
-	var s0, s1 T
-	i := 0
-	for ; i+1 < n; i += 2 {
-		s0 += Conj(x[i]) * y[i]
-		s1 += Conj(x[i+1]) * y[i+1]
+	return complex(rr+ii, ri-ir)
+}
+
+func dotcC64(x, y []complex64) complex64 {
+	y = y[:len(x)]
+	var rr, ii, ri, ir float32
+	for i, xv := range x {
+		yv := y[i]
+		rr += real(xv) * real(yv)
+		ii += imag(xv) * imag(yv)
+		ri += real(xv) * imag(yv)
+		ir += imag(xv) * real(yv)
 	}
-	if i < n {
-		s0 += Conj(x[i]) * y[i]
-	}
-	return s0 + s1
+	return complex(rr+ii, ri-ir)
 }
 
 // Axpy computes y += α·x over len(x) elements. len(y) must be ≥ len(x).
@@ -303,13 +327,81 @@ func AddScaled[T Scalar](alpha, beta T, x, y []T) {
 // column (c0; c) in a single fused call, in LAPACK's convention (Hᴴ is
 // applied when τ is passed conjugated): w = τ·(c0 + Σ conj(v[i])·c[i]),
 // then c -= w·v. It returns w, so the caller finishes with c0 -= w. This is
-// the contiguous larf column micro-kernel, for callers holding column-major
-// (or packed) data; the row-major tile kernels express the same update as
-// row sweeps of Axpy instead.
+// the contiguous larf column micro-kernel; ReflectCols is the same update
+// over a run of columns.
 func DotAxpy[T Scalar](tau, c0 T, v, c []T) (w T) {
 	w = tau * (c0 + Dotc(v, c))
 	Axpy(-w, v, c)
 	return w
+}
+
+// ReflectCols applies one Householder reflector to nc columns held
+// contiguously at stride ldc — DotAxpy over a run of columns, paying the
+// backend dispatch once per reflector instead of twice per column. Column
+// y is the pair (c0[y·inc0]; c[y·ldc : y·ldc+len(v)]): its head element,
+// which meets the reflector's implicit unit, may live apart from its tail
+// (inc0 = 1 when the heads form a row of another array). Both are updated
+// in place.
+func ReflectCols[T Scalar](tau T, v, c0 []T, inc0 int, c []T, ldc, nc int) {
+	n := len(v)
+	if simdEnabled.Load() && n >= simdMinLen {
+		switch vs := any(v).(type) {
+		case []float64:
+			reflectCols(dotF64, axpyF64, any(tau).(float64), vs, any(c0).([]float64), inc0, any(c).([]float64), ldc, nc)
+			return
+		case []float32:
+			reflectCols(dotF32, axpyF32, any(tau).(float32), vs, any(c0).([]float32), inc0, any(c).([]float32), ldc, nc)
+			return
+		}
+	}
+	for y := 0; y < nc; y++ {
+		c0[y*inc0] -= DotAxpy(tau, c0[y*inc0], v, c[y*ldc:y*ldc+n])
+	}
+}
+
+// reflectCols is ReflectCols for one real type over that type's vector
+// kernels; len(v) ≥ 1.
+func reflectCols[F float32 | float64](dot func(x, y *F, n int) F, axpy func(alpha F, x, y *F, n int),
+	tau F, v, c0 []F, inc0 int, c []F, ldc, nc int) {
+	n := len(v)
+	for y := 0; y < nc; y++ {
+		col := c[y*ldc : y*ldc+n]
+		w := tau * (c0[y*inc0] + dot(&v[0], &col[0], n))
+		c0[y*inc0] -= w
+		axpy(-w, &v[0], &col[0], n)
+	}
+}
+
+// DotcCols sets z[y] = Σ conj(c[y·ldc+i])·v[i] for y < nc: Dotc of each of
+// nc columns held contiguously at stride ldc with the one vector v, under a
+// single backend dispatch. These are the products v_yᴴ·v a panel's
+// triangular T factor is assembled from.
+func DotcCols[T Scalar](v, c []T, ldc, nc int, z []T) {
+	n := len(v)
+	z = z[:nc]
+	if simdEnabled.Load() && n >= simdMinLen {
+		switch vs := any(v).(type) {
+		case []float64:
+			dotCols(dotF64, vs, any(c).([]float64), ldc, any(z).([]float64))
+			return
+		case []float32:
+			dotCols(dotF32, vs, any(c).([]float32), ldc, any(z).([]float32))
+			return
+		}
+	}
+	for y := range z {
+		z[y] = Dotc(c[y*ldc:y*ldc+n], v)
+	}
+}
+
+// dotCols is DotcCols for one real type over that type's dot kernel;
+// len(v) ≥ 1.
+func dotCols[F float32 | float64](dot func(x, y *F, n int) F, v, c []F, ldc int, z []F) {
+	n := len(v)
+	for y := range z {
+		col := c[y*ldc : y*ldc+n]
+		z[y] = dot(&col[0], &v[0], n)
+	}
 }
 
 // Nrm2 returns ‖x‖₂ — for complex types the Euclidean norm of the real and
@@ -320,80 +412,65 @@ func DotAxpy[T Scalar](tau, c0 T, v, c []T) (w T) {
 // lands outside the trustworthy range (over-/underflow or a degenerate
 // input) does a scaled LAPACK dnrm2-style two-pass fallback run.
 func Nrm2[T Scalar](x []T) float64 {
-	if s := sumSquares(x, len(x), 1); nrm2SumOK(s) {
+	if s := sumSquares(x); nrm2SumOK(s) {
 		return math.Sqrt(s)
 	}
-	return nrm2Scaled(x, len(x), 1)
+	return nrm2Scaled(x)
 }
 
-// Nrm2Inc returns the Euclidean norm of the n strided elements
-// x[0], x[inc], …, x[(n−1)·inc].
-func Nrm2Inc[T Scalar](x []T, n, inc int) float64 {
-	if s := sumSquares(x, n, inc); nrm2SumOK(s) {
-		return math.Sqrt(s)
-	}
-	return nrm2Scaled(x, n, inc)
-}
-
-// sumSquares accumulates Σ|x[i·inc]|² in float64. The per-domain dispatch
+// sumSquares accumulates Σ|x[i]|² in float64. The per-domain dispatch
 // happens once per call at the slice level: inside generic (gcshape) code
 // a per-element hook like Abs2 compiles to a dictionary type switch per
 // element, which triples the cost of the reflector-norm pass; one
 // assertion followed by a monomorphic loop keeps the norms at hand-written
 // speed in every domain.
-// For contiguous data (inc == 1) with the SIMD backend enabled, all four
-// domains route to the vector sum-of-squares kernels — the complex slices
-// by reinterpreting their interleaved re/im layout as a real slice of
-// twice the length, which is exact (the sum of |z|² over lanes is the sum
-// of squares over components in some order).
-func sumSquares[T Scalar](x []T, n, inc int) float64 {
+// With the SIMD backend enabled, all four domains route to the vector
+// sum-of-squares kernels — the complex slices by reinterpreting their
+// interleaved re/im layout as a real slice of twice the length, which is
+// exact (the sum of |z|² over lanes is the sum of squares over components
+// in some order).
+func sumSquares[T Scalar](x []T) float64 {
+	n := len(x)
 	var s float64
 	switch xs := any(x).(type) {
 	case []float64:
-		if inc == 1 && n >= simdMinLen && simdEnabled.Load() {
+		if n >= simdMinLen && simdEnabled.Load() {
 			return sumsqF64(&xs[0], n)
 		}
 		var s0, s1 float64
-		i, ix := 0, 0
-		if inc == 1 {
-			for ; i+1 < n; i += 2 {
-				v0, v1 := xs[i], xs[i+1]
-				s0 += v0 * v0
-				s1 += v1 * v1
-			}
-			if i < n {
-				v := xs[i]
-				s0 += v * v
-			}
-			return s0 + s1
+		i := 0
+		for ; i+1 < n; i += 2 {
+			v0, v1 := xs[i], xs[i+1]
+			s0 += v0 * v0
+			s1 += v1 * v1
 		}
-		for ; i < n; i, ix = i+1, ix+inc {
-			v := xs[ix]
+		if i < n {
+			v := xs[i]
 			s0 += v * v
 		}
-		return s0
+		return s0 + s1
 	case []float32:
-		if inc == 1 && n >= simdMinLen && simdEnabled.Load() {
+		if n >= simdMinLen && simdEnabled.Load() {
 			return sumsqF32(&xs[0], n)
 		}
-		for i, ix := 0, 0; i < n; i, ix = i+1, ix+inc {
-			v := float64(xs[ix])
+		for _, v32 := range xs {
+			v := float64(v32)
 			s += v * v
 		}
 	case []complex128:
-		if inc == 1 && 2*n >= simdMinLen && simdEnabled.Load() {
+		if 2*n >= simdMinLen && simdEnabled.Load() {
 			return sumsqF64((*float64)(unsafe.Pointer(&xs[0])), 2*n)
 		}
-		for i, ix := 0, 0; i < n; i, ix = i+1, ix+inc {
-			re, im := real(xs[ix]), imag(xs[ix])
+		for _, v := range xs {
+			re, im := real(v), imag(v)
 			s += re*re + im*im
 		}
 	case []complex64:
-		if inc == 1 && 2*n >= simdMinLen && simdEnabled.Load() {
+		if 2*n >= simdMinLen && simdEnabled.Load() {
 			return sumsqF32((*float32)(unsafe.Pointer(&xs[0])), 2*n)
 		}
-		for i, ix := 0, 0; i < n; i, ix = i+1, ix+inc {
-			re, im := float64(real(xs[ix])), float64(imag(xs[ix]))
+		for _, v := range xs {
+			re, im := float64(real(v)), float64(imag(v))
 			s += re*re + im*im
 		}
 	}
@@ -419,13 +496,13 @@ func nrm2SumOK(s float64) bool {
 // magnitudes, where multiplying by the inverse would overflow), and
 // rescales once at the end. Returns the magnitude itself when it is 0, NaN,
 // or ±Inf.
-func nrm2Scaled[T Scalar](x []T, n, inc int) float64 {
+func nrm2Scaled[T Scalar](x []T) float64 {
 	amax := 0.0
-	for i, ix := 0, 0; i < n; i, ix = i+1, ix+inc {
-		if av := math.Abs(RealPart(x[ix])); av > amax || math.IsNaN(av) {
+	for _, v := range x {
+		if av := math.Abs(RealPart(v)); av > amax || math.IsNaN(av) {
 			amax = av
 		}
-		if av := math.Abs(ImagPart(x[ix])); av > amax || math.IsNaN(av) {
+		if av := math.Abs(ImagPart(v)); av > amax || math.IsNaN(av) {
 			amax = av
 		}
 	}
@@ -433,8 +510,8 @@ func nrm2Scaled[T Scalar](x []T, n, inc int) float64 {
 		return amax
 	}
 	var s float64
-	for i, ix := 0, 0; i < n; i, ix = i+1, ix+inc {
-		re, im := RealPart(x[ix])/amax, ImagPart(x[ix])/amax
+	for _, v := range x {
+		re, im := RealPart(v)/amax, ImagPart(v)/amax
 		s += re*re + im*im
 	}
 	return amax * math.Sqrt(s)

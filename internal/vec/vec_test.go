@@ -200,15 +200,6 @@ func TestNrm2MatchesReference(t *testing.T) {
 		if got := Nrm2(x); !almostEq(got, want) {
 			t.Errorf("n=%d: Nrm2=%g want %g", n, got, want)
 		}
-		inc := 3
-		xs := randSlice(n*inc+1, rng)
-		want = 0
-		for i := 0; i < n; i++ {
-			want = math.Hypot(want, xs[i*inc])
-		}
-		if got := Nrm2Inc(xs, n, inc); !almostEq(got, want) {
-			t.Errorf("n=%d inc=%d: Nrm2Inc=%g want %g", n, inc, got, want)
-		}
 	}
 }
 
@@ -248,11 +239,6 @@ func TestNrm2OverflowUnderflow(t *testing.T) {
 		t.Errorf("subnormal Nrm2=%g want %g", got, want)
 	}
 
-	// The strided variant shares the scaled path.
-	if got := Nrm2Inc([]float64{1e200, 0, 1e200, 0}, 2, 2); !almostEq(got, 1e200*math.Sqrt2) {
-		t.Errorf("overflow-range Nrm2Inc=%g want %g", got, 1e200*math.Sqrt2)
-	}
-
 	if got := Nrm2[float64](nil); got != 0 {
 		t.Errorf("Nrm2(nil)=%g want 0", got)
 	}
@@ -261,68 +247,6 @@ func TestNrm2OverflowUnderflow(t *testing.T) {
 	}
 	if got := Nrm2([]float64{math.Inf(-1), 1}); !math.IsInf(got, 1) {
 		t.Errorf("Nrm2 with Inf=%g want +Inf", got)
-	}
-}
-
-// TestNrm2IncStrided pins the strided norm to the hypot reference across
-// strides and lengths, independent of the contiguous tests above.
-func TestNrm2IncStrided(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, inc := range []int{1, 2, 3, 5, 7} {
-		for _, n := range []int{0, 1, 2, 5, 16, 33, 100} {
-			var x []float64
-			if n > 0 {
-				x = randSlice((n-1)*inc+1+3, rng)
-			}
-			var want float64
-			for i := 0; i < n; i++ {
-				want = math.Hypot(want, x[i*inc])
-			}
-			if got := Nrm2Inc(x, n, inc); !almostEq(got, want) {
-				t.Errorf("n=%d inc=%d: Nrm2Inc=%g want %g", n, inc, got, want)
-			}
-		}
-	}
-}
-
-// TestNrm2IncOverflowUnderflow proves the strided path reuses the same
-// overflow-safe scaled accumulation as the contiguous one: values the naive
-// sum of squares cannot represent must still produce finite, accurate norms
-// at every stride, with garbage in the skipped gaps ignored.
-func TestNrm2IncOverflowUnderflow(t *testing.T) {
-	// Gap elements are poisoned with values that would dominate or destroy
-	// the sum if a stride bug ever read them.
-	poison := math.Inf(1)
-	build := func(vals []float64, inc int) []float64 {
-		x := make([]float64, (len(vals)-1)*inc+1)
-		for i := range x {
-			x[i] = poison
-		}
-		for i, v := range vals {
-			x[i*inc] = v
-		}
-		return x
-	}
-	for _, inc := range []int{2, 3, 7} {
-		big := build([]float64{1e200, -1e200, 1e200}, inc)
-		if got, want := Nrm2Inc(big, 3, inc), 1e200*math.Sqrt(3); !almostEq(got, want) {
-			t.Errorf("inc=%d overflow-range Nrm2Inc=%g want %g", inc, got, want)
-		}
-		small := build([]float64{1e-200, 3e-200}, inc)
-		if got, want := Nrm2Inc(small, 2, inc), 1e-200*math.Sqrt(10); !almostEq(got, want) {
-			t.Errorf("inc=%d underflow-range Nrm2Inc=%g want %g", inc, got, want)
-		}
-		tiny := build([]float64{5e-310, 5e-310, 5e-310, 5e-310}, inc)
-		if got, want := Nrm2Inc(tiny, 4, inc), 1e-309; math.Abs(got-want) > 1e-312 {
-			t.Errorf("inc=%d subnormal Nrm2Inc=%g want %g", inc, got, want)
-		}
-	}
-	// Non-finite entries at the strided positions must propagate.
-	if got := Nrm2Inc([]float64{1, 0, math.Inf(-1), 0, 2}, 3, 2); !math.IsInf(got, 1) {
-		t.Errorf("strided Inf: Nrm2Inc=%g want +Inf", got)
-	}
-	if got := Nrm2Inc[float64](nil, 0, 3); got != 0 {
-		t.Errorf("Nrm2Inc(nil, 0)=%g want 0", got)
 	}
 }
 
@@ -390,5 +314,80 @@ func TestGemvTcGemvNSub(t *testing.T) {
 			testGemv[complex128](t, 1e-12)
 			testGemv[complex64](t, 1e-4)
 		})
+	}
+}
+
+// multiColumn holds ReflectCols and DotcCols to their one-column forms:
+// over nc columns at stride ldc they must match nc calls of DotAxpy / Dotc
+// (whatever family those dispatch to) within reassociation slack, for both
+// head layouts — heads adjacent to their tails (inc0 = ldc) and heads in a
+// row of their own (inc0 = 1) — and must leave the gaps between columns
+// alone.
+func multiColumn[T Scalar](t *testing.T, tol float64) {
+	rng := rand.New(rand.NewSource(31))
+	rnd := func() T { return FromParts[T](rng.NormFloat64(), rng.NormFloat64()) }
+	const nc, gap = 5, 3
+	for _, n := range lengths {
+		ldc := n + 1 + gap // per column: head, n tail elements, gap
+		v := make([]T, n)
+		for i := range v {
+			v[i] = rnd()
+		}
+		orig := make([]T, nc*ldc)
+		for i := range orig {
+			orig[i] = rnd()
+		}
+		tau := rnd()
+		near := func(got, want T) bool { return Abs(got-want) <= tol*float64(n+1)*(1+Abs(want)) }
+
+		z := make([]T, nc)
+		DotcCols(v, orig[1:], ldc, nc, z)
+		for y := range z {
+			if want := Dotc(orig[y*ldc+1:y*ldc+1+n], v); !near(z[y], want) {
+				t.Fatalf("n=%d: DotcCols z[%d]=%v want %v", n, y, z[y], want)
+			}
+		}
+
+		for _, rowHeads := range []bool{false, true} {
+			want := append([]T(nil), orig...)
+			for y := 0; y < nc; y++ {
+				want[y*ldc] -= DotAxpy(tau, want[y*ldc], v, want[y*ldc+1:y*ldc+1+n])
+			}
+			got := append([]T(nil), orig...)
+			if rowHeads {
+				heads := make([]T, nc)
+				for y := range heads {
+					heads[y] = got[y*ldc]
+				}
+				ReflectCols(tau, v, heads, 1, got[1:], ldc, nc)
+				for y := range heads {
+					got[y*ldc] = heads[y]
+				}
+			} else {
+				ReflectCols(tau, v, got, ldc, got[1:], ldc, nc)
+			}
+			for i := range got {
+				if inGap := i%ldc > n; inGap && got[i] != orig[i] {
+					t.Fatalf("n=%d: ReflectCols wrote between columns at %d", n, i)
+				}
+				if !near(got[i], want[i]) {
+					t.Fatalf("n=%d rowHeads=%v: ReflectCols [%d]=%v want %v", n, rowHeads, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func TestMultiColumnPrimitives(t *testing.T) {
+	prev := SIMDEnabled()
+	defer SetSIMD(prev)
+	for _, fam := range Families() {
+		if err := SetFamily(fam); err != nil {
+			t.Fatal(err)
+		}
+		t.Run(fam+"/s", func(t *testing.T) { multiColumn[float32](t, 1e-6) })
+		t.Run(fam+"/d", func(t *testing.T) { multiColumn[float64](t, 1e-15) })
+		t.Run(fam+"/c", func(t *testing.T) { multiColumn[complex64](t, 1e-6) })
+		t.Run(fam+"/z", func(t *testing.T) { multiColumn[complex128](t, 1e-15) })
 	}
 }

@@ -3,6 +3,7 @@ package tiledqr
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -246,6 +247,47 @@ func TestStreamMemoryBound(t *testing.T) {
 	}
 	if s.Rows() != 60*batchRows {
 		t.Fatalf("rows = %d, want %d", s.Rows(), 60*batchRows)
+	}
+}
+
+// TestNarrowStreamAppendAllocs: a stream narrower than its tile size still
+// merges batch tiles nb rows tall, and the factor kernels' panel copy is
+// sized by a tile's height, not its width — the merge scratch must be sized
+// from that shape, or every TSQRT task allocates a fresh workspace
+// (ib·nb elements, 32 KB here) on every append.
+func TestNarrowStreamAppendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation volume is not meaningful under the race detector (sync.Pool drops Puts at random)")
+	}
+	const n, nb, ib = 32, 128, 32
+	for _, workers := range []int{1, 2} {
+		s, err := NewStream(n, Options{TileSize: nb, InnerBlock: ib, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := RandomDense(nb, n, 5)
+		appendOne := func() {
+			if err := s.AppendRows(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ { // warm the staging pool and the workers' scratch
+			appendOne()
+		}
+		const appends = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < appends; i++ {
+			appendOne()
+		}
+		runtime.ReadMemStats(&after)
+		// One fresh kernel workspace is ≥ ib·nb elements = 32 KB; the bound
+		// sits at half of that, so a GC that empties the staging pool in
+		// mid-measurement (one regrowth spread over all appends) stays under.
+		if perAppend := (after.TotalAlloc - before.TotalAlloc) / appends; perAppend > ib*nb*8/2 {
+			t.Errorf("workers=%d: %d B allocated per %d×%d append at nb=%d ib=%d, want no per-task workspace (≤ %d B)",
+				workers, perAppend, nb, n, nb, ib, ib*nb*8/2)
+		}
 	}
 }
 
