@@ -65,14 +65,17 @@ fault-smoke:
 	echo "fault-smoke: ok (exit 1, clean error, no panic)"
 
 # fuzz-smoke briefly runs the fuzz targets (hostile options, adversarial
-# matrices with NaN/Inf/degenerate shapes) — the no-panic contract of the
-# public API. Seed corpora live under testdata/fuzz/.
+# matrices with NaN/Inf/degenerate shapes, wire frames, and qrserve request
+# bodies read by its decoder and by encoding/json side by side) — the
+# no-panic contract of the public API and the accept/reject contract of the
+# service. Seed corpora live under testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOptionsValidate -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzFactor -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzVecSIMD -fuzztime $(FUZZTIME) ./internal/vec/
 	$(GO) test -run '^$$' -fuzz FuzzTileFrame -fuzztime $(FUZZTIME) ./internal/dist/
+	$(GO) test -run '^$$' -fuzz FuzzRequestBody -fuzztime $(FUZZTIME) ./internal/serve/
 
 # bench measures every sequential kernel in all four precisions (double,
 # double complex, single, single complex, at the benchmark shape
@@ -121,12 +124,13 @@ throughput:
 	$(GO) run ./cmd/qrperf -throughput
 
 # bench-smoke is the CI-sized benchmark run: one iteration of the kernel,
-# least-squares solve and streaming figures, a tiny qrstream ingestion with verification (plain and
+# least-squares solve, streaming and served-request (body decode, whole
+# solve handler) figures, a tiny qrstream ingestion with verification (plain and
 # sliding-window/forgetting modes), a traced complex qrfactor run that must
 # print its Gantt chart, and short fleet sweeps (factorization throughput
 # and windowed-stream ingestion), to prove the harnesses still work.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Figure4|^BenchmarkSolveLS$$|StreamAppendDouble$$' -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench 'Figure4|^BenchmarkSolveLS$$|StreamAppendDouble$$|^BenchmarkDecodeBody$$|^BenchmarkHandleSolve$$' -benchtime 1x ./...
 	$(GO) run ./cmd/qrstream -n 96 -nb 32 -batch 64 -batches 6 -rhs 1 -verify
 	$(GO) run ./cmd/qrstream -n 96 -nb 32 -batch 64 -batches 8 -rhs 1 -window 192 -forget 0.99 -verify
 	$(GO) run ./cmd/qrfactor -m 300 -n 100 -nb 50 -workers 2 -complex -gantt | grep '^w0 '

@@ -102,10 +102,14 @@ func run(sc *Scenario) (*report, error) {
 	if err := waitHealthy(client, sc.BaseURL, 5*time.Second); err != nil {
 		return nil, err
 	}
-	// Shared per-endpoint design matrices (see Endpoint.VaryMatrix).
-	shared := make([]*serve.Matrix, len(sc.Endpoints))
+	// Shared per-endpoint design matrices (see Endpoint.VaryMatrix), encoded
+	// here, once: every request that sends one sends the same bytes.
+	shared := make([]json.RawMessage, len(sc.Endpoints))
 	for i, ep := range sc.Endpoints {
-		shared[i] = randMatrix(rand.New(rand.NewSource(int64(1000+i))), ep.Rows, ep.Cols, isComplex(ep.Precision))
+		if ep.Kind == "solve" && !ep.VaryMatrix {
+			m := randMatrix(rand.New(rand.NewSource(int64(1000+i))), ep.Rows, ep.Cols, isComplex(ep.Precision))
+			shared[i] = m.AppendJSON(nil)
+		}
 	}
 	deadline := time.Now().Add(sc.RampUp + sc.Duration)
 	results := make([]*report, sc.Threads)
@@ -169,8 +173,9 @@ func waitHealthy(client *http.Client, base string, limit time.Duration) error {
 
 // worker is one load thread: pick an endpoint by weight, fire, record,
 // pace, until the deadline.
-func worker(client *http.Client, sc *Scenario, shared []*serve.Matrix, id int, deadline time.Time) *report {
+func worker(client *http.Client, sc *Scenario, shared []json.RawMessage, id int, deadline time.Time) *report {
 	rng := rand.New(rand.NewSource(int64(7919*id + 13)))
+	send := &sender{client: client, sc: sc, rng: rng}
 	rep := &report{kinds: map[string]*kindAgg{}}
 	total := 0
 	for _, ep := range sc.Endpoints {
@@ -193,13 +198,13 @@ func worker(client *http.Client, sc *Scenario, shared []*serve.Matrix, id int, d
 		t0 := time.Now()
 		switch ep.Kind {
 		case "factor":
-			status, err = doFactor(client, sc, rng, ep)
+			status, err = send.factor(ep)
 			rows = int64(ep.Rows)
 		case "solve":
-			status, err = doSolve(client, sc, rng, ep, shared[ei])
+			status, err = send.solve(ep, shared[ei])
 			rows = int64(ep.Rows)
 		case "stream":
-			status, err = doStream(client, sc, rng, ep, streams, ei)
+			status, err = send.stream(ep, streams, ei)
 			rows = int64(ep.Rows)
 		}
 		lat := time.Since(t0)
@@ -272,27 +277,72 @@ func randMatrix(rng *rand.Rand, rows, cols int, complexData bool) *serve.Matrix 
 	return &serve.Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
-// post sends a JSON body and returns the HTTP status.
-func post(client *http.Client, sc *Scenario, url string, body any) (int, error) {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return 0, err
+// sender is one worker's request builder. Bodies are assembled by hand —
+// matrices through serve.Matrix.AppendJSON, the small values through
+// encoding/json — because a load generator that marshals a map of fresh
+// matrices by reflection for every request measures its own encoder as much
+// as the server.
+type sender struct {
+	client *http.Client
+	sc     *Scenario
+	rng    *rand.Rand
+	body   []byte
+}
+
+// key opens the next member of the body under construction.
+func (s *sender) key(k string) {
+	open := byte(',')
+	if len(s.body) == 0 {
+		open = '{'
 	}
+	s.body = append(append(append(s.body, open, '"'), k...), '"', ':')
+}
+
+func (s *sender) raw(k string, v []byte) {
+	s.key(k)
+	s.body = append(s.body, v...)
+}
+
+// value adds a small member (a precision tag, the options) via encoding/json.
+func (s *sender) value(k string, v any) {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		panic(err) // strings, ints and flat structs of them always encode
+	}
+	s.raw(k, raw)
+}
+
+// random adds a freshly generated rows×cols matrix in ep's precision.
+func (s *sender) random(k string, ep *Endpoint, rows, cols int) {
+	s.key(k)
+	s.body = randMatrix(s.rng, rows, cols, isComplex(ep.Precision)).AppendJSON(s.body)
+}
+
+// post closes the body under construction, sends it and returns the HTTP
+// status; a 200's reply is decoded into out unless out is nil. The next body
+// starts in a buffer of its own, sized like this one: after an early answer
+// (a 429, a 503) the transport may still be sending from the old one.
+func (s *sender) post(url string, out any) (int, error) {
+	raw := append(s.body, '}')
+	s.body = make([]byte, 0, len(raw))
 	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(raw))
 	if err != nil {
 		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if sc.Tenant != "" {
-		req.Header.Set("X-Tenant", sc.Tenant)
+	if s.sc.Tenant != "" {
+		req.Header.Set("X-Tenant", s.sc.Tenant)
 	}
-	resp, err := client.Do(req)
+	resp, err := s.client.Do(req)
 	if err != nil {
 		return 0, err
 	}
+	defer resp.Body.Close()
+	if out != nil && resp.StatusCode == http.StatusOK {
+		err = json.NewDecoder(resp.Body).Decode(out)
+	}
 	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode, nil
+	return resp.StatusCode, err
 }
 
 func wireOptions(ep *Endpoint) *serve.WireOptions {
@@ -302,71 +352,49 @@ func wireOptions(ep *Endpoint) *serve.WireOptions {
 	return &serve.WireOptions{TileSize: ep.TileSize, InnerBlock: ep.InnerBlock}
 }
 
-func doFactor(client *http.Client, sc *Scenario, rng *rand.Rand, ep *Endpoint) (int, error) {
-	return post(client, sc, sc.BaseURL+"/v1/factor", map[string]any{
-		"precision": ep.Precision,
-		"matrix":    randMatrix(rng, ep.Rows, ep.Cols, isComplex(ep.Precision)),
-		"options":   wireOptions(ep),
-	})
+func (s *sender) factor(ep *Endpoint) (int, error) {
+	s.value("precision", ep.Precision)
+	s.random("matrix", ep, ep.Rows, ep.Cols)
+	s.value("options", wireOptions(ep))
+	return s.post(s.sc.BaseURL+"/v1/factor", nil)
 }
 
-func doSolve(client *http.Client, sc *Scenario, rng *rand.Rand, ep *Endpoint, shared *serve.Matrix) (int, error) {
-	m := shared
-	if ep.VaryMatrix {
-		m = randMatrix(rng, ep.Rows, ep.Cols, isComplex(ep.Precision))
+// solve sends the endpoint's shared design matrix, encoded once per run, or
+// a fresh one when the scenario varies it (shared is nil then).
+func (s *sender) solve(ep *Endpoint, shared json.RawMessage) (int, error) {
+	s.value("precision", ep.Precision)
+	if shared != nil {
+		s.raw("matrix", shared)
+	} else {
+		s.random("matrix", ep, ep.Rows, ep.Cols)
 	}
-	return post(client, sc, sc.BaseURL+"/v1/solve", map[string]any{
-		"precision": ep.Precision,
-		"matrix":    m,
-		"rhs":       randMatrix(rng, ep.Rows, ep.RHS, isComplex(ep.Precision)),
-		"options":   wireOptions(ep),
-	})
+	s.random("rhs", ep, ep.Rows, ep.RHS)
+	s.value("options", wireOptions(ep))
+	return s.post(s.sc.BaseURL+"/v1/solve", nil)
 }
 
-// doStream appends one batch to the worker's session for this endpoint,
+// stream appends one batch to the worker's session for this endpoint,
 // creating the session on first use (or after an eviction 404).
-func doStream(client *http.Client, sc *Scenario, rng *rand.Rand, ep *Endpoint, streams map[int]string, ei int) (int, error) {
+func (s *sender) stream(ep *Endpoint, streams map[int]string, ei int) (int, error) {
 	id, ok := streams[ei]
 	if !ok {
-		raw, err := json.Marshal(map[string]any{
-			"precision": ep.Precision,
-			"cols":      ep.Cols,
-			"options":   wireOptions(ep),
-		})
-		if err != nil {
-			return 0, err
-		}
-		req, err := http.NewRequest(http.MethodPost, sc.BaseURL+"/v1/streams", bytes.NewReader(raw))
-		if err != nil {
-			return 0, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if sc.Tenant != "" {
-			req.Header.Set("X-Tenant", sc.Tenant)
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return 0, err
-		}
 		var created struct {
 			ID string `json:"id"`
 		}
-		err = json.NewDecoder(resp.Body).Decode(&created)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return resp.StatusCode, nil
-		}
-		if err != nil {
-			return 0, err
+		s.value("precision", ep.Precision)
+		s.value("cols", ep.Cols)
+		s.value("options", wireOptions(ep))
+		if status, err := s.post(s.sc.BaseURL+"/v1/streams", &created); err != nil || status != http.StatusOK {
+			return status, err
 		}
 		id = created.ID
 		streams[ei] = id
 	}
-	body := map[string]any{"batch": randMatrix(rng, ep.Rows, ep.Cols, isComplex(ep.Precision))}
+	s.random("batch", ep, ep.Rows, ep.Cols)
 	if ep.RHS > 0 {
-		body["rhs"] = randMatrix(rng, ep.Rows, ep.RHS, isComplex(ep.Precision))
+		s.random("rhs", ep, ep.Rows, ep.RHS)
 	}
-	status, err := post(client, sc, sc.BaseURL+"/v1/streams/"+id+"/rows", body)
+	status, err := s.post(s.sc.BaseURL+"/v1/streams/"+id+"/rows", nil)
 	if status == http.StatusNotFound {
 		// The session aged out of the table; rebuild next iteration.
 		delete(streams, ei)

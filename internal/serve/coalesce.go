@@ -49,18 +49,24 @@ func optKeyOf(o tiledqr.Options) optKey {
 	}
 }
 
-// hashMatrix fingerprints a wire matrix's exact bit pattern.
+// hashMatrix fingerprints a wire matrix's exact bit pattern. The values are
+// fed to SHA-256 a block of 512 at a time: one Write per value spends more
+// time entering the hash than hashing.
 func hashMatrix(m *Matrix) [sha256.Size]byte {
 	h := sha256.New()
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(m.Rows))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(m.Cols))
-	h.Write(hdr[:])
-	var buf [8]byte
+	var buf [4096]byte
+	binary.LittleEndian.PutUint64(buf[0:], uint64(m.Rows))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(m.Cols))
+	n := 16
 	for _, v := range m.Data {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
+		if n == len(buf) {
+			h.Write(buf[:])
+			n = 0
+		}
+		binary.LittleEndian.PutUint64(buf[n:], math.Float64bits(v))
+		n += 8
 	}
+	h.Write(buf[:n])
 	var out [sha256.Size]byte
 	h.Sum(out[:0])
 	return out

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -118,13 +120,13 @@ func New(cfg Config) *Server {
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
-	s.mux.HandleFunc("POST /v1/factor", s.compute(&s.stats.factor, s.handleFactor))
-	s.mux.HandleFunc("POST /v1/solve", s.compute(&s.stats.solve, s.handleSolve))
+	s.mux.HandleFunc("POST /v1/factor", s.compute(&s.stats.factor.latency, s.handleFactor))
+	s.mux.HandleFunc("POST /v1/solve", s.compute(&s.stats.solve.latency, s.handleSolve))
 	s.mux.HandleFunc("POST /v1/streams", s.compute(nil, s.handleStreamCreate))
-	s.mux.HandleFunc("POST /v1/streams/{id}/rows", s.compute(&s.stats.streamRows, s.handleStreamRows))
-	s.mux.HandleFunc("DELETE /v1/streams/{id}/rows", s.compute(&s.stats.streamRows, s.handleStreamDowndate))
-	s.mux.HandleFunc("GET /v1/streams/{id}/solve", s.compute(&s.stats.streamSolve, s.handleStreamSolve))
-	s.mux.HandleFunc("POST /v1/streams/{id}/factor", s.compute(&s.stats.reuse, s.handleStreamFactor))
+	s.mux.HandleFunc("POST /v1/streams/{id}/rows", s.compute(&s.stats.streamRows.latency, s.handleStreamRows))
+	s.mux.HandleFunc("DELETE /v1/streams/{id}/rows", s.compute(&s.stats.streamRows.latency, s.handleStreamDowndate))
+	s.mux.HandleFunc("GET /v1/streams/{id}/solve", s.compute(&s.stats.streamSolve.latency, s.handleStreamSolve))
+	s.mux.HandleFunc("POST /v1/streams/{id}/factor", s.compute(&s.stats.reuse.latency, s.handleStreamFactor))
 	s.mux.HandleFunc("DELETE /v1/streams/{id}", s.compute(nil, s.handleStreamDelete))
 	return s
 }
@@ -183,10 +185,49 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON encodes v completely before the status line goes out, so a
+// value encoding/json refuses (a non-finite number) is an error the caller
+// can still report and never a 200 with an empty body.
+func writeJSON(w http.ResponseWriter, status int, v any) error {
+	buf := replyPool.Get().(*bytes.Buffer)
+	defer putBuffer(replyPool, buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		return err
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes()) // a client that hung up is not the server's failure
+	return nil
+}
+
+// reply answers 200 with v. The named result matrices are checked first: an
+// R or x that overflowed to ±Inf or collapsed to NaN is a failed computation
+// and is answered 422 naming the field, as is anything else in v JSON cannot
+// carry.
+func (s *Server) reply(w http.ResponseWriter, v any, results ...namedMatrix) {
+	for _, r := range results {
+		if r.m == nil {
+			continue
+		}
+		for i, x := range r.m.Data {
+			if math.IsInf(x, 0) || math.IsNaN(x) {
+				s.fail(w, http.StatusUnprocessableEntity,
+					"result %q is not finite (value %d is %v): the input overflows or is singular in this precision",
+					r.name, i, x)
+				return
+			}
+		}
+	}
+	if err := writeJSON(w, http.StatusOK, v); err != nil {
+		s.fail(w, http.StatusUnprocessableEntity, "result cannot be encoded: %v", err)
+	}
+}
+
+// namedMatrix is a reply field that carries a computed matrix.
+type namedMatrix struct {
+	name string
+	m    *Matrix
 }
 
 func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...any) {
@@ -196,7 +237,7 @@ func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...
 	} else if status >= 400 {
 		s.stats.failed.Add(1)
 	}
-	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
+	_ = writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)}) // a string always encodes
 }
 
 // failErr maps library errors onto HTTP statuses: lifecycle rejections are
@@ -272,16 +313,6 @@ func (s *Server) compute(hist *Histogram, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// readBody decodes a JSON request body into v.
-func readBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
-	}
-	return nil
-}
-
 // WireOptions is the wire form of the tunable factorization options.
 type WireOptions struct {
 	Algorithm   string `json:"algorithm,omitempty"`
@@ -338,6 +369,10 @@ type factorRequest struct {
 	Options   *WireOptions `json:"options,omitempty"`
 }
 
+func (q *factorRequest) fields() []field {
+	return []field{{key: "precision", val: &q.Precision}, {key: "matrix", mat: &q.Matrix}, {key: "options", val: &q.Options}}
+}
+
 type factorReply struct {
 	R         *Matrix `json:"r"`
 	TaskCount int     `json:"task_count"`
@@ -346,8 +381,7 @@ type factorReply struct {
 
 func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request) {
 	var req factorRequest
-	if err := readBody(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
+	if !s.readBody(w, r, &s.stats.factor.decode, &req) {
 		return
 	}
 	o, opt, err := s.prep(req.Precision, req.Options, req.Matrix)
@@ -362,10 +396,10 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request) {
 		s.failErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, factorReply{
+	s.reply(w, factorReply{
 		R: rm, TaskCount: tasks,
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-	})
+	}, namedMatrix{"r", rm})
 }
 
 type solveRequest struct {
@@ -373,6 +407,11 @@ type solveRequest struct {
 	Matrix    *Matrix      `json:"matrix"`
 	RHS       *Matrix      `json:"rhs"`
 	Options   *WireOptions `json:"options,omitempty"`
+}
+
+func (q *solveRequest) fields() []field {
+	return []field{{key: "precision", val: &q.Precision}, {key: "matrix", mat: &q.Matrix},
+		{key: "rhs", mat: &q.RHS}, {key: "options", val: &q.Options}}
 }
 
 type solveReply struct {
@@ -383,8 +422,7 @@ type solveReply struct {
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req solveRequest
-	if err := readBody(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
+	if !s.readBody(w, r, &s.stats.solve.decode, &req) {
 		return
 	}
 	o, opt, err := s.prep(req.Precision, req.Options, req.Matrix)
@@ -408,10 +446,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.failErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, solveReply{
+	s.reply(w, solveReply{
 		X: x, Coalesced: size,
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-	})
+	}, namedMatrix{"x", x})
 }
 
 // prep resolves precision and options and validates the primary matrix.
@@ -446,6 +484,11 @@ type streamCreateRequest struct {
 	Forget float64 `json:"forget,omitempty"`
 }
 
+func (q *streamCreateRequest) fields() []field {
+	return []field{{key: "precision", val: &q.Precision}, {key: "kind", val: &q.Kind}, {key: "cols", val: &q.Cols},
+		{key: "options", val: &q.Options}, {key: "window", val: &q.Window}, {key: "forget", val: &q.Forget}}
+}
+
 type streamCreateReply struct {
 	ID   string `json:"id"`
 	Kind string `json:"kind"`
@@ -453,8 +496,7 @@ type streamCreateReply struct {
 
 func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	var req streamCreateRequest
-	if err := readBody(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
+	if !s.readBody(w, r, nil, &req) {
 		return
 	}
 	o, err := opsFor(req.Precision)
@@ -497,12 +539,16 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		s.failErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, streamCreateReply{ID: sess.id, Kind: req.Kind})
+	s.reply(w, streamCreateReply{ID: sess.id, Kind: req.Kind})
 }
 
 type streamRowsRequest struct {
 	Batch *Matrix `json:"batch"`
 	RHS   *Matrix `json:"rhs,omitempty"`
+}
+
+func (q *streamRowsRequest) fields() []field {
+	return []field{{key: "batch", mat: &q.Batch}, {key: "rhs", mat: &q.RHS}}
 }
 
 type streamRowsReply struct {
@@ -530,8 +576,7 @@ func (s *Server) handleStreamRows(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req streamRowsRequest
-	if err := readBody(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
+	if !s.readBody(w, r, &s.stats.streamRows.decode, &req) {
 		return
 	}
 	o, _ := opsFor(sess.prec)
@@ -554,7 +599,7 @@ func (s *Server) handleStreamRows(w http.ResponseWriter, r *http.Request) {
 		s.failErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, streamRowsReply{
+	s.reply(w, streamRowsReply{
 		Rows:      rows,
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
 	})
@@ -587,7 +632,7 @@ func (s *Server) handleStreamDowndate(w http.ResponseWriter, r *http.Request) {
 		s.failErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, streamRowsReply{
+	s.reply(w, streamRowsReply{
 		Rows:      rows,
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
 	})
@@ -618,15 +663,19 @@ func (s *Server) handleStreamSolve(w http.ResponseWriter, r *http.Request) {
 		s.failErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, streamSolveReply{
+	s.reply(w, streamSolveReply{
 		X: x, Residual: resid, Rows: rows,
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-	})
+	}, namedMatrix{"x", x})
 }
 
 type streamFactorRequest struct {
 	Matrix *Matrix `json:"matrix"`
 	RHS    *Matrix `json:"rhs,omitempty"`
+}
+
+func (q *streamFactorRequest) fields() []field {
+	return []field{{key: "matrix", mat: &q.Matrix}, {key: "rhs", mat: &q.RHS}}
 }
 
 type streamFactorReply struct {
@@ -646,8 +695,7 @@ func (s *Server) handleStreamFactor(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req streamFactorRequest
-	if err := readBody(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
+	if !s.readBody(w, r, &s.stats.reuse.decode, &req) {
 		return
 	}
 	o, _ := opsFor(sess.prec)
@@ -679,7 +727,7 @@ func (s *Server) handleStreamFactor(w http.ResponseWriter, r *http.Request) {
 	} else {
 		reply.X = res
 	}
-	writeJSON(w, http.StatusOK, reply)
+	s.reply(w, reply, namedMatrix{"r", reply.R}, namedMatrix{"x", reply.X})
 }
 
 func (s *Server) handleStreamDelete(w http.ResponseWriter, r *http.Request) {
@@ -697,7 +745,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	s.reply(w, map[string]string{"status": "ok"})
 }
 
 // Statsz is the wire form of /statsz.
@@ -745,5 +793,5 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		"stream_solve": s.stats.streamSolve.wire(),
 		"reuse_factor": s.stats.reuse.wire(),
 	}
-	writeJSON(w, http.StatusOK, out)
+	s.reply(w, out)
 }

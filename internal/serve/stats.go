@@ -91,20 +91,39 @@ type serverStats struct {
 	coalesced      atomic.Uint64 // solve requests that shared a factorization
 	batches        atomic.Uint64 // coalesced batches submitted
 
-	factor      Histogram
-	solve       Histogram
-	streamRows  Histogram
-	streamSolve Histogram
-	reuse       Histogram
+	factor      endpoint
+	solve       endpoint
+	streamRows  endpoint
+	streamSolve endpoint
+	reuse       endpoint
 }
 
-// endpointStats is the wire form of one endpoint's latency figures.
+// endpoint holds one endpoint's histograms: the latency of whole requests
+// and, where requests carry a matrix body, the part of it spent reading and
+// parsing that body — the server-side answer to "where did the time go".
+type endpoint struct {
+	latency Histogram
+	decode  Histogram
+}
+
+// endpointStats is the wire form of one endpoint's latency figures. Decode
+// is present once the endpoint has decoded a body.
 type endpointStats struct {
-	Count  uint64  `json:"count"`
-	MeanMS float64 `json:"mean_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P95MS  float64 `json:"p95_ms"`
-	P99MS  float64 `json:"p99_ms"`
+	Count  uint64         `json:"count"`
+	MeanMS float64        `json:"mean_ms"`
+	P50MS  float64        `json:"p50_ms"`
+	P95MS  float64        `json:"p95_ms"`
+	P99MS  float64        `json:"p99_ms"`
+	Decode *endpointStats `json:"decode,omitempty"`
+}
+
+func (e *endpoint) wire() endpointStats {
+	out := e.latency.wire()
+	if e.decode.Count() > 0 {
+		d := e.decode.wire()
+		out.Decode = &d
+	}
+	return out
 }
 
 func (h *Histogram) wire() endpointStats {

@@ -5,11 +5,36 @@
 // runtime queue-depth backpressure, same-matrix solve coalescing, and
 // latency statistics. Everything is plain net/http over the public tiledqr
 // API, so the package is unit-testable with httptest and no sockets.
+//
+// A served request costs what its computation costs only if each byte of
+// its matrices is touched once, so the request path is read → walk → scan →
+// adopt (body.go, number.go):
+//
+//   - read: the whole body goes into a pooled byte buffer sized from
+//     Content-Length, behind http.MaxBytesReader; too large is 413.
+//   - walk: decodeBody steps through the top-level object once, matching
+//     keys the way encoding/json does, and hands the small values
+//     (precision, options, rows, cols) to encoding/json on their exact
+//     spans, so their semantics are encoding/json's by construction.
+//   - scan: each "data" array is counted (commas), allocated once at its
+//     exact size, and filled by scanNumber, which validates the RFC 8259
+//     grammar and converts in the same pass — exactly, in 128-bit integer
+//     arithmetic, for up to 19 digits and a decimal exponent within ±19;
+//     strconv.ParseFloat for the rest. The accept/reject set is
+//     encoding/json's except that a null element is an error.
+//   - adopt: in double precision the parsed []float64 is the Mat[float64]
+//     storage (decode); the other precisions narrow once. Parsed slices are
+//     request-owned and never pooled: they outlive the handler inside
+//     coalesced batches.
+//
+// Replies are encoded completely before the status line is written, so a
+// result JSON cannot carry is a 422, not a 200 with half a body.
 package serve
 
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"tiledqr"
 	"tiledqr/internal/vec"
@@ -25,6 +50,28 @@ type Matrix struct {
 	Rows int       `json:"rows"`
 	Cols int       `json:"cols"`
 	Data []float64 `json:"data"`
+}
+
+// AppendJSON appends m's wire encoding to dst, each value in the shortest
+// spelling that reads back to the same bits. It is for clients that build
+// request bodies by hand — a load generator that would otherwise spend its
+// cores in reflection — and it is deliberately not a json.Marshaler: how
+// encoding/json treats a Matrix is left alone. The values must be finite;
+// JSON has no spelling for NaN or ±Inf, and the server refuses a body that
+// tries.
+func (m *Matrix) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"rows":`...)
+	dst = strconv.AppendInt(dst, int64(m.Rows), 10)
+	dst = append(dst, `,"cols":`...)
+	dst = strconv.AppendInt(dst, int64(m.Cols), 10)
+	dst = append(dst, `,"data":[`...)
+	for i, v := range m.Data {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
+	}
+	return append(dst, "]}"...)
 }
 
 // errNilMatrix reports a request missing a required matrix field.
@@ -54,7 +101,14 @@ func (m *Matrix) check(isComplex bool, maxElems int) error {
 }
 
 // decode converts a checked wire matrix into a dense matrix of T's domain.
+// In double precision the wire data already is the dense storage and is
+// adopted, not copied: m.Data is a request-owned slice no pool ever sees
+// again, and factorizations, solves and stream appends never write their
+// inputs. The other precisions narrow or pair the values into fresh storage.
 func decode[T vec.Scalar](m *Matrix) *tiledqr.Mat[T] {
+	if data, ok := any(m.Data).([]T); ok {
+		return &tiledqr.Mat[T]{Rows: m.Rows, Cols: m.Cols, Stride: m.Cols, Data: data}
+	}
 	d := tiledqr.NewMat[T](m.Rows, m.Cols)
 	if vec.IsComplex[T]() {
 		for i := 0; i < m.Rows; i++ {
@@ -106,6 +160,9 @@ func encode[T vec.Scalar](d *tiledqr.Mat[T]) *Matrix {
 // into one dense matrix — the coalescing path stacks many small right-hand
 // sides into a single multi-column solve.
 func hcat[T vec.Scalar](ms []*Matrix, isComplex bool) *tiledqr.Mat[T] {
+	if len(ms) == 1 {
+		return decode[T](ms[0])
+	}
 	rows, cols := ms[0].Rows, 0
 	for _, m := range ms {
 		cols += m.Cols
