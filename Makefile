@@ -40,6 +40,9 @@ test-noasm:
 	$(GO) test -tags noasm ./...
 	TILEDQR_SIMD=off $(GO) test ./...
 
+# race runs every package under the race detector — including
+# internal/stream's retention suite (windows, downdates and forgetting
+# against one-shot factorizations, four precisions × two kernel families).
 race:
 	$(GO) test -race ./...
 
@@ -48,10 +51,12 @@ race:
 # bit-identical bystander jobs, context cancellation promptness, sticky
 # factorization/stream failure states, CheckHealth validation, and the
 # runtime lifecycle (closed-submit, double Close, deadline-bounded Drain)
-# with hand-rolled goroutine-leak checks.
+# with hand-rolled goroutine-leak checks — and the sliding-window drift
+# test at its -short length (10³ slides over an ill-conditioned window).
 chaos:
 	$(GO) test -race -count=2 -run 'TestChaos|TestCancel|TestRuntimeLifecycle|TestSticky|TestStream|TestCheckHealth' .
 	$(GO) test -race -count=2 ./internal/fault/ ./internal/sched/
+	$(GO) test -race -short -run 'TestWindowDrift' ./internal/stream/
 
 # fault-smoke proves the CLI failure path end to end: with a fault armed
 # through TILEDQR_FAULT, qrstream must exit 1 carrying the injected error

@@ -313,7 +313,8 @@ func TestAutoAnalysisGuards(t *testing.T) {
 // numbers: a parked worker needs 0.1–0.25 ms to pick up a released task on
 // a small shared host, which the schedule model does not know, so on these
 // sub-millisecond shapes Auto keeps choosing chain-shaped trees that get no
-// overlap (ROADMAP: "The tuner's schedule model has no wake-up latency").
+// overlap (ROADMAP: "Sub-millisecond jobs: wake-up latency, the inline path,
+// and what the tuner believes about both").
 func TestAutoWithinEnvelope(t *testing.T) {
 	isolateCalibration(t)
 	if testing.Short() {
@@ -333,7 +334,7 @@ func TestAutoWithinEnvelope(t *testing.T) {
 			switch {
 			case len(misses) == 0:
 			case workers == 0 && sched.DefaultWorkers() > 1:
-				t.Skipf("known miss at width %d — ROADMAP, \"The tuner's schedule model has no wake-up latency\": %s",
+				t.Skipf("known miss at width %d — ROADMAP, \"Sub-millisecond jobs: wake-up latency, the inline path, and what the tuner believes about both\": %s",
 					sched.DefaultWorkers(), strings.Join(misses, "; "))
 			default:
 				t.Error(strings.Join(misses, "; "))

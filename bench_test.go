@@ -370,6 +370,50 @@ func BenchmarkStreamSolveLS(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamWindowAppend is the sliding-window cost table: one
+// AppendRHS into a full 2048-row window at n = 256 (so every append also
+// evicts), with a SolveLS read after every `read`-th append. Small batches
+// read after every append are the regime a reduction-tree window pays most
+// for — each read re-merges triangles — and large batches read rarely the
+// one it is built for.
+func BenchmarkStreamWindowAppend(b *testing.B) {
+	const n, window, poolRows = 256, 2048, 4096
+	pool := RandomDense(poolRows, n, 1) // twice the window: no row is ever held twice
+	rhs := RandomDense(poolRows, 1, 2)
+	for _, batch := range []int{1, 16, 256} {
+		for _, read := range []int{1, 8} {
+			b.Run(fmt.Sprintf("batch=%d/read=%d", batch, read), func(b *testing.B) {
+				s, err := NewStream(n, Options{TileSize: 64, InnerBlock: 16, WindowRows: window})
+				if err != nil {
+					b.Fatal(err)
+				}
+				i := 0
+				step := func() {
+					r0 := i * batch % poolRows
+					i++
+					err := s.AppendRHS(
+						&Dense{Rows: batch, Cols: n, Stride: n, Data: pool.Data[r0*n : (r0+batch)*n]},
+						&Dense{Rows: batch, Cols: 1, Stride: 1, Data: rhs.Data[r0 : r0+batch]})
+					if err == nil && i%read == 0 && s.Rows() >= n {
+						_, err = s.SolveLS()
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				for i < window/batch+8 { // fill the window, then slide a little
+					step()
+				}
+				b.ResetTimer()
+				for k := 0; k < b.N; k++ {
+					step()
+				}
+				b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "rows/s")
+			})
+		}
+	}
+}
+
 // --- infrastructure benches -------------------------------------------------------
 
 func BenchmarkDAGBuild40x40(b *testing.B) {

@@ -9,8 +9,9 @@ import (
 
 // fleetReport records the sliding-window fleet benchmark: many small
 // windowed streams ingesting concurrently — the online-serving shape of the
-// streaming subsystem, where every append also pays a hyperbolic downdate
-// to hold the window. Tracked in BENCH_kernels.json alongside the plain
+// streaming subsystem, where every append also evicts to hold the window
+// (free in itself: the window is a reduction tree and eviction drops
+// leaves; the re-merge is paid by reads). Tracked in BENCH_kernels.json alongside the plain
 // stream series so window-maintenance regressions gate CI like kernel ones.
 type fleetReport struct {
 	Streams            int     `json:"streams"`
@@ -25,7 +26,7 @@ type fleetReport struct {
 // measureFleet times steady-state ingestion across a fleet of windowed,
 // forgetful float64 streams. Each stream is pre-filled past its window so
 // every timed append runs the full maintenance path: decay, merge, and the
-// downdate that evicts the oldest batch.
+// eviction of the oldest batch.
 func measureFleet(quick bool) *fleetReport {
 	const n, batch, window = 32, 16, 64
 	streams := 64
@@ -43,7 +44,7 @@ func measureFleet(quick bool) *fleetReport {
 		}
 		fleet[i] = s
 		data[i] = tiledqr.RandomDense(batch, n, int64(i+1))
-		for b := 0; b <= window/batch; b++ { // past the window: appends now downdate
+		for b := 0; b <= window/batch; b++ { // past the window: appends now evict
 			if err := s.AppendRows(data[i]); err != nil {
 				die(err)
 			}

@@ -35,8 +35,8 @@
 //	qrperf -fleet [-quick]               windowed-stream fleet benchmark: many
 //	                                     small sliding-window streams ingesting
 //	                                     at steady state, where every append
-//	                                     also pays the hyperbolic downdate that
-//	                                     holds the window; rows/sec recorded by
+//	                                     also evicts the oldest batch to hold
+//	                                     the window; rows/sec recorded by
 //	                                     -kernels-json as the "fleet" series
 //	qrperf -tune [-measure]              dump the autotuner's decision table:
 //	                                     the (algorithm, kernel family, nb, ib)

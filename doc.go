@@ -161,19 +161,31 @@
 // irrevocably. Two Options fields change that for rolling estimation:
 //
 // Options.WindowRows = w keeps the stream equivalent to a QR of only the
-// most recent w rows: each append merges the batch and then *downdates*
-// the rows that just fell out of the window. Downdating removes a row by
-// the hyperbolic (J-orthogonal) analogue of a Givens rotation applied up
-// the triangle's diagonal — O(n²) per row, no refactorization — with the
-// same rotations folded through Qᵀb so SolveLS and ResidualNorm track the
-// window too. Hyperbolic rotations are the numerically delicate part of
-// any downdating scheme: when cancellation would make one unstable
-// (‖z‖ approaching the diagonal entry), the stream detects the breakdown
-// and transparently re-triangularizes the retained rows from its window
-// buffer through the same merge DAG instead — slower, always stable,
-// bit-identical semantics. Retained rows live in a ring of recent batches,
-// so memory is O(n² + w), observable via Footprint and asserted flat by
-// the test suite after hundreds of batches.
+// most recent w rows. The retained rows are a queue of blocks, and the
+// stream keeps a reduction tree of triangle merges over it — TSQR over a
+// sliding set, in the two-stack arrangement of sliding-window aggregation:
+// a back triangle every append merges into as usual, and in front of it a
+// stack of suffix triangles over the older blocks, checkpointed at least n
+// rows apart. Evicting the oldest rows pops or shortens a leaf and drops
+// the one suffix that covered it: no arithmetic. The first R, QTB, SolveLS
+// or ResidualNorm after a change builds whatever suffixes are missing and
+// merges the oldest one with the back triangle — one triangle-on-triangle
+// merge, O(n³) where a read of a plain stream is O(n²) — and caches the
+// result until the next append or eviction. Every retained row is merged
+// at most twice (into the back, into a suffix; rows evicted between two
+// reads only once), so a windowed append costs about one plain append plus
+// one amortised merge, at every batch size — less for batches under a tile
+// row, which wait in the history and merge a tile row at a time. Nothing is
+// ever subtracted:
+// every triangle served is a product of orthogonal merges of rows still
+// retained, so the window is exactly as stable as a one-shot factorization
+// of its rows — no breakdown test, no rebuild path, no drift after any
+// number of slides — and the residual is summed up the tree rather than
+// derived from ‖b‖² − ‖Qᵀb‖². Memory is the retained rows plus one triangle
+// per n of them — at most about twice the rows — plus O(n²), observable
+// via Footprint and asserted flat by the test suite after hundreds of
+// batches. What the design does not suit is a window fed a row or two at a
+// time and read after every append: each read then pays the O(n³) merge.
 //
 // Options.WindowRows = RetainAll keeps the full row history without
 // automatic eviction, enabling explicit revocation: DowndateRows(k)

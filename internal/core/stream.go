@@ -27,9 +27,16 @@ import "fmt"
 // Total weight is ~pb·(6 + 12(q−k)) units per column — 2·r·n² flops for an
 // r-row batch, the cost of applying Householder QR to r appended rows —
 // independent of how many rows were ingested before.
-func BuildStreamDAG(q, pb int, kernels Kernels) *DAG {
-	if q < 1 || pb < 1 {
-		panic(fmt.Sprintf("core: invalid stream merge shape q=%d pb=%d", q, pb))
+//
+// With tri set the incoming block is itself a q×q upper triangular tile
+// matrix (pb must equal q) — another stream's resident triangle, which is
+// how a sliding window re-merges its reduction tree: batch tile (i,k) is
+// structurally zero for k < i and never touched, the diagonal batch tiles
+// are already triangles, and column k reduces only its k live batch rows.
+// That is a third of a full pb = q merge (128 of 384 units at q = 4).
+func BuildStreamDAG(q, pb int, kernels Kernels, tri bool) *DAG {
+	if q < 1 || pb < 1 || tri && pb != q {
+		panic(fmt.Sprintf("core: invalid stream merge shape q=%d pb=%d tri=%v", q, pb, tri))
 	}
 	b := newDAGBuilder(q+pb, q, kernels)
 	// The resident rows are already triangular in every column; marking them
@@ -39,12 +46,19 @@ func BuildStreamDAG(q, pb int, kernels Kernels) *DAG {
 		for k := 1; k <= q; k++ {
 			b.tri[b.idx(i, k)] = true
 		}
+		if tri {
+			b.tri[b.idx(q+i, i)] = true
+		}
 	}
 	alive := make([]int, 0, pb)
 	next := make([]int, 0, pb)
 	for k := 1; k <= q; k++ {
+		live := pb
+		if tri {
+			live = k
+		}
 		alive = alive[:0]
-		for i := 0; i < pb; i++ {
+		for i := 0; i < live; i++ {
 			alive = append(alive, q+1+i)
 		}
 		// Binary-tree reduction among the batch rows of column k.

@@ -11,7 +11,7 @@ func TestBuildStreamDAGStructure(t *testing.T) {
 			{1, 1}, {1, 5}, {3, 1}, {3, 2}, {4, 7}, {8, 3},
 		} {
 			q, pb := shape.q, shape.pb
-			d := BuildStreamDAG(q, pb, kern)
+			d := BuildStreamDAG(q, pb, kern, false)
 			gers, zeroed := 0, make(map[[2]int]int)
 			for id, task := range d.Tasks {
 				for _, p := range d.Preds(id) {
@@ -69,9 +69,68 @@ func TestBuildStreamDAGWeight(t *testing.T) {
 			for k := 1; k <= q; k++ {
 				want += pb * (6 + 12*(q-k))
 			}
-			if got := BuildStreamDAG(q, pb, kern).TotalWeight(); got != want {
+			if got := BuildStreamDAG(q, pb, kern, false).TotalWeight(); got != want {
 				t.Fatalf("%v q=%d pb=%d: total weight %d, want %d", kern, q, pb, got, want)
 			}
 		}
+	}
+}
+
+// TestBuildStreamDAGTriangular covers the triangle-on-triangle merge a
+// sliding window re-reduces with: the incoming block is itself upper
+// triangular, so its sub-diagonal tiles are never referenced, its diagonal
+// tiles are never re-factored, every live tile is zeroed exactly once, and
+// the whole merge weighs a third of a full q-row batch in both families.
+func TestBuildStreamDAGTriangular(t *testing.T) {
+	for _, kern := range []Kernels{TT, TS} {
+		for _, q := range []int{1, 2, 4, 7} {
+			d := BuildStreamDAG(q, q, kern, true)
+			zeroed := make(map[[2]int]int)
+			for id, task := range d.Tasks {
+				for _, p := range d.Preds(id) {
+					if p >= int32(id) {
+						t.Fatalf("%v q=%d: task %d has predecessor %d (not topological)", kern, q, id, p)
+					}
+				}
+				for _, ref := range [][2]int{{task.I, task.K}, {task.I, task.J}, {task.Piv, task.K}, {task.Piv, task.J}} {
+					i, k := ref[0], ref[1]
+					if i == 0 || k == 0 {
+						continue
+					}
+					if i <= q && k < i || i > q && k < i-q {
+						t.Fatalf("%v q=%d: %v references structurally zero tile (%d,%d)", kern, q, task, i, k)
+					}
+				}
+				switch task.Kind {
+				case KGEQRT:
+					if task.I <= q || task.I-q == task.K {
+						t.Fatalf("%v q=%d: %v re-factors a triangle", kern, q, task)
+					}
+				case KTSQRT, KTTQRT:
+					if task.I <= q {
+						t.Fatalf("%v q=%d: resident row zeroed by %v", kern, q, task)
+					}
+					zeroed[[2]int{task.I, task.K}]++
+				}
+			}
+			want := 0
+			for k := 1; k <= q; k++ {
+				for i := 1; i <= k; i++ {
+					if zeroed[[2]int{q + i, k}] != 1 {
+						t.Fatalf("%v q=%d: block tile (%d,%d) zeroed %d times", kern, q, i, k, zeroed[[2]int{q + i, k}])
+					}
+				}
+				want += (k-1)*(4+6*(q-k)) + k*(2+6*(q-k))
+			}
+			if len(zeroed) != q*(q+1)/2 {
+				t.Fatalf("%v q=%d: %d tiles zeroed, want %d", kern, q, len(zeroed), q*(q+1)/2)
+			}
+			if got := d.TotalWeight(); got != want {
+				t.Fatalf("%v q=%d: total weight %d, want %d", kern, q, got, want)
+			}
+		}
+	}
+	if got, full := BuildStreamDAG(4, 4, TT, true).TotalWeight(), BuildStreamDAG(4, 4, TT, false).TotalWeight(); got != 128 || full != 384 {
+		t.Fatalf("q=4: triangular merge weighs %d of %d units, want 128 of 384", got, full)
 	}
 }

@@ -14,10 +14,12 @@
 //
 // Beyond pure accretion the Core supports revocation: with retention
 // enabled (Config.Window) appended batches are kept in a compact row
-// history, rows can be removed again by a hyperbolic downdate of the
-// resident triangle (see downdate.go), a sliding window evicts the oldest
-// rows automatically, and an exponential forgetting factor decays the
-// weight of old rows geometrically per append.
+// history and the represented system is a reduction tree of triangle
+// merges over it (window.go) — TSQR over a sliding set. Forgetting the
+// oldest rows drops leaves, which costs no arithmetic and cannot break
+// down; the first read afterwards re-merges the surviving triangles with
+// the same DAGs and kernels appends use. An exponential forgetting factor
+// decays the weight of old rows geometrically per append.
 package stream
 
 import (
@@ -52,33 +54,49 @@ type Config struct {
 
 	// Window selects the retention policy: 0 retains nothing (appends are
 	// irrevocable, the historical behavior), a positive value keeps a
-	// sliding window of the most recent Window rows (older rows are
-	// downdated away automatically after each append), and RetainAll keeps
-	// every row for manual Downdate calls.
+	// sliding window of the most recent Window rows (each append evicts the
+	// rows that fall out of it), and RetainAll keeps every row for manual
+	// Downdate calls.
 	Window int
 	// Forget is the exponential forgetting factor λ ∈ (0, 1]: before each
-	// append the resident R and Qᵀb are scaled by √λ, so a row appended k
+	// append the represented system is scaled by √λ, so a row appended k
 	// batches ago carries weight λ^(k/2). Zero (or 1) disables forgetting.
 	Forget float64
 }
 
-// histBatch is one retained row batch: a compact copy of its rows (and RHS
-// rows when the stream tracks them) plus the forgetting weight accumulated
-// since it was appended. Downdating consumes batches head-first.
-type histBatch[T vec.Scalar] struct {
-	data  []T // rows×n, stride n
-	rhs   []T // rows×nrhs, stride nrhs (nil when no RHS is tracked)
-	rows  int
-	scale float64
+// agg is one aggregate of the reduction: the n×n upper triangular factor of
+// a set of rows, the top n rows of their Qᵀb, and the squared norm of the
+// Qᵀb components rotated out below them. An accrete-only stream is a single
+// aggregate; a windowed one keeps several (window.go). Every aggregate of a
+// Core has the same tile layout, so one is cloned by two copies.
+type agg[T vec.Scalar] struct {
+	res    []tile.Dense[T] // row-major q×q views into data; only tiles with i ≤ k exist
+	data   []T
+	qtb    []T     // row-major with stride nrhs
+	resid2 float64 // ‖b − A·X‖_F² over the aggregated rows
 }
 
-// Core is the domain-generic streaming state: the resident triangle, the
-// retained Qᵀb block, the optional row history, and cached merge plans
-// keyed by batch tile height. Kernel workspaces live with the executing
-// workers (engine.WorkerWS), and per-append staging (the tiled batch copy
-// and its T factors) is borrowed from a package-level pool shared by every
-// stream, so the idle footprint of one Core is O(n² + window): the
-// triangle, Qᵀb, solve/downdate scratch, and the retained rows.
+// set overwrites a with a copy of src, or with the aggregate of no rows
+// when src is nil.
+func (a *agg[T]) set(src *agg[T]) {
+	if src == nil {
+		clear(a.data)
+		clear(a.qtb)
+		a.resid2 = 0
+		return
+	}
+	copy(a.data, src.data)
+	copy(a.qtb, src.qtb)
+	a.resid2 = src.resid2
+}
+
+// Core is the domain-generic streaming state: the aggregate appends merge
+// into, the optional row history with the reduction over it, and cached
+// merge plans keyed by batch shape. Kernel workspaces live with the
+// executing workers (engine.WorkerWS), and per-merge staging (the tiled
+// batch copy and its T factors) is borrowed from a package-level pool
+// shared by every stream, so the idle footprint of one Core is O(n²)
+// without retention and about twice the retained rows with it.
 type Core[T vec.Scalar] struct {
 	n, nb, ib int
 	env       engine.Env
@@ -89,37 +107,42 @@ type Core[T vec.Scalar] struct {
 	forget float64 // per-append forgetting factor λ (0 = off)
 
 	// err is the stream's sticky failure: a merge that errors, panics, or is
-	// cancelled mid-DAG leaves the resident triangle (and Qᵀb) partially
-	// transformed, so every later operation refuses with the original cause.
-	// There is no recovery path — a poisoned stream must be replaced.
+	// cancelled mid-DAG leaves its target aggregate partially transformed, so
+	// every later operation refuses with the original cause. There is no
+	// recovery path — a poisoned stream must be replaced.
 	err error
 
-	grid tile.Grid       // q×q resident grid over the n×n triangle
-	res  []tile.Dense[T] // row-major q×q; only tiles with i ≤ k are allocated
+	grid   tile.Grid // q×q grid over an n×n triangle
+	triLen int       // scalars in the upper tiles of grid: len(agg.data)
 
-	qtb  []T // top n rows of Qᵀb, row-major with stride nrhs
+	// back is the aggregate appends merge into: every row ingested when
+	// nothing is retained, the rows appended since the last flip otherwise.
+	back *agg[T]
 	nrhs int
+	rows int64 // rows currently represented (ingested − evicted)
 
-	rows   int64   // rows currently represented (ingested − downdated)
-	resid2 float64 // Σ|discarded Qᵀb components|² = ‖b − A·X‖_F² of the represented system
-	bnorm2 float64 // Σ scale²·‖rhs rows‖² of the represented system
+	// Retention state (window.go). While window == 0 it stays empty and view,
+	// once read, is back.
+	hist        []block[T]      // the blocks back stands for, oldest first
+	pending     int             // trailing blocks of hist not merged into back yet
+	pendingRows int             // and the rows they hold
+	front       []block[T]      // the older blocks, newest first: eviction pops the end
+	stack       []checkpoint[T] // suffix aggregates over front, newest chunk first
+	view        *agg[T]         // front and back merged, what reads serve; nil when stale
+	freeAggs    []*agg[T]
+	freeBlocks  []block[T]
+	gather      []T // rows, then RHS rows, of a multi-block chunk staged for one merge
 
-	hist []histBatch[T] // retained batches, oldest first (retention only)
-
-	plans map[int]*sched.Plan // merge execution plans keyed by batch tile rows pb
+	plans map[int]*sched.Plan // merge plans keyed by batch tile rows pb (0: a triangular block)
 	rws   []T                 // replay scratch for the Qᵀb fold; its length also sizes the merge workers' scratch
 
-	// cur points at the pooled staging while a merge is in flight (the
-	// Source methods need it).
+	// dst and cur are the target aggregate and the pooled staging of the
+	// merge in flight (the Source methods need them).
+	dst *agg[T]
 	cur *staging[T]
 
 	rwork []T // contiguous R for back-substitution
 	xcol  []T // back-substitution column scratch
-
-	// Downdate scratch, allocated on first use: the packed triangle and Qᵀb
-	// copies rotations run on (committed only if every removal succeeds),
-	// and the row being annihilated.
-	dR, dQTB, zrow, brow []T
 }
 
 // NewCore creates the streaming state for an n-column system. cfg.Env
@@ -146,25 +169,51 @@ func NewCore[T vec.Scalar](n int, cfg Config) (*Core[T], error) {
 		n: n, nb: cfg.NB, ib: cfg.IB, env: cfg.Env, kernels: cfg.Kernels, check: cfg.Check,
 		window: cfg.Window, forget: cfg.Forget,
 		grid:  g,
-		res:   make([]tile.Dense[T], g.Q*g.Q),
 		plans: make(map[int]*sched.Plan),
 		// Batch tiles are up to NB rows tall however narrow the system is.
 		rws: make([]T, kernel.FactorWorkLen(cfg.NB, min(cfg.NB, n), cfg.IB)),
 	}
 	for i := 0; i < g.Q; i++ {
 		for k := i; k < g.Q; k++ {
-			r, cc := g.TileRows(i), g.TileCols(k)
-			c.res[i*g.Q+k] = tile.Dense[T]{Rows: r, Cols: cc, Stride: cc, Data: make([]T, r*cc)}
+			c.triLen += g.TileRows(i) * g.TileCols(k)
 		}
 	}
+	c.back = c.getAgg()
 	return c, nil
+}
+
+// carveTri points the upper tiles (i ≤ k) of the resident grid at
+// consecutive slices of buf — the one layout aggregates and a staged
+// triangular block share.
+func (c *Core[T]) carveTri(tiles []tile.Dense[T], buf []T) {
+	g, off := c.grid, 0
+	for i := 0; i < g.Q; i++ {
+		for k := i; k < g.Q; k++ {
+			r, cc := g.TileRows(i), g.TileCols(k)
+			tiles[i*g.Q+k] = tile.Dense[T]{Rows: r, Cols: cc, Stride: cc, Data: buf[off : off+r*cc]}
+			off += r * cc
+		}
+	}
+}
+
+// getAgg returns an aggregate with unspecified contents, recycled from the
+// free list when it has one.
+func (c *Core[T]) getAgg() *agg[T] {
+	var a *agg[T]
+	if k := len(c.freeAggs); k > 0 {
+		a, c.freeAggs = c.freeAggs[k-1], c.freeAggs[:k-1]
+	} else {
+		a = &agg[T]{res: make([]tile.Dense[T], c.grid.Q*c.grid.Q), data: make([]T, c.triLen)}
+		c.carveTri(a.res, a.data)
+	}
+	if len(a.qtb) != c.n*c.nrhs { // nrhs is decided by the first append
+		a.qtb = make([]T, c.n*c.nrhs)
+	}
+	return a
 }
 
 // N returns the column count of the streamed system.
 func (c *Core[T]) N() int { return c.n }
-
-// Window returns the retention policy (see Config.Window).
-func (c *Core[T]) Window() int { return c.window }
 
 // Err returns the stream's sticky failure (nil while healthy). Once a merge
 // errors, panics, or is cancelled mid-DAG, the retained state is partially
@@ -179,7 +228,7 @@ func (c *Core[T]) poisoned(err error) error {
 }
 
 // Rows returns the number of rows the resident factorization currently
-// represents: every row ingested minus every row downdated away.
+// represents: every row ingested minus every row evicted.
 func (c *Core[T]) Rows() int64 { return c.rows }
 
 // NRHS returns the number of tracked right-hand sides (0 when none).
@@ -187,23 +236,38 @@ func (c *Core[T]) NRHS() int { return c.nrhs }
 
 // ResidualNorm returns ‖b − A·X‖_F of the least-squares system currently
 // represented, summed over all tracked right-hand-side columns: the norm of
-// the Qᵀb components rotated out of the retained top block. Zero when no
-// right-hand side is tracked.
-func (c *Core[T]) ResidualNorm() float64 { return math.Sqrt(c.resid2) }
-
-// Footprint returns the number of scalars retained across appends: resident
-// tiles, Qᵀb, solve and downdate scratch, and the row history. With a
-// sliding window the total is O(n² + window); without retention it is
-// O(n²) plus nothing that grows with rows ingested (per-append staging is
-// pooled across streams, not owned here).
-func (c *Core[T]) Footprint() int {
-	total := len(c.qtb) + len(c.rwork) + len(c.xcol) + len(c.rws) +
-		len(c.dR) + len(c.dQTB) + len(c.zrow) + len(c.brow)
-	for i := range c.res {
-		total += len(c.res[i].Data)
+// the Qᵀb components rotated out of the retained top block, summed up the
+// reduction. Zero when no right-hand side is tracked.
+func (c *Core[T]) ResidualNorm() (float64, error) {
+	a, err := c.resident()
+	if err != nil {
+		return 0, err
 	}
-	for i := range c.hist {
-		total += len(c.hist[i].data) + len(c.hist[i].rhs)
+	return math.Sqrt(a.resid2), nil
+}
+
+// Footprint returns the number of scalars retained across appends: every
+// aggregate and history buffer — live, or waiting on a free list for reuse
+// — plus solve and staging scratch. Without retention that is O(n²) and
+// nothing grows with rows ingested (per-merge staging is pooled across
+// streams, not owned here); with it, the retained rows plus at most one
+// aggregate per n of them.
+func (c *Core[T]) Footprint() int {
+	total := len(c.rwork) + len(c.xcol) + len(c.rws) + cap(c.gather)
+	aggs := 1 + len(c.freeAggs)
+	if c.view != nil && c.view != c.back {
+		aggs++
+	}
+	for _, cp := range c.stack {
+		if cp.agg != nil {
+			aggs++
+		}
+	}
+	total += aggs * (c.triLen + c.n*c.nrhs)
+	for _, blocks := range [][]block[T]{c.hist, c.front, c.freeBlocks} {
+		for _, b := range blocks {
+			total += cap(b.data) + cap(b.rhs)
+		}
 	}
 	return total
 }
@@ -217,14 +281,26 @@ func grow[S any](buf []S, n int) []S {
 	return buf[:n]
 }
 
-// tileBatch copies an r×n batch (row stride ld), scaled by scale, into tile
-// layout in the pooled staging.
-func (c *Core[T]) tileBatch(st *staging[T], r int, data []T, ld int, scale float64) {
+// scaleCopy sets dst = scale·src (a plain copy at scale 1).
+func scaleCopy[T vec.Scalar](dst, src []T, scale float64) {
+	if scale == 1 {
+		copy(dst, src)
+		return
+	}
+	f := vec.FromParts[T](scale, 0)
+	for j, v := range src {
+		dst[j] = f * v
+	}
+}
+
+// tileBatch copies an r×n batch (row stride ld) and, when the stream tracks
+// any, its RHS rows (stride ldr), scaled by scale, into the pooled staging:
+// the batch in tile layout, the RHS rows compact.
+func (c *Core[T]) tileBatch(st *staging[T], r int, data []T, ld int, rhs []T, ldr int, scale float64) {
 	g := tile.NewGrid(r, c.n, c.nb)
 	st.g = g
 	st.tiles = grow(st.tiles, g.P*g.Q)
 	st.arena = grow(st.arena, r*c.n)
-	f := vec.FromParts[T](scale, 0)
 	off := 0
 	for ti := 0; ti < g.P; ti++ {
 		for tk := 0; tk < g.Q; tk++ {
@@ -233,38 +309,40 @@ func (c *Core[T]) tileBatch(st *staging[T], r int, data []T, ld int, scale float
 			off += tr * tc
 			r0, c0 := ti*c.nb, tk*c.nb
 			for rr := 0; rr < tr; rr++ {
-				dst := t.Data[rr*tc : rr*tc+tc]
-				src := data[(r0+rr)*ld+c0 : (r0+rr)*ld+c0+tc]
-				if scale == 1 {
-					copy(dst, src)
-				} else {
-					for j := range dst {
-						dst[j] = f * src[j]
-					}
-				}
+				scaleCopy(t.Data[rr*tc:rr*tc+tc], data[(r0+rr)*ld+c0:(r0+rr)*ld+c0+tc], scale)
 			}
 			st.tiles[ti*g.Q+tk] = t
 		}
 	}
+	nrhs := c.nrhs
+	st.rhs = grow(st.rhs, r*nrhs)
+	for i := 0; i < r && nrhs > 0; i++ {
+		scaleCopy(st.rhs[i*nrhs:i*nrhs+nrhs], rhs[i*ldr:i*ldr+nrhs], scale)
+	}
 }
 
-// plan returns the cached merge execution plan for a pb-tile-row batch.
-// The cache is keyed by batch height only — a handful of entries for any
-// realistic workload, never dependent on the number of batches ingested.
+// plan returns the cached merge execution plan for a pb-tile-row batch, or
+// for an upper triangular block when pb is 0. The cache is keyed by batch
+// height only — a handful of entries for any realistic workload, never
+// dependent on the number of batches ingested.
 func (c *Core[T]) plan(pb int) *sched.Plan {
 	if p, ok := c.plans[pb]; ok {
 		return p
 	}
-	p := sched.NewPlan(core.BuildStreamDAG(c.grid.Q, pb, c.kernels))
+	tileRows := pb
+	if pb == 0 {
+		tileRows = c.grid.Q
+	}
+	p := sched.NewPlan(core.BuildStreamDAG(c.grid.Q, tileRows, c.kernels, pb == 0))
 	c.plans[pb] = p
 	return p
 }
 
 // TileAt implements engine.Source with the stacked addressing: tile rows
-// 1..q are the resident triangle, rows q+1..q+pb the in-flight batch.
+// 1..q are the target aggregate's triangle, rows q+1..q+pb the staged block.
 func (c *Core[T]) TileAt(i, k int) *tile.Dense[T] {
 	if i <= c.grid.Q {
-		return &c.res[(i-1)*c.grid.Q+(k-1)]
+		return &c.dst.res[(i-1)*c.grid.Q+(k-1)]
 	}
 	return &c.cur.tiles[(i-c.grid.Q-1)*c.grid.Q+(k-1)]
 }
@@ -281,10 +359,10 @@ func (c *Core[T]) KCols(k int) int { return c.grid.TileCols(k - 1) }
 func (c *Core[T]) tidx(i, k int) int { return (i-1)*c.grid.Q + (k - 1) }
 
 // allocT carves the per-task T factor storage demanded by a merge DAG out
-// of the pooled arena. Only batch rows ever carry factors (the resident
+// of the pooled arena. Only staged rows ever carry factors (the target
 // triangle is never re-factored), so this is O(batch · n · ib/nb). No
 // zeroing is needed: every T position a kernel reads (the upper triangle of
-// each panel block) is written by the factor kernel of the same append
+// each panel block) is written by the factor kernel of the same merge
 // before any applier reads it.
 func (c *Core[T]) allocT(d *core.DAG, st *staging[T]) {
 	p := c.grid.Q + st.g.P
@@ -324,9 +402,8 @@ func (c *Core[T]) allocT(d *core.DAG, st *staging[T]) {
 // failures leave the stream intact, but a cancellation (or task failure)
 // once the merge DAG is running poisons the stream permanently.
 //
-// Under a forgetting factor the resident state is decayed by √λ first;
-// with retention on, the batch is recorded in the row history, and a
-// sliding window then downdates the oldest rows beyond the window.
+// Under a forgetting factor the represented system is decayed by √λ first;
+// a retaining stream then takes the batch through appendRetained instead.
 func (c *Core[T]) Append(ctx context.Context, r int, data []T, ld int, rhs []T, ldr, nrhs int) error {
 	if c.err != nil {
 		return c.err
@@ -354,7 +431,7 @@ func (c *Core[T]) Append(ctx context.Context, r int, data []T, ld int, rhs []T, 
 			return fmt.Errorf("tiledqr: stream: right-hand sides must be supplied from the first batch onwards")
 		case c.nrhs == 0:
 			c.nrhs = nrhs
-			c.qtb = make([]T, c.n*nrhs)
+			c.back.qtb = make([]T, c.n*nrhs)
 		case nrhs != c.nrhs:
 			return fmt.Errorf("tiledqr: stream: right-hand side has %d columns, want %d", nrhs, c.nrhs)
 		}
@@ -370,88 +447,111 @@ func (c *Core[T]) Append(ctx context.Context, r int, data []T, ld int, rhs []T, 
 		c.scaleForget(c.forget)
 	}
 	if c.window != 0 {
-		c.record(r, data, ld, rhs, ldr)
+		return c.appendRetained(ctx, r, data, ld, rhs, ldr)
 	}
-	if err := c.merge(ctx, r, data, ld, rhs, ldr, 1); err != nil {
-		// The merge DAG mutates the resident triangle in place, so any
+	if err := c.merge(ctx, c.back, r, data, ld, rhs, ldr, 1); err != nil {
+		// The merge DAG mutates its target triangle in place, so any
 		// failure past this point leaves it partially transformed: poison.
 		return c.poisoned(err)
 	}
-	if c.window > 0 && c.rows > int64(c.window) {
-		return c.Downdate(ctx, int(c.rows)-c.window)
-	}
+	c.rows += int64(r)
 	return nil
 }
 
-// merge is the retention-blind core of Append (shared with the rebuild
-// fallback of Downdate): tile the batch scaled by scale, execute the merge
-// DAG against the resident triangle, fold the RHS, and advance the row
-// count. The caller poisons the stream on error.
-func (c *Core[T]) merge(ctx context.Context, r int, data []T, ld int, rhs []T, ldr int, scale float64) error {
+// merge tiles r rows (stride ld, with their RHS rows, all scaled by scale)
+// and merges them into dst. The caller poisons the stream on error.
+func (c *Core[T]) merge(ctx context.Context, dst *agg[T], r int, data []T, ld int, rhs []T, ldr int, scale float64) error {
 	st := getStaging[T]()
-	defer func() {
-		c.cur = nil
-		putStaging(st)
-	}()
-	c.tileBatch(st, r, data, ld, scale)
-	p := c.plan(st.g.P)
+	defer putStaging(st)
+	c.tileBatch(st, r, data, ld, rhs, ldr, scale)
+	return c.exec(ctx, dst, st, c.plan(st.g.P))
+}
+
+// mergeAgg merges the aggregate src into dst, triangle on triangle: src's
+// tiles and Qᵀb are staged as an upper triangular block of n rows and its
+// residual joins dst's. src is left untouched.
+func (c *Core[T]) mergeAgg(dst, src *agg[T]) error {
+	st := getStaging[T]()
+	defer putStaging(st)
+	st.g = c.grid
+	st.tiles = grow(st.tiles, c.grid.Q*c.grid.Q)
+	st.arena = grow(st.arena, c.triLen)
+	c.carveTri(st.tiles, st.arena)
+	copy(st.arena, src.data)
+	st.rhs = append(st.rhs[:0], src.qtb...)
+	dst.resid2 += src.resid2
+	return c.exec(nil, dst, st, c.plan(0))
+}
+
+// exec runs merge plan p over the stack [dst; staged block], then replays
+// it over [dst.qtb; staged RHS rows] via the shared engine.Replay (task IDs
+// are topological). What is left in the staged RHS rows are exactly the
+// Qᵀb coordinates orthogonal to the retained top block; their squared norm
+// joins dst's residual.
+func (c *Core[T]) exec(ctx context.Context, dst *agg[T], st *staging[T], p *sched.Plan) error {
 	d := p.DAG()
 	c.allocT(d, st)
-	c.cur = st
+	c.dst, c.cur = dst, st
+	defer func() { c.dst, c.cur = nil, nil }()
 	env := c.env
 	if d.NumTasks() < seqTaskThreshold {
 		// Tiny merges are dominated by cross-goroutine wake-up cost: run
-		// them inline on the appending goroutine.
+		// them inline on the calling goroutine.
 		env = engine.Env{Workers: 1}
 	}
 	if _, err := engine.ExecTasks[T](c, p, env,
 		engine.RunOpts{Ctx: ctx, Check: c.check}, c.ib, len(c.rws)); err != nil {
 		return err
 	}
-	if c.nrhs > 0 {
-		if err := c.applyRHS(ctx, d, r, rhs, ldr, scale); err != nil {
-			return err
-		}
+	nrhs := c.nrhs
+	if nrhs == 0 {
+		return nil
 	}
-	c.rows += int64(r)
+	// row returns the stacked RHS rows of tile row i.
+	row := func(i int) ([]T, int) {
+		if i <= c.grid.Q {
+			return dst.qtb[(i-1)*c.nb*nrhs:], nrhs
+		}
+		return st.rhs[(i-c.grid.Q-1)*c.nb*nrhs:], nrhs
+	}
+	if err := engine.Replay[T](ctx, c, d, true, row, nrhs, c.ib, c.rws); err != nil {
+		return err
+	}
+	for _, v := range st.rhs {
+		dst.resid2 += vec.Abs2(v)
+	}
 	return nil
 }
 
-// record appends a compact copy of the batch (and its RHS rows) to the row
-// history at full weight.
-func (c *Core[T]) record(r int, data []T, ld int, rhs []T, ldr int) {
-	hb := histBatch[T]{rows: r, scale: 1, data: make([]T, r*c.n)}
-	for i := 0; i < r; i++ {
-		copy(hb.data[i*c.n:(i+1)*c.n], data[i*ld:i*ld+c.n])
-	}
-	if rhs != nil {
-		nrhs := c.nrhs
-		hb.rhs = make([]T, r*nrhs)
-		for i := 0; i < r; i++ {
-			copy(hb.rhs[i*nrhs:(i+1)*nrhs], rhs[i*ldr:i*ldr+nrhs])
-		}
-	}
-	c.hist = append(c.hist, hb)
-}
-
 // scaleForget decays the represented system by the forgetting factor λ:
-// the resident triangle and Qᵀb scale by √λ (so the implicit rows do too),
-// the squared norms by λ, and every retained batch's weight by √λ.
+// every live aggregate's triangle and Qᵀb scale by √λ (so the implicit rows
+// do too), its residual² by λ, and every retained block's weight by √λ.
 func (c *Core[T]) scaleForget(lambda float64) {
 	s := math.Sqrt(lambda)
 	f := vec.FromParts[T](s, 0)
-	for i := range c.res {
-		for j := range c.res[i].Data {
-			c.res[i].Data[j] *= f
+	scale := func(a *agg[T]) {
+		for j := range a.data {
+			a.data[j] *= f
+		}
+		for j := range a.qtb {
+			a.qtb[j] *= f
+		}
+		a.resid2 *= lambda
+	}
+	scale(c.back)
+	if c.window == 0 {
+		return
+	}
+	c.invalidate()
+	for _, cp := range c.stack {
+		if cp.agg != nil {
+			scale(cp.agg)
 		}
 	}
-	for j := range c.qtb {
-		c.qtb[j] *= f
-	}
-	c.resid2 *= lambda
-	c.bnorm2 *= lambda
-	for i := range c.hist {
-		c.hist[i].scale *= s
+	for _, blocks := range [][]block[T]{c.hist, c.front} {
+		for i := range blocks {
+			blocks[i].scale *= s
+		}
 	}
 }
 
@@ -471,55 +571,23 @@ func (c *Core[T]) Forget(lambda float64) error {
 	return nil
 }
 
-// applyRHS replays the merge transformations over the stacked right-hand
-// side [qtb; scale·(batch rhs)] via the shared engine.Replay (task IDs are
-// topological). The batch rows' leftover components are exactly the Qᵀb
-// coordinates orthogonal to the retained top block; their squared norm
-// accumulates into the running least-squares residual, and the incoming
-// rows' squared norm into the represented ‖b‖².
-func (c *Core[T]) applyRHS(ctx context.Context, d *core.DAG, r int, rhs []T, ldr int, scale float64) error {
-	nrhs := c.nrhs
-	c.cur.rhs = grow(c.cur.rhs, r*nrhs)
-	scratch := c.cur.rhs
-	f := vec.FromParts[T](scale, 0)
-	for i := 0; i < r; i++ {
-		dst := scratch[i*nrhs : i*nrhs+nrhs]
-		src := rhs[i*ldr : i*ldr+nrhs]
-		if scale == 1 {
-			copy(dst, src)
-		} else {
-			for j := range dst {
-				dst[j] = f * src[j]
-			}
-		}
-	}
-	for _, v := range scratch {
-		c.bnorm2 += vec.Abs2(v)
-	}
-	// row returns the stacked RHS rows of tile row i.
-	row := func(i int) ([]T, int) {
-		if i <= c.grid.Q {
-			return c.qtb[(i-1)*c.nb*nrhs:], nrhs
-		}
-		return scratch[(i-c.grid.Q-1)*c.nb*nrhs:], nrhs
-	}
-	if err := engine.Replay[T](ctx, c, d, true, row, nrhs, c.ib, c.rws); err != nil {
-		return err
-	}
-	for _, v := range scratch {
-		c.resid2 += vec.Abs2(v)
-	}
-	return nil
-}
-
 // CopyR writes the resident upper triangular factor into dst (n×n, row
 // stride ld ≥ n). Only the upper triangle is written; callers that need
 // explicit zeros below the diagonal must start from a zeroed dst.
-func (c *Core[T]) CopyR(dst []T, ld int) {
+func (c *Core[T]) CopyR(dst []T, ld int) error {
+	a, err := c.resident()
+	if err != nil {
+		return err
+	}
+	c.copyR(a, dst, ld)
+	return nil
+}
+
+func (c *Core[T]) copyR(a *agg[T], dst []T, ld int) {
 	q, nb := c.grid.Q, c.nb
 	for ti := 0; ti < q; ti++ {
 		for tk := ti; tk < q; tk++ {
-			t := &c.res[ti*q+tk]
+			t := &a.res[ti*q+tk]
 			r0, c0 := ti*nb, tk*nb
 			for rr := 0; rr < t.Rows; rr++ {
 				start := 0
@@ -533,33 +601,17 @@ func (c *Core[T]) CopyR(dst []T, ld int) {
 	}
 }
 
-// scatterR writes the upper triangle of src (n×n, row stride ld) back into
-// the resident tiles — the inverse of CopyR, used to commit a successful
-// downdate. The zero lower parts of diagonal tiles are left untouched.
-func (c *Core[T]) scatterR(src []T, ld int) {
-	q, nb := c.grid.Q, c.nb
-	for ti := 0; ti < q; ti++ {
-		for tk := ti; tk < q; tk++ {
-			t := &c.res[ti*q+tk]
-			r0, c0 := ti*nb, tk*nb
-			for rr := 0; rr < t.Rows; rr++ {
-				start := 0
-				if ti == tk {
-					start = rr
-				}
-				copy(t.Data[rr*t.Stride+start:rr*t.Stride+t.Cols],
-					src[(r0+rr)*ld+c0+start:(r0+rr)*ld+c0+t.Cols])
-			}
-		}
-	}
-}
-
 // CopyQTB writes the retained top n rows of Qᵀb into dst (n×nrhs, row
 // stride ld ≥ nrhs).
-func (c *Core[T]) CopyQTB(dst []T, ld int) {
-	for i := 0; i < c.n; i++ {
-		copy(dst[i*ld:i*ld+c.nrhs], c.qtb[i*c.nrhs:(i+1)*c.nrhs])
+func (c *Core[T]) CopyQTB(dst []T, ld int) error {
+	a, err := c.resident()
+	if err != nil {
+		return err
 	}
+	for i := 0; i < c.n; i++ {
+		copy(dst[i*ld:i*ld+c.nrhs], a.qtb[i*c.nrhs:(i+1)*c.nrhs])
+	}
+	return nil
 }
 
 // SolveLS back-substitutes the resident triangle against the retained Qᵀb,
@@ -574,10 +626,14 @@ func (c *Core[T]) SolveLS(x []T, ldx int) error {
 	if c.rows < int64(c.n) {
 		return fmt.Errorf("tiledqr: SolveLS: needs at least n = %d represented rows (have %d)", c.n, c.rows)
 	}
+	a, err := c.resident()
+	if err != nil {
+		return err
+	}
 	if c.rwork == nil {
 		c.rwork = make([]T, c.n*c.n)
 		c.xcol = make([]T, c.n)
 	}
-	c.CopyR(c.rwork, c.n)
-	return engine.SolveUpper(c.n, c.nrhs, c.rwork, c.n, c.qtb, c.nrhs, x, ldx, c.xcol)
+	c.copyR(a, c.rwork, c.n)
+	return engine.SolveUpper(c.n, c.nrhs, c.rwork, c.n, a.qtb, c.nrhs, x, ldx, c.xcol)
 }

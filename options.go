@@ -174,15 +174,19 @@ type Options struct {
 
 	// WindowRows selects a stream's retention policy. Zero (the default)
 	// retains nothing: appends are irrevocable and memory stays O(n² +
-	// batch). A positive value keeps a sliding window: after each append the
-	// stream downdates itself back to the most recent WindowRows rows, in
-	// O(n² + window) memory. RetainAll keeps every appended row for manual
-	// DowndateRows calls — memory then grows with the retained history.
-	// Streams only; one-shot factorizations reject a nonzero value.
+	// batch). A positive value keeps a sliding window: each append evicts
+	// the rows that fall out of the most recent WindowRows. Eviction is
+	// free — the window is a reduction tree of triangle merges over the
+	// retained rows and evicting drops leaves — the first read after one
+	// costs a triangle merge, O(n³), and the result is unconditionally
+	// stable; memory is at most about twice the retained rows plus O(n²).
+	// RetainAll keeps every appended row for manual DowndateRows calls —
+	// memory then grows with the retained history. Streams only; one-shot
+	// factorizations reject a nonzero value.
 	WindowRows int
 
 	// Forget is a stream's exponential forgetting factor λ ∈ (0, 1]: before
-	// each append the resident R and Qᵀb are scaled by √λ, so a row
+	// each append the represented system is scaled by √λ, so a row
 	// appended k batches ago contributes with weight λᵏ to RᵀR. Zero (the
 	// default) and 1 disable forgetting. Forgetting needs no retention —
 	// it combines with any WindowRows setting. Streams only; one-shot

@@ -103,13 +103,21 @@ func streamAppend[T vec.Scalar](ctx context.Context, c *stream.Core[T], batch, r
 // reduce in parallel.
 //
 // Streams can also unlearn. With Options.WindowRows set, appended rows are
-// retained (compactly, outside the triangle) and can be removed again:
-// DowndateRows revokes the oldest k rows, a positive window evicts
-// automatically so the stream always represents the most recent WindowRows
-// rows in O(n² + window) memory, and Options.Forget decays old rows'
-// weight geometrically per append. Downdating runs hyperbolic rotations
-// against the resident triangle and falls back to re-triangularizing the
-// retained batches through the ordinary merge path when that is unstable.
+// retained (compactly, outside the triangle) and the stream keeps a
+// reduction tree of triangle merges over them — TSQR over a sliding set —
+// instead of one irrevocable triangle: DowndateRows revokes the oldest k
+// rows, a positive window evicts automatically so the stream always
+// represents the most recent WindowRows rows, and Options.Forget decays old
+// rows' weight geometrically per append. Eviction drops leaves of the tree
+// and costs no arithmetic; the first R, QTB, SolveLS or ResidualNorm after
+// one re-merges the surviving triangles, O(n³), and the result is cached
+// until the next append or eviction. A windowed append therefore costs what
+// a plain one does, plus at most one more merge of each row amortised over
+// the reads that follow. Only orthogonal merges of rows still retained are
+// ever applied, so the window is as accurate as a one-shot factorization of
+// its rows however long it has been sliding — nothing is subtracted,
+// nothing can break down. Memory is at most about twice the retained rows
+// plus O(n²), whatever the batch size.
 //
 // Options.TileSize, InnerBlock, Workers, Kernels, WindowRows and Forget
 // are honored; Algorithm and BS are ignored (the per-column reduction tree
@@ -165,22 +173,20 @@ func (s *Stream[T]) AppendRHSCtx(ctx context.Context, batch, rhs *Mat[T]) error 
 
 // DowndateRows removes the oldest k rows from the represented system — the
 // inverse of appending them. It requires retention: construct the stream
-// with Options.WindowRows set to a positive window or RetainAll. The
-// resident triangle (and Qᵀb) are downdated with hyperbolic rotations;
-// when a rotation would be unstable the stream re-triangularizes the
-// retained rows through the ordinary merge path instead, so a successful
-// DowndateRows always leaves the stream exactly representing the remaining
-// rows. Validation failures leave the stream untouched.
+// with Options.WindowRows set to a positive window or RetainAll. The rows
+// leave the retained history and nothing is computed; the next read
+// re-merges what survives (only the block k lands inside is re-reduced row
+// by row, every other one through triangles already built), so a
+// successful DowndateRows always leaves the stream exactly representing the
+// remaining rows. Validation failures leave the stream untouched.
 func (s *Stream[T]) DowndateRows(k int) error {
-	return s.c.Downdate(nil, k)
+	return s.c.Downdate(k)
 }
 
-// DowndateRowsCtx is DowndateRows under a cancellation context. The
-// context only matters on the re-triangularization fallback, where a
-// cancellation mid-merge poisons the stream (see Err); the hyperbolic fast
-// path is not cancellable.
-func (s *Stream[T]) DowndateRowsCtx(ctx context.Context, k int) error {
-	return s.c.Downdate(ctx, k)
+// DowndateRowsCtx is DowndateRows, kept for callers written when removal
+// did arithmetic a context could cancel. It does none now: ctx is ignored.
+func (s *Stream[T]) DowndateRowsCtx(_ context.Context, k int) error {
+	return s.c.Downdate(k)
 }
 
 // Forget applies one exponential-forgetting step immediately: the
@@ -204,12 +210,11 @@ func (s *Stream[T]) Err() error { return s.c.Err() }
 // It equals (up to row signs) the R of a one-shot Factor over the same
 // weighted rows. After a failure, R returns the original error.
 func (s *Stream[T]) R() (*Mat[T], error) {
-	if err := s.c.Err(); err != nil {
-		return nil, err
-	}
 	n := s.c.N()
 	r := NewMat[T](n, n)
-	s.c.CopyR(r.Data, r.Stride)
+	if err := s.c.CopyR(r.Data, r.Stride); err != nil {
+		return nil, err
+	}
 	return r, nil
 }
 
@@ -224,7 +229,9 @@ func (s *Stream[T]) QTB() (*Mat[T], error) {
 		return nil, nil
 	}
 	q := NewMat[T](s.c.N(), s.c.NRHS())
-	s.c.CopyQTB(q.Data, q.Stride)
+	if err := s.c.CopyQTB(q.Data, q.Stride); err != nil {
+		return nil, err
+	}
 	return q, nil
 }
 
@@ -249,17 +256,14 @@ func (s *Stream[T]) N() int { return s.c.N() }
 // ResidualNorm returns the running least-squares residual of the
 // represented system: ‖b − A·X‖_F over all tracked right-hand-side columns
 // (0 when no RHS is tracked). The components of Qᵀb rotated beyond the
-// retained top block accumulate here instead of being stored. After a
-// failure, ResidualNorm returns the original error.
-func (s *Stream[T]) ResidualNorm() (float64, error) {
-	if err := s.c.Err(); err != nil {
-		return 0, err
-	}
-	return s.c.ResidualNorm(), nil
-}
+// retained top block accumulate here instead of being stored — per
+// aggregate of a windowed stream's tree, so nothing cancels when rows
+// leave. After a failure, ResidualNorm returns the original error.
+func (s *Stream[T]) ResidualNorm() (float64, error) { return s.c.ResidualNorm() }
 
 // Footprint returns the number of scalars retained across appends — the
-// O(n² + window) bound made observable for tests and capacity planning.
-// Per-append staging is pooled across all streams of a domain and is not
-// counted; with retention, the compact row history is.
+// memory bound made observable for tests and capacity planning: O(n²)
+// without retention, the retained rows plus one triangle per n of them
+// (and buffers waiting for reuse) with it. Per-append staging is pooled
+// across all streams of a domain and is not counted.
 func (s *Stream[T]) Footprint() int { return s.c.Footprint() }

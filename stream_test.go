@@ -291,6 +291,41 @@ func TestNarrowStreamAppendAllocs(t *testing.T) {
 	}
 }
 
+// TestWindowedAppendAllocs: a sliding window recycles the history buffers
+// and aggregates that eviction frees, so once the window is full an append
+// that also evicts allocates nothing the merge of a plain append does not
+// (the executor's two closures) — in particular not a fresh batch-sized
+// history buffer per append.
+func TestWindowedAppendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector (sync.Pool drops Puts at random)")
+	}
+	const n, nb, ib, window = 64, 32, 8, 128
+	for _, workers := range []int{1, 2} {
+		for _, rows := range []int{1, 32, 48} { // 48: the window is not a whole number of batches
+			batch, rhs := RandomDense(rows, n, 5), RandomDense(rows, 1, 6)
+			perAppend := func(windowRows int) float64 {
+				s, err := NewStream(n, Options{TileSize: nb, InnerBlock: ib, Workers: workers, WindowRows: windowRows})
+				if err != nil {
+					t.Fatal(err)
+				}
+				appendOne := func() {
+					if err := s.AppendRHS(batch, rhs); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < 3*window; i++ { // fill the window, every free list and the staging pool
+					appendOne()
+				}
+				return testing.AllocsPerRun(2*window, appendOne)
+			}
+			if plain, windowed := perAppend(0), perAppend(window); windowed > plain {
+				t.Errorf("workers=%d, %d-row batches: %.1f allocations per windowed append, %.1f per plain one", workers, rows, windowed, plain)
+			}
+		}
+	}
+}
+
 // TestStreamResidualNorm checks the running residual against the directly
 // computed ‖b − A·x‖ of the ingested system.
 func TestStreamResidualNorm(t *testing.T) {

@@ -149,8 +149,8 @@ func downdateAgree[T Scalar](t *testing.T, kern Kernels, tol float64, factor one
 	}
 
 	// The residual bookkeeping survives downdating: compare against the
-	// directly computed ‖A_tail·x − b_tail‖_F. The identity it is derived
-	// from (‖b‖² − ‖Qᵀb‖²) cancels, so the bound is looser than tol.
+	// directly computed ‖A_tail·x − b_tail‖_F. It is summed up the
+	// reduction tree, never derived by subtraction, so nothing cancels.
 	resid, err := s.ResidualNorm()
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func downdateAgree[T Scalar](t *testing.T, kern Kernels, tol float64, factor one
 		}
 	}
 	direct = math.Sqrt(direct)
-	if math.Abs(resid-direct) > 1e4*tol*(1+direct) {
+	if math.Abs(resid-direct) > 10*tol*(1+direct) {
 		t.Errorf("%v: residual %.6e, direct %.6e", kern, resid, direct)
 	}
 }
@@ -180,16 +180,15 @@ func TestDowndateMatchesRecompute(t *testing.T) {
 	}
 }
 
-// TestDowndateBreakdownRebuild forces the hyperbolic fast path to break
-// down — removing so many rows that fewer than n remain makes the
-// downdated triangle rank-deficient, which no stable sequence of
-// hyperbolic rotations can reach — and checks the stream transparently
-// rebuilds from its retained history: the result must match a fresh stream
-// fed only the surviving rows, split exactly as the history retains them.
-func TestDowndateBreakdownRebuild(t *testing.T) {
+// TestDowndateBelowRank removes so many rows that fewer than n remain, so
+// the represented triangle becomes rank-deficient — a state no subtraction
+// from the old triangle reaches stably, and an ordinary one for a window
+// that re-merges what survives: the result must match a fresh stream fed
+// only the surviving rows, split exactly as the history retains them.
+func TestDowndateBelowRank(t *testing.T) {
 	const n, nb, ib, nrhs, batch = 32, 16, 8, 1, 16
 	const m = 4 * batch // 64 ingested
-	const remove = 41   // leaves 23 < n rows: guaranteed breakdown
+	const remove = 41   // leaves 23 < n rows
 	a := RandomDense(m, n, 21)
 	b := RandomDense(m, nrhs, 22)
 	opt := Options{TileSize: nb, InnerBlock: ib, Workers: 2, WindowRows: RetainAll}
@@ -210,8 +209,7 @@ func TestDowndateBreakdownRebuild(t *testing.T) {
 	}
 
 	// The history retains [7-row tail of batch 3, batch 4] after dropping
-	// 41 = 2·16 + 9 rows; a fresh stream fed the same two batches performs
-	// the identical merge arithmetic.
+	// 41 = 2·16 + 9 rows; a fresh stream is fed the same two batches.
 	ref, err := NewStream(n, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -230,8 +228,8 @@ func TestDowndateBreakdownRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := maxDiffG(rs, rRef); d > 1e-12 {
-		t.Errorf("rebuilt R differs from fresh stream by %.3e", d)
+	if d := maxUpperDiffG(rs, rRef, n); d > 1e-10 {
+		t.Errorf("R after downdate differs from fresh stream by %.3e", d)
 	}
 	qs, err := s.QTB()
 	if err != nil {
@@ -241,8 +239,13 @@ func TestDowndateBreakdownRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := maxDiffG(qs, qRef); d > 1e-12 {
-		t.Errorf("rebuilt QTB differs from fresh stream by %.3e", d)
+	for i := 0; i < n; i++ { // a row of Qᵀb carries the sign of its row of R
+		if rs.At(i, i)*rRef.At(i, i) < 0 {
+			qs.Set(i, 0, -qs.At(i, 0))
+		}
+	}
+	if d := maxDiffG(qs, qRef); d > 1e-10 {
+		t.Errorf("QTB after downdate differs from fresh stream by %.3e", d)
 	}
 }
 
