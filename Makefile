@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-noasm race vet fmt-check lint loc bench bench-e2e bench-smoke bench-gate tune throughput chaos fault-smoke fuzz-smoke serve-smoke dist-smoke clean
+.PHONY: all build test test-noasm race vet fmt-check lint loc bench bench-e2e bench-smoke bench-gate tune chaos fault-smoke fuzz-smoke serve-smoke dist-smoke clean
 
 all: lint build test
 
@@ -84,12 +84,12 @@ fuzz-smoke:
 
 # bench measures every sequential kernel in all four precisions (double,
 # double complex, single, single complex, at the benchmark shape
-# nb=128/ib=32), scheduler dispatch cost, streaming TSQR ingestion
-# throughput (rows/sec), and the concurrent-fleet factorization throughput
-# (per-call pools vs shared runtime vs FactorInto reuse, at 1..64 clients),
-# and records the trajectory in BENCH_kernels.json. The file's "baseline"
-# object (seed figures) is preserved across regenerations, so the
-# float64/complex128 maps stay comparable to the pre-generic numbers.
+# nb=128/ib=32) and under each vec family, and records the GFLOP/s
+# trajectory in BENCH_kernels.json. The file's "baseline" object (seed
+# figures) is preserved across regenerations, so the float64/complex128
+# maps stay comparable to the pre-generic numbers. Whole operations —
+# factorizations, stream appends, served requests, distributed rounds — are
+# bench-e2e's.
 bench:
 	$(GO) run ./cmd/qrperf -kernels-json BENCH_kernels.json
 
@@ -100,9 +100,9 @@ bench-e2e:
 	$(GO) run ./bench
 
 # bench-gate is the benchmark-regression gate CI runs on every PR: quickly
-# re-measure the kernel GFLOP/s and streaming rows/sec series and fail if
-# any of them regressed more than TOLERANCE percent below the committed
-# BENCH_kernels.json baseline. The default tolerance is sized for same-host
+# re-measure the kernel GFLOP/s series and fail if any of them regressed
+# more than TOLERANCE percent below the committed BENCH_kernels.json
+# baseline. The default tolerance is sized for same-host
 # runs; CI passes a more generous one for hosted-runner drift. A single
 # failing pass is re-measured once before the gate fails for real: a
 # noisy-neighbor blip on a shared runner trips one sample, a genuine
@@ -123,24 +123,16 @@ bench-gate:
 tune:
 	$(GO) run ./cmd/qrperf -tune -measure
 
-# throughput prints the serving-workload table (factorizations/sec for a
-# fleet of concurrent clients, shared runtime vs per-call pools).
-throughput:
-	$(GO) run ./cmd/qrperf -throughput
-
 # bench-smoke is the CI-sized benchmark run: one iteration of the kernel,
 # least-squares solve, streaming and served-request (body decode, whole
 # solve handler) figures, a tiny qrstream ingestion with verification (plain and
-# sliding-window/forgetting modes), a traced complex qrfactor run that must
-# print its Gantt chart, and short fleet sweeps (factorization throughput
-# and windowed-stream ingestion), to prove the harnesses still work.
+# sliding-window/forgetting modes) and a traced complex qrfactor run that
+# must print its Gantt chart, to prove the harnesses still work.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Figure4|^BenchmarkSolveLS$$|StreamAppendDouble$$|^BenchmarkDecodeBody$$|^BenchmarkHandleSolve$$' -benchtime 1x ./...
 	$(GO) run ./cmd/qrstream -n 96 -nb 32 -batch 64 -batches 6 -rhs 1 -verify
 	$(GO) run ./cmd/qrstream -n 96 -nb 32 -batch 64 -batches 8 -rhs 1 -window 192 -forget 0.99 -verify
 	$(GO) run ./cmd/qrfactor -m 300 -n 100 -nb 50 -workers 2 -complex -gantt | grep '^w0 '
-	$(GO) run ./cmd/qrperf -throughput -quick
-	$(GO) run ./cmd/qrperf -fleet -quick
 
 # serve-smoke proves the QR-as-a-service stack end to end: build qrserve and
 # qrload, run the ~2s smoke scenario against a live server (zero failed

@@ -43,9 +43,9 @@ func main() {
 	if !ok {
 		log.Fatalf("unknown algorithm %q", *algName)
 	}
-	kernels := tiledqr.TT
-	if *kern == "TS" {
-		kernels = tiledqr.TS
+	kernels, ok := map[string]tiledqr.Kernels{"TT": tiledqr.TT, "TS": tiledqr.TS}[*kern]
+	if !ok {
+		log.Fatalf("unknown kernels %q (want TT or TS)", *kern)
 	}
 	opt := tiledqr.Options{
 		Algorithm: alg, Kernels: kernels, TileSize: *nb, InnerBlock: *ib,

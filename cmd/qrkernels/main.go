@@ -21,6 +21,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 	"text/tabwriter"
 	"time"
 	"unsafe"
@@ -59,14 +61,15 @@ func main() {
 	}
 	fmt.Printf("kernel family: %s\n", fam)
 	var sizes []int
-	for _, s := range splitComma(*flagSizes) {
-		var v int
-		fmt.Sscanf(s, "%d", &v)
-		if v > 0 {
-			sizes = append(sizes, v)
+	for _, s := range strings.Split(*flagSizes, ",") {
+		v, err := strconv.Atoi(s)
+		if err != nil || v <= 0 {
+			fmt.Fprintf(os.Stderr, "qrkernels: bad -sizes entry %q in %q: want positive integers\n", s, *flagSizes)
+			os.Exit(2)
 		}
+		sizes = append(sizes, v)
 	}
-	for _, prec := range splitComma(*flagPrec) {
+	for _, prec := range strings.Split(*flagPrec, ",") {
 		switch prec {
 		case "d":
 			sweep[float64]("Figure 5", "double", sizes)
@@ -237,18 +240,4 @@ func (p *pool[T]) ttmqr(i int) {
 }
 func (p *pool[T]) gemm(i int) {
 	kernel.GEMM(p.nb, p.nb, p.nb, p.full[i].Data, p.nb, p.c1[i].Data, p.nb, p.c2[i].Data, p.nb, p.work)
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
 }

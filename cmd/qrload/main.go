@@ -8,8 +8,9 @@
 //	qrload -scenario testdata/scenarios/smoke.toml
 //	qrload -scenario heavy.toml -url http://10.0.0.5:8787 -json load-report.json
 //
-// The JSON report shares the "serve" series shape with qrperf, so two runs
-// gate against each other with `qrperf -compare old.json new.json`.
+// Two JSON reports gate against each other with `qrperf -compare old.json
+// new.json`, which compares every *_per_sec value they hold: the "serve"
+// pair and each endpoint's rows_per_sec.
 // qrload exits 1 when any request fails outright (429 backpressure counts
 // as throttled, not failed) or when nothing succeeded.
 package main
@@ -444,8 +445,8 @@ func (r *report) print(sc *Scenario) {
 	}
 }
 
-// exportEndpoint and the export* types mirror the text report as JSON. The
-// top-level "serve" object is the series qrperf -compare gates on.
+// exportEndpoint and the export* types mirror the text report as JSON.
+// qrperf -compare gates on the *_per_sec fields, wherever they sit.
 type exportEndpoint struct {
 	// Count is the total requests sent to the endpoint (ok + failed +
 	// throttled) — the denominator the percentile below is drawn from.

@@ -5,80 +5,33 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 )
 
-// benchSeries is the subset of a -kernels-json report the regression gate
-// compares: per-kernel GFLOP/s in every precision and the streaming
-// ingestion rates. Throughput points are excluded — fleet QPS on shared
-// hosted runners is too load-dependent to gate on.
-type benchSeries struct {
-	Double        map[string]float64       `json:"double_gflops"`
-	DoubleComplex map[string]float64       `json:"double_complex_gflops"`
-	Single        map[string]float64       `json:"single_gflops"`
-	SingleComplex map[string]float64       `json:"single_complex_gflops"`
-	Families      map[string]*familyReport `json:"families"`
-	Stream        *streamReport            `json:"stream"`
-	Fleet         *fleetReport             `json:"fleet"`
-	Dist          *distReport              `json:"dist"`
-	Serve         *serveSeries             `json:"serve"`
-}
-
-// serveSeries is the throughput summary a qrload -json report carries, so
-// two load runs gate against each other the same way kernel reports do.
-type serveSeries struct {
-	RowsPerSec     float64 `json:"rows_per_sec"`
-	RequestsPerSec float64 `json:"requests_per_sec"`
-}
-
-// series flattens the report into named scalar series ("higher is better").
-// Series missing or non-positive on either side are skipped by the
-// comparator, so old baselines without (say) single-precision figures still
-// gate the series they do have.
-func (b *benchSeries) series() map[string]float64 {
-	out := map[string]float64{}
-	add := func(prefix string, m map[string]float64) {
-		for k, v := range m {
-			out[prefix+"."+k] = v
+// rateSeries flattens a decoded JSON report into its named "higher is
+// better" series, chosen by unit suffix so no producer needs a struct here:
+// every numeric member of an object whose key ends in _gflops, and every
+// numeric value whose own key ends in _per_sec. That covers a -kernels-json
+// file (the *_gflops maps, top level and per family) and a qrload -json
+// report (serve.* and load.endpoints.*.rows_per_sec) alike; sizes, counts
+// and latencies are never selected. The "baseline" subtree — the seed
+// figures a kernels file carries for reference — is not descended, and
+// arrays are not either: their elements have no stable name to gate under.
+func rateSeries(out map[string]float64, prefix string, obj map[string]any) {
+	inGflops := strings.HasSuffix(prefix, "_gflops.")
+	for key, v := range obj {
+		name := prefix + key
+		switch v := v.(type) {
+		case float64:
+			if inGflops || strings.HasSuffix(key, "_per_sec") {
+				out[name] = v
+			}
+		case map[string]any:
+			if key != "baseline" {
+				rateSeries(out, name+".", v)
+			}
 		}
 	}
-	add("double_gflops", b.Double)
-	add("double_complex_gflops", b.DoubleComplex)
-	add("single_gflops", b.Single)
-	add("single_complex_gflops", b.SingleComplex)
-	// Per-kernel-family series. A family absent from either report (an old
-	// baseline predating them, or a host without the SIMD backend) simply
-	// contributes no series, so the gate skips it like any other hole.
-	for fam, fr := range b.Families {
-		if fr == nil {
-			continue
-		}
-		add("families."+fam+".double_gflops", fr.Double)
-		add("families."+fam+".double_complex_gflops", fr.DoubleComplex)
-	}
-	if s := b.Stream; s != nil {
-		out["stream.double_rows_per_sec"] = s.DoubleRowsPerSec
-		out["stream.double_complex_rows_per_sec"] = s.DoubleComplexRowsPerSec
-		out["stream.single_rows_per_sec"] = s.SingleRowsPerSec
-		out["stream.single_complex_rows_per_sec"] = s.SingleComplexRowsPerSec
-	}
-	// Windowed-stream fleet: one aggregate ingestion rate. The per-stream
-	// footprint is a memory invariant (checked by tests), not a speed series.
-	if f := b.Fleet; f != nil {
-		out["fleet.rows_per_sec"] = f.RowsPerSec
-	}
-	// Distributed scaling sweep: gate shard-normalized throughput per worker
-	// count. Bytes/round is a format property (checked by tests, not gated)
-	// and overlap is too host-dependent to gate.
-	if d := b.Dist; d != nil {
-		for _, p := range d.Points {
-			out[fmt.Sprintf("dist.w%d.rows_per_sec_per_shard", p.Workers)] = p.RowsPerSecPerShard
-		}
-	}
-	if s := b.Serve; s != nil {
-		out["serve.rows_per_sec"] = s.RowsPerSec
-		out["serve.requests_per_sec"] = s.RequestsPerSec
-	}
-	return out
 }
 
 // compareBench returns one line per series that regressed beyond the
@@ -87,8 +40,10 @@ func (b *benchSeries) series() map[string]float64 {
 // the gate passes — but only if compared > 0; a zero count means the two
 // files share no series (schema drift, half-written report) and the caller
 // must fail rather than report a vacuous pass.
-func compareBench(oldRep, newRep *benchSeries, tolPct float64) (regressions []string, compared int) {
-	oldS, newS := oldRep.series(), newRep.series()
+func compareBench(oldRep, newRep map[string]any, tolPct float64) (regressions []string, compared int) {
+	oldS, newS := map[string]float64{}, map[string]float64{}
+	rateSeries(oldS, "", oldRep)
+	rateSeries(newS, "", newRep)
 	names := make([]string, 0, len(oldS))
 	for name := range oldS {
 		names = append(names, name)
@@ -110,17 +65,18 @@ func compareBench(oldRep, newRep *benchSeries, tolPct float64) (regressions []st
 	return regressions, compared
 }
 
-// readBenchSeries loads one -kernels-json file for comparison.
-func readBenchSeries(path string) (*benchSeries, error) {
+// readReport decodes one JSON report (a -kernels-json file or a qrload
+// -json report) for comparison.
+func readReport(path string) (map[string]any, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var b benchSeries
-	if err := json.Unmarshal(raw, &b); err != nil {
+	var rep map[string]any
+	if err := json.Unmarshal(raw, &rep); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return &b, nil
+	return rep, nil
 }
 
 // runCompare implements `qrperf -compare old.json new.json [-tolerance N]`:
@@ -144,12 +100,12 @@ func runCompare(args []string, tolPct float64) int {
 		fmt.Fprintln(os.Stderr, "usage: qrperf -compare old.json new.json [-tolerance pct]")
 		return 2
 	}
-	oldRep, err := readBenchSeries(files[0])
+	oldRep, err := readReport(files[0])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	newRep, err := readBenchSeries(files[1])
+	newRep, err := readReport(files[1])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2

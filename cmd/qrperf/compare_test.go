@@ -4,164 +4,212 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// base returns a report with every series populated.
-func base() *benchSeries {
-	return &benchSeries{
-		Double:        map[string]float64{"GEQRT": 2.9, "TSMQR": 4.2, "GEMM": 5.6},
-		DoubleComplex: map[string]float64{"GEQRT": 4.5},
-		Single:        map[string]float64{"GEQRT": 3.5},
-		SingleComplex: map[string]float64{"GEQRT": 2.6},
-		Stream: &streamReport{
-			N: 512, Batch: 512,
-			DoubleRowsPerSec:        6500,
-			DoubleComplexRowsPerSec: 2700,
-			SingleRowsPerSec:        7100,
-			SingleComplexRowsPerSec: 1260,
-		},
-	}
-}
+// kernelsDoc has the shape of a -kernels-json file: rate maps at the top
+// level and per family, sizes beside them, and a seed baseline the gate
+// must never read.
+const kernelsDoc = `{
+  "nb": 128, "ib": 32,
+  "double_gflops":         {"GEQRT": 2.9, "TSMQR": 4.2, "GEMM": 5.6},
+  "double_complex_gflops": {"GEQRT": 4.5},
+  "single_gflops":         {"GEQRT": 3.5},
+  "single_complex_gflops": {"GEQRT": 2.6},
+  "families": {
+    "generic": {"double_gflops": {"TTQRT": 2.7}, "double_complex_gflops": {"TTQRT": 4.3}},
+    "simd":    {"double_gflops": {"TTQRT": 6.0}, "double_complex_gflops": {"TTQRT": 4.6}}
+  },
+  "baseline": {"nb": 128, "double_gflops": {"GEQRT": 1.8, "GEMM": 3.6}}
+}`
 
-func TestCompareNoRegression(t *testing.T) {
-	if regs, _ := compareBench(base(), base(), 25); len(regs) != 0 {
-		t.Fatalf("identical reports flagged: %v", regs)
-	}
-	// A drop inside tolerance passes.
-	within := base()
-	within.Double["GEQRT"] *= 0.80 // -20% < 25% tolerance
-	if regs, _ := compareBench(base(), within, 25); len(regs) != 0 {
-		t.Fatalf("within-tolerance drop flagged: %v", regs)
-	}
-	// Improvements never trip the gate.
-	better := base()
-	better.Double["GEQRT"] *= 3
-	better.Stream.DoubleRowsPerSec *= 2
-	if regs, _ := compareBench(base(), better, 25); len(regs) != 0 {
-		t.Fatalf("improvement flagged: %v", regs)
-	}
-}
+// loadDoc has the shape of a qrload -json report: the serve pair, one rate
+// per endpoint, and counts, latencies and sizes that are not rates.
+const loadDoc = `{
+  "serve": {"rows_per_sec": 40000, "requests_per_sec": 500},
+  "load": {
+    "scenario": "smoke", "threads": 4, "duration_sec": 2, "requests": 1000, "p50_ms": 3.5,
+    "endpoints": {
+      "solve":       {"count": 700, "ok": 700, "p99_ms": 9.1, "rows_per_sec": 35000},
+      "stream_rows": {"count": 300, "ok": 300, "p99_ms": 2.2, "rows_per_sec": 5000, "window_rows": 2048}
+    }
+  }
+}`
 
-func TestCompareDetectsInjectedRegression(t *testing.T) {
-	bad := base()
-	bad.Double["GEQRT"] *= 0.5          // -50%
-	bad.Stream.SingleRowsPerSec *= 0.6  // -40%
-	bad.SingleComplex["GEQRT"] *= 0.745 // -25.5%, just beyond tolerance
-	regs, _ := compareBench(base(), bad, 25)
-	if len(regs) != 3 {
-		t.Fatalf("want 3 regressions, got %d: %v", len(regs), regs)
-	}
-	joined := strings.Join(regs, "\n")
-	for _, want := range []string{"double_gflops.GEQRT", "stream.single_rows_per_sec", "single_complex_gflops.GEQRT"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("missing regression for %s in:\n%s", want, joined)
-		}
-	}
-}
+// mixedDoc is one report carrying both: the walk has no struct per
+// producer, so it gates whatever rates a file holds.
+var mixedDoc = strings.TrimSuffix(kernelsDoc, "}") + `, "serve": {"rows_per_sec": 40000, "requests_per_sec": 500}}`
 
-func TestCompareSkipsMissingSeries(t *testing.T) {
-	// An old baseline without single-precision or stream figures gates only
-	// what it has; a new report missing a series is likewise not a (silent)
-	// regression of that series.
-	oldRep := base()
-	oldRep.Single = nil
-	oldRep.Stream = nil
-	newRep := base()
-	newRep.Double["GEQRT"] *= 0.5
-	regs, _ := compareBench(oldRep, newRep, 25)
-	if len(regs) != 1 || !strings.Contains(regs[0], "double_gflops.GEQRT") {
-		t.Fatalf("want exactly the double GEQRT regression, got %v", regs)
-	}
-}
-
-// TestCompareFailsOnZeroComparedSeries: when the two files share no series
-// (schema drift, half-written report), the gate must fail rather than
-// report a vacuous pass.
-func TestCompareFailsOnZeroComparedSeries(t *testing.T) {
-	if _, compared := compareBench(base(), &benchSeries{}, 25); compared != 0 {
-		t.Fatalf("empty new report compared %d series, want 0", compared)
-	}
-	if _, compared := compareBench(base(), base(), 25); compared == 0 {
-		t.Fatal("full reports compared 0 series")
-	}
-	dir := t.TempDir()
-	oldPath := filepath.Join(dir, "old.json")
-	emptyPath := filepath.Join(dir, "empty.json")
-	raw, _ := json.Marshal(base())
-	if err := os.WriteFile(oldPath, raw, 0o644); err != nil {
+func decode(t *testing.T, doc string) map[string]any {
+	t.Helper()
+	var m map[string]any
+	if err := json.Unmarshal([]byte(doc), &m); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(emptyPath, []byte("{}"), 0o644); err != nil {
-		t.Fatal(err)
+	return m
+}
+
+// at returns the object holding the last element of a dotted path, and that
+// element's key.
+func at(m map[string]any, path string) (map[string]any, string) {
+	keys := strings.Split(path, ".")
+	for _, k := range keys[:len(keys)-1] {
+		m = m[k].(map[string]any)
 	}
-	if code := runCompare([]string{oldPath, emptyPath}, 25); code != 1 {
-		t.Fatalf("zero-series compare exited %d, want 1 (gate must not disarm silently)", code)
+	return m, keys[len(keys)-1]
+}
+
+// scale multiplies the numeric leaf at path by f; drop deletes the subtree.
+func scale(path string, f float64) func(map[string]any) {
+	return func(m map[string]any) {
+		obj, k := at(m, path)
+		obj[k] = obj[k].(float64) * f
 	}
 }
 
-// TestRunCompareGate exercises the CLI wrapper end to end, including the
-// trailing `-tolerance` form of the acceptance command line, against files
-// on disk.
+func drop(path string) func(map[string]any) {
+	return func(m map[string]any) {
+		obj, k := at(m, path)
+		delete(obj, k)
+	}
+}
+
+// TestCompare is the gate's whole contract as one table over the JSON walk:
+// each case edits copies of a report, compares them in memory (which series
+// were compared, which are named) and again through the CLI wrapper on
+// files, with -tolerance trailing the positional arguments as the Makefile
+// passes it.
+func TestCompare(t *testing.T) {
+	type edits []func(map[string]any)
+	cases := []struct {
+		name     string
+		old, new string // documents, before the edits below
+		oldEdits edits
+		newEdits edits
+		tol      float64
+		compared int
+		regs     []string // series named, in order
+	}{
+		{name: "self-passes", old: kernelsDoc, new: kernelsDoc, tol: 25, compared: 10},
+		{name: "within-tolerance", old: kernelsDoc, new: kernelsDoc, tol: 25, compared: 10,
+			newEdits: edits{scale("double_gflops.GEQRT", 0.80)}},
+		{name: "improvement", old: kernelsDoc, new: kernelsDoc, tol: 25, compared: 10,
+			newEdits: edits{scale("double_gflops.GEQRT", 3), scale("families.simd.double_gflops.TTQRT", 2)}},
+		{name: "injected-regressions", old: kernelsDoc, new: kernelsDoc, tol: 25, compared: 10,
+			newEdits: edits{
+				scale("families.simd.double_gflops.TTQRT", 0.6), // −40 %
+				scale("double_gflops.GEQRT", 0.5),
+				scale("single_complex_gflops.GEQRT", 0.745), // −25.5 %, just beyond
+			},
+			regs: []string{"double_gflops.GEQRT", "families.simd.double_gflops.TTQRT", "single_complex_gflops.GEQRT"}},
+		{name: "generous-tolerance", old: kernelsDoc, new: kernelsDoc, tol: 75, compared: 10,
+			newEdits: edits{scale("families.simd.double_gflops.TTQRT", 0.4)}},
+		{name: "family-on-one-side", old: kernelsDoc, new: kernelsDoc, tol: 25, compared: 8,
+			oldEdits: edits{drop("families.simd")},
+			newEdits: edits{scale("families.simd.double_gflops.TTQRT", 0.1)}},
+		{name: "old-file-without-single", old: kernelsDoc, new: kernelsDoc, tol: 25, compared: 9,
+			oldEdits: edits{drop("single_gflops")},
+			newEdits: edits{scale("double_gflops.GEQRT", 0.5), scale("single_gflops.GEQRT", 0.1)},
+			regs:     []string{"double_gflops.GEQRT"}},
+		{name: "non-positive-skipped", old: kernelsDoc, new: kernelsDoc, tol: 25, compared: 9,
+			newEdits: edits{scale("double_gflops.GEMM", 0)}},
+		{name: "baseline-ignored", old: kernelsDoc, new: kernelsDoc, tol: 25, compared: 10,
+			newEdits: edits{scale("baseline.double_gflops.GEQRT", 0.1)}},
+		{name: "sizes-are-not-rates", old: kernelsDoc, new: kernelsDoc, tol: 25, compared: 10,
+			newEdits: edits{scale("nb", 0.1), scale("ib", 0.1)}},
+		{name: "counts-and-latencies-are-not-rates", old: loadDoc, new: loadDoc, tol: 25, compared: 4,
+			newEdits: edits{
+				scale("load.p50_ms", 0.1), scale("load.requests", 0.1), scale("load.duration_sec", 0.1),
+				scale("load.endpoints.solve.count", 0.1), scale("load.endpoints.solve.p99_ms", 0.1),
+				scale("load.endpoints.stream_rows.window_rows", 0.1),
+			}},
+		{name: "no-shared-series", old: kernelsDoc, new: loadDoc, tol: 25, compared: 0},
+		{name: "empty-report", old: kernelsDoc, new: `{}`, tol: 25, compared: 0},
+		{name: "mixed-report", old: mixedDoc, new: mixedDoc, tol: 25, compared: 12,
+			newEdits: edits{scale("double_gflops.GEQRT", 0.5), scale("serve.rows_per_sec", 0.5)},
+			regs:     []string{"double_gflops.GEQRT", "serve.rows_per_sec"}},
+		{name: "load-serve-rows", old: loadDoc, new: loadDoc, tol: 25, compared: 4,
+			newEdits: edits{scale("serve.rows_per_sec", 0.25), scale("serve.requests_per_sec", 1.04)},
+			regs:     []string{"serve.rows_per_sec"}},
+		{name: "load-endpoint-rows", old: loadDoc, new: loadDoc, tol: 25, compared: 4,
+			newEdits: edits{scale("load.endpoints.stream_rows.rows_per_sec", 0.5)},
+			regs:     []string{"load.endpoints.stream_rows.rows_per_sec"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			oldRep, newRep := decode(t, tc.old), decode(t, tc.new)
+			for _, edit := range tc.oldEdits {
+				edit(oldRep)
+			}
+			for _, edit := range tc.newEdits {
+				edit(newRep)
+			}
+			regs, compared := compareBench(oldRep, newRep, tc.tol)
+			if compared != tc.compared {
+				t.Errorf("compared %d series, want %d", compared, tc.compared)
+			}
+			if len(regs) != len(tc.regs) {
+				t.Fatalf("regressions %v, want the series %v", regs, tc.regs)
+			}
+			for i, want := range tc.regs {
+				if !strings.HasPrefix(regs[i], want+":") {
+					t.Errorf("regression %d is %q, want series %s", i, regs[i], want)
+				}
+			}
+
+			dir := t.TempDir()
+			write := func(name string, rep map[string]any) string {
+				raw, err := json.Marshal(rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := filepath.Join(dir, name)
+				if err := os.WriteFile(p, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			wantCode := 0
+			if tc.compared == 0 || len(tc.regs) > 0 {
+				wantCode = 1 // a vacuous comparison must fail like a regression does
+			}
+			args := []string{write("old.json", oldRep), write("new.json", newRep), "-tolerance", strconv.FormatFloat(tc.tol, 'g', -1, 64)}
+			// The flag default handed in is the opposite extreme, so the exit
+			// code is right only if the trailing -tolerance was parsed.
+			if code := runCompare(args, 100-tc.tol); code != wantCode {
+				t.Errorf("runCompare%v exited %d, want %d", args[2:], code, wantCode)
+			}
+		})
+	}
+}
+
+// TestRunCompareGate covers the CLI wrapper's usage errors; the gate's
+// verdicts on readable files are TestCompare's.
 func TestRunCompareGate(t *testing.T) {
 	dir := t.TempDir()
-	write := func(name string, b *benchSeries) string {
-		raw, err := json.Marshal(b)
-		if err != nil {
-			t.Fatal(err)
+	oldPath := filepath.Join(dir, "old.json")
+	if err := os.WriteFile(oldPath, []byte(kernelsDoc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	badPath := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(badPath, []byte(`{"nb":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"clean", []string{oldPath, oldPath}, 0},
+		{"one-file", []string{oldPath}, 2},
+		{"unreadable-file", []string{oldPath, filepath.Join(dir, "absent.json")}, 2},
+		{"half-written-file", []string{oldPath, badPath}, 2},
+		{"bad-tolerance", []string{oldPath, oldPath, "-tolerance", "lots"}, 2},
+	} {
+		if code := runCompare(tc.args, 25); code != tc.want {
+			t.Errorf("%s: exited %d, want %d", tc.name, code, tc.want)
 		}
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	oldPath := write("old.json", base())
-	bad := base()
-	bad.Double["GEQRT"] *= 0.4
-	badPath := write("new.json", bad)
-
-	if code := runCompare([]string{oldPath, oldPath, "-tolerance", "25"}, 25); code != 0 {
-		t.Fatalf("clean compare exited %d", code)
-	}
-	if code := runCompare([]string{oldPath, badPath, "-tolerance", "25"}, 25); code != 1 {
-		t.Fatalf("regressed compare exited %d, want 1", code)
-	}
-	// A -60% drop passes a 75% tolerance.
-	if code := runCompare([]string{oldPath, badPath, "-tolerance", "75"}, 25); code != 0 {
-		t.Fatalf("within generous tolerance exited %d, want 0", code)
-	}
-	if code := runCompare([]string{oldPath}, 25); code != 2 {
-		t.Fatalf("missing file arg exited %d, want 2", code)
-	}
-	if code := runCompare([]string{oldPath, filepath.Join(dir, "absent.json")}, 25); code != 2 {
-		t.Fatalf("unreadable file exited %d, want 2", code)
-	}
-}
-
-// TestCompareServeSeries gates the qrload "serve" throughput series: two
-// load reports compare against each other, a regression trips, and kernel
-// reports without a serve section still compare their own series.
-func TestCompareServeSeries(t *testing.T) {
-	load := func(rows, reqs float64) *benchSeries {
-		return &benchSeries{Serve: &serveSeries{RowsPerSec: rows, RequestsPerSec: reqs}}
-	}
-	if regs, n := compareBench(load(40000, 500), load(41000, 520), 25); len(regs) != 0 || n != 2 {
-		t.Fatalf("healthy serve reports: regs=%v compared=%d", regs, n)
-	}
-	regs, _ := compareBench(load(40000, 500), load(10000, 500), 25)
-	if len(regs) != 1 || !strings.Contains(regs[0], "serve.rows_per_sec") {
-		t.Fatalf("collapsed rows/sec not flagged: %v", regs)
-	}
-	// A kernel report vs a load report shares no series → vacuous, count 0.
-	if _, n := compareBench(base(), load(40000, 500), 25); n != 0 {
-		t.Fatalf("kernel vs load report compared %d series, want 0", n)
-	}
-	// A mixed report gates both families at once.
-	mixed := base()
-	mixed.Serve = &serveSeries{RowsPerSec: 40000, RequestsPerSec: 500}
-	if regs, n := compareBench(mixed, mixed, 25); len(regs) != 0 || n < 8 {
-		t.Fatalf("mixed report: regs=%v compared=%d", regs, n)
 	}
 }

@@ -18,26 +18,12 @@
 //	qrperf -experiment fig6              all kernels (adds TS algorithms)
 //	qrperf -experiment fig7              overheads w.r.t. Greedy (TT+TS)
 //	qrperf -experiment table6 .. table9  Greedy vs PlasmaTree / Fibonacci, double / double complex
-//	qrperf -kernels-json FILE            measure every sequential kernel at the
-//	                                     benchmark shape (nb=128, ib=32) plus
-//	                                     scheduler dispatch cost, and write the
-//	                                     GFLOP/s figures to FILE — the perf
-//	                                     trajectory record tracked across PRs
-//	                                     (a "baseline" object already in FILE
-//	                                     is preserved verbatim)
-//	qrperf -throughput [-quick]          serving-workload benchmark: a fleet of
-//	                                     concurrent clients each factoring
-//	                                     512×256 float64 matrices, comparing
-//	                                     per-call worker pools (the legacy
-//	                                     mode), the shared runtime, and the
-//	                                     shared runtime with FactorInto reuse;
-//	                                     also recorded by -kernels-json
-//	qrperf -fleet [-quick]               windowed-stream fleet benchmark: many
-//	                                     small sliding-window streams ingesting
-//	                                     at steady state, where every append
-//	                                     also evicts the oldest batch to hold
-//	                                     the window; rows/sec recorded by
-//	                                     -kernels-json as the "fleet" series
+//	qrperf -kernels-json FILE [-quick]   measure every sequential kernel at the
+//	                                     benchmark shape (nb=128, ib=32) and
+//	                                     write the GFLOP/s figures to FILE — the
+//	                                     kernel trajectory record tracked across
+//	                                     PRs (a "baseline" object already in
+//	                                     FILE is preserved verbatim)
 //	qrperf -tune [-measure]              dump the autotuner's decision table:
 //	                                     the (algorithm, kernel family, nb, ib)
 //	                                     AlgorithmAuto picks per shape with its
@@ -45,10 +31,15 @@
 //	                                     measured time and prediction error
 //	qrperf -compare old.json new.json [-tolerance 25]
 //	                                     CI benchmark-regression gate: exits
-//	                                     nonzero when any kernel GFLOP/s or
-//	                                     stream rows/sec series in new.json
-//	                                     regressed more than tolerance percent
-//	                                     below old.json
+//	                                     nonzero when any rate series (a
+//	                                     *_gflops member or a *_per_sec value)
+//	                                     of new.json regressed more than
+//	                                     tolerance percent below old.json; reads
+//	                                     -kernels-json files and qrload -json
+//	                                     reports alike
+//
+// Whole operations (Factor+SolveLS, stream appends, served requests,
+// distributed rounds) are timed by `go run ./bench`, not here.
 //
 // Flags -p, -nb, -ib, -workers scale the experiment (defaults are a
 // laptop-sized version of the paper's p=40, nb=200, ib=32, P=48).
@@ -67,8 +58,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
-	"sync/atomic"
+	"strconv"
+	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -76,7 +67,6 @@ import (
 	"tiledqr/internal/core"
 	"tiledqr/internal/kernel"
 	"tiledqr/internal/model"
-	"tiledqr/internal/sched"
 	"tiledqr/internal/sim"
 	"tiledqr/internal/tile"
 	"tiledqr/internal/tune"
@@ -115,11 +105,9 @@ func die(err error) {
 func main() {
 	experiment := flag.String("experiment", "fig1", "fig1|fig2|fig6|fig7|table6|table7|table8|table9")
 	kernelsJSON := flag.String("kernels-json", "", "write kernel GFLOP/s to this file and exit")
-	throughput := flag.Bool("throughput", false, "run the concurrent-clients throughput benchmark and exit")
-	fleet := flag.Bool("fleet", false, "run the windowed-stream fleet benchmark (many small sliding-window streams) and exit")
-	quick := flag.Bool("quick", false, "with -throughput or -kernels-json: short smoke-sized run (CI)")
+	quick := flag.Bool("quick", false, "with -kernels-json: short smoke-sized run (CI)")
 	tuneFlag := flag.Bool("tune", false, "dump the autotuner decision table (add -measure for predicted-vs-measured error) and exit")
-	compare := flag.Bool("compare", false, "compare two -kernels-json files (old new) and exit nonzero on regressions beyond -tolerance")
+	compare := flag.Bool("compare", false, "compare two JSON reports (old new: -kernels-json files or qrload -json reports) and exit nonzero on regressions beyond -tolerance")
 	tolerance := flag.Float64("tolerance", 25, "with -compare: allowed per-series regression percent")
 	flag.Parse()
 	if *flagFamily != "" {
@@ -137,17 +125,8 @@ func main() {
 		runTune(*flagMeasure)
 		return
 	}
-	if *throughput {
-		printThroughput(measureThroughput(*quick))
-		return
-	}
-	if *fleet {
-		start := time.Now()
-		printFleet(measureFleet(*quick), time.Since(start))
-		return
-	}
 	if *kernelsJSON != "" {
-		if err := writeKernelsJSON(*kernelsJSON, *quick); err != nil {
+		if err := writeKernelsJSON(*kernelsJSON); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -255,31 +234,21 @@ func factorSecs[T tiledqr.Scalar](m, n int, opt tiledqr.Options) float64 {
 	return time.Since(start).Seconds()
 }
 
+// qGrid returns the -q values, or dflt when the flag is unset; an entry
+// that is not a positive integer is a usage error, not a silently shorter
+// sweep.
 func qGrid(dflt []int) []int {
 	if *flagQs == "" {
 		return dflt
 	}
 	var out []int
-	for _, part := range splitComma(*flagQs) {
-		var v int
-		fmt.Sscanf(part, "%d", &v)
-		if v > 0 {
-			out = append(out, v)
+	for _, part := range strings.Split(*flagQs, ",") {
+		v, err := strconv.Atoi(part)
+		if err != nil || v <= 0 {
+			fmt.Fprintf(os.Stderr, "qrperf: bad -q entry %q in %q: want positive integers\n", part, *flagQs)
+			os.Exit(2)
 		}
-	}
-	return out
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
+		out = append(out, v)
 	}
 	return out
 }
@@ -407,191 +376,14 @@ type kernelsReport struct {
 	// flipping the vec backend: tracks the generic and SIMD trajectories
 	// separately (the top-level maps above use the family active at startup,
 	// i.e. the best available unless -family pinned one).
-	Families           map[string]*familyReport `json:"families,omitempty"`
-	SchedulerNsPerTask float64                  `json:"scheduler_dispatch_ns_per_task"`
-	SchedulerWorkers   int                      `json:"scheduler_dispatch_workers"`
-	Stream             *streamReport            `json:"stream,omitempty"`
-	Fleet              *fleetReport             `json:"fleet,omitempty"`
-	Throughput         *throughputReport        `json:"throughput,omitempty"`
-	Dist               *distReport              `json:"dist,omitempty"`
-	Baseline           json.RawMessage          `json:"baseline,omitempty"`
+	Families map[string]*familyReport `json:"families,omitempty"`
+	Baseline json.RawMessage          `json:"baseline,omitempty"`
 }
 
 // familyReport is one vec kernel family's GFLOP/s series.
 type familyReport struct {
 	Double        map[string]float64 `json:"double_gflops"`
 	DoubleComplex map[string]float64 `json:"double_complex_gflops"`
-}
-
-// streamReport records the streaming TSQR ingestion throughput at a fixed
-// shape, alongside the kernel figures, so the serving-workload trajectory
-// is tracked across PRs too.
-type streamReport struct {
-	N                       int     `json:"n"`
-	Batch                   int     `json:"batch_rows"`
-	DoubleRowsPerSec        float64 `json:"double_rows_per_sec"`
-	DoubleComplexRowsPerSec float64 `json:"double_complex_rows_per_sec"`
-	SingleRowsPerSec        float64 `json:"single_rows_per_sec"`
-	SingleComplexRowsPerSec float64 `json:"single_complex_rows_per_sec"`
-}
-
-// measureStream times steady-state StreamQR ingestion (rows merged into a
-// resident n×n triangle per second) in both domains at the benchmark tile
-// shape.
-func measureStream() *streamReport {
-	const n, batch = 512, 512
-	rep := &streamReport{N: n, Batch: batch}
-	opt := tiledqr.Options{TileSize: benchNB, InnerBlock: benchIB}
-	appendRate := func(app func() error) float64 {
-		sec := timeIt(func() {
-			if err := app(); err != nil {
-				die(err)
-			}
-		})
-		return float64(batch) / sec
-	}
-	d, err := tiledqr.NewStream(n, opt)
-	if err != nil {
-		die(err)
-	}
-	ddata := tiledqr.RandomDense(batch, n, 1)
-	rep.DoubleRowsPerSec = appendRate(func() error { return d.AppendRows(ddata) })
-	z, err := tiledqr.NewZStream(n, opt)
-	if err != nil {
-		die(err)
-	}
-	zdata := tiledqr.RandomZDense(batch, n, 1)
-	rep.DoubleComplexRowsPerSec = appendRate(func() error { return z.AppendRows(zdata) })
-	sg, err := tiledqr.NewStream32(n, opt)
-	if err != nil {
-		die(err)
-	}
-	sdata := tiledqr.RandomDense32(batch, n, 1)
-	rep.SingleRowsPerSec = appendRate(func() error { return sg.AppendRows(sdata) })
-	cs, err := tiledqr.NewCStream(n, opt)
-	if err != nil {
-		die(err)
-	}
-	cdata := tiledqr.RandomCDense(batch, n, 1)
-	rep.SingleComplexRowsPerSec = appendRate(func() error { return cs.AppendRows(cdata) })
-	return rep
-}
-
-// --- concurrent-clients throughput benchmark (qrperf -throughput) -----------
-
-// throughputPoint is one fleet size: factorizations/sec under each
-// execution mode over the same wall-clock window.
-type throughputPoint struct {
-	Clients        int     `json:"clients"`
-	PerCallQPS     float64 `json:"per_call_qps"`
-	SharedQPS      float64 `json:"shared_qps"`
-	SharedReuseQPS float64 `json:"shared_reuse_qps"`
-}
-
-// throughputReport records the serving-workload experiment: a fleet of
-// concurrent clients, each repeatedly factoring its own m×n float64 matrix,
-// under (a) per-call worker pools — every Factor spawns and tears down its
-// own GOMAXPROCS-goroutine pool, the pre-runtime default — (b) the shared
-// persistent runtime, and (c) the shared runtime with the FactorInto
-// zero-allocation reuse path.
-type throughputReport struct {
-	M          int               `json:"m"`
-	N          int               `json:"n"`
-	NB         int               `json:"nb"`
-	IB         int               `json:"ib"`
-	GoMaxProcs int               `json:"gomaxprocs"`
-	WindowMS   int64             `json:"window_ms"`
-	Points     []throughputPoint `json:"points"`
-}
-
-const tpM, tpN = 512, 256
-
-// fleetQPS runs `clients` goroutines, each looping factor over its own
-// matrix until the window closes, and returns completed factorizations per
-// second.
-func fleetQPS(clients int, window time.Duration, factor func(client int, a *tiledqr.Dense) error) float64 {
-	mats := make([]*tiledqr.Dense, clients)
-	for i := range mats {
-		mats[i] = tiledqr.RandomDense(tpM, tpN, int64(i+1))
-	}
-	var done atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	deadline := start.Add(window)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for time.Now().Before(deadline) {
-				if err := factor(c, mats[c]); err != nil {
-					die(err)
-				}
-				done.Add(1)
-			}
-		}(c)
-	}
-	wg.Wait()
-	return float64(done.Load()) / time.Since(start).Seconds()
-}
-
-// measureThroughput sweeps the fleet sizes across the three execution
-// modes at equal GOMAXPROCS.
-func measureThroughput(quick bool) *throughputReport {
-	clients := []int{1, 4, 16, 64}
-	window := time.Second
-	if quick {
-		clients = []int{1, 4}
-		window = 200 * time.Millisecond
-	}
-	rep := &throughputReport{
-		M: tpM, N: tpN, NB: benchNB, IB: benchIB,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		WindowMS:   window.Milliseconds(),
-	}
-	perCall := tiledqr.Options{TileSize: benchNB, InnerBlock: benchIB, Workers: runtime.GOMAXPROCS(0)}
-	shared := tiledqr.Options{TileSize: benchNB, InnerBlock: benchIB}
-	// Warm the default runtime before timing.
-	if _, err := tiledqr.Factor(tiledqr.RandomDense(tpM, tpN, 99), shared); err != nil {
-		die(err)
-	}
-	for _, c := range clients {
-		p := throughputPoint{Clients: c}
-		p.PerCallQPS = fleetQPS(c, window, func(_ int, a *tiledqr.Dense) error {
-			_, err := tiledqr.Factor(a, perCall)
-			return err
-		})
-		p.SharedQPS = fleetQPS(c, window, func(_ int, a *tiledqr.Dense) error {
-			_, err := tiledqr.Factor(a, shared)
-			return err
-		})
-		reusers := make([]*tiledqr.Factorization, c)
-		for i := range reusers {
-			reusers[i] = &tiledqr.Factorization{}
-		}
-		p.SharedReuseQPS = fleetQPS(c, window, func(client int, a *tiledqr.Dense) error {
-			return tiledqr.FactorInto(reusers[client], a, shared)
-		})
-		rep.Points = append(rep.Points, p)
-	}
-	return rep
-}
-
-// printThroughput renders the report as a table with per-mode speedups
-// over the per-call baseline.
-func printThroughput(rep *throughputReport) {
-	fmt.Printf("fleet throughput: %d×%d float64, nb=%d, ib=%d, GOMAXPROCS=%d, %d ms window\n\n",
-		rep.M, rep.N, rep.NB, rep.IB, rep.GoMaxProcs, rep.WindowMS)
-	w := tabwriter.NewWriter(os.Stdout, 10, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(w, "clients\tper-call q/s\tshared q/s\tspeedup\tshared+reuse q/s\tspeedup\t")
-	for _, p := range rep.Points {
-		fmt.Fprintf(w, "%d\t%.2f\t%.2f\t%.2fx\t%.2f\t%.2fx\t\n",
-			p.Clients, p.PerCallQPS, p.SharedQPS, p.SharedQPS/p.PerCallQPS,
-			p.SharedReuseQPS, p.SharedReuseQPS/p.PerCallQPS)
-	}
-	w.Flush()
-	fmt.Println("\nper-call: every Factor builds and tears down its own GOMAXPROCS-worker pool (legacy default)")
-	fmt.Println("shared:   all clients submit to the persistent process runtime")
-	fmt.Println("reuse:    shared runtime + FactorInto arena reuse (zero steady-state allocation)")
 }
 
 // sampleWindow is the minimum measurement window of timeIt; -quick shrinks
@@ -638,19 +430,16 @@ func kernelGflops[T vec.Scalar]() map[string]float64 {
 	return out
 }
 
-// writeKernelsJSON measures everything and writes the report, preserving
-// any "baseline" object already present in the target file. quick shortens
-// the throughput sweep to the smoke-sized fleet (the kernel and stream
-// series shrink via sampleWindow).
-func writeKernelsJSON(path string, quick bool) error {
+// writeKernelsJSON measures every kernel series and writes the report,
+// preserving any "baseline" object already present in the target file.
+func writeKernelsJSON(path string) error {
 	rep := kernelsReport{
-		NB:               benchNB,
-		IB:               benchIB,
-		Double:           kernelGflops[float64](),
-		DoubleComplex:    kernelGflops[complex128](),
-		Single:           kernelGflops[float32](),
-		SingleComplex:    kernelGflops[complex64](),
-		SchedulerWorkers: 2,
+		NB:            benchNB,
+		IB:            benchIB,
+		Double:        kernelGflops[float64](),
+		DoubleComplex: kernelGflops[complex128](),
+		Single:        kernelGflops[float32](),
+		SingleComplex: kernelGflops[complex64](),
 	}
 	rep.Families = map[string]*familyReport{}
 	startFam := vec.ActiveFamily()
@@ -666,22 +455,6 @@ func writeKernelsJSON(path string, quick bool) error {
 	if err := vec.SetFamily(startFam); err != nil {
 		die(err)
 	}
-	// Dispatch cost proper: a resident pool and a prebuilt plan, so neither
-	// plan construction nor pool spin-up and teardown is in the sample.
-	d := core.BuildDAG(core.GreedyList(20, 10), core.TT)
-	plan := sched.NewPlan(d)
-	pool := sched.NewRuntime(rep.SchedulerWorkers)
-	sec := timeIt(func() {
-		if _, err := pool.Exec(plan, sched.Options{}, func(int32, *sched.Local) error { return nil }); err != nil {
-			die(err)
-		}
-	})
-	pool.Close()
-	rep.SchedulerNsPerTask = sec * 1e9 / float64(d.NumTasks())
-	rep.Stream = measureStream()
-	rep.Fleet = measureFleet(quick)
-	rep.Throughput = measureThroughput(quick)
-	rep.Dist = measureDist(quick)
 	if old, err := os.ReadFile(path); err == nil {
 		var prev struct {
 			Baseline json.RawMessage `json:"baseline"`

@@ -118,8 +118,8 @@
 // serving fleets keep hitting the engine's plan/arena reuse path. `qrperf
 // -tune` prints the full decision table with predicted-vs-measured error,
 // and `make bench-gate` (run in CI) guards the calibration's foundation:
-// it fails when any measured kernel or streaming series regresses beyond
-// tolerance against the committed BENCH_kernels.json baseline.
+// it fails when any measured kernel series regresses beyond tolerance
+// against the committed BENCH_kernels.json baseline.
 //
 // # Streaming (incremental) factorization
 //
@@ -202,8 +202,8 @@
 //
 // Ingestion throughput is benchmarked by BenchmarkStream*, cmd/qrstream
 // (which exposes -window and -forget and reports the steady-state
-// footprint) and the windowed-fleet series of qrperf -fleet, all recorded
-// in BENCH_kernels.json by make bench.
+// footprint) and, appends and reads together, by the stream_window
+// workload of `go run ./bench`.
 //
 // # Runtime and throughput
 //
@@ -243,10 +243,8 @@
 // grow-only buffer per precision each) and are shared by every job.
 // Setting Options.Workers > 0 instead opts out of sharing: that call gets
 // a private pool built and torn down around it (Workers == 1 is the
-// deterministic sequential path). `make throughput` (qrperf -throughput)
-// measures the fleet scenario — factorizations/sec at 1..64 concurrent
-// clients, per-call pools vs shared runtime vs FactorInto reuse — and
-// `make bench` records it in BENCH_kernels.json.
+// deterministic sequential path). The small_fleet and tsqr_panel workloads
+// of `go run ./bench` measure the fleet scenario and the reuse path.
 //
 // # Serving
 //

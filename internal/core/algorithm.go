@@ -104,24 +104,3 @@ func Generate(alg Algorithm, p, q int, opt Options) (List, error) {
 // Algorithms lists every algorithm with a parameter-free list generator
 // (PlasmaTree and Grasap need Options).
 var Algorithms = []Algorithm{FlatTree, BinaryTree, Fibonacci, Greedy, Asap}
-
-// TotalWeightUnits returns the total task weight 6pq²−2q³ (for p ≥ q) in
-// units of nb³/3: it is invariant across algorithms and kernel families
-// (§2.2). For p < q the panel count is p and the formula becomes
-// 6qp²−2p³ − 4p... computed exactly by summation here.
-func TotalWeightUnits(p, q int) int {
-	// Column k: one GEQRT per row k..p would overcount; instead count per
-	// elimination (10 + 18(q−k) split across kernels) plus the fixed
-	// triangularization costs. Summation mirrors BuildDAG's TT expansion:
-	// every row in column k is triangularized once (GEQRT + UNMQRs) and
-	// every elimination adds TTQRT + TTMQRs.
-	total := 0
-	qmin := min(p, q)
-	for k := 1; k <= qmin; k++ {
-		rows := p - k + 1
-		total += rows * (KGEQRT.Weight() + (q-k)*KUNMQR.Weight())
-		elims := p - k
-		total += elims * (KTTQRT.Weight() + (q-k)*KTTMQR.Weight())
-	}
-	return total
-}

@@ -492,8 +492,5 @@ func TestTotalWeightInvariant(t *testing.T) {
 				t.Errorf("random list %dx%d: total weight %d, want %d", p, q, got, want)
 			}
 		}
-		if got := TotalWeightUnits(p, q); got != want {
-			t.Errorf("TotalWeightUnits(%d,%d) = %d, want %d", p, q, got, want)
-		}
 	}
 }

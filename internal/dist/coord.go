@@ -34,16 +34,6 @@ type Config struct {
 	Window       int            // pipelining credit window in rounds (default 2)
 	LocalWorkers int            // scheduler width inside each worker (0 = default)
 	Addr         string         // listen address (default "127.0.0.1:0")
-
-	// GenSeed ≠ 0 selects benchmark mode: workers generate their own
-	// GenRows×GenCols shards (plus GenRHS right-hand columns) from
-	// deterministic per-rank seeds, so the wire carries only R triangles
-	// and Qᵀb blocks — the communication-avoiding steady state, with no
-	// one-time shard shipment to distort the measurement.
-	GenSeed int64
-	GenRows int
-	GenCols int
-	GenRHS  int
 }
 
 func (c *Config) defaults() {
@@ -77,12 +67,9 @@ type Coordinator struct {
 	ln  net.Listener
 }
 
-// NewCoordinator validates cfg, applies defaults, and starts listening.
+// NewCoordinator applies cfg's defaults and starts listening.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	cfg.defaults()
-	if cfg.GenSeed != 0 && (cfg.GenRows < cfg.GenCols || cfg.GenCols <= 0) {
-		return nil, fmt.Errorf("dist: benchmark mode needs GenRows ≥ GenCols ≥ 1 (have %d×%d)", cfg.GenRows, cfg.GenCols)
-	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("dist: coordinator listen: %w", err)
@@ -123,50 +110,37 @@ type coordEvent struct {
 // Run executes one distributed factorization: wait for cfg.Workers workers
 // to connect, shard a (m×n, row-wise) and b (m×nrhs, optional) across
 // them, run the configured rounds, and return the global R, the Qᵀb top
-// block, and the least-squares solution X = R⁻¹(Qᵀb)[:n]. In benchmark
-// mode (GenSeed ≠ 0) a and b must be nil and the shapes come from the
-// config. Cancelling ctx drains: in-flight rounds complete consistently
-// across workers and Run returns with Rounds < cfg.Rounds and no error.
+// block, and the least-squares solution X = R⁻¹(Qᵀb)[:n]. Cancelling ctx
+// drains: in-flight rounds complete consistently across workers and Run
+// returns with Rounds < cfg.Rounds and no error.
 func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T]) (*Result[T], error) {
 	cfg := c.cfg
 	W := cfg.Workers
 
 	// Resolve the global shape and the row split.
-	var n, nrhs int
+	if a == nil {
+		return nil, fmt.Errorf("dist: Run needs a matrix")
+	}
+	m, n, nrhs := a.Rows, a.Cols, 0
+	if b != nil {
+		if b.Rows != m {
+			return nil, fmt.Errorf("dist: b has %d rows, want %d", b.Rows, m)
+		}
+		nrhs = b.Cols
+	}
 	shardRows := make([]int, W)
-	if cfg.GenSeed != 0 {
-		if a != nil || b != nil {
-			return nil, fmt.Errorf("dist: benchmark mode generates shards worker-side; a and b must be nil")
+	base, rem := m/W, m%W
+	for i := range shardRows {
+		shardRows[i] = base
+		if i < rem {
+			shardRows[i]++
 		}
-		n, nrhs = cfg.GenCols, cfg.GenRHS
-		for i := range shardRows {
-			shardRows[i] = cfg.GenRows
-		}
-	} else {
-		if a == nil {
-			return nil, fmt.Errorf("dist: Run needs a matrix (or benchmark mode via GenSeed)")
-		}
-		m := a.Rows
-		n = a.Cols
-		if b != nil {
-			if b.Rows != m {
-				return nil, fmt.Errorf("dist: b has %d rows, want %d", b.Rows, m)
-			}
-			nrhs = b.Cols
-		}
-		base, rem := m/W, m%W
-		for i := range shardRows {
-			shardRows[i] = base
-			if i < rem {
-				shardRows[i]++
-			}
-		}
-		// The reduction tree combines n×n triangles, so every shard must
-		// cover at least n rows; thinner shards mean the matrix is too
-		// small to scale out — stay single-node (see README).
-		if base < n {
-			return nil, fmt.Errorf("dist: %d rows over %d workers gives shards of %d < n=%d rows; use fewer workers or single-node Factor", m, W, base, n)
-		}
+	}
+	// The reduction tree combines n×n triangles, so every shard must
+	// cover at least n rows; thinner shards mean the matrix is too
+	// small to scale out — stay single-node (see README).
+	if base < n {
+		return nil, fmt.Errorf("dist: %d rows over %d workers gives shards of %d < n=%d rows; use fewer workers or single-node Factor", m, W, base, n)
 	}
 
 	workers, err := c.acceptWorkers(ctx, W)
@@ -192,34 +166,31 @@ func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T])
 			Proto: protoVersion, Rank: r, Workers: W, Peers: peers,
 			Prec: string(precOf[T]()), ShardRows: shardRows[r], N: n, NRHS: nrhs,
 			NB: cfg.NB, IB: cfg.IB, Alg: int(cfg.Algorithm), Kern: int(cfg.Kernels),
-			Rounds: cfg.Rounds, Allow: granted,
-			GenSeed: cfg.GenSeed, LocalWorkers: cfg.LocalWorkers,
+			Rounds: cfg.Rounds, Allow: granted, LocalWorkers: cfg.LocalWorkers,
 		}
 		if err := writeJSON(w.conn, KindConfig, 0, &wc); err != nil {
 			return nil, fmt.Errorf("dist: configuring rank %d: %w", r, err)
 		}
 	}
-	// Data mode: ship each worker its shard (and RHS rows) exactly once.
-	if cfg.GenSeed == 0 {
-		row := 0
-		for r, w := range workers {
-			rows := shardRows[r]
-			buf := packDense(KindShard, 0, a.Data[row*a.Stride:], a.Stride, rows, n)
-			_, err := w.conn.Write(buf)
+	// Ship each worker its shard (and RHS rows) exactly once.
+	row := 0
+	for r, w := range workers {
+		rows := shardRows[r]
+		buf := packDense(KindShard, 0, a.Data[row*a.Stride:], a.Stride, rows, n)
+		_, err := w.conn.Write(buf)
+		putBuf(buf)
+		if err != nil {
+			return nil, fmt.Errorf("dist: shipping shard to rank %d: %w", r, err)
+		}
+		if nrhs > 0 {
+			buf = packDense(KindRHS, 0, b.Data[row*b.Stride:], b.Stride, rows, nrhs)
+			_, err = w.conn.Write(buf)
 			putBuf(buf)
 			if err != nil {
-				return nil, fmt.Errorf("dist: shipping shard to rank %d: %w", r, err)
+				return nil, fmt.Errorf("dist: shipping rhs to rank %d: %w", r, err)
 			}
-			if nrhs > 0 {
-				buf = packDense(KindRHS, 0, b.Data[row*b.Stride:], b.Stride, rows, nrhs)
-				_, err = w.conn.Write(buf)
-				putBuf(buf)
-				if err != nil {
-					return nil, fmt.Errorf("dist: shipping rhs to rank %d: %w", r, err)
-				}
-			}
-			row += rows
 		}
+		row += rows
 	}
 
 	// Per-worker readers feed one event stream; the run loop below is the
@@ -366,10 +337,19 @@ func (c *Coordinator) acceptWorkers(ctx context.Context, W int) ([]workerConn, e
 		err  error
 	}
 	conns := make(chan accepted)
+	done := make(chan struct{})
+	defer close(done)
 	go func() {
 		for {
 			conn, err := c.ln.Accept()
-			conns <- accepted{conn, err}
+			select {
+			case conns <- accepted{conn, err}:
+			case <-done: // acceptWorkers returned; its closing of ln is what ended Accept
+				if conn != nil {
+					_ = conn.Close()
+				}
+				return
+			}
 			if err != nil {
 				return
 			}
@@ -408,7 +388,7 @@ func (c *Coordinator) acceptWorkers(ctx context.Context, W int) ([]workerConn, e
 }
 
 // SpawnLocal starts w in-process workers as goroutines against addr — the
-// single-binary mode of cmd/qrdist, the benchmark harness, and the tests.
+// single-binary mode of cmd/qrdist, bench/ and the tests.
 // The returned channel yields one value per worker as it exits.
 func SpawnLocal(ctx context.Context, addr string, w int) <-chan error {
 	errs := make(chan error, w)

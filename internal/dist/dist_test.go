@@ -2,6 +2,8 @@ package dist
 
 import (
 	"context"
+	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -133,17 +135,16 @@ func TestDistPowerOfTwoWorkers(t *testing.T) {
 	runDistVsLocal[float64](t, 512, 64, 1, 4, 3, 1e-12)
 }
 
-// TestDistDrain cancels a long benchmark-mode run mid-flight and requires
-// a coordinated drain: Run returns cleanly with fewer rounds than asked,
-// and every worker exits without error — the SIGTERM semantics of
-// cmd/qrdist.
+// TestDistDrain cancels a long run mid-flight and requires a coordinated
+// drain: Run returns cleanly with fewer rounds than asked, and every worker
+// exits without error — the SIGTERM semantics of cmd/qrdist.
 func TestDistDrain(t *testing.T) {
 	// Far more rounds than any host finishes before the cancel below fires
 	// (a round of this shape is ~0.25 ms; 1000 of them fit in the delay).
+	// The 192×32 matrix is shipped once, 96 rows a worker.
 	const W, rounds = 2, 1_000_000
 	c, err := NewCoordinator(Config{
 		Workers: W, NB: 32, IB: 8, Rounds: rounds, Window: 2, LocalWorkers: 1,
-		GenSeed: 42, GenRows: 96, GenCols: 32, GenRHS: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +155,7 @@ func TestDistDrain(t *testing.T) {
 		time.Sleep(300 * time.Millisecond)
 		cancel()
 	}()
-	res, err := Run[float64](ctx, c, nil, nil)
+	res, err := Run(ctx, c, tile.RandDense[float64](192, 32, 42), tile.RandDense[float64](192, 1, 43))
 	if err != nil {
 		t.Fatalf("drain must complete cleanly, got %v", err)
 	}
@@ -164,6 +165,53 @@ func TestDistDrain(t *testing.T) {
 	}
 	if res.Stats.Rounds != res.Rounds {
 		t.Errorf("stats rounds %d != result rounds %d", res.Stats.Rounds, res.Rounds)
+	}
+}
+
+// TestDistRefusesOldProtocol: a version-1 peer (which could be told to
+// generate its own shard, and would wait forever for one now) is turned
+// away at the handshake with the version-mismatch error, and the refused
+// run leaves no goroutine behind.
+func TestDistRefusesOldProtocol(t *testing.T) {
+	c, err := NewCoordinator(Config{Workers: 1, NB: 32, IB: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", c.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeJSON(conn, KindHello, 0, helloMsg{Proto: 1, PeerAddr: "127.0.0.1:1"}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(context.Background(), c, tile.RandDense[float64](64, 32, 1), nil)
+	if err == nil || !strings.Contains(err.Error(), "protocol version mismatch: worker 1, coordinator 2") {
+		t.Fatalf("a proto-1 hello must be refused with the version mismatch, got %v", err)
+	}
+	// The coordinator hung up on the refused peer.
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, _, err := ReadFrame(conn, nil); err == nil {
+		t.Error("refused peer was sent a frame; want its connection closed")
+	}
+	// Every goroutine the run started is gone: none but this test's own is
+	// left inside the package.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		buf := make([]byte, 1<<20)
+		var left []string
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "tiledqr/internal/dist.") && !strings.Contains(g, "TestDistRefusesOldProtocol") {
+				left = append(left, g)
+			}
+		}
+		if len(left) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left after the refused handshake:\n%s", len(left), strings.Join(left, "\n\n"))
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -15,7 +15,10 @@ import (
 
 // protoVersion gates the handshake: a coordinator and worker from
 // different builds fail loudly at connect instead of corrupting frames.
-const protoVersion = 1
+// Version 2 dropped worker-side shard generation (a seed in the config):
+// every worker now waits for a shard frame, which a version-1 coordinator
+// in that mode never sends, so the two must not get past the handshake.
+const protoVersion = 2
 
 // helloMsg is the worker's opening frame: its protocol version and the
 // address its peer listener accepts reduction-tree connections on.
@@ -43,7 +46,6 @@ type wireConfig struct {
 	Kern         int      `json:"kern"`
 	Rounds       int      `json:"rounds"`
 	Allow        int      `json:"allow"`
-	GenSeed      int64    `json:"gen_seed,omitempty"`
 	LocalWorkers int      `json:"local_workers,omitempty"`
 }
 

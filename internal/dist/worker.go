@@ -25,8 +25,8 @@ import (
 
 // RunWorker connects to a coordinator, runs the configured shard to
 // completion (or coordinated drain), and returns. It is the body of
-// cmd/qrworker and of the in-process workers the benchmark and tests
-// spawn as goroutines.
+// cmd/qrworker and of the in-process workers bench/ and the tests spawn
+// as goroutines.
 func RunWorker(ctx context.Context, coordAddr string) error {
 	conn, err := net.DialTimeout("tcp", coordAddr, 10*time.Second)
 	if err != nil {
@@ -139,36 +139,24 @@ func runShard[T vec.Scalar](ctx context.Context, conn net.Conn, cfg *wireConfig,
 	rt := sched.NewRuntime(cfg.LocalWorkers)
 	defer rt.Close()
 
-	// Shard data: shipped once by the coordinator (data mode), or
-	// regenerated locally from the configured seed (benchmark mode, which
-	// keeps the bulk wire traffic down to R triangles and Qᵀb blocks).
+	// Shard data, shipped once by the coordinator.
 	shard := tile.NewDense[T](cfg.ShardRows, n)
 	var rhs *tile.Dense[T]
+	fr, buf, err := ReadFrame(conn, nil)
+	if err != nil || fr.Kind != KindShard {
+		return fmt.Errorf("dist: rank %d reading shard: kind=%d err=%w", rank, fr.Kind, err)
+	}
+	if err := unpackDense(shard.Data, shard.Stride, &fr); err != nil {
+		return err
+	}
 	if nrhs > 0 {
 		rhs = tile.NewDense[T](cfg.ShardRows, nrhs)
-	}
-	if cfg.GenSeed != 0 {
-		shard = tile.RandDense[T](cfg.ShardRows, n, cfg.GenSeed+int64(rank)*7919)
-		if nrhs > 0 {
-			rhs = tile.RandDense[T](cfg.ShardRows, nrhs, cfg.GenSeed+int64(rank)*7919+1)
+		fr, _, err = ReadFrame(conn, buf)
+		if err != nil || fr.Kind != KindRHS {
+			return fmt.Errorf("dist: rank %d reading rhs: kind=%d err=%w", rank, fr.Kind, err)
 		}
-	} else {
-		var buf []byte
-		f, buf, err := ReadFrame(conn, buf)
-		if err != nil || f.Kind != KindShard {
-			return fmt.Errorf("dist: rank %d reading shard: kind=%d err=%w", rank, f.Kind, err)
-		}
-		if err := unpackDense(shard.Data, shard.Stride, &f); err != nil {
+		if err := unpackDense(rhs.Data, rhs.Stride, &fr); err != nil {
 			return err
-		}
-		if nrhs > 0 {
-			f, _, err = ReadFrame(conn, buf)
-			if err != nil || f.Kind != KindRHS {
-				return fmt.Errorf("dist: rank %d reading rhs: kind=%d err=%w", rank, f.Kind, err)
-			}
-			if err := unpackDense(rhs.Data, rhs.Stride, &f); err != nil {
-				return err
-			}
 		}
 	}
 

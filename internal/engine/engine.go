@@ -9,9 +9,9 @@
 //
 // Execution placement goes through Env: a shared persistent sched.Runtime
 // (the default — many factorizations, one worker pool), a per-call pool
-// (the legacy mode, kept as the explicit-Workers path and benchmark
-// baseline), or inline on the calling goroutine (Workers == 1, and DAGs too
-// small to be worth a cross-goroutine hop). Kernel workspaces are owned by
+// (the explicit-Workers path), or inline on the calling goroutine
+// (Workers == 1, and DAGs too small to be worth a cross-goroutine hop).
+// Kernel workspaces are owned by
 // the workers themselves — one grow-only buffer per arithmetic domain in
 // each worker's sched.Local — so repeated factorizations allocate no
 // scratch.

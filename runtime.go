@@ -21,8 +21,7 @@ import (
 // Construct a dedicated Runtime to bound a subsystem's parallelism or to
 // isolate latency-sensitive work, and Close it when done. Setting
 // Options.Workers > 1 instead opts out of sharing entirely: a private pool
-// is built and torn down around that one call (the pre-runtime behavior,
-// kept as the benchmark baseline).
+// is built and torn down around that one call — the explicit-width path.
 type Runtime struct {
 	s *sched.Runtime
 }
