@@ -127,9 +127,10 @@ tune:
 # least-squares solve, streaming and served-request (body decode, whole
 # solve handler) figures, a tiny qrstream ingestion with verification (plain and
 # sliding-window/forgetting modes) and a traced complex qrfactor run that
-# must print its Gantt chart, to prove the harnesses still work.
+# must print its Gantt chart, to prove the harnesses still work. CI runs this
+# target; it keeps no copy of the commands.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Figure4|^BenchmarkSolveLS$$|StreamAppendDouble$$|^BenchmarkDecodeBody$$|^BenchmarkHandleSolve$$' -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench 'Figure4|Figure5KernelsDouble$$|^BenchmarkSolveLS$$|StreamAppendDouble$$|^BenchmarkDecodeBody$$|^BenchmarkHandleSolve$$' -benchtime 1x ./...
 	$(GO) run ./cmd/qrstream -n 96 -nb 32 -batch 64 -batches 6 -rhs 1 -verify
 	$(GO) run ./cmd/qrstream -n 96 -nb 32 -batch 64 -batches 8 -rhs 1 -window 192 -forget 0.99 -verify
 	$(GO) run ./cmd/qrfactor -m 300 -n 100 -nb 50 -workers 2 -complex -gantt | grep '^w0 '

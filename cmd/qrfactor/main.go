@@ -22,8 +22,8 @@ func main() {
 	n := flag.Int("n", 400, "columns")
 	nb := flag.Int("nb", 100, "tile size")
 	ib := flag.Int("ib", 0, "inner blocking (0 = library default, capped at nb)")
-	algName := flag.String("alg", "Greedy", "FlatTree|BinaryTree|Fibonacci|Greedy|Asap|Grasap|PlasmaTree|Auto")
-	bs := flag.Int("bs", 0, "PlasmaTree domain size (0 = pick best by critical path)")
+	algName := flag.String("alg", "Greedy", "Greedy|FlatTree|BinaryTree|Fibonacci|Asap|Grasap|PlasmaTree|HadriTree|Auto (any case)")
+	bs := flag.Int("bs", 0, "PlasmaTree/HadriTree domain size (0 = PlasmaTree picks the best by critical path)")
 	grasapK := flag.Int("grasapk", 1, "Grasap trailing Asap columns")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	kern := flag.String("kernels", "TT", "TT|TS")
@@ -33,19 +33,13 @@ func main() {
 	seed := flag.Int64("seed", 1, "matrix seed")
 	flag.Parse()
 
-	algs := map[string]tiledqr.Algorithm{
-		"FlatTree": tiledqr.FlatTree, "BinaryTree": tiledqr.BinaryTree,
-		"Fibonacci": tiledqr.Fibonacci, "Greedy": tiledqr.Greedy,
-		"Asap": tiledqr.Asap, "Grasap": tiledqr.Grasap, "PlasmaTree": tiledqr.PlasmaTree,
-		"Auto": tiledqr.AlgorithmAuto,
+	alg, err := tiledqr.ParseAlgorithm(*algName)
+	if err != nil {
+		log.Fatal(err)
 	}
-	alg, ok := algs[*algName]
-	if !ok {
-		log.Fatalf("unknown algorithm %q", *algName)
-	}
-	kernels, ok := map[string]tiledqr.Kernels{"TT": tiledqr.TT, "TS": tiledqr.TS}[*kern]
-	if !ok {
-		log.Fatalf("unknown kernels %q (want TT or TS)", *kern)
+	kernels, err := tiledqr.ParseKernels(*kern)
+	if err != nil {
+		log.Fatal(err)
 	}
 	opt := tiledqr.Options{
 		Algorithm: alg, Kernels: kernels, TileSize: *nb, InnerBlock: *ib,
@@ -67,7 +61,6 @@ func main() {
 			resolved.Algorithm, resolved.Kernels, resolved.TileSize, resolved.InnerBlock)
 		opt = resolved
 		alg, *nb = resolved.Algorithm, resolved.TileSize
-		*algName, *kern = resolved.Algorithm.String(), resolved.Kernels.String()
 	}
 	p := (*m + *nb - 1) / *nb
 	q := (*n + *nb - 1) / *nb
@@ -81,8 +74,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%s(%s): %d×%d, %d×%d tiles of %d, critical path %d units\n",
-		*algName, *kern, *m, *n, p, q, *nb, cp)
+	fmt.Printf("%v(%v): %d×%d, %d×%d tiles of %d, critical path %d units\n",
+		opt.Algorithm, opt.Kernels, *m, *n, p, q, *nb, cp)
 
 	if *complexArith {
 		err = run[complex128](*m, *n, *seed, opt, model.ComplexFlops(*m, *n), *verify, *gantt)

@@ -51,7 +51,8 @@ type Endpoint struct {
 	InnerBlock int
 	// VaryMatrix randomizes the solve matrix per request. Off by default:
 	// a fleet of solves against one shared design matrix is the
-	// model-serving workload the server's coalescer accelerates.
+	// model-serving workload, and the one where a solve can arrive while
+	// another thread's identical matrix is being factored and share it.
 	VaryMatrix bool
 }
 

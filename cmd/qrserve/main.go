@@ -4,8 +4,10 @@
 // solves are served from the resident triangle), and reusable FactorInto
 // sessions, in all four precisions, with per-tenant admission quotas,
 // queue-depth backpressure (429 + Retry-After), same-matrix solve
-// coalescing, and a graceful SIGTERM drain: in-flight requests finish, new
-// ones get 503, and the runtime quiesces before the process exits.
+// coalescing (solves that arrive while an identical matrix is being
+// factored share that factorization), and a graceful SIGTERM drain:
+// in-flight requests finish, new ones get 503, and the runtime quiesces
+// before the process exits.
 //
 //	qrserve -addr :8787
 //	curl -s localhost:8787/healthz
@@ -41,7 +43,6 @@ var (
 	flagTenantAct  = flag.Int("tenant-active", 0, "per-tenant concurrent requests (0 = default 32, <0 disables quotas)")
 	flagTenantQ    = flag.Int("tenant-queued", 0, "per-tenant waiting requests (0 = default 64)")
 
-	flagCoalesce    = flag.Duration("coalesce", 0, "same-matrix solve coalescing window (0 = default 2ms, <0 disables)")
 	flagSessionTTL  = flag.Duration("session-ttl", 0, "idle session eviction TTL (0 = default 5m)")
 	flagMaxSessions = flag.Int("max-sessions", 0, "session table bound (0 = default 1024)")
 
@@ -62,13 +63,12 @@ func run() error {
 	rt := tiledqr.NewRuntime(*flagWorkers)
 	defer rt.Close()
 	srv := serve.New(serve.Config{
-		Runtime:        rt,
-		MaxQueueDepth:  *flagQueueDepth,
-		TenantActive:   *flagTenantAct,
-		TenantQueued:   *flagTenantQ,
-		CoalesceWindow: *flagCoalesce,
-		SessionTTL:     *flagSessionTTL,
-		MaxSessions:    *flagMaxSessions,
+		Runtime:       rt,
+		MaxQueueDepth: *flagQueueDepth,
+		TenantActive:  *flagTenantAct,
+		TenantQueued:  *flagTenantQ,
+		SessionTTL:    *flagSessionTTL,
+		MaxSessions:   *flagMaxSessions,
 	})
 	defer srv.Close()
 

@@ -255,9 +255,9 @@
 // travels as interleaved re/im pairs). The server layers serving concerns
 // over the runtime's weighted-fair admission: per-tenant concurrency
 // quotas, 429 + Retry-After backpressure when the runtime's task backlog
-// exceeds a bound, and coalescing of concurrent solves that share a
-// design matrix into one factorization plus a single multi-column
-// SolveLS. On SIGTERM it drains gracefully — in-flight requests finish,
+// exceeds a bound, and coalescing: solves that arrive while an identical
+// design matrix is being factored share that factorization and a single
+// multi-column SolveLS. On SIGTERM it drains gracefully — in-flight requests finish,
 // new ones get 503, and Runtime.Drain quiesces the pool before exit.
 // Runtime.Stats exposes the pool's worker count, ready-task backlog and
 // in-flight job count for exactly this kind of supervision, and the

@@ -25,20 +25,9 @@ func main() {
 	alg := flag.String("alg", "Greedy", "algorithm: FlatTree|BinaryTree|Fibonacci|Greedy|Asap")
 	flag.Parse()
 
-	var algorithm tiledqr.Algorithm
-	switch *alg {
-	case "FlatTree":
-		algorithm = tiledqr.FlatTree
-	case "BinaryTree":
-		algorithm = tiledqr.BinaryTree
-	case "Fibonacci":
-		algorithm = tiledqr.Fibonacci
-	case "Greedy":
-		algorithm = tiledqr.Greedy
-	case "Asap":
-		algorithm = tiledqr.Asap
-	default:
-		log.Fatalf("unknown algorithm %q", *alg)
+	algorithm, err := tiledqr.ParseAlgorithm(*alg)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// Per-tile zeroing time-steps, Table 3 style.

@@ -65,11 +65,12 @@ func BenchmarkDecodeBody(b *testing.B) {
 }
 
 // BenchmarkHandleSolve runs the whole /v1/solve handler in process — read,
-// decode, hash, factor, solve, encode — on the benchmark's request.
+// decode, hash, factor, solve, encode — on the benchmark's request, which
+// has the coalescer to itself and so waits for nobody.
 func BenchmarkHandleSolve(b *testing.B) {
 	rt := tiledqr.NewRuntime(2)
 	defer rt.Close()
-	s := New(Config{Runtime: rt}) // qrserve's configuration, coalescing window included
+	s := New(Config{Runtime: rt}) // qrserve's configuration
 	defer s.Close()
 	body := solveBody(b)
 	b.SetBytes(int64(len(body)))

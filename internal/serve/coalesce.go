@@ -1,195 +1,164 @@
 package serve
 
 import (
+	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"fmt"
-	"math"
+	"errors"
+	"hash/maphash"
 	"sync"
-	"time"
+	"unsafe"
 
 	"tiledqr"
 )
 
-// The coalescer batches many small least-squares solves that share the same
-// matrix into one DAG submission: the first request for a given (precision,
-// options, matrix) key becomes the batch leader, waits a short window for
-// followers, then factors the matrix once and solves every gathered
-// right-hand side in a single multi-column SolveLS. A fleet of clients
+// The coalescer lets least-squares solves that share a matrix share its
+// factorization. The first request for a (precision, options, matrix) key
+// registers a batch and submits the factorization at once; requests with
+// the identical matrix that arrive while that factorization is queued or
+// running join the batch; when it returns the leader seals the batch, runs
+// one multi-column SolveLS over every gathered right-hand side and hands
+// each waiter its columns. The gathering window is the factor time, so it
+// scales with the matrix and the runtime's backlog by itself, and a request
+// whose matrix nobody else is sending waits for nothing. A fleet of clients
 // querying one design matrix — the canonical model-serving workload — costs
-// one factorization per window instead of one per request, and the runtime
-// sees one well-shaped job instead of many duplicates. Requests whose
-// matrices differ simply form single-member batches.
+// one factorization per burst instead of one per request.
 
-// coalesceKey identifies solves that may share a factorization.
+// maxBatch bounds one batch; a request that finds its batch full leads the
+// next one.
+const maxBatch = 16
+
+// errLeaderFailed is what a batch's waiters get when its leader leaves
+// without a result and without an error of its own (it panicked).
+var errLeaderFailed = errors.New("batch leader failed")
+
+// coalesceKey finds the solves that may share a factorization: the same
+// precision, the option fields that change a factorization's result or
+// plan, the same shape. The hash is only a way into the map: what keeps two
+// different matrices apart is the comparison with the leader's matrix on
+// every hit.
 type coalesceKey struct {
-	prec string
-	opt  optKey
-	hash [sha256.Size]byte
-}
-
-// optKey is the comparable fingerprint of the option fields that change a
-// factorization's result or plan.
-type optKey struct {
+	prec        string
 	algorithm   tiledqr.Algorithm
 	kernels     tiledqr.Kernels
 	tileSize    int
 	innerBlock  int
 	checkHealth bool
+	rows, cols  int
+	hash        uint64
 }
 
-func optKeyOf(o tiledqr.Options) optKey {
-	return optKey{
-		algorithm:   o.Algorithm,
-		kernels:     o.Kernels,
-		tileSize:    o.TileSize,
-		innerBlock:  o.InnerBlock,
-		checkHealth: o.CheckHealth,
-	}
+// dataBytes views a wire matrix's values as the bytes they occupy, so that
+// hashing and comparing them are one library call each and are exact: +0
+// and −0 differ.
+func dataBytes(m *Matrix) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(m.Data))), 8*len(m.Data))
 }
 
-// hashMatrix fingerprints a wire matrix's exact bit pattern. The values are
-// fed to SHA-256 a block of 512 at a time: one Write per value spends more
-// time entering the hash than hashing.
-func hashMatrix(m *Matrix) [sha256.Size]byte {
-	h := sha256.New()
-	var buf [4096]byte
-	binary.LittleEndian.PutUint64(buf[0:], uint64(m.Rows))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(m.Cols))
-	n := 16
-	for _, v := range m.Data {
-		if n == len(buf) {
-			h.Write(buf[:])
-			n = 0
-		}
-		binary.LittleEndian.PutUint64(buf[n:], math.Float64bits(v))
-		n += 8
-	}
-	h.Write(buf[:n])
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
-}
-
-// solveWaiter is one request's slot in a batch.
+// solveWaiter is one request's slot in a batch; the leader fills it before
+// done closes.
 type solveWaiter struct {
 	rhs  *Matrix
-	x    *Matrix // filled by the leader before done closes
-	size int     // batch size, for the response's coalesced count
+	x    *Matrix
+	size int // batch size, for the response's coalesced count
 	err  error
 }
 
-// solveBatch is one in-flight batch: the leader owns the timer and the
-// submission; followers append under mu and wait on done.
+// solveBatch is one in-flight batch. It admits waiters for as long as it is
+// in the pending map; waiters is guarded by the coalescer's lock until then
+// and is the leader's alone afterwards.
 type solveBatch struct {
-	mu      sync.Mutex
-	sealed  bool
+	a       *Matrix // the leader's matrix, never written
 	waiters []*solveWaiter
 	done    chan struct{}
 }
 
-// coalescer groups concurrent same-key solves. window == 0 disables
-// batching (every request is its own leader with no wait).
+// coalescer groups concurrent same-key solves.
 type coalescer struct {
-	window   time.Duration
-	maxBatch int
+	seed maphash.Seed
 
 	mu      sync.Mutex
 	pending map[coalesceKey]*solveBatch
 }
 
-func newCoalescer(window time.Duration, maxBatch int) *coalescer {
-	if maxBatch < 1 {
-		maxBatch = 16
+func newCoalescer() *coalescer {
+	return &coalescer{seed: maphash.MakeSeed(), pending: make(map[coalesceKey]*solveBatch)}
+}
+
+func (c *coalescer) key(o ops, a *Matrix, opt tiledqr.Options) coalesceKey {
+	return coalesceKey{
+		prec:      o.Precision(),
+		algorithm: opt.Algorithm, kernels: opt.Kernels,
+		tileSize: opt.TileSize, innerBlock: opt.InnerBlock, checkHealth: opt.CheckHealth,
+		rows: a.Rows, cols: a.Cols,
+		hash: maphash.Bytes(c.seed, dataBytes(a)),
 	}
-	return &coalescer{window: window, maxBatch: maxBatch, pending: make(map[coalesceKey]*solveBatch)}
 }
 
 // solve runs one solve request through the coalescer. ctx cancels only this
 // caller's wait, never a batch another caller leads; the batch itself
 // executes under execCtx (the server's base context), so one client
 // disconnecting cannot fail its batch-mates.
-func (c *coalescer) solve(ctx, execCtx context.Context, o ops, a *Matrix, rhs *Matrix,
-	opt tiledqr.Options, st *serverStats) (*Matrix, int, error) {
-	if c.window <= 0 {
-		xs, _, err := o.Solve(execCtx, a, []*Matrix{rhs}, opt)
-		st.factorizations.Add(1)
-		st.batches.Add(1)
-		if err != nil {
-			return nil, 0, err
-		}
-		return xs[0], 1, nil
-	}
-	key := coalesceKey{prec: o.Precision(), opt: optKeyOf(opt), hash: hashMatrix(a)}
+func (c *coalescer) solve(ctx, execCtx context.Context, o ops, a, rhs *Matrix,
+	opt tiledqr.Options, st *serverStats) (x *Matrix, size int, err error) {
+	key := c.key(o, a, opt)
 	w := &solveWaiter{rhs: rhs}
 
 	c.mu.Lock()
-	if b := c.pending[key]; b != nil {
-		b.mu.Lock()
-		if !b.sealed && len(b.waiters) < c.maxBatch {
-			b.waiters = append(b.waiters, w)
-			b.mu.Unlock()
-			c.mu.Unlock()
-			select {
-			case <-b.done:
-				return w.x, w.size, w.err
-			case <-ctx.Done():
-				// The leader will still solve for us; the result is simply
-				// dropped. Returning keeps cancellation prompt.
-				return nil, 0, ctx.Err()
-			}
+	if b := c.pending[key]; b != nil && len(b.waiters) < maxBatch && bytes.Equal(dataBytes(a), dataBytes(b.a)) {
+		b.waiters = append(b.waiters, w)
+		c.mu.Unlock()
+		select {
+		case <-b.done:
+			return w.x, w.size, w.err
+		case <-ctx.Done():
+			// The leader will still solve for us; the result is simply
+			// dropped. Returning keeps cancellation prompt.
+			return nil, 0, ctx.Err()
 		}
-		b.mu.Unlock()
-		// Sealed or full: fall through and lead a fresh batch for the key.
 	}
-	b := &solveBatch{waiters: []*solveWaiter{w}, done: make(chan struct{})}
+	// Nobody to join — or a full batch, or (once in 2⁶⁴) another matrix
+	// under the same hash: lead a batch, and take over the key.
+	b := &solveBatch{a: a, waiters: []*solveWaiter{w}, done: make(chan struct{})}
 	c.pending[key] = b
 	c.mu.Unlock()
 
-	// Lead: give followers the window, then seal and submit.
-	timer := time.NewTimer(c.window)
-	select {
-	case <-timer.C:
-	case <-execCtx.Done():
-		timer.Stop()
-	}
-	c.mu.Lock()
-	if c.pending[key] == b {
-		delete(c.pending, key)
-	}
-	c.mu.Unlock()
-	b.mu.Lock()
-	b.sealed = true
-	waiters := b.waiters
-	b.mu.Unlock()
-
-	rhsList := make([]*Matrix, len(waiters))
-	for i, wt := range waiters {
-		rhsList[i] = wt.rhs
-	}
-	xs, _, err := o.Solve(execCtx, a, rhsList, opt)
-	st.factorizations.Add(1)
-	st.batches.Add(1)
-	if n := len(waiters); n > 1 {
-		st.coalesced.Add(uint64(n))
-	}
-	for i, wt := range waiters {
-		wt.size = len(waiters)
-		if err != nil {
-			wt.err = err
-		} else {
-			wt.x = xs[i]
+	// seal closes the batch to joiners, under the lock a joiner takes. It
+	// runs when the factorization returns and again on the way out, for the
+	// exits that never got that far.
+	seal := func() []*solveWaiter {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.pending[key] == b {
+			delete(c.pending, key)
 		}
+		return b.waiters
 	}
-	close(b.done)
-	if w.err != nil {
-		return nil, 0, w.err
-	}
-	return w.x, w.size, nil
-}
-
-// String implements fmt.Stringer for debugging.
-func (k coalesceKey) String() string {
-	return fmt.Sprintf("%s/%x", k.prec, k.hash[:4])
+	var xs []*Matrix
+	defer func() {
+		waiters := seal()
+		if err == nil && len(xs) != len(waiters) {
+			err = errLeaderFailed
+		}
+		for i, wt := range waiters {
+			wt.size, wt.err = len(waiters), err
+			if err == nil {
+				wt.x = xs[i]
+			}
+		}
+		st.batches.Add(1)
+		if n := len(waiters); n > 1 {
+			st.coalesced.Add(uint64(n))
+		}
+		close(b.done)
+		x, size = w.x, w.size
+	}()
+	xs, _, err = o.NewReusable(opt).Submit(execCtx, a, func() []*Matrix {
+		waiters := seal()
+		gathered := make([]*Matrix, len(waiters))
+		for i, wt := range waiters {
+			gathered[i] = wt.rhs
+		}
+		return gathered
+	}, st)
+	return
 }

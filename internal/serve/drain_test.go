@@ -15,7 +15,7 @@ import (
 // Run with -race: the drain flag, in-flight counter and idler list are all
 // touched from every request goroutine.
 func TestDrainUnderLoad(t *testing.T) {
-	s, ts := newTestServer(t, Config{CoalesceWindow: -1})
+	s, ts := newTestServer(t, Config{})
 	a := wellConditioned(16, 6, "d")
 	rhs := matTimesOnes(a, "d", 1)
 

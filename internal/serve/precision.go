@@ -12,7 +12,7 @@ import (
 // The handlers are precision-blind: they speak to one of four domains
 // through the ops interface below, whose single generic implementation
 // (domain[T]) works on tiledqr.Mat[T] and calls the generic public API
-// (tiledqr.FactorOf/FactorIntoOf, tiledqr.Stream[T]) directly. The only
+// (tiledqr.FactorIntoOf, tiledqr.Stream[T]) directly. The only
 // per-precision code in the package is the four-entry domains table.
 
 // ops is one precision's view of the library, expressed over wire matrices.
@@ -23,17 +23,12 @@ type ops interface {
 	IsComplex() bool
 	// CheckMatrix validates a wire matrix for this domain.
 	CheckMatrix(m *Matrix, maxElems int) error
-	// Factor runs a one-shot factorization and returns R and the task count.
-	Factor(ctx context.Context, a *Matrix, opt tiledqr.Options) (*Matrix, int, error)
-	// Solve factors a once and solves min‖a·x − rhs‖₂ for every right-hand
-	// side in one multi-column SolveLS — the coalescing primitive. The
-	// returned slice is index-aligned with rhs.
-	Solve(ctx context.Context, a *Matrix, rhs []*Matrix, opt tiledqr.Options) ([]*Matrix, int, error)
 	// NewStream opens a streaming session over n columns. opt may carry
 	// WindowRows/Forget for windowed or forgetful streams.
 	NewStream(n int, opt tiledqr.Options) (streamOps, error)
-	// NewReusable opens a reusable factorization session (FactorInto
-	// arena reuse across same-shaped submissions).
+	// NewReusable opens a factorization target (FactorInto arena reuse
+	// across same-shaped submissions). A factor session keeps one; a
+	// one-shot request opens one and submits to it once.
 	NewReusable(opt tiledqr.Options) reusableOps
 }
 
@@ -49,11 +44,18 @@ type streamOps interface {
 	R() (*Matrix, error)
 }
 
-// reusableOps is a precision-blind FactorInto session: Submit factors a
-// (reusing the previous arena and plan when the shape matches) and either
-// solves against rhs or returns R when rhs is nil.
+// reusableOps is a precision-blind FactorInto target, and Submit is the one
+// place the server factors anything. It factors a (reusing the previous
+// arena and plan when the shape matches), counting it in st once it has
+// been handed to the runtime. With a nil gather the result is R alone.
+// Otherwise gather is called once, after the factorization has returned —
+// a factorization does not depend on its right-hand sides, so whoever
+// collects them has the whole factor time to do it — and the result is the
+// solution of min‖a·x − b‖₂ for every b it returns, index-aligned, from one
+// multi-column SolveLS. The callers have checked the shapes (checkLS). The
+// int is the task count.
 type reusableOps interface {
-	Submit(ctx context.Context, a, rhs *Matrix) (*Matrix, int, error)
+	Submit(ctx context.Context, a *Matrix, gather func() []*Matrix, st *serverStats) ([]*Matrix, int, error)
 }
 
 // domain is the one generic ops implementation.
@@ -64,36 +66,6 @@ func (d *domain[T]) IsComplex() bool   { return vec.IsComplex[T]() }
 
 func (d *domain[T]) CheckMatrix(m *Matrix, maxElems int) error {
 	return m.check(vec.IsComplex[T](), maxElems)
-}
-
-func (d *domain[T]) Factor(ctx context.Context, a *Matrix, opt tiledqr.Options) (*Matrix, int, error) {
-	f, err := tiledqr.FactorOf(ctx, decode[T](a), opt)
-	if err != nil {
-		return nil, 0, err
-	}
-	return encode(f.R()), f.TaskCount(), nil
-}
-
-func (d *domain[T]) Solve(ctx context.Context, a *Matrix, rhs []*Matrix, opt tiledqr.Options) ([]*Matrix, int, error) {
-	if a.Rows < a.Cols {
-		return nil, 0, fmt.Errorf("least squares wants rows ≥ cols, got %d×%d", a.Rows, a.Cols)
-	}
-	widths := make([]int, len(rhs))
-	for k, b := range rhs {
-		if b.Rows != a.Rows {
-			return nil, 0, fmt.Errorf("right-hand side has %d rows, matrix has %d", b.Rows, a.Rows)
-		}
-		widths[k] = b.Cols
-	}
-	f, err := tiledqr.FactorOf(ctx, decode[T](a), opt)
-	if err != nil {
-		return nil, 0, err
-	}
-	x, err := f.SolveLSCtx(ctx, hcat[T](rhs, vec.IsComplex[T]()))
-	if err != nil {
-		return nil, 0, err
-	}
-	return splitCols(x, widths), f.TaskCount(), nil
 }
 
 func (d *domain[T]) NewStream(n int, opt tiledqr.Options) (streamOps, error) {
@@ -155,24 +127,29 @@ type reusableSession[T vec.Scalar] struct {
 	opt tiledqr.Options
 }
 
-func (w *reusableSession[T]) Submit(ctx context.Context, a, rhs *Matrix) (*Matrix, int, error) {
-	if rhs != nil && a.Rows < a.Cols {
-		return nil, 0, fmt.Errorf("least squares wants rows ≥ cols, got %d×%d", a.Rows, a.Cols)
+func (w *reusableSession[T]) Submit(ctx context.Context, a *Matrix, gather func() []*Matrix, st *serverStats) ([]*Matrix, int, error) {
+	err := tiledqr.FactorIntoOf(ctx, &w.f, decode[T](a), w.opt)
+	// Options the library refuses are refused before a DAG exists, and a
+	// target that has never had a DAG reports no tasks.
+	if err == nil || w.f.TaskCount() > 0 {
+		st.factorizations.Add(1)
 	}
-	if rhs != nil && rhs.Rows != a.Rows {
-		return nil, 0, fmt.Errorf("right-hand side has %d rows, matrix has %d", rhs.Rows, a.Rows)
-	}
-	if err := tiledqr.FactorIntoOf(ctx, &w.f, decode[T](a), w.opt); err != nil {
-		return nil, 0, err
-	}
-	if rhs == nil {
-		return encode(w.f.R()), w.f.TaskCount(), nil
-	}
-	x, err := w.f.SolveLSCtx(ctx, decode[T](rhs))
 	if err != nil {
 		return nil, 0, err
 	}
-	return encode(x), w.f.TaskCount(), nil
+	if gather == nil {
+		return []*Matrix{encode(w.f.R())}, w.f.TaskCount(), nil
+	}
+	rhs := gather()
+	widths := make([]int, len(rhs))
+	for k, b := range rhs {
+		widths[k] = b.Cols
+	}
+	x, err := w.f.SolveLSCtx(ctx, hcat[T](rhs, vec.IsComplex[T]()))
+	if err != nil {
+		return nil, 0, err
+	}
+	return splitCols(x, widths), w.f.TaskCount(), nil
 }
 
 // domains maps the wire precision tag to its ops.

@@ -3,8 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"io"
 	"math"
@@ -73,7 +71,7 @@ func TestUnencodableReplyIsNotAnEmpty200(t *testing.T) {
 
 // TestDoubleAdoptsWireData pins both halves of the no-copy path: a double-
 // precision wire matrix becomes the dense matrix's storage, and nothing a
-// request can do with it — factor, solve, reusable factor, stream append —
+// request can do with it — factor, solve, coalesced solve, stream append —
 // writes to it.
 func TestDoubleAdoptsWireData(t *testing.T) {
 	a, b := wellConditioned(24, 6, "d"), matTimesOnes(wellConditioned(24, 6, "d"), "d", 2)
@@ -87,14 +85,12 @@ func TestDoubleAdoptsWireData(t *testing.T) {
 	rt := tiledqr.NewRuntime(2)
 	defer rt.Close()
 	o, opt, ctx := domains["d"], tiledqr.Options{Runtime: rt, TileSize: 4}, context.Background()
-	if _, _, err := o.Factor(ctx, a, opt); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := o.Solve(ctx, a, []*Matrix{b}, opt); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := o.NewReusable(opt).Submit(ctx, a, b); err != nil {
-		t.Fatal(err)
+	var stats serverStats
+	reuse := o.NewReusable(opt)
+	for _, gather := range []func() []*Matrix{nil, func() []*Matrix { return []*Matrix{b} }, func() []*Matrix { return []*Matrix{b, b} }} {
+		if _, _, err := reuse.Submit(ctx, a, gather, &stats); err != nil {
+			t.Fatal(err)
+		}
 	}
 	opt.WindowRows = 30 // the second append evicts: the downdate path runs too
 	st, err := o.NewStream(a.Cols, opt)
@@ -111,24 +107,6 @@ func TestDoubleAdoptsWireData(t *testing.T) {
 			if math.Float64bits(m[0][i]) != math.Float64bits(m[1][i]) {
 				t.Fatalf("%s value %d was overwritten: %v, sent %v", k, i, m[1][i], m[0][i])
 			}
-		}
-	}
-}
-
-// TestHashMatrixIsTheDigestOfTheBits holds the blocked hashMatrix to the
-// definition: SHA-256 over rows, cols and every value, little-endian — at
-// sizes on both sides of its block boundaries.
-func TestHashMatrixIsTheDigestOfTheBits(t *testing.T) {
-	for _, n := range []int{0, 1, 509, 510, 511, 512, 1022, 1023, 5000} {
-		m := &Matrix{Rows: n, Cols: 1, Data: make([]float64, n)}
-		ref := binary.LittleEndian.AppendUint64(nil, uint64(m.Rows))
-		ref = binary.LittleEndian.AppendUint64(ref, uint64(m.Cols))
-		for i := range m.Data {
-			m.Data[i] = math.Sqrt(float64(i)) - 7
-			ref = binary.LittleEndian.AppendUint64(ref, math.Float64bits(m.Data[i]))
-		}
-		if hashMatrix(m) != sha256.Sum256(ref) {
-			t.Errorf("%d values: hashMatrix is not the digest of the matrix's bits", n)
 		}
 	}
 }

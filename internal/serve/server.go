@@ -16,7 +16,8 @@ import (
 )
 
 // Config sizes a Server. The zero value of every field selects a sensible
-// default; Runtime is the only required field.
+// default; Runtime is the only required field. Solve coalescing has nothing
+// to size: its gathering window is the factor time (coalesce.go).
 type Config struct {
 	// Runtime is the shared worker pool every request's DAG executes on.
 	// Admission across concurrent requests is the runtime's weighted-fair
@@ -40,12 +41,6 @@ type Config struct {
 	TenantActive int
 	TenantQueued int
 
-	// CoalesceWindow is how long the first of a burst of identical-matrix
-	// solves waits for companions before factoring (default 2ms; negative
-	// disables coalescing). CoalesceMax bounds one batch (default 16).
-	CoalesceWindow time.Duration
-	CoalesceMax    int
-
 	// SessionTTL evicts sessions idle longer than this (default 5m);
 	// MaxSessions bounds the table (default 1024).
 	SessionTTL  time.Duration
@@ -67,12 +62,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TenantQueued == 0 {
 		c.TenantQueued = 64
-	}
-	if c.CoalesceWindow == 0 {
-		c.CoalesceWindow = 2 * time.Millisecond
-	}
-	if c.CoalesceMax == 0 {
-		c.CoalesceMax = 16
 	}
 	if c.SessionTTL == 0 {
 		c.SessionTTL = 5 * time.Minute
@@ -115,7 +104,7 @@ func New(cfg Config) *Server {
 		mux:      http.NewServeMux(),
 		sessions: newSessionTable(cfg.SessionTTL, cfg.MaxSessions),
 		limiter:  newLimiter(cfg.TenantActive, cfg.TenantQueued),
-		coal:     newCoalescer(cfg.CoalesceWindow, cfg.CoalesceMax),
+		coal:     newCoalescer(),
 	}
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -169,8 +158,9 @@ func (s *Server) AwaitIdle(ctx context.Context) error {
 	}
 }
 
-// Close cancels the server's base context (failing any coalesced batches
-// still waiting for their window). It does not touch the runtime.
+// Close cancels the server's base context, under which coalesced batches
+// factor and solve: one still in flight fails, for every request waiting on
+// it. It does not touch the runtime.
 func (s *Server) Close() { s.cancel() }
 
 // InFlight returns the number of compute requests currently being served.
@@ -328,29 +318,20 @@ func (w *WireOptions) options(rt *tiledqr.Runtime) (tiledqr.Options, error) {
 	if w == nil {
 		return opt, nil
 	}
-	switch w.Algorithm {
-	case "", "greedy":
-		opt.Algorithm = tiledqr.Greedy
-	case "auto":
-		opt.Algorithm = tiledqr.AlgorithmAuto
-	case "flattree":
-		opt.Algorithm = tiledqr.FlatTree
-	case "binarytree":
-		opt.Algorithm = tiledqr.BinaryTree
-	case "fibonacci":
-		opt.Algorithm = tiledqr.Fibonacci
-	case "asap":
-		opt.Algorithm = tiledqr.Asap
-	default:
-		return opt, fmt.Errorf("unknown algorithm %q", w.Algorithm)
+	var err error
+	if w.Algorithm != "" {
+		if opt.Algorithm, err = tiledqr.ParseAlgorithm(w.Algorithm); err != nil {
+			return opt, err
+		}
 	}
-	switch w.Kernels {
-	case "", "tt":
-		opt.Kernels = tiledqr.TT
-	case "ts":
-		opt.Kernels = tiledqr.TS
-	default:
-		return opt, fmt.Errorf("unknown kernel family %q", w.Kernels)
+	switch opt.Algorithm {
+	case tiledqr.PlasmaTree, tiledqr.HadriTree, tiledqr.Grasap:
+		return opt, fmt.Errorf("algorithm %v takes a parameter (BS, GrasapK) the wire options do not carry", opt.Algorithm)
+	}
+	if w.Kernels != "" {
+		if opt.Kernels, err = tiledqr.ParseKernels(w.Kernels); err != nil {
+			return opt, err
+		}
 	}
 	if w.TileSize < 0 || w.InnerBlock < 0 {
 		return opt, fmt.Errorf("tile_size and inner_block must be ≥ 0")
@@ -390,16 +371,15 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	rm, tasks, err := o.Factor(r.Context(), req.Matrix, opt)
-	s.stats.factorizations.Add(1)
+	res, tasks, err := o.NewReusable(opt).Submit(r.Context(), req.Matrix, nil, &s.stats)
 	if err != nil {
 		s.failErr(w, err)
 		return
 	}
 	s.reply(w, factorReply{
-		R: rm, TaskCount: tasks,
+		R: res[0], TaskCount: tasks,
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-	}, namedMatrix{"r", rm})
+	}, namedMatrix{"r", res[0]})
 }
 
 type solveRequest struct {
@@ -434,10 +414,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "rhs: %v", err)
 		return
 	}
-	if req.RHS.Rows != req.Matrix.Rows || req.Matrix.Rows < req.Matrix.Cols {
-		s.fail(w, http.StatusBadRequest,
-			"solve wants matrix rows ≥ cols and rhs rows == matrix rows (matrix %d×%d, rhs %d×%d)",
-			req.Matrix.Rows, req.Matrix.Cols, req.RHS.Rows, req.RHS.Cols)
+	if err := checkLS(req.Matrix, req.RHS); err != nil {
+		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	start := time.Now()
@@ -450,6 +428,16 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		X: x, Coalesced: size,
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
 	}, namedMatrix{"x", x})
+}
+
+// checkLS is the shape contract of a least-squares solve, checked on each
+// request by itself before it can join anyone's batch.
+func checkLS(a, rhs *Matrix) error {
+	if rhs.Rows != a.Rows || a.Rows < a.Cols {
+		return fmt.Errorf("solve wants matrix rows ≥ cols and rhs rows == matrix rows (matrix %d×%d, rhs %d×%d)",
+			a.Rows, a.Cols, rhs.Rows, rhs.Cols)
+	}
+	return nil
 }
 
 // prep resolves precision and options and validates the primary matrix.
@@ -703,17 +691,22 @@ func (s *Server) handleStreamFactor(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	var gather func() []*Matrix
 	if req.RHS != nil {
 		if err := o.CheckMatrix(req.RHS, s.cfg.MaxElements); err != nil {
 			s.fail(w, http.StatusBadRequest, "rhs: %v", err)
 			return
 		}
+		if err := checkLS(req.Matrix, req.RHS); err != nil {
+			s.failErr(w, err) // 422, not /v1/solve's 400: the status this endpoint's clients already see
+			return
+		}
+		gather = func() []*Matrix { return []*Matrix{req.RHS} }
 	}
 	start := time.Now()
 	sess.mu.Lock()
-	res, tasks, err := sess.reuse.Submit(r.Context(), req.Matrix, req.RHS)
+	res, tasks, err := sess.reuse.Submit(r.Context(), req.Matrix, gather, &s.stats)
 	sess.mu.Unlock()
-	s.stats.factorizations.Add(1)
 	if err != nil {
 		s.failErr(w, err)
 		return
@@ -723,9 +716,9 @@ func (s *Server) handleStreamFactor(w http.ResponseWriter, r *http.Request) {
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
 	}
 	if req.RHS == nil {
-		reply.R = res
+		reply.R = res[0]
 	} else {
-		reply.X = res
+		reply.X = res[0]
 	}
 	s.reply(w, reply, namedMatrix{"r", reply.R}, namedMatrix{"x", reply.X})
 }

@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
@@ -145,7 +144,7 @@ func tolFor(prec string) float64 {
 }
 
 func TestSolveAllPrecisions(t *testing.T) {
-	_, ts := newTestServer(t, Config{CoalesceWindow: -1})
+	_, ts := newTestServer(t, Config{})
 	for _, prec := range []string{"d", "z", "s", "c"} {
 		t.Run(prec, func(t *testing.T) {
 			a := wellConditioned(12, 5, prec)
@@ -280,55 +279,6 @@ func TestReusableFactorSession(t *testing.T) {
 	}
 }
 
-func TestSolveCoalescing(t *testing.T) {
-	_, ts := newTestServer(t, Config{CoalesceWindow: 100 * time.Millisecond})
-	a := wellConditioned(10, 4, "d")
-	const n = 4
-	replies := make([]solveReply, n)
-	var wg sync.WaitGroup
-	for k := 0; k < n; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			rhs := matTimesOnes(a, "d", float64(k+1))
-			if code := postJSON(t, ts.URL+"/v1/solve", solveRequest{Matrix: a, RHS: rhs}, &replies[k]); code != http.StatusOK {
-				t.Errorf("solve %d: status %d", k, code)
-			}
-		}(k)
-	}
-	wg.Wait()
-	maxBatch := 0
-	for k := range replies {
-		if replies[k].X == nil {
-			t.Fatalf("solve %d: no solution", k)
-		}
-		for i := 0; i < 4; i++ {
-			want := float64(k + 1)
-			if got := solutionAt(replies[k].X, "d", i); math.Abs(got-want) > 1e-8 {
-				t.Fatalf("solve %d: x[%d] = %v, want %v", k, i, got, want)
-			}
-		}
-		if replies[k].Coalesced > maxBatch {
-			maxBatch = replies[k].Coalesced
-		}
-	}
-	// All four share one matrix and were fired inside a 100ms window: at
-	// least two must have shared a factorization.
-	if maxBatch < 2 {
-		t.Fatalf("no solves coalesced (max batch %d)", maxBatch)
-	}
-	var st Statsz
-	if code := getJSON(t, ts.URL+"/statsz", &st); code != http.StatusOK {
-		t.Fatalf("statsz: status %d", code)
-	}
-	if st.Server.SolveBatches >= uint64(n) {
-		t.Fatalf("statsz: %d batches for %d coalescible solves", st.Server.SolveBatches, n)
-	}
-	if st.Server.CoalescedRequests < 2 {
-		t.Fatalf("statsz: coalesced_requests = %d, want ≥ 2", st.Server.CoalescedRequests)
-	}
-}
-
 func TestStatszShape(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	a := wellConditioned(8, 4, "d")
@@ -350,6 +300,20 @@ func TestStatszShape(t *testing.T) {
 	if !ok || ep.Count < 1 || ep.P99MS <= 0 {
 		t.Fatalf("statsz: factor endpoint stats %+v", ep)
 	}
+	// Options the library refuses never reach the runtime: the request is
+	// counted, the factorization that did not happen is not.
+	refused := factorRequest{Matrix: a, Options: &WireOptions{TileSize: 8, InnerBlock: 16}}
+	if code := postJSON(t, ts.URL+"/v1/factor", refused, nil); code != http.StatusUnprocessableEntity {
+		t.Fatalf("factor with inner_block > tile_size: status %d, want 422", code)
+	}
+	var after Statsz
+	if code := getJSON(t, ts.URL+"/statsz", &after); code != http.StatusOK {
+		t.Fatalf("statsz: status %d", code)
+	}
+	if after.Server.Requests != st.Server.Requests+1 || after.Server.Factorizations != st.Server.Factorizations {
+		t.Fatalf("statsz after a refused factor: requests %d → %d, factorizations %d → %d, want +1 and +0",
+			st.Server.Requests, after.Server.Requests, st.Server.Factorizations, after.Server.Factorizations)
+	}
 }
 
 func TestRequestValidation(t *testing.T) {
@@ -363,6 +327,14 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown precision", "/v1/factor", factorRequest{Precision: "q", Matrix: wellConditioned(4, 2, "d")}, 400},
 		{"bad data length", "/v1/factor", factorRequest{Matrix: &Matrix{Rows: 2, Cols: 2, Data: []float64{1}}}, 400},
 		{"missing matrix", "/v1/factor", factorRequest{}, 400},
+		{"algorithm in any case", "/v1/factor", factorRequest{Matrix: wellConditioned(4, 2, "d"),
+			Options: &WireOptions{Algorithm: "FIBONACCI", Kernels: "ts"}}, 200},
+		{"unknown algorithm", "/v1/factor", factorRequest{Matrix: wellConditioned(4, 2, "d"),
+			Options: &WireOptions{Algorithm: "sameh-kuck"}}, 400},
+		{"algorithm whose parameter has no wire field", "/v1/factor", factorRequest{Matrix: wellConditioned(4, 2, "d"),
+			Options: &WireOptions{Algorithm: "plasmatree"}}, 400},
+		{"unknown kernel family", "/v1/factor", factorRequest{Matrix: wellConditioned(4, 2, "d"),
+			Options: &WireOptions{Kernels: "tq"}}, 400},
 		{"solve underdetermined", "/v1/solve", solveRequest{
 			Matrix: wellConditioned(2, 4, "d"), RHS: wellConditioned(2, 1, "d")}, 400},
 		{"solve rhs mismatch", "/v1/solve", solveRequest{

@@ -2,8 +2,9 @@
 // wire encoding for matrices in all four precisions, one-shot factor/solve
 // handlers, session-oriented streaming (NewStream*) and reusable-
 // factorization (FactorInto) endpoints, per-tenant admission quotas,
-// runtime queue-depth backpressure, same-matrix solve coalescing, and
-// latency statistics. Everything is plain net/http over the public tiledqr
+// runtime queue-depth backpressure, same-matrix solve coalescing (solves
+// that arrive while an identical matrix is being factored share that
+// factorization; coalesce.go), and latency statistics. Everything is plain net/http over the public tiledqr
 // API, so the package is unit-testable with httptest and no sockets.
 //
 // A served request costs what its computation costs only if each byte of
@@ -24,8 +25,9 @@
 //     encoding/json's except that a null element is an error.
 //   - adopt: in double precision the parsed []float64 is the Mat[float64]
 //     storage (decode); the other precisions narrow once. Parsed slices are
-//     request-owned and never pooled: they outlive the handler inside
-//     coalesced batches.
+//     request-owned and never pooled: a right-hand side that joined a
+//     coalesced batch is read by the batch's leader, and a leader's matrix is
+//     what later arrivals are compared with.
 //
 // Replies are encoded completely before the status line is written, so a
 // result JSON cannot carry is a 422, not a 200 with half a body.

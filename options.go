@@ -2,6 +2,7 @@ package tiledqr
 
 import (
 	"fmt"
+	"strings"
 
 	"tiledqr/internal/core"
 	"tiledqr/internal/engine"
@@ -52,6 +53,20 @@ func (a Algorithm) String() string {
 		return "Auto"
 	}
 	return a.core().String()
+}
+
+// ParseAlgorithm is the inverse of Algorithm.String, ignoring case: the one
+// reading of an algorithm name for flags, configuration files and wire
+// options.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	var names []string
+	for a := Greedy; a <= AlgorithmAuto; a++ {
+		if strings.EqualFold(name, a.String()) {
+			return a, nil
+		}
+		names = append(names, a.String())
+	}
+	return 0, fmt.Errorf("tiledqr: unknown algorithm %q (want one of %s)", name, strings.Join(names, ", "))
 }
 
 func (a Algorithm) core() core.Algorithm {
@@ -123,6 +138,16 @@ const (
 )
 
 func (k Kernels) String() string { return k.core().String() }
+
+// ParseKernels is the inverse of Kernels.String, ignoring case.
+func ParseKernels(name string) (Kernels, error) {
+	for k := TT; k <= TS; k++ {
+		if strings.EqualFold(name, k.String()) {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("tiledqr: unknown kernel family %q (want %v or %v)", name, TT, TS)
+}
 
 func (k Kernels) core() core.Kernels {
 	if k == TS {

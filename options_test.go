@@ -49,3 +49,31 @@ func TestDefaultInnerBlockCapped(t *testing.T) {
 		t.Errorf("defaulted InnerBlock = %d, want 4 (capped at TileSize)", o.InnerBlock)
 	}
 }
+
+// TestParseNames: every Algorithm and Kernels value reads back from its own
+// name in any case, and a name that is nobody's is an error listing the
+// ones that are.
+func TestParseNames(t *testing.T) {
+	for a := Greedy; a <= AlgorithmAuto; a++ {
+		for _, name := range []string{a.String(), strings.ToLower(a.String()), strings.ToUpper(a.String())} {
+			if got, err := ParseAlgorithm(name); err != nil || got != a {
+				t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", name, got, err, a)
+			}
+		}
+	}
+	for k := TT; k <= TS; k++ {
+		for _, name := range []string{k.String(), strings.ToLower(k.String())} {
+			if got, err := ParseKernels(name); err != nil || got != k {
+				t.Errorf("ParseKernels(%q) = %v, %v; want %v", name, got, err, k)
+			}
+		}
+	}
+	for _, name := range []string{"", "Algorithm(9)", "Sameh-Kuck"} {
+		if _, err := ParseAlgorithm(name); err == nil || !strings.Contains(err.Error(), "HadriTree") {
+			t.Errorf("ParseAlgorithm(%q): error %v, want one listing the names", name, err)
+		}
+		if _, err := ParseKernels(name); err == nil || !strings.Contains(err.Error(), "TS") {
+			t.Errorf("ParseKernels(%q): error %v, want one listing the names", name, err)
+		}
+	}
+}
