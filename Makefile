@@ -126,14 +126,18 @@ tune:
 # bench-smoke is the CI-sized benchmark run: one iteration of the kernel,
 # least-squares solve, streaming and served-request (body decode, whole
 # solve handler) figures, a tiny qrstream ingestion with verification (plain and
-# sliding-window/forgetting modes) and a traced complex qrfactor run that
-# must print its Gantt chart, to prove the harnesses still work. CI runs this
-# target; it keeps no copy of the commands.
+# sliding-window/forgetting modes), a traced complex qrfactor run that
+# must print its Gantt chart, and the paper's tables (all but banded's 4 s
+# of exhaustive search; cmd/qrperf's tests hold them to the paper's numbers)
+# with one tile size of Figure 5, to prove the harnesses still work. CI runs
+# this target; it keeps no copy of the commands.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Figure4|Figure5KernelsDouble$$|^BenchmarkSolveLS$$|StreamAppendDouble$$|^BenchmarkDecodeBody$$|^BenchmarkHandleSolve$$' -benchtime 1x ./...
 	$(GO) run ./cmd/qrstream -n 96 -nb 32 -batch 64 -batches 6 -rhs 1 -verify
 	$(GO) run ./cmd/qrstream -n 96 -nb 32 -batch 64 -batches 8 -rhs 1 -window 192 -forget 0.99 -verify
 	$(GO) run ./cmd/qrfactor -m 300 -n 100 -nb 50 -workers 2 -complex -gantt | grep '^w0 '
+	for e in table2 table3 table4a table4b table5 grasap; do $(GO) run ./cmd/qrperf -experiment $$e || exit 1; done
+	$(GO) run ./cmd/qrperf -experiment fig5 -sizes 128
 
 # serve-smoke proves the QR-as-a-service stack end to end: build qrserve and
 # qrload, run the ~2s smoke scenario against a live server (zero failed
@@ -143,9 +147,9 @@ bench-smoke:
 serve-smoke:
 	GO="$(GO)" sh scripts/serve_smoke.sh
 
-# dist-smoke proves the distributed CAQR stack end to end: build qrdist and
-# qrworker, factor 2048×256 across a coordinator and 2 real worker
-# processes with -verify (R and x must match single-process Factor), then
+# dist-smoke proves the distributed CAQR stack end to end: build qrdist,
+# factor 2048×256 across a coordinator and 2 worker processes (qrdist
+# -worker re-executes itself with -connect) with -verify (R and x must match single-process Factor), then
 # SIGTERM a long multi-round run and assert the coordinated drain — every
 # worker finishes the same round and qrdist exits 0 after "drained cleanly".
 dist-smoke:

@@ -1,13 +1,21 @@
 // Command qrdist drives a distributed CAQR factorization on one host: it
 // starts the coordinator, spawns the workers (in-process goroutines by
-// default, or separate qrworker processes via -worker), shards a random
-// m×n system row-wise across them, and reports the result — rounds
+// default, or with -worker separate processes of this same program), shards
+// a random m×n system row-wise across them, and reports the result — rounds
 // completed, rows/sec, bytes moved through the reduction tree, and the
 // comms/compute overlap the pipelining achieves.
 //
 //	qrdist -m 2048 -n 256 -workers 2 -verify        # 2 in-process shards, check vs Factor
 //	qrdist -workers 4 -rounds 8                      # multi-round pipelined run
-//	qrdist -worker ./qrworker ...                    # spawn real worker processes
+//	qrdist -worker ...                               # one worker process per shard
+//	qrdist -connect 127.0.0.1:7421                   # be one worker of that coordinator
+//
+// With -connect the program is one shard of somebody else's run: it
+// connects to that coordinator, receives its rank, shard and reduction-tree
+// peer table, and runs local tiled QR rounds, feeding its R triangles up the
+// TTQRT tree. Every parameter comes over the wire, so no other flag applies.
+// A signal makes a worker abandon its shard at once; to stop a run so that
+// all workers finish the same round, signal the coordinator.
 //
 // SIGTERM/SIGINT drains: the coordinator freezes the round window, every
 // worker finishes the same final round, and qrdist prints "drained
@@ -44,7 +52,8 @@ var (
 	flagPrec    = flag.String("prec", "d", "precision: d, s, z or c")
 	flagSeed    = flag.Int64("seed", 1, "matrix seed")
 	flagVerify  = flag.Bool("verify", false, "compare R and x against single-process Factor")
-	flagWorker  = flag.String("worker", "", "qrworker binary to spawn per shard (default: in-process goroutines)")
+	flagWorker  = flag.Bool("worker", false, "run each shard in its own process (this program with -connect) instead of an in-process goroutine")
+	flagConnect = flag.String("connect", "", "be a worker of the coordinator at this address; every other flag is ignored")
 )
 
 func main() {
@@ -52,14 +61,16 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 	var err error
-	switch *flagPrec {
-	case "d":
+	switch {
+	case *flagConnect != "":
+		err = dist.RunWorker(ctx, *flagConnect)
+	case *flagPrec == "d":
 		err = run[float64](ctx)
-	case "s":
+	case *flagPrec == "s":
 		err = run[float32](ctx)
-	case "z":
+	case *flagPrec == "z":
 		err = run[complex128](ctx)
-	case "c":
+	case *flagPrec == "c":
 		err = run[complex64](ctx)
 	default:
 		fmt.Fprintf(os.Stderr, "qrdist: unknown precision %q (want d, s, z or c)\n", *flagPrec)
@@ -85,9 +96,14 @@ func run[T vec.Scalar](ctx context.Context) error {
 	// the protocol so every shard stops at the same round.
 	var procs []*exec.Cmd
 	var workerErrs <-chan error
-	if *flagWorker != "" {
+	if *flagWorker {
+		self, err := os.Executable()
+		if err != nil {
+			coord.Close()
+			return err
+		}
 		for i := 0; i < W; i++ {
-			cmd := exec.Command(*flagWorker, "-connect", coord.Addr())
+			cmd := exec.Command(self, "-connect", coord.Addr())
 			cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
 			if err := cmd.Start(); err != nil {
 				coord.Close()

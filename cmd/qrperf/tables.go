@@ -1,67 +1,17 @@
-// Command qrtables regenerates the critical-path tables of the paper:
-//
-//	qrtables -table 2    coarse-grain time-steps, 15×6 (Sameh-Kuck, Fibonacci, Greedy)
-//	qrtables -table 3    tiled time-steps, 15×6 (FlatTree, Fibonacci, Greedy, BinaryTree, PlasmaTree BS=5)
-//	qrtables -table 4a   Greedy vs Asap vs Grasap(1) tiled time-steps, 15×3
-//	qrtables -table 4b   Greedy vs Asap critical paths, p,q ∈ {16,32,64,128}
-//	qrtables -table 5    theoretical critical paths, p=40, q=1..40, with PlasmaTree BS sweep
-//	qrtables -table all  everything
-//
-// Two extension tables answer questions the paper leaves open:
-//
-//	qrtables -table grasap   best Grasap(k) per shape (§3.2 asks for the best k)
-//	qrtables -table banded   exhaustive optimum for banded matrices vs the
-//	                         22q−30 claim behind Theorem 1(3)
-//
-// All paper numbers are platform-independent and match exactly (two
-// single-cell deviations in the Asap family are documented in
-// EXPERIMENTS.md).
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"text/tabwriter"
 
+	"tiledqr"
 	"tiledqr/internal/core"
 	"tiledqr/internal/exhaustive"
 	"tiledqr/internal/sim"
 )
 
-func main() {
-	table := flag.String("table", "all", "which table: 2, 3, 4a, 4b, 5, grasap, banded, all")
-	flag.Parse()
-	switch *table {
-	case "2":
-		table2()
-	case "3":
-		table3()
-	case "4a":
-		table4a()
-	case "4b":
-		table4b()
-	case "5":
-		table5()
-	case "grasap":
-		tableGrasap()
-	case "banded":
-		tableBanded()
-	case "all":
-		table2()
-		table3()
-		table4a()
-		table4b()
-		table5()
-		tableGrasap()
-		tableBanded()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown table %q\n", *table)
-		os.Exit(2)
-	}
-}
-
-// tableGrasap sweeps Grasap's k for a grid of shapes — the paper's open
+// tableGrasap reports the best Grasap k for a grid of shapes — the paper's open
 // question "determine the best value of k as a function of p and q".
 func tableGrasap() {
 	fmt.Println("\nExtension: best Grasap(k) (sweep over k; Grasap(0)=Greedy, Grasap(q)=Asap)")
@@ -71,13 +21,7 @@ func tableGrasap() {
 		p, q := s[0], s[1]
 		_, greedy := core.StaticListTimes(core.GreedyList(p, q))
 		_, _, asap := core.AsapList(p, q)
-		bestK, bestCP := 0, greedy
-		for k := 0; k <= min(p, q); k++ {
-			_, _, cp := core.GrasapList(p, q, k)
-			if cp < bestCP {
-				bestK, bestCP = k, cp
-			}
-		}
+		bestK, bestCP := tiledqr.BestGrasapK(p, q)
 		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%d\t%.3f%%\t\n",
 			p, q, greedy, asap, bestK, bestCP, 100*(1-float64(bestCP)/float64(greedy)))
 	}
@@ -103,7 +47,7 @@ func tableBanded() {
 		prev = cp
 	}
 	w.Flush()
-	fmt.Println("agreement at q=4,5; from q=6 the optimum needs only 16 units per column (see EXPERIMENTS.md)")
+	fmt.Println("agreement at q=4,5; from q=6 the optimum needs only 16 units per column (see README.md, \"Where this reproduction departs from the paper\")")
 }
 
 func printStepTable(title string, p, qmin int, cols []string, value func(alg int, i, k int) int) {

@@ -2,15 +2,14 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"os"
-	"runtime"
 	"text/tabwriter"
-	"time"
 
 	"tiledqr"
 	"tiledqr/internal/model"
+	"tiledqr/internal/sched"
 	"tiledqr/internal/tune"
-	"tiledqr/internal/vec"
 )
 
 // tuneShapes is the decision-table grid of `qrperf -tune`: tall, square and
@@ -24,15 +23,11 @@ var tuneShapes = [][2]int{
 // (algorithm, kernel family, nb, ib) per shape with its predicted wall
 // time, the model's margin over the runner-up configuration, and — with
 // -measure — the measured wall time and the prediction error. The table
-// uses the real host width (GOMAXPROCS), the width an actual Auto
+// uses the default width (sched.DefaultWorkers), the width an actual Auto
 // factorization would resolve against.
 func runTune(measure bool) {
-	workers := runtime.GOMAXPROCS(0)
-	fam := vec.ActiveFamily()
-	if isa := vec.SIMDName(); isa != "" && fam == vec.FamilySIMD {
-		fam += " (" + isa + ")"
-	}
-	fmt.Printf("autotuner decision table — float64, width %d (GOMAXPROCS), kernel family %s\n", workers, fam)
+	workers := sched.DefaultWorkers()
+	fmt.Printf("autotuner decision table — float64, width %d (TILEDQR_WORKERS or GOMAXPROCS), kernel family %s\n", workers, familyBanner())
 	fmt.Printf("calibration: %s\n\n", tune.CacheLocation())
 	w := tabwriter.NewWriter(os.Stdout, 8, 0, 2, ' ', tabwriter.AlignRight)
 	hdr := "m\tn\talgorithm\tkernels\tnb\tib\tgrid\tpred ms\tmargin\t"
@@ -59,20 +54,12 @@ func runTune(measure bool) {
 			if err != nil {
 				die(err)
 			}
-			a := tiledqr.RandomDense(m, n, 7)
-			meas := time.Duration(1 << 62)
+			meas := math.Inf(1) // best of three, in seconds
 			for rep := 0; rep < 3; rep++ {
-				start := time.Now()
-				if _, err := tiledqr.Factor(a, opt); err != nil {
-					die(err)
-				}
-				if el := time.Since(start); el < meas {
-					meas = el
-				}
+				meas = min(meas, factorSecs[float64](m, n, opt))
 			}
-			err100 := (meas.Seconds()/best.PredictedSec - 1) * 100
 			fmt.Fprintf(w, "%.2f\t%+.0f%%\t%.2f\t",
-				meas.Seconds()*1e3, err100, model.Flops(m, n)/meas.Seconds()/1e9)
+				meas*1e3, (meas/best.PredictedSec-1)*100, model.Flops(m, n)/meas/1e9)
 		}
 		fmt.Fprintln(w)
 	}

@@ -132,3 +132,31 @@ func NewStream32(n int, opt Options) (*StreamQR32, error) { return NewStreamOf[f
 
 // NewCStream is NewStreamOf[complex64].
 func NewCStream(n int, opt Options) (*CStreamQR, error) { return NewStreamOf[complex64](n, opt) }
+
+// The dense helpers under their per-precision names: each is the generic
+// IdentityOf, MulOf, FrobeniusNormOf, QRResidualOf or OrthoResidualOf at
+// the precision its prefix or suffix names.
+
+func Identity(n int) *Dense             { return IdentityOf[float64](n) }
+func Mul(a, b *Dense) *Dense            { return MulOf(a, b) }
+func FrobeniusNorm(a *Dense) float64    { return FrobeniusNormOf(a) }
+func QRResidual(a, q, r *Dense) float64 { return QRResidualOf(a, q, r) }
+func OrthoResidual(q *Dense) float64    { return OrthoResidualOf(q) }
+
+func ZIdentity(n int) *ZDense             { return IdentityOf[complex128](n) }
+func ZMul(a, b *ZDense) *ZDense           { return MulOf(a, b) }
+func ZFrobeniusNorm(a *ZDense) float64    { return FrobeniusNormOf(a) }
+func ZQRResidual(a, q, r *ZDense) float64 { return QRResidualOf(a, q, r) }
+func ZOrthoResidual(q *ZDense) float64    { return OrthoResidualOf(q) }
+
+func Identity32(n int) *Dense32             { return IdentityOf[float32](n) }
+func Mul32(a, b *Dense32) *Dense32          { return MulOf(a, b) }
+func FrobeniusNorm32(a *Dense32) float64    { return FrobeniusNormOf(a) }
+func QRResidual32(a, q, r *Dense32) float64 { return QRResidualOf(a, q, r) }
+func OrthoResidual32(q *Dense32) float64    { return OrthoResidualOf(q) }
+
+func CIdentity(n int) *CDense             { return IdentityOf[complex64](n) }
+func CMul(a, b *CDense) *CDense           { return MulOf(a, b) }
+func CFrobeniusNorm(a *CDense) float64    { return FrobeniusNormOf(a) }
+func CQRResidual(a, q, r *CDense) float64 { return QRResidualOf(a, q, r) }
+func COrthoResidual(q *CDense) float64    { return OrthoResidualOf(q) }

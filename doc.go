@@ -272,9 +272,9 @@
 //
 // cmd/qrdist scales the factorization past one process with the
 // communication-avoiding algorithm (CAQR): the matrix is sharded row-wise
-// across worker processes (cmd/qrworker, or in-process goroutines),
-// each worker runs ordinary local tiled QR on its shard — FactorInto
-// underneath, so tile arenas and plans are reused across rounds — and the
+// across worker processes (qrdist -worker starts one per shard: itself
+// with -connect) or in-process goroutines, each worker runs ordinary local
+// tiled QR on its shard — FactorInto underneath, so tile arenas and plans are reused across rounds — and the
 // per-shard n×n R triangles are combined pairwise up a binomial TTQRT
 // reduction tree until rank 0 holds the global R (and Qᵀb, folded through
 // the same tree with TTMQR), from which the coordinator solves the

@@ -396,7 +396,8 @@ var table4aAsap = [][]int{
 // the freed pivots {6,7} and zeroes tile (7,3) at 52. Our engine reproduces
 // every other cell of Table 4(a) — including the paper's headline claim that
 // Grasap(1) finishes at 62 versus Greedy's 64 — so we record 52 here and
-// document the single-cell deviation in EXPERIMENTS.md.
+// document the single-cell deviation in README.md, "Where this reproduction
+// departs from the paper".
 var table4aGrasap1 = [][]int{
 	{12},
 	{10, 42},

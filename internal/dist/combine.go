@@ -60,8 +60,8 @@ func (rd *reducer[T]) combine() {
 // packR frames the resident R triangle for the wire (pooled buffer).
 func (rd *reducer[T]) packR(seq uint32) []byte {
 	n := rd.n
-	sz := scalarBytes(precOf[T]())
-	f := &Frame{Kind: KindRTri, Prec: precOf[T](), Seq: seq, Rows: uint32(n), Cols: uint32(n)}
+	sz := scalarBytes[T]()
+	f := &Frame{Kind: KindRTri, Prec: vec.Prec[T]().Tag()[0], Seq: seq, Rows: uint32(n), Cols: uint32(n)}
 	return packFrame(f, TriLen(n)*sz, func(dst []byte) {
 		PackTriangle(dst, rd.r, n, n)
 	})

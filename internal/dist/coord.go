@@ -164,7 +164,7 @@ func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T])
 	for r, w := range workers {
 		wc := wireConfig{
 			Proto: protoVersion, Rank: r, Workers: W, Peers: peers,
-			Prec: string(precOf[T]()), ShardRows: shardRows[r], N: n, NRHS: nrhs,
+			Prec: vec.Prec[T]().Tag(), ShardRows: shardRows[r], N: n, NRHS: nrhs,
 			NB: cfg.NB, IB: cfg.IB, Alg: int(cfg.Algorithm), Kern: int(cfg.Kernels),
 			Rounds: cfg.Rounds, Allow: granted, LocalWorkers: cfg.LocalWorkers,
 		}

@@ -32,6 +32,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"unsafe"
 
 	"tiledqr/internal/vec"
 )
@@ -176,29 +177,16 @@ func putBuf(b []byte) {
 	bufPool.Put(&b)
 }
 
-// precOf returns the wire's type tag for T: the precision letter as a byte.
-func precOf[T vec.Scalar]() byte { return vec.Prec[T]().Tag()[0] }
-
-// scalarBytes returns the wire size of one scalar of precision prec, or 0
-// for an unknown tag.
-func scalarBytes(prec byte) int {
-	switch prec {
-	case 's':
-		return 4
-	case 'd':
-		return 8
-	case 'c':
-		return 8
-	case 'z':
-		return 16
-	default:
-		return 0
-	}
+// scalarBytes returns the wire size of one scalar of T, which is its size
+// in memory (complex values travel as interleaved re/im).
+func scalarBytes[T vec.Scalar]() int {
+	var z T
+	return int(unsafe.Sizeof(z))
 }
 
 // PackScalars encodes src into dst little-endian (complex interleaved
 // re/im) and returns the bytes consumed. dst must hold
-// len(src)·scalarBytes(precOf[T]()) bytes.
+// len(src)·scalarBytes[T]() bytes.
 func PackScalars[T vec.Scalar](dst []byte, src []T) int {
 	switch s := any(src).(type) {
 	case []float32:
@@ -231,7 +219,7 @@ func PackScalars[T vec.Scalar](dst []byte, src []T) int {
 // PackScalars. It returns an error (not a short read) when src is too
 // small, so a truncated frame is rejected instead of half-applied.
 func UnpackScalars[T vec.Scalar](dst []T, src []byte) error {
-	if need := len(dst) * scalarBytes(precOf[T]()); len(src) < need {
+	if need := len(dst) * scalarBytes[T](); len(src) < need {
 		return fmt.Errorf("dist: scalar payload %d bytes, need %d", len(src), need)
 	}
 	switch d := any(dst).(type) {
@@ -277,7 +265,7 @@ func PackTriangle[T vec.Scalar](dst []byte, r []T, ldr, n int) int {
 // UnpackTriangle decodes a packed upper triangle into the n×n matrix r
 // (row stride ldr), leaving the strictly lower part untouched.
 func UnpackTriangle[T vec.Scalar](r []T, ldr, n int, src []byte) error {
-	sz := scalarBytes(precOf[T]())
+	sz := scalarBytes[T]()
 	if need := TriLen(n) * sz; len(src) < need {
 		return fmt.Errorf("dist: triangle payload %d bytes, need %d", len(src), need)
 	}
@@ -295,8 +283,8 @@ func UnpackTriangle[T vec.Scalar](r []T, ldr, n int, src []byte) error {
 // packDense frames a rows×cols block of scalars (row stride ld) as kind k
 // with sequence seq into a pooled buffer.
 func packDense[T vec.Scalar](k byte, seq uint32, a []T, ld, rows, cols int) []byte {
-	sz := scalarBytes(precOf[T]())
-	f := &Frame{Kind: k, Prec: precOf[T](), Seq: seq, Rows: uint32(rows), Cols: uint32(cols)}
+	sz := scalarBytes[T]()
+	f := &Frame{Kind: k, Prec: vec.Prec[T]().Tag()[0], Seq: seq, Rows: uint32(rows), Cols: uint32(cols)}
 	return packFrame(f, rows*cols*sz, func(dst []byte) {
 		off := 0
 		for i := 0; i < rows; i++ {
@@ -308,7 +296,7 @@ func packDense[T vec.Scalar](k byte, seq uint32, a []T, ld, rows, cols int) []by
 // unpackDense decodes a packDense payload into a (row stride ld).
 func unpackDense[T vec.Scalar](a []T, ld int, f *Frame) error {
 	rows, cols := int(f.Rows), int(f.Cols)
-	sz := scalarBytes(precOf[T]())
+	sz := scalarBytes[T]()
 	if need := rows * cols * sz; len(f.Payload) < need {
 		return fmt.Errorf("dist: dense payload %d bytes, need %d", len(f.Payload), need)
 	}

@@ -23,7 +23,7 @@ func scalarRoundTrip[T vec.Scalar](t *testing.T) {
 	for i, re := range parts {
 		src = append(src, vec.FromParts[T](re, parts[len(parts)-1-i]))
 	}
-	buf := make([]byte, len(src)*scalarBytes(precOf[T]()))
+	buf := make([]byte, len(src)*scalarBytes[T]())
 	if n := PackScalars(buf, src); n != len(buf) {
 		t.Fatalf("PackScalars wrote %d bytes, want %d", n, len(buf))
 	}
@@ -70,7 +70,7 @@ func triangleRoundTrip[T vec.Scalar](t *testing.T) {
 	t.Helper()
 	const n = 17
 	src := tile.RandDense[T](n, n, 99)
-	buf := make([]byte, TriLen(n)*scalarBytes(precOf[T]()))
+	buf := make([]byte, TriLen(n)*scalarBytes[T]())
 	if w := PackTriangle(buf, src.Data, src.Stride, n); w != len(buf) {
 		t.Fatalf("PackTriangle wrote %d bytes, want %d", w, len(buf))
 	}

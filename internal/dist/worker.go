@@ -25,8 +25,8 @@ import (
 
 // RunWorker connects to a coordinator, runs the configured shard to
 // completion (or coordinated drain), and returns. It is the body of
-// cmd/qrworker and of the in-process workers bench/ and the tests spawn
-// as goroutines.
+// `qrdist -connect` and of the in-process workers bench/ and the tests
+// spawn as goroutines.
 func RunWorker(ctx context.Context, coordAddr string) error {
 	conn, err := net.DialTimeout("tcp", coordAddr, 10*time.Second)
 	if err != nil {

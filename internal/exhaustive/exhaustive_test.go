@@ -84,7 +84,8 @@ func TestAsapNotOptimal(t *testing.T) {
 // sub-diagonals. The paper reports 22q−30; the exhaustive search CONFIRMS
 // that for q = 4 and q = 5 but finds strictly shorter schedules from q = 6
 // on, converging to 16 units per column (a pipelined pattern the paper's
-// search evidently missed). See EXPERIMENTS.md.
+// search evidently missed). See README.md, "Where this reproduction departs
+// from the paper".
 func TestBandedLowerBound(t *testing.T) {
 	want := map[int]int{2: 20, 3: 42, 4: 58, 5: 80, 6: 96, 7: 112}
 	for q := 2; q <= 7; q++ {

@@ -55,7 +55,8 @@ func TestProposition1(t *testing.T) {
 // TestTheorem1Bounds checks the upper bounds on Fibonacci and Greedy and
 // the lower bound 22q−30 across shapes and algorithms.
 //
-// Two documented caveats about the paper's constants (see EXPERIMENTS.md):
+// Two documented caveats about the paper's constants (see README.md, "Where
+// this reproduction departs from the paper"):
 //
 //   - Theorem 1(2)'s Greedy bound 22q+6⌈log₂p⌉ is contradicted by the
 //     paper's own Table 4(b): Greedy on 128×64 has critical path 1452

@@ -159,7 +159,7 @@ func TestTable4b(t *testing.T) {
 	// just-freed pivot rows; firing such pairs immediately — as the Asap
 	// definition requires — shortens this one entry. Every conclusion drawn
 	// from the table (Greedy dominates Asap as p grows) is unchanged; see
-	// EXPERIMENTS.md.
+	// README.md, "Where this reproduction departs from the paper".
 	want := []struct{ p, q, greedy, asap int }{
 		{16, 16, 310, 310},
 		{32, 16, 360, 402},

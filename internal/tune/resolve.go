@@ -2,11 +2,11 @@ package tune
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"tiledqr/internal/core"
 	"tiledqr/internal/model"
+	"tiledqr/internal/sched"
 	"tiledqr/internal/sim"
 	"tiledqr/internal/vec"
 )
@@ -16,7 +16,7 @@ import (
 // "choose for me").
 type Request struct {
 	M, N    int
-	Workers int // ≤ 0 means GOMAXPROCS
+	Workers int // ≤ 0 means sched.DefaultWorkers
 	PinNB   int // > 0 pins the tile size
 	PinIB   int // > 0 pins the inner block
 }
@@ -65,7 +65,7 @@ func Resolve[T vec.Scalar](req Request) (Candidate, error) {
 		return Candidate{}, fmt.Errorf("tiledqr: tune: invalid shape %d×%d", req.M, req.N)
 	}
 	if req.Workers < 1 {
-		req.Workers = runtime.GOMAXPROCS(0)
+		req.Workers = sched.DefaultWorkers()
 	}
 	key := decKey{prec: precKey[T](), family: vec.ActiveFamily(),
 		m: req.M, n: req.N, workers: req.Workers,
@@ -86,19 +86,15 @@ func Resolve[T vec.Scalar](req Request) (Candidate, error) {
 // ties resolve identically on every call.
 func Rank[T vec.Scalar](req Request) []Candidate {
 	if req.Workers < 1 {
-		req.Workers = runtime.GOMAXPROCS(0)
+		req.Workers = sched.DefaultWorkers()
 	}
 	family := vec.ActiveFamily()
 	pts := ForFamily[T](family)
-	flopScale := 1.0
-	if vec.IsComplex[T]() {
-		flopScale = 4
-	}
 	var out []Candidate
 	for _, pt := range candidatePoints(req.M, req.N, req.PinNB, req.PinIB) {
 		p := (req.M + pt.nb - 1) / pt.nb
 		q := (req.N + pt.nb - 1) / pt.nb
-		secs := secsAt(pts, pt.nb, flopScale)
+		secs := secsAt[T](pts, pt.nb)
 		est := estTasks(p, q)
 		if est <= simTaskLimit {
 			for _, alg := range core.Algorithms {
@@ -155,7 +151,7 @@ func ResolveStream[T vec.Scalar](n, workers, pinNB, pinIB int, fam core.Kernels)
 		return Candidate{}, fmt.Errorf("tiledqr: tune: invalid stream width n=%d", n)
 	}
 	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = sched.DefaultWorkers()
 	}
 	family := vec.ActiveFamily()
 	key := decKey{prec: precKey[T](), family: family, stream: true, kernels: fam,
@@ -164,10 +160,6 @@ func ResolveStream[T vec.Scalar](n, workers, pinNB, pinIB int, fam core.Kernels)
 		return c.(Candidate), nil
 	}
 	pts := ForFamily[T](family)
-	flopScale := 1.0
-	if vec.IsComplex[T]() {
-		flopScale = 4
-	}
 	mergeQ, mergeM := core.KTTQRT, core.KTTMQR
 	if fam == core.TS {
 		mergeQ, mergeM = core.KTSQRT, core.KTSMQR
@@ -175,7 +167,7 @@ func ResolveStream[T vec.Scalar](n, workers, pinNB, pinIB int, fam core.Kernels)
 	var best Candidate
 	for _, pt := range candidatePoints(n, n, pinNB, pinIB) {
 		q := (n + pt.nb - 1) / pt.nb
-		secs := secsAt(pts, pt.nb, flopScale)
+		secs := secsAt[T](pts, pt.nb)
 		var batchSec float64
 		for k := 1; k <= q; k++ {
 			batchSec += secs[core.KGEQRT] + secs[mergeQ] +
@@ -250,15 +242,14 @@ func estTasks(p, q int) int {
 // between calibration points (clamped at the ends). Sensitivity to ib
 // within a point is ignored — the calibration grid follows IBFor, and
 // pinned inner blocks reuse the nearest measured throughput.
-func secsAt(pts []Point, nb int, flopScale float64) map[core.Kind]float64 {
-	cube := float64(nb) * float64(nb) * float64(nb)
+func secsAt[T vec.Scalar](pts []Point, nb int) map[core.Kind]float64 {
 	out := make(map[core.Kind]float64, 6)
 	for k := core.Kind(0); k < 6; k++ {
 		g := interpGflops(pts, nb, k.String())
 		if g <= 0 {
 			g = 1 // defensive: a missing series predicts 1 GFLOP/s rather than dividing by zero
 		}
-		out[k] = flopScale * float64(k.Weight()) * cube / 3 / (g * 1e9)
+		out[k] = Gflops[T](k.Weight(), nb, g) // the inverse direction: GFLOP/s in, seconds out
 	}
 	return out
 }

@@ -317,12 +317,12 @@ func measureAll[T vec.Scalar]() []Point {
 // calibration stays well under a second per precision.
 const calWindow = 8 * time.Millisecond
 
-// timeKernel returns seconds per run() call, doubling the repetition count
+// TimeKernel returns seconds per run() call, doubling the repetition count
 // until the sample window is long enough to trust. restore puts the kernel's
 // inputs back before every call; its cost is then timed alone over the same
 // repetition count and subtracted, so the figure is the kernel's, not the
 // kernel's plus a tile copy.
-func timeKernel(restore, run func(), window time.Duration) float64 {
+func TimeKernel(restore, run func(), window time.Duration) float64 {
 	restore()
 	run() // warm up
 	for reps := 1; ; reps *= 2 {
@@ -343,28 +343,40 @@ func timeKernel(restore, run func(), window time.Duration) float64 {
 	}
 }
 
-// measurePoint times the six kernels at a calibration budget and converts
-// to GFLOP/s (4 real flops per complex flop, as everywhere in the repo).
-func measurePoint[T vec.Scalar](nb, ib int) map[string]float64 {
+// Gflops converts between the seconds one call of a kernel of the given
+// Table 1 weight takes on nb×nb tiles of T and its GFLOP/s: a call is
+// weight·nb³/3 flops, four real flops per complex one (the paper's Section 4
+// convention). flops/x/1e9 is its own inverse, so passing seconds yields
+// GFLOP/s and passing GFLOP/s yields seconds — the one place in the repo
+// this arithmetic is written (GEMM, which is no core.Kind, has weight 6).
+func Gflops[T vec.Scalar](weight, nb int, x float64) float64 {
 	flopScale := 1.0
 	if vec.IsComplex[T]() {
 		flopScale = 4
 	}
 	cube := float64(nb) * float64(nb) * float64(nb)
+	return flopScale * float64(weight) * cube / 3 / x / 1e9
+}
+
+// measurePoint times the six kernels at a calibration budget and converts
+// to GFLOP/s.
+func measurePoint[T vec.Scalar](nb, ib int) map[string]float64 {
 	sec := MeasureKernelSecs[T](nb, ib, calWindow)
 	out := make(map[string]float64, len(sec))
 	for kind, s := range sec {
-		out[kind.String()] = flopScale * float64(kind.Weight()) * cube / 3 / s / 1e9
+		out[kind.String()] = Gflops[T](kind.Weight(), nb, s)
 	}
 	return out
 }
 
 // MeasureKernelSecs micro-benchmarks the six Table 1 kernels on random
 // nb×nb tiles and returns seconds per invocation, sampling each kernel for
-// at least the given window. It is the one kernel-timing harness in the
-// repo: calibration uses it at a short window, qrperf's experiments and the
-// benchmark-JSON emitter at a longer one. Every tile is allocated once up
-// front and the timed calls restore their inputs by copy (see timeKernel):
+// at least the given window. It is the one in-cache kernel-timing harness in
+// the repo: calibration uses it at a short window, qrperf's experiments,
+// Figures 4–5 and the benchmark-JSON emitter at a longer one. (The one other
+// timing loop is the out-of-cache half of qrperf's Figures 4–5, which must
+// never touch a tile between calls and so cannot restore inputs.) Every tile is allocated once up
+// front and the timed calls restore their inputs by copy (see TimeKernel):
 // a fresh tile per call would put the allocator and the collector inside
 // the sample, which weighs most on the cheapest kernels — the TT pair whose
 // trade-off against TS the tuner exists to decide.
@@ -386,24 +398,24 @@ func MeasureKernelSecs[T vec.Scalar](nb, ib int, window time.Duration) map[core.
 	restoreC := func() { copy(c1, c0); copy(c2, c0) }
 
 	sec := map[core.Kind]float64{}
-	sec[core.KGEQRT] = timeKernel(func() { copy(a, full1) }, func() {
+	sec[core.KGEQRT] = TimeKernel(func() { copy(a, full1) }, func() {
 		kernel.GEQRT(nb, nb, ib, a, nb, t2, nb, ws)
 	}, window)
-	sec[core.KUNMQR] = timeKernel(func() { copy(c1, c0) }, func() {
+	sec[core.KUNMQR] = TimeKernel(func() { copy(c1, c0) }, func() {
 		kernel.UNMQR(true, nb, nb, ib, tri1, nb, tf, nb, c1, nb, nb, ws)
 	}, window)
-	sec[core.KTSQRT] = timeKernel(func() { copy(a, tri1); copy(b, full2) }, func() {
+	sec[core.KTSQRT] = TimeKernel(func() { copy(a, tri1); copy(b, full2) }, func() {
 		kernel.TSQRT(nb, nb, ib, a, nb, b, nb, t2, nb, ws)
 	}, window)
 	vts := slices.Clone(b) // the last timed call left TSQRT's V₂ in b, its T in t2
-	sec[core.KTSMQR] = timeKernel(restoreC, func() {
+	sec[core.KTSMQR] = TimeKernel(restoreC, func() {
 		kernel.TSMQR(true, nb, nb, ib, vts, nb, t2, nb, c1, nb, c2, nb, nb, ws)
 	}, window)
-	sec[core.KTTQRT] = timeKernel(func() { copy(a, tri1); copy(b, tri2) }, func() {
+	sec[core.KTTQRT] = TimeKernel(func() { copy(a, tri1); copy(b, tri2) }, func() {
 		kernel.TTQRT(nb, nb, ib, a, nb, b, nb, t2, nb, ws)
 	}, window)
 	// Likewise b and t2 now hold TTQRT's V₂ and T; nothing overwrites them.
-	sec[core.KTTMQR] = timeKernel(restoreC, func() {
+	sec[core.KTTMQR] = TimeKernel(restoreC, func() {
 		kernel.TTMQR(true, nb, nb, ib, b, nb, t2, nb, c1, nb, c2, nb, nb, ws)
 	}, window)
 	return sec

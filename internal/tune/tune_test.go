@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -455,4 +456,35 @@ func TestEstTasksMatchesDAG(t *testing.T) {
 			t.Errorf("estTasks(%d,%d) = %d is far above the real %d tasks", p, q, est, exact)
 		}
 	}
+}
+
+// TestDefaultWidthHonoursEnv pins the one default width: a request that
+// names no width is scored at sched.DefaultWorkers — TILEDQR_WORKERS when
+// set — by Rank, Resolve and ResolveStream alike, not at GOMAXPROCS.
+func TestDefaultWidthHonoursEnv(t *testing.T) {
+	t.Setenv(EnvCalibration, "off")
+	t.Setenv("TILEDQR_WORKERS", "3")
+	withHook(t, func(string, string) []Point { return synthPoints() })
+
+	dflt := Rank[float64](Request{M: 1024, N: 256})
+	if want := Rank[float64](Request{M: 1024, N: 256, Workers: 3}); !slices.Equal(dflt, want) {
+		t.Errorf("Rank at the default width differs from Rank at width 3: best %+v vs %+v", dflt[0], want[0])
+	}
+	if one := Rank[float64](Request{M: 1024, N: 256, Workers: 1}); dflt[0].PredictedSec >= one[0].PredictedSec {
+		t.Errorf("default width predicted %g s, no faster than width 1 (%g s): TILEDQR_WORKERS=3 ignored",
+			dflt[0].PredictedSec, one[0].PredictedSec)
+	}
+
+	if _, err := Resolve[float64](Request{M: 1024, N: 256}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResolveStream[float64](300, 0, 0, 0, core.TT); err != nil {
+		t.Fatal(err)
+	}
+	decided.Range(func(k, _ any) bool {
+		if key := k.(decKey); key.workers != 3 {
+			t.Errorf("decision cached for width %d, want 3: %+v", key.workers, key)
+		}
+		return true
+	})
 }

@@ -32,7 +32,7 @@ import (
 const EnvSIMD = "TILEDQR_SIMD"
 
 // Kernel family names, as recorded in the autotuner's calibration cache and
-// accepted by SetFamily and the -family flag of qrperf/qrkernels. The
+// accepted by SetFamily and the -family flag of qrperf. The
 // "simd" name is ISA-neutral on purpose: the calibration cache is per-host,
 // and a single name lets the tuner and the bench JSON treat AVX2 and NEON
 // hosts uniformly. SIMDName reports the concrete ISA for diagnostics.
