@@ -1,12 +1,12 @@
 // Command qrdist drives a distributed CAQR factorization on one host: it
 // starts the coordinator, spawns the workers (in-process goroutines by
 // default, or with -worker separate processes of this same program), shards
-// a random m×n system row-wise across them, and reports the result — rounds
-// completed, rows/sec, bytes moved through the reduction tree, and the
-// comms/compute overlap the pipelining achieves.
+// a random m×n system row-wise across them, and reports the result —
+// rows/sec, bytes moved through the reduction tree, and how much of the
+// wire time multi-round runs hid behind local factorization.
 //
 //	qrdist -m 2048 -n 256 -workers 2 -verify        # 2 in-process shards, check vs Factor
-//	qrdist -workers 4 -rounds 8                      # multi-round pipelined run
+//	qrdist -workers 4 -rounds 8                      # multi-round run
 //	qrdist -worker ...                               # one worker process per shard
 //	qrdist -connect 127.0.0.1:7421                   # be one worker of that coordinator
 //
@@ -14,16 +14,16 @@
 // connects to that coordinator, receives its rank, shard and reduction-tree
 // peer table, and runs local tiled QR rounds, feeding its R triangles up the
 // TTQRT tree. Every parameter comes over the wire, so no other flag applies.
-// A signal makes a worker abandon its shard at once; to stop a run so that
-// all workers finish the same round, signal the coordinator.
+// A worker whose coordinator connection drops aborts mid-round and exits 1.
 //
-// SIGTERM/SIGINT drains: the coordinator freezes the round window, every
-// worker finishes the same final round, and qrdist prints "drained
-// cleanly" and exits 0 — the contract `make dist-smoke` asserts.
+// SIGTERM/SIGINT stops the run: the coordinator closes every worker
+// connection, qrdist waits until every worker has exited, prints one line
+// naming the interruption and exits 1.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -47,7 +47,6 @@ var (
 	flagWorkers = flag.Int("workers", 2, "worker shards")
 	flagLocal   = flag.Int("local-workers", 0, "scheduler width per worker (0 = default)")
 	flagRounds  = flag.Int("rounds", 1, "factor+reduce rounds")
-	flagWindow  = flag.Int("window", 2, "pipelining credit window (rounds in flight)")
 	flagRHS     = flag.Int("rhs", 1, "right-hand-side columns (0 = R only)")
 	flagPrec    = flag.String("prec", "d", "precision: d, s, z or c")
 	flagSeed    = flag.Int64("seed", 1, "matrix seed")
@@ -76,6 +75,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "qrdist: unknown precision %q (want d, s, z or c)\n", *flagPrec)
 		os.Exit(2)
 	}
+	if err != nil && ctx.Err() != nil {
+		err = errors.New("interrupted by signal")
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qrdist:", err)
 		os.Exit(1)
@@ -85,34 +87,45 @@ func main() {
 func run[T vec.Scalar](ctx context.Context) error {
 	m, n, W := *flagM, *flagN, *flagWorkers
 	coord, err := dist.NewCoordinator(dist.Config{
-		Workers: W, NB: *flagNB, IB: *flagIB,
-		Rounds: *flagRounds, Window: *flagWindow, LocalWorkers: *flagLocal,
+		Workers: W, NB: *flagNB, IB: *flagIB, Rounds: *flagRounds, LocalWorkers: *flagLocal,
 	})
 	if err != nil {
 		return err
 	}
 
-	// Workers never see the signal context: a drain is coordinated through
-	// the protocol so every shard stops at the same round.
+	// reap closes the listener and waits for every worker started so far,
+	// whatever happened: a worker whose coordinator is gone exits promptly.
 	var procs []*exec.Cmd
 	var workerErrs <-chan error
+	reap := func(err error) error {
+		coord.Close()
+		for _, cmd := range procs {
+			if werr := cmd.Wait(); werr != nil && err == nil {
+				err = fmt.Errorf("worker exited: %w", werr)
+			}
+		}
+		for i := 0; workerErrs != nil && i < W; i++ {
+			if werr := <-workerErrs; werr != nil && err == nil {
+				err = fmt.Errorf("worker failed: %w", werr)
+			}
+		}
+		return err
+	}
 	if *flagWorker {
 		self, err := os.Executable()
 		if err != nil {
-			coord.Close()
-			return err
+			return reap(err)
 		}
 		for i := 0; i < W; i++ {
 			cmd := exec.Command(self, "-connect", coord.Addr())
 			cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
 			if err := cmd.Start(); err != nil {
-				coord.Close()
-				return fmt.Errorf("spawning worker %d: %w", i, err)
+				return reap(fmt.Errorf("spawning worker %d: %w", i, err))
 			}
 			procs = append(procs, cmd)
 		}
 	} else {
-		workerErrs = dist.SpawnLocal(context.Background(), coord.Addr(), W)
+		workerErrs = dist.SpawnLocal(ctx, coord.Addr(), W)
 	}
 
 	a := tile.RandDense[T](m, n, *flagSeed)
@@ -122,43 +135,27 @@ func run[T vec.Scalar](ctx context.Context) error {
 	}
 	t0 := time.Now()
 	res, err := dist.Run[T](ctx, coord, a, b)
-	if err != nil {
-		return err
-	}
 	elapsed := time.Since(t0)
-
-	for _, cmd := range procs {
-		if werr := cmd.Wait(); werr != nil && err == nil {
-			return fmt.Errorf("worker exited: %w", werr)
-		}
-	}
-	if workerErrs != nil {
-		for i := 0; i < W; i++ {
-			if werr := <-workerErrs; werr != nil {
-				return fmt.Errorf("worker failed: %w", werr)
-			}
-		}
+	if err := reap(err); err != nil {
+		return err
 	}
 
 	st := res.Stats
-	rowsPerSec := float64(m) * float64(res.Rounds) / elapsed.Seconds()
+	rowsPerSec := float64(m) * float64(*flagRounds) / elapsed.Seconds()
 	fmt.Printf("qrdist: %d×%d over %d workers (%s), nb=%d ib=%d\n", m, n, W, *flagPrec, *flagNB, *flagIB)
-	fmt.Printf("  rounds %d/%d, %.2fs wall, %.0f rows/sec (%.0f rows/sec/shard)\n",
-		res.Rounds, *flagRounds, elapsed.Seconds(), rowsPerSec, rowsPerSec/float64(W))
+	fmt.Printf("  %d rounds, %.2fs wall, %.0f rows/sec (%.0f rows/sec/shard)\n",
+		*flagRounds, elapsed.Seconds(), rowsPerSec, rowsPerSec/float64(W))
 	fmt.Printf("  wire: %.1f KiB sent, %.1f KiB received, overlap %.0f%% of comm hidden\n",
 		float64(st.BytesSent)/1024, float64(st.BytesRecv)/1024, 100*st.OverlapFrac)
 	fmt.Printf("  compute %.3fs, combine %.3fs, send %.3fs, recv-wait %.3fs across workers (%d tasks)\n",
 		float64(st.ComputeNS)/1e9, float64(st.CombineNS)/1e9,
 		float64(st.SendNS)/1e9, float64(st.RecvWaitNS)/1e9, st.TasksRun)
 
-	if *flagVerify && res.Rounds > 0 {
+	if *flagVerify {
 		if err := verify(a, b, res); err != nil {
 			return err
 		}
 		fmt.Println("  verify: R and x agree with single-process Factor")
-	}
-	if ctx.Err() != nil {
-		fmt.Println("qrdist: drained cleanly")
 	}
 	return nil
 }

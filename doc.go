@@ -283,11 +283,14 @@
 // of local compute, which is the communication-avoiding trade. Frames are
 // length-prefixed binary over plain TCP in all four precisions, buffers
 // are pooled on both the send and receive paths (zero steady-state
-// allocations per round), and a worker whose tree role is done starts the
-// next round's local factorization while its R is still in flight — the
-// reported overlap fraction measures how much communication that hid.
-// Multi-round jobs pipeline under a credit window; SIGTERM freezes the
-// window so every worker stops at the same round and the driver exits 0.
+// allocations per round). Workers run their rounds without waiting for the
+// coordinator; the bounded send queue to a rank's one tree parent is the
+// only flow control. With more than one round, a worker whose tree role is
+// done starts the next local factorization while its R is still in flight,
+// and the reported overlap fraction measures how much communication that
+// hid. Cancellation (SIGTERM in the driver) or a failed worker closes every
+// worker connection: the run ends promptly with an error, never with fewer
+// rounds, and the driver exits 1 once every worker has exited.
 // The distributed R matches single-process Factor up to the usual
 // row-phase ambiguity, and `make dist-smoke` asserts that agreement
 // against two real worker processes end to end. Shards shorter than n are

@@ -1,12 +1,10 @@
 // The coordinator of the distributed CAQR runtime: it shards the global
 // matrix row-wise across worker processes, hands each worker its rank and
-// the peer table of the reduction tree, and then runs the flow-control
-// plane — a credit window of round allowances that keeps every shard one
-// to two rounds deep in pipelined work (local factorization overlapping
-// in-flight R triangles) while still being able to drain: on context
-// cancellation the coordinator freezes the window and broadcasts the
-// agreed final round, so every worker stops at the same round and no tree
-// pivot waits on a partner that already quit.
+// the peer table of the reduction tree, ships the shards, and collects the
+// tree root's R (and Qᵀb) and every worker's stats. Workers run their
+// rounds on their own; the coordinator sends nothing more until Done.
+// Cancelling a run, or any worker failing, closes every worker connection,
+// so the whole run stops promptly with an error.
 package dist
 
 import (
@@ -16,24 +14,20 @@ import (
 	"net"
 	"time"
 
-	"tiledqr/internal/core"
 	"tiledqr/internal/engine"
 	"tiledqr/internal/tile"
 	"tiledqr/internal/vec"
 )
 
 // Config shapes a distributed run. Zero values take the documented
-// defaults.
+// defaults. Shards are factored with Greedy/TT.
 type Config struct {
-	Workers      int            // worker processes to expect (default 2)
-	NB           int            // tile size inside each shard (default 128)
-	IB           int            // inner block size (default 32)
-	Algorithm    core.Algorithm // local elimination order (default Greedy)
-	Kernels      core.Kernels   // local kernel family (default TT)
-	Rounds       int            // factor+reduce rounds per run (default 1)
-	Window       int            // pipelining credit window in rounds (default 2)
-	LocalWorkers int            // scheduler width inside each worker (0 = default)
-	Addr         string         // listen address (default "127.0.0.1:0")
+	Workers      int    // worker processes to expect (default 2)
+	NB           int    // tile size inside each shard (default 128)
+	IB           int    // inner block size (default 32)
+	Rounds       int    // factor+reduce rounds per run (default 1)
+	LocalWorkers int    // scheduler width inside each worker (0 = default)
+	Addr         string // listen address (default "127.0.0.1:0")
 }
 
 func (c *Config) defaults() {
@@ -46,14 +40,8 @@ func (c *Config) defaults() {
 	if c.IB <= 0 {
 		c.IB = 32
 	}
-	if c.Algorithm == 0 && c.Kernels == 0 {
-		c.Algorithm = core.Greedy
-	}
 	if c.Rounds <= 0 {
 		c.Rounds = 1
-	}
-	if c.Window <= 0 {
-		c.Window = 2
 	}
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:0"
@@ -80,17 +68,15 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 // Addr returns the address workers should connect to.
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 
-// Close releases the listener. Run closes it itself after the workers
-// have connected.
+// Close releases the listener. Run closes it itself.
 func (c *Coordinator) Close() { _ = c.ln.Close() }
 
 // Result is the outcome of a distributed run at one precision.
 type Result[T vec.Scalar] struct {
-	R      *tile.Dense[T] // n×n upper-triangular global R factor
-	QTB    *tile.Dense[T] // top n rows of Qᵀb (nil when nrhs == 0)
-	X      *tile.Dense[T] // n×nrhs least-squares solution (nil when nrhs == 0)
-	Rounds int            // rounds actually completed (< cfg.Rounds after a drain)
-	Stats  RunStats
+	R     *tile.Dense[T] // n×n upper-triangular global R factor
+	QTB   *tile.Dense[T] // top n rows of Qᵀb (nil when nrhs == 0)
+	X     *tile.Dense[T] // n×nrhs least-squares solution (nil when nrhs == 0)
+	Stats RunStats
 }
 
 // workerConn is the coordinator's handle on one connected worker.
@@ -111,9 +97,10 @@ type coordEvent struct {
 // to connect, shard a (m×n, row-wise) and b (m×nrhs, optional) across
 // them, run the configured rounds, and return the global R, the Qᵀb top
 // block, and the least-squares solution X = R⁻¹(Qᵀb)[:n]. Cancelling ctx
-// drains: in-flight rounds complete consistently across workers and Run
-// returns with Rounds < cfg.Rounds and no error.
+// closes every worker connection and returns ctx.Err() at once; the
+// workers abort mid-round.
 func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T]) (*Result[T], error) {
+	defer c.Close()
 	cfg := c.cfg
 	W := cfg.Workers
 
@@ -149,24 +136,20 @@ func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T])
 	}
 	defer func() {
 		for _, w := range workers {
-			if w.conn != nil {
-				_ = w.conn.Close()
-			}
+			_ = w.conn.Close()
 		}
 	}()
 
-	// Configure every worker: rank, peer table, shape, initial allowance.
+	// Configure every worker: rank, peer table, shape.
 	peers := make([]string, W)
 	for r, w := range workers {
 		peers[r] = w.peerAddr
 	}
-	granted := min(cfg.Rounds, cfg.Window)
 	for r, w := range workers {
 		wc := wireConfig{
 			Proto: protoVersion, Rank: r, Workers: W, Peers: peers,
 			Prec: vec.Prec[T]().Tag(), ShardRows: shardRows[r], N: n, NRHS: nrhs,
-			NB: cfg.NB, IB: cfg.IB, Alg: int(cfg.Algorithm), Kern: int(cfg.Kernels),
-			Rounds: cfg.Rounds, Allow: granted, LocalWorkers: cfg.LocalWorkers,
+			NB: cfg.NB, IB: cfg.IB, Rounds: cfg.Rounds, LocalWorkers: cfg.LocalWorkers,
 		}
 		if err := writeJSON(w.conn, KindConfig, 0, &wc); err != nil {
 			return nil, fmt.Errorf("dist: configuring rank %d: %w", r, err)
@@ -193,8 +176,8 @@ func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T])
 		row += rows
 	}
 
-	// Per-worker readers feed one event stream; the run loop below is the
-	// only writer to the worker connections from here on.
+	// Per-worker readers feed one event stream; the run loop below writes
+	// nothing more until Done.
 	events := make(chan coordEvent, 4*W)
 	runDone := make(chan struct{})
 	defer close(runDone)
@@ -224,27 +207,12 @@ func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T])
 	if nrhs > 0 {
 		res.QTB = tile.NewDense[T](n, nrhs)
 	}
-	final := cfg.Rounds // agreed last round; lowered once on drain
-	stopped := false
 	gotResults, expectQTB := 0, false
 	statsBy := make([]WorkerStats, 0, W)
-	cancelCh := ctx.Done()
-	for gotResults < final || len(statsBy) < W {
-		// A drain can lower final below the results already collected;
-		// re-check before blocking so completion is prompt.
-		if gotResults >= final && len(statsBy) >= W {
-			break
-		}
+	for gotResults < cfg.Rounds || len(statsBy) < W {
 		select {
-		case <-cancelCh:
-			cancelCh = nil // fire once
-			stopped = true
-			final = granted
-			for r, w := range workers {
-				if _, err := WriteFrame(w.conn, &Frame{Kind: KindStop, Seq: uint32(final)}); err != nil {
-					return nil, fmt.Errorf("dist: draining rank %d: %w", r, err)
-				}
-			}
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		case ev := <-events:
 			if ev.err != nil {
 				return nil, fmt.Errorf("dist: worker %d connection: %w", ev.rank, ev.err)
@@ -267,7 +235,6 @@ func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T])
 				expectQTB = nrhs > 0
 				if !expectQTB {
 					gotResults++
-					granted = c.grant(workers, granted, gotResults, final, stopped)
 				}
 			case KindQTB:
 				if !expectQTB {
@@ -281,7 +248,6 @@ func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T])
 				}
 				expectQTB = false
 				gotResults++
-				granted = c.grant(workers, granted, gotResults, final, stopped)
 			case KindStats:
 				var ws WorkerStats
 				err := json.Unmarshal(ev.f.Payload, &ws)
@@ -299,9 +265,8 @@ func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T])
 	for _, w := range workers {
 		_, _ = WriteFrame(w.conn, &Frame{Kind: KindDone})
 	}
-	res.Rounds = final
-	res.Stats = aggregate(statsBy, final)
-	if nrhs > 0 && final > 0 {
+	res.Stats = aggregate(statsBy, cfg.Rounds)
+	if nrhs > 0 {
 		res.X = tile.NewDense[T](n, nrhs)
 		xcol := make([]T, n)
 		if err := engine.SolveUpper(n, nrhs, res.R.Data, res.R.Stride,
@@ -310,22 +275,6 @@ func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T])
 		}
 	}
 	return res, nil
-}
-
-// grant extends the credit window after a completed round: every worker
-// learns it may run up to round `allow` — unless a drain froze the window.
-func (c *Coordinator) grant(workers []workerConn, granted, completed, final int, stopped bool) int {
-	if stopped {
-		return granted
-	}
-	allow := min(final, completed+c.cfg.Window)
-	if allow <= granted {
-		return granted
-	}
-	for _, w := range workers {
-		_, _ = WriteFrame(w.conn, &Frame{Kind: KindRound, Seq: uint32(allow)})
-	}
-	return allow
 }
 
 // acceptWorkers waits for W workers to connect and say hello, assigning

@@ -2,6 +2,8 @@ package dist
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"strings"
@@ -70,8 +72,10 @@ func runDistVsLocal[T vec.Scalar](t *testing.T, m, n, nrhs, W, rounds int, tol f
 		t.Fatal(err)
 	}
 	joinWorkers(t, errs, W)
-	if res.Rounds != rounds {
-		t.Fatalf("completed %d rounds, want %d", res.Rounds, rounds)
+	for _, ws := range res.Stats.PerWorker {
+		if ws.Rounds != rounds {
+			t.Fatalf("rank %d completed %d rounds, want %d", ws.Rank, ws.Rounds, rounds)
+		}
 	}
 
 	f, err := engine.Factor(a, engine.Config{
@@ -116,7 +120,7 @@ func runDistVsLocal[T vec.Scalar](t *testing.T, m, n, nrhs, W, rounds int, tol f
 // TestDistMatchesLocal is the heart of the acceptance criteria: the
 // multi-process CAQR result must agree with the single-process engine in
 // all four precisions, including a non-power-of-two worker count and
-// multiple pipelined rounds.
+// multiple free-running rounds.
 func TestDistMatchesLocal(t *testing.T) {
 	t.Run("double", func(t *testing.T) { runDistVsLocal[float64](t, 256, 64, 2, 3, 2, 1e-12) })
 	t.Run("double-complex", func(t *testing.T) { runDistVsLocal[complex128](t, 256, 64, 2, 3, 2, 1e-12) })
@@ -130,41 +134,150 @@ func TestDistSingleWorker(t *testing.T) {
 	runDistVsLocal[float64](t, 128, 32, 1, 1, 1, 1e-12)
 }
 
-// TestDistPowerOfTwoWorkers runs the full-depth binary tree.
+// TestDistPowerOfTwoWorkers runs the full-depth binary tree for enough
+// free-running rounds that the bounded send queues fill and apply
+// backpressure, then requires that nothing is left running.
 func TestDistPowerOfTwoWorkers(t *testing.T) {
-	runDistVsLocal[float64](t, 512, 64, 1, 4, 3, 1e-12)
+	runDistVsLocal[float64](t, 512, 64, 1, 4, 16, 1e-12)
+	assertNoGoroutines(t)
 }
 
-// TestDistDrain cancels a long run mid-flight and requires a coordinated
-// drain: Run returns cleanly with fewer rounds than asked, and every worker
-// exits without error — the SIGTERM semantics of cmd/qrdist.
-func TestDistDrain(t *testing.T) {
+// TestDistCancel cancels a long run in the middle of a round: Run returns
+// context.Canceled at once, and every worker aborts mid-round with an
+// error naming the lost coordinator connection — the SIGTERM semantics of
+// cmd/qrdist.
+func TestDistCancel(t *testing.T) {
 	// Far more rounds than any host finishes before the cancel below fires
-	// (a round of this shape is ~0.25 ms; 1000 of them fit in the delay).
-	// The 192×32 matrix is shipped once, 96 rows a worker.
+	// (a round of this shape is ~0.25 ms). The 192×32 matrix is shipped
+	// once, 96 rows a worker.
 	const W, rounds = 2, 1_000_000
-	c, err := NewCoordinator(Config{
-		Workers: W, NB: 32, IB: 8, Rounds: rounds, Window: 2, LocalWorkers: 1,
-	})
+	c, err := NewCoordinator(Config{Workers: W, NB: 32, IB: 8, Rounds: rounds, LocalWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	errs := SpawnLocal(context.Background(), c.Addr(), W)
+	cancelled := make(chan time.Time, 1)
 	go func() {
 		time.Sleep(300 * time.Millisecond)
+		cancelled <- time.Now()
 		cancel()
 	}()
-	res, err := Run(ctx, c, tile.RandDense[float64](192, 32, 42), tile.RandDense[float64](192, 1, 43))
-	if err != nil {
-		t.Fatalf("drain must complete cleanly, got %v", err)
+	_, err = Run(ctx, c, tile.RandDense[float64](192, 32, 42), tile.RandDense[float64](192, 1, 43))
+	at := <-cancelled
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Run returned %v, want context.Canceled", err)
 	}
-	joinWorkers(t, errs, W)
-	if res.Rounds <= 0 || res.Rounds >= rounds {
-		t.Errorf("drained after %d rounds, want 0 < rounds < %d", res.Rounds, rounds)
+	if d := time.Since(at); d > time.Second {
+		t.Errorf("Run returned %v after the cancel, want < 1s", d)
 	}
-	if res.Stats.Rounds != res.Rounds {
-		t.Errorf("stats rounds %d != result rounds %d", res.Stats.Rounds, res.Rounds)
+	for i := 0; i < W; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), "coordinator connection lost") {
+				t.Errorf("worker exited with %v, want the lost coordinator connection", err)
+			}
+		case <-time.After(5*time.Second - time.Since(at)):
+			t.Fatalf("worker still running 5s after the cancel")
+		}
+	}
+	assertNoGoroutines(t)
+}
+
+// TestDistFailedWorker: a fake peer speaking raw frames joins the run and
+// reports a failure. Run fails with its message, and the real worker exits
+// within 5s whichever rank it got — as rank 0 it was waiting in the tree
+// for the fake's triangle, as rank 1 for a Done that never comes.
+func TestDistFailedWorker(t *testing.T) {
+	for _, fakeFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("fake-first=%v", fakeFirst), func(t *testing.T) {
+			c, err := NewCoordinator(Config{Workers: 2, NB: 32, IB: 8, LocalWorkers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The fake's peer listener accepts (in the kernel) and never reads.
+			peerLn, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer peerLn.Close()
+			var errs <-chan error
+			if !fakeFirst {
+				errs = SpawnLocal(context.Background(), c.Addr(), 1)
+				time.Sleep(100 * time.Millisecond) // let it take rank 0
+			}
+			conn, err := net.Dial("tcp", c.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := writeJSON(conn, KindHello, 0, helloMsg{Proto: protoVersion, PeerAddr: peerLn.Addr().String()}); err != nil {
+				t.Fatal(err)
+			}
+			if fakeFirst {
+				errs = SpawnLocal(context.Background(), c.Addr(), 1)
+			}
+			runErr := make(chan error, 1)
+			go func() {
+				_, err := Run(context.Background(), c, tile.RandDense[float64](128, 32, 1), tile.RandDense[float64](128, 1, 2))
+				runErr <- err
+			}()
+			var cfg wireConfig
+			if _, err := readJSON(conn, nil, KindConfig, &cfg); err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []byte{KindShard, KindRHS} {
+				if f, _, err := ReadFrame(conn, nil); err != nil || f.Kind != want {
+					t.Fatalf("fake peer read kind %d, %v; want kind %d", f.Kind, err, want)
+				}
+			}
+			t.Logf("fake peer is rank %d", cfg.Rank)
+			if err := writeJSON(conn, KindErr, 0, errMsg{Rank: cfg.Rank, Error: "injected failure"}); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-runErr:
+				want := fmt.Sprintf("worker %d failed: injected failure", cfg.Rank)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("Run returned %v, want %q", err, want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Run did not return after the peer failed")
+			}
+			select {
+			case err := <-errs:
+				if err == nil {
+					t.Error("real worker reported success in a failed run")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("real worker still running 5s after its peer failed")
+			}
+			assertNoGoroutines(t)
+		})
+	}
+}
+
+// assertNoGoroutines requires every goroutine the package started to be
+// gone (within 2s): none but the running tests' own is left inside dist.
+func assertNoGoroutines(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		buf := make([]byte, 1<<20)
+		var left []string
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "tiledqr/internal/dist.") && !strings.Contains(g, "testing.tRunner(") {
+				left = append(left, g)
+			}
+		}
+		if len(left) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left:\n%s", len(left), strings.Join(left, "\n\n"))
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -186,7 +299,8 @@ func TestDistRefusesOldProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = Run(context.Background(), c, tile.RandDense[float64](64, 32, 1), nil)
-	if err == nil || !strings.Contains(err.Error(), "protocol version mismatch: worker 1, coordinator 2") {
+	want := fmt.Sprintf("protocol version mismatch: worker 1, coordinator %d", protoVersion)
+	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("a proto-1 hello must be refused with the version mismatch, got %v", err)
 	}
 	// The coordinator hung up on the refused peer.
@@ -194,25 +308,7 @@ func TestDistRefusesOldProtocol(t *testing.T) {
 	if _, _, err := ReadFrame(conn, nil); err == nil {
 		t.Error("refused peer was sent a frame; want its connection closed")
 	}
-	// Every goroutine the run started is gone: none but this test's own is
-	// left inside the package.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		buf := make([]byte, 1<<20)
-		var left []string
-		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-			if strings.Contains(g, "tiledqr/internal/dist.") && !strings.Contains(g, "TestDistRefusesOldProtocol") {
-				left = append(left, g)
-			}
-		}
-		if len(left) == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines left after the refused handshake:\n%s", len(left), strings.Join(left, "\n\n"))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	assertNoGoroutines(t)
 }
 
 // TestDistRejectsThinShards enforces the shard ≥ n floor with a

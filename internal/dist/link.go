@@ -1,12 +1,16 @@
-// Reduction-tree connection plumbing: one lazily dialed TCP connection per
-// (sender, pivot) pair, a writer goroutine per connection so a shard can
-// start its next local factorization while its R triangle is still in
-// flight (the overlap the benchmark measures), and a receive hub that
-// demultiplexes incoming peer frames by sender rank. Buffers are pooled on
-// both sides; the steady state moves zero allocations per round.
+// Reduction-tree connection plumbing. Every rank but 0 has exactly one
+// tree parent, rank − lowbit(rank), so a worker sends on one connection
+// through one writer goroutine: a sender can start its next local
+// factorization while its R triangle is still in flight (which only
+// matters when Rounds > 1), and the bounded queue is the run's only flow
+// control. A receive hub demultiplexes incoming peer frames by sender
+// rank. Both sides watch the worker's context, so a run that is cancelled
+// or loses its coordinator aborts mid-round. Buffers are pooled on both
+// sides; the steady state moves zero allocations per round.
 package dist
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -14,107 +18,88 @@ import (
 	"time"
 )
 
-// sendQueueDepth bounds the frames queued per outgoing connection: enough
-// for about two rounds of (RTri, QTB) pairs in flight, so pipelining is
-// real but a stalled pivot exerts backpressure instead of unbounded
-// buffering.
+// sendQueueDepth bounds the frames queued to the parent: enough for about
+// two rounds of (RTri, QTB) pairs in flight, so a sender runs at most about
+// two rounds ahead of its parent before it blocks.
 const sendQueueDepth = 4
 
-// peerSender is one outgoing tree edge: a connection plus its writer
-// goroutine's queue.
-type peerSender struct {
-	ch   chan []byte
-	conn net.Conn
-}
-
-// sendHub owns a worker's outgoing tree edges and their accounting.
+// sendHub is a worker's edge to its tree parent: the connection, the
+// writer goroutine's queue, and its accounting.
 type sendHub struct {
-	rank  int
-	peers []string
+	ctx  context.Context
+	rank int
+	conn net.Conn
+	ch   chan []byte
+	done chan struct{} // closed when the writer exits; err is set before
 
-	mu    sync.Mutex
-	conns map[int]*peerSender
-	wg    sync.WaitGroup
-
-	bytesSent atomic.Int64
-	sendNS    atomic.Int64
-	errv      atomic.Value // error from any writer
+	err       error
+	bytesSent int64
+	sendNS    int64
 }
 
-func newSendHub(rank int, peers []string) *sendHub {
-	return &sendHub{rank: rank, peers: peers, conns: map[int]*peerSender{}}
-}
-
-func (h *sendHub) fail(err error) { h.errv.CompareAndSwap(nil, err) }
-
-func (h *sendHub) err() error {
-	if v := h.errv.Load(); v != nil {
-		return v.(error)
+// dialParent connects rank to its tree parent at addr and starts the
+// writer. The first frame is a PeerHello identifying this sender.
+func dialParent(ctx context.Context, rank int, addr string) (*sendHub, error) {
+	d := net.Dialer{Timeout: 10 * time.Second}
+	conn, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("dist: rank %d dialing parent: %w", rank, err)
 	}
-	return nil
+	context.AfterFunc(ctx, func() { _ = conn.Close() })
+	h := &sendHub{ctx: ctx, rank: rank, conn: conn,
+		ch: make(chan []byte, sendQueueDepth), done: make(chan struct{})}
+	h.ch <- packFrame(&Frame{Kind: KindPeerHello, Seq: uint32(rank)}, 0, func([]byte) {})
+	go h.writer()
+	return h, nil
 }
 
-// send enqueues a framed buffer (ownership transfers; the writer recycles
-// it) to the peer with the given rank, dialing on first use. The first
-// frame on a fresh connection is a PeerHello identifying this sender.
-func (h *sendHub) send(to int, framed []byte) error {
-	if err := h.err(); err != nil {
+// send enqueues a framed buffer for the parent; ownership transfers (the
+// writer recycles it). It blocks while the queue is full.
+func (h *sendHub) send(framed []byte) error {
+	select {
+	case h.ch <- framed:
+		return nil
+	case <-h.done:
 		putBuf(framed)
-		return err
+		return h.err
+	case <-h.ctx.Done():
+		putBuf(framed)
+		return context.Cause(h.ctx)
 	}
-	h.mu.Lock()
-	ps := h.conns[to]
-	if ps == nil {
-		conn, err := net.DialTimeout("tcp", h.peers[to], 10*time.Second)
-		if err != nil {
-			h.mu.Unlock()
-			putBuf(framed)
-			err = fmt.Errorf("dist: rank %d dialing peer %d: %w", h.rank, to, err)
-			h.fail(err)
-			return err
-		}
-		ps = &peerSender{ch: make(chan []byte, sendQueueDepth), conn: conn}
-		h.conns[to] = ps
-		h.wg.Add(1)
-		go h.writer(ps)
-		ps.ch <- packFrame(&Frame{Kind: KindPeerHello, Seq: uint32(h.rank)}, 0, func([]byte) {})
-	}
-	h.mu.Unlock()
-	ps.ch <- framed
-	return nil
 }
 
-// writer drains one connection's queue. After a write error it keeps
-// consuming (recycling buffers) so senders never block on a dead edge; the
-// recorded error fails the worker at its next send.
-func (h *sendHub) writer(ps *peerSender) {
-	defer h.wg.Done()
-	dead := false
-	for buf := range ps.ch {
-		if !dead {
-			t0 := time.Now()
-			n, err := ps.conn.Write(buf)
-			h.sendNS.Add(int64(time.Since(t0)))
-			h.bytesSent.Add(int64(n))
-			if err != nil {
-				h.fail(fmt.Errorf("dist: rank %d peer send: %w", h.rank, err))
-				dead = true
+// writer drains the queue onto the connection until close or a failure.
+func (h *sendHub) writer() {
+	defer close(h.done)
+	defer h.conn.Close()
+	for {
+		select {
+		case buf, ok := <-h.ch:
+			if !ok {
+				return
 			}
+			t0 := time.Now()
+			n, err := h.conn.Write(buf)
+			h.sendNS += int64(time.Since(t0))
+			h.bytesSent += int64(n)
+			putBuf(buf)
+			if err != nil {
+				h.err = fmt.Errorf("dist: rank %d peer send: %w", h.rank, err)
+				return
+			}
+		case <-h.ctx.Done():
+			h.err = context.Cause(h.ctx)
+			return
 		}
-		putBuf(buf)
 	}
-	_ = ps.conn.Close()
 }
 
-// close flushes and tears down every outgoing edge, waiting for the
-// writers so all queued frames are on the wire before the worker exits.
-func (h *sendHub) close() {
-	h.mu.Lock()
-	for _, ps := range h.conns {
-		close(ps.ch)
-	}
-	h.mu.Unlock()
-	h.wg.Wait()
+// close flushes the queue and waits for the writer, so every frame is on
+// the wire (or the edge has failed) before the worker reports its stats.
+func (h *sendHub) close() error {
+	close(h.ch)
+	<-h.done
+	return h.err
 }
 
 // recvMsg is one delivered peer frame; buf owns the payload and goes back
@@ -126,10 +111,10 @@ type recvMsg struct {
 }
 
 // recvHub accepts reduction-tree connections on a worker's peer listener
-// and demultiplexes their frames into per-sender queues.
+// and demultiplexes their frames into per-sender queues. It lives until
+// ctx ends, which closes the listener and every accepted connection.
 type recvHub struct {
-	ln   net.Listener
-	done chan struct{}
+	ctx context.Context
 
 	mu      sync.Mutex
 	senders map[int]chan recvMsg
@@ -137,9 +122,18 @@ type recvHub struct {
 	bytesRecv atomic.Int64
 }
 
-func newRecvHub(ln net.Listener) *recvHub {
-	h := &recvHub{ln: ln, done: make(chan struct{}), senders: map[int]chan recvMsg{}}
-	go h.accept()
+func newRecvHub(ctx context.Context, ln net.Listener) *recvHub {
+	h := &recvHub{ctx: ctx, senders: map[int]chan recvMsg{}}
+	context.AfterFunc(ctx, func() { _ = ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return // listener closed: hub shutting down
+			}
+			go h.serve(conn)
+		}
+	}()
 	return h
 }
 
@@ -156,46 +150,37 @@ func (h *recvHub) queueFor(rank int) chan recvMsg {
 	return ch
 }
 
-func (h *recvHub) accept() {
-	for {
-		conn, err := h.ln.Accept()
-		if err != nil {
-			return // listener closed: hub shutting down
-		}
-		go h.serve(conn)
-	}
-}
-
 // serve reads one peer connection: a PeerHello naming the sender, then a
 // stream of bulk frames delivered in order to that sender's queue. Each
 // frame lands in its own pooled buffer because ownership transfers to the
 // consumer.
 func (h *recvHub) serve(conn net.Conn) {
 	defer conn.Close()
+	context.AfterFunc(h.ctx, func() { _ = conn.Close() })
 	setDeadline(conn, 30*time.Second)
 	hello, buf, err := ReadFrame(conn, getBuf(0))
+	putBuf(buf)
 	if err != nil || hello.Kind != KindPeerHello {
-		putBuf(buf)
 		return // not a valid peer: drop the connection
 	}
-	putBuf(buf)
 	setDeadline(conn, 0)
 	ch := h.queueFor(int(hello.Seq))
 	for {
 		f, fbuf, err := ReadFrame(conn, getBuf(0))
+		m := recvMsg{f: f, buf: fbuf, err: err}
 		if err != nil {
 			putBuf(fbuf)
-			select {
-			case ch <- recvMsg{err: err}:
-			case <-h.done:
-			}
+			m.buf = nil
+		} else {
+			h.bytesRecv.Add(int64(HeaderLen + len(f.Payload)))
+		}
+		select {
+		case ch <- m:
+		case <-h.ctx.Done():
+			putBuf(m.buf)
 			return
 		}
-		h.bytesRecv.Add(int64(HeaderLen + len(f.Payload)))
-		select {
-		case ch <- recvMsg{f: f, buf: fbuf}:
-		case <-h.done:
-			putBuf(fbuf)
+		if err != nil {
 			return
 		}
 	}
@@ -210,14 +195,7 @@ func (h *recvHub) recv(from int) (Frame, []byte, error) {
 			return Frame{}, nil, fmt.Errorf("dist: receiving from rank %d: %w", from, m.err)
 		}
 		return m.f, m.buf, nil
-	case <-h.done:
-		return Frame{}, nil, fmt.Errorf("dist: receive from rank %d aborted", from)
+	case <-h.ctx.Done():
+		return Frame{}, nil, context.Cause(h.ctx)
 	}
-}
-
-// close tears the hub down: the listener stops accepting and every
-// blocked recv unblocks.
-func (h *recvHub) close() {
-	_ = h.ln.Close()
-	close(h.done)
 }

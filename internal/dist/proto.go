@@ -9,16 +9,15 @@ import (
 	"io"
 	"net"
 	"time"
-
-	"tiledqr/internal/core"
 )
 
 // protoVersion gates the handshake: a coordinator and worker from
 // different builds fail loudly at connect instead of corrupting frames.
 // Version 2 dropped worker-side shard generation (a seed in the config):
 // every worker now waits for a shard frame, which a version-1 coordinator
-// in that mode never sends, so the two must not get past the handshake.
-const protoVersion = 2
+// in that mode never sends. Version 3 dropped the round-credit frames: a
+// version-2 worker would wait forever for an allowance.
+const protoVersion = 3
 
 // helloMsg is the worker's opening frame: its protocol version and the
 // address its peer listener accepts reduction-tree connections on.
@@ -28,9 +27,8 @@ type helloMsg struct {
 }
 
 // wireConfig is the coordinator's reply: everything a worker needs to run
-// its shard — rank, the peer table for the reduction tree, the shard and
-// algorithm shape, and the initial round allowance of the pipelining
-// credit window.
+// its shard — rank, the peer table for the reduction tree, and the shard
+// shape. Shards are always factored with Greedy/TT.
 type wireConfig struct {
 	Proto        int      `json:"proto"`
 	Rank         int      `json:"rank"`
@@ -42,15 +40,9 @@ type wireConfig struct {
 	NRHS         int      `json:"nrhs"`
 	NB           int      `json:"nb"`
 	IB           int      `json:"ib"`
-	Alg          int      `json:"alg"`
-	Kern         int      `json:"kern"`
 	Rounds       int      `json:"rounds"`
-	Allow        int      `json:"allow"`
 	LocalWorkers int      `json:"local_workers,omitempty"`
 }
-
-func (c *wireConfig) algorithm() core.Algorithm { return core.Algorithm(c.Alg) }
-func (c *wireConfig) kernels() core.Kernels     { return core.Kernels(c.Kern) }
 
 // errMsg carries a worker-side failure to the coordinator.
 type errMsg struct {
@@ -59,10 +51,9 @@ type errMsg struct {
 }
 
 // WorkerStats is one worker's per-run accounting, reported to the
-// coordinator in the final Stats frame and aggregated into RunStats. The
-// overlap figures are the point of the exercise: ComputeNS + CommNS
-// exceeding WallNS means communication was hidden behind the next round's
-// local factorization.
+// coordinator in the final Stats frame and aggregated into RunStats.
+// ComputeNS + CommNS exceeding WallNS means communication was hidden
+// behind the next round's local factorization, which needs Rounds > 1.
 type WorkerStats struct {
 	Rank       int   `json:"rank"`
 	Rounds     int   `json:"rounds"`

@@ -39,8 +39,8 @@ import (
 
 // Frame kinds. The handshake is Hello → Config → (Shard, RHS)?; each round
 // moves RTri/QTB frames up the reduction tree and a Result pair from the
-// tree root to the coordinator; Round/Stop/Done are the coordinator's
-// flow-control plane; Err carries a worker-side failure.
+// tree root to the coordinator; a worker ends with Stats (or Err) and the
+// coordinator answers the whole run with Done.
 const (
 	KindHello     byte = iota + 1 // worker → coordinator: JSON helloMsg
 	KindConfig                    // coordinator → worker: JSON wireConfig
@@ -50,8 +50,6 @@ const (
 	KindQTB                       // packed top-n block of a shard's Qᵀb
 	KindPeerHello                 // worker → worker: seq = sender rank
 	KindStats                     // worker → coordinator: JSON WorkerStats
-	KindRound                     // coordinator → worker: seq = new round allowance
-	KindStop                      // coordinator → worker: seq = final round count (drain)
 	KindDone                      // coordinator → worker: run complete, disconnect
 	KindErr                       // worker → coordinator: JSON errMsg
 

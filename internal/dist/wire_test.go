@@ -205,7 +205,7 @@ func FuzzTileFrame(f *testing.F) {
 	PackScalars(qtb, []complex128{1 + 2i, 3 - 4i, -5i, 6})
 	f.Add(seed(&Frame{Kind: KindQTB, Prec: 'z', Seq: 1, Rows: 2, Cols: 2, Payload: qtb}))
 	f.Add(seed(&Frame{Kind: KindHello, Payload: []byte(`{"proto":1,"peer_addr":"127.0.0.1:1"}`)}))
-	f.Add(seed(&Frame{Kind: KindStop, Seq: 9}))
+	f.Add(seed(&Frame{Kind: KindErr, Payload: []byte(`{"rank":1,"error":"x"}`)}))
 	short := seed(&Frame{Kind: KindShard, Prec: 's', Rows: 2, Cols: 2, Payload: make([]byte, 16)})
 	f.Add(short[:len(short)-3]) // truncated payload
 	bad := seed(&Frame{Kind: KindDone})
