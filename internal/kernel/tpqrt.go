@@ -105,8 +105,8 @@ func applyPentPanel[T vec.Scalar](trans bool, m, l int, v []T, ldv, vc0, kb int,
 		}
 	}
 	if gemmBulk {
-		// W += V₂ᵀ·C₂ over the fully pentagonal rows in one packed product
-		// (real domains only, so the conjugation is the identity).
+		// W += V₂ᴴ·C₂ over the fully pentagonal rows in one packed product
+		// (GemmTN conjugates A; in the real domains that is the identity).
 		vec.GemmTN(kb, nc, mFull, T(1), v[vc0:], ldv,
 			c2[c2c0:], ldc2, w[:kb*nc], nc, pack)
 	}

@@ -43,7 +43,11 @@ import (
 // calibrations taken before the panel kernels went column-contiguous and
 // while the timing harness still allocated a tile per timed call (biased
 // against the cheap kernels), so old and new speeds are never mixed.
-const SchemaVersion = 3
+// Version 4 changes no field either: it retires the complex-domain SIMD rates
+// measured before the complex update sweeps ran on the packed micro-GEMM
+// (2–4× low since), which would otherwise rank complex candidates on the old
+// kernels.
+const SchemaVersion = 4
 
 // EnvCalibration overrides the calibration cache location. Set it to a file
 // path to relocate the cache, or to "off" to disable persistence (the

@@ -65,6 +65,9 @@ func TestCalibrationCorruptionFallsBackToMeasurement(t *testing.T) {
 		// The exact layout written by schema version 1, before the kernel
 		// family axis: must be ignored (recalibrated), never misread.
 		"stale-v1-schema": []byte(`{"version":1,"precisions":{"float64":[{"nb":64,"ib":16,"gflops":{"GEQRT":3}}]}}`),
+		// Version 3's layout is today's, but its complex SIMD rates predate
+		// the packed complex GEMM: a well-formed v3 file must recalibrate too.
+		"stale-v3-schema": mustJSON(fileFormat{Version: 3, Families: fam1(synthPoints())}),
 	}
 	for name, raw := range cases {
 		t.Run(name, func(t *testing.T) {

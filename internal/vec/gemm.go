@@ -1,5 +1,7 @@
 package vec
 
+import "unsafe"
+
 // Packed register-blocked micro-GEMM, the bulk engine behind the
 // trailing-matrix update kernels. The drivers follow the classic BLIS
 // decomposition scaled down to tile-sized operands (everything a kernel
@@ -16,17 +18,26 @@ package vec
 //     into C, edge tiles into a zeroed mr×nr scratch whose valid region is
 //     then added back, so the assembly never needs a partial-tile path.
 //
+// The complex domains run on the same real micro-kernels through the 1m
+// method (Van Zee & Smith, "Implementing high-performance complex matrix
+// multiplication via the 1m method"). C, stored as interleaved (re, im)
+// pairs, is read as a real m×2n matrix at stride 2·ldc; A is packed as a
+// real m×2k matrix whose k-step l becomes the two real steps re and im of
+// α·op(A)[i,l]; B is expanded into a real 2k×2n panel whose rows 2l and
+// 2l+1 are B's row l as (re, im) pairs and i·B's row l, i.e. (−im, re). One
+// real product then performs exactly the complex product's 8·m·n·k flops
+// with no padding waste, and the four domains differ only in how they pack.
+//
 // Pack scratch is caller-owned (the kernels carve it out of the per-worker
 // workspace, see kernel.WorkLen) and sized by GemmPackLen. The drivers
 // cover the two shapes the QR updates need: C += α·A·B (GemmNN) and
-// C += α·Aᵀ·B (GemmTN, A stored k×m). Complex domains are not handled
-// here — their conjugation structure doesn't map onto the real micro-
-// kernel — and callers must keep their generic loops as the fallback for
-// the many reasons a call can decline: backend off, complex T, degenerate
-// or too-small shape, short scratch.
+// C += α·Aᴴ·B (GemmTN, A stored k×m; Aᵀ in the real domains). Callers
+// must keep their generic loops as the fallback for the reasons a call can
+// decline: backend off, degenerate or too-small shape, short scratch.
 
 // Micro-tile shapes. float64: 4×8 (8 ymm / 16 NEON q accumulators);
-// float32: 4×16 (same register budget at twice the lane count).
+// float32: 4×16 (same register budget at twice the lane count). The complex
+// domains use their component type's tile, nr counted in reals.
 const (
 	gemmMR   = 4
 	gemmNR64 = 8
@@ -47,33 +58,45 @@ const GemmMinCols = gemmMR
 
 func roundUpTo(v, q int) int { return (v + q - 1) / q * q }
 
+// gemmTile returns T's micro-tile width nr, in reals, and the number of
+// reals per element of T (1 real, 2 complex).
+func gemmTile[T Scalar]() (nr, parts int) {
+	switch any(x0[T]()).(type) {
+	case float64:
+		return gemmNR64, 1
+	case float32:
+		return gemmNR32, 1
+	case complex128:
+		return gemmNR64, 2
+	}
+	return gemmNR32, 2
+}
+
 // GemmPackLen returns the scratch length (in elements of T) GemmNN/GemmTN
-// need for an m×n×k product, or 0 for domains the packed path never
-// serves. It is monotone in each dimension, so sizing for upper bounds
-// covers every smaller call.
+// need for an m×n×k product: A in mr-row strips, B in nr-column strips and
+// one edge tile. For the complex domains these hold the 1m expansion, so B
+// takes k·roundUp(2n, nr) elements and the edge tile mr·nr/2. It is
+// monotone in each dimension, so sizing for upper bounds covers every
+// smaller call.
 func GemmPackLen[T Scalar](m, n, k int) int {
 	if m <= 0 || n <= 0 || k <= 0 {
 		return 0
 	}
-	switch any(x0[T]()).(type) {
-	case float64:
-		return roundUpTo(m, gemmMR)*k + k*roundUpTo(n, gemmNR64) + gemmMR*gemmNR64
-	case float32:
-		return roundUpTo(m, gemmMR)*k + k*roundUpTo(n, gemmNR32) + gemmMR*gemmNR32
-	}
-	return 0
+	nr, parts := gemmTile[T]()
+	return roundUpTo(m, gemmMR)*k + k*roundUpTo(parts*n, nr) + gemmMR*nr/parts
 }
 
 // GemmPackBound bounds GemmPackLen over all domains for any product whose
-// dimensions are at most maxM×maxN×maxK (the float32 tile shape is the
-// wider one). It is monotone in each argument, so workspace sized from
-// upper bounds (kernel.WorkLen does this) covers every smaller call in
-// every T without being generic itself.
+// dimensions are at most maxM×maxN×maxK: the complex B panel, 2n reals
+// padded to the wider float32 tile, is the largest B, and the float32 edge
+// tile the largest tile. It is monotone in each argument, so workspace
+// sized from upper bounds (kernel.WorkLen does this) covers every smaller
+// call in every T without being generic itself.
 func GemmPackBound(maxM, maxN, maxK int) int {
 	if maxM <= 0 || maxN <= 0 || maxK <= 0 {
 		return 0
 	}
-	return roundUpTo(maxM, gemmMR)*maxK + maxK*roundUpTo(maxN, gemmNR32) + gemmMR*gemmNR32
+	return roundUpTo(maxM, gemmMR)*maxK + maxK*roundUpTo(2*maxN, gemmNR32) + gemmMR*gemmNR32
 }
 
 // GemmOK reports whether a GemmNN/GemmTN call of shape m×n×k with packLen
@@ -88,8 +111,7 @@ func GemmOK[T Scalar](m, n, k, packLen int) bool {
 	if !simdEnabled.Load() || n < GemmMinCols || m*n*k < gemmMinWork {
 		return false
 	}
-	pl := GemmPackLen[T](m, n, k)
-	return pl > 0 && packLen >= pl
+	return packLen >= GemmPackLen[T](m, n, k)
 }
 
 func x0[T Scalar]() T { var z T; return z }
@@ -103,8 +125,9 @@ func GemmNN[T Scalar](m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []
 	return gemmDispatch(m, n, k, alpha, a, lda, false, b, ldb, c, ldc, pack)
 }
 
-// GemmTN is GemmNN with A stored transposed: A is k×m with stride lda and
-// c[i,j] += α · Σ_l a[l,i]·b[l,j]. This is the W := VᵀC shape of the
+// GemmTN is GemmNN with A stored transposed and conjugated: A is k×m with
+// stride lda and c[i,j] += α · Σ_l conj(a[l,i])·b[l,j] (the conjugation is
+// the identity in the real domains). This is the W := VᴴC shape of the
 // block-reflector updates, where V's rows are contiguous.
 func GemmTN[T Scalar](m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int, pack []T) bool {
 	return gemmDispatch(m, n, k, alpha, a, lda, true, b, ldb, c, ldc, pack)
@@ -117,157 +140,167 @@ func gemmDispatch[T Scalar](m, n, k int, alpha T, a []T, lda int, transA bool, b
 	if alpha == 0 || !GemmOK[T](m, n, k, len(pack)) {
 		return false
 	}
-	switch as := any(a).(type) {
-	case []float64:
-		gemmF64(m, n, k, any(alpha).(float64), as, lda, transA,
-			any(b).([]float64), ldb, any(c).([]float64), ldc, any(pack).([]float64))
-		return true
-	case []float32:
-		gemmF32(m, n, k, any(alpha).(float32), as, lda, transA,
-			any(b).([]float32), ldb, any(c).([]float32), ldc, any(pack).([]float32))
-		return true
-	}
-	return false
+	gemmPacked(m, n, k, alpha, a, lda, transA, b, ldb, c, ldc, pack)
+	return true
 }
 
-// gemmF64 and gemmF32 are deliberate near-twins: the micro-kernel
-// signatures are monomorphic (base pointers), so sharing the driver
-// generically would force unsafe pointer plumbing for no reader benefit.
-
-func gemmF64(m, n, k int, alpha float64, a []float64, lda int, transA bool, b []float64, ldb int, c []float64, ldc int, pack []float64) {
-	const mr, nr = gemmMR, gemmNR64
-	mp, np := roundUpTo(m, mr), roundUpTo(n, nr)
-	ap := pack[:mp*k]
-	bp := pack[mp*k : mp*k+k*np]
-	tmp := pack[mp*k+k*np : mp*k+k*np+mr*nr]
-
-	idx := 0
-	for j0 := 0; j0 < n; j0 += nr {
-		w := min(nr, n-j0)
-		for l := 0; l < k; l++ {
-			row := b[l*ldb+j0 : l*ldb+j0+w]
-			copy(bp[idx:idx+w], row)
-			for j := w; j < nr; j++ {
-				bp[idx+j] = 0
-			}
-			idx += nr
-		}
+// gemmPacked runs the packed product past every gate (m, n, k ≥ 1 and
+// len(pack) ≥ GemmPackLen assumed), on the micro-kernel of T's component
+// type.
+func gemmPacked[T Scalar](m, n, k int, alpha T, a []T, lda int, transA bool, b []T, ldb int, c []T, ldc int, pack []T) {
+	ar, ai := RealPart(alpha), ImagPart(alpha)
+	nr, parts := gemmTile[T]()
+	switch any(alpha).(type) {
+	case float64, complex128:
+		gemm(gemmKerF64, nr, parts, m, n, k, ar, ai, realView[float64](a), lda, transA,
+			realView[float64](b), ldb, realView[float64](c), ldc, realView[float64](pack))
+	default:
+		gemm(gemmKerF32, nr, parts, m, n, k, float32(ar), float32(ai), realView[float32](a), lda, transA,
+			realView[float32](b), ldb, realView[float32](c), ldc, realView[float32](pack))
 	}
-	idx = 0
-	for i0 := 0; i0 < m; i0 += mr {
-		h := min(mr, m-i0)
-		if transA {
-			for l := 0; l < k; l++ {
-				row := a[l*lda+i0 : l*lda+i0+h]
-				for r := 0; r < h; r++ {
-					ap[idx+r] = alpha * row[r]
-				}
-				for r := h; r < mr; r++ {
-					ap[idx+r] = 0
-				}
-				idx += mr
-			}
-		} else {
-			for l := 0; l < k; l++ {
-				for r := 0; r < h; r++ {
-					ap[idx+r] = alpha * a[(i0+r)*lda+l]
-				}
-				for r := h; r < mr; r++ {
-					ap[idx+r] = 0
-				}
-				idx += mr
-			}
-		}
+}
+
+// realView reinterprets x as its real components: the same elements for the
+// real domains, the interleaved (re, im) pairs — twice as many — for the
+// complex ones. F must be T's component type.
+func realView[F float32 | float64, T Scalar](x []T) []F {
+	var z T
+	var f F
+	return unsafe.Slice((*F)(unsafe.Pointer(unsafe.SliceData(x))), len(x)*int(unsafe.Sizeof(z)/unsafe.Sizeof(f)))
+}
+
+// gemm is the one packed driver, over the real views of its operands:
+// parts = 2 marks complex data, whose strides still count complex elements
+// and which is packed in the 1m layout. ker is the real mr×nr micro-kernel.
+// The real product it runs is m×(parts·n)×(parts·k).
+func gemm[F float32 | float64](ker func(k int, a, b, c *F, ldc int), nr, parts int,
+	m, n, k int, ar, ai F, a []F, lda int, transA bool, b []F, ldb int, c []F, ldc int, pack []F) {
+	const mr = gemmMR
+	nR, kR := parts*n, parts*k
+	mp, np := roundUpTo(m, mr), roundUpTo(nR, nr)
+	ap := pack[:mp*kR]
+	bp := pack[mp*kR : mp*kR+kR*np]
+	tmp := pack[mp*kR+kR*np : mp*kR+kR*np+mr*nr]
+	if parts == 1 {
+		packB(b, ldb, n, k, nr, bp)
+		packA(ar, a, lda, transA, m, k, ap)
+	} else {
+		packB1m(b, ldb, n, k, nr, bp)
+		packA1m(ar, ai, a, lda, transA, m, k, ap)
 	}
 
+	ldc *= parts
 	for i0 := 0; i0 < m; i0 += mr {
 		h := min(mr, m-i0)
-		as := ap[(i0/mr)*mr*k:]
-		for j0 := 0; j0 < n; j0 += nr {
-			w := min(nr, n-j0)
-			bs := bp[(j0/nr)*nr*k:]
+		as := ap[i0*kR:] // strip i0/mr
+		for j0 := 0; j0 < nR; j0 += nr {
+			w := min(nr, nR-j0)
+			bs := bp[j0*kR:] // strip j0/nr
 			if h == mr && w == nr {
-				gemmKerF64(k, &as[0], &bs[0], &c[i0*ldc+j0], ldc)
+				ker(kR, &as[0], &bs[0], &c[i0*ldc+j0], ldc)
 				continue
 			}
 			clear(tmp)
-			gemmKerF64(k, &as[0], &bs[0], &tmp[0], nr)
+			ker(kR, &as[0], &bs[0], &tmp[0], nr)
 			for r := 0; r < h; r++ {
 				crow := c[(i0+r)*ldc+j0 : (i0+r)*ldc+j0+w]
-				trow := tmp[r*nr : r*nr+w]
-				for j := range crow {
-					crow[j] += trow[j]
+				for j, v := range tmp[r*nr : r*nr+w] {
+					crow[j] += v
 				}
 			}
 		}
 	}
 }
 
-func gemmF32(m, n, k int, alpha float32, a []float32, lda int, transA bool, b []float32, ldb int, c []float32, ldc int, pack []float32) {
-	const mr, nr = gemmMR, gemmNR32
-	mp, np := roundUpTo(m, mr), roundUpTo(n, nr)
-	ap := pack[:mp*k]
-	bp := pack[mp*k : mp*k+k*np]
-	tmp := pack[mp*k+k*np : mp*k+k*np+mr*nr]
-
+// packB copies the k×n B into bp as nr-column strips of k rows, zero-padding
+// the last strip.
+func packB[F float32 | float64](b []F, ldb, n, k, nr int, bp []F) {
 	idx := 0
 	for j0 := 0; j0 < n; j0 += nr {
 		w := min(nr, n-j0)
 		for l := 0; l < k; l++ {
-			row := b[l*ldb+j0 : l*ldb+j0+w]
-			copy(bp[idx:idx+w], row)
+			copy(bp[idx:idx+w], b[l*ldb+j0:l*ldb+j0+w])
 			for j := w; j < nr; j++ {
 				bp[idx+j] = 0
 			}
 			idx += nr
 		}
 	}
-	idx = 0
-	for i0 := 0; i0 < m; i0 += mr {
-		h := min(mr, m-i0)
-		if transA {
-			for l := 0; l < k; l++ {
+}
+
+// packB1m is packB for a complex B held as (re, im) pairs, expanded to the
+// real 2k×2n panel: row 2l is B's row l as it is stored, row 2l+1 is i·B's,
+// (re, im) → (−im, re). Strips start at even reals, so no pair straddles
+// two.
+func packB1m[F float32 | float64](b []F, ldb, n, k, nr int, bp []F) {
+	idx := 0
+	for j0 := 0; j0 < 2*n; j0 += nr {
+		w := min(nr, 2*n-j0)
+		for l := 0; l < k; l++ {
+			row := b[2*l*ldb+j0 : 2*l*ldb+j0+w]
+			copy(bp[idx:idx+w], row)
+			rot := bp[idx+nr : idx+2*nr]
+			for j := 0; j < w; j += 2 {
+				rot[j], rot[j+1] = -row[j+1], row[j]
+			}
+			for j := w; j < nr; j++ {
+				bp[idx+j], rot[j] = 0, 0
+			}
+			idx += 2 * nr
+		}
+	}
+}
+
+// packA copies α·op(A) into ap as mr-row strips of k steps, mr values per
+// step, zero-padding the last strip: op(A)[i,l] is a[i·lda+l], or
+// a[l·lda+i] with transA.
+func packA[F float32 | float64](alpha F, a []F, lda int, transA bool, m, k int, ap []F) {
+	idx := 0
+	for i0 := 0; i0 < m; i0 += gemmMR {
+		h := min(gemmMR, m-i0)
+		for l := 0; l < k; l++ {
+			if transA {
 				row := a[l*lda+i0 : l*lda+i0+h]
 				for r := 0; r < h; r++ {
 					ap[idx+r] = alpha * row[r]
 				}
-				for r := h; r < mr; r++ {
-					ap[idx+r] = 0
-				}
-				idx += mr
-			}
-		} else {
-			for l := 0; l < k; l++ {
+			} else {
 				for r := 0; r < h; r++ {
 					ap[idx+r] = alpha * a[(i0+r)*lda+l]
 				}
-				for r := h; r < mr; r++ {
-					ap[idx+r] = 0
-				}
-				idx += mr
 			}
+			for r := h; r < gemmMR; r++ {
+				ap[idx+r] = 0
+			}
+			idx += gemmMR
 		}
 	}
+}
 
-	for i0 := 0; i0 < m; i0 += mr {
-		h := min(mr, m-i0)
-		as := ap[(i0/mr)*mr*k:]
-		for j0 := 0; j0 < n; j0 += nr {
-			w := min(nr, n-j0)
-			bs := bp[(j0/nr)*nr*k:]
-			if h == mr && w == nr {
-				gemmKerF32(k, &as[0], &bs[0], &c[i0*ldc+j0], ldc)
-				continue
-			}
-			clear(tmp)
-			gemmKerF32(k, &as[0], &bs[0], &tmp[0], nr)
+// packA1m is packA for a complex A held as (re, im) pairs: step l of a strip
+// becomes two real steps, the real and then the imaginary parts of
+// α·op(A)[i,l], where op(A)[i,l] = conj(a[l,i]) with transA.
+func packA1m[F float32 | float64](ar, ai F, a []F, lda int, transA bool, m, k int, ap []F) {
+	idx := 0
+	for i0 := 0; i0 < m; i0 += gemmMR {
+		h := min(gemmMR, m-i0)
+		for l := 0; l < k; l++ {
+			re, im := ap[idx:idx+gemmMR], ap[idx+gemmMR:idx+2*gemmMR]
 			for r := 0; r < h; r++ {
-				crow := c[(i0+r)*ldc+j0 : (i0+r)*ldc+j0+w]
-				trow := tmp[r*nr : r*nr+w]
-				for j := range crow {
-					crow[j] += trow[j]
+				var xr, xi F
+				if transA {
+					o := 2 * (l*lda + i0 + r)
+					xr, xi = a[o], -a[o+1]
+				} else {
+					o := 2 * ((i0+r)*lda + l)
+					xr, xi = a[o], a[o+1]
 				}
+				re[r], im[r] = ar*xr-ai*xi, ar*xi+ai*xr
 			}
+			for r := h; r < gemmMR; r++ {
+				re[r], im[r] = 0, 0
+			}
+			idx += 2 * gemmMR
 		}
 	}
 }

@@ -2,6 +2,7 @@ package vec
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 )
@@ -288,27 +289,57 @@ func TestSetFamily(t *testing.T) {
 	}
 }
 
-// naiveGemm is the reference for the packed drivers: c += alpha·op(A)·B.
-func naiveGemm(m, n, k int, alpha float64, a []float64, lda int, transA bool, b []float64, ldb int, c []float64, ldc int) {
+// gemmRef is the reference for the packed driver, in complex128 whatever T
+// is: c0 + α·op(A)·B with op(A)[i,l] = a[i·lda+l], or conj(a[l·lda+i])
+// with transA, plus per entry the magnitude of its terms
+// |c0| + Σ_l |α·op(A)[i,l]|·|b[l,j]|. An entry whose terms touch a
+// non-finite input is reported through finite = false. The padding columns
+// n ≤ j < ldc keep c0.
+func gemmRef[T Scalar](m, n, k int, alpha T, a []T, lda int, transA bool, b []T, ldb int, c0 []T, ldc int) (want []complex128, scale []float64, finite []bool) {
+	z := func(v T) complex128 { return complex(RealPart(v), ImagPart(v)) }
+	fin := func(v complex128) bool { return isFinite(real(v)) && isFinite(imag(v)) }
+	al := z(alpha)
+	want, scale, finite = make([]complex128, len(c0)), make([]float64, len(c0)), make([]bool, len(c0))
+	for o, v := range c0 {
+		want[o], scale[o], finite[o] = z(v), 0, fin(z(v))
+	}
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
-			var s float64
+			cv := want[i*ldc+j]
+			ok := finite[i*ldc+j]
+			var s complex128
+			sc := cmplx.Abs(cv)
 			for l := 0; l < k; l++ {
-				var av float64
+				var av complex128
 				if transA {
-					av = a[l*lda+i]
+					av = cmplx.Conj(z(a[l*lda+i]))
 				} else {
-					av = a[i*lda+l]
+					av = z(a[i*lda+l])
 				}
-				s += av * b[l*ldb+j]
+				av *= al
+				bv := z(b[l*ldb+j])
+				ok = ok && fin(av) && fin(bv)
+				s += av * bv
+				sc += cmplx.Abs(av) * cmplx.Abs(bv)
 			}
-			c[i*ldc+j] += alpha * s
+			want[i*ldc+j], scale[i*ldc+j], finite[i*ldc+j] = cv+s, sc, ok
 		}
 	}
+	return want, scale, finite
 }
 
-func TestSIMDGemmAgree(t *testing.T) {
-	requireSIMD(t)
+func randOf[T Scalar](n int, rng *rand.Rand) []T {
+	x := make([]T, n)
+	for i := range x {
+		x[i] = FromParts[T](rng.NormFloat64(), rng.NormFloat64())
+	}
+	return x
+}
+
+// testGemmAgree holds the packed driver in domain T (below the dispatch
+// size gate, which GemmNN/GemmTN would apply) against gemmRef across shapes
+// that leave ragged edge strips in both directions, with padded strides.
+func testGemmAgree[T Scalar](t *testing.T, tol float64, alphas []T) {
 	rng := rand.New(rand.NewSource(26))
 	shapes := [][3]int{
 		{1, 4, 1}, {1, 8, 3}, {3, 7, 2}, {4, 8, 1}, {4, 8, 5}, {5, 9, 4},
@@ -318,55 +349,20 @@ func TestSIMDGemmAgree(t *testing.T) {
 	for _, sh := range shapes {
 		m, n, k := sh[0], sh[1], sh[2]
 		for _, transA := range []bool{false, true} {
-			for _, alpha := range []float64{1, -1, 0.5} {
-				lda := k + 2
+			for _, alpha := range alphas {
+				lda, arows := k+2, m
 				if transA {
-					lda = m + 2
+					lda, arows = m+2, k
 				}
 				ldb, ldc := n+1, n+3
-				arows := m
-				if transA {
-					arows = k
-				}
-				a := randSlice(arows*lda, rng)
-				b := randSlice(k*ldb, rng)
-				c0 := randSlice(m*ldc, rng)
-
-				want := append([]float64(nil), c0...)
-				naiveGemm(m, n, k, alpha, a, lda, transA, b, ldb, want, ldc)
-
-				got := append([]float64(nil), c0...)
-				pack := make([]float64, GemmPackLen[float64](m, n, k))
-				gemmF64(m, n, k, alpha, a, lda, transA, b, ldb, got, ldc, pack)
-				for i := range got {
-					if !closeAt(got[i], want[i], float64(k)+math.Abs(want[i]), tolF64) {
-						t.Fatalf("gemmF64 m=%d n=%d k=%d transA=%v α=%g: c[%d]=%g want %g",
-							m, n, k, transA, alpha, i, got[i], want[i])
-					}
-				}
-
-				a32, b32 := toF32(a), toF32(b)
-				c32 := toF32(c0)
-				w32 := make([]float64, len(c32))
-				for i, v := range c32 {
-					w32[i] = float64(v)
-				}
-				wref := append([]float64(nil), w32...)
-				af, bf := make([]float64, len(a32)), make([]float64, len(b32))
-				for i, v := range a32 {
-					af[i] = float64(v)
-				}
-				for i, v := range b32 {
-					bf[i] = float64(v)
-				}
-				naiveGemm(m, n, k, alpha, af, lda, transA, bf, ldb, wref, ldc)
-				g32 := append([]float32(nil), c32...)
-				pack32 := make([]float32, GemmPackLen[float32](m, n, k))
-				gemmF32(m, n, k, float32(alpha), a32, lda, transA, b32, ldb, g32, ldc, pack32)
-				for i := range g32 {
-					if !closeAt(float64(g32[i]), wref[i], float64(k)+math.Abs(wref[i]), tolF32) {
-						t.Fatalf("gemmF32 m=%d n=%d k=%d transA=%v α=%g: c[%d]=%g want %g",
-							m, n, k, transA, alpha, i, g32[i], wref[i])
+				a, b, c := randOf[T](arows*lda, rng), randOf[T](k*ldb, rng), randOf[T](m*ldc, rng)
+				want, scale, _ := gemmRef(m, n, k, alpha, a, lda, transA, b, ldb, c, ldc)
+				gemmPacked(m, n, k, alpha, a, lda, transA, b, ldb, c, ldc, make([]T, GemmPackLen[T](m, n, k)))
+				for o, v := range c {
+					got := complex(RealPart(v), ImagPart(v))
+					if cmplx.Abs(got-want[o]) > tol*scale[o] {
+						t.Fatalf("%s m=%d n=%d k=%d transA=%v α=%v: c[%d,%d]=%v want %v",
+							Prec[T]().Tag(), m, n, k, transA, alpha, o/ldc, o%ldc, got, want[o])
 					}
 				}
 			}
@@ -374,11 +370,23 @@ func TestSIMDGemmAgree(t *testing.T) {
 	}
 }
 
+// TestSIMDGemmAgree covers the packed driver in all four domains; for the
+// complex ones that is the 1m layout, and transA is the conjugate transpose.
+func TestSIMDGemmAgree(t *testing.T) {
+	requireSIMD(t)
+	testGemmAgree(t, tolF64, []float64{1, -1, 0.5})
+	testGemmAgree(t, tolF32, []float32{1, -1, 0.5})
+	testGemmAgree(t, tolF64, []complex128{1, -1, 0.5 - 2i})
+	testGemmAgree(t, tolF32, []complex64{1, -1, 0.5 - 2i})
+}
+
 func TestGemmDispatchGates(t *testing.T) {
 	prev := SIMDEnabled()
 	defer SetSIMD(prev)
 	pack := make([]float64, GemmPackLen[float64](64, 64, 64))
 	a := make([]float64, 64*64)
+	zz, cc := make([]complex128, 64*64), make([]complex64, 64*64)
+	zpack, cpack := make([]complex128, GemmPackLen[complex128](64, 64, 64)), make([]complex64, GemmPackLen[complex64](64, 64, 64))
 	// Degenerate shapes are "handled" (nothing to do) regardless of family.
 	if !GemmNN(0, 64, 64, 1.0, a, 64, a, 64, a, 64, pack) {
 		t.Error("GemmNN(m=0) should report handled")
@@ -387,16 +395,60 @@ func TestGemmDispatchGates(t *testing.T) {
 	if GemmNN(64, 64, 64, 1.0, a, 64, a, 64, a, 64, pack) {
 		t.Error("GemmNN handled a product with the backend disabled")
 	}
+	if GemmTN(64, 64, 64, 1, zz, 64, zz, 64, zz, 64, zpack) || GemmNN(64, 64, 64, 1, cc, 64, cc, 64, cc, 64, cpack) {
+		t.Error("a complex product was handled with the backend disabled")
+	}
 	if SIMDSupported() {
 		SetSIMD(true)
 		if GemmNN(64, 64, 64, 1.0, a, 64, a, 64, a, 64, pack[:4]) {
 			t.Error("GemmNN handled a product with insufficient pack scratch")
 		}
-		zz := make([]complex128, 64*64)
-		if GemmNN(64, 64, 64, complex(1, 0), zz, 64, zz, 64, zz, 64, make([]complex128, 8)) {
-			t.Error("GemmNN handled a complex product")
+		if !GemmNN(64, 64, 64, 1, zz, 64, zz, 64, zz, 64, zpack) || !GemmTN(64, 64, 64, 1, cc, 64, cc, 64, cc, 64, cpack) {
+			t.Error("a complex product with enough pack scratch was declined")
+		}
+		if GemmNN(64, 64, 64, 1, zz, 64, zz, 64, zz, 64, zpack[:len(zpack)-1]) ||
+			GemmTN(64, 64, 64, 1, cc, 64, cc, 64, cc, 64, cpack[:len(cpack)-1]) {
+			t.Error("a complex product was handled with insufficient pack scratch")
 		}
 	}
+}
+
+// TestGemmPackBoundCoversLen: kernel.WorkLen sizes every domain's pack
+// region from the one non-generic bound, so the bound must dominate each
+// domain's exact need.
+func TestGemmPackBoundCoversLen(t *testing.T) {
+	dims := []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 48, 64, 65, 127, 128}
+	for _, m := range dims {
+		for _, n := range dims {
+			for _, k := range dims {
+				bound := GemmPackBound(m, n, k)
+				for _, need := range []int{GemmPackLen[float32](m, n, k), GemmPackLen[float64](m, n, k),
+					GemmPackLen[complex64](m, n, k), GemmPackLen[complex128](m, n, k)} {
+					if need > bound {
+						t.Fatalf("GemmPackBound(%d,%d,%d) = %d < a domain's GemmPackLen %d", m, n, k, bound, need)
+					}
+				}
+			}
+		}
+	}
+}
+
+// fuzzVals returns count float64 values: raw's 8-byte big-endian bit
+// patterns first, then normal deviates drawn from seed.
+func fuzzVals(raw []byte, count int, seed int64) []float64 {
+	vals := make([]float64, 0, count)
+	for i := 0; i+8 <= len(raw) && len(vals) < count; i += 8 {
+		bits := uint64(0)
+		for b := 0; b < 8; b++ {
+			bits = bits<<8 | uint64(raw[i+b])
+		}
+		vals = append(vals, math.Float64frombits(bits))
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for len(vals) < count {
+		vals = append(vals, rng.NormFloat64())
+	}
+	return vals
 }
 
 // FuzzVecSIMD cross-checks the assembly kernels against the generic loops
@@ -404,29 +456,26 @@ func TestGemmDispatchGates(t *testing.T) {
 // finite values are legal inputs: the families must then agree on
 // non-finiteness (exact NaN/Inf placement may differ at the overflow
 // boundary because FMA skips the intermediate rounding).
+//
+// Op 3 is the complex128 packed GEMM (the 1m layout) against gemmRef: m and
+// n come from nRaw and offRaw, k and NN/TN from op's high bits, all ≤ 33.
 func FuzzVecSIMD(f *testing.F) {
 	f.Add(uint8(0), uint8(7), uint8(1), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint8(1), uint8(33), uint8(3), []byte{255, 255, 255, 255, 255, 255, 255, 255})
 	f.Add(uint8(2), uint8(16), uint8(0), []byte{0, 0, 0, 0, 0, 0, 240, 127})
 	f.Add(uint8(3), uint8(65), uint8(2), []byte{1, 0, 0, 0, 0, 0, 240, 255})
+	f.Add(uint8(3|4|5<<3), uint8(8), uint8(4), []byte{127, 240, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, op, nRaw, offRaw uint8, raw []byte) {
 		if !SIMDSupported() {
 			t.Skip("no SIMD backend")
 		}
+		if op%4 == 3 {
+			fuzzGemm1m(t, 1+int(nRaw)%33, 1+int(offRaw)%33, 1+int(op>>3), op&4 != 0, raw)
+			return
+		}
 		n := int(nRaw) % 130
 		off := int(offRaw) % 4
-		vals := make([]float64, 0, 2*(n+off)+2)
-		for i := 0; i+8 <= len(raw) && len(vals) < cap(vals); i += 8 {
-			bits := uint64(0)
-			for b := 0; b < 8; b++ {
-				bits = bits<<8 | uint64(raw[i+b])
-			}
-			vals = append(vals, math.Float64frombits(bits))
-		}
-		rng := rand.New(rand.NewSource(int64(n)*7 + int64(off)))
-		for len(vals) < cap(vals) {
-			vals = append(vals, rng.NormFloat64())
-		}
+		vals := fuzzVals(raw, 2*(n+off)+2, int64(n)*7+int64(off))
 		x := vals[off : off+n]
 		y := vals[n+off+1+off : n+off+1+off+n]
 
@@ -450,7 +499,7 @@ func FuzzVecSIMD(f *testing.F) {
 			}
 		}
 
-		switch op % 3 {
+		switch op % 4 {
 		case 0:
 			bothOrNeither("dot", dotF64(ptrF64(x), ptrF64(y), n), dotGeneric(x, y))
 		case 1:
@@ -481,6 +530,44 @@ func FuzzVecSIMD(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzGemm1m runs one complex128 C += ±op(A)·B through the packed driver
+// on fuzzed data. An entry whose terms touch a non-finite input must come
+// out non-finite, as the generic loop's does; an entry of finite terms
+// whose magnitudes sum clear of overflow must come out finite and close.
+// Between the two (finite inputs, a term sum near overflow), where the
+// overflow lands depends on summation order and FMA, and is not checked.
+func fuzzGemm1m(t *testing.T, m, n, k int, transA bool, raw []byte) {
+	lda, arows := k, m
+	if transA {
+		lda, arows = m, k
+	}
+	vals := fuzzVals(raw, 2*(arows*lda+k*n+m*n), int64(m*1089+n*33+k))
+	z := make([]complex128, len(vals)/2)
+	for i := range z {
+		z[i] = complex(vals[2*i], vals[2*i+1])
+	}
+	a, b, c := z[:arows*lda], z[arows*lda:arows*lda+k*n], z[arows*lda+k*n:]
+	alpha := complex(1, 0)
+	if m%2 == 0 {
+		alpha = -1
+	}
+	want, scale, finite := gemmRef(m, n, k, alpha, a, lda, transA, b, n, c, n)
+	gemmPacked(m, n, k, alpha, a, lda, transA, b, n, c, n, make([]complex128, GemmPackLen[complex128](m, n, k)))
+	for o, got := range c {
+		gf := isFinite(real(got)) && isFinite(imag(got))
+		switch {
+		case !finite[o]:
+			if gf {
+				t.Fatalf("m=%d n=%d k=%d transA=%v: c[%d]=%v finite, want non-finite (%v)", m, n, k, transA, o, got, want[o])
+			}
+		case scale[o] < math.MaxFloat64/4:
+			if !gf || cmplx.Abs(got-want[o]) > tolF64*math.Max(scale[o], 1) {
+				t.Fatalf("m=%d n=%d k=%d transA=%v: c[%d]=%v want %v", m, n, k, transA, o, got, want[o])
+			}
+		}
+	}
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -13,10 +13,7 @@
 // not alias unless a function documents otherwise.
 package vec
 
-import (
-	"math"
-	"unsafe"
-)
+import "math"
 
 // Dot returns the unconjugated product Σ x[i]·y[i] (BLAS dot/zdotu), the
 // form the T-factor assembly and back-substitution need. len(y) must be
@@ -459,7 +456,7 @@ func sumSquares[T Scalar](x []T) float64 {
 		}
 	case []complex128:
 		if 2*n >= simdMinLen && simdEnabled.Load() {
-			return sumsqF64((*float64)(unsafe.Pointer(&xs[0])), 2*n)
+			return sumsqF64(&realView[float64](xs)[0], 2*n)
 		}
 		for _, v := range xs {
 			re, im := real(v), imag(v)
@@ -467,7 +464,7 @@ func sumSquares[T Scalar](x []T) float64 {
 		}
 	case []complex64:
 		if 2*n >= simdMinLen && simdEnabled.Load() {
-			return sumsqF32((*float32)(unsafe.Pointer(&xs[0])), 2*n)
+			return sumsqF32(&realView[float32](xs)[0], 2*n)
 		}
 		for _, v := range xs {
 			re, im := float64(real(v)), float64(imag(v))

@@ -17,13 +17,7 @@ import (
 // shapes are ragged and ib = 16 reaches the SIMD dispatch length, so the
 // vector backend serves the bulk rows.
 
-func narrowSolveOpts() []Options {
-	opts := simdAgreeOpts()
-	for i := range opts {
-		opts[i].TileSize, opts[i].InnerBlock = 40, 16
-	}
-	return opts
-}
+func narrowSolveOpts() []Options { return simdAgreeOpts(40, 16) }
 
 func TestSolveLSOneRHSMatchesEightRHS(t *testing.T) {
 	const m, n = 130, 70

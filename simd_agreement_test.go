@@ -1,10 +1,12 @@
 package tiledqr
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
 
+	"tiledqr/internal/kernel"
 	"tiledqr/internal/vec"
 )
 
@@ -29,18 +31,49 @@ const (
 	tolSIMDLS = 1e-10
 )
 
-// simdAgreeOpts is the algorithm grid of the cross-backend suite. The tile
-// size must be large enough that the vector backend actually engages (row
-// updates at nc ≥ 16 pass the slice-length dispatch gate); 24 with ib 8
-// keeps the grids multi-tile at the test shapes.
-func simdAgreeOpts() []Options {
+// simdAgreeLegs are the tilings of the cross-backend suite, each with the
+// shapes its Factor and SolveLS tests use. The tile size must be large
+// enough that the vector backend actually engages (row updates at nc ≥ 16
+// pass the slice-length dispatch gate); nb 24 / ib 8 keeps the grids
+// multi-tile at small shapes, but of its products only TSMQR's on whole
+// tiles (8·24·24) pass the micro-GEMM's work gate, and its 2-column solves
+// take the vector form. The packed leg, nb 64 / ib 16, is the one whose
+// factor and update kernels — and, at 8 right-hand sides, whose solves —
+// run their bulk rows on the packed micro-GEMM in every precision.
+var simdAgreeLegs = []struct {
+	nb, ib, m, n, lsN, nrhs int
+	packed                  bool
+}{
+	{nb: 24, ib: 8, m: 96, n: 48, lsN: 24, nrhs: 2},
+	{nb: 64, ib: 16, m: 160, n: 96, lsN: 96, nrhs: 8, packed: true},
+}
+
+// simdAgreeOpts is the algorithm grid of the cross-backend suite at one
+// tiling.
+func simdAgreeOpts(nb, ib int) []Options {
 	var opts []Options
 	for _, alg := range Algorithms {
 		for _, kern := range []Kernels{TT, TS} {
-			opts = append(opts, Options{Algorithm: alg, Kernels: kern, TileSize: 24, InnerBlock: 8, Workers: 2})
+			opts = append(opts, Options{Algorithm: alg, Kernels: kern, TileSize: nb, InnerBlock: ib, Workers: 2})
 		}
 	}
 	return opts
+}
+
+// requirePackedGemm fails unless the first in-tile update of a GEQRT on an
+// nb×nb tile — an ib×(nb−ib)×(nb−ib) product, 16×48×48 for the packed leg —
+// takes the packed micro-GEMM in every precision with the workspace the
+// engine gives a worker. Were the pack bound to slip below a domain's need,
+// that domain would silently drop to its scalar sweeps and the agreement
+// tests would still pass. Call it with the SIMD family active.
+func requirePackedGemm(t *testing.T, nb, ib int) {
+	t.Helper()
+	ws, d := kernel.WorkLen(nb, ib), nb-ib
+	if !vec.GemmOK[float32](ib, d, d, ws) || !vec.GemmOK[float64](ib, d, d, ws) ||
+		!vec.GemmOK[complex64](ib, d, d, ws) || !vec.GemmOK[complex128](ib, d, d, ws) {
+		t.Fatalf("the packed micro-GEMM declines a %d×%d×%d product in some precision with kernel.WorkLen(%d, %d) = %d",
+			ib, d, d, nb, ib, ws)
+	}
 }
 
 // bothFamilies runs f once per vec kernel family and restores the backend
@@ -71,9 +104,16 @@ func bothFamilies(t *testing.T, f func(t *testing.T, family string)) {
 
 // TestSIMDFamilyAgreementFactor factors one matrix per precision under both
 // backends and compares R entrywise (up to reflector row signs) across the
-// full algorithm × kernel grid.
+// full algorithm × kernel grid, at every tiling of simdAgreeLegs.
 func TestSIMDFamilyAgreementFactor(t *testing.T) {
-	const m, n = 96, 48
+	for _, leg := range simdAgreeLegs {
+		t.Run(fmt.Sprintf("nb=%d", leg.nb), func(t *testing.T) {
+			testFamilyAgreementFactor(t, leg.m, leg.n, leg.nb, leg.ib, leg.packed)
+		})
+	}
+}
+
+func testFamilyAgreementFactor(t *testing.T, m, n, nb, ib int, packed bool) {
 	a := RandomDense(m, n, 41)
 	za := RandomZDense(m, n, 42)
 	a32 := NewDense32(m, n)
@@ -87,12 +127,15 @@ func TestSIMDFamilyAgreementFactor(t *testing.T) {
 	}
 	scale := FrobeniusNorm(a)
 	zscale := ZFrobeniusNorm(za)
-	for _, opt := range simdAgreeOpts() {
+	for _, opt := range simdAgreeOpts(nb, ib) {
 		rs := map[string]*Dense{}
 		zrs := map[string]*ZDense{}
 		r32s := map[string]*Dense32{}
 		crs := map[string]*CDense{}
 		bothFamilies(t, func(t *testing.T, fam string) {
+			if packed && fam == vec.FamilySIMD {
+				requirePackedGemm(t, nb, ib)
+			}
 			f, err := Factor(a, opt)
 			if err != nil {
 				t.Fatalf("%v/%v %s: %v", opt.Algorithm, opt.Kernels, fam, err)
@@ -162,11 +205,18 @@ func TestSIMDFamilyAgreementFactor(t *testing.T) {
 }
 
 // TestSIMDFamilyAgreementSolveLS solves the same least-squares system under
-// both backends in every precision; row signs cancel in x, so the solutions
-// compare directly.
+// both backends in every precision, at every tiling of simdAgreeLegs; row
+// signs cancel in x, so the solutions compare directly.
 func TestSIMDFamilyAgreementSolveLS(t *testing.T) {
-	const m, n, nrhs = 96, 24, 2
-	opt := Options{Algorithm: Greedy, TileSize: 24, InnerBlock: 8, Workers: 2}
+	for _, leg := range simdAgreeLegs {
+		t.Run(fmt.Sprintf("nb=%d", leg.nb), func(t *testing.T) {
+			testFamilyAgreementSolveLS(t, leg.m, leg.lsN, leg.nrhs, leg.nb, leg.ib, leg.packed)
+		})
+	}
+}
+
+func testFamilyAgreementSolveLS(t *testing.T, m, n, nrhs, nb, ib int, packed bool) {
+	opt := Options{Algorithm: Greedy, TileSize: nb, InnerBlock: ib, Workers: 2}
 	a := RandomDense(m, n, 43)
 	b := RandomDense(m, nrhs, 44)
 	za := RandomZDense(m, n, 45)
@@ -190,6 +240,9 @@ func TestSIMDFamilyAgreementSolveLS(t *testing.T) {
 	x32s := map[string]*Dense32{}
 	cxs := map[string]*CDense{}
 	bothFamilies(t, func(t *testing.T, fam string) {
+		if packed && fam == vec.FamilySIMD {
+			requirePackedGemm(t, nb, ib)
+		}
 		f, err := Factor(a, opt)
 		if err != nil {
 			t.Fatal(err)
