@@ -12,9 +12,10 @@
 //
 // With -connect the program is one shard of somebody else's run: it
 // connects to that coordinator, receives its rank, shard and reduction-tree
-// peer table, and runs local tiled QR rounds, feeding its R triangles up the
-// TTQRT tree. Every parameter comes over the wire, so no other flag applies.
-// A worker whose coordinator connection drops aborts mid-round and exits 1.
+// peer table, and runs its rounds: it streams the shard into a TSQR
+// aggregate (R, Qᵀb, residual) and sends it up the reduction tree. Every
+// parameter comes over the wire, so no other flag applies. A worker whose
+// coordinator connection drops aborts mid-round and exits 1.
 //
 // SIGTERM/SIGINT stops the run: the coordinator closes every worker
 // connection, qrdist waits until every worker has exited, prints one line
@@ -26,6 +27,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -147,22 +149,26 @@ func run[T vec.Scalar](ctx context.Context) error {
 		*flagRounds, elapsed.Seconds(), rowsPerSec, rowsPerSec/float64(W))
 	fmt.Printf("  wire: %.1f KiB sent, %.1f KiB received, overlap %.0f%% of comm hidden\n",
 		float64(st.BytesSent)/1024, float64(st.BytesRecv)/1024, 100*st.OverlapFrac)
-	fmt.Printf("  compute %.3fs, combine %.3fs, send %.3fs, recv-wait %.3fs across workers (%d tasks)\n",
+	fmt.Printf("  compute %.3fs, combine %.3fs, send %.3fs, recv-wait %.3fs across workers\n",
 		float64(st.ComputeNS)/1e9, float64(st.CombineNS)/1e9,
-		float64(st.SendNS)/1e9, float64(st.RecvWaitNS)/1e9, st.TasksRun)
+		float64(st.SendNS)/1e9, float64(st.RecvWaitNS)/1e9)
+	if b != nil {
+		fmt.Printf("  residual ‖b − A·x‖_F = %.6e\n", res.Residual)
+	}
 
 	if *flagVerify {
 		if err := verify(a, b, res); err != nil {
 			return err
 		}
-		fmt.Println("  verify: R and x agree with single-process Factor")
+		fmt.Println("  verify: R, x and residual agree with single-process Factor")
 	}
 	return nil
 }
 
 // verify checks the distributed R (after canonicalizing the diagonal
-// phase, which elimination order does not fix) and least-squares solution
-// against the single-process engine at a precision-appropriate tolerance.
+// phase, which elimination order does not fix), least-squares solution and
+// residual norm against the single-process engine at a
+// precision-appropriate tolerance.
 func verify[T vec.Scalar](a, b *tile.Dense[T], res *dist.Result[T]) error {
 	f, err := engine.Factor(a, engine.Config{
 		Algorithm: core.Greedy, TileSize: *flagNB, InnerBlock: *flagIB,
@@ -191,6 +197,15 @@ func verify[T vec.Scalar](a, b *tile.Dense[T], res *dist.Result[T]) error {
 		}
 		if diff, lim := tile.MaxAbsDiff(res.X, x), tol*tile.FrobNorm(x); diff > lim {
 			return fmt.Errorf("verify: distributed x deviates from single-process SolveLS by %g (tolerance %g)", diff, lim)
+		}
+		r := tile.Mul(a, x)
+		for i := 0; i < b.Rows; i++ {
+			for j := 0; j < b.Cols; j++ {
+				r.Set(i, j, b.At(i, j)-r.At(i, j))
+			}
+		}
+		if direct := tile.FrobNorm(r); math.Abs(res.Residual-direct) > tol*direct {
+			return fmt.Errorf("verify: distributed residual %g deviates from the single-process ‖b − A·x‖_F = %g (relative tolerance %g)", res.Residual, direct, tol)
 		}
 	}
 	return nil

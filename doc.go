@@ -273,30 +273,33 @@
 // cmd/qrdist scales the factorization past one process with the
 // communication-avoiding algorithm (CAQR): the matrix is sharded row-wise
 // across worker processes (qrdist -worker starts one per shard: itself
-// with -connect) or in-process goroutines, each worker runs ordinary local
-// tiled QR on its shard — FactorInto underneath, so tile arenas and plans are reused across rounds — and the
-// per-shard n×n R triangles are combined pairwise up a binomial TTQRT
-// reduction tree until rank 0 holds the global R (and Qᵀb, folded through
-// the same tree with TTMQR), from which the coordinator solves the
-// least-squares system. Only packed triangles travel: for tall shards the
-// communication volume is O(n²) per worker per round against O(rows·n²)
-// of local compute, which is the communication-avoiding trade. Frames are
-// length-prefixed binary over plain TCP in all four precisions, buffers
-// are pooled on both the send and receive paths (zero steady-state
-// allocations per round). Workers run their rounds without waiting for the
-// coordinator; the bounded send queue to a rank's one tree parent is the
-// only flow control. With more than one round, a worker whose tree role is
-// done starts the next local factorization while its R is still in flight,
-// and the reported overlap fraction measures how much communication that
-// hid. Cancellation (SIGTERM in the driver) or a failed worker closes every
-// worker connection: the run ends promptly with an error, never with fewer
-// rounds, and the driver exits 1 once every worker has exited.
-// The distributed R matches single-process Factor up to the usual
-// row-phase ambiguity, and `make dist-smoke` asserts that agreement
-// against two real worker processes end to end. Shards shorter than n are
-// rejected with a pointer back to single-node Factor. See the README's
-// "Distributed CAQR" section for the topology diagram and sharding
-// guidance.
+// with -connect) or in-process goroutines, and each worker is one node of
+// a binomial TSQR reduction tree. A node is the streaming core, reused
+// across rounds: it appends its shard and right-hand side, which leaves its
+// aggregate — the n×n R, the top block of Qᵀb and the residual norm — and
+// merges its children's aggregates into it with the same
+// triangle-on-triangle merge streams use, until rank 0 holds the global
+// aggregate, from which the coordinator solves the least-squares system and
+// reports the residual ‖b − A·x‖_F. Only aggregates travel, one frame per
+// tree edge per round: for tall shards the communication volume is O(n²)
+// per worker per round against O(rows·n²) of local compute, which is the
+// communication-avoiding trade. Frames are length-prefixed binary over
+// plain TCP in all four precisions, buffers are pooled on both the send and
+// receive paths (zero steady-state allocations per round). Workers run
+// their rounds without waiting for the coordinator; the bounded send queue
+// to a rank's one tree parent is the only flow control. With more than one
+// round, a worker whose tree role is done starts the next shard append
+// while its aggregate is still in flight, and the reported overlap
+// fraction measures how much communication that hid. Cancellation
+// (SIGTERM in the driver) or a failed worker closes every worker
+// connection: the run ends promptly with an error, never with fewer
+// rounds, and the driver exits 1 once every worker has exited. The
+// distributed R matches single-process Factor up to the usual row-phase
+// ambiguity, and the residual the one-shot ‖b − A·x‖_F; `make dist-smoke`
+// asserts that agreement against two real worker processes end to end.
+// Shards shorter than n are rejected with a pointer back to single-node
+// Factor. See the README's "Distributed CAQR" section for the topology
+// diagram and sharding guidance.
 //
 // # Failure semantics
 //

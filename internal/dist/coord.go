@@ -1,8 +1,10 @@
 // The coordinator of the distributed CAQR runtime: it shards the global
 // matrix row-wise across worker processes, hands each worker its rank and
-// the peer table of the reduction tree, ships the shards, and collects the
-// tree root's R (and Qᵀb) and every worker's stats. Workers run their
-// rounds on their own; the coordinator sends nothing more until Done.
+// the peer table of the reduction tree, ships the shards, and collects
+// every worker's stats and, each round, one aggregate frame from the tree
+// root: the global R, the top block of Qᵀb, the residual norm and the row
+// count. Workers run their rounds on their own; the coordinator sends
+// nothing more until Done.
 // Cancelling a run, or any worker failing, closes every worker connection,
 // so the whole run stops promptly with an error.
 package dist
@@ -20,7 +22,8 @@ import (
 )
 
 // Config shapes a distributed run. Zero values take the documented
-// defaults. Shards are factored with Greedy/TT.
+// defaults. Each worker streams its shard into a stream.Core with TT
+// kernels, and the reduction tree merges their aggregates.
 type Config struct {
 	Workers      int    // worker processes to expect (default 2)
 	NB           int    // tile size inside each shard (default 128)
@@ -73,10 +76,11 @@ func (c *Coordinator) Close() { _ = c.ln.Close() }
 
 // Result is the outcome of a distributed run at one precision.
 type Result[T vec.Scalar] struct {
-	R     *tile.Dense[T] // n×n upper-triangular global R factor
-	QTB   *tile.Dense[T] // top n rows of Qᵀb (nil when nrhs == 0)
-	X     *tile.Dense[T] // n×nrhs least-squares solution (nil when nrhs == 0)
-	Stats RunStats
+	R        *tile.Dense[T] // n×n upper-triangular global R factor
+	QTB      *tile.Dense[T] // top n rows of Qᵀb (nil when nrhs == 0)
+	X        *tile.Dense[T] // n×nrhs least-squares solution (nil when nrhs == 0)
+	Residual float64        // ‖b − A·X‖_F over all m rows (0 when nrhs == 0)
+	Stats    RunStats
 }
 
 // workerConn is the coordinator's handle on one connected worker.
@@ -96,9 +100,9 @@ type coordEvent struct {
 // Run executes one distributed factorization: wait for cfg.Workers workers
 // to connect, shard a (m×n, row-wise) and b (m×nrhs, optional) across
 // them, run the configured rounds, and return the global R, the Qᵀb top
-// block, and the least-squares solution X = R⁻¹(Qᵀb)[:n]. Cancelling ctx
-// closes every worker connection and returns ctx.Err() at once; the
-// workers abort mid-round.
+// block, the least-squares solution X = R⁻¹(Qᵀb)[:n] and its residual
+// norm. Cancelling ctx closes every worker connection and returns
+// ctx.Err() at once; the workers abort mid-round.
 func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T]) (*Result[T], error) {
 	defer c.Close()
 	cfg := c.cfg
@@ -204,10 +208,12 @@ func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T])
 	}
 
 	res := &Result[T]{R: tile.NewDense[T](n, n)}
+	var qtb []T
 	if nrhs > 0 {
 		res.QTB = tile.NewDense[T](n, nrhs)
+		qtb = res.QTB.Data
 	}
-	gotResults, expectQTB := 0, false
+	gotResults := 0
 	statsBy := make([]WorkerStats, 0, W)
 	for gotResults < cfg.Rounds || len(statsBy) < W {
 		select {
@@ -226,27 +232,16 @@ func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T])
 				}
 				putBuf(ev.buf)
 				return nil, err
-			case KindRTri:
-				err := UnpackTriangle(res.R.Data, res.R.Stride, n, ev.f.Payload)
+			case KindAgg:
+				resid, rows, err := unpackAgg(&ev.f, n, nrhs, res.R.Data, qtb)
 				putBuf(ev.buf)
+				if err == nil && rows != int64(m) {
+					err = fmt.Errorf("dist: the tree root's aggregate covers %d rows, want %d", rows, m)
+				}
 				if err != nil {
 					return nil, err
 				}
-				expectQTB = nrhs > 0
-				if !expectQTB {
-					gotResults++
-				}
-			case KindQTB:
-				if !expectQTB {
-					putBuf(ev.buf)
-					return nil, fmt.Errorf("dist: unexpected Qᵀb frame from worker %d", ev.rank)
-				}
-				err := unpackDense(res.QTB.Data, res.QTB.Stride, &ev.f)
-				putBuf(ev.buf)
-				if err != nil {
-					return nil, err
-				}
-				expectQTB = false
+				res.Residual = resid
 				gotResults++
 			case KindStats:
 				var ws WorkerStats

@@ -1,12 +1,12 @@
 // Reduction-tree connection plumbing. Every rank but 0 has exactly one
 // tree parent, rank − lowbit(rank), so a worker sends on one connection
-// through one writer goroutine: a sender can start its next local
-// factorization while its R triangle is still in flight (which only
-// matters when Rounds > 1), and the bounded queue is the run's only flow
-// control. A receive hub demultiplexes incoming peer frames by sender
-// rank. Both sides watch the worker's context, so a run that is cancelled
-// or loses its coordinator aborts mid-round. Buffers are pooled on both
-// sides; the steady state moves zero allocations per round.
+// through one writer goroutine: a sender can start its next shard append
+// while its aggregate frame is still in flight (which only matters when
+// Rounds > 1), and the bounded queue is the run's only flow control. A
+// receive hub demultiplexes incoming peer frames by sender rank. Both
+// sides watch the worker's context, so a run that is cancelled or loses
+// its coordinator aborts mid-round. Buffers are pooled on both sides; the
+// steady state moves zero allocations per round.
 package dist
 
 import (
@@ -18,10 +18,10 @@ import (
 	"time"
 )
 
-// sendQueueDepth bounds the frames queued to the parent: enough for about
-// two rounds of (RTri, QTB) pairs in flight, so a sender runs at most about
-// two rounds ahead of its parent before it blocks.
-const sendQueueDepth = 4
+// sendQueueDepth bounds the frames queued to the parent. A round sends one
+// aggregate frame per edge, so a sender runs at most about two rounds ahead
+// of its parent before it blocks.
+const sendQueueDepth = 2
 
 // sendHub is a worker's edge to its tree parent: the connection, the
 // writer goroutine's queue, and its accounting.

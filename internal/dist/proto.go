@@ -16,8 +16,9 @@ import (
 // Version 2 dropped worker-side shard generation (a seed in the config):
 // every worker now waits for a shard frame, which a version-1 coordinator
 // in that mode never sends. Version 3 dropped the round-credit frames: a
-// version-2 worker would wait forever for an allowance.
-const protoVersion = 3
+// version-2 worker would wait forever for an allowance. Version 4 made a
+// round one aggregate frame per tree edge and renumbered the frame kinds.
+const protoVersion = 4
 
 // helloMsg is the worker's opening frame: its protocol version and the
 // address its peer listener accepts reduction-tree connections on.
@@ -28,7 +29,7 @@ type helloMsg struct {
 
 // wireConfig is the coordinator's reply: everything a worker needs to run
 // its shard — rank, the peer table for the reduction tree, and the shard
-// shape. Shards are always factored with Greedy/TT.
+// shape. Each worker streams its shard into a TT-kernel stream.Core.
 type wireConfig struct {
 	Proto        int      `json:"proto"`
 	Rank         int      `json:"rank"`
@@ -53,20 +54,18 @@ type errMsg struct {
 // WorkerStats is one worker's per-run accounting, reported to the
 // coordinator in the final Stats frame and aggregated into RunStats.
 // ComputeNS + CommNS exceeding WallNS means communication was hidden
-// behind the next round's local factorization, which needs Rounds > 1.
+// behind the next round's shard append, which needs Rounds > 1.
 type WorkerStats struct {
 	Rank       int   `json:"rank"`
 	Rounds     int   `json:"rounds"`
 	ShardRows  int   `json:"shard_rows"`
-	ComputeNS  int64 `json:"compute_ns"`   // local factor + Qᵀb fold wall time
-	CombineNS  int64 `json:"combine_ns"`   // TTQRT/TTMQR tree combines
+	ComputeNS  int64 `json:"compute_ns"`   // shard appends: local factor + Qᵀb fold
+	CombineNS  int64 `json:"combine_ns"`   // merges of the children's aggregates
 	SendNS     int64 `json:"send_ns"`      // writer goroutines blocked in Write
 	RecvWaitNS int64 `json:"recv_wait_ns"` // combine loop waiting on partner frames
 	WallNS     int64 `json:"wall_ns"`      // whole round loop
 	BytesSent  int64 `json:"bytes_sent"`
 	BytesRecv  int64 `json:"bytes_recv"`
-	TasksRun   int64 `json:"tasks_run"` // scheduler tasks across all rounds
-	BusyNS     int64 `json:"busy_ns"`   // summed kernel time across all rounds
 }
 
 // CommNS is the worker's total time attributable to communication: send
@@ -102,9 +101,7 @@ type RunStats struct {
 	CombineNS   int64         `json:"combine_ns"`
 	SendNS      int64         `json:"send_ns"`
 	RecvWaitNS  int64         `json:"recv_wait_ns"`
-	WallNS      int64         `json:"wall_ns"` // max over workers
-	TasksRun    int64         `json:"tasks_run"`
-	BusyNS      int64         `json:"busy_ns"`
+	WallNS      int64         `json:"wall_ns"`      // max over workers
 	OverlapFrac float64       `json:"overlap_frac"` // mean over workers that communicated
 	PerWorker   []WorkerStats `json:"per_worker"`
 }
@@ -122,8 +119,6 @@ func aggregate(per []WorkerStats, rounds int) RunStats {
 		agg.CombineNS += s.CombineNS
 		agg.SendNS += s.SendNS
 		agg.RecvWaitNS += s.RecvWaitNS
-		agg.TasksRun += s.TasksRun
-		agg.BusyNS += s.BusyNS
 		if s.WallNS > agg.WallNS {
 			agg.WallNS = s.WallNS
 		}

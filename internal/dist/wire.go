@@ -1,10 +1,11 @@
 // The wire layer of the distributed CAQR runtime: length-prefixed binary
 // frames over plain TCP carrying packed tile payloads. The format is as
 // small as correctness allows — communication avoidance starts with what
-// goes on the wire, so the reduction tree ships only packed q×q R
-// triangles (n(n+1)/2 scalars, not n² and never the trailing matrix), and
-// every send and receive goes through pooled buffers so the steady state
-// of a multi-round run allocates nothing per frame.
+// goes on the wire, so a reduction-tree edge carries one TSQR aggregate per
+// round: the packed R triangle (n(n+1)/2 scalars, not n² and never the
+// trailing matrix), the n×nrhs Qᵀb block, the residual norm and the row
+// count. Every send and receive goes through pooled buffers so the steady
+// state of a multi-round run allocates nothing per frame.
 //
 // Frame layout (all integers little-endian):
 //
@@ -22,8 +23,8 @@
 // Scalars are packed little-endian in row-major order; complex values as
 // interleaved (re, im) pairs, so a complex64 costs 8 bytes and a
 // complex128 costs 16. Control frames (hello, config, stats, errors)
-// carry JSON payloads; bulk frames (shards, triangles, Qᵀb blocks) carry
-// packed scalars.
+// carry JSON payloads; bulk frames (shards, aggregates) carry packed
+// scalars.
 package dist
 
 import (
@@ -37,8 +38,8 @@ import (
 	"tiledqr/internal/vec"
 )
 
-// Frame kinds. The handshake is Hello → Config → (Shard, RHS)?; each round
-// moves RTri/QTB frames up the reduction tree and a Result pair from the
+// Frame kinds. The handshake is Hello → Config → Shard (→ RHS); each round
+// moves one Agg frame up every edge of the reduction tree and one from the
 // tree root to the coordinator; a worker ends with Stats (or Err) and the
 // coordinator answers the whole run with Done.
 const (
@@ -46,8 +47,7 @@ const (
 	KindConfig                    // coordinator → worker: JSON wireConfig
 	KindShard                     // coordinator → worker: packed shard rows
 	KindRHS                       // coordinator → worker: packed RHS rows
-	KindRTri                      // packed upper triangle of a shard R
-	KindQTB                       // packed top-n block of a shard's Qᵀb
+	KindAgg                       // one TSQR aggregate (packAgg); seq = round
 	KindPeerHello                 // worker → worker: seq = sender rank
 	KindStats                     // worker → coordinator: JSON WorkerStats
 	KindDone                      // coordinator → worker: run complete, disconnect
@@ -306,4 +306,46 @@ func unpackDense[T vec.Scalar](a []T, ld int, f *Frame) error {
 		off += cols * sz
 	}
 	return nil
+}
+
+// aggLen is the payload length of an aggregate over n columns and nrhs
+// right-hand sides: its scalars, then 16 bytes of residual norm (float64
+// bits) and row count (uint64).
+func aggLen[T vec.Scalar](n, nrhs int) int {
+	return (TriLen(n)+n*nrhs)*scalarBytes[T]() + 16
+}
+
+// packAgg frames the TSQR aggregate of round seq into a pooled buffer: the
+// packed upper triangle of r (n×n, row stride n), the n×nrhs Qᵀb block qtb
+// (row stride nrhs), the residual norm and the number of rows represented.
+func packAgg[T vec.Scalar](seq uint32, n, nrhs int, r, qtb []T, resid float64, rows int64) []byte {
+	f := &Frame{Kind: KindAgg, Prec: vec.Prec[T]().Tag()[0], Seq: seq, Rows: uint32(n), Cols: uint32(nrhs)}
+	return packFrame(f, aggLen[T](n, nrhs), func(dst []byte) {
+		off := PackTriangle(dst, r, n, n)
+		off += PackScalars(dst[off:], qtb[:n*nrhs])
+		binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(resid))
+		binary.LittleEndian.PutUint64(dst[off+8:], uint64(rows))
+	})
+}
+
+// unpackAgg decodes an aggregate frame over n columns and nrhs right-hand
+// sides into r (upper triangle, row stride n) and qtb (row stride nrhs) and
+// returns its residual norm and row count. A frame of another precision or
+// shape, a payload of any other length, or a negative row count is an
+// error, reported before anything is written.
+func unpackAgg[T vec.Scalar](f *Frame, n, nrhs int, r, qtb []T) (float64, int64, error) {
+	p := f.Payload
+	if f.Prec != vec.Prec[T]().Tag()[0] || int(f.Rows) != n || int(f.Cols) != nrhs || len(p) != aggLen[T](n, nrhs) {
+		return 0, 0, fmt.Errorf("dist: aggregate frame %q %d×%d of %d bytes, want %q %d×%d of %d",
+			f.Prec, f.Rows, f.Cols, len(p), vec.Prec[T]().Tag()[0], n, nrhs, aggLen[T](n, nrhs))
+	}
+	tail := p[len(p)-16:]
+	rows := int64(binary.LittleEndian.Uint64(tail[8:]))
+	if rows < 0 {
+		return 0, 0, fmt.Errorf("dist: aggregate frame claims %d rows", rows)
+	}
+	// The length check is all that either decoder can fail on.
+	_ = UnpackTriangle(r, n, n, p)
+	_ = UnpackScalars(qtb[:n*nrhs], p[TriLen(n)*scalarBytes[T]():])
+	return math.Float64frombits(binary.LittleEndian.Uint64(tail)), rows, nil
 }

@@ -105,14 +105,63 @@ func TestTriangleRoundTrip(t *testing.T) {
 	t.Run("single-complex", triangleRoundTrip[complex64])
 }
 
+// aggRoundTrip frames an aggregate, reads it back through ReadFrame and
+// decodes it into a poisoned destination: the triangle, Qᵀb, residual and
+// row count must come back exactly, R's strictly lower part untouched; a
+// payload one byte short or long, another shape or another precision must
+// be refused.
+func aggRoundTrip[T vec.Scalar](t *testing.T) {
+	const n, nrhs = 9, 2
+	src, qtb := tile.RandDense[T](n, n, 3), tile.RandDense[T](n, nrhs, 4)
+	buf := packAgg(5, n, nrhs, src.Data, qtb.Data, 12.5, 1<<40)
+	f, _, err := ReadFrame(bytes.NewReader(buf), nil)
+	if err != nil || f.Kind != KindAgg || f.Seq != 5 {
+		t.Fatalf("read back kind %d seq %d: %v", f.Kind, f.Seq, err)
+	}
+	poison := vec.FromParts[T](-12345, 54321)
+	r, q := tile.NewDense[T](n, n), tile.NewDense[T](n, nrhs)
+	for i := range r.Data {
+		r.Data[i] = poison
+	}
+	resid, rows, err := unpackAgg(&f, n, nrhs, r.Data, q.Data)
+	if err != nil || resid != 12.5 || rows != 1<<40 || tile.MaxAbsDiff(q, qtb) != 0 {
+		t.Fatalf("aggregate round trip: residual %g, rows %d, Qᵀb off by %g, err %v", resid, rows, tile.MaxAbsDiff(q, qtb), err)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if want := src.At(i, j); j < i && r.At(i, j) != poison || j >= i && r.At(i, j) != want {
+				t.Fatalf("R (%d,%d): got %v", i, j, r.At(i, j))
+			}
+		}
+	}
+	p := f.Payload
+	for name, g := range map[string]Frame{
+		"short":     {Kind: KindAgg, Prec: f.Prec, Rows: n, Cols: nrhs, Payload: p[:len(p)-1]},
+		"long":      {Kind: KindAgg, Prec: f.Prec, Rows: n, Cols: nrhs, Payload: append(p[:len(p):len(p)], 0)},
+		"shape":     {Kind: KindAgg, Prec: f.Prec, Rows: n, Cols: nrhs + 1, Payload: p},
+		"precision": {Kind: KindAgg, Prec: '?', Rows: n, Cols: nrhs, Payload: p},
+	} {
+		if _, _, err := unpackAgg(&g, n, nrhs, r.Data, q.Data); err == nil {
+			t.Errorf("%s aggregate frame accepted", name)
+		}
+	}
+}
+
+func TestAggRoundTrip(t *testing.T) {
+	t.Run("double", aggRoundTrip[float64])
+	t.Run("single", aggRoundTrip[float32])
+	t.Run("double-complex", aggRoundTrip[complex128])
+	t.Run("single-complex", aggRoundTrip[complex64])
+}
+
 // TestFrameRoundTrip writes frames of every kind through the codec and
 // reads them back, reusing one payload buffer the way the hubs do.
 func TestFrameRoundTrip(t *testing.T) {
 	var net bytes.Buffer
 	frames := []Frame{
 		{Kind: KindHello, Payload: []byte(`{"proto":1}`)},
-		{Kind: KindRTri, Prec: 'd', Seq: 7, Rows: 4, Cols: 4, Payload: make([]byte, TriLen(4)*8)},
-		{Kind: KindQTB, Prec: 'z', Seq: 8, Rows: 4, Cols: 2, Payload: make([]byte, 4*2*16)},
+		{Kind: KindAgg, Prec: 'd', Seq: 7, Rows: 4, Cols: 0, Payload: make([]byte, aggLen[float64](4, 0))},
+		{Kind: KindAgg, Prec: 'z', Seq: 8, Rows: 4, Cols: 2, Payload: make([]byte, aggLen[complex128](4, 2))},
 		{Kind: KindDone},
 	}
 	for i := range frames {
@@ -141,7 +190,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameRejectsCorrupt(t *testing.T) {
 	valid := func() []byte {
 		var b bytes.Buffer
-		_, _ = WriteFrame(&b, &Frame{Kind: KindRTri, Prec: 'd', Seq: 1, Rows: 2, Cols: 2, Payload: make([]byte, 24)})
+		_, _ = WriteFrame(&b, &Frame{Kind: KindAgg, Prec: 'd', Seq: 1, Rows: 2, Cols: 1, Payload: make([]byte, aggLen[float64](2, 1))})
 		return b.Bytes()
 	}
 
@@ -198,12 +247,8 @@ func FuzzTileFrame(f *testing.F) {
 		_, _ = WriteFrame(&b, fr)
 		return b.Bytes()
 	}
-	tri := make([]byte, TriLen(3)*8)
-	PackTriangle(tri, []float64{1, 2, 3, 0, 4, 5, 0, 0, 6}, 3, 3)
-	f.Add(seed(&Frame{Kind: KindRTri, Prec: 'd', Seq: 3, Rows: 3, Cols: 3, Payload: tri}))
-	qtb := make([]byte, 2*2*16)
-	PackScalars(qtb, []complex128{1 + 2i, 3 - 4i, -5i, 6})
-	f.Add(seed(&Frame{Kind: KindQTB, Prec: 'z', Seq: 1, Rows: 2, Cols: 2, Payload: qtb}))
+	f.Add(packAgg(3, 3, 1, []float64{1, 2, 3, 0, 4, 5, 0, 0, 6}, []float64{7, 8, 9}, 0.5, 40))
+	f.Add(packAgg(1, 2, 2, []complex128{1 + 2i, 3 - 4i, 0, 6}, []complex128{1 + 2i, 3 - 4i, -5i, 6}, 2, 7))
 	f.Add(seed(&Frame{Kind: KindHello, Payload: []byte(`{"proto":1,"peer_addr":"127.0.0.1:1"}`)}))
 	f.Add(seed(&Frame{Kind: KindErr, Payload: []byte(`{"rank":1,"error":"x"}`)}))
 	short := seed(&Frame{Kind: KindShard, Prec: 's', Rows: 2, Cols: 2, Payload: make([]byte, 16)})
@@ -229,12 +274,16 @@ func FuzzTileFrame(f *testing.F) {
 			fr2.Rows != fr.Rows || fr2.Cols != fr.Cols || !bytes.Equal(fr2.Payload, fr.Payload) {
 			t.Fatalf("frame changed across round trip: %+v vs %+v", fr, fr2)
 		}
-		// An accepted bulk frame must also take the scalar-decode path
-		// without panicking, whatever the geometry fields claim.
-		if fr.Kind == KindRTri && fr.Prec == 'd' {
-			n := int(fr.Rows)
-			if n > 0 && n <= 64 {
-				_ = UnpackTriangle(make([]float64, n*n), n, n, fr.Payload)
+		// An accepted aggregate frame must also take the decoder without
+		// panicking, whatever the geometry fields claim, and the decoder
+		// must refuse a payload of any length but the one they imply.
+		if fr.Kind == KindAgg && fr.Prec == 'd' {
+			n, nrhs := int(fr.Rows), int(fr.Cols)
+			if n <= 64 && nrhs <= 64 {
+				_, _, err := unpackAgg(&fr, n, nrhs, make([]float64, n*n), make([]float64, n*nrhs))
+				if err == nil && len(fr.Payload) != aggLen[float64](n, nrhs) {
+					t.Fatalf("%d-byte payload decoded as a %d×%d aggregate", len(fr.Payload), n, nrhs)
+				}
 			}
 		}
 	})

@@ -1,13 +1,14 @@
 // The worker side of the distributed CAQR runtime: one process (or
-// goroutine) owning a row shard of the global matrix. Each round it runs a
-// local tiled QR on the shared in-process runtime — reusing the
-// FactorInto arena, DAG and plan across rounds, so steady-state rounds
-// allocate nothing — folds Qᵀb for its rows, and feeds its n×n R triangle
-// into the binary TTQRT reduction tree. Workers run their rounds without
-// waiting for the coordinator; a sender that has queued its R for its
-// parent starts the next round at once, so with Rounds > 1 the wire time
-// can hide behind local factorization, and the per-worker stats measure
-// how much of it did.
+// goroutine) owning a row shard of the global matrix and one node of the
+// binomial TSQR reduction tree. A worker is a stream.Core (TT kernels, on
+// the worker's own scheduler runtime) reused across rounds: a round resets
+// it, appends the shard with its RHS rows — the stream's replay folds Qᵀb
+// and the residual — merges the aggregates of its tree children and ships
+// its own to its parent, or from rank 0 to the coordinator. Workers run
+// their rounds without waiting for the coordinator; a sender that has
+// queued its aggregate starts the next round at once, so with Rounds > 1
+// the wire time can hide behind the next append, and the per-worker stats
+// measure how much of it did.
 package dist
 
 import (
@@ -19,6 +20,7 @@ import (
 	"tiledqr/internal/core"
 	"tiledqr/internal/engine"
 	"tiledqr/internal/sched"
+	"tiledqr/internal/stream"
 	"tiledqr/internal/tile"
 	"tiledqr/internal/vec"
 )
@@ -80,8 +82,8 @@ func RunWorker(ctx context.Context, coordAddr string) error {
 
 // watch reads the coordinator connection for the rest of the run. The
 // coordinator sends one more frame, Done, after every worker's stats; any
-// other outcome cancels ctx with its cause, so FactorInto, Apply and every
-// peer wait abort mid-round.
+// other outcome cancels ctx with its cause, so the append, a merge and
+// every peer wait abort mid-round.
 func watch(conn net.Conn, cancel context.CancelCauseFunc, done chan<- struct{}) {
 	f, _, err := ReadFrame(conn, nil)
 	switch {
@@ -102,7 +104,6 @@ func runShard[T vec.Scalar](ctx context.Context, cancel context.CancelCauseFunc,
 
 	// Shard data, shipped once by the coordinator.
 	shard := tile.NewDense[T](cfg.ShardRows, n)
-	var rhs *tile.Dense[T]
 	fr, buf, err := ReadFrame(conn, nil)
 	if err != nil || fr.Kind != KindShard {
 		return fmt.Errorf("dist: rank %d reading shard: kind=%d err=%w", rank, fr.Kind, err)
@@ -110,21 +111,28 @@ func runShard[T vec.Scalar](ctx context.Context, cancel context.CancelCauseFunc,
 	if err := unpackDense(shard.Data, shard.Stride, &fr); err != nil {
 		return err
 	}
+	nd := &node[T]{r: make([]T, n*n)}
+	var rhs []T
 	if nrhs > 0 {
-		rhs = tile.NewDense[T](cfg.ShardRows, nrhs)
+		rhs, nd.qtb = make([]T, cfg.ShardRows*nrhs), make([]T, n*nrhs)
 		fr, _, err = ReadFrame(conn, buf)
 		if err != nil || fr.Kind != KindRHS {
 			return fmt.Errorf("dist: rank %d reading rhs: kind=%d err=%w", rank, fr.Kind, err)
 		}
-		if err := unpackDense(rhs.Data, rhs.Stride, &fr); err != nil {
+		if err := unpackDense(rhs, nrhs, &fr); err != nil {
 			return err
 		}
+	}
+	nd.core, err = stream.NewCore[T](n, stream.Config{
+		NB: cfg.NB, IB: cfg.IB, Kernels: core.TT, Env: engine.Env{Runtime: rt},
+	})
+	if err != nil {
+		return err
 	}
 
 	done := make(chan struct{})
 	go watch(conn, cancel, done)
 
-	red := newReducer[T](n, nrhs, cfg.IB)
 	rh := newRecvHub(ctx, peerLn)
 	var sh *sendHub
 	if rank > 0 { // the tree parent is rank − lowbit(rank)
@@ -133,56 +141,33 @@ func runShard[T vec.Scalar](ctx context.Context, cancel context.CancelCauseFunc,
 		}
 	}
 
-	var f engine.Factorization[T]
-	var js sched.JobStats
-	engCfg := engine.Config{
-		Algorithm: core.Greedy, Kernels: core.TT,
-		TileSize: cfg.NB, InnerBlock: cfg.IB,
-		Env: engine.Env{Runtime: rt}, Ctx: ctx, Stats: &js,
-	}
-	var qtbFull *tile.Dense[T]
-	if nrhs > 0 {
-		qtbFull = tile.NewDense[T](cfg.ShardRows, nrhs)
-	}
-
 	st := WorkerStats{Rank: rank, ShardRows: cfg.ShardRows}
 	start := time.Now()
 	for r := 0; r < cfg.Rounds; r++ {
 		t0 := time.Now()
-		if err := engine.FactorInto(&f, shard, engCfg); err != nil {
-			return fmt.Errorf("dist: rank %d round %d factor: %w", rank, r, err)
-		}
-		st.TasksRun += js.Tasks
-		st.BusyNS += int64(js.Busy)
-		if nrhs > 0 {
-			copy(qtbFull.Data, rhs.Data[:cfg.ShardRows*rhs.Stride])
-			if err := f.Apply(ctx, qtbFull, true); err != nil {
-				return fmt.Errorf("dist: rank %d round %d Qᵀb: %w", rank, r, err)
-			}
-			for i := 0; i < n; i++ {
-				copy(red.qtb[i*nrhs:i*nrhs+nrhs], qtbFull.Data[i*qtbFull.Stride:i*qtbFull.Stride+nrhs])
-			}
-		}
-		if err := f.RInto(red.r, n); err != nil {
-			return err
+		nd.core.Reset()
+		if err := nd.core.Append(ctx, cfg.ShardRows, shard.Data, n, rhs, nrhs, nrhs); err != nil {
+			return fmt.Errorf("dist: rank %d round %d: %w", rank, r, err)
 		}
 		st.ComputeNS += int64(time.Since(t0))
 
-		if err := treeRound(red, sh, rh, &st, rank, W, nrhs, uint32(r)); err != nil {
+		if err := treeRound(ctx, nd, sh, rh, &st, rank, W, uint32(r)); err != nil {
 			return err
 		}
 		if rank == 0 {
-			// The tree root ships the global R (and Qᵀb top block) to the
-			// coordinator; this send is on the round's critical path only
-			// for the coordinator, not for the next local factorization.
+			// The tree root ships the global aggregate to the coordinator;
+			// this send is on the round's critical path only for the
+			// coordinator, not for the next local append.
 			t0 := time.Now()
-			if err := shipResult(conn, red.packR(uint32(r)), &st); err != nil {
+			buf, err := nd.pack(uint32(r))
+			if err != nil {
 				return err
 			}
-			if nrhs > 0 {
-				if err := shipResult(conn, red.packQTB(uint32(r)), &st); err != nil {
-					return err
-				}
+			nw, err := conn.Write(buf)
+			putBuf(buf)
+			st.BytesSent += int64(nw)
+			if err != nil {
+				return fmt.Errorf("dist: coordinator connection lost: %w", err)
 			}
 			st.SendNS += int64(time.Since(t0))
 		}
@@ -210,38 +195,44 @@ func runShard[T vec.Scalar](ctx context.Context, cancel context.CancelCauseFunc,
 	}
 }
 
-// shipResult writes one framed result (ownership transfers) from the tree
-// root to the coordinator.
-func shipResult(conn net.Conn, buf []byte, st *WorkerStats) error {
-	nw, err := conn.Write(buf)
-	putBuf(buf)
-	st.BytesSent += int64(nw)
-	if err != nil {
-		return fmt.Errorf("dist: coordinator connection lost: %w", err)
+// node is a worker's place in the reduction tree: its Core, and the dense
+// R and Qᵀb buffers aggregates pass through between the Core and the wire.
+type node[T vec.Scalar] struct {
+	core   *stream.Core[T]
+	r, qtb []T // n×n, row stride n; n×nrhs, row stride nrhs (nil when nrhs = 0)
+}
+
+// pack frames the Core's aggregate as round seq's (pooled buffer).
+func (nd *node[T]) pack(seq uint32) ([]byte, error) {
+	c := nd.core
+	if err := c.CopyR(nd.r, c.N()); err != nil {
+		return nil, err
 	}
-	return nil
+	if err := c.CopyQTB(nd.qtb, c.NRHS()); err != nil {
+		return nil, err
+	}
+	resid, err := c.ResidualNorm()
+	if err != nil {
+		return nil, err
+	}
+	return packAgg(seq, c.N(), c.NRHS(), nd.r, nd.qtb, resid, c.Rows()), nil
 }
 
 // treeRound runs one round of the binomial reduction tree for this rank:
-// at each level the rank is a pivot (receive a partner's triangle and
-// Qᵀb block, TTQRT/TTMQR them into the resident state), a sender (queue
-// the resident state for its parent, the pivot of that level, and finish
-// the round —
-// the sender is then free to start its next local factorization while the
-// frames are in flight), or idle at that level (no partner in range).
-func treeRound[T vec.Scalar](red *reducer[T], sh *sendHub, rh *recvHub, st *WorkerStats, rank, W, nrhs int, seq uint32) error {
+// at each level the rank is a pivot (receive its partner's aggregate and
+// merge it), a sender (queue its aggregate for its parent, the pivot of that
+// level, and finish the round — the sender is then free to start its next
+// append while the frame is in flight), or idle at that level (no partner
+// in range).
+func treeRound[T vec.Scalar](ctx context.Context, nd *node[T], sh *sendHub, rh *recvHub, st *WorkerStats, rank, W int, seq uint32) error {
 	for step := 1; step < W; step <<= 1 {
 		switch {
 		case rank%(2*step) == step:
-			if err := sh.send(red.packR(seq)); err != nil {
+			buf, err := nd.pack(seq)
+			if err != nil {
 				return err
 			}
-			if nrhs > 0 {
-				if err := sh.send(red.packQTB(seq)); err != nil {
-					return err
-				}
-			}
-			return nil
+			return sh.send(buf)
 		case rank%(2*step) == 0 && rank+step < W:
 			partner := rank + step
 			t0 := time.Now()
@@ -250,37 +241,22 @@ func treeRound[T vec.Scalar](red *reducer[T], sh *sendHub, rh *recvHub, st *Work
 			if err != nil {
 				return err
 			}
-			if f.Kind != KindRTri || f.Seq != seq {
+			if f.Kind != KindAgg || f.Seq != seq {
 				putBuf(buf)
-				return fmt.Errorf("dist: rank %d expected R triangle of round %d from rank %d, got kind=%d seq=%d",
+				return fmt.Errorf("dist: rank %d expected the aggregate of round %d from rank %d, got kind=%d seq=%d",
 					rank, seq, partner, f.Kind, f.Seq)
 			}
-			err = UnpackTriangle(red.partner, red.n, red.n, f.Payload)
+			c0 := time.Now()
+			n, nrhs := nd.core.N(), nd.core.NRHS()
+			resid, rows, err := unpackAgg(&f, n, nrhs, nd.r, nd.qtb)
 			putBuf(buf)
+			if err == nil {
+				err = nd.core.Merge(ctx, nd.r, n, nd.qtb, nrhs, resid, rows)
+			}
+			st.CombineNS += int64(time.Since(c0))
 			if err != nil {
 				return err
 			}
-			if nrhs > 0 {
-				t0 = time.Now()
-				f, buf, err = rh.recv(partner)
-				st.RecvWaitNS += int64(time.Since(t0))
-				if err != nil {
-					return err
-				}
-				if f.Kind != KindQTB || f.Seq != seq {
-					putBuf(buf)
-					return fmt.Errorf("dist: rank %d expected Qᵀb of round %d from rank %d, got kind=%d seq=%d",
-						rank, seq, partner, f.Kind, f.Seq)
-				}
-				err = unpackDense(red.partnerQTB, nrhs, &f)
-				putBuf(buf)
-				if err != nil {
-					return err
-				}
-			}
-			c0 := time.Now()
-			red.combine()
-			st.CombineNS += int64(time.Since(c0))
 		}
 	}
 	return nil

@@ -58,8 +58,7 @@ type RunOpts struct {
 	// that produces it instead of flowing downstream.
 	Check bool
 	// Stats, when non-nil, receives the job's execution accounting (tasks
-	// run, summed kernel time, wall clock) — the compute side of the
-	// distributed layer's comms-vs-compute overlap measurement.
+	// run, summed kernel time, wall clock).
 	Stats *sched.JobStats
 }
 
@@ -657,28 +656,6 @@ func (f *Factorization[T]) copyR(dst []T, ldr int) {
 			copy(dst[i*ldr+tj*nb+start:i*ldr+tj*nb+t.Cols], t.Data[li*t.Stride+start:li*t.Stride+t.Cols])
 		}
 	}
-}
-
-// RInto writes the leading k×k (k = min(m,n), capped at dst's shape by ldr
-// and len) upper triangle of R into dst with row stride ldr, leaving dst's
-// strictly lower part untouched. It is the allocation-free sibling of R for
-// callers that keep a resident R buffer across factorizations — the
-// distributed reduction tree refills its combine buffer from here every
-// round. dst must hold at least k rows of ldr with ldr ≥ n.
-func (f *Factorization[T]) RInto(dst []T, ldr int) error {
-	if err := f.errInvalid("RInto"); err != nil {
-		return err
-	}
-	n := f.grid.N
-	k := min(f.grid.M, n)
-	if ldr < n {
-		return fmt.Errorf("tiledqr: RInto: row stride %d < n=%d", ldr, n)
-	}
-	if need := (k-1)*ldr + n; len(dst) < need {
-		return fmt.Errorf("tiledqr: RInto: dst has %d elements, need %d", len(dst), need)
-	}
-	f.copyR(dst, ldr)
-	return nil
 }
 
 // Apply overwrites b (m×nrhs) with Qᴴ·b (trans) or Q·b by replaying the

@@ -1,16 +1,16 @@
-// Package stream is the reduction core of the streaming TSQR subsystem: it
-// maintains a resident n×n upper triangular factor (and optionally Qᵀb for
-// online least squares) while row batches are appended, in O(n² + batch)
-// memory regardless of how many rows have been ingested.
-//
-// Each appended batch is tiled, panel-factored with GEQRT, and merged into
-// the resident triangle through the triangle-on-triangle kernels of the
-// paper (TPQRT/TPMQRT with l = m) along the task DAG of
-// core.BuildStreamDAG, executed by internal/sched with the same
-// critical-path priorities as a one-shot factorization. The package is
-// generic over all four scalar domains and dispatches tasks through the
-// shared engine.Source loop — the Core's only jobs are batch staging, the
-// stacked tile addressing, and the Qᵀb/residual bookkeeping.
+// Package stream holds the TSQR aggregate — the n×n upper triangular factor
+// of a set of rows, the top n rows of their Qᵀb and the residual norm
+// rotated out below them, in O(n² + batch) memory however many rows were
+// ingested — and the one step that combines aggregates (Demmel et al.):
+// incoming rows, an appended batch panel-factored with GEQRT or another
+// aggregate's triangle, are merged into the resident triangle with the
+// paper's triangle-on-triangle kernels (TPQRT/TPMQRT, l = m) along the
+// task DAG of core.BuildStreamDAG on internal/sched, then replayed over the
+// Qᵀb rows. An accrete-only stream is the flat reduction tree; each worker
+// of internal/dist is a Core in a binomial one, exporting its aggregate
+// through CopyR, CopyQTB, ResidualNorm and Rows and folding in its
+// children's with Merge. Tasks dispatch through the shared engine.Source
+// loop, generically over all four scalar domains.
 //
 // Beyond pure accretion the Core supports revocation: with retention
 // enabled (Config.Window) appended batches are kept in a compact row
@@ -470,7 +470,7 @@ func (c *Core[T]) merge(ctx context.Context, dst *agg[T], r int, data []T, ld in
 // mergeAgg merges the aggregate src into dst, triangle on triangle: src's
 // tiles and Qᵀb are staged as an upper triangular block of n rows and its
 // residual joins dst's. src is left untouched.
-func (c *Core[T]) mergeAgg(dst, src *agg[T]) error {
+func (c *Core[T]) mergeAgg(ctx context.Context, dst, src *agg[T]) error {
 	st := getStaging[T]()
 	defer putStaging(st)
 	st.g = c.grid
@@ -480,7 +480,40 @@ func (c *Core[T]) mergeAgg(dst, src *agg[T]) error {
 	copy(st.arena, src.data)
 	st.rhs = append(st.rhs[:0], src.qtb...)
 	dst.resid2 += src.resid2
-	return c.exec(nil, dst, st, c.plan(0))
+	return c.exec(ctx, dst, st, c.plan(0))
+}
+
+// Merge folds in the aggregate of rows disjoint from the stream's own, as
+// CopyR, CopyQTB, ResidualNorm and Rows export it: the upper triangle of an
+// n×n factor r (row stride ldr; the strictly lower part is not read), the
+// top n rows of its Qᵀb (row stride ldq, one column per RHS the stream
+// tracks; nil when it tracks none), its residual norm and its row count.
+// The stream then holds both row sets, as if it had appended the others:
+// one triangle-on-triangle merge, which forgetting does not decay. A
+// retaining stream refuses; a failure once the merge runs poisons it.
+func (c *Core[T]) Merge(ctx context.Context, r []T, ldr int, qtb []T, ldq int, resid float64, rows int64) error {
+	if c.err != nil {
+		return c.err
+	}
+	if c.window != 0 {
+		return fmt.Errorf("tiledqr: stream: cannot merge an aggregate into a stream that retains its rows (window %d): its row history would not hold the merged rows", c.window)
+	}
+	if (qtb == nil) != (c.nrhs == 0) {
+		return fmt.Errorf("tiledqr: stream: a merged aggregate must carry Qᵀb exactly when the stream tracks right-hand sides (it tracks %d)", c.nrhs)
+	}
+	a := c.getAgg()
+	defer c.putAgg(a)
+	clear(a.data)
+	c.copyTri(a, r, ldr, false)
+	for i := 0; i < c.n; i++ {
+		copy(a.qtb[i*c.nrhs:(i+1)*c.nrhs], qtb[i*ldq:])
+	}
+	a.resid2 = resid * resid
+	if err := c.mergeAgg(ctx, c.back, a); err != nil {
+		return c.poisoned(err)
+	}
+	c.rows += rows
+	return nil
 }
 
 // exec runs merge plan p over the stack [dst; staged block], then replays
@@ -571,6 +604,22 @@ func (c *Core[T]) Forget(lambda float64) error {
 	return nil
 }
 
+// Reset empties the stream to zero represented rows and keeps the rest —
+// merge plans, buffers, the tracked right-hand-side count — so re-solving a
+// system of the same shape allocates nothing. A poisoned stream stays
+// poisoned.
+func (c *Core[T]) Reset() {
+	c.invalidate()
+	for _, cp := range c.stack {
+		c.putAgg(cp.agg)
+	}
+	c.freeBlocks = append(append(c.freeBlocks, c.hist...), c.front...)
+	c.hist, c.front, c.stack = c.hist[:0], c.front[:0], c.stack[:0]
+	c.pending, c.pendingRows = 0, 0
+	c.back.set(nil)
+	c.rows = 0
+}
+
 // CopyR writes the resident upper triangular factor into dst (n×n, row
 // stride ld ≥ n). Only the upper triangle is written; callers that need
 // explicit zeros below the diagonal must start from a zeroed dst.
@@ -579,11 +628,14 @@ func (c *Core[T]) CopyR(dst []T, ld int) error {
 	if err != nil {
 		return err
 	}
-	c.copyR(a, dst, ld)
+	c.copyTri(a, dst, ld, true)
 	return nil
 }
 
-func (c *Core[T]) copyR(a *agg[T], dst []T, ld int) {
+// copyTri copies the upper triangle of a's factor out to the n×n matrix d
+// (row stride ld) when out is set, and in from d otherwise. Neither side's
+// strictly lower part is read or written.
+func (c *Core[T]) copyTri(a *agg[T], d []T, ld int, out bool) {
 	q, nb := c.grid.Q, c.nb
 	for ti := 0; ti < q; ti++ {
 		for tk := ti; tk < q; tk++ {
@@ -594,8 +646,13 @@ func (c *Core[T]) copyR(a *agg[T], dst []T, ld int) {
 				if ti == tk {
 					start = rr // diagonal tile: skip the zero lower part
 				}
-				copy(dst[(r0+rr)*ld+c0+start:(r0+rr)*ld+c0+t.Cols],
-					t.Data[rr*t.Stride+start:rr*t.Stride+t.Cols])
+				dr := d[(r0+rr)*ld+c0+start : (r0+rr)*ld+c0+t.Cols]
+				tr := t.Data[rr*t.Stride+start : rr*t.Stride+t.Cols]
+				if out {
+					copy(dr, tr)
+				} else {
+					copy(tr, dr)
+				}
 			}
 		}
 	}
@@ -634,6 +691,6 @@ func (c *Core[T]) SolveLS(x []T, ldx int) error {
 		c.rwork = make([]T, c.n*c.n)
 		c.xcol = make([]T, c.n)
 	}
-	c.copyR(a, c.rwork, c.n)
+	c.copyTri(a, c.rwork, c.n, true)
 	return engine.SolveUpper(c.n, c.nrhs, c.rwork, c.n, a.qtb, c.nrhs, x, ldx, c.xcol)
 }

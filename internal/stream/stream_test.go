@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"tiledqr/internal/core"
@@ -268,6 +269,121 @@ func TestWindowMatchesOneShot(t *testing.T) {
 		t.Run("z/"+kern.String(), func(t *testing.T) { windowScenarios[complex128](t, kern, 1e-10) })
 		t.Run("s/"+kern.String(), func(t *testing.T) { windowScenarios[float32](t, kern, 2e-4) })
 		t.Run("c/"+kern.String(), func(t *testing.T) { windowScenarios[complex64](t, kern, 2e-4) })
+	}
+}
+
+// TestMerge is TSQR's combine step on its own: two Cores stream disjoint
+// row sets A₁ and A₂, and merging the second's exported aggregate into the
+// first must give what one Core that appended A₁ then A₂ holds — R and Qᵀb
+// after the same row phase, and the residual. Reset must leave a Core that
+// repeats the merge bit for bit, and a retaining Core must refuse to merge.
+func TestMerge(t *testing.T) {
+	t.Run("d", mergeCase[float64])
+	t.Run("z", mergeCase[complex128])
+}
+
+func mergeCase[T vec.Scalar](t *testing.T) {
+	const n, nrhs, m1, m2, tol = 40, 3, 70, 53, 1e-12
+	a, b := tile.RandDense[T](m1+m2, n, 5), tile.RandDense[T](m1+m2, nrhs, 6)
+	newCore := func(window int, from, to int) *Core[T] {
+		c, err := NewCore[T](n, Config{NB: 16, IB: 4, Kernels: core.TT, Env: engine.Env{Workers: 2}, Window: window})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Append(nil, to-from, a.Data[from*n:], n, b.Data[from*nrhs:], nrhs, nrhs); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// export reads a Core's aggregate; with phase set, row i of R and of Qᵀb
+	// is scaled so that R's diagonal is real and non-negative.
+	export := func(c *Core[T], phase bool) (r, qtb *tile.Dense[T], resid float64) {
+		r, qtb = tile.NewDense[T](n, n), tile.NewDense[T](n, nrhs)
+		if err := c.CopyR(r.Data, n); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.CopyQTB(qtb.Data, nrhs); err != nil {
+			t.Fatal(err)
+		}
+		resid, err := c.ResidualNorm()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; phase && i < n; i++ {
+			d := r.At(i, i)
+			p := vec.Conj(d) * vec.FromParts[T](1/vec.Abs(d), 0)
+			for j := i; j < n; j++ {
+				r.Set(i, j, r.At(i, j)*p)
+			}
+			for j := 0; j < nrhs; j++ {
+				qtb.Set(i, j, qtb.At(i, j)*p)
+			}
+		}
+		return r, qtb, resid
+	}
+
+	one := newCore(0, 0, m1)
+	if err := one.Append(nil, m2, a.Data[m1*n:], n, b.Data[m1*nrhs:], nrhs, nrhs); err != nil {
+		t.Fatal(err)
+	}
+	c1, c2 := newCore(0, 0, m1), newCore(0, m1, m1+m2)
+	r2, q2, res2 := export(c2, false)
+	merge := func(c *Core[T]) error {
+		return c.Merge(nil, r2.Data, n, q2.Data, nrhs, res2, c2.Rows())
+	}
+	if err := merge(c1); err != nil {
+		t.Fatal(err)
+	}
+	if c1.Rows() != m1+m2 {
+		t.Fatalf("merged Core represents %d rows, want %d", c1.Rows(), m1+m2)
+	}
+	wantR, wantQ, wantRes := export(one, true)
+	gotR, gotQ, gotRes := export(c1, true)
+	scale := tile.FrobNorm(a)
+	if d := tile.MaxAbsDiff(gotR, wantR); d > tol*scale {
+		t.Errorf("merged R differs from A₁ then A₂ appended by %.3e (tol %.0e)", d, tol*scale)
+	}
+	if d := tile.MaxAbsDiff(gotQ, wantQ); d > tol*tile.FrobNorm(b) {
+		t.Errorf("merged Qᵀb differs from A₁ then A₂ appended by %.3e", d)
+	}
+	if math.Abs(gotRes-wantRes) > tol*wantRes {
+		t.Errorf("merged residual %.17g, appended %.17g", gotRes, wantRes)
+	}
+
+	first, _, _ := export(c1, false)
+	c1.Reset()
+	if r, _, res := export(c1, false); c1.Rows() != 0 || tile.FrobNorm(r) != 0 || res != 0 {
+		t.Fatalf("Reset left %d rows, ‖R‖ = %g, residual %g", c1.Rows(), tile.FrobNorm(r), res)
+	}
+	if err := c1.Append(nil, m1, a.Data, n, b.Data, nrhs, nrhs); err != nil {
+		t.Fatal(err)
+	}
+	if err := merge(c1); err != nil {
+		t.Fatal(err)
+	}
+	if again, _, _ := export(c1, false); tile.MaxAbsDiff(again, first) != 0 {
+		t.Error("a reset Core did not repeat the merge bit for bit")
+	}
+
+	w := newCore(RetainAll, 0, m1)
+	if err := merge(w); err == nil || !strings.Contains(err.Error(), "retains its rows") {
+		t.Fatalf("a retaining Core merged, or refused without saying why: %v", err)
+	}
+	// Reset drops the row history too: refilled with A₁ then A₂, a
+	// downdate of m1 rows leaves A₂ alone.
+	w.Reset()
+	for _, set := range [][2]int{{0, m1}, {m1, m2}} { // first row, rows
+		if err := w.Append(nil, set[1], a.Data[set[0]*n:], n, b.Data[set[0]*nrhs:], nrhs, nrhs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Downdate(m1); err != nil {
+		t.Fatal(err)
+	}
+	gotR, _, _ = export(w, true)
+	wantR, _, _ = export(c2, true)
+	if w.Rows() != m2 || tile.MaxAbsDiff(gotR, wantR) > tol*scale {
+		t.Errorf("a reset retaining Core holds %d rows, R off by %.3e", w.Rows(), tile.MaxAbsDiff(gotR, wantR))
 	}
 }
 

@@ -249,7 +249,7 @@ func (c *Core[T]) resident() (*agg[T], error) {
 	}
 	v := c.getAgg()
 	v.set(c.back)
-	if err := c.mergeAgg(v, c.stack[len(c.stack)-1].agg); err != nil {
+	if err := c.mergeAgg(nil, v, c.stack[len(c.stack)-1].agg); err != nil {
 		return nil, c.poisoned(err)
 	}
 	c.view = v

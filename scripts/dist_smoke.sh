@@ -2,10 +2,10 @@
 # dist_smoke.sh — end-to-end smoke for the distributed CAQR stack: build
 # qrdist, factor a 2048×256 matrix across a coordinator and 2 worker
 # processes (qrdist -worker re-executes itself with -connect) on localhost
-# with -verify (R and x must agree with single-process Factor to 1e-12),
-# then SIGTERM a long multi-round run and require a prompt stop: qrdist
-# exits within 5 s, names the interruption, and leaves no worker process
-# behind.
+# with -verify (R, x and the residual must agree with single-process
+# Factor to 1e-12), then SIGTERM a long multi-round run and require a
+# prompt stop: qrdist exits within 5 s, names the interruption, and leaves
+# no worker process behind.
 set -eu
 
 GO=${GO:-go}
@@ -24,7 +24,7 @@ $GO build -o "$tmp/qrdist" ./cmd/qrdist
 echo "dist-smoke: 2048x256 over coordinator + 2 worker processes, verified"
 "$tmp/qrdist" -m 2048 -n 256 -workers 2 -rounds 2 -verify \
     -worker | tee "$tmp/run.log"
-grep -q "verify: R and x agree" "$tmp/run.log" || {
+grep -q "verify: R, x and residual agree" "$tmp/run.log" || {
     echo "dist-smoke: verification marker missing from output" >&2
     exit 1
 }
