@@ -1,8 +1,8 @@
 // Command qrserve puts the tiled QR runtime behind an HTTP/JSON front end —
 // QR as a service. It exposes one-shot factorization and least-squares
-// endpoints, session-oriented streaming TSQR (rows arrive in batches,
-// solves are served from the resident triangle), and reusable FactorInto
-// sessions, in all four precisions, with per-tenant admission quotas,
+// endpoints and session-oriented streaming TSQR (rows arrive in batches,
+// solves are served from the resident triangle, optionally over a sliding
+// window), in all four precisions, with per-tenant admission quotas,
 // queue-depth backpressure (429 + Retry-After), same-matrix solve
 // coalescing (solves that arrive while an identical matrix is being
 // factored share that factorization), and a graceful SIGTERM drain:

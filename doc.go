@@ -250,9 +250,9 @@
 //
 // cmd/qrserve packages the fleet pattern above as a network service: an
 // HTTP/JSON front end on one shared Runtime, with one-shot factor and
-// least-squares endpoints, session-oriented streaming TSQR and reusable
-// FactorInto sessions, all four precisions on the wire (complex data
-// travels as interleaved re/im pairs). The server layers serving concerns
+// least-squares endpoints and session-oriented streaming TSQR, all four
+// precisions on the wire (complex data travels as interleaved re/im
+// pairs). The server layers serving concerns
 // over the runtime's weighted-fair admission: per-tenant concurrency
 // quotas, 429 + Retry-After backpressure when the runtime's task backlog
 // exceeds a bound, and coalescing: solves that arrive while an identical

@@ -21,7 +21,6 @@ var requestKinds = []struct {
 	{"factor", func() request { return new(factorRequest) }},
 	{"solve", func() request { return new(solveRequest) }},
 	{"stream rows", func() request { return new(streamRowsRequest) }},
-	{"stream factor", func() request { return new(streamFactorRequest) }},
 	{"stream create", func() request { return new(streamCreateRequest) }},
 }
 
@@ -191,7 +190,7 @@ func FuzzRequestBody(f *testing.F) {
 		f.Add([]byte(tc.body))
 	}
 	f.Add([]byte(`{"batch":{"rows":2,"cols":2,"data":[1e0,2.5,-3,4]},"rhs":{"rows":2,"cols":1,"data":[0.1,0.2]}}`))
-	f.Add([]byte(`{"precision":"c","kind":"stream","cols":3,"window":-1,"forget":0.99,"options":{"algorithm":"auto"}}`))
+	f.Add([]byte(`{"precision":"c","cols":3,"window":8,"forget":0.99,"options":{"algorithm":"auto"}}`))
 	f.Fuzz(func(t *testing.T, body []byte) { diffBody(t, body) })
 }
 

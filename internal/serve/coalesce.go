@@ -152,7 +152,7 @@ func (c *coalescer) solve(ctx, execCtx context.Context, o ops, a, rhs *Matrix,
 		close(b.done)
 		x, size = w.x, w.size
 	}()
-	xs, _, err = o.NewReusable(opt).Submit(execCtx, a, func() []*Matrix {
+	xs, _, err = o.Factor(execCtx, a, opt, func() []*Matrix {
 		waiters := seal()
 		gathered := make([]*Matrix, len(waiters))
 		for i, wt := range waiters {

@@ -46,26 +46,17 @@ func newGatedServer(t *testing.T) (*gatedOps, *Server, string) {
 
 func (g *gatedOps) Precision() string { return "gated" }
 
-func (g *gatedOps) NewReusable(opt tiledqr.Options) reusableOps {
-	return gatedSession{g, g.ops.NewReusable(opt)}
-}
-
-type gatedSession struct {
-	g    *gatedOps
-	real reusableOps
-}
-
-func (s gatedSession) Submit(ctx context.Context, a *Matrix, gather func() []*Matrix, st *serverStats) ([]*Matrix, int, error) {
-	s.g.factoring <- a
-	if err := <-s.g.proceed; err == errPanic {
+func (g *gatedOps) Factor(ctx context.Context, a *Matrix, opt tiledqr.Options, gather func() []*Matrix, st *serverStats) ([]*Matrix, int, error) {
+	g.factoring <- a
+	if err := <-g.proceed; err == errPanic {
 		panic(err)
 	} else if err != nil {
 		return nil, 0, err
 	}
-	return s.real.Submit(ctx, a, func() []*Matrix {
+	return g.ops.Factor(ctx, a, opt, func() []*Matrix {
 		rhs := gather()
-		s.g.sealed <- len(rhs)
-		<-s.g.solve
+		g.sealed <- len(rhs)
+		<-g.solve
 		return rhs
 	}, st)
 }

@@ -19,50 +19,33 @@ import (
 type ops interface {
 	// Precision returns the wire tag: "d", "z", "s" or "c".
 	Precision() string
-	// IsComplex reports whether Data is interleaved re/im.
-	IsComplex() bool
 	// CheckMatrix validates a wire matrix for this domain.
 	CheckMatrix(m *Matrix, maxElems int) error
 	// NewStream opens a streaming session over n columns. opt may carry
 	// WindowRows/Forget for windowed or forgetful streams.
 	NewStream(n int, opt tiledqr.Options) (streamOps, error)
-	// NewReusable opens a factorization target (FactorInto arena reuse
-	// across same-shaped submissions). A factor session keeps one; a
-	// one-shot request opens one and submits to it once.
-	NewReusable(opt tiledqr.Options) reusableOps
+	// Factor is the one place the server factors anything. It factors a,
+	// counting it in st once it has been handed to the runtime. With a nil
+	// gather the result is R alone. Otherwise gather is called once, after
+	// the factorization has returned — a factorization does not depend on
+	// its right-hand sides, so whoever collects them has the whole factor
+	// time to do it — and the result is the solution of min‖a·x − b‖₂ for
+	// every b it returns, index-aligned, from one multi-column SolveLS. The
+	// callers have checked the shapes (checkLS). The int is the task count.
+	Factor(ctx context.Context, a *Matrix, opt tiledqr.Options, gather func() []*Matrix, st *serverStats) ([]*Matrix, int, error)
 }
 
 // streamOps is a precision-blind streaming session.
 type streamOps interface {
 	Append(ctx context.Context, batch, rhs *Matrix) error
-	// Downdate removes the oldest k rows (requires a retention-enabled
-	// stream) and returns the remaining row count.
-	Downdate(ctx context.Context, k int) (int64, error)
 	Rows() int64
-	N() int
 	Solve() (*Matrix, float64, error)
-	R() (*Matrix, error)
-}
-
-// reusableOps is a precision-blind FactorInto target, and Submit is the one
-// place the server factors anything. It factors a (reusing the previous
-// arena and plan when the shape matches), counting it in st once it has
-// been handed to the runtime. With a nil gather the result is R alone.
-// Otherwise gather is called once, after the factorization has returned —
-// a factorization does not depend on its right-hand sides, so whoever
-// collects them has the whole factor time to do it — and the result is the
-// solution of min‖a·x − b‖₂ for every b it returns, index-aligned, from one
-// multi-column SolveLS. The callers have checked the shapes (checkLS). The
-// int is the task count.
-type reusableOps interface {
-	Submit(ctx context.Context, a *Matrix, gather func() []*Matrix, st *serverStats) ([]*Matrix, int, error)
 }
 
 // domain is the one generic ops implementation.
 type domain[T vec.Scalar] struct{}
 
 func (d *domain[T]) Precision() string { return vec.Prec[T]().Tag() }
-func (d *domain[T]) IsComplex() bool   { return vec.IsComplex[T]() }
 
 func (d *domain[T]) CheckMatrix(m *Matrix, maxElems int) error {
 	return m.check(vec.IsComplex[T](), maxElems)
@@ -76,8 +59,30 @@ func (d *domain[T]) NewStream(n int, opt tiledqr.Options) (streamOps, error) {
 	return &streamSession[T]{s: s}, nil
 }
 
-func (d *domain[T]) NewReusable(opt tiledqr.Options) reusableOps {
-	return &reusableSession[T]{opt: opt}
+func (d *domain[T]) Factor(ctx context.Context, a *Matrix, opt tiledqr.Options, gather func() []*Matrix, st *serverStats) ([]*Matrix, int, error) {
+	var f tiledqr.QR[T]
+	err := tiledqr.FactorIntoOf(ctx, &f, decode[T](a), opt)
+	// Options the library refuses are refused before a DAG exists, and a
+	// target that has never had a DAG reports no tasks.
+	if err == nil || f.TaskCount() > 0 {
+		st.factorizations.Add(1)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	if gather == nil {
+		return []*Matrix{encode(f.R())}, f.TaskCount(), nil
+	}
+	rhs := gather()
+	widths := make([]int, len(rhs))
+	for k, b := range rhs {
+		widths[k] = b.Cols
+	}
+	x, err := f.SolveLSCtx(ctx, hcat[T](rhs))
+	if err != nil {
+		return nil, 0, err
+	}
+	return splitCols(x, widths), f.TaskCount(), nil
 }
 
 // streamSession lifts the generic tiledqr.Stream to the wire level —
@@ -91,15 +96,7 @@ func (w *streamSession[T]) Append(ctx context.Context, batch, rhs *Matrix) error
 	return w.s.AppendRowsCtx(ctx, decode[T](batch))
 }
 
-func (w *streamSession[T]) Downdate(ctx context.Context, k int) (int64, error) {
-	if err := w.s.DowndateRowsCtx(ctx, k); err != nil {
-		return 0, err
-	}
-	return w.s.Rows(), nil
-}
-
 func (w *streamSession[T]) Rows() int64 { return w.s.Rows() }
-func (w *streamSession[T]) N() int      { return w.s.N() }
 
 func (w *streamSession[T]) Solve() (*Matrix, float64, error) {
 	x, err := w.s.SolveLS()
@@ -111,45 +108,6 @@ func (w *streamSession[T]) Solve() (*Matrix, float64, error) {
 		return nil, 0, err
 	}
 	return encode(x), resid, nil
-}
-
-func (w *streamSession[T]) R() (*Matrix, error) {
-	r, err := w.s.R()
-	if err != nil {
-		return nil, err
-	}
-	return encode(r), nil
-}
-
-// reusableSession lifts one FactorIntoOf target to the wire level.
-type reusableSession[T vec.Scalar] struct {
-	f   tiledqr.QR[T]
-	opt tiledqr.Options
-}
-
-func (w *reusableSession[T]) Submit(ctx context.Context, a *Matrix, gather func() []*Matrix, st *serverStats) ([]*Matrix, int, error) {
-	err := tiledqr.FactorIntoOf(ctx, &w.f, decode[T](a), w.opt)
-	// Options the library refuses are refused before a DAG exists, and a
-	// target that has never had a DAG reports no tasks.
-	if err == nil || w.f.TaskCount() > 0 {
-		st.factorizations.Add(1)
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	if gather == nil {
-		return []*Matrix{encode(w.f.R())}, w.f.TaskCount(), nil
-	}
-	rhs := gather()
-	widths := make([]int, len(rhs))
-	for k, b := range rhs {
-		widths[k] = b.Cols
-	}
-	x, err := w.f.SolveLSCtx(ctx, hcat[T](rhs, vec.IsComplex[T]()))
-	if err != nil {
-		return nil, 0, err
-	}
-	return splitCols(x, widths), w.f.TaskCount(), nil
 }
 
 // domains maps the wire precision tag to its ops.

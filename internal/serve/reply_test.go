@@ -23,12 +23,9 @@ func TestNonFiniteResultIs422(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	huge := testMatrix(4, 2, "d", func(i, j int) float64 { return 1e308 * float64(1-2*((i+j)%2)) })
 	rhs := testMatrix(4, 1, "d", func(i, j int) float64 { return 1e308 })
-	var stream, reuse streamCreateReply
+	var stream streamCreateReply
 	if code := postJSON(t, ts.URL+"/v1/streams", streamCreateRequest{Cols: 2}, &stream); code != http.StatusOK {
 		t.Fatalf("create stream: status %d", code)
-	}
-	if code := postJSON(t, ts.URL+"/v1/streams", streamCreateRequest{Kind: "factor"}, &reuse); code != http.StatusOK {
-		t.Fatalf("create factor session: status %d", code)
 	}
 	if code := postJSON(t, ts.URL+"/v1/streams/"+stream.ID+"/rows", streamRowsRequest{Batch: huge, RHS: rhs}, nil); code != http.StatusOK {
 		t.Fatalf("append: status %d", code)
@@ -41,8 +38,6 @@ func TestNonFiniteResultIs422(t *testing.T) {
 		{"factor", "POST", "/v1/factor", factorRequest{Matrix: huge}, `\"r\"`},
 		{"solve", "POST", "/v1/solve", solveRequest{Matrix: huge, RHS: rhs}, `\"x\"`},
 		{"stream solve", "GET", "/v1/streams/" + stream.ID + "/solve", nil, `\"x\"`},
-		{"session factor", "POST", "/v1/streams/" + reuse.ID + "/factor", streamFactorRequest{Matrix: huge}, `\"r\"`},
-		{"session solve", "POST", "/v1/streams/" + reuse.ID + "/factor", streamFactorRequest{Matrix: huge, RHS: rhs}, `\"x\"`},
 	} {
 		raw, _ := json.Marshal(tc.body)
 		req, _ := http.NewRequest(tc.method, ts.URL+tc.path, bytes.NewReader(raw))
@@ -86,9 +81,8 @@ func TestDoubleAdoptsWireData(t *testing.T) {
 	defer rt.Close()
 	o, opt, ctx := domains["d"], tiledqr.Options{Runtime: rt, TileSize: 4}, context.Background()
 	var stats serverStats
-	reuse := o.NewReusable(opt)
 	for _, gather := range []func() []*Matrix{nil, func() []*Matrix { return []*Matrix{b} }, func() []*Matrix { return []*Matrix{b, b} }} {
-		if _, _, err := reuse.Submit(ctx, a, gather, &stats); err != nil {
+		if _, _, err := o.Factor(ctx, a, opt, gather, &stats); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -113,9 +113,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/solve", s.compute(&s.stats.solve.latency, s.handleSolve))
 	s.mux.HandleFunc("POST /v1/streams", s.compute(nil, s.handleStreamCreate))
 	s.mux.HandleFunc("POST /v1/streams/{id}/rows", s.compute(&s.stats.streamRows.latency, s.handleStreamRows))
-	s.mux.HandleFunc("DELETE /v1/streams/{id}/rows", s.compute(&s.stats.streamRows.latency, s.handleStreamDowndate))
 	s.mux.HandleFunc("GET /v1/streams/{id}/solve", s.compute(&s.stats.streamSolve.latency, s.handleStreamSolve))
-	s.mux.HandleFunc("POST /v1/streams/{id}/factor", s.compute(&s.stats.reuse.latency, s.handleStreamFactor))
 	s.mux.HandleFunc("DELETE /v1/streams/{id}", s.compute(nil, s.handleStreamDelete))
 	return s
 }
@@ -197,9 +195,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) error {
 // carry.
 func (s *Server) reply(w http.ResponseWriter, v any, results ...namedMatrix) {
 	for _, r := range results {
-		if r.m == nil {
-			continue
-		}
 		for i, x := range r.m.Data {
 			if math.IsInf(x, 0) || math.IsNaN(x) {
 				s.fail(w, http.StatusUnprocessableEntity,
@@ -371,7 +366,7 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	res, tasks, err := o.NewReusable(opt).Submit(r.Context(), req.Matrix, nil, &s.stats)
+	res, tasks, err := o.Factor(r.Context(), req.Matrix, opt, nil, &s.stats)
 	if err != nil {
 		s.failErr(w, err)
 		return
@@ -460,26 +455,24 @@ func (s *Server) prep(prec string, wo *WireOptions, m *Matrix) (ops, tiledqr.Opt
 
 type streamCreateRequest struct {
 	Precision string       `json:"precision,omitempty"`
-	Kind      string       `json:"kind,omitempty"` // "stream" (default) or "factor"
-	Cols      int          `json:"cols,omitempty"` // required for kind "stream"
+	Cols      int          `json:"cols,omitempty"`
 	Options   *WireOptions `json:"options,omitempty"`
-	// Window and Forget configure stream retention (tiledqr.Options
+	// Window and Forget configure retention (tiledqr.Options
 	// WindowRows/Forget): a positive window keeps the most recent Window
-	// rows (older ones are downdated away automatically), -1 retains the
-	// full history for manual DELETE .../rows calls, and Forget λ ∈ (0, 1]
-	// decays past rows' weight per append. Stream sessions only.
+	// rows (older ones are downdated away automatically), and Forget
+	// λ ∈ (0, 1] decays past rows' weight per append. No endpoint removes
+	// rows, so retaining them all for removal (RetainAll) is refused.
 	Window int     `json:"window,omitempty"`
 	Forget float64 `json:"forget,omitempty"`
 }
 
 func (q *streamCreateRequest) fields() []field {
-	return []field{{key: "precision", val: &q.Precision}, {key: "kind", val: &q.Kind}, {key: "cols", val: &q.Cols},
+	return []field{{key: "precision", val: &q.Precision}, {key: "cols", val: &q.Cols},
 		{key: "options", val: &q.Options}, {key: "window", val: &q.Window}, {key: "forget", val: &q.Forget}}
 }
 
 type streamCreateReply struct {
-	ID   string `json:"id"`
-	Kind string `json:"kind"`
+	ID string `json:"id"`
 }
 
 func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
@@ -497,37 +490,22 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	sess := &session{tenant: r.Header.Get("X-Tenant"), prec: o.Precision()}
-	switch req.Kind {
-	case "", "stream":
-		if req.Cols < 1 {
-			s.fail(w, http.StatusBadRequest, "stream sessions need cols ≥ 1")
-			return
-		}
-		opt.WindowRows = req.Window
-		opt.Forget = req.Forget
-		st, err := o.NewStream(req.Cols, opt)
-		if err != nil {
-			s.failErr(w, err)
-			return
-		}
-		sess.stream = st
-		req.Kind = "stream"
-	case "factor":
-		if req.Window != 0 || req.Forget != 0 {
-			s.fail(w, http.StatusBadRequest, "window and forget apply to stream sessions, not factor sessions")
-			return
-		}
-		sess.reuse = o.NewReusable(opt)
-	default:
-		s.fail(w, http.StatusBadRequest, "unknown session kind %q (want stream or factor)", req.Kind)
+	if req.Cols < 1 || req.Window < 0 {
+		s.fail(w, http.StatusBadRequest, "a stream needs cols ≥ 1 and window ≥ 0 (have cols %d, window %d)", req.Cols, req.Window)
 		return
 	}
+	opt.WindowRows, opt.Forget = req.Window, req.Forget
+	st, err := o.NewStream(req.Cols, opt)
+	if err != nil {
+		s.failErr(w, err)
+		return
+	}
+	sess := &session{prec: o.Precision(), stream: st}
 	if err := s.sessions.add(sess); err != nil {
 		s.failErr(w, err)
 		return
 	}
-	s.reply(w, streamCreateReply{ID: sess.id, Kind: req.Kind})
+	s.reply(w, streamCreateReply{ID: sess.id})
 }
 
 type streamRowsRequest struct {
@@ -557,10 +535,6 @@ func (s *Server) getSession(w http.ResponseWriter, r *http.Request) *session {
 func (s *Server) handleStreamRows(w http.ResponseWriter, r *http.Request) {
 	sess := s.getSession(w, r)
 	if sess == nil {
-		return
-	}
-	if sess.stream == nil {
-		s.fail(w, http.StatusBadRequest, "session %s is a factor session, not a stream", sess.id)
 		return
 	}
 	var req streamRowsRequest
@@ -593,39 +567,6 @@ func (s *Server) handleStreamRows(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleStreamDowndate serves DELETE /v1/streams/{id}/rows?rows=k: it
-// downdates the oldest k rows out of a retention-enabled stream session
-// (created with "window" or "forget"), the revocation counterpart of the
-// POST append. The row count travels in a query parameter because DELETE
-// request bodies are widely dropped by proxies.
-func (s *Server) handleStreamDowndate(w http.ResponseWriter, r *http.Request) {
-	sess := s.getSession(w, r)
-	if sess == nil {
-		return
-	}
-	if sess.stream == nil {
-		s.fail(w, http.StatusBadRequest, "session %s is a factor session, not a stream", sess.id)
-		return
-	}
-	k, err := strconv.Atoi(r.URL.Query().Get("rows"))
-	if err != nil || k < 1 {
-		s.fail(w, http.StatusBadRequest, "downdate needs a positive ?rows=k query parameter")
-		return
-	}
-	start := time.Now()
-	sess.mu.Lock()
-	rows, err := sess.stream.Downdate(r.Context(), k)
-	sess.mu.Unlock()
-	if err != nil {
-		s.failErr(w, err)
-		return
-	}
-	s.reply(w, streamRowsReply{
-		Rows:      rows,
-		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-	})
-}
-
 type streamSolveReply struct {
 	X         *Matrix `json:"x"`
 	Residual  float64 `json:"residual"`
@@ -636,10 +577,6 @@ type streamSolveReply struct {
 func (s *Server) handleStreamSolve(w http.ResponseWriter, r *http.Request) {
 	sess := s.getSession(w, r)
 	if sess == nil {
-		return
-	}
-	if sess.stream == nil {
-		s.fail(w, http.StatusBadRequest, "session %s is a factor session, not a stream", sess.id)
 		return
 	}
 	start := time.Now()
@@ -655,72 +592,6 @@ func (s *Server) handleStreamSolve(w http.ResponseWriter, r *http.Request) {
 		X: x, Residual: resid, Rows: rows,
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
 	}, namedMatrix{"x", x})
-}
-
-type streamFactorRequest struct {
-	Matrix *Matrix `json:"matrix"`
-	RHS    *Matrix `json:"rhs,omitempty"`
-}
-
-func (q *streamFactorRequest) fields() []field {
-	return []field{{key: "matrix", mat: &q.Matrix}, {key: "rhs", mat: &q.RHS}}
-}
-
-type streamFactorReply struct {
-	R         *Matrix `json:"r,omitempty"`
-	X         *Matrix `json:"x,omitempty"`
-	TaskCount int     `json:"task_count"`
-	ElapsedMS float64 `json:"elapsed_ms"`
-}
-
-func (s *Server) handleStreamFactor(w http.ResponseWriter, r *http.Request) {
-	sess := s.getSession(w, r)
-	if sess == nil {
-		return
-	}
-	if sess.reuse == nil {
-		s.fail(w, http.StatusBadRequest, "session %s is a stream, not a factor session", sess.id)
-		return
-	}
-	var req streamFactorRequest
-	if !s.readBody(w, r, &s.stats.reuse.decode, &req) {
-		return
-	}
-	o, _ := opsFor(sess.prec)
-	if err := o.CheckMatrix(req.Matrix, s.cfg.MaxElements); err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	var gather func() []*Matrix
-	if req.RHS != nil {
-		if err := o.CheckMatrix(req.RHS, s.cfg.MaxElements); err != nil {
-			s.fail(w, http.StatusBadRequest, "rhs: %v", err)
-			return
-		}
-		if err := checkLS(req.Matrix, req.RHS); err != nil {
-			s.failErr(w, err) // 422, not /v1/solve's 400: the status this endpoint's clients already see
-			return
-		}
-		gather = func() []*Matrix { return []*Matrix{req.RHS} }
-	}
-	start := time.Now()
-	sess.mu.Lock()
-	res, tasks, err := sess.reuse.Submit(r.Context(), req.Matrix, gather, &s.stats)
-	sess.mu.Unlock()
-	if err != nil {
-		s.failErr(w, err)
-		return
-	}
-	reply := streamFactorReply{
-		TaskCount: tasks,
-		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	if req.RHS == nil {
-		reply.R = res[0]
-	} else {
-		reply.X = res[0]
-	}
-	s.reply(w, reply, namedMatrix{"r", reply.R}, namedMatrix{"x", reply.X})
 }
 
 func (s *Server) handleStreamDelete(w http.ResponseWriter, r *http.Request) {
@@ -784,7 +655,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		"solve":        s.stats.solve.wire(),
 		"stream_rows":  s.stats.streamRows.wire(),
 		"stream_solve": s.stats.streamSolve.wire(),
-		"reuse_factor": s.stats.reuse.wire(),
 	}
 	s.reply(w, out)
 }

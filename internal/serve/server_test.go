@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -207,7 +209,7 @@ func TestStreamLifecycle(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/streams", streamCreateRequest{Cols: 3}, &created); code != http.StatusOK {
 		t.Fatalf("stream create: status %d", code)
 	}
-	if created.ID == "" || created.Kind != "stream" {
+	if created.ID == "" {
 		t.Fatalf("stream create: reply %+v", created)
 	}
 
@@ -244,38 +246,6 @@ func TestStreamLifecycle(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/v1/streams/"+created.ID+"/solve", nil); code != http.StatusNotFound {
 		t.Fatalf("solve after delete: status %d, want 404", code)
-	}
-}
-
-func TestReusableFactorSession(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	var created streamCreateReply
-	if code := postJSON(t, ts.URL+"/v1/streams", streamCreateRequest{Kind: "factor", Precision: "d"}, &created); code != http.StatusOK {
-		t.Fatalf("factor session create: status %d", code)
-	}
-	a := wellConditioned(10, 4, "d")
-	// First submission: R only.
-	var r1 streamFactorReply
-	if code := postJSON(t, ts.URL+"/v1/streams/"+created.ID+"/factor",
-		streamFactorRequest{Matrix: a}, &r1); code != http.StatusOK {
-		t.Fatalf("factor submit 1: status %d", code)
-	}
-	if r1.R == nil || r1.X != nil {
-		t.Fatalf("factor submit 1: want R only, got %+v", r1)
-	}
-	// Second same-shape submission reuses the arena and solves.
-	var r2 streamFactorReply
-	if code := postJSON(t, ts.URL+"/v1/streams/"+created.ID+"/factor",
-		streamFactorRequest{Matrix: a, RHS: matTimesOnes(a, "d", 2)}, &r2); code != http.StatusOK {
-		t.Fatalf("factor submit 2: status %d", code)
-	}
-	if r2.X == nil {
-		t.Fatalf("factor submit 2: want X, got %+v", r2)
-	}
-	for i := 0; i < 4; i++ {
-		if got := solutionAt(r2.X, "d", i); math.Abs(got-2) > 1e-8 {
-			t.Fatalf("factor submit 2: x[%d] = %v, want 2", i, got)
-		}
 	}
 }
 
@@ -340,7 +310,6 @@ func TestRequestValidation(t *testing.T) {
 		{"solve rhs mismatch", "/v1/solve", solveRequest{
 			Matrix: wellConditioned(4, 2, "d"), RHS: wellConditioned(3, 1, "d")}, 400},
 		{"stream without cols", "/v1/streams", streamCreateRequest{}, 400},
-		{"bad session kind", "/v1/streams", streamCreateRequest{Kind: "nope"}, 400},
 		{"unknown session", "/v1/streams/s-missing/rows", streamRowsRequest{Batch: wellConditioned(4, 2, "d")}, 404},
 	}
 	for _, tc := range cases {
@@ -499,61 +468,11 @@ func TestHealthz(t *testing.T) {
 }
 
 // TestWindowedStreamSession covers the retention wire surface: window and
-// forget in the create request, the DELETE .../rows downdate endpoint, and
-// the rejections (downdate on a retention-free stream, retention knobs on
-// a factor session, bad forget values).
+// forget in the create request, and a bad forget value refused at create.
 func TestWindowedStreamSession(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	a := wellConditioned(8, 3, "d")
 	rhs := matTimesOnes(a, "d", 1)
-
-	doDowndate := func(id string, query string, out *streamRowsReply) int {
-		t.Helper()
-		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/streams/"+id+"/rows"+query, nil)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if out != nil && resp.StatusCode == http.StatusOK {
-			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return resp.StatusCode
-	}
-
-	// Retain-all session: rows accumulate, DELETE .../rows revokes them.
-	var created streamCreateReply
-	if code := postJSON(t, ts.URL+"/v1/streams", streamCreateRequest{Cols: 3, Window: -1}, &created); code != http.StatusOK {
-		t.Fatalf("retain-all create: status %d", code)
-	}
-	for i := 0; i < 2; i++ {
-		var rr streamRowsReply
-		if code := postJSON(t, ts.URL+"/v1/streams/"+created.ID+"/rows",
-			streamRowsRequest{Batch: a, RHS: rhs}, &rr); code != http.StatusOK {
-			t.Fatalf("append %d: status %d", i, code)
-		}
-	}
-	var dd streamRowsReply
-	if code := doDowndate(created.ID, "?rows=8", &dd); code != http.StatusOK {
-		t.Fatalf("downdate: status %d", code)
-	}
-	if dd.Rows != 8 {
-		t.Fatalf("downdate: %d rows remain, want 8", dd.Rows)
-	}
-	var solved streamSolveReply
-	if code := getJSON(t, ts.URL+"/v1/streams/"+created.ID+"/solve", &solved); code != http.StatusOK {
-		t.Fatalf("solve after downdate: status %d", code)
-	}
-	for i := 0; i < 3; i++ {
-		if got := solutionAt(solved.X, "d", i); math.Abs(got-1) > 1e-8 {
-			t.Fatalf("solve after downdate: x[%d] = %v, want 1", i, got)
-		}
-	}
-	if code := doDowndate(created.ID, "", nil); code != http.StatusBadRequest {
-		t.Fatalf("downdate without ?rows: status %d, want 400", code)
-	}
 
 	// Sliding window: the session stays at the window size as rows stream in.
 	var windowed streamCreateReply
@@ -572,21 +491,47 @@ func TestWindowedStreamSession(t *testing.T) {
 		t.Fatalf("windowed session reports %d rows, want window 8", last.Rows)
 	}
 
-	// Rejections: no retention → downdate fails; factor sessions take no
-	// retention knobs; a bad forget factor fails at create.
-	var plain streamCreateReply
-	if code := postJSON(t, ts.URL+"/v1/streams", streamCreateRequest{Cols: 3}, &plain); code != http.StatusOK {
-		t.Fatalf("plain create: status %d", code)
-	}
-	if code := doDowndate(plain.ID, "?rows=1", nil); code != http.StatusUnprocessableEntity {
-		t.Fatalf("downdate on retention-free stream: status %d, want 422", code)
-	}
-	if code := postJSON(t, ts.URL+"/v1/streams",
-		streamCreateRequest{Kind: "factor", Window: 4}, nil); code != http.StatusBadRequest {
-		t.Fatalf("factor session with window: status %d, want 400", code)
-	}
+	// A bad forget factor fails at create.
 	if code := postJSON(t, ts.URL+"/v1/streams",
 		streamCreateRequest{Cols: 3, Forget: 1.5}, nil); code != http.StatusUnprocessableEntity {
 		t.Fatalf("create with forget 1.5: status %d, want 422", code)
+	}
+}
+
+// TestWireContract pins the session surface: a session is a stream, so
+// there is no factor route under it, no route removes rows from it, a
+// create that names a session kind names an unknown field, and a stream
+// that would retain every row for removal is refused.
+func TestWireContract(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var created streamCreateReply
+	if code := postJSON(t, ts.URL+"/v1/streams", streamCreateRequest{Cols: 2, Window: 8, Forget: 0.99}, &created); code != http.StatusOK {
+		t.Fatalf("create with window 8, forget 0.99: status %d, want 200", code)
+	}
+	a := wellConditioned(4, 2, "d")
+	factorBody, _ := json.Marshal(factorRequest{Matrix: a})
+	for _, tc := range []struct {
+		name, method, path, body string
+		want                     int
+		says                     string
+	}{
+		{"session factor", "POST", "/v1/streams/" + created.ID + "/factor", string(factorBody), http.StatusNotFound, ""},
+		{"downdate", "DELETE", "/v1/streams/" + created.ID + "/rows?rows=1", "", http.StatusMethodNotAllowed, ""},
+		{"create naming a kind", "POST", "/v1/streams", `{"kind":"stream","cols":2}`, http.StatusBadRequest, `unknown field \"kind\"`},
+		{"create retaining every row", "POST", "/v1/streams", `{"cols":2,"window":-1}`, http.StatusBadRequest, "window"},
+	} {
+		req, _ := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want || !strings.Contains(string(msg), tc.says) {
+			t.Errorf("%s: status %d, body %q; want %d saying %q", tc.name, resp.StatusCode, msg, tc.want, tc.says)
+		}
+		if tc.want == http.StatusMethodNotAllowed && resp.Header.Get("Allow") != "POST" {
+			t.Errorf("%s: Allow %q, want the append route's POST", tc.name, resp.Header.Get("Allow"))
+		}
 	}
 }

@@ -8,19 +8,17 @@ import (
 	"time"
 )
 
-// session is one client-held serving session: either a streaming
-// factorization (stream != nil) or a reusable FactorInto factorization
-// (reuse != nil). The per-session mutex serializes use — streams and
-// factorization arenas are single-writer structures — so two concurrent
-// appends to one session queue behind each other instead of corrupting it.
+// session is one client-held streaming-TSQR session: rows arrive in
+// batches and solves are served from the resident triangle. The mutex
+// serializes use — a stream is a single-writer structure — so two
+// concurrent appends to one session queue behind each other instead of
+// corrupting it.
 type session struct {
-	id     string
-	tenant string
-	prec   string
+	id   string
+	prec string
 
-	mu     sync.Mutex // serializes stream/reuse use
+	mu     sync.Mutex // serializes stream use
 	stream streamOps
-	reuse  reusableOps
 
 	// lastUsed and gone are guarded by the owning table's lock, not mu:
 	// the evictor must be able to age sessions without waiting behind a

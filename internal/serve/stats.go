@@ -95,7 +95,6 @@ type serverStats struct {
 	solve       endpoint
 	streamRows  endpoint
 	streamSolve endpoint
-	reuse       endpoint
 }
 
 // endpoint holds one endpoint's histograms: the latency of whole requests

@@ -1,11 +1,11 @@
 // Package serve implements the HTTP serving layer behind cmd/qrserve: JSON
 // wire encoding for matrices in all four precisions, one-shot factor/solve
-// handlers, session-oriented streaming (NewStream*) and reusable-
-// factorization (FactorInto) endpoints, per-tenant admission quotas,
-// runtime queue-depth backpressure, same-matrix solve coalescing (solves
-// that arrive while an identical matrix is being factored share that
-// factorization; coalesce.go), and latency statistics. Everything is plain net/http over the public tiledqr
-// API, so the package is unit-testable with httptest and no sockets.
+// handlers, streaming-TSQR sessions, per-tenant admission quotas, runtime
+// queue-depth backpressure, same-matrix solve coalescing (solves that
+// arrive while an identical matrix is being factored share that
+// factorization; coalesce.go), and latency statistics. Everything is plain
+// net/http over the public tiledqr API, so the package is unit-testable
+// with httptest and no sockets.
 //
 // A served request costs what its computation costs only if each byte of
 // its matrices is touched once, so the request path is read → walk → scan →
@@ -107,64 +107,20 @@ func (m *Matrix) check(isComplex bool, maxElems int) error {
 // adopted, not copied: m.Data is a request-owned slice no pool ever sees
 // again, and factorizations, solves and stream appends never write their
 // inputs. The other precisions narrow or pair the values into fresh storage.
-func decode[T vec.Scalar](m *Matrix) *tiledqr.Mat[T] {
-	if data, ok := any(m.Data).([]T); ok {
-		return &tiledqr.Mat[T]{Rows: m.Rows, Cols: m.Cols, Stride: m.Cols, Data: data}
-	}
-	d := tiledqr.NewMat[T](m.Rows, m.Cols)
-	if vec.IsComplex[T]() {
-		for i := 0; i < m.Rows; i++ {
-			row := d.Data[i*d.Stride:]
-			src := m.Data[2*i*m.Cols:]
-			for j := 0; j < m.Cols; j++ {
-				row[j] = vec.FromParts[T](src[2*j], src[2*j+1])
-			}
-		}
-		return d
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := d.Data[i*d.Stride:]
-		src := m.Data[i*m.Cols:]
-		for j := 0; j < m.Cols; j++ {
-			row[j] = vec.FromParts[T](src[j], 0)
-		}
-	}
-	return d
-}
+func decode[T vec.Scalar](m *Matrix) *tiledqr.Mat[T] { return hcat[T]([]*Matrix{m}) }
 
 // encode converts a dense matrix back to the wire form.
-func encode[T vec.Scalar](d *tiledqr.Mat[T]) *Matrix {
-	m := &Matrix{Rows: d.Rows, Cols: d.Cols}
-	if vec.IsComplex[T]() {
-		m.Data = make([]float64, 2*d.Rows*d.Cols)
-		for i := 0; i < d.Rows; i++ {
-			row := d.Data[i*d.Stride:]
-			dst := m.Data[2*i*d.Cols:]
-			for j := 0; j < d.Cols; j++ {
-				dst[2*j] = vec.RealPart(row[j])
-				dst[2*j+1] = vec.ImagPart(row[j])
-			}
-		}
-		return m
-	}
-	m.Data = make([]float64, d.Rows*d.Cols)
-	for i := 0; i < d.Rows; i++ {
-		row := d.Data[i*d.Stride:]
-		dst := m.Data[i*d.Cols:]
-		for j := 0; j < d.Cols; j++ {
-			dst[j] = vec.RealPart(row[j])
-		}
-	}
-	return m
-}
+func encode[T vec.Scalar](d *tiledqr.Mat[T]) *Matrix { return splitCols(d, []int{d.Cols})[0] }
 
 // hcat concatenates checked wire matrices with equal row counts column-wise
 // into one dense matrix — the coalescing path stacks many small right-hand
-// sides into a single multi-column solve.
-func hcat[T vec.Scalar](ms []*Matrix, isComplex bool) *tiledqr.Mat[T] {
-	if len(ms) == 1 {
-		return decode[T](ms[0])
+// sides into a single multi-column solve. One double-precision matrix is
+// adopted as it is (see decode).
+func hcat[T vec.Scalar](ms []*Matrix) *tiledqr.Mat[T] {
+	if data, ok := any(ms[0].Data).([]T); ok && len(ms) == 1 {
+		return &tiledqr.Mat[T]{Rows: ms[0].Rows, Cols: ms[0].Cols, Stride: ms[0].Cols, Data: data}
 	}
+	isComplex := vec.IsComplex[T]()
 	rows, cols := ms[0].Rows, 0
 	for _, m := range ms {
 		cols += m.Cols
@@ -191,7 +147,9 @@ func hcat[T vec.Scalar](ms []*Matrix, isComplex bool) *tiledqr.Mat[T] {
 	return d
 }
 
-// splitCols slices an encoded solution back into per-request column blocks.
+// splitCols converts consecutive column blocks of the given widths to the
+// wire form: a batch's solution back into per-request blocks, or, as one
+// block, a whole matrix (encode).
 func splitCols[T vec.Scalar](x *tiledqr.Mat[T], widths []int) []*Matrix {
 	out := make([]*Matrix, len(widths))
 	off := 0

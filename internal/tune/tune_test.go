@@ -2,6 +2,7 @@ package tune
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -490,4 +491,85 @@ func TestDefaultWidthHonoursEnv(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// goldenRates are the synthetic calibration of TestResolveGoldens: the
+// six kernels at distinct GFLOP/s, in the order the paper's measurements
+// put them (the update kernels outrun the panel kernels, and the TS pair
+// outruns the TT pair), each mildly faster on larger tiles.
+func goldenRates(nb int) map[string]float64 {
+	base := map[core.Kind]float64{core.KGEQRT: 4, core.KUNMQR: 8, core.KTSQRT: 5,
+		core.KTSMQR: 10, core.KTTQRT: 3, core.KTTMQR: 7}
+	g := map[string]float64{}
+	for k, r := range base {
+		g[k.String()] = r * (0.75 + float64(nb)/256)
+	}
+	return g
+}
+
+// TestResolveGoldens pins, without a clock, what Resolve picks from a fixed
+// calibration on tile grids 4×2 through 40×4 (m×n = 64p × 64q) at widths 1
+// and 4, and checks the model under the picks: at width 1 nothing overlaps,
+// so the predicted time of a pick is exactly the sum over its DAG's tasks of
+// the calibrated seconds of each task plus the dispatch overhead. A change
+// to the schedule model or the candidate grid moves a golden on purpose;
+// the measured envelope of the picks is `qrperf -tune -measure`'s.
+func TestResolveGoldens(t *testing.T) {
+	t.Setenv(EnvCalibration, "off")
+	withHook(t, func(string, string) []Point {
+		var pts []Point
+		for _, nb := range calNBs {
+			pts = append(pts, Point{NB: nb, IB: IBFor(nb), Gflops: goldenRates(nb)})
+		}
+		return pts
+	})
+	type pick struct {
+		alg core.Algorithm
+		kk  core.Kernels
+		nb  int
+	}
+	for _, tc := range []struct {
+		p, q, workers int
+		want          pick
+	}{
+		// Alone, a worker wants the fewest, cheapest tasks: the flat TS tree,
+		// on larger tiles once there are more columns to amortize them over.
+		{4, 2, 1, pick{core.FlatTree, core.TS, 64}},
+		{8, 2, 1, pick{core.FlatTree, core.TS, 64}},
+		{16, 2, 1, pick{core.FlatTree, core.TS, 64}},
+		{10, 4, 1, pick{core.FlatTree, core.TS, 128}},
+		{20, 4, 1, pick{core.FlatTree, core.TS, 128}},
+		{40, 4, 1, pick{core.FlatTree, core.TS, 128}},
+		// Four workers buy shorter critical paths on the two-column grids.
+		{4, 2, 4, pick{core.Greedy, core.TS, 48}},
+		{8, 2, 4, pick{core.Asap, core.TS, 64}},
+		{16, 2, 4, pick{core.BinaryTree, core.TS, 64}},
+		{10, 4, 4, pick{core.FlatTree, core.TS, 64}},
+		{20, 4, 4, pick{core.FlatTree, core.TS, 64}},
+		{40, 4, 4, pick{core.FlatTree, core.TS, 64}},
+	} {
+		c, err := Resolve[float64](Request{M: 64 * tc.p, N: 64 * tc.q, Workers: tc.workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := (pick{c.Algorithm, c.Kernels, c.NB}); got != tc.want || c.IB != IBFor(c.NB) {
+			t.Errorf("%d×%d tiles at width %d: picked %v %v nb=%d ib=%d, want %v %v nb=%d ib=%d",
+				tc.p, tc.q, tc.workers, c.Algorithm, c.Kernels, c.NB, c.IB, tc.want.alg, tc.want.kk, tc.want.nb, IBFor(tc.want.nb))
+		}
+		if tc.workers != 1 {
+			continue
+		}
+		list, err := core.Generate(c.Algorithm, c.P, c.Q, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rates, cube := goldenRates(c.NB), float64(c.NB*c.NB*c.NB)
+		var sum float64
+		for _, task := range core.BuildDAG(list, c.Kernels).Tasks {
+			sum += float64(task.Kind.Weight())*cube/3/(rates[task.Kind.String()]*1e9) + dispatchSec
+		}
+		if math.Abs(c.PredictedSec-sum) > 1e-12*sum {
+			t.Errorf("%d×%d tiles at width 1: predicted %.9g s, the pick's tasks sum to %.9g s", tc.p, tc.q, c.PredictedSec, sum)
+		}
+	}
 }

@@ -183,12 +183,6 @@ func (s *Stream[T]) DowndateRows(k int) error {
 	return s.c.Downdate(k)
 }
 
-// DowndateRowsCtx is DowndateRows, kept for callers written when removal
-// did arithmetic a context could cancel. It does none now: ctx is ignored.
-func (s *Stream[T]) DowndateRowsCtx(_ context.Context, k int) error {
-	return s.c.Downdate(k)
-}
-
 // Forget applies one exponential-forgetting step immediately: the
 // represented system is scaled so every past row's weight decays by
 // √lambda (its contribution to RᵀR by lambda), with lambda ∈ (0, 1].
