@@ -139,11 +139,11 @@ bench-smoke:
 	for e in table2 table3 table4a table4b table5 grasap; do $(GO) run ./cmd/qrperf -experiment $$e || exit 1; done
 	$(GO) run ./cmd/qrperf -experiment fig5 -sizes 128
 
-# serve-smoke proves the QR-as-a-service stack end to end: build qrserve and
-# qrload, run the ~2s smoke scenario against a live server (zero failed
-# requests, nonzero rows/sec, reported p50/p95/p99), then SIGTERM and assert
-# a graceful drain — in-flight requests finish, new ones get 503, and the
-# server logs "drained cleanly" before exiting 0.
+# serve-smoke proves the QR-as-a-service stack end to end (~10–15 s): 2 s of
+# the benchmark's serve_mix workload against a spawned qrserve (it exits
+# nonzero on any failed request), then a live qrserve must answer a solve,
+# and after SIGTERM drain gracefully — in-flight requests finish, new ones
+# get 503, and the server logs "drained cleanly" before exiting 0.
 serve-smoke:
 	GO="$(GO)" sh scripts/serve_smoke.sh
 

@@ -8,22 +8,19 @@ import (
 	"strings"
 )
 
-// rateSeries flattens a decoded JSON report into its named "higher is
-// better" series, chosen by unit suffix so no producer needs a struct here:
-// every numeric member of an object whose key ends in _gflops, and every
-// numeric value whose own key ends in _per_sec. That covers a -kernels-json
-// file (the *_gflops maps, top level and per family) and a qrload -json
-// report (serve.* and load.endpoints.*.rows_per_sec) alike; sizes, counts
-// and latencies are never selected. The "baseline" subtree — the seed
-// figures a kernels file carries for reference — is not descended, and
-// arrays are not either: their elements have no stable name to gate under.
+// rateSeries flattens a decoded -kernels-json file into its named "higher
+// is better" series: every numeric member of an object whose key ends in
+// _gflops, at the top level and per family, so sizes such as nb and ib are
+// never selected. The "baseline" subtree — the seed figures a kernels file
+// carries for reference — is not descended, and arrays are not either:
+// their elements have no stable name to gate under.
 func rateSeries(out map[string]float64, prefix string, obj map[string]any) {
 	inGflops := strings.HasSuffix(prefix, "_gflops.")
 	for key, v := range obj {
 		name := prefix + key
 		switch v := v.(type) {
 		case float64:
-			if inGflops || strings.HasSuffix(key, "_per_sec") {
+			if inGflops {
 				out[name] = v
 			}
 		case map[string]any:
@@ -65,8 +62,7 @@ func compareBench(oldRep, newRep map[string]any, tolPct float64) (regressions []
 	return regressions, compared
 }
 
-// readReport decodes one JSON report (a -kernels-json file or a qrload
-// -json report) for comparison.
+// readReport decodes one -kernels-json file for comparison.
 func readReport(path string) (map[string]any, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {

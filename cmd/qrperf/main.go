@@ -34,11 +34,10 @@
 //	qrperf -compare old.json new.json [-tolerance 25]
 //	                                     CI benchmark-regression gate: exits
 //	                                     nonzero when any rate series (a
-//	                                     *_gflops member or a *_per_sec value)
-//	                                     of new.json regressed more than
-//	                                     tolerance percent below old.json; reads
-//	                                     -kernels-json files and qrload -json
-//	                                     reports alike
+//	                                     *_gflops member) of new.json
+//	                                     regressed more than tolerance percent
+//	                                     below old.json; both are
+//	                                     -kernels-json files
 //
 // Whole operations (Factor+SolveLS, stream appends, served requests,
 // distributed rounds) are timed by `go run ./bench`, not here.
@@ -148,7 +147,7 @@ func main() {
 	kernelsJSON := flag.String("kernels-json", "", "write kernel GFLOP/s to this file and exit")
 	quick := flag.Bool("quick", false, "with -kernels-json: short smoke-sized run (CI)")
 	tuneFlag := flag.Bool("tune", false, "dump the autotuner decision table (add -measure for predicted-vs-measured error) and exit")
-	compare := flag.Bool("compare", false, "compare two JSON reports (old new: -kernels-json files or qrload -json reports) and exit nonzero on regressions beyond -tolerance")
+	compare := flag.Bool("compare", false, "compare two -kernels-json files (old new) and exit nonzero on regressions beyond -tolerance")
 	tolerance := flag.Float64("tolerance", 25, "with -compare: allowed per-series regression percent")
 	flag.Usage = usage
 	flag.Parse()

@@ -14,8 +14,8 @@
 //	curl -s localhost:8787/statsz | jq .
 //	curl -s -X POST localhost:8787/v1/factor -d '{"matrix":{"rows":2,"cols":2,"data":[1,2,3,4]}}'
 //
-// See the README's "QR as a service" section for the endpoint reference and
-// cmd/qrload for the matching load harness.
+// See the README's "QR as a service" section for the endpoint reference;
+// `go run ./bench -workload serve_mix` drives a served load against it.
 package main
 
 import (

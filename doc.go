@@ -262,10 +262,8 @@
 // Runtime.Stats exposes the pool's worker count, ready-task backlog and
 // in-flight job count for exactly this kind of supervision, and the
 // TILEDQR_WORKERS environment variable overrides the default pool width
-// wherever a worker count is left at zero. cmd/qrload replays TOML load
-// scenarios against a server and reports p50/p95/p99 latency and rows/sec
-// (JSON-exportable, gated by qrperf -compare); `make serve-smoke` runs
-// the whole stack end to end. See the README's "QR as a service" section
+// wherever a worker count is left at zero. `make serve-smoke` runs the
+// whole stack end to end. See the README's "QR as a service" section
 // for the endpoint reference.
 //
 // # Distributed factorization

@@ -298,8 +298,8 @@ func (s *Server) compute(hist *Histogram, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// WireOptions is the wire form of the tunable factorization options.
-type WireOptions struct {
+// wireOptions is the wire form of the tunable factorization options.
+type wireOptions struct {
 	Algorithm   string `json:"algorithm,omitempty"`
 	Kernels     string `json:"kernels,omitempty"`
 	TileSize    int    `json:"tile_size,omitempty"`
@@ -308,7 +308,7 @@ type WireOptions struct {
 }
 
 // options lowers the wire options onto the server's runtime.
-func (w *WireOptions) options(rt *tiledqr.Runtime) (tiledqr.Options, error) {
+func (w *wireOptions) options(rt *tiledqr.Runtime) (tiledqr.Options, error) {
 	opt := tiledqr.Options{Runtime: rt}
 	if w == nil {
 		return opt, nil
@@ -342,7 +342,7 @@ func (w *WireOptions) options(rt *tiledqr.Runtime) (tiledqr.Options, error) {
 type factorRequest struct {
 	Precision string       `json:"precision,omitempty"`
 	Matrix    *Matrix      `json:"matrix"`
-	Options   *WireOptions `json:"options,omitempty"`
+	Options   *wireOptions `json:"options,omitempty"`
 }
 
 func (q *factorRequest) fields() []field {
@@ -381,7 +381,7 @@ type solveRequest struct {
 	Precision string       `json:"precision,omitempty"`
 	Matrix    *Matrix      `json:"matrix"`
 	RHS       *Matrix      `json:"rhs"`
-	Options   *WireOptions `json:"options,omitempty"`
+	Options   *wireOptions `json:"options,omitempty"`
 }
 
 func (q *solveRequest) fields() []field {
@@ -436,7 +436,7 @@ func checkLS(a, rhs *Matrix) error {
 }
 
 // prep resolves precision and options and validates the primary matrix.
-func (s *Server) prep(prec string, wo *WireOptions, m *Matrix) (ops, tiledqr.Options, error) {
+func (s *Server) prep(prec string, wo *wireOptions, m *Matrix) (ops, tiledqr.Options, error) {
 	o, err := opsFor(prec)
 	if err != nil {
 		return nil, tiledqr.Options{}, err
@@ -456,7 +456,7 @@ func (s *Server) prep(prec string, wo *WireOptions, m *Matrix) (ops, tiledqr.Opt
 type streamCreateRequest struct {
 	Precision string       `json:"precision,omitempty"`
 	Cols      int          `json:"cols,omitempty"`
-	Options   *WireOptions `json:"options,omitempty"`
+	Options   *wireOptions `json:"options,omitempty"`
 	// Window and Forget configure retention (tiledqr.Options
 	// WindowRows/Forget): a positive window keeps the most recent Window
 	// rows (older ones are downdated away automatically), and Forget

@@ -272,7 +272,7 @@ func TestStatszShape(t *testing.T) {
 	}
 	// Options the library refuses never reach the runtime: the request is
 	// counted, the factorization that did not happen is not.
-	refused := factorRequest{Matrix: a, Options: &WireOptions{TileSize: 8, InnerBlock: 16}}
+	refused := factorRequest{Matrix: a, Options: &wireOptions{TileSize: 8, InnerBlock: 16}}
 	if code := postJSON(t, ts.URL+"/v1/factor", refused, nil); code != http.StatusUnprocessableEntity {
 		t.Fatalf("factor with inner_block > tile_size: status %d, want 422", code)
 	}
@@ -298,13 +298,13 @@ func TestRequestValidation(t *testing.T) {
 		{"bad data length", "/v1/factor", factorRequest{Matrix: &Matrix{Rows: 2, Cols: 2, Data: []float64{1}}}, 400},
 		{"missing matrix", "/v1/factor", factorRequest{}, 400},
 		{"algorithm in any case", "/v1/factor", factorRequest{Matrix: wellConditioned(4, 2, "d"),
-			Options: &WireOptions{Algorithm: "FIBONACCI", Kernels: "ts"}}, 200},
+			Options: &wireOptions{Algorithm: "FIBONACCI", Kernels: "ts"}}, 200},
 		{"unknown algorithm", "/v1/factor", factorRequest{Matrix: wellConditioned(4, 2, "d"),
-			Options: &WireOptions{Algorithm: "sameh-kuck"}}, 400},
+			Options: &wireOptions{Algorithm: "sameh-kuck"}}, 400},
 		{"algorithm whose parameter has no wire field", "/v1/factor", factorRequest{Matrix: wellConditioned(4, 2, "d"),
-			Options: &WireOptions{Algorithm: "plasmatree"}}, 400},
+			Options: &wireOptions{Algorithm: "plasmatree"}}, 400},
 		{"unknown kernel family", "/v1/factor", factorRequest{Matrix: wellConditioned(4, 2, "d"),
-			Options: &WireOptions{Kernels: "tq"}}, 400},
+			Options: &wireOptions{Kernels: "tq"}}, 400},
 		{"solve underdetermined", "/v1/solve", solveRequest{
 			Matrix: wellConditioned(2, 4, "d"), RHS: wellConditioned(2, 1, "d")}, 400},
 		{"solve rhs mismatch", "/v1/solve", solveRequest{
@@ -390,6 +390,44 @@ func TestLimiterQuota(t *testing.T) {
 		t.Fatalf("canceled acquire: %v, want context.Canceled", err)
 	}
 	r3()
+}
+
+// TestTenantRouting holds the handler to the X-Tenant header: a tenant whose
+// slot and wait queue are both taken is refused, while another tenant and a
+// request without the header (tenant "default") are served.
+func TestTenantRouting(t *testing.T) {
+	s, ts := newTestServer(t, Config{TenantActive: 1, TenantQueued: 1})
+	body := `{"matrix":{"rows":3,"cols":2,"data":[1,0,1,1,1,2]},"rhs":{"rows":3,"cols":1,"data":[1,2,3]}}`
+	solve := func(tenant string) *http.Response {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/solve", strings.NewReader(body))
+		if tenant != "" {
+			req.Header.Set("X-Tenant", tenant)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	g := s.limiter.gate("a")
+	g.slots <- struct{}{}
+	g.queued <- struct{}{}
+	if resp := solve("a"); resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("tenant a with its gate full: status %d, Retry-After %q; want 429 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	for _, tenant := range []string{"b", ""} {
+		if resp := solve(tenant); resp.StatusCode != http.StatusOK {
+			t.Errorf("tenant %q beside a full tenant a: status %d, want 200", tenant, resp.StatusCode)
+		}
+	}
+	<-g.slots
+	<-g.queued
+	if resp := solve("a"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("tenant a after its gate drained: status %d, want 200", resp.StatusCode)
+	}
 }
 
 func TestHistogram(t *testing.T) {

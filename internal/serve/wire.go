@@ -36,7 +36,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"strconv"
 
 	"tiledqr"
 	"tiledqr/internal/vec"
@@ -52,28 +51,6 @@ type Matrix struct {
 	Rows int       `json:"rows"`
 	Cols int       `json:"cols"`
 	Data []float64 `json:"data"`
-}
-
-// AppendJSON appends m's wire encoding to dst, each value in the shortest
-// spelling that reads back to the same bits. It is for clients that build
-// request bodies by hand — a load generator that would otherwise spend its
-// cores in reflection — and it is deliberately not a json.Marshaler: how
-// encoding/json treats a Matrix is left alone. The values must be finite;
-// JSON has no spelling for NaN or ±Inf, and the server refuses a body that
-// tries.
-func (m *Matrix) AppendJSON(dst []byte) []byte {
-	dst = append(dst, `{"rows":`...)
-	dst = strconv.AppendInt(dst, int64(m.Rows), 10)
-	dst = append(dst, `,"cols":`...)
-	dst = strconv.AppendInt(dst, int64(m.Cols), 10)
-	dst = append(dst, `,"data":[`...)
-	for i, v := range m.Data {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
-	}
-	return append(dst, "]}"...)
 }
 
 // errNilMatrix reports a request missing a required matrix field.
