@@ -37,10 +37,19 @@
 // elements — under the SIMD dispatch length half the time, and dominated by
 // call dispatch the rest — where the column form makes ~ib calls on vectors
 // of length ~m; the two transposing copies cost 2·ib·m element moves
-// against ~2·ib²·m flops. The trailing update inside the tile (applyPanel,
-// applyPentPanel) is the Level-3 phase and is shared with the apply
-// kernels: block-reflector sweeps along C's rows, with the full-height part
-// on the packed micro-GEMM.
+// against ~2·ib²·m flops. In the complex domains those sweeps run on the
+// real vector kernels: each reflector v gets one rotated copy i·v
+// (vec.TimesI) in the workspace, and over the interleaved (re, im) view
+// vᴴc = dot(v, c) + i·dot(i·v, c) and c −= w·v is one real axpy2.
+//
+// The trailing update inside the tile (applyPanel, applyPentPanel) is the
+// Level-3 phase and is shared with the apply kernels. In the real domains
+// it is block-reflector sweeps along C's rows, with the full-height part on
+// the packed micro-GEMM. In the complex domains the panel's structural V
+// rows — the unit-lower head or the TT staircase as well as the bulk — are
+// copied into the workspace, zero-padded, so that each sweep is one packed
+// GEMM over every row, and T·W one more on a zero-padded copy of T; the
+// scalar sweeps remain their fallback when the micro-GEMM declines.
 //
 // Householder conventions match LAPACK: H = I − τ·v·vᴴ with v[0] = 1 and a
 // real β, the factorization applies Hᴴ from the left, Q = H₁·H₂···H_k. In

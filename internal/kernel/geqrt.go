@@ -111,7 +111,8 @@ func tColumn[T vec.Scalar](t []T, ldt, j0, jj int, tau T, z []T) {
 // geqrt2 factors the panel A[j0:m, j0:j0+kb] in place by Householder
 // reflections and stores the panel's kb×kb triangular factor in columns
 // j0:j0+kb of t (which has row stride ldt and at least kb rows). z must
-// have length ≥ kb and p length ≥ kb·(m−j0).
+// have length ≥ kb and p length ≥ (kb+1)·(m−j0): the panel copy, then room
+// for the rotated reflector copy the complex sweeps run on (vec.TimesI).
 //
 // The panel is tall and thin (m−j0 rows, kb ≤ ib columns) inside a
 // row-major tile, so every vector the reflectors need — the column whose
@@ -129,6 +130,7 @@ func geqrt2[T vec.Scalar](m int, a []T, lda, j0, kb int, t []T, ldt int, z, p []
 	cc := vec.IsComplex[T]()
 	rows := m - j0
 	gatherPanel(a[j0*lda:], lda, j0, kb, rows, 0, p, rows)
+	ivBuf := p[kb*rows:]
 	for jj := 0; jj < kb; jj++ {
 		col := p[jj*rows : (jj+1)*rows]
 		v := col[jj+1:]
@@ -139,11 +141,15 @@ func geqrt2[T vec.Scalar](m int, a []T, lda, j0, kb int, t []T, ldt int, z, p []
 			// z[c] = v_cᴴ·v_jj: v_c has its unit at row c < jj and v_jj has
 			// zeros above its own unit at row jj, so the product is
 			// conj(v_c[jj]) plus the dot over the rows below jj.
+			var iv []T // the real domains' sweeps need no rotated copy
+			if cc {
+				iv = vec.TimesI(v, ivBuf)
+			}
 			if jj+1 < kb {
 				next := p[(jj+1)*rows+jj:]
-				vec.ReflectCols(conjIf(cc, tau), v, next, rows, next[1:], rows, kb-jj-1)
+				vec.ReflectCols(conjIf(cc, tau), v, iv, next, rows, next[1:], rows, kb-jj-1)
 			}
-			vec.DotcCols(v, p[jj+1:], rows, jj, z)
+			vec.DotcCols(v, iv, p[jj+1:], rows, jj, z)
 			for c := 0; c < jj; c++ {
 				z[c] += conjIf(cc, p[c*rows+jj])
 			}
@@ -159,24 +165,137 @@ func geqrt2[T vec.Scalar](m int, a []T, lda, j0, kb int, t []T, ldt int, z, p []
 // columns tc0:tc0+kb of t. If trans is true it applies (I − V·Tᴴ·Vᴴ)
 // (i.e. Qᴴ; Qᵀ in the real domains), otherwise I − V·T·Vᴴ. Only rows r0:m
 // of C[, cc0:cc0+nc] are touched. w must have length ≥ kb·nc; pack is
-// micro-GEMM scratch and may be empty (the packed bulk path then stays
-// off).
+// micro-GEMM scratch and may be empty (the packed paths then stay off).
 //
-// C narrower than vec.GemmMinCols takes the vector form (applyPanelNarrow,
-// sweeps along V's rows); the rest of this function is the block-reflector
-// form, whose sweeps run along C's rows.
+// It takes one of three forms:
+//   - C narrower than vec.GemmMinCols: the vector form (applyPanelNarrow),
+//     sweeps along V's rows;
+//   - the complex domains: applyPanelGemm, every structural row of V in one
+//     packed product per sweep and T·W one more, when the micro-GEMM takes
+//     the shapes and the scratch;
+//   - otherwise applyPanelSweeps, the block-reflector sweeps along C's rows
+//     with the bulk rows on the packed micro-GEMM.
 //
+// The domain decides between the last two. In the complex domains the
+// packed head made the apply kernels 1.2–1.6× faster (BenchmarkKernels,
+// nb=64 and 128); in the real ones padding the head out to a GEMM gained
+// nothing consistent (UNMQR 5–12 % and TTMQR 5–15 % slower in one
+// measurement, within noise either way in another).
+func applyPanel[T vec.Scalar](trans bool, m int, v []T, ldv, r0, vc0, kb int,
+	t []T, ldt, tc0 int, c []T, ldc, cc0, nc int, w, pack []T) {
+	form := formSweeps
+	switch {
+	case nc < vec.GemmMinCols:
+		form = formNarrow
+		applyPanelNarrow(trans, m, v, ldv, r0, vc0, kb, t, ldt, tc0, c, ldc, cc0, nc, w)
+	case vec.IsComplex[T]() && applyPanelGemm(trans, m, v, ldv, r0, vc0, kb, t, ldt, tc0, c, ldc, cc0, nc, w, pack):
+		form = formGemm
+	default:
+		applyPanelSweeps(trans, m, v, ldv, r0, vc0, kb, t, ldt, tc0, c, ldc, cc0, nc, w, pack)
+	}
+	if applyHook != nil {
+		applyHook(form)
+	}
+}
+
+// applyForm is the form a block-reflector apply took (see applyPanel).
+type applyForm int
+
+const (
+	formNarrow applyForm = iota // vector form along V's rows
+	formSweeps                  // sweeps along C's rows, bulk on the GEMM
+	formGemm                    // every structural row in packed products
+)
+
+// applyHook, when non-nil, is told the form of every applyPanel and
+// applyPentPanel call. Tests set it to assert which form a shape takes.
+var applyHook func(applyForm)
+
+// applyPanelGemm is applyPanel's form for the complex domains. The panel's
+// structural V rows r0:m — the unit-lower head, then the bulk — are copied
+// into the pack region as one (m−r0)×kb matrix, the head's unit diagonal
+// written out and zeros where R sits above it, so nothing outside the
+// trapezoid is read and each sweep is one packed product over every row:
+// W = Vᴴ·C, then T·W (triMulGemm), then C −= V·(T·W). The copy also frees
+// GEQRT's trailing update, where V and C share a tile, from any aliasing.
+// It reports false, touching nothing, when the micro-GEMM declines the
+// shapes or the scratch.
+func applyPanelGemm[T vec.Scalar](trans bool, m int, v []T, ldv, r0, vc0, kb int,
+	t []T, ldt, tc0 int, c []T, ldc, cc0, nc int, w, pack []T) bool {
+	rows := m - r0
+	vp, tp, tw, gp, ok := headSplit[T](rows, kb, nc, pack)
+	if !ok {
+		return false
+	}
+	for i := 0; i < rows; i++ {
+		row := vp[i*kb : i*kb+kb]
+		d := min(i, kb) // reflector columns x < d have an entry in row r0+i
+		copy(row[:d], v[(r0+i)*ldv+vc0:(r0+i)*ldv+vc0+d])
+		if d < kb {
+			row[d] = 1
+			clear(row[d+1:])
+		}
+	}
+	ch := c[r0*ldc+cc0:]
+	w = w[:kb*nc]
+	clear(w)
+	vec.GemmTN(kb, nc, rows, T(1), vp, kb, ch, ldc, w, nc, gp)
+	tw = triMulGemm(trans, kb, t, ldt, tc0, w, nc, tp, tw, gp)
+	vec.GemmNN(rows, nc, kb, T(-1), vp, kb, tw, nc, ch, ldc, gp)
+	return true
+}
+
+// headLen is the scratch the GEMM heads carve from the front of the pack
+// region before the micro-GEMM's own: the structural V copy (rows×kb), the
+// zero-padded T (kb×kb) and T·W (kb×nc).
+func headLen(rows, kb, nc int) int { return kb * (rows + kb + nc) }
+
+// headSplit carves headLen(rows, kb, nc) from pack into the V copy vp, the
+// T copy tp and T·W tw, and reports whether the micro-GEMM takes both V
+// products with the rest, gp, as its scratch.
+func headSplit[T vec.Scalar](rows, kb, nc int, pack []T) (vp, tp, tw, gp []T, ok bool) {
+	n := headLen(rows, kb, nc)
+	if len(pack) < n {
+		return nil, nil, nil, nil, false
+	}
+	vp, tp, tw, gp = pack[:rows*kb], pack[rows*kb:rows*kb+kb*kb], pack[rows*kb+kb*kb:n], pack[n:]
+	ok = vec.GemmOK[T](kb, nc, rows, len(gp)) && vec.GemmOK[T](rows, nc, kb, len(gp))
+	return vp, tp, tw, gp, ok
+}
+
+// triMulGemm returns Tᴴ·W (trans) or T·W for the GEMM heads, T the upper
+// triangular block in columns tc0:tc0+kb of t: one packed product of W
+// with tp, a copy of T's triangle zero-padded below the diagonal, into
+// tw. When the micro-GEMM declines the kb×nc×kb shape it falls back to
+// triMulW's sweeps over W in place, and returns W.
+func triMulGemm[T vec.Scalar](trans bool, kb int, t []T, ldt, tc0 int, w []T, nc int, tp, tw, gp []T) []T {
+	if !vec.GemmOK[T](kb, nc, kb, len(gp)) {
+		triMulW(trans, kb, t, ldt, tc0, w, nc)
+		return w
+	}
+	for r := 0; r < kb; r++ {
+		row := tp[r*kb : r*kb+kb]
+		clear(row[:r])
+		copy(row[r:], t[r*ldt+tc0+r:r*ldt+tc0+kb])
+	}
+	clear(tw)
+	if trans {
+		vec.GemmTN(kb, nc, kb, T(1), tp, kb, w, nc, tw, nc, gp)
+	} else {
+		vec.GemmNN(kb, nc, kb, T(1), tp, kb, w, nc, tw, nc, gp)
+	}
+	return tw
+}
+
+// applyPanelSweeps is applyPanel's block-reflector form along C's rows.
 // Rows r0+kb:m sit below the unit-lower-triangular head of the panel, so
 // every reflector column has a full V entry there: over that region both
 // sweeps are plain matrix products, handed to the packed micro-GEMM when
 // it will take them. The triangular head keeps the scalar sweeps — the
-// diagonal copy/Sub and the ragged column starts don't map onto GEMM.
-func applyPanel[T vec.Scalar](trans bool, m int, v []T, ldv, r0, vc0, kb int,
+// diagonal copy/Sub and the ragged column starts — as does the whole
+// panel when the micro-GEMM declines.
+func applyPanelSweeps[T vec.Scalar](trans bool, m int, v []T, ldv, r0, vc0, kb int,
 	t []T, ldt, tc0 int, c []T, ldc, cc0, nc int, w, pack []T) {
-	if nc < vec.GemmMinCols {
-		applyPanelNarrow(trans, m, v, ldv, r0, vc0, kb, t, ldt, tc0, c, ldc, cc0, nc, w)
-		return
-	}
 	xBlock := xBlockOf[T]()
 	cc := vec.IsComplex[T]()
 	mb := r0 + kb // first bulk row
@@ -265,8 +384,10 @@ func xBlockOf[T vec.Scalar]() int {
 }
 
 // triMulW overwrites the kb×nc workspace W with Tᴴ·W (trans) or T·W, where T
-// is the upper triangular block in columns tc0:tc0+kb of t. The diagonal
-// scale is fused with the first off-diagonal accumulation via AddScaled.
+// is the upper triangular block in columns tc0:tc0+kb of t, row by row in
+// place: the real domains' T product, and the complex ones' when the
+// micro-GEMM declines it (triMulGemm). The diagonal scale is fused with
+// the first off-diagonal accumulation via AddScaled.
 func triMulW[T vec.Scalar](trans bool, kb int, t []T, ldt, tc0 int, w []T, nc int) {
 	if trans {
 		cc := vec.IsComplex[T]()
@@ -332,11 +453,12 @@ func GEQRT[T vec.Scalar](m, n, ib int, a []T, lda int, t []T, ldt int, work []T)
 // outputs of GEQRT on an m×· tile with k reflectors and inner block size
 // ib. c may be a strided view (ldc > nc). work may be nil or a scratch slice
 // of length ≥ ib·nc; length ≥ ApplyWorkLen(m, ib, nc) additionally enables
-// the packed bulk path. Which path a call takes depends on nc alone:
+// the packed paths. Which form a call takes depends on nc and the domain:
 // nc < vec.GemmMinCols runs the vector form (one column at a time along V's
 // rows, ≈ 4·m·k flops per column, ib elements of work); wider C runs the
-// block-reflector form, with the full-height rows on the packed micro-GEMM
-// when the backend and the scratch allow.
+// block-reflector form, with the full-height rows (in the complex domains
+// every row, and T·W) on the packed micro-GEMM when the backend and the
+// scratch allow.
 func UNMQR[T vec.Scalar](trans bool, m, k, ib int, v []T, ldv int, t []T, ldt int,
 	c []T, ldc, nc int, work []T) {
 	if k == 0 || nc == 0 {
@@ -361,37 +483,40 @@ func UNMQR[T vec.Scalar](trans bool, m, k, ib int, v []T, ldv int, t []T, ldt in
 
 // WorkLen returns the scratch length the tile kernels need for square-ish
 // tiles of at most n rows and columns at inner block size ib: one
-// ib-vector of T-column products, the ib×n block-reflector workspace, and
-// packed micro-GEMM scratch covering every product the factor and update
-// kernels form on such tiles (including the full n×n×n GEMM task). The
-// pack region doubles as the factor kernels' column-contiguous panel copy
-// (ib·n elements at most on such tiles, and idle while a panel is being
-// factored). Kernels handed less scratch than this still run: the apply
-// kernels lose only the packed bulk path, and GEQRT/TPQRT — which accept
-// any m, n — allocate what their own shape needs (FactorWorkLen) when work
-// is shorter than that.
+// ib-vector of T-column products, the ib×n block-reflector workspace, the
+// complex GEMM heads' operand copies (headLen) and packed micro-GEMM
+// scratch covering every product the factor and update kernels form on
+// such tiles (including the full n×n×n GEMM task). The pack region doubles
+// as the factor kernels' column-contiguous panel copy and its rotated
+// reflector ((ib+1)·n elements at most on such tiles, and idle while a
+// panel is being factored). Kernels handed less scratch than this still
+// run: the apply kernels lose only the packed paths, and GEQRT/TPQRT —
+// which accept any m, n — allocate what their own shape needs
+// (FactorWorkLen) when work is shorter than that.
 func WorkLen(n, ib int) int {
-	return ib*(n+1) + vec.GemmPackBound(n, n, n)
+	return ib*(n+1) + headLen(n, ib, n) + vec.GemmPackBound(n, n, n)
 }
 
 // FactorWorkLen returns the scratch GEQRT and TPQRT need to factor an m×n
 // tile (B, for TPQRT) without allocating: WorkLen(n, ib), stretched when
-// the tile is so much taller than wide that its ib-column panel copy (at
-// most ib·m elements) outgrows the pack region. It is monotone in each
-// argument, so callers whose tiles are not square-ish — a stream's nb-row
-// batch tiles over a narrow system — size worker scratch from their largest
-// tile shape with it; for m, ib ≤ n it is WorkLen(n, ib).
+// the tile is so much taller than wide that its ib-column panel copy and
+// rotated reflector (at most (ib+1)·m elements) outgrow the pack region.
+// It is monotone in each argument, so callers whose tiles are not
+// square-ish — a stream's nb-row batch tiles over a narrow system — size
+// worker scratch from their largest tile shape with it; for m, ib ≤ n it
+// is WorkLen(n, ib).
 func FactorWorkLen(m, n, ib int) int {
-	return max(WorkLen(n, ib), ib*(n+1)+ib*m)
+	return max(WorkLen(n, ib), ib*(n+1)+(ib+1)*m)
 }
 
 // ApplyWorkLen returns the scratch length the Q-application kernels
-// (UNMQR, TPMQRT and their wrappers) need to take the packed bulk path
-// when applying a factorization with inner block ib to a C tile of at most
-// m rows and nc columns. Any length ≥ ib·nc is accepted; the extra
-// headroom here feeds the micro-GEMM pack buffers.
+// (UNMQR, TPMQRT and their wrappers) need to take the packed paths when
+// applying a factorization with inner block ib to a C tile of at most m
+// rows and nc columns. Any length ≥ ib·nc is accepted; the extra headroom
+// here feeds the complex GEMM heads' operand copies and the micro-GEMM
+// pack buffers.
 func ApplyWorkLen(m, ib, nc int) int {
-	return ib*nc + max(vec.GemmPackBound(ib, nc, m), vec.GemmPackBound(m, nc, ib))
+	return ib*nc + headLen(m, ib, nc) + max(vec.GemmPackBound(ib, nc, m), vec.GemmPackBound(m, nc, ib))
 }
 
 // clampIB normalizes the inner blocking factor to 1 ≤ ib ≤ k.

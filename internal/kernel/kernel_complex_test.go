@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tiledqr/internal/tile"
+	"tiledqr/internal/vec"
 )
 
 // The complex-domain tests instantiate the same generic kernels at
@@ -101,26 +102,46 @@ func TestComplexTPQRTGeneralPentagon(t *testing.T) {
 	}
 }
 
-func TestComplexTTQRTDoesNotTouchLowerTriangle(t *testing.T) {
-	const n, ib = 6, 2
-	sentinel := complex(9e299, -9e299)
-	aTri := randUpperTri[complex128](n, 31)
-	b := randPent[complex128](n, n, n, 32)
-	for j := 0; j < n; j++ {
-		for i := j + 1; i < n; i++ {
-			b.Set(i, j, sentinel)
+// ttqrtLowerUntouched plants a huge sentinel below B's triangle and
+// requires TTQRT neither to write it nor to let it reach A, B's triangle or
+// T — at a small tile and at nb=64/ib=16, where the panel sweeps run on the
+// real vector kernels and the trailing update on the GEMM head.
+func ttqrtLowerUntouched[T vec.Scalar](t *testing.T, sentinel T) {
+	for _, sh := range []struct{ n, ib int }{{6, 2}, {64, 16}} {
+		n, ib := sh.n, sh.ib
+		a := randUpperTri[T](n, 31)
+		b := randPent[T](n, n, n, 32)
+		for j := 0; j < n; j++ {
+			for i := j + 1; i < n; i++ {
+				b.Set(i, j, sentinel)
+			}
 		}
-	}
-	a := aTri.Clone()
-	tf := make([]complex128, ib*n)
-	TPQRT(n, n, n, ib, a.Data, a.Stride, b.Data, b.Stride, tf, n, nil)
-	for j := 0; j < n; j++ {
-		for i := j + 1; i < n; i++ {
-			if b.At(i, j) != sentinel {
-				t.Fatalf("ZTTQRT touched B(%d,%d) below the trapezoid", i, j)
+		tf := make([]T, ib*n)
+		TPQRT(n, n, n, ib, a.Data, a.Stride, b.Data, b.Stride, tf, n, nil)
+		for j := 0; j < n; j++ {
+			for i := 0; i < n; i++ {
+				if i > j {
+					if b.At(i, j) != sentinel {
+						t.Fatalf("n=%d: TTQRT touched B(%d,%d) below the trapezoid", n, i, j)
+					}
+				} else if !(vec.Abs(b.At(i, j)) < 1e6 && vec.Abs(a.At(i, j)) < 1e6) {
+					t.Fatalf("n=%d: a sentinel below B's triangle reached (%d,%d)", n, i, j)
+				}
+			}
+		}
+		for _, v := range tf {
+			if !(vec.Abs(v) < 1e6) {
+				t.Fatalf("n=%d: a sentinel below B's triangle reached T", n)
 			}
 		}
 	}
+}
+
+func TestComplexTTQRTDoesNotTouchLowerTriangle(t *testing.T) {
+	eachFamily(t, func(t *testing.T) {
+		t.Run("z", func(t *testing.T) { ttqrtLowerUntouched[complex128](t, complex(9e299, -9e299)) })
+		t.Run("c", func(t *testing.T) { ttqrtLowerUntouched[complex64](t, complex(9e29, -9e29)) })
+	})
 }
 
 func TestComplexLarfgMakesBetaReal(t *testing.T) {

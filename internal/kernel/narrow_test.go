@@ -135,3 +135,51 @@ func TestNarrowAppliersMatchGeneralPath(t *testing.T) {
 		t.Run("single-complex", func(t *testing.T) { testNarrowUNMQR[complex64](t); testNarrowTPMQRT[complex64](t) })
 	})
 }
+
+// TestApplyFormByWidth pins which form the appliers take at the paper's
+// least-squares tile (nb=64, ib=16) with the scratch the engine hands a
+// solve: one right-hand side takes the vector form (applyPanelNarrow,
+// applyPentPanelNarrow), eight take the block-reflector form, for UNMQR,
+// TSMQR and TTMQR in both directions, every precision and vec family.
+func TestApplyFormByWidth(t *testing.T) {
+	const nb, ib = 64, 16
+	var forms [3]int
+	applyHook = func(f applyForm) { forms[f]++ }
+	defer func() { applyHook = nil }()
+	eachFamily(t, func(t *testing.T) {
+		t.Run("s", func(t *testing.T) { applyForms[float32](t, nb, ib, &forms) })
+		t.Run("d", func(t *testing.T) { applyForms[float64](t, nb, ib, &forms) })
+		t.Run("c", func(t *testing.T) { applyForms[complex64](t, nb, ib, &forms) })
+		t.Run("z", func(t *testing.T) { applyForms[complex128](t, nb, ib, &forms) })
+	})
+}
+
+func applyForms[T vec.Scalar](t *testing.T, nb, ib int, forms *[3]int) {
+	v := tile.RandDense[T](nb, nb, 1)
+	tv := make([]T, ib*nb)
+	GEQRT(nb, nb, ib, v.Data, nb, tv, nb, nil)
+	_, vts, tts := tpFactor(t, nb, nb, 0, ib, randUpperTri[T](nb, 2), tile.RandDense[T](nb, nb, 3))
+	_, vtt, ttt := tpFactor(t, nb, nb, nb, ib, randUpperTri[T](nb, 4), randUpperTri[T](nb, 5))
+	for _, nc := range []int{1, 8} {
+		for _, trans := range []bool{true, false} {
+			c1, c2 := tile.RandDense[T](nb, nc, 6), tile.RandDense[T](nb, nc, 7)
+			work := make([]T, ApplyWorkLen(nb, ib, nc))
+			for _, k := range []struct {
+				name  string
+				apply func()
+			}{
+				{"UNMQR", func() { UNMQR(trans, nb, nb, ib, v.Data, nb, tv, nb, c2.Data, nc, nc, work) }},
+				{"TSMQR", func() { TSMQR(trans, nb, nb, ib, vts.Data, nb, tts, nb, c1.Data, nc, c2.Data, nc, nc, work) }},
+				{"TTMQR", func() { TTMQR(trans, nb, nb, ib, vtt.Data, nb, ttt, nb, c1.Data, nc, c2.Data, nc, nc, work) }},
+			} {
+				*forms = [3]int{}
+				k.apply()
+				narrow, block := forms[formNarrow], forms[formSweeps]+forms[formGemm]
+				if nc == 1 && (narrow != nb/ib || block != 0) || nc > 1 && (narrow != 0 || block != nb/ib) {
+					t.Fatalf("%s nc=%d trans=%v: %d panels in the vector form, %d in the block form",
+						k.name, nc, trans, narrow, block)
+				}
+			}
+		}
+	}
+}

@@ -21,7 +21,9 @@ import (
 // gather/scatter: the tile is a strided view whose surroundings must not
 // change, the workspace and T arrive filled with NaN, and everything the
 // kernels are documented not to reference (A's strict lower triangle under
-// TPQRT, B below its trapezoid) holds NaN as well.
+// TPQRT, B below its trapezoid) holds NaN as well. The Q appliers are held
+// to a reflector-by-reflector reference across their form switches
+// (conformApplies).
 
 // epsOf is the unit roundoff of T's real type.
 func epsOf[T vec.Scalar]() float64 {
@@ -268,12 +270,183 @@ func conformPanels[T vec.Scalar](t *testing.T) {
 	}
 }
 
+// refApply applies Qᴴ (trans) or Q = H₀·H₁···H_{k−1} to the rows×nc
+// complex128 matrix c, one reflector H_j = I − τ_j·v_j·v_jᴴ at a time from
+// the stored vectors (vecOf) and the τ on T's diagonal: a reference that
+// shares nothing with the kernels' blocking, T off-diagonals or GEMM paths.
+func refApply(trans bool, k, nc int, vecOf func(j int) []complex128, tau func(j int) complex128, c []complex128) {
+	for s := 0; s < k; s++ {
+		j, tj := k-1-s, tau(k-1-s)
+		if trans {
+			j, tj = s, cmplx.Conj(tau(s))
+		}
+		v := vecOf(j)
+		for y := 0; y < nc; y++ {
+			var w complex128
+			for i, vi := range v {
+				w += cmplx.Conj(vi) * c[i*nc+y]
+			}
+			for i, vi := range v {
+				c[i*nc+y] -= tj * vi * w
+			}
+		}
+	}
+}
+
+// checkApplied compares rows r0:r0+rows of the applied stack want (nc
+// columns) with the tile got, within the panel bound scaled by ‖C‖.
+func checkApplied[T vec.Scalar](t *testing.T, what string, got *tile.Dense[T], want []complex128, r0, nc int,
+	bound float64) {
+	t.Helper()
+	for i := 0; i < got.Rows; i++ {
+		for y := 0; y < nc; y++ {
+			if d := c128(got.At(i, y)) - want[(r0+i)*nc+y]; !(cmplx.Abs(d) <= bound) {
+				t.Fatalf("%s: (%d,%d) = %v, reference %v (bound %g)", what, r0+i, y, got.At(i, y),
+					want[(r0+i)*nc+y], bound)
+			}
+		}
+	}
+}
+
+// applyScratch is the scratch conformApply runs every case with: enough
+// for the packed paths (the complex GEMM heads included, when the
+// micro-GEMM takes the shape), and only the ib·nc block-reflector
+// workspace, where every block-form apply falls back to its sweeps. Both
+// arrive NaN-filled, so a head copy that leaves padding unwritten
+// poisons the result.
+func applyScratch[T vec.Scalar](m, ib, nc int) [][]T {
+	return [][]T{nanSlice[T](ApplyWorkLen(m, ib, nc)), nanSlice[T](ib * nc)}
+}
+
+// conformUNMQR applies the Q of an m×k GEQRT factorization to a strided
+// m×nc C whose surroundings must not change, with NaN in R's place in
+// the factored tile (R is not part of V).
+func conformUNMQR[T vec.Scalar](t *testing.T, m, k, ib, nc int) {
+	t.Helper()
+	a := tile.RandDense[T](m, k, int64(7*m+k))
+	ibc := clampIB(ib, k)
+	tf := nanSlice[T](ibc * k)
+	GEQRT(m, k, ib, a.Data, a.Stride, tf, k, nil)
+	vecOf := func(j int) []complex128 {
+		v := make([]complex128, m)
+		v[j] = 1
+		for i := j + 1; i < m; i++ {
+			v[i] = c128(a.At(i, j))
+		}
+		return v
+	}
+	tau := func(j int) complex128 { return c128(tf[(j%ibc)*k+j]) }
+	for i := 0; i < k; i++ {
+		for j := i; j < k; j++ {
+			a.Set(i, j, nanOf[T]())
+		}
+	}
+	c0 := tile.RandDense[T](m, nc, int64(m+nc))
+	bound := panelBound[T](m) * tile.FrobNorm(c0)
+	for _, trans := range []bool{true, false} {
+		want := make([]complex128, m*nc)
+		for i := range want {
+			want[i] = c128(c0.Data[i])
+		}
+		refApply(trans, k, nc, vecOf, tau, want)
+		for _, work := range applyScratch[T](m, ibc, nc) {
+			what := fmt.Sprintf("UNMQR m=%d k=%d ib=%d nc=%d trans=%v work=%d", m, k, ib, nc, trans, len(work))
+			back, c := padded(c0)
+			UNMQR(trans, m, k, ib, a.Data, a.Stride, tf, k, c.Data, c.Stride, nc, work)
+			checkPad(t, what, back, m, nc)
+			checkApplied(t, what, c, want, 0, nc, bound)
+		}
+	}
+}
+
+// conformTPMQRT applies the Q of a TPQRT factorization of [A; B] (B m×k
+// pentagonal of trapezoid height l) to a strided pair [C1; C2], with NaN
+// in B below its trapezoid.
+func conformTPMQRT[T vec.Scalar](t *testing.T, m, k, l, ib, nc int) {
+	t.Helper()
+	_, b, tf := tpFactor(t, m, k, l, ib, randUpperTri[T](k, int64(m+l)), randPent[T](m, k, l, int64(3*m+l)))
+	ibc := clampIB(ib, k)
+	vecOf := func(j int) []complex128 {
+		v := make([]complex128, k+m)
+		v[j] = 1
+		for i := 0; i < pentRows(m, l, j); i++ {
+			v[k+i] = c128(b.At(i, j))
+		}
+		return v
+	}
+	tau := func(j int) complex128 { return c128(tf[(j%ibc)*k+j]) }
+	for j := 0; j < k; j++ {
+		for i := pentRows(m, l, j); i < m; i++ {
+			b.Set(i, j, nanOf[T]())
+		}
+	}
+	c10, c20 := tile.RandDense[T](k, nc, int64(k+nc)), tile.RandDense[T](m, nc, int64(m+nc))
+	bound := panelBound[T](k+m) * math.Hypot(tile.FrobNorm(c10), tile.FrobNorm(c20))
+	for _, trans := range []bool{true, false} {
+		want := make([]complex128, (k+m)*nc)
+		for i := range c10.Data {
+			want[i] = c128(c10.Data[i])
+		}
+		for i := range c20.Data {
+			want[k*nc+i] = c128(c20.Data[i])
+		}
+		refApply(trans, k, nc, vecOf, tau, want)
+		for _, work := range applyScratch[T](m, ibc, nc) {
+			what := fmt.Sprintf("TPMQRT m=%d k=%d l=%d ib=%d nc=%d trans=%v work=%d", m, k, l, ib, nc, trans, len(work))
+			back1, c1 := padded(c10)
+			back2, c2 := padded(c20)
+			TPMQRT(trans, m, k, l, ib, b.Data, b.Stride, tf, k, c1.Data, c1.Stride, c2.Data, c2.Stride, nc, work)
+			checkPad(t, what, back1, k, nc)
+			checkPad(t, what, back2, m, nc)
+			checkApplied(t, what, c1, want, 0, nc, bound)
+			checkApplied(t, what, c2, want, k, nc, bound)
+		}
+	}
+}
+
+// conformApplies holds UNMQR and TPMQRT to refApply on both sides of every
+// form switch at the nb=64, ib=16 tile: nc just under and at
+// vec.GemmMinCols and the nb−ib of an in-tile update; full, ragged (a last
+// panel of one column) and ib=1 panels; TS, TT and a partial trapezoid.
+// It also requires each form to have run where it should: the complex
+// GEMM heads with the SIMD family (including the first TT panel, whose
+// full rows are one), never in the real domains or the generic family.
+func conformApplies[T vec.Scalar](t *testing.T) {
+	var forms [3]int
+	applyHook = func(f applyForm) { forms[f]++ }
+	defer func() { applyHook = nil }()
+	const nb, ib = 64, 16
+	for _, nc := range []int{vec.GemmMinCols - 1, vec.GemmMinCols, nb - ib} {
+		conformUNMQR[T](t, nb, nb, ib, nc)
+		conformUNMQR[T](t, nb+6, 3*ib+1, ib, nc)
+		conformUNMQR[T](t, 2*nb+2, 20, 1, nc)
+		for _, l := range []int{0, 20, nb} {
+			conformTPMQRT[T](t, nb, nb, l, ib, nc)
+		}
+		conformTPMQRT[T](t, 50, 40, 40, ib, nc)
+		conformTPMQRT[T](t, 2*nb+2, 20, 20, 1, nc)
+	}
+	if forms[formNarrow] == 0 || forms[formSweeps] == 0 {
+		t.Fatalf("apply forms taken %v: want the narrow form and the sweeps each at least once", forms)
+	}
+	gemmHeads := vec.IsComplex[T]() && vec.SIMDEnabled()
+	if (forms[formGemm] > 0) != gemmHeads {
+		t.Fatalf("apply forms taken %v: the GEMM heads ran %d times, want them iff complex with SIMD (%v)",
+			forms, forms[formGemm], gemmHeads)
+	}
+}
+
+func conformAll[T vec.Scalar](t *testing.T) {
+	conformPanels[T](t)
+	conformApplies[T](t)
+}
+
 func TestPanelConformance(t *testing.T) {
 	eachFamily(t, func(t *testing.T) {
-		t.Run("s", conformPanels[float32])
-		t.Run("d", conformPanels[float64])
-		t.Run("c", conformPanels[complex64])
-		t.Run("z", conformPanels[complex128])
+		t.Run("s", conformAll[float32])
+		t.Run("d", conformAll[float64])
+		t.Run("c", conformAll[complex64])
+		t.Run("z", conformAll[complex128])
 	})
 }
 
@@ -327,7 +500,11 @@ func panelSentinels[T vec.Scalar](t *testing.T) {
 		c2 := tile.RandDense[T](nb, nb, 44)
 		stopA, stopB := scribble(a.Data, lowA), scribble(b.Data, lowB)
 		TPQRT(nb, nb, l, ib, a.Data, nb, b.Data, nb, tf, nb, nil)
-		TPMQRT(true, nb, nb, l, ib, b.Data, nb, tf, nb, c1.Data, nb, c2.Data, nb, nb, nil)
+		// Without scratch TPMQRT sweeps; with it the complex domains take
+		// the GEMM heads, whose V copy must stay inside the trapezoid too.
+		for _, work := range [][]T{nil, make([]T, ApplyWorkLen(nb, ib, nb))} {
+			TPMQRT(true, nb, nb, l, ib, b.Data, nb, tf, nb, c1.Data, nb, c2.Data, nb, nb, work)
+		}
 		stopA()
 		stopB()
 		for _, i := range lowA {

@@ -13,7 +13,8 @@ func pentRows(m, l, j int) int {
 // tpqrt2 factors one panel (columns j0:j0+kb) of the stacked matrix
 // [A; B] where A is n×n upper triangular and B is m×n pentagonal with
 // trapezoid height l. z must have length ≥ kb and p length ≥
-// kb·pentRows(m, l, j0+kb−1).
+// (kb+1)·pentRows(m, l, j0+kb−1): the panel copy, then room for the
+// rotated reflector copy of vec.TimesI.
 //
 // As in geqrt2 the panel of B is gathered into p column by column —
 // only each column's pentRows structural rows, so nothing below the
@@ -31,16 +32,21 @@ func tpqrt2[T vec.Scalar](m, l int, a []T, lda int, b []T, ldb, j0, kb int,
 	cc := vec.IsComplex[T]()
 	full, ldp := pentRows(m, l, j0), pentRows(m, l, j0+kb-1)
 	gatherPanel(b, ldb, j0, kb, full, ldp-full, p, ldp)
+	ivBuf := p[kb*ldp:]
 	for jj := 0; jj < kb; jj++ {
 		j := j0 + jj
 		v := p[jj*ldp : jj*ldp+pentRows(m, l, j)]
 		var tau T
 		a[j*lda+j], tau = larfg(a[j*lda+j], v)
 		if tau != 0 {
-			if jj+1 < kb {
-				vec.ReflectCols(conjIf(cc, tau), v, a[j*lda+j+1:], 1, p[(jj+1)*ldp:], ldp, kb-jj-1)
+			var iv []T
+			if cc {
+				iv = vec.TimesI(v, ivBuf)
 			}
-			vec.DotcCols(v, p, ldp, jj, z)
+			if jj+1 < kb {
+				vec.ReflectCols(conjIf(cc, tau), v, iv, a[j*lda+j+1:], 1, p[(jj+1)*ldp:], ldp, kb-jj-1)
+			}
+			vec.DotcCols(v, iv, p, ldp, jj, z)
 		}
 		tColumn(t, ldt, j0, jj, tau, z)
 	}
@@ -52,25 +58,84 @@ func tpqrt2[T vec.Scalar](m, l int, a []T, lda int, b []T, ldb, j0, kb int,
 // to the stacked pair [C1; C2]. The identity part of reflector column vc0+x
 // acts on row vc0+x of C1; the pentagonal part acts on C2. If trans it
 // applies (I − V·Tᴴ·Vᴴ), else I − V·T·Vᴴ. w must have length ≥ kb·nc;
-// pack is micro-GEMM scratch and may be empty (the packed bulk path then
-// stays off). C narrower than vec.GemmMinCols takes the vector form
-// (applyPentPanelNarrow); the rest of this function is the block-reflector
-// form.
-//
-// Rows 0:mFull of C2, where mFull = pentRows(m, l, vc0), lie inside the
-// pentagonal part of every reflector column (pentRows is nondecreasing in
-// the column index, so its minimum over the panel is at vc0): both sweeps
-// over that region are plain matrix products, handed to the packed
-// micro-GEMM when it will take them. With l = 0 (the TSMQR shape, the
-// hottest update kernel) that region is all of C2.
+// pack is micro-GEMM scratch and may be empty (the packed paths then stay
+// off). The forms are applyPanel's: the vector form
+// (applyPentPanelNarrow) for C narrower than vec.GemmMinCols, then
+// applyPentPanelGemm in the complex domains when the micro-GEMM takes it,
+// else applyPentPanelSweeps.
 func applyPentPanel[T vec.Scalar](trans bool, m, l int, v []T, ldv, vc0, kb int,
 	t []T, ldt int,
 	c1 []T, ldc1, c1c0 int,
 	c2 []T, ldc2, c2c0, nc int, w, pack []T) {
-	if nc < vec.GemmMinCols {
+	form := formSweeps
+	switch {
+	case nc < vec.GemmMinCols:
+		form = formNarrow
 		applyPentPanelNarrow(trans, m, l, v, ldv, vc0, kb, t, ldt, c1, ldc1, c1c0, c2, ldc2, c2c0, nc, w)
-		return
+	case vec.IsComplex[T]() && applyPentPanelGemm(trans, m, l, v, ldv, vc0, kb, t, ldt,
+		c1, ldc1, c1c0, c2, ldc2, c2c0, nc, w, pack):
+		form = formGemm
+	default:
+		applyPentPanelSweeps(trans, m, l, v, ldv, vc0, kb, t, ldt, c1, ldc1, c1c0, c2, ldc2, c2c0, nc, w, pack)
 	}
+	if applyHook != nil {
+		applyHook(form)
+	}
+}
+
+// applyPentPanelGemm is applyPentPanel's form for the complex domains. The
+// panel's structural rows of V — for TT the staircase as well as the full
+// rows above it, pentRows(m, l, vc0+kb−1) in all — are copied into the
+// pack region as one matrix with zeros below each column's height, so
+// nothing outside the trapezoid is read and each sweep over C2 is one
+// packed product: W = C1[vc0:vc0+kb] + Vᴴ·C2, then T·W (triMulGemm), then
+// C1 −= T·W and C2 −= V·(T·W). Covering every structural row in the one
+// product is what lets a TT panel whose full rows are few (the first panel
+// of a square TTQRT has one) pass vec.GemmOK at all. It reports false,
+// touching nothing, when the micro-GEMM declines the shapes or the
+// scratch.
+func applyPentPanelGemm[T vec.Scalar](trans bool, m, l int, v []T, ldv, vc0, kb int,
+	t []T, ldt int,
+	c1 []T, ldc1, c1c0 int,
+	c2 []T, ldc2, c2c0, nc int, w, pack []T) bool {
+	rows := pentRows(m, l, vc0+kb-1)
+	vp, tp, tw, gp, ok := headSplit[T](rows, kb, nc, pack)
+	if !ok {
+		return false
+	}
+	off := m - l + vc0 // row i meets the reflector columns x ≥ i − off
+	for i := 0; i < rows; i++ {
+		row := vp[i*kb : i*kb+kb]
+		xs := max(0, i-off)
+		clear(row[:xs])
+		copy(row[xs:], v[i*ldv+vc0+xs:i*ldv+vc0+kb])
+	}
+	w = w[:kb*nc]
+	for x := 0; x < kb; x++ {
+		top := (vc0+x)*ldc1 + c1c0
+		copy(w[x*nc:x*nc+nc], c1[top:top+nc])
+	}
+	vec.GemmTN(kb, nc, rows, T(1), vp, kb, c2[c2c0:], ldc2, w, nc, gp)
+	tw = triMulGemm(trans, kb, t, ldt, vc0, w, nc, tp, tw, gp)
+	for x := 0; x < kb; x++ {
+		top := (vc0+x)*ldc1 + c1c0
+		vec.Sub(tw[x*nc:x*nc+nc], c1[top:top+nc])
+	}
+	vec.GemmNN(rows, nc, kb, T(-1), vp, kb, tw, nc, c2[c2c0:], ldc2, gp)
+	return true
+}
+
+// applyPentPanelSweeps is applyPentPanel's block-reflector form along C's
+// rows. Rows 0:mFull of C2, where mFull = pentRows(m, l, vc0), lie inside
+// the pentagonal part of every reflector column (pentRows is nondecreasing
+// in the column index, so its minimum over the panel is at vc0): both
+// sweeps over that region are plain matrix products, handed to the packed
+// micro-GEMM when it will take them. With l = 0 (the TSMQR shape, the
+// hottest update kernel) that region is all of C2.
+func applyPentPanelSweeps[T vec.Scalar](trans bool, m, l int, v []T, ldv, vc0, kb int,
+	t []T, ldt int,
+	c1 []T, ldc1, c1c0 int,
+	c2 []T, ldc2, c2c0, nc int, w, pack []T) {
 	xBlock := xBlockOf[T]()
 	cc := vec.IsComplex[T]()
 	mFull := pentRows(m, l, vc0)
@@ -201,7 +266,7 @@ func TTQRT[T vec.Scalar](m, n, ib int, a []T, lda int, b []T, ldb int,
 // pentagonal, trapezoid height l) and t are TPQRT's outputs; trans selects
 // Qᴴ (as used during factorization) versus Q. c1 and c2 may be strided
 // views. work may be nil or a scratch slice of length ≥ ib·nc; length ≥
-// ApplyWorkLen(m, ib, nc) additionally enables the packed bulk path. As in
+// ApplyWorkLen(m, ib, nc) additionally enables the packed paths. As in
 // UNMQR, nc < vec.GemmMinCols selects the vector form (ib elements of work)
 // and wider C the block-reflector form.
 func TPMQRT[T vec.Scalar](trans bool, m, k, l, ib int, v []T, ldv int, t []T, ldt int,

@@ -46,8 +46,11 @@ import (
 // Version 4 changes no field either: it retires the complex-domain SIMD rates
 // measured before the complex update sweeps ran on the packed micro-GEMM
 // (2–4× low since), which would otherwise rank complex candidates on the old
-// kernels.
-const SchemaVersion = 4
+// kernels. Version 5, again no field: it retires the complex rates measured
+// before the complex panel sweeps ran on the real vector kernels and the
+// complex block-reflector heads joined the packed GEMM (the complex factor
+// and apply kernels are 1.2–2× faster since).
+const SchemaVersion = 5
 
 // EnvCalibration overrides the calibration cache location. Set it to a file
 // path to relocate the cache, or to "off" to disable persistence (the

@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -571,3 +572,94 @@ func fuzzGemm1m(t *testing.T, m, n, k int, transA bool, raw []byte) {
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// complexColsAgree holds the complex multi-column primitives on the real
+// vector kernels (ReflectCols/DotcCols over the interleaved view, with
+// TimesI's rotated copy) to the generic loops they replace, across the
+// dispatch threshold, odd and long columns, both head layouts, a padded
+// column stride and τ = 0. The bound is ε-scaled by the magnitude of each
+// result's terms: |c| + |v|·S for the reflected entries, where S bounds
+// |w| = |τ|·(|c0| + Σ|v||c|), and Σ|v||c| for the products.
+func complexColsAgree[T Scalar](t *testing.T) {
+	eps := 0x1p-53
+	if _, single := any(*new(T)).(complex64); single {
+		eps = 0x1p-24
+	}
+	rng := rand.New(rand.NewSource(41))
+	rnd := func() T { return FromParts[T](rng.NormFloat64(), rng.NormFloat64()) }
+	const nc, gap = 5, 3
+	for _, n := range []int{1, simdMinLen/2 - 1, simdMinLen / 2, simdMinLen - 1, simdMinLen, 33, 65, 129} {
+		for _, tau := range []T{rnd(), 0} {
+			for _, rowHeads := range []bool{false, true} {
+				ldc := n + 1 + gap // head, tail, gap: ldc > n
+				v := make([]T, n)
+				for i := range v {
+					v[i] = rnd()
+				}
+				orig := make([]T, nc*ldc)
+				for i := range orig {
+					orig[i] = rnd()
+				}
+				inc0, heads0 := ldc, orig
+				if rowHeads {
+					inc0, heads0 = 1, make([]T, nc)
+					for y := range heads0 {
+						heads0[y] = rnd()
+					}
+				}
+				run := func(simd bool) (c, heads, z []T) {
+					SetSIMD(simd)
+					c, heads, z = append([]T(nil), orig...), append([]T(nil), heads0...), make([]T, nc)
+					if !rowHeads {
+						heads = c
+					}
+					iv := TimesI(v, make([]T, n))
+					if want := simd && 2*n >= simdMinLen; (iv != nil) != want {
+						t.Fatalf("n=%d simd=%v: TimesI returned a copy: %v, want %v", n, simd, iv != nil, want)
+					}
+					DotcCols(v, iv, c[1:], ldc, nc, z)
+					ReflectCols(tau, v, iv, heads, inc0, c[1:], ldc, nc)
+					return c, heads, z
+				}
+				gc, gh, gz := run(false)
+				sc, sh, sz := run(true)
+				what := fmt.Sprintf("n=%d τ=%v rowHeads=%v", n, tau, rowHeads)
+				for y := 0; y < nc; y++ {
+					col := orig[y*ldc+1 : y*ldc+1+n]
+					var dots float64
+					for i, vi := range v {
+						dots += Abs(vi) * Abs(col[i])
+					}
+					if d := Abs(sz[y] - gz[y]); !(d <= 16*eps*float64(n)*dots) {
+						t.Fatalf("%s: DotcCols z[%d] = %v, generic %v", what, y, sz[y], gz[y])
+					}
+					h := y * inc0
+					s := Abs(tau) * (Abs(heads0[h]) + dots)
+					bound := 16 * eps * float64(n+2)
+					if d := Abs(sh[h] - gh[h]); !(d <= bound*(Abs(heads0[h])+s)) {
+						t.Fatalf("%s: ReflectCols head %d = %v, generic %v", what, y, sh[h], gh[h])
+					}
+					for i, vi := range v {
+						k := y*ldc + 1 + i
+						if d := Abs(sc[k] - gc[k]); !(d <= bound*(Abs(orig[k])+s*Abs(vi))) {
+							t.Fatalf("%s: ReflectCols c[%d][%d] = %v, generic %v", what, y, i, sc[k], gc[k])
+						}
+					}
+				}
+				for i := range sc {
+					if i%ldc > n && (sc[i] != orig[i] || gc[i] != orig[i]) {
+						t.Fatalf("%s: ReflectCols wrote between columns at %d", what, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestSIMDComplexColsAgree(t *testing.T) {
+	requireSIMD(t)
+	prev := SIMDEnabled()
+	defer SetSIMD(prev)
+	t.Run("z", complexColsAgree[complex128])
+	t.Run("c", complexColsAgree[complex64])
+}

@@ -59,8 +59,10 @@ func dotGeneric[T Scalar](x, y []T) T {
 // real types it coincides with Dot. The complex domains dispatch once, at
 // the slice level, to a monomorphic loop: a per-element Conj hook inside
 // generic (gcshape) code compiles to a dictionary type switch per element
-// (see sumSquares), and this is the inner loop of the complex panel
-// factorizations.
+// (see sumSquares). Those loops are scalar: the imaginary part of xᴴy
+// needs the rotated copy i·x, which only the multi-column forms
+// (ReflectCols, DotcCols) are handed, so the complex panel sweeps run
+// there on the real vector kernels and Dotc is their generic fallback.
 func Dotc[T Scalar](x, y []T) T {
 	switch xs := any(x).(type) {
 	case []complex128:
@@ -332,22 +334,73 @@ func DotAxpy[T Scalar](tau, c0 T, v, c []T) (w T) {
 	return w
 }
 
+// TimesI sets iv[i] = i·v[i] over len(v) elements and returns iv[:len(v)]:
+// the rotated copy of a complex reflector that ReflectCols and DotcCols run
+// their SIMD sweeps on. Viewing the interleaved (re, im) pairs as a real
+// vector of twice the length, vᴴc = dot(v, c) + i·dot(i·v, c), and
+// c −= w·v is the one real axpy2 c −= Re w·v + Im w·(i·v), so the complex
+// sweeps run on the real kernels with no complex multiply per element. It
+// returns nil — and those sweeps then keep the generic loops — in the real
+// domains (whose sweeps need no copy), with the vector backend off, or
+// when v is too short to amortize the dispatch. This is the complex
+// sweeps' dispatch point: build the copy once per reflector and hand the
+// result to every sweep over that reflector. len(iv) ≥ len(v).
+func TimesI[T Scalar](v, iv []T) []T {
+	n := len(v)
+	if !simdEnabled.Load() || 2*n < simdMinLen {
+		return nil
+	}
+	switch vs := any(v).(type) {
+	case []complex128:
+		ivs := any(iv).([]complex128)[:n]
+		for i, x := range vs {
+			ivs[i] = complex(-imag(x), real(x))
+		}
+	case []complex64:
+		ivs := any(iv).([]complex64)[:n]
+		for i, x := range vs {
+			ivs[i] = complex(-imag(x), real(x))
+		}
+	default:
+		return nil
+	}
+	return iv[:n]
+}
+
 // ReflectCols applies one Householder reflector to nc columns held
 // contiguously at stride ldc — DotAxpy over a run of columns, paying the
 // backend dispatch once per reflector instead of twice per column. Column
 // y is the pair (c0[y·inc0]; c[y·ldc : y·ldc+len(v)]): its head element,
 // which meets the reflector's implicit unit, may live apart from its tail
 // (inc0 = 1 when the heads form a row of another array). Both are updated
-// in place.
-func ReflectCols[T Scalar](tau T, v, c0 []T, inc0 int, c []T, ldc, nc int) {
+// in place. iv is TimesI(v, ·): with it, the complex domains run each
+// column as two real dots and one real axpy2 over the interleaved view;
+// nil keeps their generic loops. The real domains ignore it.
+func ReflectCols[T Scalar](tau T, v, iv, c0 []T, inc0 int, c []T, ldc, nc int) {
 	n := len(v)
-	if simdEnabled.Load() && n >= simdMinLen {
-		switch vs := any(v).(type) {
-		case []float64:
+	switch vs := any(v).(type) {
+	case []float64:
+		if simdEnabled.Load() && n >= simdMinLen {
 			reflectCols(dotF64, axpyF64, any(tau).(float64), vs, any(c0).([]float64), inc0, any(c).([]float64), ldc, nc)
 			return
-		case []float32:
+		}
+	case []float32:
+		if simdEnabled.Load() && n >= simdMinLen {
 			reflectCols(dotF32, axpyF32, any(tau).(float32), vs, any(c0).([]float32), inc0, any(c).([]float32), ldc, nc)
+			return
+		}
+	case []complex128:
+		if iv != nil {
+			t := any(tau).(complex128)
+			reflectColsZ(dotF64, axpy2F64, real(t), imag(t), realView[float64](vs), realView[float64](iv),
+				realView[float64](c0), inc0, realView[float64](c), ldc, nc)
+			return
+		}
+	case []complex64:
+		if iv != nil {
+			t := any(tau).(complex64)
+			reflectColsZ(dotF32, axpy2F32, real(t), imag(t), realView[float32](vs), realView[float32](iv),
+				realView[float32](c0), inc0, realView[float32](c), ldc, nc)
 			return
 		}
 	}
@@ -369,20 +422,56 @@ func reflectCols[F float32 | float64](dot func(x, y *F, n int) F, axpy func(alph
 	}
 }
 
+// reflectColsZ is ReflectCols for one complex type over the real views of
+// its operands (F the component type; strides still count complex
+// elements): per column, w = τ·(c0 + dot(v, c) + i·dot(iv, c)), then
+// c0 −= w and c −= Re w·v + Im w·iv.
+func reflectColsZ[F float32 | float64](dot func(x, y *F, n int) F,
+	axpy2 func(alpha F, x1 *F, beta F, x2, y *F, n int),
+	tr, ti F, v, iv, c0 []F, inc0 int, c []F, ldc, nc int) {
+	n := len(v)
+	for y := 0; y < nc; y++ {
+		col := c[2*y*ldc : 2*y*ldc+n]
+		h := c0[2*y*inc0 : 2*y*inc0+2]
+		sr := h[0] + dot(&v[0], &col[0], n)
+		si := h[1] + dot(&iv[0], &col[0], n)
+		wr, wi := tr*sr-ti*si, tr*si+ti*sr
+		h[0] -= wr
+		h[1] -= wi
+		axpy2(-wr, &v[0], -wi, &iv[0], &col[0], n)
+	}
+}
+
 // DotcCols sets z[y] = Σ conj(c[y·ldc+i])·v[i] for y < nc: Dotc of each of
 // nc columns held contiguously at stride ldc with the one vector v, under a
 // single backend dispatch. These are the products v_yᴴ·v a panel's
-// triangular T factor is assembled from.
-func DotcCols[T Scalar](v, c []T, ldc, nc int, z []T) {
+// triangular T factor is assembled from. iv is as for ReflectCols: with
+// it, each complex product is the two real dots dot(v, c) − i·dot(iv, c)
+// over the interleaved view.
+func DotcCols[T Scalar](v, iv, c []T, ldc, nc int, z []T) {
 	n := len(v)
 	z = z[:nc]
-	if simdEnabled.Load() && n >= simdMinLen {
-		switch vs := any(v).(type) {
-		case []float64:
+	switch vs := any(v).(type) {
+	case []float64:
+		if simdEnabled.Load() && n >= simdMinLen {
 			dotCols(dotF64, vs, any(c).([]float64), ldc, any(z).([]float64))
 			return
-		case []float32:
+		}
+	case []float32:
+		if simdEnabled.Load() && n >= simdMinLen {
 			dotCols(dotF32, vs, any(c).([]float32), ldc, any(z).([]float32))
+			return
+		}
+	case []complex128:
+		if iv != nil {
+			dotcColsZ(dotF64, realView[float64](vs), realView[float64](iv), realView[float64](c), ldc,
+				realView[float64](z))
+			return
+		}
+	case []complex64:
+		if iv != nil {
+			dotcColsZ(dotF32, realView[float32](vs), realView[float32](iv), realView[float32](c), ldc,
+				realView[float32](z))
 			return
 		}
 	}
@@ -398,6 +487,17 @@ func dotCols[F float32 | float64](dot func(x, y *F, n int) F, v, c []F, ldc int,
 	for y := range z {
 		col := c[y*ldc : y*ldc+n]
 		z[y] = dot(&col[0], &v[0], n)
+	}
+}
+
+// dotcColsZ is DotcCols for one complex type over the real views of its
+// operands (z's too); strides still count complex elements.
+func dotcColsZ[F float32 | float64](dot func(x, y *F, n int) F, v, iv, c []F, ldc int, z []F) {
+	n := len(v)
+	for y := 0; y < len(z)/2; y++ {
+		col := c[2*y*ldc : 2*y*ldc+n]
+		z[2*y] = dot(&v[0], &col[0], n)
+		z[2*y+1] = -dot(&iv[0], &col[0], n)
 	}
 }
 

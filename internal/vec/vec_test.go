@@ -340,8 +340,9 @@ func multiColumn[T Scalar](t *testing.T, tol float64) {
 		tau := rnd()
 		near := func(got, want T) bool { return Abs(got-want) <= tol*float64(n+1)*(1+Abs(want)) }
 
+		iv := TimesI(v, make([]T, n))
 		z := make([]T, nc)
-		DotcCols(v, orig[1:], ldc, nc, z)
+		DotcCols(v, iv, orig[1:], ldc, nc, z)
 		for y := range z {
 			if want := Dotc(orig[y*ldc+1:y*ldc+1+n], v); !near(z[y], want) {
 				t.Fatalf("n=%d: DotcCols z[%d]=%v want %v", n, y, z[y], want)
@@ -359,12 +360,12 @@ func multiColumn[T Scalar](t *testing.T, tol float64) {
 				for y := range heads {
 					heads[y] = got[y*ldc]
 				}
-				ReflectCols(tau, v, heads, 1, got[1:], ldc, nc)
+				ReflectCols(tau, v, iv, heads, 1, got[1:], ldc, nc)
 				for y := range heads {
 					got[y*ldc] = heads[y]
 				}
 			} else {
-				ReflectCols(tau, v, got, ldc, got[1:], ldc, nc)
+				ReflectCols(tau, v, iv, got, ldc, got[1:], ldc, nc)
 			}
 			for i := range got {
 				if inGap := i%ldc > n; inGap && got[i] != orig[i] {

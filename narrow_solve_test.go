@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/cmplx"
 	"testing"
-	"time"
 
 	"tiledqr/internal/tile"
 )
@@ -15,7 +14,8 @@ import (
 // across every parameter-free algorithm and both kernel families, in the
 // tolerance the cross-backend suite uses for least squares (tolSIMDLS). The
 // shapes are ragged and ib = 16 reaches the SIMD dispatch length, so the
-// vector backend serves the bulk rows.
+// vector backend serves the bulk rows. Which form a given width takes is
+// internal/kernel's TestApplyFormByWidth.
 
 func narrowSolveOpts() []Options { return simdAgreeOpts(40, 16) }
 
@@ -105,44 +105,5 @@ func TestApplyQRoundTripSingleColumn(t *testing.T) {
 		if d := maxAbsDiff(zy, zb); d > tolSIMD64*ZFrobeniusNorm(zb) {
 			t.Errorf("%v/%v complex: ‖Q·Qᴴ·b − b‖∞ = %g", opt.Algorithm, opt.Kernels, d)
 		}
-	}
-}
-
-// TestSolveLSOneRHSNotSlowerThanEight is the wall-clock sanity check of the
-// narrow path at the paper's least-squares shape: solving for one
-// right-hand side must not take longer than solving for eight. Min of 5,
-// one retry, skipped under -short and the race detector like the other
-// wall-clock assertion (TestAutoWithinEnvelope).
-func TestSolveLSOneRHSNotSlowerThanEight(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock check skipped in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("wall-clock check skipped under the race detector")
-	}
-	f, err := Factor(RandomDense(solveLSM, solveLSN, 1), Options{TileSize: solveLSNB, InnerBlock: solveLSIB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	minSolve := func(nrhs int) time.Duration {
-		b := RandomDense(solveLSM, nrhs, 2)
-		best := time.Duration(math.MaxInt64)
-		for i := 0; i < 5; i++ {
-			start := time.Now()
-			if _, err := f.SolveLS(b); err != nil {
-				t.Fatal(err)
-			}
-			best = min(best, time.Since(start))
-		}
-		return best
-	}
-	t1, t8 := minSolve(1), minSolve(8)
-	if t1 > t8 { // one retry: absorb a scheduling hiccup, not a real miss
-		t1, t8 = minSolve(1), minSolve(8)
-	}
-	t.Logf("SolveLS %d×%d: 1 RHS %.2f ms, 8 RHS %.2f ms", solveLSM, solveLSN,
-		t1.Seconds()*1e3, t8.Seconds()*1e3)
-	if t1 > t8 {
-		t.Errorf("SolveLS with 1 RHS took %.2f ms, longer than with 8 (%.2f ms)", t1.Seconds()*1e3, t8.Seconds()*1e3)
 	}
 }
