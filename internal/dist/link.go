@@ -23,6 +23,13 @@ import (
 // of its parent before it blocks.
 const sendQueueDepth = 2
 
+// peerLinkError marks a failed reduction-tree connection. It is usually a
+// symptom: the peer aborted because its coordinator connection dropped, or
+// it failed and reported that to the coordinator, which then drops the run.
+type peerLinkError struct{ error }
+
+func (e peerLinkError) Unwrap() error { return e.error }
+
 // sendHub is a worker's edge to its tree parent: the connection, the
 // writer goroutine's queue, and its accounting.
 type sendHub struct {
@@ -84,7 +91,7 @@ func (h *sendHub) writer() {
 			h.bytesSent += int64(n)
 			putBuf(buf)
 			if err != nil {
-				h.err = fmt.Errorf("dist: rank %d peer send: %w", h.rank, err)
+				h.err = peerLinkError{fmt.Errorf("dist: rank %d peer send: %w", h.rank, err)}
 				return
 			}
 		case <-h.ctx.Done():
@@ -192,7 +199,7 @@ func (h *recvHub) recv(from int) (Frame, []byte, error) {
 	select {
 	case m := <-h.queueFor(from):
 		if m.err != nil {
-			return Frame{}, nil, fmt.Errorf("dist: receiving from rank %d: %w", from, m.err)
+			return Frame{}, nil, peerLinkError{fmt.Errorf("dist: receiving from rank %d: %w", from, m.err)}
 		}
 		return m.f, m.buf, nil
 	case <-h.ctx.Done():

@@ -13,6 +13,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -24,6 +25,10 @@ import (
 	"tiledqr/internal/tile"
 	"tiledqr/internal/vec"
 )
+
+// peerLossGrace bounds how long a worker whose tree edge failed waits for
+// the coordinator connection to report a loss before it reports the edge.
+const peerLossGrace = 500 * time.Millisecond
 
 // RunWorker connects to a coordinator, runs the configured shard to
 // completion, and returns. It is the body of `qrdist -connect` and of the
@@ -70,6 +75,16 @@ func RunWorker(ctx context.Context, coordAddr string) error {
 		return fmt.Errorf("dist: unknown precision %q", cfg.Prec)
 	}
 	if err := run(ctx, cancel, conn, &cfg, peerLn); err != nil {
+		if errors.As(err, new(peerLinkError)) {
+			// The coordinator closes the workers' connections one after
+			// another, so a peer may see its loss, abort and break the
+			// tree edge before this worker's watch sees its own. Give the
+			// watch a moment, so that the error names the cause.
+			select {
+			case <-ctx.Done():
+			case <-time.After(peerLossGrace):
+			}
+		}
 		if ctx.Err() != nil {
 			return context.Cause(ctx)
 		}
