@@ -366,9 +366,11 @@
 // — AVX2/FMA assembly on amd64, NEON on arm64 — selected by CPU detection
 // at startup, with the generic loops as the always-present fallback
 // (build tag noasm compiles the assembly out; TILEDQR_SIMD=off disables it
-// at startup). The trailing-matrix updates route their full-height rows
-// through a register-blocked packed micro-GEMM in the same family, which
-// is where the bulk of the factorization's flops live; on an AVX2 host the
+// at startup). The block-reflector updates run every row of the reflector
+// block, and the triangular T product, through a register-blocked packed
+// micro-GEMM in the same family, which is where the bulk of the
+// factorization's flops live. In the real domains the micro-kernel reads
+// its B operand in place and only A is packed; on an AVX2 host the
 // double-precision factor kernels run 2–3× and the update kernels 3–4×
 // faster than the generic loops. The complex domains run on the same real
 // micro-kernels through the 1m method: complex operands are packed as real

@@ -11,8 +11,9 @@ import (
 )
 
 // BenchmarkKernels times the four kernels a TT elimination tree runs —
-// GEQRT, TTQRT, UNMQR, TTMQR — in double and double complex at two tile
-// shapes, on scratch of WorkLen(nb, ib) as the engine hands a worker:
+// GEQRT, TTQRT, UNMQR, TTMQR — in double and double complex at three tile
+// shapes (nb=32 the tiny-tile regime, where per-call overheads weigh
+// most), on scratch of WorkLen(nb, ib) as the engine hands a worker:
 //
 //	go test -run '^$' -bench Kernels -benchtime 300x ./internal/kernel
 //
@@ -22,7 +23,7 @@ import (
 // in place (Qᴴ keeps C's norm). To compare two builds, compile both with
 // go test -c and alternate them, comparing the minimum kernel-µs/op.
 func BenchmarkKernels(b *testing.B) {
-	for _, sh := range []struct{ nb, ib int }{{64, 16}, {128, 32}} {
+	for _, sh := range []struct{ nb, ib int }{{32, 8}, {64, 16}, {128, 32}} {
 		b.Run(fmt.Sprintf("nb=%d", sh.nb), func(b *testing.B) {
 			b.Run("f64", func(b *testing.B) { benchKernels[float64](b, sh.nb, sh.ib) })
 			b.Run("c128", func(b *testing.B) { benchKernels[complex128](b, sh.nb, sh.ib) })

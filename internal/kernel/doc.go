@@ -43,13 +43,15 @@
 // vᴴc = dot(v, c) + i·dot(i·v, c) and c −= w·v is one real axpy2.
 //
 // The trailing update inside the tile (applyPanel, applyPentPanel) is the
-// Level-3 phase and is shared with the apply kernels. In the real domains
-// it is block-reflector sweeps along C's rows, with the full-height part on
-// the packed micro-GEMM. In the complex domains the panel's structural V
-// rows — the unit-lower head or the TT staircase as well as the bulk — are
-// copied into the workspace, zero-padded, so that each sweep is one packed
-// GEMM over every row, and T·W one more on a zero-padded copy of T; the
-// scalar sweeps remain their fallback when the micro-GEMM declines.
+// Level-3 phase and is shared with the apply kernels. One rule serves every
+// domain: the panel's structural V rows — the unit-lower head or the TT
+// staircase as well as the bulk — are copied into the workspace,
+// zero-padded, so that each sweep is one packed GEMM over every row, and
+// T·W one more on a zero-padded copy of T. The micro-GEMM reads the
+// sweeps' other operand (C, then T·W) in place in the real domains and
+// packs only A, so the padded head costs one small copy per panel. The
+// block-reflector sweeps along C's rows on the vector primitives remain
+// the fallback when the micro-GEMM declines (backend off, short scratch).
 //
 // Householder conventions match LAPACK: H = I − τ·v·vᴴ with v[0] = 1 and a
 // real β, the factorization applies Hᴴ from the left, Q = H₁·H₂···H_k. In

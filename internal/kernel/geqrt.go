@@ -167,20 +167,14 @@ func geqrt2[T vec.Scalar](m int, a []T, lda, j0, kb int, t []T, ldt int, z, p []
 // of C[, cc0:cc0+nc] are touched. w must have length ≥ kb·nc; pack is
 // micro-GEMM scratch and may be empty (the packed paths then stay off).
 //
-// It takes one of three forms:
+// It takes one of three forms, by the same rule in every domain:
 //   - C narrower than vec.GemmMinCols: the vector form (applyPanelNarrow),
 //     sweeps along V's rows;
-//   - the complex domains: applyPanelGemm, every structural row of V in one
-//     packed product per sweep and T·W one more, when the micro-GEMM takes
-//     the shapes and the scratch;
-//   - otherwise applyPanelSweeps, the block-reflector sweeps along C's rows
-//     with the bulk rows on the packed micro-GEMM.
-//
-// The domain decides between the last two. In the complex domains the
-// packed head made the apply kernels 1.2–1.6× faster (BenchmarkKernels,
-// nb=64 and 128); in the real ones padding the head out to a GEMM gained
-// nothing consistent (UNMQR 5–12 % and TTMQR 5–15 % slower in one
-// measurement, within noise either way in another).
+//   - applyPanelGemm, every structural row of V in one packed product per
+//     sweep and T·W one more, when the micro-GEMM takes the shapes and the
+//     scratch;
+//   - otherwise applyPanelSweeps, the block-reflector sweeps along C's
+//     rows, the fallback for the backend off or short scratch.
 func applyPanel[T vec.Scalar](trans bool, m int, v []T, ldv, r0, vc0, kb int,
 	t []T, ldt, tc0 int, c []T, ldc, cc0, nc int, w, pack []T) {
 	form := formSweeps
@@ -188,10 +182,10 @@ func applyPanel[T vec.Scalar](trans bool, m int, v []T, ldv, r0, vc0, kb int,
 	case nc < vec.GemmMinCols:
 		form = formNarrow
 		applyPanelNarrow(trans, m, v, ldv, r0, vc0, kb, t, ldt, tc0, c, ldc, cc0, nc, w)
-	case vec.IsComplex[T]() && applyPanelGemm(trans, m, v, ldv, r0, vc0, kb, t, ldt, tc0, c, ldc, cc0, nc, w, pack):
+	case applyPanelGemm(trans, m, v, ldv, r0, vc0, kb, t, ldt, tc0, c, ldc, cc0, nc, w, pack):
 		form = formGemm
 	default:
-		applyPanelSweeps(trans, m, v, ldv, r0, vc0, kb, t, ldt, tc0, c, ldc, cc0, nc, w, pack)
+		applyPanelSweeps(trans, m, v, ldv, r0, vc0, kb, t, ldt, tc0, c, ldc, cc0, nc, w)
 	}
 	if applyHook != nil {
 		applyHook(form)
@@ -203,7 +197,7 @@ type applyForm int
 
 const (
 	formNarrow applyForm = iota // vector form along V's rows
-	formSweeps                  // sweeps along C's rows, bulk on the GEMM
+	formSweeps                  // sweeps along C's rows
 	formGemm                    // every structural row in packed products
 )
 
@@ -211,9 +205,9 @@ const (
 // applyPentPanel call. Tests set it to assert which form a shape takes.
 var applyHook func(applyForm)
 
-// applyPanelGemm is applyPanel's form for the complex domains. The panel's
-// structural V rows r0:m — the unit-lower head, then the bulk — are copied
-// into the pack region as one (m−r0)×kb matrix, the head's unit diagonal
+// applyPanelGemm is applyPanel's packed form. The panel's structural V
+// rows r0:m — the unit-lower head, then the bulk — are copied into the
+// pack region as one (m−r0)×kb matrix, the head's unit diagonal
 // written out and zeros where R sits above it, so nothing outside the
 // trapezoid is read and each sweep is one packed product over every row:
 // W = Vᴴ·C, then T·W (triMulGemm), then C −= V·(T·W). The copy also frees
@@ -287,33 +281,20 @@ func triMulGemm[T vec.Scalar](trans bool, kb int, t []T, ldt, tc0 int, w []T, nc
 	return tw
 }
 
-// applyPanelSweeps is applyPanel's block-reflector form along C's rows.
-// Rows r0+kb:m sit below the unit-lower-triangular head of the panel, so
-// every reflector column has a full V entry there: over that region both
-// sweeps are plain matrix products, handed to the packed micro-GEMM when
-// it will take them. The triangular head keeps the scalar sweeps — the
-// diagonal copy/Sub and the ragged column starts — as does the whole
-// panel when the micro-GEMM declines.
+// applyPanelSweeps is applyPanel's block-reflector form along C's rows,
+// on the vector primitives alone: the form a panel takes when the
+// micro-GEMM declines applyPanelGemm.
 func applyPanelSweeps[T vec.Scalar](trans bool, m int, v []T, ldv, r0, vc0, kb int,
-	t []T, ldt, tc0 int, c []T, ldc, cc0, nc int, w, pack []T) {
+	t []T, ldt, tc0 int, c []T, ldc, cc0, nc int, w []T) {
 	xBlock := xBlockOf[T]()
 	cc := vec.IsComplex[T]()
-	mb := r0 + kb // first bulk row
-	bulk := m - mb
-	gemmBulk := bulk > 0 && vec.GemmOK[T](kb, nc, bulk, len(pack)) &&
-		vec.GemmOK[T](bulk, nc, kb, len(pack))
-	mEnd := m
-	if gemmBulk {
-		mEnd = mb
-	}
 	// W = Vᴴ · C, swept in blocks of xBlock reflector columns: each block's
 	// W rows stay cache-resident while C's rows stream through, so the C
 	// tile is read ⌈kb/xBlock⌉ times instead of kb times. The head rows
-	// also seed every W row (the copy at the reflector diagonal), so this
-	// sweep must precede the bulk product, which accumulates.
+	// also seed every W row (the copy at the reflector diagonal).
 	for xb := 0; xb < kb; xb += xBlock {
 		xe := min(xb+xBlock, kb)
-		for i := r0 + xb; i < mEnd; i++ {
+		for i := r0 + xb; i < m; i++ {
 			ci := c[i*ldc+cc0 : i*ldc+cc0+nc]
 			d := i - r0 // reflector columns x < d accumulate row i
 			nx := min(d, xe)
@@ -326,17 +307,11 @@ func applyPanelSweeps[T vec.Scalar](trans bool, m int, v []T, ldv, r0, vc0, kb i
 			}
 		}
 	}
-	if gemmBulk {
-		// W += V₂ᴴ·C₂ over the full rows in one packed product (GemmTN
-		// conjugates A; in the real domains that is the identity).
-		vec.GemmTN(kb, nc, bulk, T(1), v[mb*ldv+vc0:], ldv,
-			c[mb*ldc+cc0:], ldc, w[:kb*nc], nc, pack)
-	}
 	triMulW(trans, kb, t, ldt, tc0, w, nc)
 	// C −= V · W, same blocking, consuming W rows in pairs per C row.
 	for xb := 0; xb < kb; xb += xBlock {
 		xe := min(xb+xBlock, kb)
-		for i := r0 + xb; i < mEnd; i++ {
+		for i := r0 + xb; i < m; i++ {
 			ci := c[i*ldc+cc0 : i*ldc+cc0+nc]
 			d := i - r0
 			nx := min(d, xe)
@@ -352,12 +327,6 @@ func applyPanelSweeps[T vec.Scalar](trans bool, m int, v []T, ldv, r0, vc0, kb i
 				vec.Axpy(-vrow[x], w[x*nc:x*nc+nc], ci)
 			}
 		}
-	}
-	if gemmBulk {
-		// C₂ −= V₂·W. The packed path copies V out before writing C, so
-		// V and C aliasing the same tile (GEQRT's trailing update) is safe.
-		vec.GemmNN(bulk, nc, kb, T(-1), v[mb*ldv+vc0:], ldv,
-			w[:kb*nc], nc, c[mb*ldc+cc0:], ldc, pack)
 	}
 }
 
@@ -385,8 +354,8 @@ func xBlockOf[T vec.Scalar]() int {
 
 // triMulW overwrites the kb×nc workspace W with Tᴴ·W (trans) or T·W, where T
 // is the upper triangular block in columns tc0:tc0+kb of t, row by row in
-// place: the real domains' T product, and the complex ones' when the
-// micro-GEMM declines it (triMulGemm). The diagonal scale is fused with
+// place: the sweeps' T product, and the GEMM heads' when the micro-GEMM
+// declines it (triMulGemm). The diagonal scale is fused with
 // the first off-diagonal accumulation via AddScaled.
 func triMulW[T vec.Scalar](trans bool, kb int, t []T, ldt, tc0 int, w []T, nc int) {
 	if trans {
@@ -453,12 +422,11 @@ func GEQRT[T vec.Scalar](m, n, ib int, a []T, lda int, t []T, ldt int, work []T)
 // outputs of GEQRT on an m×· tile with k reflectors and inner block size
 // ib. c may be a strided view (ldc > nc). work may be nil or a scratch slice
 // of length ≥ ib·nc; length ≥ ApplyWorkLen(m, ib, nc) additionally enables
-// the packed paths. Which form a call takes depends on nc and the domain:
+// the packed paths. Which form a call takes depends on nc alone:
 // nc < vec.GemmMinCols runs the vector form (one column at a time along V's
 // rows, ≈ 4·m·k flops per column, ib elements of work); wider C runs the
-// block-reflector form, with the full-height rows (in the complex domains
-// every row, and T·W) on the packed micro-GEMM when the backend and the
-// scratch allow.
+// block-reflector form, with every row of V, and T·W, on the packed
+// micro-GEMM when the backend and the scratch allow.
 func UNMQR[T vec.Scalar](trans bool, m, k, ib int, v []T, ldv int, t []T, ldt int,
 	c []T, ldc, nc int, work []T) {
 	if k == 0 || nc == 0 {
@@ -484,7 +452,7 @@ func UNMQR[T vec.Scalar](trans bool, m, k, ib int, v []T, ldv int, t []T, ldt in
 // WorkLen returns the scratch length the tile kernels need for square-ish
 // tiles of at most n rows and columns at inner block size ib: one
 // ib-vector of T-column products, the ib×n block-reflector workspace, the
-// complex GEMM heads' operand copies (headLen) and packed micro-GEMM
+// GEMM heads' operand copies (headLen) and packed micro-GEMM
 // scratch covering every product the factor and update kernels form on
 // such tiles (including the full n×n×n GEMM task). The pack region doubles
 // as the factor kernels' column-contiguous panel copy and its rotated
@@ -513,8 +481,8 @@ func FactorWorkLen(m, n, ib int) int {
 // (UNMQR, TPMQRT and their wrappers) need to take the packed paths when
 // applying a factorization with inner block ib to a C tile of at most m
 // rows and nc columns. Any length ≥ ib·nc is accepted; the extra headroom
-// here feeds the complex GEMM heads' operand copies and the micro-GEMM
-// pack buffers.
+// here feeds the GEMM heads' operand copies and the micro-GEMM pack
+// buffers.
 func ApplyWorkLen(m, ib, nc int) int {
 	return ib*nc + headLen(m, ib, nc) + max(vec.GemmPackBound(ib, nc, m), vec.GemmPackBound(m, nc, ib))
 }

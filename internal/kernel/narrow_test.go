@@ -140,7 +140,10 @@ func TestNarrowAppliersMatchGeneralPath(t *testing.T) {
 // least-squares tile (nb=64, ib=16) with the scratch the engine hands a
 // solve: one right-hand side takes the vector form (applyPanelNarrow,
 // applyPentPanelNarrow), eight take the block-reflector form, for UNMQR,
-// TSMQR and TTMQR in both directions, every precision and vec family.
+// TSMQR and TTMQR in both directions, every precision and vec family. At
+// the full tile width, and in the factor kernels' in-tile updates on
+// WorkLen scratch, every panel takes the GEMM heads with SIMD on and the
+// sweeps without.
 func TestApplyFormByWidth(t *testing.T) {
 	const nb, ib = 64, 16
 	var forms [3]int
@@ -160,7 +163,8 @@ func applyForms[T vec.Scalar](t *testing.T, nb, ib int, forms *[3]int) {
 	GEQRT(nb, nb, ib, v.Data, nb, tv, nb, nil)
 	_, vts, tts := tpFactor(t, nb, nb, 0, ib, randUpperTri[T](nb, 2), tile.RandDense[T](nb, nb, 3))
 	_, vtt, ttt := tpFactor(t, nb, nb, nb, ib, randUpperTri[T](nb, 4), randUpperTri[T](nb, 5))
-	for _, nc := range []int{1, 8} {
+	simd := vec.SIMDEnabled()
+	for _, nc := range []int{1, 8, nb} {
 		for _, trans := range []bool{true, false} {
 			c1, c2 := tile.RandDense[T](nb, nc, 6), tile.RandDense[T](nb, nc, 7)
 			work := make([]T, ApplyWorkLen(nb, ib, nc))
@@ -179,7 +183,32 @@ func applyForms[T vec.Scalar](t *testing.T, nb, ib int, forms *[3]int) {
 					t.Fatalf("%s nc=%d trans=%v: %d panels in the vector form, %d in the block form",
 						k.name, nc, trans, narrow, block)
 				}
+				if nc == nb && (forms[formGemm] == nb/ib) != simd {
+					t.Fatalf("%s nc=%d trans=%v: forms %v, want every panel on the GEMM heads iff SIMD (%v)",
+						k.name, nc, trans, *forms, simd)
+				}
 			}
+		}
+	}
+	work := make([]T, WorkLen(nb, ib))
+	for _, k := range []struct {
+		name   string
+		factor func()
+	}{
+		{"GEQRT", func() { GEQRT(nb, nb, ib, tile.RandDense[T](nb, nb, 8).Data, nb, make([]T, ib*nb), nb, work) }},
+		{"TSQRT", func() {
+			TSQRT(nb, nb, ib, randUpperTri[T](nb, 9).Data, nb, tile.RandDense[T](nb, nb, 10).Data, nb, make([]T, ib*nb), nb, work)
+		}},
+		{"TTQRT", func() {
+			TTQRT(nb, nb, ib, randUpperTri[T](nb, 11).Data, nb, randUpperTri[T](nb, 12).Data, nb, make([]T, ib*nb), nb, work)
+		}},
+	} {
+		*forms = [3]int{}
+		k.factor()
+		updates := nb/ib - 1 // the last panel has no trailing columns
+		if forms[formNarrow] != 0 || forms[formGemm]+forms[formSweeps] != updates || (forms[formGemm] == updates) != simd {
+			t.Fatalf("%s: in-tile updates took forms %v, want all %d on the GEMM heads iff SIMD (%v)",
+				k.name, *forms, updates, simd)
 		}
 	}
 }

@@ -309,9 +309,9 @@ func checkApplied[T vec.Scalar](t *testing.T, what string, got *tile.Dense[T], w
 }
 
 // applyScratch is the scratch conformApply runs every case with: enough
-// for the packed paths (the complex GEMM heads included, when the
-// micro-GEMM takes the shape), and only the ib·nc block-reflector
-// workspace, where every block-form apply falls back to its sweeps. Both
+// for the GEMM heads (when the micro-GEMM takes the shape), and only the
+// ib·nc block-reflector workspace, where every block-form apply falls
+// back to its sweeps. Both
 // arrive NaN-filled, so a head copy that leaves padding unwritten
 // poisons the result.
 func applyScratch[T vec.Scalar](m, ib, nc int) [][]T {
@@ -408,9 +408,9 @@ func conformTPMQRT[T vec.Scalar](t *testing.T, m, k, l, ib, nc int) {
 // form switch at the nb=64, ib=16 tile: nc just under and at
 // vec.GemmMinCols and the nb−ib of an in-tile update; full, ragged (a last
 // panel of one column) and ib=1 panels; TS, TT and a partial trapezoid.
-// It also requires each form to have run where it should: the complex
-// GEMM heads with the SIMD family (including the first TT panel, whose
-// full rows are one), never in the real domains or the generic family.
+// It also requires each form to have run where it should: the GEMM heads
+// with the SIMD family in every domain (including the first TT panel,
+// whose full rows are one), never in the generic family.
 func conformApplies[T vec.Scalar](t *testing.T) {
 	var forms [3]int
 	applyHook = func(f applyForm) { forms[f]++ }
@@ -429,9 +429,9 @@ func conformApplies[T vec.Scalar](t *testing.T) {
 	if forms[formNarrow] == 0 || forms[formSweeps] == 0 {
 		t.Fatalf("apply forms taken %v: want the narrow form and the sweeps each at least once", forms)
 	}
-	gemmHeads := vec.IsComplex[T]() && vec.SIMDEnabled()
+	gemmHeads := vec.SIMDEnabled()
 	if (forms[formGemm] > 0) != gemmHeads {
-		t.Fatalf("apply forms taken %v: the GEMM heads ran %d times, want them iff complex with SIMD (%v)",
+		t.Fatalf("apply forms taken %v: the GEMM heads ran %d times, want them iff SIMD (%v)",
 			forms, forms[formGemm], gemmHeads)
 	}
 }

@@ -61,8 +61,8 @@ func tpqrt2[T vec.Scalar](m, l int, a []T, lda int, b []T, ldb, j0, kb int,
 // pack is micro-GEMM scratch and may be empty (the packed paths then stay
 // off). The forms are applyPanel's: the vector form
 // (applyPentPanelNarrow) for C narrower than vec.GemmMinCols, then
-// applyPentPanelGemm in the complex domains when the micro-GEMM takes it,
-// else applyPentPanelSweeps.
+// applyPentPanelGemm when the micro-GEMM takes it, else
+// applyPentPanelSweeps.
 func applyPentPanel[T vec.Scalar](trans bool, m, l int, v []T, ldv, vc0, kb int,
 	t []T, ldt int,
 	c1 []T, ldc1, c1c0 int,
@@ -72,19 +72,19 @@ func applyPentPanel[T vec.Scalar](trans bool, m, l int, v []T, ldv, vc0, kb int,
 	case nc < vec.GemmMinCols:
 		form = formNarrow
 		applyPentPanelNarrow(trans, m, l, v, ldv, vc0, kb, t, ldt, c1, ldc1, c1c0, c2, ldc2, c2c0, nc, w)
-	case vec.IsComplex[T]() && applyPentPanelGemm(trans, m, l, v, ldv, vc0, kb, t, ldt,
+	case applyPentPanelGemm(trans, m, l, v, ldv, vc0, kb, t, ldt,
 		c1, ldc1, c1c0, c2, ldc2, c2c0, nc, w, pack):
 		form = formGemm
 	default:
-		applyPentPanelSweeps(trans, m, l, v, ldv, vc0, kb, t, ldt, c1, ldc1, c1c0, c2, ldc2, c2c0, nc, w, pack)
+		applyPentPanelSweeps(trans, m, l, v, ldv, vc0, kb, t, ldt, c1, ldc1, c1c0, c2, ldc2, c2c0, nc, w)
 	}
 	if applyHook != nil {
 		applyHook(form)
 	}
 }
 
-// applyPentPanelGemm is applyPentPanel's form for the complex domains. The
-// panel's structural rows of V — for TT the staircase as well as the full
+// applyPentPanelGemm is applyPentPanel's packed form. The panel's
+// structural rows of V — for TT the staircase as well as the full
 // rows above it, pentRows(m, l, vc0+kb−1) in all — are copied into the
 // pack region as one matrix with zeros below each column's height, so
 // nothing outside the trapezoid is read and each sweep over C2 is one
@@ -126,25 +126,14 @@ func applyPentPanelGemm[T vec.Scalar](trans bool, m, l int, v []T, ldv, vc0, kb 
 }
 
 // applyPentPanelSweeps is applyPentPanel's block-reflector form along C's
-// rows. Rows 0:mFull of C2, where mFull = pentRows(m, l, vc0), lie inside
-// the pentagonal part of every reflector column (pentRows is nondecreasing
-// in the column index, so its minimum over the panel is at vc0): both
-// sweeps over that region are plain matrix products, handed to the packed
-// micro-GEMM when it will take them. With l = 0 (the TSMQR shape, the
-// hottest update kernel) that region is all of C2.
+// rows, on the vector primitives alone: the form a panel takes when the
+// micro-GEMM declines applyPentPanelGemm.
 func applyPentPanelSweeps[T vec.Scalar](trans bool, m, l int, v []T, ldv, vc0, kb int,
 	t []T, ldt int,
 	c1 []T, ldc1, c1c0 int,
-	c2 []T, ldc2, c2c0, nc int, w, pack []T) {
+	c2 []T, ldc2, c2c0, nc int, w []T) {
 	xBlock := xBlockOf[T]()
 	cc := vec.IsComplex[T]()
-	mFull := pentRows(m, l, vc0)
-	gemmBulk := vec.GemmOK[T](kb, nc, mFull, len(pack)) &&
-		vec.GemmOK[T](mFull, nc, kb, len(pack))
-	iStart := 0
-	if gemmBulk {
-		iStart = mFull
-	}
 	// W = C1[vc0+x] + V₂ᴴ · C2. The C1 rows seed W (the identity tops of
 	// the reflectors); then one sweep over C2's structural rows accumulates
 	// the pentagonal parts — row i of C2 is read once and feeds the
@@ -157,7 +146,7 @@ func applyPentPanelSweeps[T vec.Scalar](trans bool, m, l int, v []T, ldv, vc0, k
 	for xb := 0; xb < kb; xb += xBlock {
 		xe := min(xb+xBlock, kb)
 		pmaxB := pentRows(m, l, vc0+xe-1)
-		for i := iStart; i < pmaxB; i++ {
+		for i := 0; i < pmaxB; i++ {
 			ci := c2[i*ldc2+c2c0 : i*ldc2+c2c0+nc]
 			xs := xb
 			if d := i - (m - l) - vc0; d > xs {
@@ -169,12 +158,6 @@ func applyPentPanelSweeps[T vec.Scalar](trans bool, m, l int, v []T, ldv, vc0, k
 			}
 		}
 	}
-	if gemmBulk {
-		// W += V₂ᴴ·C₂ over the fully pentagonal rows in one packed product
-		// (GemmTN conjugates A; in the real domains that is the identity).
-		vec.GemmTN(kb, nc, mFull, T(1), v[vc0:], ldv,
-			c2[c2c0:], ldc2, w[:kb*nc], nc, pack)
-	}
 	triMulW(trans, kb, t, ldt, vc0, w, nc)
 	// C1 −= W ; C2 −= V₂·W, same blocking, consuming W rows in pairs per
 	// C2 row.
@@ -185,7 +168,7 @@ func applyPentPanelSweeps[T vec.Scalar](trans bool, m, l int, v []T, ldv, vc0, k
 	for xb := 0; xb < kb; xb += xBlock {
 		xe := min(xb+xBlock, kb)
 		pmaxB := pentRows(m, l, vc0+xe-1)
-		for i := iStart; i < pmaxB; i++ {
+		for i := 0; i < pmaxB; i++ {
 			ci := c2[i*ldc2+c2c0 : i*ldc2+c2c0+nc]
 			xs := xb
 			if d := i - (m - l) - vc0; d > xs {
@@ -200,10 +183,6 @@ func applyPentPanelSweeps[T vec.Scalar](trans bool, m, l int, v []T, ldv, vc0, k
 				vec.Axpy(-vrow[x], w[x*nc:x*nc+nc], ci)
 			}
 		}
-	}
-	if gemmBulk {
-		vec.GemmNN(mFull, nc, kb, T(-1), v[vc0:], ldv,
-			w[:kb*nc], nc, c2[c2c0:], ldc2, pack)
 	}
 }
 

@@ -49,8 +49,11 @@ import (
 // kernels. Version 5, again no field: it retires the complex rates measured
 // before the complex panel sweeps ran on the real vector kernels and the
 // complex block-reflector heads joined the packed GEMM (the complex factor
-// and apply kernels are 1.2–2× faster since).
-const SchemaVersion = 5
+// and apply kernels are 1.2–2× faster since). Version 6, no field: it
+// retires the real rates measured before the real block-reflector applies
+// joined the packed GEMM with B read in place (the double factor and apply
+// kernels are 1.1–1.7× faster since).
+const SchemaVersion = 6
 
 // EnvCalibration overrides the calibration cache location. Set it to a file
 // path to relocate the cache, or to "off" to disable persistence (the

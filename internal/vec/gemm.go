@@ -8,11 +8,13 @@ import "unsafe"
 // touches fits in L2 at the nb the autotuner picks, so a single packing
 // level suffices):
 //
-//   - B is packed into column strips of nr, each strip k·nr contiguous
-//     elements, zero-padded at the right edge;
 //   - A is packed into row strips of mr (alpha folded in during the copy,
 //     so the micro-kernel never sees a scale), zero-padded at the bottom
 //     edge;
+//   - in the real domains B is read in place: the micro-kernel takes B's
+//     k-step stride, so every full nr-column strip is the operand as the
+//     caller stores it, and only a ragged last strip is packed (k·nr
+//     contiguous elements, zero-padded at the right edge);
 //   - the mr×nr micro-kernel (simd_<arch>.s) keeps the C tile in vector
 //     registers across the whole k loop — full tiles accumulate straight
 //     into C, edge tiles into a zeroed mr×nr scratch whose valid region is
@@ -24,9 +26,10 @@ import "unsafe"
 // pairs, is read as a real m×2n matrix at stride 2·ldc; A is packed as a
 // real m×2k matrix whose k-step l becomes the two real steps re and im of
 // α·op(A)[i,l]; B is expanded into a real 2k×2n panel whose rows 2l and
-// 2l+1 are B's row l as (re, im) pairs and i·B's row l, i.e. (−im, re). One
-// real product then performs exactly the complex product's 8·m·n·k flops
-// with no padding waste, and the four domains differ only in how they pack.
+// 2l+1 are B's row l as (re, im) pairs and i·B's row l, i.e. (−im, re),
+// packed in strips of nr like a ragged real strip. One real product then
+// performs exactly the complex product's 8·m·n·k flops with no padding
+// waste, and the four domains differ only in how they pack.
 //
 // Pack scratch is caller-owned (the kernels carve it out of the per-worker
 // workspace, see kernel.WorkLen) and sized by GemmPackLen. The drivers
@@ -73,17 +76,22 @@ func gemmTile[T Scalar]() (nr, parts int) {
 }
 
 // GemmPackLen returns the scratch length (in elements of T) GemmNN/GemmTN
-// need for an m×n×k product: A in mr-row strips, B in nr-column strips and
-// one edge tile. For the complex domains these hold the 1m expansion, so B
-// takes k·roundUp(2n, nr) elements and the edge tile mr·nr/2. It is
-// monotone in each dimension, so sizing for upper bounds covers every
-// smaller call.
+// need for an m×n×k product: A in mr-row strips, the packed part of B and
+// one edge tile. In the real domains B is read in place but for a ragged
+// last strip, so B takes k·nr elements; the complex domains hold the 1m
+// expansion, so B takes k·roundUp(2n, nr) elements and the edge tile
+// mr·nr/2. It is monotone in each dimension, so sizing for upper bounds
+// covers every smaller call.
 func GemmPackLen[T Scalar](m, n, k int) int {
 	if m <= 0 || n <= 0 || k <= 0 {
 		return 0
 	}
 	nr, parts := gemmTile[T]()
-	return roundUpTo(m, gemmMR)*k + k*roundUpTo(parts*n, nr) + gemmMR*nr/parts
+	bLen := k * nr // a ragged last strip; the full strips are read in place
+	if parts == 2 {
+		bLen = k * roundUpTo(2*n, nr) // the whole 1m expansion
+	}
+	return roundUpTo(m, gemmMR)*k + bLen + gemmMR*nr/parts
 }
 
 // GemmPackBound bounds GemmPackLen over all domains for any product whose
@@ -101,9 +109,8 @@ func GemmPackBound(maxM, maxN, maxK int) int {
 
 // GemmOK reports whether a GemmNN/GemmTN call of shape m×n×k with packLen
 // elements of scratch will take the packed path (nonzero alpha assumed).
-// Callers that split a computation into a packed bulk part and a scalar
-// remainder consult this first so they can commit to one split before
-// touching any data.
+// Callers that choose between a packed form and a scalar one consult this
+// first so they can commit to one before touching any data.
 func GemmOK[T Scalar](m, n, k, packLen int) bool {
 	if m <= 0 || n <= 0 || k <= 0 {
 		return false
@@ -171,22 +178,37 @@ func realView[F float32 | float64, T Scalar](x []T) []F {
 
 // gemm is the one packed driver, over the real views of its operands:
 // parts = 2 marks complex data, whose strides still count complex elements
-// and which is packed in the 1m layout. ker is the real mr×nr micro-kernel.
-// The real product it runs is m×(parts·n)×(parts·k).
-func gemm[F float32 | float64](ker func(k int, a, b, c *F, ldc int), nr, parts int,
+// and which is packed in the 1m layout. ker is the real mr×nr micro-kernel,
+// reading B's k steps ldb reals apart. The real product it runs is
+// m×(parts·n)×(parts·k).
+func gemm[F float32 | float64](ker func(k int, a, b *F, ldb int, c *F, ldc int), nr, parts int,
 	m, n, k int, ar, ai F, a []F, lda int, transA bool, b []F, ldb int, c []F, ldc int, pack []F) {
 	const mr = gemmMR
 	nR, kR := parts*n, parts*k
-	mp, np := roundUpTo(m, mr), roundUpTo(nR, nr)
+	mp := roundUpTo(m, mr)
 	ap := pack[:mp*kR]
-	bp := pack[mp*kR : mp*kR+kR*np]
-	tmp := pack[mp*kR+kR*np : mp*kR+kR*np+mr*nr]
+	// bp holds the strips B is not read in place for: the 1m expansion of
+	// all of B in the complex domains, the ragged last strip (if any) in
+	// the real ones. Either way its strips step nr reals per k step.
+	bp := pack[mp*kR:]
+	full := 0 // columns 0:full of the real view of B are read in place
 	if parts == 1 {
-		packB(b, ldb, n, k, nr, bp)
+		full = n / nr * nr
+		if full < n {
+			packB(b[full:], ldb, n-full, k, nr, bp)
+		}
 		packA(ar, a, lda, transA, m, k, ap)
+		bp = bp[:k*nr]
 	} else {
+		bp = bp[:kR*roundUpTo(nR, nr)]
 		packB1m(b, ldb, n, k, nr, bp)
 		packA1m(ar, ai, a, lda, transA, m, k, ap)
+	}
+	tmp := pack[mp*kR+len(bp) : mp*kR+len(bp)+mr*nr]
+	if full > 0 {
+		// The last element the last in-place strip reads, the furthest of
+		// any strip's: checked here so that the assembly never runs off B.
+		_ = b[(k-1)*ldb+full-1]
 	}
 
 	ldc *= parts
@@ -195,13 +217,19 @@ func gemm[F float32 | float64](ker func(k int, a, b, c *F, ldc int), nr, parts i
 		as := ap[i0*kR:] // strip i0/mr
 		for j0 := 0; j0 < nR; j0 += nr {
 			w := min(nr, nR-j0)
-			bs := bp[j0*kR:] // strip j0/nr
+			var bs *F
+			ldbs := ldb
+			if j0 < full {
+				bs = &b[j0]
+			} else {
+				bs, ldbs = &bp[(j0-full)*kR], nr // strip (j0−full)/nr of bp
+			}
 			if h == mr && w == nr {
-				ker(kR, &as[0], &bs[0], &c[i0*ldc+j0], ldc)
+				ker(kR, &as[0], bs, ldbs, &c[i0*ldc+j0], ldc)
 				continue
 			}
 			clear(tmp)
-			ker(kR, &as[0], &bs[0], &tmp[0], nr)
+			ker(kR, &as[0], bs, ldbs, &tmp[0], nr)
 			for r := 0; r < h; r++ {
 				crow := c[(i0+r)*ldc+j0 : (i0+r)*ldc+j0+w]
 				for j, v := range tmp[r*nr : r*nr+w] {
@@ -212,39 +240,35 @@ func gemm[F float32 | float64](ker func(k int, a, b, c *F, ldc int), nr, parts i
 	}
 }
 
-// packB copies the k×n B into bp as nr-column strips of k rows, zero-padding
-// the last strip.
-func packB[F float32 | float64](b []F, ldb, n, k, nr int, bp []F) {
-	idx := 0
-	for j0 := 0; j0 < n; j0 += nr {
-		w := min(nr, n-j0)
-		for l := 0; l < k; l++ {
-			copy(bp[idx:idx+w], b[l*ldb+j0:l*ldb+j0+w])
-			for j := w; j < nr; j++ {
-				bp[idx+j] = 0
-			}
-			idx += nr
-		}
+// packB copies the ragged last strip of a real B, its k×w columns
+// (w < nr), into bp as k steps of nr, zero-padded at the right.
+func packB[F float32 | float64](b []F, ldb, w, k, nr int, bp []F) {
+	for l := 0; l < k; l++ {
+		copy(bp[l*nr:l*nr+w], b[l*ldb:l*ldb+w])
+		clear(bp[l*nr+w : (l+1)*nr])
 	}
 }
 
-// packB1m is packB for a complex B held as (re, im) pairs, expanded to the
-// real 2k×2n panel: row 2l is B's row l as it is stored, row 2l+1 is i·B's,
-// (re, im) → (−im, re). Strips start at even reals, so no pair straddles
-// two.
+// packB1m packs a complex B held as (re, im) pairs, expanded to the real
+// 2k×2n panel, into nr-column strips of 2k steps, zero-padding the last:
+// row 2l is B's row l as it is stored, row 2l+1 is i·B's, (re, im) →
+// (−im, re). Strips start at even reals, so no pair straddles two. Each
+// pair is read once and written to both rows in one pass.
 func packB1m[F float32 | float64](b []F, ldb, n, k, nr int, bp []F) {
 	idx := 0
 	for j0 := 0; j0 < 2*n; j0 += nr {
 		w := min(nr, 2*n-j0)
 		for l := 0; l < k; l++ {
 			row := b[2*l*ldb+j0 : 2*l*ldb+j0+w]
-			copy(bp[idx:idx+w], row)
-			rot := bp[idx+nr : idx+2*nr]
-			for j := 0; j < w; j += 2 {
-				rot[j], rot[j+1] = -row[j+1], row[j]
+			dst, rot := bp[idx:idx+w], bp[idx+nr:idx+nr+w]
+			for j := 0; j+1 < len(row); j += 2 {
+				re, im := row[j], row[j+1]
+				dst[j], dst[j+1] = re, im
+				rot[j], rot[j+1] = -im, re
 			}
-			for j := w; j < nr; j++ {
-				bp[idx+j], rot[j] = 0, 0
+			if w < nr {
+				clear(bp[idx+w : idx+nr])
+				clear(bp[idx+nr+w : idx+2*nr])
 			}
 			idx += 2 * nr
 		}
@@ -253,49 +277,70 @@ func packB1m[F float32 | float64](b []F, ldb, n, k, nr int, bp []F) {
 
 // packA copies α·op(A) into ap as mr-row strips of k steps, mr values per
 // step, zero-padding the last strip: op(A)[i,l] is a[i·lda+l], or
-// a[l·lda+i] with transA.
+// a[l·lda+i] with transA. Full strips take an unrolled copy — at tile
+// sizes A is packed once per product, and the per-element index
+// arithmetic of the general loop costs a third of the micro-kernel's time.
 func packA[F float32 | float64](alpha F, a []F, lda int, transA bool, m, k int, ap []F) {
-	idx := 0
-	for i0 := 0; i0 < m; i0 += gemmMR {
-		h := min(gemmMR, m-i0)
-		for l := 0; l < k; l++ {
-			if transA {
-				row := a[l*lda+i0 : l*lda+i0+h]
-				for r := 0; r < h; r++ {
-					ap[idx+r] = alpha * row[r]
-				}
-			} else {
-				for r := 0; r < h; r++ {
-					ap[idx+r] = alpha * a[(i0+r)*lda+l]
-				}
+	full := m / gemmMR * gemmMR
+	for i0 := 0; i0 < full; i0 += gemmMR {
+		dst := ap[i0*k : (i0+gemmMR)*k]
+		if transA {
+			for l := 0; l < k; l++ {
+				s := a[l*lda+i0 : l*lda+i0+4 : l*lda+i0+4]
+				d := dst[4*l : 4*l+4 : 4*l+4]
+				d[0], d[1], d[2], d[3] = alpha*s[0], alpha*s[1], alpha*s[2], alpha*s[3]
 			}
-			for r := h; r < gemmMR; r++ {
-				ap[idx+r] = 0
-			}
-			idx += gemmMR
+			continue
 		}
+		r0 := a[i0*lda : i0*lda+k]
+		r1 := a[(i0+1)*lda : (i0+1)*lda+k]
+		r2 := a[(i0+2)*lda : (i0+2)*lda+k]
+		r3 := a[(i0+3)*lda : (i0+3)*lda+k]
+		for l, v := range r0 {
+			d := dst[4*l : 4*l+4 : 4*l+4]
+			d[0], d[1], d[2], d[3] = alpha*v, alpha*r1[l], alpha*r2[l], alpha*r3[l]
+		}
+	}
+	if full == m {
+		return
+	}
+	h, idx := m-full, full*k
+	for l := 0; l < k; l++ {
+		for r := 0; r < h; r++ {
+			if transA {
+				ap[idx+r] = alpha * a[l*lda+full+r]
+			} else {
+				ap[idx+r] = alpha * a[(full+r)*lda+l]
+			}
+		}
+		clear(ap[idx+h : idx+gemmMR])
+		idx += gemmMR
 	}
 }
 
 // packA1m is packA for a complex A held as (re, im) pairs: step l of a strip
 // becomes two real steps, the real and then the imaginary parts of
-// α·op(A)[i,l], where op(A)[i,l] = conj(a[l,i]) with transA.
+// α·op(A)[i,l], where op(A)[i,l] = conj(a[l,i]) with transA. The operand's
+// layout is decided once per strip, not per element.
 func packA1m[F float32 | float64](ar, ai F, a []F, lda int, transA bool, m, k int, ap []F) {
 	idx := 0
 	for i0 := 0; i0 < m; i0 += gemmMR {
 		h := min(gemmMR, m-i0)
 		for l := 0; l < k; l++ {
-			re, im := ap[idx:idx+gemmMR], ap[idx+gemmMR:idx+2*gemmMR]
-			for r := 0; r < h; r++ {
-				var xr, xi F
-				if transA {
-					o := 2 * (l*lda + i0 + r)
-					xr, xi = a[o], -a[o+1]
-				} else {
-					o := 2 * ((i0+r)*lda + l)
-					xr, xi = a[o], a[o+1]
+			re, im := ap[idx:idx+gemmMR:idx+gemmMR], ap[idx+gemmMR:idx+2*gemmMR:idx+2*gemmMR]
+			if transA {
+				// The strip's h elements of op(A) at step l are contiguous.
+				x := a[2*(l*lda+i0) : 2*(l*lda+i0+h)]
+				for r := 0; r < h; r++ {
+					xr, xi := x[2*r], -x[2*r+1]
+					re[r], im[r] = ar*xr-ai*xi, ar*xi+ai*xr
 				}
-				re[r], im[r] = ar*xr-ai*xi, ar*xi+ai*xr
+			} else {
+				for r := 0; r < h; r++ {
+					o := 2 * ((i0+r)*lda + l)
+					xr, xi := a[o], a[o+1]
+					re[r], im[r] = ar*xr-ai*xi, ar*xi+ai*xr
+				}
 			}
 			for r := h; r < gemmMR; r++ {
 				re[r], im[r] = 0, 0

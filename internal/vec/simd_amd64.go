@@ -43,7 +43,8 @@ func xgetbv0() (eax, edx uint32)
 // count and handle every n ≥ 0 internally, including scalar tails; callers
 // guarantee only that the pointed-to arrays hold n readable (and, for
 // destinations, writable) elements. The gemm micro-kernels are the
-// exception: they require k ≥ 1 and full mr×nr tiles (see gemm.go).
+// exception: they require k ≥ 1 and full mr×nr tiles, and read B's k
+// steps ldb elements apart (see gemm.go).
 
 //go:noescape
 func dotF64(x, y *float64, n int) float64
@@ -70,7 +71,7 @@ func sumsqF64(x *float64, n int) float64
 func sumsqF32(x *float32, n int) float64
 
 //go:noescape
-func gemmKerF64(k int, a, b, c *float64, ldc int)
+func gemmKerF64(k int, a, b *float64, ldb int, c *float64, ldc int)
 
 //go:noescape
-func gemmKerF32(k int, a, b, c *float32, ldc int)
+func gemmKerF32(k int, a, b *float32, ldb int, c *float32, ldc int)

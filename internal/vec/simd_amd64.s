@@ -444,19 +444,22 @@ sq32done:
 	MOVSD X0, ret+16(FP)
 	RET
 
-// func gemmKerF64(k int, a, b, c *float64, ldc int)
+// func gemmKerF64(k int, a, b *float64, ldb int, c *float64, ldc int)
 //
 // 4×8 register-blocked micro-kernel: C[0:4,0:8] += A·B with A packed as k
 // steps of 4 (column of the A strip), B as k steps of 8 (row of the B
-// strip), C in row-major with stride ldc. The C tile rides in 8 ymm
-// accumulators from first load to final store; each k step is 2 B loads,
-// 4 A broadcasts and 8 FMAs. Caller guarantees k ≥ 1 and a full 4×8 tile.
-TEXT ·gemmKerF64(SB), NOSPLIT, $0-40
+// strip) ldb elements apart, C in row-major with stride ldc. The C tile
+// rides in 8 ymm accumulators from first load to final store; each k step
+// is 2 B loads, 4 A broadcasts and 8 FMAs. Caller guarantees k ≥ 1 and a
+// full 4×8 tile.
+TEXT ·gemmKerF64(SB), NOSPLIT, $0-48
 	MOVQ k+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DI
-	MOVQ c+24(FP), DX
-	MOVQ ldc+32(FP), R8
+	MOVQ ldb+24(FP), R10
+	SHLQ $3, R10
+	MOVQ c+32(FP), DX
+	MOVQ ldc+40(FP), R8
 	SHLQ $3, R8
 
 	MOVQ DX, R9
@@ -488,7 +491,7 @@ gk64loop:
 	VFMADD231PD Y8, Y11, Y6
 	VFMADD231PD Y9, Y11, Y7
 	ADDQ $32, SI
-	ADDQ $64, DI
+	ADDQ R10, DI
 	DECQ CX
 	JNE  gk64loop
 
@@ -507,16 +510,18 @@ gk64loop:
 	VZEROUPPER
 	RET
 
-// func gemmKerF32(k int, a, b, c *float32, ldc int)
+// func gemmKerF32(k int, a, b *float32, ldb int, c *float32, ldc int)
 //
 // 4×16 micro-kernel, the float32 twin of gemmKerF64 (two 8-lane ymm per C
 // row).
-TEXT ·gemmKerF32(SB), NOSPLIT, $0-40
+TEXT ·gemmKerF32(SB), NOSPLIT, $0-48
 	MOVQ k+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DI
-	MOVQ c+24(FP), DX
-	MOVQ ldc+32(FP), R8
+	MOVQ ldb+24(FP), R10
+	SHLQ $2, R10
+	MOVQ c+32(FP), DX
+	MOVQ ldc+40(FP), R8
 	SHLQ $2, R8
 
 	MOVQ DX, R9
@@ -548,7 +553,7 @@ gk32loop:
 	VFMADD231PS Y8, Y11, Y6
 	VFMADD231PS Y9, Y11, Y7
 	ADDQ $16, SI
-	ADDQ $64, DI
+	ADDQ R10, DI
 	DECQ CX
 	JNE  gk32loop
 

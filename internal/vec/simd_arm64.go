@@ -36,10 +36,10 @@ func axpy2F32(alpha float32, x1 *float32, beta float32, x2, y *float32, n int)
 func sumsqF64(x *float64, n int) float64
 
 //go:noescape
-func gemmKerF64(k int, a, b, c *float64, ldc int)
+func gemmKerF64(k int, a, b *float64, ldb int, c *float64, ldc int)
 
 //go:noescape
-func gemmKerF32(k int, a, b, c *float32, ldc int)
+func gemmKerF32(k int, a, b *float32, ldb int, c *float32, ldc int)
 
 // sumsqF32 stays in Go on arm64: the widening accumulate (float32 data,
 // float64 sum — the package contract for norms) has no NEON spelling the

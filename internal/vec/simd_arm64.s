@@ -448,17 +448,20 @@ sq64done:
 	FMOVD F1, ret+16(FP)
 	RET
 
-// func gemmKerF64(k int, a, b, c *float64, ldc int)
+// func gemmKerF64(k int, a, b *float64, ldb int, c *float64, ldc int)
 //
-// 4×8 micro-kernel: C[0:4,0:8] += A·B, C loaded into V0–V15 up front so
-// the whole k loop is FMLA-only (2+1 loads, 4 VDUP broadcasts, 16 FMLAs
-// per step). Caller guarantees k ≥ 1 and a full 4×8 tile.
-TEXT ·gemmKerF64(SB), NOSPLIT, $0-40
+// 4×8 micro-kernel: C[0:4,0:8] += A·B, B's k steps ldb elements apart, C
+// loaded into V0–V15 up front so the whole k loop is FMLA-only (2+1 loads,
+// 4 VDUP broadcasts, 16 FMLAs per step). Caller guarantees k ≥ 1 and a
+// full 4×8 tile.
+TEXT ·gemmKerF64(SB), NOSPLIT, $0-48
 	MOVD k+0(FP), R4
 	MOVD a+8(FP), R0
 	MOVD b+16(FP), R1
-	MOVD c+24(FP), R2
-	MOVD ldc+32(FP), R3
+	MOVD ldb+24(FP), R6
+	LSL  $3, R6
+	MOVD c+32(FP), R2
+	MOVD ldc+40(FP), R3
 	LSL  $3, R3
 
 	MOVD R2, R5
@@ -471,7 +474,8 @@ TEXT ·gemmKerF64(SB), NOSPLIT, $0-40
 	VLD1 (R5), [V12.D2, V13.D2, V14.D2, V15.D2]
 
 gk64loop:
-	VLD1.P 64(R1), [V16.D2, V17.D2, V18.D2, V19.D2]
+	VLD1 (R1), [V16.D2, V17.D2, V18.D2, V19.D2]
+	ADD  R6, R1
 	VLD1.P 32(R0), [V20.D2, V21.D2]
 	VDUP V20.D[0], V22.D2
 	VDUP V20.D[1], V23.D2
@@ -506,16 +510,18 @@ gk64loop:
 	VST1 [V12.D2, V13.D2, V14.D2, V15.D2], (R5)
 	RET
 
-// func gemmKerF32(k int, a, b, c *float32, ldc int)
+// func gemmKerF32(k int, a, b *float32, ldb int, c *float32, ldc int)
 //
 // 4×16 micro-kernel, the float32 twin of gemmKerF64 (four 4-lane vectors
 // per C row).
-TEXT ·gemmKerF32(SB), NOSPLIT, $0-40
+TEXT ·gemmKerF32(SB), NOSPLIT, $0-48
 	MOVD k+0(FP), R4
 	MOVD a+8(FP), R0
 	MOVD b+16(FP), R1
-	MOVD c+24(FP), R2
-	MOVD ldc+32(FP), R3
+	MOVD ldb+24(FP), R6
+	LSL  $2, R6
+	MOVD c+32(FP), R2
+	MOVD ldc+40(FP), R3
 	LSL  $2, R3
 
 	MOVD R2, R5
@@ -528,7 +534,8 @@ TEXT ·gemmKerF32(SB), NOSPLIT, $0-40
 	VLD1 (R5), [V12.S4, V13.S4, V14.S4, V15.S4]
 
 gk32loop:
-	VLD1.P 64(R1), [V16.S4, V17.S4, V18.S4, V19.S4]
+	VLD1 (R1), [V16.S4, V17.S4, V18.S4, V19.S4]
+	ADD  R6, R1
 	VLD1.P 16(R0), [V20.S4]
 	VDUP V20.S[0], V22.S4
 	VDUP V20.S[1], V23.S4

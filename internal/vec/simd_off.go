@@ -33,6 +33,6 @@ func sumsqF64(x *float64, n int) float64 { unreachableKernel(); return 0 }
 
 func sumsqF32(x *float32, n int) float64 { unreachableKernel(); return 0 }
 
-func gemmKerF64(k int, a, b, c *float64, ldc int) { unreachableKernel() }
+func gemmKerF64(k int, a, b *float64, ldb int, c *float64, ldc int) { unreachableKernel() }
 
-func gemmKerF32(k int, a, b, c *float32, ldc int) { unreachableKernel() }
+func gemmKerF32(k int, a, b *float32, ldb int, c *float32, ldc int) { unreachableKernel() }

@@ -458,20 +458,30 @@ func fuzzVals(raw []byte, count int, seed int64) []float64 {
 // non-finiteness (exact NaN/Inf placement may differ at the overflow
 // boundary because FMA skips the intermediate rounding).
 //
-// Op 3 is the complex128 packed GEMM (the 1m layout) against gemmRef: m and
-// n come from nRaw and offRaw, k and NN/TN from op's high bits, all ≤ 33.
+// Op 3 is the packed GEMM against gemmRef, in float64 (B read in place)
+// or complex128 (the 1m layout) by op's bit 3: m ≤ 32 from nRaw's low bits,
+// B's row stride ldb = n + nRaw's high bits (0–7) drawn apart from n ≤ 33
+// (offRaw), k ≤ 16 and NN/TN from op's high bits.
 func FuzzVecSIMD(f *testing.F) {
 	f.Add(uint8(0), uint8(7), uint8(1), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint8(1), uint8(33), uint8(3), []byte{255, 255, 255, 255, 255, 255, 255, 255})
 	f.Add(uint8(2), uint8(16), uint8(0), []byte{0, 0, 0, 0, 0, 0, 240, 127})
 	f.Add(uint8(3), uint8(65), uint8(2), []byte{1, 0, 0, 0, 0, 0, 240, 255})
-	f.Add(uint8(3|4|5<<3), uint8(8), uint8(4), []byte{127, 240, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add(uint8(3|4|5<<4), uint8(8), uint8(4), []byte{127, 240, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add(uint8(3|8|4|7<<4), uint8(9|3<<5), uint8(20), []byte{127, 240, 0, 0, 0, 0, 0, 0, 255, 248, 0, 0, 0, 0, 0, 1})
+	f.Add(uint8(3|8|15<<4), uint8(31|7<<5), uint8(31), []byte{127, 239, 255, 255, 255, 255, 255, 255, 255, 239, 255, 255, 255, 255, 255, 255})
 	f.Fuzz(func(t *testing.T, op, nRaw, offRaw uint8, raw []byte) {
 		if !SIMDSupported() {
 			t.Skip("no SIMD backend")
 		}
 		if op%4 == 3 {
-			fuzzGemm1m(t, 1+int(nRaw)%33, 1+int(offRaw)%33, 1+int(op>>3), op&4 != 0, raw)
+			m, n, k, transA := 1+int(nRaw&31), 1+int(offRaw)%33, 1+int(op>>4), op&4 != 0
+			ldb := n + int(nRaw>>5)
+			if op&8 != 0 {
+				fuzzGemm[float64](t, m, n, k, ldb, transA, raw)
+			} else {
+				fuzzGemm[complex128](t, m, n, k, ldb, transA, raw)
+			}
 			return
 		}
 		n := int(nRaw) % 130
@@ -533,42 +543,71 @@ func FuzzVecSIMD(f *testing.F) {
 	})
 }
 
-// fuzzGemm1m runs one complex128 C += ±op(A)·B through the packed driver
-// on fuzzed data. An entry whose terms touch a non-finite input must come
-// out non-finite, as the generic loop's does; an entry of finite terms
-// whose magnitudes sum clear of overflow must come out finite and close.
-// Between the two (finite inputs, a term sum near overflow), where the
-// overflow lands depends on summation order and FMA, and is not checked.
-func fuzzGemm1m(t *testing.T, m, n, k int, transA bool, raw []byte) {
+// fuzzGemm runs one C += ±op(A)·B through the packed driver on fuzzed
+// data: in float64 the micro-kernel reads B's full strips in place, at the
+// fuzzed stride ldb ≥ n, with B's slice ending at its last element and
+// fuzzed values (NaN, Inf, huge) in the padding the product must not read;
+// in complex128 B goes through the 1m expansion. An entry whose terms touch
+// a non-finite input must come out non-finite, as the generic loop's does;
+// an entry of finite terms whose magnitudes sum clear of overflow must come
+// out finite and close. Between the two (finite inputs, a term sum near
+// overflow), where the overflow lands depends on summation order and FMA,
+// and is not checked.
+func fuzzGemm[T float64 | complex128](t *testing.T, m, n, k, ldb int, transA bool, raw []byte) {
 	lda, arows := k, m
 	if transA {
 		lda, arows = m, k
 	}
-	vals := fuzzVals(raw, 2*(arows*lda+k*n+m*n), int64(m*1089+n*33+k))
-	z := make([]complex128, len(vals)/2)
-	for i := range z {
-		z[i] = complex(vals[2*i], vals[2*i+1])
+	parts := 1
+	if IsComplex[T]() {
+		parts = 2
 	}
-	a, b, c := z[:arows*lda], z[arows*lda:arows*lda+k*n], z[arows*lda+k*n:]
-	alpha := complex(1, 0)
+	blen := (k-1)*ldb + n
+	vals := fuzzVals(raw, parts*(arows*lda+blen+m*n), int64(m*1089+n*33+k+ldb<<12))
+	z := make([]T, len(vals)/parts)
+	for i := range z {
+		z[i] = FromParts[T](vals[parts*i], vals[parts*i+parts-1])
+	}
+	a, b, c := z[:arows*lda], z[arows*lda:arows*lda+blen:arows*lda+blen], z[arows*lda+blen:]
+	alpha := T(1)
 	if m%2 == 0 {
 		alpha = -1
 	}
-	want, scale, finite := gemmRef(m, n, k, alpha, a, lda, transA, b, n, c, n)
-	gemmPacked(m, n, k, alpha, a, lda, transA, b, n, c, n, make([]complex128, GemmPackLen[complex128](m, n, k)))
-	for o, got := range c {
+	want, scale, finite := gemmRef(m, n, k, alpha, a, lda, transA, b, ldb, c, n)
+	gemmPacked(m, n, k, alpha, a, lda, transA, b, ldb, c, n, make([]T, GemmPackLen[T](m, n, k)))
+	what := fmt.Sprintf("%s m=%d n=%d k=%d ldb=%d transA=%v", Prec[T]().Tag(), m, n, k, ldb, transA)
+	for o, v := range c {
+		got := complex(RealPart(v), ImagPart(v))
 		gf := isFinite(real(got)) && isFinite(imag(got))
 		switch {
 		case !finite[o]:
 			if gf {
-				t.Fatalf("m=%d n=%d k=%d transA=%v: c[%d]=%v finite, want non-finite (%v)", m, n, k, transA, o, got, want[o])
+				t.Fatalf("%s: c[%d]=%v finite, want non-finite (%v)", what, o, got, want[o])
 			}
 		case scale[o] < math.MaxFloat64/4:
 			if !gf || cmplx.Abs(got-want[o]) > tolF64*math.Max(scale[o], 1) {
-				t.Fatalf("m=%d n=%d k=%d transA=%v: c[%d]=%v want %v", m, n, k, transA, o, got, want[o])
+				t.Fatalf("%s: c[%d]=%v want %v", what, o, got, want[o])
 			}
 		}
 	}
+}
+
+// TestGemmInPlaceBoundsCheck: the real driver reads B's full strips in
+// place from assembly, so a B slice one element short of the product's
+// last read must panic in Go rather than let the micro-kernel run off it.
+func TestGemmInPlaceBoundsCheck(t *testing.T) {
+	requireSIMD(t)
+	const m, n, k, ldb = 8, 16, 8, 20
+	a, c := make([]float64, m*k), make([]float64, m*n)
+	b := make([]float64, (k-1)*ldb+n)
+	pack := make([]float64, GemmPackLen[float64](m, n, k))
+	gemmPacked(m, n, k, 1.0, a, k, false, b, ldb, c, n, pack)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a B one element short of the last in-place read did not panic")
+		}
+	}()
+	gemmPacked(m, n, k, 1.0, a, k, false, b[:len(b)-1], ldb, c, n, pack)
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
