@@ -391,7 +391,11 @@
 // path run ahead of trailing updates, the ASAP discipline of §2. A
 // completing worker keeps its released successors (the tiles it just wrote
 // are still in cache); idle workers steal low-priority leaves from
-// victims. Workers = 1 selects a deterministic sequential path. Each
+// victims. The input's conversion to tile layout is part of the DAG too:
+// the first task to write each tile copies it in from the caller's matrix
+// (or a stream's appended batch) just before its kernel, so copy-in runs on
+// every worker and overlaps the first kernels instead of being a serial
+// pass before them. Workers = 1 selects a deterministic sequential path. Each
 // worker owns a preallocated kernel workspace and Q-application scratch is
 // pooled per precision at package level (never inside a factorization, so a
 // dropped factorization is garbage at the next collection), so steady-state

@@ -113,6 +113,10 @@ type DAG struct {
 	// TSQRT/TTQRT task that zeroes it, or -1.
 	zeroTask []int32
 
+	// fw[2t], fw[2t+1] are the tiles task t writes first (no task writes
+	// more than two tiles), -1 padded at the end.
+	fw []int32
+
 	// Succs adjacency, memoized on first use: cached DAGs (streaming merge
 	// shapes, refactored one-shots) are executed many times.
 	succOnce    sync.Once
@@ -129,6 +133,21 @@ func (d *DAG) Preds(t int) []int32 { return d.preds[d.predOff[t]:d.predOff[t+1]]
 // ZeroTask returns the ID of the task zeroing tile (i,k), or -1.
 func (d *DAG) ZeroTask(i, k int) int32 {
 	return d.zeroTask[(i-1)*d.Q+(k-1)]
+}
+
+// FirstWrites returns the tiles task t writes first, as tile indices
+// (i−1)·Q + (j−1). A tile's first writer is the task that writes it with no
+// earlier writer in either of its region chains (see dagBuilder); every
+// other task touching the tile descends from it, so the first writer may
+// fill the tile from a source just before its kernel runs — the engine's
+// in-DAG copy-in. Each touched tile has exactly one first writer; a
+// one-shot DAG touches every tile of its grid.
+func (d *DAG) FirstWrites(t int) []int32 {
+	fw := d.fw[2*t : 2*t+2]
+	for len(fw) > 0 && fw[len(fw)-1] < 0 {
+		fw = fw[:len(fw)-1]
+	}
+	return fw
 }
 
 // Succs returns the successor adjacency (flattened), materialized from the
@@ -205,6 +224,7 @@ func newDAGBuilder(p, q int, kernels Kernels) *dagBuilder {
 	d.Tasks = make([]Task, 0, nTasks)
 	d.preds = make([]int32, 0, 3*nTasks)
 	d.predOff = make([]int32, 1, nTasks+1)
+	d.fw = make([]int32, 0, 2*nTasks)
 	for i := range d.zeroTask {
 		d.zeroTask[i] = -1
 	}
@@ -218,6 +238,20 @@ func newDAGBuilder(p, q int, kernels Kernels) *dagBuilder {
 		b.lastR[i] = -1
 	}
 	return b
+}
+
+// set records task t as the last writer of tile (i,j) in chain (lastData
+// or lastR), and as the tile's first writer when neither chain has one yet.
+func (b *dagBuilder) set(chain []int32, i, j int, t int32) {
+	x := b.idx(i, j)
+	if b.lastData[x] < 0 && b.lastR[x] < 0 {
+		slot := 2 * t
+		if b.d.fw[slot] >= 0 {
+			slot++
+		}
+		b.d.fw[slot] = int32(x)
+	}
+	chain[x] = t
 }
 
 func (b *dagBuilder) idx(i, j int) int { return (i-1)*b.q + (j - 1) }
@@ -245,6 +279,7 @@ func (b *dagBuilder) add(t Task, preds ...int32) int32 {
 	}
 	b.d.preds = append(b.d.preds, b.scratch...)
 	b.d.predOff = append(b.d.predOff, int32(len(b.d.preds)))
+	b.d.fw = append(b.d.fw, -1, -1)
 	return id
 }
 
@@ -256,10 +291,10 @@ func (b *dagBuilder) triangularize(r, k int) {
 	}
 	b.tri[b.idx(r, k)] = true
 	g := b.add(Task{Kind: KGEQRT, I: r, K: k}, b.lastData[b.idx(r, k)])
-	b.lastR[b.idx(r, k)] = g
+	b.set(b.lastR, r, k, g)
 	for j := k + 1; j <= b.q; j++ {
 		u := b.add(Task{Kind: KUNMQR, I: r, K: k, J: j}, g, b.lastData[b.idx(r, j)])
-		b.lastData[b.idx(r, j)] = u
+		b.set(b.lastData, r, j, u)
 	}
 }
 
@@ -275,26 +310,26 @@ func (b *dagBuilder) elim(e Elim, kernels Kernels) {
 		}
 		f := b.add(Task{Kind: KTTQRT, I: e.I, Piv: e.Piv, K: e.K},
 			b.lastR[b.idx(e.Piv, e.K)], b.lastR[b.idx(e.I, e.K)])
-		b.lastR[b.idx(e.Piv, e.K)] = f
-		b.lastR[b.idx(e.I, e.K)] = f
+		b.set(b.lastR, e.Piv, e.K, f)
+		b.set(b.lastR, e.I, e.K, f)
 		b.d.zeroTask[b.idx(e.I, e.K)] = f
 		for j := e.K + 1; j <= b.q; j++ {
 			u := b.add(Task{Kind: KTTMQR, I: e.I, Piv: e.Piv, K: e.K, J: j},
 				f, b.lastData[b.idx(e.I, j)], b.lastData[b.idx(e.Piv, j)])
-			b.lastData[b.idx(e.I, j)] = u
-			b.lastData[b.idx(e.Piv, j)] = u
+			b.set(b.lastData, e.I, j, u)
+			b.set(b.lastData, e.Piv, j, u)
 		}
 	} else {
 		f := b.add(Task{Kind: KTSQRT, I: e.I, Piv: e.Piv, K: e.K},
 			b.lastR[b.idx(e.Piv, e.K)], b.lastData[b.idx(e.I, e.K)])
-		b.lastR[b.idx(e.Piv, e.K)] = f
-		b.lastR[b.idx(e.I, e.K)] = f
+		b.set(b.lastR, e.Piv, e.K, f)
+		b.set(b.lastR, e.I, e.K, f)
 		b.d.zeroTask[b.idx(e.I, e.K)] = f
 		for j := e.K + 1; j <= b.q; j++ {
 			u := b.add(Task{Kind: KTSMQR, I: e.I, Piv: e.Piv, K: e.K, J: j},
 				f, b.lastData[b.idx(e.I, j)], b.lastData[b.idx(e.Piv, j)])
-			b.lastData[b.idx(e.I, j)] = u
-			b.lastData[b.idx(e.Piv, j)] = u
+			b.set(b.lastData, e.I, j, u)
+			b.set(b.lastData, e.Piv, j, u)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 // Package engine holds the one generic tiled-QR execution core shared by
 // every public precision: the DAG execution loop (dispatching core tasks to
-// the generic tile kernels through a Source), the Q application replay used
+// the generic tile kernels through a Source, each task first copying in
+// the tiles it writes first through a Fill), the Q application replay used
 // by ApplyQ/ApplyQT and the streaming Qᵀb fold, one-shot factorization
 // state (R extraction, thin/full Q, least squares, workspace pooling), and
 // tracing. The public package wraps Factorization[T] in its one generic
@@ -308,15 +309,64 @@ func ExecTask[T vec.Scalar](src Source[T], d *core.DAG, t int32, ib int, ws []T,
 	return nil
 }
 
+// Fill is the copy-in hook of ExecTasks: each task fills the tiles it
+// writes first (core.DAG.FirstWrites) from the dense matrix Src just before
+// its kernel runs. The conversion to tile layout thus runs on every worker,
+// overlapped with the first kernels, and each tile is still in cache when
+// the kernel that first reads it runs. Tile (i, j) (1-based) is copied from
+// row (i−Skip−1)·NB, column (j−1)·NB of Src on; tile rows 1..Skip (a
+// stream's resident triangle) hold state and are not filled. The copy is
+// scaled by Scale unless Scale is 0 or 1. The zero Fill fills nothing: the
+// tiles already hold their data.
+type Fill[T vec.Scalar] struct {
+	Src   tile.Dense[T]
+	Skip  int
+	NB    int
+	Scale float64
+}
+
+// tiles fills the tiles task t writes first.
+func (fl Fill[T]) tiles(src Source[T], d *core.DAG, t int32) {
+	for _, x := range d.FirstWrites(int(t)) {
+		i, j := int(x)/d.Q+1, int(x)%d.Q+1
+		if i <= fl.Skip {
+			continue
+		}
+		dst := src.TileAt(i, j)
+		r0, c0 := (i-fl.Skip-1)*fl.NB, (j-1)*fl.NB
+		for r := 0; r < dst.Rows; r++ {
+			from := fl.Src.Data[(r0+r)*fl.Src.Stride+c0:]
+			ScaleCopy(dst.Data[r*dst.Stride:r*dst.Stride+dst.Cols], from[:dst.Cols], fl.Scale)
+		}
+	}
+}
+
+// ScaleCopy sets dst = scale·src (a plain copy at scale 0 or 1).
+func ScaleCopy[T vec.Scalar](dst, src []T, scale float64) {
+	if scale == 0 || scale == 1 {
+		copy(dst, src)
+		return
+	}
+	f := vec.FromParts[T](scale, 0)
+	for j, v := range src {
+		dst[j] = f * v
+	}
+}
+
 // ExecTasks runs every task of the plan's DAG under env, dispatching
-// through ExecTask with the executing worker's own kernel workspace. The
-// first dispatch error, kernel panic, health-check failure, or context
-// cancellation cancels the job's outstanding tasks and is returned
-// promptly — the scheduler does not drain the rest of the DAG first.
-func ExecTasks[T vec.Scalar](src Source[T], p *sched.Plan, env Env, opts RunOpts, ib, wsLen int) (*sched.Trace, error) {
+// through ExecTask with the executing worker's own kernel workspace, after
+// the task's share of fill's copy-in. The first dispatch error, kernel
+// panic, health-check failure, or context cancellation cancels the job's
+// outstanding tasks and is returned promptly — the scheduler does not
+// drain the rest of the DAG first. Tiles whose first writer never ran are
+// then left unfilled, so a failed run's tiles must not be served.
+func ExecTasks[T vec.Scalar](src Source[T], p *sched.Plan, env Env, opts RunOpts, fill Fill[T], ib, wsLen int) (*sched.Trace, error) {
 	d := p.DAG()
 	check := opts.Check
 	return env.run(p, opts, func(t int32, loc *sched.Local) error {
+		if fill.Src.Data != nil {
+			fill.tiles(src, d, t)
+		}
 		return ExecTask(src, d, t, ib, WorkerWS[T](loc, wsLen), check)
 	})
 }
@@ -431,7 +481,9 @@ func Factor[T vec.Scalar](a *tile.Dense[T], cfg Config) (*Factorization[T], erro
 // match the previous factorization; otherwise the storage is rebuilt.
 // Execution placement (Env) and tracing may change freely between calls.
 // Steady-state refactorization performs O(1) allocations — none of them
-// proportional to the matrix or task count.
+// proportional to the matrix or task count. a is copied into tile layout
+// inside the DAG, each tile by the first task that writes it, and is read
+// only until FactorInto returns.
 //
 // On error, any previous factorization held by f is gone (the reused
 // storage was overwritten): f refuses to serve results until a subsequent
@@ -461,17 +513,17 @@ func FactorInto[T vec.Scalar](f *Factorization[T], a *tile.Dense[T], cfg Config)
 	f.checkOn = cfg.CheckHealth
 	f.trace = nil
 	// The reused arena is overwritten in place: a failed execution leaves
-	// half-factored tiles, so the factorization is marked invalid until a
-	// run completes (R/Apply/SolveLS refuse to serve it) and the next
-	// FactorInto rebuilds from scratch instead of reusing.
+	// half-factored (or never filled) tiles, so the factorization is marked
+	// invalid until a run completes (R/Apply/SolveLS refuse to serve it) and
+	// the next FactorInto rebuilds from scratch instead of reusing.
 	f.valid = false
-	// CopyFrom overwrites every element of every tile, and each T-factor
-	// position a kernel reads is written by the factor kernel of the same
-	// run before any applier reads it, so no zeroing of reused storage is
-	// needed.
-	f.mat.CopyFrom(a)
+	// A one-shot DAG first-writes every tile of its grid, so the fill
+	// overwrites every element of every tile, and each T-factor position a
+	// kernel reads is written by the factor kernel of the same run before
+	// any applier reads it, so no zeroing of reused storage is needed.
 	trace, err := ExecTasks[T](f, f.plan, f.env,
-		RunOpts{Ctx: cfg.Ctx, Trace: cfg.Trace, Check: cfg.CheckHealth, Stats: cfg.Stats}, f.ib, f.wsLen)
+		RunOpts{Ctx: cfg.Ctx, Trace: cfg.Trace, Check: cfg.CheckHealth, Stats: cfg.Stats},
+		Fill[T]{Src: *a, NB: f.grid.NB}, f.ib, f.wsLen)
 	if err != nil {
 		f.ferr = err
 		return err

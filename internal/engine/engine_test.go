@@ -47,7 +47,7 @@ func TestUnknownTaskKindReturnsError(t *testing.T) {
 	// inline run and a parallel pool.
 	for _, env := range []Env{{Workers: 1}, {Workers: 2}} {
 		p := sched.NewPlan(d)
-		if _, err := ExecTasks[float64](f, p, env, RunOpts{}, 4, kernel.WorkLen(8, 4)); err == nil {
+		if _, err := ExecTasks[float64](f, p, env, RunOpts{}, Fill[float64]{}, 4, kernel.WorkLen(8, 4)); err == nil {
 			t.Errorf("ExecTasks (workers=%d) did not propagate the dispatch error", env.Workers)
 		} else if !strings.Contains(err.Error(), "unknown task kind") {
 			t.Errorf("unexpected ExecTasks error: %v", err)

@@ -281,22 +281,11 @@ func grow[S any](buf []S, n int) []S {
 	return buf[:n]
 }
 
-// scaleCopy sets dst = scale·src (a plain copy at scale 1).
-func scaleCopy[T vec.Scalar](dst, src []T, scale float64) {
-	if scale == 1 {
-		copy(dst, src)
-		return
-	}
-	f := vec.FromParts[T](scale, 0)
-	for j, v := range src {
-		dst[j] = f * v
-	}
-}
-
-// tileBatch copies an r×n batch (row stride ld) and, when the stream tracks
-// any, its RHS rows (stride ldr), scaled by scale, into the pooled staging:
-// the batch in tile layout, the RHS rows compact.
-func (c *Core[T]) tileBatch(st *staging[T], r int, data []T, ld int, rhs []T, ldr int, scale float64) {
+// tileBatch lays the staging out for an r×n batch: tile views over the
+// pooled arena, which the merge DAG's first writers fill from the batch
+// (engine.Fill), and, when the stream tracks any, its RHS rows (stride
+// ldr), scaled by scale, copied compact for the Qᵀb replay.
+func (c *Core[T]) tileBatch(st *staging[T], r int, rhs []T, ldr int, scale float64) {
 	g := tile.NewGrid(r, c.n, c.nb)
 	st.g = g
 	st.tiles = grow(st.tiles, g.P*g.Q)
@@ -305,19 +294,14 @@ func (c *Core[T]) tileBatch(st *staging[T], r int, data []T, ld int, rhs []T, ld
 	for ti := 0; ti < g.P; ti++ {
 		for tk := 0; tk < g.Q; tk++ {
 			tr, tc := g.TileRows(ti), g.TileCols(tk)
-			t := tile.Dense[T]{Rows: tr, Cols: tc, Stride: tc, Data: st.arena[off : off+tr*tc]}
+			st.tiles[ti*g.Q+tk] = tile.Dense[T]{Rows: tr, Cols: tc, Stride: tc, Data: st.arena[off : off+tr*tc]}
 			off += tr * tc
-			r0, c0 := ti*c.nb, tk*c.nb
-			for rr := 0; rr < tr; rr++ {
-				scaleCopy(t.Data[rr*tc:rr*tc+tc], data[(r0+rr)*ld+c0:(r0+rr)*ld+c0+tc], scale)
-			}
-			st.tiles[ti*g.Q+tk] = t
 		}
 	}
 	nrhs := c.nrhs
 	st.rhs = grow(st.rhs, r*nrhs)
 	for i := 0; i < r && nrhs > 0; i++ {
-		scaleCopy(st.rhs[i*nrhs:i*nrhs+nrhs], rhs[i*ldr:i*ldr+nrhs], scale)
+		engine.ScaleCopy(st.rhs[i*nrhs:i*nrhs+nrhs], rhs[i*ldr:i*ldr+nrhs], scale)
 	}
 }
 
@@ -458,13 +442,16 @@ func (c *Core[T]) Append(ctx context.Context, r int, data []T, ld int, rhs []T, 
 	return nil
 }
 
-// merge tiles r rows (stride ld, with their RHS rows, all scaled by scale)
-// and merges them into dst. The caller poisons the stream on error.
+// merge merges r rows (stride ld, with their RHS rows, all scaled by
+// scale) into dst; the merge DAG tiles the rows as it goes. The caller
+// poisons the stream on error.
 func (c *Core[T]) merge(ctx context.Context, dst *agg[T], r int, data []T, ld int, rhs []T, ldr int, scale float64) error {
 	st := getStaging[T]()
 	defer putStaging(st)
-	c.tileBatch(st, r, data, ld, rhs, ldr, scale)
-	return c.exec(ctx, dst, st, c.plan(st.g.P))
+	c.tileBatch(st, r, rhs, ldr, scale)
+	fill := engine.Fill[T]{Src: tile.Dense[T]{Rows: r, Cols: c.n, Stride: ld, Data: data},
+		Skip: c.grid.Q, NB: c.nb, Scale: scale}
+	return c.exec(ctx, dst, st, c.plan(st.g.P), fill)
 }
 
 // mergeAgg merges the aggregate src into dst, triangle on triangle: src's
@@ -480,7 +467,7 @@ func (c *Core[T]) mergeAgg(ctx context.Context, dst, src *agg[T]) error {
 	copy(st.arena, src.data)
 	st.rhs = append(st.rhs[:0], src.qtb...)
 	dst.resid2 += src.resid2
-	return c.exec(ctx, dst, st, c.plan(0))
+	return c.exec(ctx, dst, st, c.plan(0), engine.Fill[T]{})
 }
 
 // Merge folds in the aggregate of rows disjoint from the stream's own, as
@@ -516,12 +503,13 @@ func (c *Core[T]) Merge(ctx context.Context, r []T, ldr int, qtb []T, ldq int, r
 	return nil
 }
 
-// exec runs merge plan p over the stack [dst; staged block], then replays
-// it over [dst.qtb; staged RHS rows] via the shared engine.Replay (task IDs
-// are topological). What is left in the staged RHS rows are exactly the
-// Qᵀb coordinates orthogonal to the retained top block; their squared norm
+// exec runs merge plan p over the stack [dst; staged block], its first
+// writers filling the staged tiles through fill, then replays it over
+// [dst.qtb; staged RHS rows] via the shared engine.Replay (task IDs are
+// topological). What is left in the staged RHS rows are exactly the Qᵀb
+// coordinates orthogonal to the retained top block; their squared norm
 // joins dst's residual.
-func (c *Core[T]) exec(ctx context.Context, dst *agg[T], st *staging[T], p *sched.Plan) error {
+func (c *Core[T]) exec(ctx context.Context, dst *agg[T], st *staging[T], p *sched.Plan, fill engine.Fill[T]) error {
 	d := p.DAG()
 	c.allocT(d, st)
 	c.dst, c.cur = dst, st
@@ -533,7 +521,7 @@ func (c *Core[T]) exec(ctx context.Context, dst *agg[T], st *staging[T], p *sche
 		env = engine.Env{Workers: 1}
 	}
 	if _, err := engine.ExecTasks[T](c, p, env,
-		engine.RunOpts{Ctx: ctx, Check: c.check}, c.ib, len(c.rws)); err != nil {
+		engine.RunOpts{Ctx: ctx, Check: c.check}, fill, c.ib, len(c.rws)); err != nil {
 		return err
 	}
 	nrhs := c.nrhs

@@ -107,8 +107,8 @@ func (h *harness[T]) check(when string) {
 	}
 	a, b := tile.NewDense[T](m, n), tile.NewDense[T](m, max(h.nrhs, 1))
 	for i, src := range h.live {
-		scaleCopy(a.Data[i*n:(i+1)*n], h.a.Data[src*n:(src+1)*n], h.weight[i])
-		scaleCopy(b.Data[i*b.Stride:(i+1)*b.Stride], h.b.Data[src*b.Stride:(src+1)*b.Stride], h.weight[i])
+		engine.ScaleCopy(a.Data[i*n:(i+1)*n], h.a.Data[src*n:(src+1)*n], h.weight[i])
+		engine.ScaleCopy(b.Data[i*b.Stride:(i+1)*b.Stride], h.b.Data[src*b.Stride:(src+1)*b.Stride], h.weight[i])
 	}
 	f, err := engine.Factor(a, engine.Config{Algorithm: core.Greedy, Kernels: h.cfg.Kernels,
 		TileSize: h.cfg.NB, InnerBlock: h.cfg.IB, Env: engine.Env{Workers: 1}})

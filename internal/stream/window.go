@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"tiledqr/internal/engine"
 	"tiledqr/internal/vec"
 )
 
@@ -276,8 +277,8 @@ func (c *Core[T]) mergeChunk(ctx context.Context, dst *agg[T], chunk []block[T])
 	at := 0
 	for i := range chunk {
 		b := &chunk[i]
-		scaleCopy(data[at*n:], b.data[b.off*n:(b.off+b.rows)*n], b.scale)
-		scaleCopy(rhs[at*nrhs:], b.rhs[b.off*nrhs:(b.off+b.rows)*nrhs], b.scale)
+		engine.ScaleCopy(data[at*n:], b.data[b.off*n:(b.off+b.rows)*n], b.scale)
+		engine.ScaleCopy(rhs[at*nrhs:], b.rhs[b.off*nrhs:(b.off+b.rows)*nrhs], b.scale)
 		at += b.rows
 	}
 	return c.merge(ctx, dst, rows, data, n, rhs, nrhs, 1)

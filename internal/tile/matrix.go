@@ -95,7 +95,9 @@ func NewMatrixOn[T vec.Scalar](g Grid, buf []T) *Matrix[T] {
 func (m *Matrix[T]) Tile(i, j int) *Dense[T] { return m.Tiles[i*m.Q+j] }
 
 // CopyFrom copies a dense matrix of the grid's shape into the tile layout,
-// overwriting every element of every tile.
+// overwriting every element of every tile, in one serial pass. The
+// factorization engine does not use it: there each tile is filled inside
+// the task DAG by the first task that writes it (engine.Fill).
 func (m *Matrix[T]) CopyFrom(a *Dense[T]) {
 	if a.Rows != m.M || a.Cols != m.N {
 		panic(fmt.Sprintf("tile: CopyFrom shape %d×%d into %d×%d grid", a.Rows, a.Cols, m.M, m.N))
