@@ -220,11 +220,12 @@ func newDAGBuilder(p, q int, kernels Kernels) *dagBuilder {
 		nTasks += (p - k + 1) * (1 + q - k)
 		nTasks += (p - k) * (1 + q - k)
 	}
-	d := &DAG{P: p, Q: q, Kernels: kernels, zeroTask: make([]int32, p*q)}
+	// zeroTask and fw share one allocation.
+	buf := make([]int32, p*q+2*nTasks)
+	d := &DAG{P: p, Q: q, Kernels: kernels, zeroTask: buf[: p*q : p*q], fw: buf[p*q : p*q]}
 	d.Tasks = make([]Task, 0, nTasks)
 	d.preds = make([]int32, 0, 3*nTasks)
 	d.predOff = make([]int32, 1, nTasks+1)
-	d.fw = make([]int32, 0, 2*nTasks)
 	for i := range d.zeroTask {
 		d.zeroTask[i] = -1
 	}

@@ -312,12 +312,12 @@ func ExecTask[T vec.Scalar](src Source[T], d *core.DAG, t int32, ib int, ws []T,
 // Fill is the copy-in hook of ExecTasks: each task fills the tiles it
 // writes first (core.DAG.FirstWrites) from the dense matrix Src just before
 // its kernel runs. The conversion to tile layout thus runs on every worker,
-// overlapped with the first kernels, and each tile is still in cache when
-// the kernel that first reads it runs. Tile (i, j) (1-based) is copied from
+// overlapped with the first kernels, right before the first kernel that
+// reads each tile. Tile (i, j) (1-based) is copied from
 // row (i−Skip−1)·NB, column (j−1)·NB of Src on; tile rows 1..Skip (a
 // stream's resident triangle) hold state and are not filled. The copy is
-// scaled by Scale unless Scale is 0 or 1. The zero Fill fills nothing: the
-// tiles already hold their data.
+// scaled by Scale (a plain copy at 1; 0 zeroes the tiles). The zero Fill
+// fills nothing: the tiles already hold their data.
 type Fill[T vec.Scalar] struct {
 	Src   tile.Dense[T]
 	Skip  int
@@ -341,9 +341,9 @@ func (fl Fill[T]) tiles(src Source[T], d *core.DAG, t int32) {
 	}
 }
 
-// ScaleCopy sets dst = scale·src (a plain copy at scale 0 or 1).
+// ScaleCopy sets dst = scale·src (a plain copy at scale 1).
 func ScaleCopy[T vec.Scalar](dst, src []T, scale float64) {
-	if scale == 0 || scale == 1 {
+	if scale == 1 {
 		copy(dst, src)
 		return
 	}
@@ -523,7 +523,7 @@ func FactorInto[T vec.Scalar](f *Factorization[T], a *tile.Dense[T], cfg Config)
 	// any applier reads it, so no zeroing of reused storage is needed.
 	trace, err := ExecTasks[T](f, f.plan, f.env,
 		RunOpts{Ctx: cfg.Ctx, Trace: cfg.Trace, Check: cfg.CheckHealth, Stats: cfg.Stats},
-		Fill[T]{Src: *a, NB: f.grid.NB}, f.ib, f.wsLen)
+		Fill[T]{Src: *a, NB: f.grid.NB, Scale: 1}, f.ib, f.wsLen)
 	if err != nil {
 		f.ferr = err
 		return err

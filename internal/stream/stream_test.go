@@ -107,8 +107,13 @@ func (h *harness[T]) check(when string) {
 	}
 	a, b := tile.NewDense[T](m, n), tile.NewDense[T](m, max(h.nrhs, 1))
 	for i, src := range h.live {
-		engine.ScaleCopy(a.Data[i*n:(i+1)*n], h.a.Data[src*n:(src+1)*n], h.weight[i])
-		engine.ScaleCopy(b.Data[i*b.Stride:(i+1)*b.Stride], h.b.Data[src*b.Stride:(src+1)*b.Stride], h.weight[i])
+		w := vec.FromParts[T](h.weight[i], 0)
+		for j := 0; j < n; j++ {
+			a.Set(i, j, w*h.a.At(src, j))
+		}
+		for j := 0; j < b.Cols; j++ {
+			b.Set(i, j, w*h.b.At(src, j))
+		}
 	}
 	f, err := engine.Factor(a, engine.Config{Algorithm: core.Greedy, Kernels: h.cfg.Kernels,
 		TileSize: h.cfg.NB, InnerBlock: h.cfg.IB, Env: engine.Env{Workers: 1}})
@@ -248,6 +253,27 @@ func windowScenarios[T vec.Scalar](t *testing.T, kern core.Kernels, tol float64)
 				h.check(fmt.Sprintf("append %d", i))
 				h.forget(0.5) // between a read and the next append: scales built checkpoints
 				h.check(fmt.Sprintf("forget after append %d", i))
+			}
+		}
+	})
+	t.Run("weights underflowing to zero", func(t *testing.T) {
+		// √λ per step bounds only one step: three Forget(1e-300) take every
+		// retained weight to exactly 0. Those rows stay in the window and
+		// must re-enter later merges as zero rows, not at full weight.
+		h := newHarness[T](t, n, 1, Config{Kernels: kern, Window: 60}, tol)
+		for i := 0; i < 9; i++ {
+			h.append(9)
+		}
+		for i := 0; i < 3; i++ {
+			h.forget(1e-300)
+		}
+		if h.weight[0] != 0 {
+			t.Fatalf("retained weight %g did not underflow to 0", h.weight[0])
+		}
+		for i := 1; i <= 6; i++ {
+			h.append(9)
+			if i >= 3 { // enough weighted rows for a full-rank solve
+				h.check(fmt.Sprintf("append %d after the underflow", i))
 			}
 		}
 	})
