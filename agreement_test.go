@@ -46,7 +46,7 @@ func rowSign(refDiag, diag float64) float64 {
 func TestComplexPathReproducesRealR(t *testing.T) {
 	const m, n = 40, 24
 	a := RandomDense(m, n, 7)
-	za := NewZDense(m, n)
+	za := NewMat[complex128](m, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			za.Set(i, j, complex(a.At(i, j), 0))
@@ -86,7 +86,7 @@ func TestComplexPathReproducesRealLS(t *testing.T) {
 	const m, n, nrhs = 40, 16, 2
 	a := RandomDense(m, n, 9)
 	b := RandomDense(m, nrhs, 10)
-	za, zb := NewZDense(m, n), NewZDense(m, nrhs)
+	za, zb := NewMat[complex128](m, n), NewMat[complex128](m, nrhs)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			za.Set(i, j, complex(a.At(i, j), 0))
@@ -128,19 +128,19 @@ func TestComplexPathReproducesRealLS(t *testing.T) {
 func TestFloat32AgreesWithFloat64(t *testing.T) {
 	const m, n = 40, 24
 	a := RandomDense(m, n, 11)
-	a32 := NewDense32(m, n)
+	a32 := NewMat[float32](m, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			a32.Set(i, j, float32(a.At(i, j)))
 		}
 	}
-	scale := FrobeniusNorm(a)
+	scale := FrobeniusNormOf(a)
 	for _, opt := range agreementOpts() {
 		f, err := Factor(a, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f32, err := Factor32(a32, opt)
+		f32, err := FactorOf(nil, a32, opt)
 		if err != nil {
 			t.Fatalf("%v/%v float32: %v", opt.Algorithm, opt.Kernels, err)
 		}
@@ -161,21 +161,21 @@ func TestFloat32AgreesWithFloat64(t *testing.T) {
 // single-vs-double agreement sweep.
 func TestComplex64AgreesWithComplex128(t *testing.T) {
 	const m, n = 32, 16
-	za := RandomZDense(m, n, 13)
-	ca := NewCDense(m, n)
+	za := RandomMat[complex128](m, n, 13)
+	ca := NewMat[complex64](m, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			v := za.At(i, j)
 			ca.Set(i, j, complex(float32(real(v)), float32(imag(v))))
 		}
 	}
-	scale := ZFrobeniusNorm(za)
+	scale := FrobeniusNormOf(za)
 	for _, opt := range agreementOpts() {
 		zf, err := FactorComplex(za, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cf, err := CFactor(ca, opt)
+		cf, err := FactorOf(nil, ca, opt)
 		if err != nil {
 			t.Fatalf("%v/%v complex64: %v", opt.Algorithm, opt.Kernels, err)
 		}
@@ -197,23 +197,23 @@ func TestComplex64AgreesWithComplex128(t *testing.T) {
 // checkFactorization32 mirrors checkFactorization for the float32 path.
 func checkFactorization32(t *testing.T, m, n int, opt Options) {
 	t.Helper()
-	a := RandomDense32(m, n, int64(m*1000+n))
-	f, err := Factor32(a, opt)
+	a := RandomMat[float32](m, n, int64(m*1000+n))
+	f, err := FactorOf(nil, a, opt)
 	if err != nil {
 		t.Fatalf("%v/%v %dx%d nb=%d: %v", opt.Algorithm, opt.Kernels, m, n, opt.TileSize, err)
 	}
 	q := f.Q()
 	r := f.R()
-	rFull := NewDense32(m, n)
+	rFull := NewMat[float32](m, n)
 	for i := 0; i < r.Rows; i++ {
 		for j := 0; j < n; j++ {
 			rFull.Set(i, j, r.At(i, j))
 		}
 	}
-	if res := QRResidual32(a, q, rFull); res > tol32 {
+	if res := QRResidualOf(a, q, rFull); res > tol32 {
 		t.Errorf("%v/%v %dx%d: float32 residual %g", opt.Algorithm, opt.Kernels, m, n, res)
 	}
-	if ortho := OrthoResidual32(q); ortho > tol32 {
+	if ortho := OrthoResidualOf(q); ortho > tol32 {
 		t.Errorf("%v/%v %dx%d: float32 orthogonality %g", opt.Algorithm, opt.Kernels, m, n, ortho)
 	}
 	for i := 0; i < r.Rows; i++ {
@@ -228,23 +228,23 @@ func checkFactorization32(t *testing.T, m, n int, opt Options) {
 // checkCFactorization mirrors checkFactorization for the complex64 path.
 func checkCFactorization(t *testing.T, m, n int, opt Options) {
 	t.Helper()
-	a := RandomCDense(m, n, int64(m*1000+n))
-	f, err := CFactor(a, opt)
+	a := RandomMat[complex64](m, n, int64(m*1000+n))
+	f, err := FactorOf(nil, a, opt)
 	if err != nil {
 		t.Fatalf("%v/%v %dx%d nb=%d: %v", opt.Algorithm, opt.Kernels, m, n, opt.TileSize, err)
 	}
 	q := f.Q()
 	r := f.R()
-	rFull := NewCDense(m, n)
+	rFull := NewMat[complex64](m, n)
 	for i := 0; i < r.Rows; i++ {
 		for j := 0; j < n; j++ {
 			rFull.Set(i, j, r.At(i, j))
 		}
 	}
-	if res := CQRResidual(a, q, rFull); res > tol32 {
+	if res := QRResidualOf(a, q, rFull); res > tol32 {
 		t.Errorf("%v/%v %dx%d: complex64 residual %g", opt.Algorithm, opt.Kernels, m, n, res)
 	}
-	if ortho := COrthoResidual(q); ortho > tol32 {
+	if ortho := OrthoResidualOf(q); ortho > tol32 {
 		t.Errorf("%v/%v %dx%d: complex64 orthogonality %g", opt.Algorithm, opt.Kernels, m, n, ortho)
 	}
 }
@@ -282,7 +282,7 @@ func TestFactor32SolveLS(t *testing.T) {
 	const m, n = 48, 12
 	a := RandomDense(m, n, 21)
 	b := RandomDense(m, 1, 22)
-	a32, b32 := NewDense32(m, n), NewDense32(m, 1)
+	a32, b32 := NewMat[float32](m, n), NewMat[float32](m, 1)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			a32.Set(i, j, float32(a.At(i, j)))
@@ -297,7 +297,7 @@ func TestFactor32SolveLS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f32, err := Factor32(a32, Options{TileSize: 8, InnerBlock: 4})
+	f32, err := FactorOf(nil, a32, Options{TileSize: 8, InnerBlock: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,17 +315,17 @@ func TestFactor32SolveLS(t *testing.T) {
 }
 
 // TestStream32MatchesFactor32 checks the float32 streaming path against a
-// one-shot Factor32 over the same rows (up to row signs), and the complex64
-// stream against CFactor.
+// one-shot FactorOf over the same rows (up to row signs), and the complex64
+// stream likewise.
 func TestStream32MatchesFactor32(t *testing.T) {
 	const n, rows, batch = 16, 48, 12
-	a := RandomDense32(rows, n, 31)
-	s, err := NewStream32(n, Options{TileSize: 8, InnerBlock: 4})
+	a := RandomMat[float32](rows, n, 31)
+	s, err := NewStreamOf[float32](n, Options{TileSize: 8, InnerBlock: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r0 := 0; r0 < rows; r0 += batch {
-		view := NewDense32(batch, n)
+		view := NewMat[float32](batch, n)
 		for i := 0; i < batch; i++ {
 			for j := 0; j < n; j++ {
 				view.Set(i, j, a.At(r0+i, j))
@@ -335,7 +335,7 @@ func TestStream32MatchesFactor32(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f, err := Factor32(a, Options{TileSize: 8, InnerBlock: 4})
+	f, err := FactorOf(nil, a, Options{TileSize: 8, InnerBlock: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,19 +347,19 @@ func TestStream32MatchesFactor32(t *testing.T) {
 	for i := 0; i < n; i++ {
 		sgn := float32(rowSign(float64(fr.At(i, i)), float64(sr.At(i, i))))
 		for j := i; j < n; j++ {
-			if d := math.Abs(float64(fr.At(i, j) - sgn*sr.At(i, j))); d > tol32*float64(FrobeniusNorm32(a)) {
+			if d := math.Abs(float64(fr.At(i, j) - sgn*sr.At(i, j))); d > tol32*float64(FrobeniusNormOf(a)) {
 				t.Fatalf("stream R(%d,%d) %g vs factor %g", i, j, sr.At(i, j), fr.At(i, j))
 			}
 		}
 	}
 
-	ca := RandomCDense(rows, n, 32)
-	cs, err := NewCStream(n, Options{TileSize: 8, InnerBlock: 4})
+	ca := RandomMat[complex64](rows, n, 32)
+	cs, err := NewStreamOf[complex64](n, Options{TileSize: 8, InnerBlock: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r0 := 0; r0 < rows; r0 += batch {
-		view := NewCDense(batch, n)
+		view := NewMat[complex64](batch, n)
 		for i := 0; i < batch; i++ {
 			for j := 0; j < n; j++ {
 				view.Set(i, j, ca.At(r0+i, j))
@@ -369,7 +369,7 @@ func TestStream32MatchesFactor32(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cf, err := CFactor(ca, Options{TileSize: 8, InnerBlock: 4})
+	cf, err := FactorOf(nil, ca, Options{TileSize: 8, InnerBlock: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestStream32MatchesFactor32(t *testing.T) {
 		sgn := complex(float32(rowSign(float64(real(cfr.At(i, i))), float64(real(csr.At(i, i))))), 0)
 		for j := i; j < n; j++ {
 			d := cfr.At(i, j) - sgn*csr.At(i, j)
-			if cmplx.Abs(complex128(complex(real(d), imag(d)))) > tol32*CFrobeniusNorm(ca) {
+			if cmplx.Abs(complex128(complex(real(d), imag(d)))) > tol32*FrobeniusNormOf(ca) {
 				t.Fatalf("complex64 stream R(%d,%d) %v vs factor %v", i, j, csr.At(i, j), cfr.At(i, j))
 			}
 		}

@@ -102,10 +102,10 @@ func TestAutoMatchesResolvedBitForBit(t *testing.T) {
 		}
 	}
 	ba, br := RandomDense(m, 2, 9), RandomDense(m, 2, 9)
-	if err := fa.ApplyQT(ba); err != nil {
+	if err := fa.ApplyQH(ba); err != nil {
 		t.Fatal(err)
 	}
-	if err := fr.ApplyQT(br); err != nil {
+	if err := fr.ApplyQH(br); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < m; i++ {
@@ -167,7 +167,7 @@ func TestAutoAllPrecisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	za := NewZDense(m, n)
+	za := NewMat[complex128](m, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			za.Set(i, j, complex(a.At(i, j), 0))
@@ -186,22 +186,22 @@ func TestAutoAllPrecisions(t *testing.T) {
 		}
 	}
 
-	s := NewDense32(m, n)
+	s := NewMat[float32](m, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			s.Set(i, j, float32(a.At(i, j)))
 		}
 	}
-	if _, err := Factor32(s, auto); err != nil {
+	if _, err := FactorOf(nil, s, auto); err != nil {
 		t.Fatal(err)
 	}
-	c := NewCDense(m, n)
+	c := NewMat[complex64](m, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			c.Set(i, j, complex(float32(a.At(i, j)), 0))
 		}
 	}
-	if _, err := CFactor(c, auto); err != nil {
+	if _, err := FactorOf(nil, c, auto); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -216,14 +216,14 @@ func TestAutoStream(t *testing.T) {
 	isolateCalibration(t)
 	const n, rows = 100, 150
 	auto := Options{Algorithm: AlgorithmAuto}
-	st, err := NewStream(n, auto)
+	st, err := NewStreamOf[float64](n, auto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := RandomDense(rows, n, 11)
 	// Append in two ragged batches.
 	copyRows := func(lo, hi int) *Dense {
-		b := NewDense(hi-lo, n)
+		b := NewMat[float64](hi-lo, n)
 		for i := lo; i < hi; i++ {
 			for j := 0; j < n; j++ {
 				b.Set(i-lo, j, a.At(i, j))
@@ -253,19 +253,19 @@ func TestAutoStream(t *testing.T) {
 			}
 		}
 	}
-	if _, err := NewCStream(64, auto); err != nil {
+	if _, err := NewStreamOf[complex64](64, auto); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewStream32(64, auto); err != nil {
+	if _, err := NewStreamOf[float32](64, auto); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewZStream(64, auto); err != nil {
+	if _, err := NewStreamOf[complex128](64, auto); err != nil {
 		t.Fatal(err)
 	}
 	// Invalid pins error under Auto exactly as they do with explicit
 	// options — no silent clamping.
-	if _, err := NewStream(64, Options{Algorithm: AlgorithmAuto, TileSize: 16, InnerBlock: 32}); err == nil {
-		t.Error("NewStream accepted InnerBlock > pinned TileSize under Auto")
+	if _, err := NewStreamOf[float64](64, Options{Algorithm: AlgorithmAuto, TileSize: 16, InnerBlock: 32}); err == nil {
+		t.Error("NewStreamOf accepted InnerBlock > pinned TileSize under Auto")
 	}
 }
 

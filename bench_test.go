@@ -192,7 +192,7 @@ func benchFactor(b *testing.B, alg Algorithm, kern Kernels, p, q int, complexAri
 	for i := 0; i < b.N; i++ {
 		if complexArith {
 			b.StopTimer()
-			a := RandomZDense(m, n, int64(i))
+			a := RandomMat[complex128](m, n, int64(i))
 			b.StartTimer()
 			if _, err := FactorComplex(a, opt); err != nil {
 				b.Fatal(err)
@@ -291,12 +291,12 @@ func benchStreamAppend(b *testing.B, n, nb, batch, nrhs int, complexArith bool) 
 	b.Helper()
 	opt := Options{TileSize: nb, InnerBlock: 32}
 	if complexArith {
-		s, err := NewZStream(n, opt)
+		s, err := NewStreamOf[complex128](n, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		data := RandomZDense(batch, n, 1)
-		rhs := RandomZDense(batch, max(nrhs, 1), 2)
+		data := RandomMat[complex128](batch, n, 1)
+		rhs := RandomMat[complex128](batch, max(nrhs, 1), 2)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if nrhs > 0 {
@@ -311,7 +311,7 @@ func benchStreamAppend(b *testing.B, n, nb, batch, nrhs int, complexArith bool) 
 		b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "rows/s")
 		return
 	}
-	s, err := NewStream(n, opt)
+	s, err := NewStreamOf[float64](n, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func BenchmarkStreamAppendDoubleComplex(b *testing.B) {
 
 func BenchmarkStreamSolveLS(b *testing.B) {
 	const n, batch = 256, 256
-	s, err := NewStream(n, Options{TileSize: 128, InnerBlock: 32})
+	s, err := NewStreamOf[float64](n, Options{TileSize: 128, InnerBlock: 32})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func BenchmarkStreamWindowAppend(b *testing.B) {
 	for _, batch := range []int{1, 16, 256} {
 		for _, read := range []int{1, 8} {
 			b.Run(fmt.Sprintf("batch=%d/read=%d", batch, read), func(b *testing.B) {
-				s, err := NewStream(n, Options{TileSize: 64, InnerBlock: 16, WindowRows: window})
+				s, err := NewStreamOf[float64](n, Options{TileSize: 64, InnerBlock: 16, WindowRows: window})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -55,21 +55,21 @@ func makeBystanders(t *testing.T, check bool) []bystander {
 	}
 	ref := func() Options { return Options{TileSize: 8, InnerBlock: 4, Workers: 2, CheckHealth: check} }
 
-	a32 := RandomDense32(40, 24, 7)
-	f32, err := Factor32(a32, ref())
+	a32 := RandomMat[float32](40, 24, 7)
+	f32, err := FactorOf(nil, a32, ref())
 	if err != nil {
 		t.Fatal(err)
 	}
 	want32 := f32.R().Data
 
-	ac := RandomCDense(40, 24, 8)
-	fc, err := CFactor(ac, ref())
+	ac := RandomMat[complex64](40, 24, 8)
+	fc, err := FactorOf(nil, ac, ref())
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantC := fc.R().Data
 
-	az := RandomZDense(40, 24, 9)
+	az := RandomMat[complex128](40, 24, 9)
 	fz, err := FactorComplex(az, ref())
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func makeBystanders(t *testing.T, check bool) []bystander {
 
 	return []bystander{
 		{"float32", func(rt *Runtime) error {
-			f, err := Factor32(a32, opt(rt))
+			f, err := FactorOf(nil, a32, opt(rt))
 			if err != nil {
 				return err
 			}
@@ -88,7 +88,7 @@ func makeBystanders(t *testing.T, check bool) []bystander {
 			return nil
 		}},
 		{"complex64", func(rt *Runtime) error {
-			f, err := CFactor(ac, opt(rt))
+			f, err := FactorOf(nil, ac, opt(rt))
 			if err != nil {
 				return err
 			}
@@ -197,7 +197,7 @@ func TestChaosStallDeadline(t *testing.T) {
 	defer cancel()
 	a := RandomDense(64, 48, 2)
 	start := time.Now()
-	_, err := FactorCtx(ctx, a, Options{TileSize: 8, InnerBlock: 4, Runtime: rt})
+	_, err := FactorOf(ctx, a, Options{TileSize: 8, InnerBlock: 4, Runtime: rt})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -216,7 +216,7 @@ func TestCancelPromptness(t *testing.T) {
 	rt := NewRuntime(4)
 	defer rt.Close()
 
-	az := RandomZDense(40, 24, 3)
+	az := RandomMat[complex128](40, 24, 3)
 	refOpt := Options{TileSize: 8, InnerBlock: 4, Workers: 2}
 	fref, err := FactorComplex(az, refOpt)
 	if err != nil {
@@ -246,14 +246,14 @@ func TestCancelPromptness(t *testing.T) {
 		}
 		zr = f.R()
 	}()
-	_, err = FactorCtx(ctx, a, Options{TileSize: 8, InnerBlock: 4, Runtime: rt})
+	_, err = FactorOf(ctx, a, Options{TileSize: 8, InnerBlock: 4, Runtime: rt})
 	returned := time.Now()
 	wg.Wait()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled (machine too fast? grow the matrix)", err)
 	}
 	if dt, limit := returned.Sub(cancelAt), 100*time.Millisecond*raceFactor; dt > limit {
-		t.Errorf("FactorCtx returned %v after cancel, want ≤ %v", dt, limit)
+		t.Errorf("FactorOf returned %v after cancel, want ≤ %v", dt, limit)
 	}
 	if zerr != nil {
 		t.Errorf("concurrent job failed during cancellation: %v", zerr)
@@ -264,12 +264,12 @@ func TestCancelPromptness(t *testing.T) {
 	// A context dead before the call: ctx.Err() without a single task run.
 	dead, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	if _, err := FactorCtx(dead, a, Options{TileSize: 8, InnerBlock: 4, Runtime: rt}); !errors.Is(err, context.Canceled) {
+	if _, err := FactorOf(dead, a, Options{TileSize: 8, InnerBlock: 4, Runtime: rt}); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
 
-// TestCancelLeavesFactorizationSticky: a cancelled FactorIntoCtx leaves
+// TestCancelLeavesFactorizationSticky: a cancelled FactorIntoOf leaves
 // the factorization invalid with the cancellation as its sticky error,
 // and a later Refactor rebuilds and clears it.
 func TestCancelLeavesFactorizationSticky(t *testing.T) {
@@ -280,10 +280,10 @@ func TestCancelLeavesFactorizationSticky(t *testing.T) {
 		Stall: 5 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
 	defer cancel()
-	err := FactorIntoCtx(ctx, f, a, Options{TileSize: 8, InnerBlock: 4})
+	err := FactorIntoOf(ctx, f, a, Options{TileSize: 8, InnerBlock: 4})
 	fault.Reset()
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("FactorIntoCtx = %v, want context.DeadlineExceeded", err)
+		t.Fatalf("FactorIntoOf = %v, want context.DeadlineExceeded", err)
 	}
 	if ferr := f.Err(); !errors.Is(ferr, context.DeadlineExceeded) {
 		t.Errorf("Err() = %v, want the sticky context.DeadlineExceeded", ferr)
@@ -394,7 +394,7 @@ func TestStickyStreamErrors(t *testing.T) {
 	probes := map[string]streamProbe{}
 
 	{
-		s, err := NewStream(n, opt)
+		s, err := NewStreamOf[float64](n, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,13 +414,13 @@ func TestStickyStreamErrors(t *testing.T) {
 		}
 	}
 	{
-		s, err := NewStream32(n, opt)
+		s, err := NewStreamOf[float32](n, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		probes["float32"] = streamProbe{
 			prec:       "s",
-			appendGood: func() error { return s.AppendRHS(RandomDense32(16, n, 1), RandomDense32(16, 1, 2)) },
+			appendGood: func() error { return s.AppendRHS(RandomMat[float32](16, n, 1), RandomMat[float32](16, 1, 2)) },
 			err:        s.Err,
 			accessors: func() map[string]error {
 				m := map[string]error{}
@@ -428,19 +428,19 @@ func TestStickyStreamErrors(t *testing.T) {
 				_, m["QTB"] = s.QTB()
 				_, m["SolveLS"] = s.SolveLS()
 				_, m["ResidualNorm"] = s.ResidualNorm()
-				m["AppendRows"] = s.AppendRows(RandomDense32(16, n, 3))
+				m["AppendRows"] = s.AppendRows(RandomMat[float32](16, n, 3))
 				return m
 			},
 		}
 	}
 	{
-		s, err := NewCStream(n, opt)
+		s, err := NewStreamOf[complex64](n, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		probes["complex64"] = streamProbe{
 			prec:       "c",
-			appendGood: func() error { return s.AppendRHS(RandomCDense(16, n, 1), RandomCDense(16, 1, 2)) },
+			appendGood: func() error { return s.AppendRHS(RandomMat[complex64](16, n, 1), RandomMat[complex64](16, 1, 2)) },
 			err:        s.Err,
 			accessors: func() map[string]error {
 				m := map[string]error{}
@@ -448,19 +448,19 @@ func TestStickyStreamErrors(t *testing.T) {
 				_, m["QTB"] = s.QTB()
 				_, m["SolveLS"] = s.SolveLS()
 				_, m["ResidualNorm"] = s.ResidualNorm()
-				m["AppendRows"] = s.AppendRows(RandomCDense(16, n, 3))
+				m["AppendRows"] = s.AppendRows(RandomMat[complex64](16, n, 3))
 				return m
 			},
 		}
 	}
 	{
-		s, err := NewZStream(n, opt)
+		s, err := NewStreamOf[complex128](n, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		probes["complex128"] = streamProbe{
 			prec:       "z",
-			appendGood: func() error { return s.AppendRHS(RandomZDense(16, n, 1), RandomZDense(16, 1, 2)) },
+			appendGood: func() error { return s.AppendRHS(RandomMat[complex128](16, n, 1), RandomMat[complex128](16, 1, 2)) },
 			err:        s.Err,
 			accessors: func() map[string]error {
 				m := map[string]error{}
@@ -468,7 +468,7 @@ func TestStickyStreamErrors(t *testing.T) {
 				_, m["QTB"] = s.QTB()
 				_, m["SolveLS"] = s.SolveLS()
 				_, m["ResidualNorm"] = s.ResidualNorm()
-				m["AppendRows"] = s.AppendRows(RandomZDense(16, n, 3))
+				m["AppendRows"] = s.AppendRows(RandomMat[complex128](16, n, 3))
 				return m
 			},
 		}
@@ -512,7 +512,7 @@ func TestStickyStreamErrors(t *testing.T) {
 // TestStreamCancelPoisons: a context cancellation that lands mid-merge
 // poisons the stream with the cancellation as its cause.
 func TestStreamCancelPoisons(t *testing.T) {
-	s, err := NewStream(48, Options{TileSize: 8, InnerBlock: 4, Workers: 1})
+	s, err := NewStreamOf[float64](48, Options{TileSize: 8, InnerBlock: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,19 +27,19 @@ func TestCheckHealthRejectsNonFiniteInput(t *testing.T) {
 		t.Errorf("float64 Inf input: err = %v", err)
 	}
 
-	a32 := RandomDense32(24, 16, 1)
+	a32 := RandomMat[float32](24, 16, 1)
 	a32.Set(0, 0, float32(math.NaN()))
-	if _, err := Factor32(a32, opt); err == nil || !strings.Contains(err.Error(), wantSub) {
+	if _, err := FactorOf(nil, a32, opt); err == nil || !strings.Contains(err.Error(), wantSub) {
 		t.Errorf("float32 NaN input: err = %v", err)
 	}
 
-	ac := RandomCDense(24, 16, 1)
+	ac := RandomMat[complex64](24, 16, 1)
 	ac.Set(5, 5, complex(1, float32(math.Inf(-1))))
-	if _, err := CFactor(ac, opt); err == nil || !strings.Contains(err.Error(), wantSub) {
+	if _, err := FactorOf(nil, ac, opt); err == nil || !strings.Contains(err.Error(), wantSub) {
 		t.Errorf("complex64 Inf imaginary part: err = %v", err)
 	}
 
-	az := RandomZDense(24, 16, 1)
+	az := RandomMat[complex128](24, 16, 1)
 	az.Set(23, 15, complex(math.NaN(), 0))
 	if _, err := FactorComplex(az, opt); err == nil || !strings.Contains(err.Error(), wantSub) {
 		t.Errorf("complex128 NaN real part: err = %v", err)
@@ -49,7 +49,7 @@ func TestCheckHealthRejectsNonFiniteInput(t *testing.T) {
 // TestCheckHealthHugeFiniteOK: overflow-safety of the finiteness scan —
 // values whose |x|² overflows float64 are still finite and must pass.
 func TestCheckHealthHugeFiniteOK(t *testing.T) {
-	az := RandomZDense(16, 8, 1)
+	az := RandomMat[complex128](16, 8, 1)
 	az.Set(3, 3, complex(1.5e300, -2.5e300)) // |x|² overflows, |x| does not
 	if _, err := FactorComplex(az, Options{TileSize: 8, InnerBlock: 4, CheckHealth: true}); err != nil {
 		t.Errorf("huge-but-finite entry rejected: %v", err)
@@ -87,7 +87,7 @@ func TestCheckHealthPreservesValidState(t *testing.T) {
 func TestCheckHealthStreamInput(t *testing.T) {
 	n := 16
 	opt := Options{TileSize: 8, InnerBlock: 4, CheckHealth: true}
-	s, err := NewStream(n, opt)
+	s, err := NewStreamOf[float64](n, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

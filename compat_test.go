@@ -9,72 +9,37 @@ import (
 	"tiledqr/internal/sched"
 )
 
-// Compile-time pins of the per-precision API that predates QR[T]: the
-// aliases must stay identical to the generic instantiations and every shim
-// must keep its signature, so the compat layer cannot drift silently.
+// Compile-time pins of what is left of the per-precision API (the names
+// bench/ calls): the aliases must stay identical to the generic
+// instantiations and every shim must keep its signature.
 var (
 	_ *QR[float64]    = (*Factorization)(nil)
 	_ *QR[complex128] = (*ZFactorization)(nil)
-	_ *QR[float32]    = (*Factorization32)(nil)
-	_ *QR[complex64]  = (*CFactorization)(nil)
 
-	_ *Stream[float64]    = (*StreamQR)(nil)
-	_ *Stream[complex128] = (*ZStreamQR)(nil)
-	_ *Stream[float32]    = (*StreamQR32)(nil)
-	_ *Stream[complex64]  = (*CStreamQR)(nil)
-
-	_ func(*Dense, Options) (*Factorization, error)                  = Factor
-	_ func(context.Context, *Dense, Options) (*Factorization, error) = FactorCtx
-	_ func(*Factorization, *Dense, Options) error                    = FactorInto
-	_ func(context.Context, *Factorization, *Dense, Options) error   = FactorIntoCtx
-
-	_ func(*ZDense, Options) (*ZFactorization, error)                  = FactorComplex
-	_ func(context.Context, *ZDense, Options) (*ZFactorization, error) = FactorComplexCtx
-	_ func(*ZFactorization, *ZDense, Options) error                    = ZFactorInto
-	_ func(context.Context, *ZFactorization, *ZDense, Options) error   = ZFactorIntoCtx
-
-	_ func(*Dense32, Options) (*Factorization32, error)                  = Factor32
-	_ func(context.Context, *Dense32, Options) (*Factorization32, error) = Factor32Ctx
-	_ func(*Factorization32, *Dense32, Options) error                    = FactorInto32
-	_ func(context.Context, *Factorization32, *Dense32, Options) error   = FactorInto32Ctx
-
-	_ func(*CDense, Options) (*CFactorization, error)                  = CFactor
-	_ func(context.Context, *CDense, Options) (*CFactorization, error) = CFactorCtx
-	_ func(*CFactorization, *CDense, Options) error                    = CFactorInto
-	_ func(context.Context, *CFactorization, *CDense, Options) error   = CFactorIntoCtx
-
-	_ func(int, Options) (*StreamQR, error)   = NewStream
-	_ func(int, Options) (*ZStreamQR, error)  = NewZStream
-	_ func(int, Options) (*StreamQR32, error) = NewStream32
-	_ func(int, Options) (*CStreamQR, error)  = NewCStream
-
-	_ interface {
-		factorizationAPI[float64]
-		realApplyAPI[float64]
-	} = (*Factorization)(nil)
-	_ interface {
-		factorizationAPI[float32]
-		realApplyAPI[float32]
-	} = (*Factorization32)(nil)
-	_ interface {
-		factorizationAPI[complex128]
-		complexApplyAPI[complex128]
-	} = (*ZFactorization)(nil)
-	_ interface {
-		factorizationAPI[complex64]
-		complexApplyAPI[complex64]
-	} = (*CFactorization)(nil)
+	_ func(*Dense, Options) (*Factorization, error)   = Factor
+	_ func(*Factorization, *Dense, Options) error     = FactorInto
+	_ func(*ZDense, Options) (*ZFactorization, error) = FactorComplex
+	_ func(*ZFactorization, *ZDense, Options) error   = ZFactorInto
 )
 
-// factorizationAPI is the method set all four per-precision factorization
-// types had; the real ones added ApplyQT, the complex ones ApplyQH.
-type factorizationAPI[T Scalar] interface {
+// The generic factorization's method set, pinned at all four precisions so
+// that dropping or changing a method fails to compile.
+var (
+	_ qrAPI[float64]    = (*QR[float64])(nil)
+	_ qrAPI[complex128] = (*QR[complex128])(nil)
+	_ qrAPI[float32]    = (*QR[float32])(nil)
+	_ qrAPI[complex64]  = (*QR[complex64])(nil)
+)
+
+type qrAPI[T Scalar] interface {
 	Refactor(*Mat[T]) error
 	RefactorCtx(context.Context, *Mat[T]) error
 	Err() error
 	R() *Mat[T]
 	ApplyQ(*Mat[T]) error
 	ApplyQCtx(context.Context, *Mat[T]) error
+	ApplyQH(*Mat[T]) error
+	ApplyQHCtx(context.Context, *Mat[T]) error
 	Q() *Mat[T]
 	ThinQ() *Mat[T]
 	SolveLS(*Mat[T]) (*Mat[T], error)
@@ -84,16 +49,6 @@ type factorizationAPI[T Scalar] interface {
 	Utilization() sched.Utilization
 	TaskCount() int
 	Grid() (p, q, nb int)
-}
-
-type realApplyAPI[T Scalar] interface {
-	ApplyQT(*Mat[T]) error
-	ApplyQTCtx(context.Context, *Mat[T]) error
-}
-
-type complexApplyAPI[T Scalar] interface {
-	ApplyQH(*Mat[T]) error
-	ApplyQHCtx(context.Context, *Mat[T]) error
 }
 
 // TestZeroQRAccessors: a never-factored QR — the documented FactorInto
@@ -115,7 +70,7 @@ func testZeroQR[T Scalar](t *testing.T) {
 	_, solveErr := f.SolveLS(b)
 	for name, err := range map[string]error{
 		"Err": f.Err(), "Refactor": f.Refactor(a), "SolveLS": solveErr,
-		"ApplyQ": f.ApplyQ(b), "ApplyQH": f.ApplyQH(b), "ApplyQT": f.ApplyQT(b),
+		"ApplyQ": f.ApplyQ(b), "ApplyQH": f.ApplyQH(b),
 	} {
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s on a zero QR: got %v, want an error containing %q", name, err, want)

@@ -6,8 +6,7 @@ import (
 
 // Scalar is the set of element types the package factors: the four
 // precision domains of the paper's kernel family. Generic entry points
-// (Mat, QR, FactorOf, Stream, NewStreamOf) are parameterized over it; the
-// per-precision named types are aliases of their generic instantiations.
+// (Mat, QR, FactorOf, Stream, NewStreamOf) are parameterized over it.
 type Scalar interface {
 	float32 | float64 | complex64 | complex128
 }
@@ -15,8 +14,7 @@ type Scalar interface {
 // Mat is a row-major dense matrix over any supported scalar domain:
 // element (i, j) lives at Data[i*Stride+j]. The named types Dense
 // (float64), ZDense (complex128), Dense32 (float32) and CDense (complex64)
-// are aliases of its four instantiations, so the historical per-precision
-// API and the generic one are interchangeable.
+// are aliases of its four instantiations.
 type Mat[T Scalar] tile.Dense[T]
 
 // NewMat allocates a zero r×c matrix in the scalar domain T.
@@ -62,9 +60,6 @@ func OrthoResidualOf[T Scalar](q *Mat[T]) float64 { return tile.OrthoResidual((*
 // Dense is a row-major dense float64 matrix — an alias of Mat[float64].
 type Dense = Mat[float64]
 
-// NewDense allocates a zero r×c matrix.
-func NewDense(r, c int) *Dense { return NewMat[float64](r, c) }
-
 // RandomDense returns an r×c matrix with standard normal entries from a
 // deterministic generator (useful for examples and benchmarks).
 func RandomDense(r, c int, seed int64) *Dense { return RandomMat[float64](r, c, seed) }
@@ -76,31 +71,9 @@ func Transpose(a *Dense) *Dense { return (*Dense)(tile.Transpose((*tile.Dense[fl
 // Mat[complex128].
 type ZDense = Mat[complex128]
 
-// NewZDense allocates a zero r×c complex matrix.
-func NewZDense(r, c int) *ZDense { return NewMat[complex128](r, c) }
-
-// RandomZDense returns an r×c complex matrix with standard normal real and
-// imaginary parts.
-func RandomZDense(r, c int, seed int64) *ZDense { return RandomMat[complex128](r, c, seed) }
-
-// Dense32 is a row-major dense float32 matrix — an alias of Mat[float32],
-// factored by Factor32.
+// Dense32 is a row-major dense float32 matrix — an alias of Mat[float32].
 type Dense32 = Mat[float32]
 
-// NewDense32 allocates a zero r×c float32 matrix.
-func NewDense32(r, c int) *Dense32 { return NewMat[float32](r, c) }
-
-// RandomDense32 returns an r×c float32 matrix with standard normal entries
-// from a deterministic generator.
-func RandomDense32(r, c int, seed int64) *Dense32 { return RandomMat[float32](r, c, seed) }
-
 // CDense is a row-major dense complex64 matrix — an alias of
-// Mat[complex64], factored by CFactor.
+// Mat[complex64].
 type CDense = Mat[complex64]
-
-// NewCDense allocates a zero r×c complex64 matrix.
-func NewCDense(r, c int) *CDense { return NewMat[complex64](r, c) }
-
-// RandomCDense returns an r×c complex64 matrix with standard normal real
-// and imaginary parts.
-func RandomCDense(r, c int, seed int64) *CDense { return RandomMat[complex64](r, c, seed) }

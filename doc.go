@@ -50,16 +50,15 @@
 //	                  conjugation fused through the vec hooks
 //	internal/tile   — generic dense matrices, PLASMA tile layout, norms
 //	internal/engine — the one Factorization[T]: DAG execution loop (task →
-//	                  kernel dispatch with error reporting), ApplyQ/ApplyQT
+//	                  kernel dispatch with error reporting), ApplyQ/ApplyQH
 //	                  replay, SolveLS, workspace pooling, tracing
 //	public API      — one QR[T] (FactorOf[T], FactorIntoOf[T]), one
-//	                  Stream[T] (NewStreamOf[T]) and one Mat[T]. The
-//	                  per-precision names — Factor/Factorization (float64),
-//	                  Factor32, FactorComplex/ZFactorization, CFactor, the
-//	                  *Into and *Ctx forms, NewStream/StreamQR and friends
-//	                  — are the compat layer in compat.go: aliases of the
-//	                  instantiations and one-line shims, same types and
-//	                  same code path
+//	                  Stream[T] (NewStreamOf[T]) and one Mat[T] (NewMat,
+//	                  RandomMat and the *Of check helpers). Dense,
+//	                  ZDense, Dense32 and CDense name Mat's four
+//	                  instantiations; compat.go keeps the few float64
+//	                  and complex128 shims (Factor, FactorInto,
+//	                  FactorComplex, ZFactorInto) the benchmark calls
 //
 // The real/complex difference never forks the code: conjugation is the
 // identity in the real domains and every hook compiles to straight-line
@@ -70,12 +69,12 @@
 //
 // # Choosing a precision
 //
-// float64 (Factor) is the default: ~1e-15 relative residuals, the paper's
-// "double" domain. complex128 (FactorComplex) is the paper's "double
-// complex" domain, whose 4× computation-to-communication ratio favours the
-// TT algorithms most. The single-precision pair halves memory traffic and
-// resident footprint — tiles stay cache-resident at twice the tile size —
-// at ~1e-6 relative accuracy: use Factor32/CFactor when throughput or
+// float64 is the default: ~1e-15 relative residuals, the paper's "double"
+// domain. complex128 is the paper's "double complex" domain, whose 4×
+// computation-to-communication ratio favours the TT algorithms most. The
+// single-precision pair halves memory traffic and resident footprint —
+// tiles stay cache-resident at twice the tile size — at ~1e-6 relative
+// accuracy: factor a Mat[float32] or Mat[complex64] when throughput or
 // footprint matters more than the last digits (preconditioning, sketching,
 // streaming aggregation of noisy data, ML feature pipelines), and stay with
 // the double domains for ill-conditioned least squares or when residuals
@@ -138,12 +137,7 @@
 //	x, _ := s.SolveLS()  // LS fit over every row ever ingested
 //
 // One generic type serves all four precisions; NewStreamOf[complex128],
-// NewStreamOf[float32] and NewStreamOf[complex64] are the same code. The
-// historic per-precision names — StreamQR, ZStreamQR, StreamQR32,
-// CStreamQR and their NewStream/NewZStream/NewStream32/NewCStream
-// constructors — remain as deprecated aliases of the corresponding
-// Stream[T] instantiations: existing code keeps compiling and behaves
-// identically, but new stream capabilities land on the generic type.
+// NewStreamOf[float32] and NewStreamOf[complex64] are the same code.
 //
 // Use Factor when the matrix fits in memory and is factored once: it sees
 // the whole matrix, so wide trailing updates amortize better and Q can be
@@ -211,7 +205,7 @@
 // goroutines that accepts the task DAGs of any number of concurrent
 // factorizations, the way PLASMA's dynamic scheduler owns the cores for
 // the life of the process. By default (Options.Runtime nil, Workers 0)
-// every Factor/FactorComplex/Factor32/CFactor call and every stream merge
+// every factorization and every stream merge
 // shares the process-wide DefaultRuntime of GOMAXPROCS workers, so N
 // concurrent callers never oversubscribe the machine with N pools.
 // Admission across factorizations is weighted-fair — each job accumulates
@@ -228,7 +222,7 @@
 //
 //	rt := tiledqr.NewRuntime(0)            // or just use the default
 //	defer rt.Close()
-//	opt := tiledqr.Options{TileSize: 128}.WithRuntime(rt)
+//	opt := tiledqr.Options{TileSize: 128, Runtime: rt}
 //	f := &tiledqr.Factorization{}
 //	for a := range problems {
 //		if err := tiledqr.FactorInto(f, a, opt); err != nil { ... }
@@ -301,21 +295,22 @@
 //
 // # Failure semantics
 //
-// Every public entry point has a Ctx variant (FactorCtx, FactorIntoCtx,
-// RefactorCtx, SolveLSCtx, ApplyQCtx/ApplyQTCtx, AppendRowsCtx,
-// AppendRHSCtx) threading a context.Context through the DAG execution. On
+// Every public entry point takes or has a variant taking a
+// context.Context (FactorOf, FactorIntoOf, RefactorCtx, SolveLSCtx,
+// ApplyQCtx/ApplyQHCtx, AppendRowsCtx, AppendRHSCtx) and threads it
+// through the DAG execution. On
 // cancellation, in-flight kernel tasks run to completion (they are
 // microseconds), queued tasks are dropped un-executed, and the call
 // returns ctx.Err() promptly; concurrent factorizations sharing the
 // runtime are unaffected and bit-identical. Contexts apply to one call
 // and are never retained. A nil context means "never cancelled" — the
-// non-Ctx names are exactly that.
+// methods without the Ctx suffix are exactly that.
 //
 // Failure is sticky but never silent. A Factorization whose last attempt
 // failed — kernel error, panic (contained by the scheduler and converted
 // to an error), cancellation, or health-check breakdown — refuses to
 // serve results: Err reports the original cause, error-returning
-// accessors (ApplyQ/ApplyQT/SolveLS) wrap it, and value-returning
+// accessors (ApplyQ/ApplyQH/SolveLS) wrap it, and value-returning
 // accessors (R, Q, ThinQ) panic with it rather than return half-factored
 // tiles. The state is recoverable: the next successful
 // Factor/FactorInto/Refactor rebuilds storage from scratch and clears it.

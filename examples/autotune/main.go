@@ -43,7 +43,7 @@ func main() {
 
 	fmt.Println()
 	fmt.Println("Streams pick their tile shape the same way:")
-	st, err := tiledqr.NewStream(300, auto)
+	st, err := tiledqr.NewStreamOf[float64](300, auto)
 	if err != nil {
 		panic(err)
 	}

@@ -26,8 +26,8 @@ func main() {
 	truth := []float64{0.8, -1.5, 0.3, 2.0, -0.7, 0.05, -0.4, 0.12}
 
 	rng := rand.New(rand.NewSource(7))
-	v := tiledqr.NewDense(samples, degree+1)
-	y := tiledqr.NewDense(samples, 1)
+	v := tiledqr.NewMat[float64](samples, degree+1)
+	y := tiledqr.NewMat[float64](samples, 1)
 	for i := 0; i < samples; i++ {
 		x := -1 + 2*float64(i)/float64(samples-1)
 		pow := 1.0
@@ -63,13 +63,13 @@ func main() {
 
 	// Residual diagnostics: for a least-squares solution the residual is
 	// orthogonal to the column span of V.
-	res := tiledqr.Mul(v, c)
+	res := tiledqr.MulOf(v, c)
 	for i := 0; i < samples; i++ {
 		res.Set(i, 0, y.At(i, 0)-res.At(i, 0))
 	}
-	fmt.Printf("‖y − V·c‖            = %.3e (noise floor)\n", tiledqr.FrobeniusNorm(res))
+	fmt.Printf("‖y − V·c‖            = %.3e (noise floor)\n", tiledqr.FrobeniusNormOf(res))
 	fmt.Printf("‖Vᵀ(y − V·c)‖        = %.3e (normal equations)\n",
-		tiledqr.FrobeniusNorm(tiledqr.Mul(tiledqr.Transpose(v), res)))
+		tiledqr.FrobeniusNormOf(tiledqr.MulOf(tiledqr.Transpose(v), res)))
 
 	p, q, _ := f.Grid()
 	fmt.Printf("\ntile grid %d×%d — this is the p ≫ q regime of the paper's Section 4\n", p, q)

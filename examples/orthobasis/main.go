@@ -28,18 +28,18 @@ func main() {
 	}
 	qb := f.ThinQ()
 	fmt.Printf("real    %d×%d block: ‖QᵀQ−I‖ = %.2e, ‖A−QR‖/‖A‖ = %.2e\n",
-		m, n, tiledqr.OrthoResidual(qb), tiledqr.QRResidual(a, qb, f.R()))
+		m, n, tiledqr.OrthoResidualOf(qb), tiledqr.QRResidualOf(a, qb, f.R()))
 
 	// Complex block (the paper reports double complex throughout: the
 	// flop-to-byte ratio is 4× higher, favouring the parallel algorithms).
-	za := tiledqr.RandomZDense(m, n, 2)
+	za := tiledqr.RandomMat[complex128](m, n, 2)
 	zf, err := tiledqr.FactorComplex(za, tiledqr.Options{Algorithm: tiledqr.Greedy, TileSize: nb})
 	if err != nil {
 		log.Fatal(err)
 	}
 	zq := zf.ThinQ()
 	fmt.Printf("complex %d×%d block: ‖QᴴQ−I‖ = %.2e, ‖A−QR‖/‖A‖ = %.2e\n",
-		m, n, tiledqr.ZOrthoResidual(zq), tiledqr.ZQRResidual(za, zq, zf.R()))
+		m, n, tiledqr.OrthoResidualOf(zq), tiledqr.QRResidualOf(za, zq, zf.R()))
 
 	// For a single tile column (q = 1), the elimination tree is a pure
 	// reduction tree; compare the paper's algorithms.

@@ -33,8 +33,8 @@ func main() {
 	r := f.R()         // 200×200 upper triangular
 	qthin := f.ThinQ() // 600×200, orthonormal columns
 
-	fmt.Printf("‖A − QR‖/‖A‖  = %.2e\n", tiledqr.QRResidual(a, qthin, r))
-	fmt.Printf("‖QᵀQ − I‖     = %.2e\n", tiledqr.OrthoResidual(qthin))
+	fmt.Printf("‖A − QR‖/‖A‖  = %.2e\n", tiledqr.QRResidualOf(a, qthin, r))
+	fmt.Printf("‖QᵀQ − I‖     = %.2e\n", tiledqr.OrthoResidualOf(qthin))
 
 	// The algorithm's theoretical parallelism for this shape: critical path
 	// in units of nb³/3 flops, versus the sequential total.

@@ -2,7 +2,7 @@
 // streaming TSQR subsystem exists for.
 //
 // A sensor produces readings forever; we fit y ≈ x·w by least squares
-// WITHOUT ever storing the observation history. A StreamQR ingests batches
+// WITHOUT ever storing the observation history. A Stream[float64] ingests batches
 // of (features, target) rows and retains only the n×n triangle R and the
 // top n rows of Qᵀb — O(n²) state — yet SolveLS at any moment returns
 // exactly the least-squares fit over every row seen so far, identical to
@@ -32,7 +32,7 @@ func main() {
 		truth[i] = math.Sin(float64(i)) * 2
 	}
 
-	s, err := tiledqr.NewStream(features, tiledqr.Options{TileSize: 64})
+	s, err := tiledqr.NewStreamOf[float64](features, tiledqr.Options{TileSize: 64})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,8 +40,8 @@ func main() {
 	fmt.Printf("streaming %d batches of %d noisy observations, %d features\n\n", batches, batchRows, features)
 	fmt.Println("  batch      rows     max |w − truth|    ‖residual‖/√rows   retained state")
 	for bi := 1; bi <= batches; bi++ {
-		x := tiledqr.NewDense(batchRows, features)
-		y := tiledqr.NewDense(batchRows, 1)
+		x := tiledqr.NewMat[float64](batchRows, features)
+		y := tiledqr.NewMat[float64](batchRows, 1)
 		for r := 0; r < batchRows; r++ {
 			dot := 0.0
 			for c := 0; c < features; c++ {

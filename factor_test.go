@@ -1,7 +1,9 @@
 package tiledqr
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -18,16 +20,16 @@ func checkFactorization(t *testing.T, m, n int, opt Options) {
 	q := f.Q()
 	r := f.R()
 	// Pad R to m×n for the residual (Q is m×m).
-	rFull := NewDense(m, n)
+	rFull := NewMat[float64](m, n)
 	for i := 0; i < r.Rows; i++ {
 		for j := 0; j < n; j++ {
 			rFull.Set(i, j, r.At(i, j))
 		}
 	}
-	if res := QRResidual(a, q, rFull); res > tol {
+	if res := QRResidualOf(a, q, rFull); res > tol {
 		t.Errorf("%v/%v %dx%d nb=%d ib=%d: residual %g", opt.Algorithm, opt.Kernels, m, n, opt.TileSize, opt.InnerBlock, res)
 	}
-	if ortho := OrthoResidual(q); ortho > tol {
+	if ortho := OrthoResidualOf(q); ortho > tol {
 		t.Errorf("%v/%v %dx%d nb=%d ib=%d: orthogonality %g", opt.Algorithm, opt.Kernels, m, n, opt.TileSize, opt.InnerBlock, ortho)
 	}
 	// R must be upper triangular.
@@ -156,7 +158,7 @@ func TestApplyQRoundTrip(t *testing.T) {
 	}
 	b0 := RandomDense(40, 5, 12)
 	b := b0.Clone()
-	if err := f.ApplyQT(b); err != nil {
+	if err := f.ApplyQH(b); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.ApplyQ(b); err != nil {
@@ -169,8 +171,8 @@ func TestApplyQRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if err := f.ApplyQT(NewDense(7, 1)); err == nil {
-		t.Error("ApplyQT accepted a wrongly sized b")
+	if err := f.ApplyQH(NewMat[float64](7, 1)); err == nil {
+		t.Error("ApplyQH accepted a wrongly sized b")
 	}
 }
 
@@ -182,7 +184,7 @@ func TestApplyQTComputesR(t *testing.T) {
 		t.Fatal(err)
 	}
 	qta := a.Clone()
-	if err := f.ApplyQT(qta); err != nil {
+	if err := f.ApplyQH(qta); err != nil {
 		t.Fatal(err)
 	}
 	r := f.R()
@@ -209,10 +211,10 @@ func TestThinQ(t *testing.T) {
 	if qt.Rows != 40 || qt.Cols != 12 {
 		t.Fatalf("ThinQ dims %dx%d, want 40x12", qt.Rows, qt.Cols)
 	}
-	if o := OrthoResidual(qt); o > tol {
+	if o := OrthoResidualOf(qt); o > tol {
 		t.Errorf("ThinQ orthogonality %g", o)
 	}
-	if res := QRResidual(a, qt, f.R()); res > tol {
+	if res := QRResidualOf(a, qt, f.R()); res > tol {
 		t.Errorf("thin QR residual %g", res)
 	}
 }
@@ -222,7 +224,7 @@ func TestSolveLS(t *testing.T) {
 	m, n := 60, 10
 	a := RandomDense(m, n, 21)
 	xTrue := RandomDense(n, 2, 22)
-	b := Mul(a, xTrue)
+	b := MulOf(a, xTrue)
 	f, err := Factor(a, Options{TileSize: 8, InnerBlock: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -244,12 +246,12 @@ func TestSolveLS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Mul(a, x2)
+	res := MulOf(a, x2)
 	for i := 0; i < m; i++ {
 		res.Set(i, 0, b2.At(i, 0)-res.At(i, 0))
 	}
-	atr := Mul(Transpose(a), res)
-	if norm := FrobeniusNorm(atr); norm > 1e-9 {
+	atr := MulOf(Transpose(a), res)
+	if norm := FrobeniusNormOf(atr); norm > 1e-9 {
 		t.Errorf("‖Aᵀ(b−Ax)‖ = %g, normal equations violated", norm)
 	}
 }
@@ -258,19 +260,67 @@ func TestFactorErrors(t *testing.T) {
 	if _, err := Factor(nil, Options{}); err == nil {
 		t.Error("Factor(nil) succeeded")
 	}
-	if _, err := Factor(NewDense(4, 4), Options{Algorithm: PlasmaTree}); err == nil {
+	if _, err := Factor(NewMat[float64](4, 4), Options{Algorithm: PlasmaTree}); err == nil {
 		t.Error("PlasmaTree without BS succeeded")
 	}
-	f, err := Factor(NewDense(6, 3), Options{TileSize: 2})
+	f, err := Factor(NewMat[float64](6, 3), Options{TileSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.SolveLS(NewDense(5, 1)); err == nil {
+	if _, err := f.SolveLS(NewMat[float64](5, 1)); err == nil {
 		t.Error("SolveLS accepted wrong-sized b")
 	}
 	// Rank-deficient matrix must be reported by SolveLS.
-	if _, err := f.SolveLS(NewDense(6, 1)); err == nil {
+	if _, err := f.SolveLS(NewMat[float64](6, 1)); err == nil {
 		t.Error("SolveLS accepted a singular R (zero matrix)")
+	}
+}
+
+// TestNilFactorTargets: a nil factorization target or a nil matrix to
+// refactor is a descriptive error, never a nil dereference, and a rejected
+// Refactor leaves the previous factorization valid and unchanged.
+func TestNilFactorTargets(t *testing.T) {
+	t.Run("d", testNilFactorTargets[float64])
+	t.Run("z", testNilFactorTargets[complex128])
+	t.Run("s", testNilFactorTargets[float32])
+	t.Run("c", testNilFactorTargets[complex64])
+}
+
+func testNilFactorTargets[T Scalar](t *testing.T) {
+	opt := Options{TileSize: 8, InnerBlock: 4, Workers: 1}
+	a := RandomMat[T](24, 8, 1)
+	f, err := FactorOf(nil, a, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0 := f.R()
+	for _, tc := range []struct {
+		name, want string
+		call       func() error
+	}{
+		{"FactorIntoOf(nil f)", "f must not be nil", func() error { return FactorIntoOf(nil, nil, a, opt) }},
+		{"Refactor(nil)", "a must not be nil", func() error { return f.Refactor(nil) }},
+		{"RefactorCtx(nil)", "a must not be nil", func() error { return f.RefactorCtx(context.Background(), nil) }},
+	} {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s panicked: %v", tc.name, p)
+				}
+			}()
+			if err := tc.call(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s = %v, want an error containing %q", tc.name, err, tc.want)
+			}
+		}()
+	}
+	if err := f.Err(); err != nil {
+		t.Fatalf("after the rejected calls: Err = %v, want the factorization still valid", err)
+	}
+	if !equalData(f.R().Data, r0.Data) {
+		t.Error("a rejected Refactor changed R")
+	}
+	if _, err := f.SolveLS(RandomMat[T](24, 1, 2)); err != nil {
+		t.Errorf("SolveLS after the rejected calls: %v", err)
 	}
 }
 
@@ -313,7 +363,7 @@ func TestFactorHadriTree(t *testing.T) {
 			checkFactorization(t, 40, 16, opt)
 		}
 	}
-	if _, err := Factor(NewDense(16, 8), Options{Algorithm: HadriTree, TileSize: 8}); err == nil {
+	if _, err := Factor(NewMat[float64](16, 8), Options{Algorithm: HadriTree, TileSize: 8}); err == nil {
 		t.Error("HadriTree without BS accepted")
 	}
 }

@@ -2,7 +2,7 @@
 // every public precision: the DAG execution loop (dispatching core tasks to
 // the generic tile kernels through a Source, each task first copying in
 // the tiles it writes first through a Fill), the Q application replay used
-// by ApplyQ/ApplyQT and the streaming Qᵀb fold, one-shot factorization
+// by ApplyQ/ApplyQH and the streaming Qᵀb fold, one-shot factorization
 // state (R extraction, thin/full Q, least squares, workspace pooling), and
 // tracing. The public package wraps Factorization[T] in its one generic
 // QR[T]; internal/stream reuses ExecTasks/Replay for its resident-triangle
@@ -534,18 +534,17 @@ func FactorInto[T vec.Scalar](f *Factorization[T], a *tile.Dense[T], cfg Config)
 	return nil
 }
 
-// Refactor re-runs the factorization over new matrix data, reusing every
-// internal buffer when a has the shape of the previous factorization (the
-// zero-allocation serving path; a different shape rebuilds storage). A
-// Refactor after a failed or cancelled execution rebuilds storage and, on
-// success, clears the sticky failure state.
-func (f *Factorization[T]) Refactor(a *tile.Dense[T]) error {
-	return f.RefactorCtx(nil, a)
-}
-
-// RefactorCtx is Refactor under a cancellation context: ctx applies to this
-// execution only and is never retained by the factorization.
+// RefactorCtx re-runs the factorization over new matrix data, reusing
+// every internal buffer when a has the shape of the previous factorization
+// (the zero-allocation serving path; a different shape rebuilds storage).
+// A RefactorCtx after a failed or cancelled execution rebuilds storage
+// and, on success, clears the sticky failure state. ctx applies to this
+// execution only and is never retained by the factorization. A nil a is
+// rejected before any state is touched.
 func (f *Factorization[T]) RefactorCtx(ctx context.Context, a *tile.Dense[T]) error {
+	if a == nil {
+		return fmt.Errorf("tiledqr: Refactor: a must not be nil")
+	}
 	if f.mat == nil {
 		return errEmpty("Refactor")
 	}
@@ -622,7 +621,7 @@ func (f *Factorization[T]) T2Factor(i, k int) []T { return f.t2[f.tidx(i, k)] }
 // KCols returns the column count of tile column k (1-based).
 func (f *Factorization[T]) KCols(k int) int { return f.grid.TileCols(k - 1) }
 
-// scratchPools holds the ApplyQ/ApplyQT/SolveLS scratch, one pool per
+// scratchPools holds the ApplyQ/ApplyQH/SolveLS scratch, one pool per
 // scalar domain (package-level variables cannot be generic; indexed by
 // vec.Prec like the worker workspaces). They are package-level on purpose:
 // a sync.Pool embedded in a Factorization is registered with the runtime on

@@ -121,7 +121,7 @@ func TestFactorIntoReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	arena1 := &f.arena[0]
-	if err := f.Refactor(a2); err != nil {
+	if err := f.RefactorCtx(nil, a2); err != nil {
 		t.Fatal(err)
 	}
 	if &f.arena[0] != arena1 {
@@ -137,7 +137,7 @@ func TestFactorIntoReuse(t *testing.T) {
 
 	// A different shape must rebuild, not corrupt.
 	a3 := tile.RandDense[float64](17, 9, 3)
-	if err := f.Refactor(a3); err != nil {
+	if err := f.RefactorCtx(nil, a3); err != nil {
 		t.Fatal(err)
 	}
 	fresh3, err := Factor(a3, cfg)
@@ -161,7 +161,7 @@ func TestFailedRefactorInvalidates(t *testing.T) {
 	}
 	saved := f.DAG().Tasks[0].Kind
 	f.DAG().Tasks[0].Kind = core.Kind(99)
-	if err := f.Refactor(a); err == nil {
+	if err := f.RefactorCtx(nil, a); err == nil {
 		f.DAG().Tasks[0].Kind = saved
 		t.Fatal("Refactor over a corrupted DAG succeeded")
 	}
@@ -183,7 +183,7 @@ func TestFailedRefactorInvalidates(t *testing.T) {
 	}
 
 	// A subsequent attempt rebuilds from scratch and recovers.
-	if err := f.Refactor(a); err != nil {
+	if err := f.RefactorCtx(nil, a); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := Factor(a, cfg)

@@ -22,8 +22,8 @@ func narrowSolveOpts() []Options { return simdAgreeOpts(40, 16) }
 func TestSolveLSOneRHSMatchesEightRHS(t *testing.T) {
 	const m, n = 130, 70
 	a, b8 := RandomDense(m, n, 51), RandomDense(m, 8, 52)
-	za, zb8 := RandomZDense(m, n, 53), RandomZDense(m, 8, 54)
-	b1, zb1 := NewDense(m, 1), NewZDense(m, 1)
+	za, zb8 := RandomMat[complex128](m, n, 53), RandomMat[complex128](m, 8, 54)
+	b1, zb1 := NewMat[float64](m, 1), NewMat[complex128](m, 1)
 	for i := 0; i < m; i++ {
 		b1.Set(i, 0, b8.At(i, 0))
 		zb1.Set(i, 0, zb8.At(i, 0))
@@ -38,7 +38,7 @@ func TestSolveLSOneRHSMatchesEightRHS(t *testing.T) {
 		if err8 != nil || err1 != nil {
 			t.Fatalf("%v/%v: SolveLS: %v, %v", opt.Algorithm, opt.Kernels, err8, err1)
 		}
-		scale := FrobeniusNorm(x8)
+		scale := FrobeniusNormOf(x8)
 		for i := 0; i < n; i++ {
 			if d := math.Abs(x1.At(i, 0) - x8.At(i, 0)); !(d <= tolSIMDLS*scale) {
 				t.Fatalf("%v/%v: x(%d) 1 RHS %g vs column 0 of 8 RHS %g (diff %g)",
@@ -55,7 +55,7 @@ func TestSolveLSOneRHSMatchesEightRHS(t *testing.T) {
 		if err8 != nil || err1 != nil {
 			t.Fatalf("%v/%v complex: SolveLS: %v, %v", opt.Algorithm, opt.Kernels, err8, err1)
 		}
-		zscale := ZFrobeniusNorm(zx8)
+		zscale := FrobeniusNormOf(zx8)
 		for i := 0; i < n; i++ {
 			if d := cmplx.Abs(zx1.At(i, 0) - zx8.At(i, 0)); !(d <= tolSIMDLS*zscale) {
 				t.Fatalf("%v/%v complex: x(%d) 1 RHS %v vs column 0 of 8 RHS %v (diff %g)",
@@ -74,20 +74,20 @@ func maxAbsDiff[T Scalar](a, b *Mat[T]) float64 {
 func TestApplyQRoundTripSingleColumn(t *testing.T) {
 	const m, n = 130, 70
 	a, b := RandomDense(m, n, 55), RandomDense(m, 1, 56)
-	za, zb := RandomZDense(m, n, 57), RandomZDense(m, 1, 58)
+	za, zb := RandomMat[complex128](m, n, 57), RandomMat[complex128](m, 1, 58)
 	for _, opt := range narrowSolveOpts() {
 		f, err := Factor(a, opt)
 		if err != nil {
 			t.Fatalf("%v/%v: %v", opt.Algorithm, opt.Kernels, err)
 		}
 		y := b.Clone()
-		if err := f.ApplyQT(y); err != nil {
+		if err := f.ApplyQH(y); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.ApplyQ(y); err != nil {
 			t.Fatal(err)
 		}
-		if d := maxAbsDiff(y, b); d > tolSIMD64*FrobeniusNorm(b) {
+		if d := maxAbsDiff(y, b); d > tolSIMD64*FrobeniusNormOf(b) {
 			t.Errorf("%v/%v: ‖Q·Qᵀ·b − b‖∞ = %g", opt.Algorithm, opt.Kernels, d)
 		}
 
@@ -102,7 +102,7 @@ func TestApplyQRoundTripSingleColumn(t *testing.T) {
 		if err := zf.ApplyQ(zy); err != nil {
 			t.Fatal(err)
 		}
-		if d := maxAbsDiff(zy, zb); d > tolSIMD64*ZFrobeniusNorm(zb) {
+		if d := maxAbsDiff(zy, zb); d > tolSIMD64*FrobeniusNormOf(zb) {
 			t.Errorf("%v/%v complex: ‖Q·Qᴴ·b − b‖∞ = %g", opt.Algorithm, opt.Kernels, d)
 		}
 	}

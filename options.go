@@ -224,15 +224,6 @@ type Options struct {
 // DowndateRows, and memory grows with the rows retained.
 const RetainAll = -1
 
-// WithRuntime returns a copy of the options that executes on rt. It is
-// shorthand for setting the Runtime field, convenient in call chains:
-//
-//	f, err := tiledqr.Factor(a, opt.WithRuntime(rt))
-func (o Options) WithRuntime(rt *Runtime) Options {
-	o.Runtime = rt
-	return o
-}
-
 // execEnv resolves the execution placement: an explicit runtime wins, an
 // explicit worker count selects a per-call pool, and the default is the
 // process-wide shared runtime.
@@ -277,7 +268,7 @@ func (o Options) validate(p int) error {
 		return fmt.Errorf("tiledqr: %v needs 1 ≤ BS ≤ p (BS=%d, p=%d)", o.Algorithm, o.BS, p)
 	}
 	if o.WindowRows != 0 || o.Forget != 0 {
-		return fmt.Errorf("tiledqr: WindowRows (%d) and Forget (%g) apply to streams (NewStreamOf and the per-precision stream constructors), not one-shot factorizations",
+		return fmt.Errorf("tiledqr: WindowRows (%d) and Forget (%g) apply to streams (NewStreamOf), not one-shot factorizations",
 			o.WindowRows, o.Forget)
 	}
 	return nil
@@ -353,7 +344,8 @@ func resolveAuto[T vec.Scalar](m, n int, opt Options) (Options, error) {
 // substituted in. Factoring with the returned options reproduces the Auto
 // factorization bit for bit; edit them to pin or tweak the decision. The
 // other precisions resolve with their own calibrations internally —
-// CFactor/FactorComplex/Factor32 may legitimately pick different tuples.
+// FactorOf at complex128, float32 or complex64 may legitimately pick
+// different tuples.
 func (o Options) Resolve(m, n int) (Options, error) {
 	if m < 1 || n < 1 {
 		return Options{}, fmt.Errorf("tiledqr: Resolve: invalid shape %d×%d", m, n)

@@ -15,26 +15,26 @@ func TestInnerBlockValidation(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "InnerBlock") || !strings.Contains(err.Error(), "TileSize") {
 		t.Errorf("Factor error not descriptive: %v", err)
 	}
-	if _, err := FactorComplex(RandomZDense(16, 16, 1), bad); err == nil {
+	if _, err := FactorComplex(RandomMat[complex128](16, 16, 1), bad); err == nil {
 		t.Error("FactorComplex accepted InnerBlock > TileSize")
 	}
-	if _, err := Factor32(RandomDense32(16, 16, 1), bad); err == nil {
-		t.Error("Factor32 accepted InnerBlock > TileSize")
+	if _, err := FactorOf(nil, RandomMat[float32](16, 16, 1), bad); err == nil {
+		t.Error("FactorOf[float32] accepted InnerBlock > TileSize")
 	}
-	if _, err := CFactor(RandomCDense(16, 16, 1), bad); err == nil {
-		t.Error("CFactor accepted InnerBlock > TileSize")
+	if _, err := FactorOf(nil, RandomMat[complex64](16, 16, 1), bad); err == nil {
+		t.Error("FactorOf[complex64] accepted InnerBlock > TileSize")
 	}
-	if _, err := NewStream(16, bad); err == nil {
-		t.Error("NewStream accepted InnerBlock > TileSize")
+	if _, err := NewStreamOf[float64](16, bad); err == nil {
+		t.Error("NewStreamOf[float64] accepted InnerBlock > TileSize")
 	}
-	if _, err := NewZStream(16, bad); err == nil {
-		t.Error("NewZStream accepted InnerBlock > TileSize")
+	if _, err := NewStreamOf[complex128](16, bad); err == nil {
+		t.Error("NewStreamOf[complex128] accepted InnerBlock > TileSize")
 	}
-	if _, err := NewStream32(16, bad); err == nil {
-		t.Error("NewStream32 accepted InnerBlock > TileSize")
+	if _, err := NewStreamOf[float32](16, bad); err == nil {
+		t.Error("NewStreamOf[float32] accepted InnerBlock > TileSize")
 	}
-	if _, err := NewCStream(16, bad); err == nil {
-		t.Error("NewCStream accepted InnerBlock > TileSize")
+	if _, err := NewStreamOf[complex64](16, bad); err == nil {
+		t.Error("NewStreamOf[complex64] accepted InnerBlock > TileSize")
 	}
 }
 

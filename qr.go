@@ -13,9 +13,7 @@ import (
 // the factored tiles (R plus the Householder representation of Q) and
 // everything needed to apply Q. The paper's algorithms are elimination
 // lists and task DAGs that never mention the arithmetic, so one type serves
-// all four precisions; Factorization (float64), ZFactorization
-// (complex128), Factorization32 (float32) and CFactorization (complex64)
-// are aliases of its instantiations (see compat.go).
+// all four precisions.
 //
 // A zero QR is the valid target of FactorIntoOf. Until one succeeds it is
 // empty: every accessor returns — or, for the value-returning ones, panics
@@ -58,6 +56,9 @@ func FactorOf[T Scalar](ctx context.Context, a *Mat[T], opt Options) (*QR[T], er
 // panic with the cause until a later FactorIntoOf/Refactor succeeds. ctx
 // is as for FactorOf.
 func FactorIntoOf[T Scalar](ctx context.Context, f *QR[T], a *Mat[T], opt Options) error {
+	if f == nil {
+		return fmt.Errorf("tiledqr: FactorInto: f must not be nil")
+	}
 	if a == nil || a.Rows < 1 || a.Cols < 1 {
 		return fmt.Errorf("tiledqr: cannot factor an empty matrix")
 	}
@@ -119,12 +120,6 @@ func (f *QR[T]) ApplyQH(b *Mat[T]) error { return f.ApplyQHCtx(nil, b) }
 func (f *QR[T]) ApplyQHCtx(ctx context.Context, b *Mat[T]) error {
 	return f.eng().Apply(ctx, (*tile.Dense[T])(b), true)
 }
-
-// ApplyQT is ApplyQH under its real-domain name (Qᴴ = Qᵀ there).
-func (f *QR[T]) ApplyQT(b *Mat[T]) error { return f.ApplyQHCtx(nil, b) }
-
-// ApplyQTCtx is ApplyQHCtx under its real-domain name.
-func (f *QR[T]) ApplyQTCtx(ctx context.Context, b *Mat[T]) error { return f.ApplyQHCtx(ctx, b) }
 
 // Q returns the full m×m orthogonal (unitary) factor, built by applying Q
 // to the identity; O(m³) work — prefer ThinQ or ApplyQ for large m.

@@ -10,7 +10,7 @@ import (
 // Runtime is a persistent pool of worker goroutines that executes the task
 // DAGs of any number of concurrent factorizations — the role PLASMA's
 // resident dynamic scheduler plays in the paper's experiments. One runtime
-// serves Factor/Factor32/CFactor/FactorComplex and every stream across all
+// serves every factorization and every stream across all
 // four precisions: submit from as many goroutines as you like, and the
 // pool multiplexes the work with critical-path priorities inside each
 // factorization and weighted-fair admission across them, so one huge

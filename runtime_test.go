@@ -59,7 +59,7 @@ func TestSharedRuntimeConcurrentStress(t *testing.T) {
 						return
 					}
 				case 1: // complex128
-					a := RandomZDense(m, n, seed)
+					a := RandomMat[complex128](m, n, seed)
 					f, err := FactorComplex(a, opt)
 					if err != nil {
 						errs <- err
@@ -77,15 +77,15 @@ func TestSharedRuntimeConcurrentStress(t *testing.T) {
 						return
 					}
 				case 2: // float32
-					a := RandomDense32(m, n, seed)
-					f, err := Factor32(a, opt)
+					a := RandomMat[float32](m, n, seed)
+					f, err := FactorOf(nil, a, opt)
 					if err != nil {
 						errs <- err
 						return
 					}
 					optRef := opt
 					optRef.Runtime, optRef.Workers = nil, 2
-					fr, err := Factor32(a, optRef)
+					fr, err := FactorOf(nil, a, optRef)
 					if err != nil {
 						errs <- err
 						return
@@ -95,8 +95,8 @@ func TestSharedRuntimeConcurrentStress(t *testing.T) {
 						return
 					}
 				case 3: // complex64 via the streaming path on the shared runtime
-					a := RandomCDense(m, n, seed)
-					s, err := NewCStream(n, Options{TileSize: 8, InnerBlock: 4, Runtime: rt})
+					a := RandomMat[complex64](m, n, seed)
+					s, err := NewStreamOf[complex64](n, Options{TileSize: 8, InnerBlock: 4, Runtime: rt})
 					if err != nil {
 						errs <- err
 						return
@@ -105,7 +105,7 @@ func TestSharedRuntimeConcurrentStress(t *testing.T) {
 						errs <- err
 						return
 					}
-					sr, err := NewCStream(n, Options{TileSize: 8, InnerBlock: 4, Workers: 2})
+					sr, err := NewStreamOf[complex64](n, Options{TileSize: 8, InnerBlock: 4, Workers: 2})
 					if err != nil {
 						errs <- err
 						return
@@ -303,13 +303,13 @@ func TestRefactorEmptyFactorization(t *testing.T) {
 	if err := (&Factorization{}).Refactor(RandomDense(8, 4, 1)); err == nil {
 		t.Error("float64: no error")
 	}
-	if err := (&Factorization32{}).Refactor(RandomDense32(8, 4, 1)); err == nil {
+	if err := (&QR[float32]{}).Refactor(RandomMat[float32](8, 4, 1)); err == nil {
 		t.Error("float32: no error")
 	}
-	if err := (&CFactorization{}).Refactor(RandomCDense(8, 4, 1)); err == nil {
+	if err := (&QR[complex64]{}).Refactor(RandomMat[complex64](8, 4, 1)); err == nil {
 		t.Error("complex64: no error")
 	}
-	if err := (&ZFactorization{}).Refactor(RandomZDense(8, 4, 1)); err == nil {
+	if err := (&ZFactorization{}).Refactor(RandomMat[complex128](8, 4, 1)); err == nil {
 		t.Error("complex128: no error")
 	}
 }
@@ -340,29 +340,6 @@ func TestNegativeWorkersUsesSharedRuntime(t *testing.T) {
 	}
 	if !equalData(f.R().Data, refR(a, Options{TileSize: 8, InnerBlock: 4}).Data) {
 		t.Error("Workers: -1 R differs from default execution")
-	}
-}
-
-// TestWithRuntimeOption: the WithRuntime chain helper must route execution
-// to the given runtime and leave the original options untouched.
-func TestWithRuntimeOption(t *testing.T) {
-	rt := NewRuntime(2)
-	defer rt.Close()
-	if rt.Workers() != 2 {
-		t.Fatalf("Workers() = %d, want 2", rt.Workers())
-	}
-	base := Options{TileSize: 8, InnerBlock: 4}
-	opt := base.WithRuntime(rt)
-	if base.Runtime != nil {
-		t.Error("WithRuntime mutated the receiver")
-	}
-	a := RandomDense(40, 24, 3)
-	f, err := Factor(a, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalData(f.R().Data, refR(a, base).Data) {
-		t.Error("WithRuntime R differs from per-call R")
 	}
 }
 

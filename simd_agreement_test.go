@@ -115,9 +115,9 @@ func TestSIMDFamilyAgreementFactor(t *testing.T) {
 
 func testFamilyAgreementFactor(t *testing.T, m, n, nb, ib int, packed bool) {
 	a := RandomDense(m, n, 41)
-	za := RandomZDense(m, n, 42)
-	a32 := NewDense32(m, n)
-	ca := NewCDense(m, n)
+	za := RandomMat[complex128](m, n, 42)
+	a32 := NewMat[float32](m, n)
+	ca := NewMat[complex64](m, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			a32.Set(i, j, float32(a.At(i, j)))
@@ -125,8 +125,8 @@ func testFamilyAgreementFactor(t *testing.T, m, n, nb, ib int, packed bool) {
 			ca.Set(i, j, complex(float32(real(v)), float32(imag(v))))
 		}
 	}
-	scale := FrobeniusNorm(a)
-	zscale := ZFrobeniusNorm(za)
+	scale := FrobeniusNormOf(a)
+	zscale := FrobeniusNormOf(za)
 	for _, opt := range simdAgreeOpts(nb, ib) {
 		rs := map[string]*Dense{}
 		zrs := map[string]*ZDense{}
@@ -146,12 +146,12 @@ func testFamilyAgreementFactor(t *testing.T, m, n, nb, ib int, packed bool) {
 				t.Fatalf("%v/%v %s complex: %v", opt.Algorithm, opt.Kernels, fam, err)
 			}
 			zrs[fam] = zf.R()
-			f32, err := Factor32(a32, opt)
+			f32, err := FactorOf(nil, a32, opt)
 			if err != nil {
 				t.Fatalf("%v/%v %s float32: %v", opt.Algorithm, opt.Kernels, fam, err)
 			}
 			r32s[fam] = f32.R()
-			cf, err := CFactor(ca, opt)
+			cf, err := FactorOf(nil, ca, opt)
 			if err != nil {
 				t.Fatalf("%v/%v %s complex64: %v", opt.Algorithm, opt.Kernels, fam, err)
 			}
@@ -219,10 +219,10 @@ func testFamilyAgreementSolveLS(t *testing.T, m, n, nrhs, nb, ib int, packed boo
 	opt := Options{Algorithm: Greedy, TileSize: nb, InnerBlock: ib, Workers: 2}
 	a := RandomDense(m, n, 43)
 	b := RandomDense(m, nrhs, 44)
-	za := RandomZDense(m, n, 45)
-	zb := RandomZDense(m, nrhs, 46)
-	a32, b32 := NewDense32(m, n), NewDense32(m, nrhs)
-	ca, cb := NewCDense(m, n), NewCDense(m, nrhs)
+	za := RandomMat[complex128](m, n, 45)
+	zb := RandomMat[complex128](m, nrhs, 46)
+	a32, b32 := NewMat[float32](m, n), NewMat[float32](m, nrhs)
+	ca, cb := NewMat[complex64](m, n), NewMat[complex64](m, nrhs)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			a32.Set(i, j, float32(a.At(i, j)))
@@ -257,14 +257,14 @@ func testFamilyAgreementSolveLS(t *testing.T, m, n, nrhs, nb, ib int, packed boo
 		if zxs[fam], err = zf.SolveLS(zb); err != nil {
 			t.Fatal(err)
 		}
-		f32, err := Factor32(a32, opt)
+		f32, err := FactorOf(nil, a32, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if x32s[fam], err = f32.SolveLS(b32); err != nil {
 			t.Fatal(err)
 		}
-		cf, err := CFactor(ca, opt)
+		cf, err := FactorOf(nil, ca, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,9 +305,9 @@ func TestSIMDFamilyAgreementStream(t *testing.T) {
 	const n, rows, batch = 32, 96, 24
 	opt := Options{TileSize: 16, InnerBlock: 8}
 	a := RandomDense(rows, n, 47)
-	za := RandomZDense(rows, n, 48)
-	a32 := NewDense32(rows, n)
-	ca := NewCDense(rows, n)
+	za := RandomMat[complex128](rows, n, 48)
+	a32 := NewMat[float32](rows, n)
+	ca := NewMat[complex64](rows, n)
 	for i := 0; i < rows; i++ {
 		for j := 0; j < n; j++ {
 			a32.Set(i, j, float32(a.At(i, j)))
@@ -315,34 +315,34 @@ func TestSIMDFamilyAgreementStream(t *testing.T) {
 			ca.Set(i, j, complex(float32(real(v)), float32(imag(v))))
 		}
 	}
-	scale := FrobeniusNorm(a)
-	zscale := ZFrobeniusNorm(za)
+	scale := FrobeniusNormOf(a)
+	zscale := FrobeniusNormOf(za)
 	rs := map[string]*Dense{}
 	zrs := map[string]*ZDense{}
 	r32s := map[string]*Dense32{}
 	crs := map[string]*CDense{}
 	bothFamilies(t, func(t *testing.T, fam string) {
-		s, err := NewStream(n, opt)
+		s, err := NewStreamOf[float64](n, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		zs, err := NewZStream(n, opt)
+		zs, err := NewStreamOf[complex128](n, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s32, err := NewStream32(n, opt)
+		s32, err := NewStreamOf[float32](n, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs, err := NewCStream(n, opt)
+		cs, err := NewStreamOf[complex64](n, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for r0 := 0; r0 < rows; r0 += batch {
-			view := NewDense(batch, n)
-			zview := NewZDense(batch, n)
-			view32 := NewDense32(batch, n)
-			cview := NewCDense(batch, n)
+			view := NewMat[float64](batch, n)
+			zview := NewMat[complex128](batch, n)
+			view32 := NewMat[float32](batch, n)
+			cview := NewMat[complex64](batch, n)
 			for i := 0; i < batch; i++ {
 				for j := 0; j < n; j++ {
 					view.Set(i, j, a.At(r0+i, j))

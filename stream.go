@@ -11,51 +11,6 @@ import (
 	"tiledqr/internal/vec"
 )
 
-// newStreamCore applies defaults and validation and builds the generic
-// streaming reduction core — the single code path behind NewStreamOf and
-// the per-precision constructors. Merge DAGs execute under the same
-// placement policy as Factor: the shared default runtime unless
-// Options.Runtime or Options.Workers says otherwise.
-func newStreamCore[T vec.Scalar](n int, opt Options) (*stream.Core[T], error) {
-	if err := opt.validateStream(); err != nil {
-		return nil, err
-	}
-	// AlgorithmAuto picks the tile shape for streams too: the per-column
-	// merge tree is structurally fixed (binary), so the tuner only chooses
-	// nb/ib — by estimated merge throughput at the stream's width — while
-	// Options.Kernels keeps selecting the merge kernel family.
-	if opt.Algorithm == AlgorithmAuto && n >= 1 {
-		// Pinned sizes obey the same constraints as explicit ones (matching
-		// resolveAuto): an inner block wider than a pinned tile is an
-		// error, not a silent clamp.
-		if opt.TileSize > 0 {
-			if err := opt.validateSizes(); err != nil {
-				return nil, err
-			}
-		}
-		dec, err := tune.ResolveStream[T](n, opt.autoWidth(),
-			opt.TileSize, opt.InnerBlock, opt.Kernels.core())
-		if err != nil {
-			return nil, err
-		}
-		opt.Algorithm = Greedy // streams ignore the tree; record a concrete value
-		opt.TileSize, opt.InnerBlock = dec.NB, dec.IB
-	}
-	opt = opt.withDefaults()
-	if err := opt.validateSizes(); err != nil {
-		return nil, err
-	}
-	return stream.NewCore[T](n, stream.Config{
-		NB:      opt.TileSize,
-		IB:      opt.InnerBlock,
-		Kernels: opt.Kernels.core(),
-		Env:     opt.execEnv(),
-		Check:   opt.CheckHealth,
-		Window:  opt.WindowRows,
-		Forget:  opt.Forget,
-	})
-}
-
 // errEmptyBatch and errNilRHS are the shape errors shared by every
 // stream instantiation.
 var (
@@ -123,11 +78,6 @@ func streamAppend[T vec.Scalar](ctx context.Context, c *stream.Core[T], batch, r
 // are honored; Algorithm and BS are ignored (the per-column reduction tree
 // of a streaming merge is a binary tree, the optimal shape for
 // single-column reductions). A Stream is not safe for concurrent use.
-//
-// The named types StreamQR (float64), ZStreamQR (complex128), StreamQR32
-// (float32) and CStreamQR (complex64) are aliases of the four
-// instantiations, kept for compatibility; new code can use Stream[T] and
-// NewStreamOf directly.
 type Stream[T Scalar] struct {
 	c *stream.Core[T]
 }
@@ -135,8 +85,47 @@ type Stream[T Scalar] struct {
 // NewStreamOf creates a streaming factorization for rows with n columns in
 // the scalar domain T. The triangle starts at zero: a Stream with no
 // ingested rows represents the QR factorization of an empty (0×n) matrix.
+// Merge DAGs execute under the same placement policy as FactorOf: the
+// shared default runtime unless Options.Runtime or Options.Workers says
+// otherwise.
 func NewStreamOf[T Scalar](n int, opt Options) (*Stream[T], error) {
-	c, err := newStreamCore[T](n, opt)
+	if err := opt.validateStream(); err != nil {
+		return nil, err
+	}
+	// AlgorithmAuto picks the tile shape for streams too: the per-column
+	// merge tree is structurally fixed (binary), so the tuner only chooses
+	// nb/ib — by estimated merge throughput at the stream's width — while
+	// Options.Kernels keeps selecting the merge kernel family.
+	if opt.Algorithm == AlgorithmAuto && n >= 1 {
+		// Pinned sizes obey the same constraints as explicit ones (matching
+		// resolveAuto): an inner block wider than a pinned tile is an
+		// error, not a silent clamp.
+		if opt.TileSize > 0 {
+			if err := opt.validateSizes(); err != nil {
+				return nil, err
+			}
+		}
+		dec, err := tune.ResolveStream[T](n, opt.autoWidth(),
+			opt.TileSize, opt.InnerBlock, opt.Kernels.core())
+		if err != nil {
+			return nil, err
+		}
+		opt.Algorithm = Greedy // streams ignore the tree; record a concrete value
+		opt.TileSize, opt.InnerBlock = dec.NB, dec.IB
+	}
+	opt = opt.withDefaults()
+	if err := opt.validateSizes(); err != nil {
+		return nil, err
+	}
+	c, err := stream.NewCore[T](n, stream.Config{
+		NB:      opt.TileSize,
+		IB:      opt.InnerBlock,
+		Kernels: opt.Kernels.core(),
+		Env:     opt.execEnv(),
+		Check:   opt.CheckHealth,
+		Window:  opt.WindowRows,
+		Forget:  opt.Forget,
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -35,7 +35,7 @@ func batchSchedule(m int, pattern string, rng *rand.Rand) []int {
 
 // rowsOf copies rows [r0, r0+k) of a into a fresh matrix.
 func rowsOf(a *Dense, r0, k int) *Dense {
-	out := NewDense(k, a.Cols)
+	out := NewMat[float64](k, a.Cols)
 	for i := 0; i < k; i++ {
 		for j := 0; j < a.Cols; j++ {
 			out.Set(i, j, a.At(r0+i, j))
@@ -45,7 +45,7 @@ func rowsOf(a *Dense, r0, k int) *Dense {
 }
 
 func zRowsOf(a *ZDense, r0, k int) *ZDense {
-	out := NewZDense(k, a.Cols)
+	out := NewMat[complex128](k, a.Cols)
 	for i := 0; i < k; i++ {
 		for j := 0; j < a.Cols; j++ {
 			out.Set(i, j, a.At(r0+i, j))
@@ -70,7 +70,7 @@ func maxUpperDiffSigned(got, want *Dense, n int) float64 {
 	return worst
 }
 
-// TestStreamMatchesFactor feeds the same rows to StreamQR in single-row,
+// TestStreamMatchesFactor feeds the same rows to Stream[float64] in single-row,
 // fixed-size, and random-size batches and checks that R (up to row signs)
 // and the least-squares solution agree with the one-shot factorization to
 // 1e-12, across every parameter-free algorithm, both kernel families, and
@@ -103,7 +103,7 @@ func TestStreamMatchesFactor(t *testing.T) {
 				for _, kern := range []Kernels{TT, TS} {
 					sopt := opt
 					sopt.Kernels = kern
-					s, err := NewStream(sh.n, sopt)
+					s, err := NewStreamOf[float64](sh.n, sopt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -153,8 +153,8 @@ func TestStreamMatchesFactor(t *testing.T) {
 // ±1 sign exactly as in the real domain.
 func TestZStreamMatchesFactor(t *testing.T) {
 	const m, n, nb, ib, nrhs = 151, 43, 16, 8, 2
-	a := RandomZDense(m, n, 5)
-	b := RandomZDense(m, nrhs, 6)
+	a := RandomMat[complex128](m, n, 5)
+	b := RandomMat[complex128](m, nrhs, 6)
 	opt := Options{TileSize: nb, InnerBlock: ib, Workers: 4}
 	f, err := FactorComplex(a, opt)
 	if err != nil {
@@ -166,7 +166,7 @@ func TestZStreamMatchesFactor(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pattern := range []string{"single", "fixed", "random"} {
-		s, err := NewZStream(n, opt)
+		s, err := NewStreamOf[complex128](n, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestZStreamMatchesFactor(t *testing.T) {
 func TestStreamMemoryBound(t *testing.T) {
 	const n, nb, batchRows = 64, 32, 48
 	opt := Options{TileSize: nb, InnerBlock: 8, Workers: 2}
-	s, err := NewStream(n, opt)
+	s, err := NewStreamOf[float64](n, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestNarrowStreamAppendAllocs(t *testing.T) {
 	}
 	const n, nb, ib = 32, 128, 32
 	for _, workers := range []int{1, 2} {
-		s, err := NewStream(n, Options{TileSize: nb, InnerBlock: ib, Workers: workers})
+		s, err := NewStreamOf[float64](n, Options{TileSize: nb, InnerBlock: ib, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +305,7 @@ func TestWindowedAppendAllocs(t *testing.T) {
 		for _, rows := range []int{1, 32, 48} { // 48: the window is not a whole number of batches
 			batch, rhs := RandomDense(rows, n, 5), RandomDense(rows, 1, 6)
 			perAppend := func(windowRows int) float64 {
-				s, err := NewStream(n, Options{TileSize: nb, InnerBlock: ib, Workers: workers, WindowRows: windowRows})
+				s, err := NewStreamOf[float64](n, Options{TileSize: nb, InnerBlock: ib, Workers: workers, WindowRows: windowRows})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -332,7 +332,7 @@ func TestStreamResidualNorm(t *testing.T) {
 	const m, n, nb = 200, 24, 16
 	a := RandomDense(m, n, 77)
 	b := RandomDense(m, 1, 78)
-	s, err := NewStream(n, Options{TileSize: nb, InnerBlock: 8})
+	s, err := NewStreamOf[float64](n, Options{TileSize: nb, InnerBlock: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,11 +345,11 @@ func TestStreamResidualNorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Mul(a, x)
+	res := MulOf(a, x)
 	for i := 0; i < m; i++ {
 		res.Set(i, 0, b.At(i, 0)-res.At(i, 0))
 	}
-	want := FrobeniusNorm(res)
+	want := FrobeniusNormOf(res)
 	got, err := s.ResidualNorm()
 	if err != nil {
 		t.Fatal(err)
@@ -362,23 +362,23 @@ func TestStreamResidualNorm(t *testing.T) {
 // TestStreamErrors exercises the API misuse guards of the streaming path.
 func TestStreamErrors(t *testing.T) {
 	opt := Options{TileSize: 16, InnerBlock: 8}
-	if _, err := NewStream(0, opt); err == nil {
-		t.Error("NewStream(0) should fail")
+	if _, err := NewStreamOf[float64](0, opt); err == nil {
+		t.Error("NewStreamOf[float64](0) should fail")
 	}
-	s, err := NewStream(8, opt)
+	s, err := NewStreamOf[float64](8, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AppendRows(nil); err == nil {
 		t.Error("AppendRows(nil) should fail")
 	}
-	if err := s.AppendRows(NewDense(3, 5)); err == nil {
+	if err := s.AppendRows(NewMat[float64](3, 5)); err == nil {
 		t.Error("column-count mismatch should fail")
 	}
 	if err := s.AppendRHS(RandomDense(3, 8, 1), nil); err == nil {
 		t.Error("AppendRHS with nil rhs should fail")
 	}
-	if err := s.AppendRHS(RandomDense(3, 8, 1), NewDense(2, 1)); err == nil {
+	if err := s.AppendRHS(RandomDense(3, 8, 1), NewMat[float64](2, 1)); err == nil {
 		t.Error("rhs row mismatch should fail")
 	}
 	if _, err := s.SolveLS(); err == nil {
@@ -391,21 +391,21 @@ func TestStreamErrors(t *testing.T) {
 	if err := s.AppendRows(RandomDense(4, 8, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendRHS(RandomDense(4, 8, 3), NewDense(4, 1)); err == nil {
+	if err := s.AppendRHS(RandomDense(4, 8, 3), NewMat[float64](4, 1)); err == nil {
 		t.Error("late RHS tracking should fail")
 	}
 	// RHS stream rejects RHS-free appends and width changes.
-	sr, err := NewStream(8, opt)
+	sr, err := NewStreamOf[float64](8, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sr.AppendRHS(RandomDense(4, 8, 2), NewDense(4, 2)); err != nil {
+	if err := sr.AppendRHS(RandomDense(4, 8, 2), NewMat[float64](4, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := sr.AppendRows(RandomDense(4, 8, 4)); err == nil {
 		t.Error("AppendRows on an RHS-tracking stream should fail")
 	}
-	if err := sr.AppendRHS(RandomDense(4, 8, 5), NewDense(4, 3)); err == nil {
+	if err := sr.AppendRHS(RandomDense(4, 8, 5), NewMat[float64](4, 3)); err == nil {
 		t.Error("changing the RHS width should fail")
 	}
 	// SolveLS before n rows are ingested.
@@ -413,14 +413,14 @@ func TestStreamErrors(t *testing.T) {
 		t.Error("SolveLS with fewer than n rows should fail")
 	}
 	// Complex guards share the core; spot-check the two wrapper-level ones.
-	zs, err := NewZStream(4, opt)
+	zs, err := NewStreamOf[complex128](4, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := zs.AppendRows(nil); err == nil {
 		t.Error("complex AppendRows(nil) should fail")
 	}
-	if err := zs.AppendRHS(RandomZDense(2, 4, 1), nil); err == nil {
+	if err := zs.AppendRHS(RandomMat[complex128](2, 4, 1), nil); err == nil {
 		t.Error("complex AppendRHS(nil rhs) should fail")
 	}
 }
@@ -435,13 +435,13 @@ func TestApplyNilB(t *testing.T) {
 	if err := f.ApplyQ(nil); err == nil {
 		t.Error("ApplyQ(nil) should fail")
 	}
-	if err := f.ApplyQT(nil); err == nil {
-		t.Error("ApplyQT(nil) should fail")
+	if err := f.ApplyQH(nil); err == nil {
+		t.Error("real ApplyQH(nil) should fail")
 	}
 	if _, err := f.SolveLS(nil); err == nil {
 		t.Error("SolveLS(nil) should fail")
 	}
-	zf, err := FactorComplex(RandomZDense(40, 20, 1), Options{TileSize: 16, InnerBlock: 8})
+	zf, err := FactorComplex(RandomMat[complex128](40, 20, 1), Options{TileSize: 16, InnerBlock: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +465,7 @@ func TestStreamRowsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewStream(n, Options{TileSize: nb, InnerBlock: 8})
+	s, err := NewStreamOf[float64](n, Options{TileSize: nb, InnerBlock: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

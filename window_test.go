@@ -79,7 +79,7 @@ func factorZ(a, b *Mat[complex128], opt Options) (*Mat[complex128], *Mat[complex
 }
 
 func factorS(a, b *Mat[float32], opt Options) (*Mat[float32], *Mat[float32], error) {
-	f, err := Factor32(a, opt)
+	f, err := FactorOf(nil, a, opt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -91,7 +91,7 @@ func factorS(a, b *Mat[float32], opt Options) (*Mat[float32], *Mat[float32], err
 }
 
 func factorC(a, b *Mat[complex64], opt Options) (*Mat[complex64], *Mat[complex64], error) {
-	f, err := CFactor(a, opt)
+	f, err := FactorOf(nil, a, opt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -192,7 +192,7 @@ func TestDowndateBelowRank(t *testing.T) {
 	a := RandomDense(m, n, 21)
 	b := RandomDense(m, nrhs, 22)
 	opt := Options{TileSize: nb, InnerBlock: ib, Workers: 2, WindowRows: RetainAll}
-	s, err := NewStream(n, opt)
+	s, err := NewStreamOf[float64](n, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestDowndateBelowRank(t *testing.T) {
 
 	// The history retains [7-row tail of batch 3, batch 4] after dropping
 	// 41 = 2·16 + 9 rows; a fresh stream is fed the same two batches.
-	ref, err := NewStream(n, opt)
+	ref, err := NewStreamOf[float64](n, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +264,11 @@ func TestForgettingClosedForm(t *testing.T) {
 
 	fopt := opt
 	fopt.Forget = lambda
-	s, err := NewStream(n, fopt)
+	s, err := NewStreamOf[float64](n, fopt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	manual, err := NewStream(n, opt)
+	manual, err := NewStreamOf[float64](n, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,13 +338,13 @@ func TestWindowFootprintFlat(t *testing.T) {
 	opt := Options{TileSize: nb, InnerBlock: ib, Workers: 1}
 	wopt := opt
 	wopt.WindowRows = window
-	windowed, err := NewStream(n, wopt)
+	windowed, err := NewStreamOf[float64](n, wopt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gopt := opt
 	gopt.WindowRows = RetainAll
-	growing, err := NewStream(n, gopt)
+	growing, err := NewStreamOf[float64](n, gopt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,8 +387,8 @@ func TestStreamOptionValidation(t *testing.T) {
 		{"window negative", Options{WindowRows: -2}, "WindowRows"},
 	}
 	for _, tc := range bad {
-		if _, err := NewStream(16, tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: NewStream err = %v, want mention of %q", tc.name, err, tc.want)
+		if _, err := NewStreamOf[float64](16, tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: NewStreamOf err = %v, want mention of %q", tc.name, err, tc.want)
 		}
 	}
 	a := RandomDense(32, 16, 1)
@@ -403,7 +403,7 @@ func TestStreamOptionValidation(t *testing.T) {
 // TestDowndateErrors covers DowndateRows/Forget misuse: each call must
 // fail descriptively and leave the stream fully usable.
 func TestDowndateErrors(t *testing.T) {
-	plain, err := NewStream(16, Options{TileSize: 16, InnerBlock: 8, Workers: 1})
+	plain, err := NewStreamOf[float64](16, Options{TileSize: 16, InnerBlock: 8, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestDowndateErrors(t *testing.T) {
 		t.Errorf("downdate without retention: err = %v, want WindowRows hint", err)
 	}
 
-	s, err := NewStream(16, Options{TileSize: 16, InnerBlock: 8, Workers: 1, WindowRows: RetainAll})
+	s, err := NewStreamOf[float64](16, Options{TileSize: 16, InnerBlock: 8, Workers: 1, WindowRows: RetainAll})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,23 +8,23 @@ import (
 
 func checkZFactorization(t *testing.T, m, n int, opt Options) {
 	t.Helper()
-	a := RandomZDense(m, n, int64(m*1000+n))
+	a := RandomMat[complex128](m, n, int64(m*1000+n))
 	f, err := FactorComplex(a, opt)
 	if err != nil {
 		t.Fatalf("%v/%v %dx%d: %v", opt.Algorithm, opt.Kernels, m, n, err)
 	}
 	q := f.Q()
 	r := f.R()
-	rFull := NewZDense(m, n)
+	rFull := NewMat[complex128](m, n)
 	for i := 0; i < r.Rows; i++ {
 		for j := 0; j < n; j++ {
 			rFull.Set(i, j, r.At(i, j))
 		}
 	}
-	if res := ZQRResidual(a, q, rFull); res > tol {
+	if res := QRResidualOf(a, q, rFull); res > tol {
 		t.Errorf("%v/%v %dx%d: residual %g", opt.Algorithm, opt.Kernels, m, n, res)
 	}
-	if ortho := ZOrthoResidual(q); ortho > tol {
+	if ortho := OrthoResidualOf(q); ortho > tol {
 		t.Errorf("%v/%v %dx%d: orthogonality %g", opt.Algorithm, opt.Kernels, m, n, ortho)
 	}
 }
@@ -47,7 +47,7 @@ func TestFactorComplexShapes(t *testing.T) {
 // TestZRDiagonalReal: LAPACK's complex Householder convention produces an R
 // with real diagonal entries.
 func TestZRDiagonalReal(t *testing.T) {
-	a := RandomZDense(24, 16, 5)
+	a := RandomMat[complex128](24, 16, 5)
 	f, err := FactorComplex(a, Options{TileSize: 8, InnerBlock: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -61,12 +61,12 @@ func TestZRDiagonalReal(t *testing.T) {
 }
 
 func TestZApplyQRoundTrip(t *testing.T) {
-	a := RandomZDense(32, 16, 7)
+	a := RandomMat[complex128](32, 16, 7)
 	f, err := FactorComplex(a, Options{Algorithm: Fibonacci, TileSize: 8, InnerBlock: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b0 := RandomZDense(32, 3, 8)
+	b0 := RandomMat[complex128](32, 3, 8)
 	b := b0.Clone()
 	if err := f.ApplyQH(b); err != nil {
 		t.Fatal(err)
@@ -85,20 +85,20 @@ func TestZApplyQRoundTrip(t *testing.T) {
 
 func TestZThinQAndSolve(t *testing.T) {
 	m, n := 40, 8
-	a := RandomZDense(m, n, 9)
+	a := RandomMat[complex128](m, n, 9)
 	f, err := FactorComplex(a, Options{TileSize: 8, InnerBlock: 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	qt := f.ThinQ()
-	if o := ZOrthoResidual(qt); o > tol {
+	if o := OrthoResidualOf(qt); o > tol {
 		t.Errorf("ThinQ orthogonality %g", o)
 	}
-	if res := ZQRResidual(a, qt, f.R()); res > tol {
+	if res := QRResidualOf(a, qt, f.R()); res > tol {
 		t.Errorf("thin QR residual %g", res)
 	}
-	xTrue := RandomZDense(n, 1, 10)
-	b := ZMul(a, xTrue)
+	xTrue := RandomMat[complex128](n, 1, 10)
+	b := MulOf(a, xTrue)
 	x, err := f.SolveLS(b)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestZThinQAndSolve(t *testing.T) {
 }
 
 func TestZDeterministicAcrossWorkers(t *testing.T) {
-	a := RandomZDense(32, 16, 11)
+	a := RandomMat[complex128](32, 16, 11)
 	opt := Options{Algorithm: Greedy, TileSize: 8, InnerBlock: 4, Workers: 1}
 	f1, err := FactorComplex(a, opt)
 	if err != nil {
