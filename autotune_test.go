@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"tiledqr/internal/tile"
 	"tiledqr/internal/tune"
 )
 
@@ -210,32 +211,32 @@ func complexAbs(z complex128) complex128 {
 	return complex(math.Hypot(real(z), imag(z)), 0)
 }
 
-// TestAutoStream checks streams pick a tile shape under Auto and still
-// reproduce the one-shot R over the same rows.
+// TestAutoStream checks streams pick a tile shape under Auto, merge batches
+// flat with TS kernels, and still reproduce what a one-shot factorization
+// of the same rows serves: R and Qᵀb up to row
+// signs, the least-squares solution and the residual. The batches run from
+// one row to several tile rows.
 func TestAutoStream(t *testing.T) {
 	isolateCalibration(t)
-	const n, rows = 100, 150
+	const n, nrhs = 100, 2
+	heights := []int{1, 37, 64, 150, 7, 200, 3}
+	rows := 0
+	for _, r := range heights {
+		rows += r
+	}
 	auto := Options{Algorithm: AlgorithmAuto}
 	st, err := NewStreamOf[float64](n, auto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := RandomDense(rows, n, 11)
-	// Append in two ragged batches.
-	copyRows := func(lo, hi int) *Dense {
-		b := NewMat[float64](hi-lo, n)
-		for i := lo; i < hi; i++ {
-			for j := 0; j < n; j++ {
-				b.Set(i-lo, j, a.At(i, j))
-			}
+	a, b := RandomDense(rows, n, 11), RandomDense(rows, nrhs, 12)
+	view := func(m *Dense, lo, r int) *Dense {
+		return (*Dense)((*tile.Dense[float64])(m).View(lo, 0, r, m.Cols))
+	}
+	for lo, x := 0, 0; x < len(heights); lo, x = lo+heights[x], x+1 {
+		if err := st.AppendRHS(view(a, lo, heights[x]), view(b, lo, heights[x])); err != nil {
+			t.Fatal(err)
 		}
-		return b
-	}
-	if err := st.AppendRows(copyRows(0, 70)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.AppendRows(copyRows(70, rows)); err != nil {
-		t.Fatal(err)
 	}
 	f, err := Factor(a, auto)
 	if err != nil {
@@ -245,13 +246,51 @@ func TestAutoStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf := f.R()
+	qs, err := st.QTB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf, qf := f.R(), b.Clone()
+	if err := f.ApplyQH(qf); err != nil {
+		t.Fatal(err)
+	}
+	const tol = 1e-10
 	for i := 0; i < n; i++ {
+		sign := math.Copysign(1, rs.At(i, i)*rf.At(i, i))
 		for j := i; j < n; j++ {
-			if d := math.Abs(math.Abs(rs.At(i, j)) - math.Abs(rf.At(i, j))); d > 1e-10 {
+			if d := math.Abs(sign*rs.At(i, j) - rf.At(i, j)); d > tol {
 				t.Fatalf("stream R disagrees with one-shot at (%d,%d): %g", i, j, d)
 			}
 		}
+		for j := 0; j < nrhs; j++ {
+			if d := math.Abs(sign*qs.At(i, j) - qf.At(i, j)); d > tol {
+				t.Fatalf("stream Qᵀb disagrees with one-shot at (%d,%d): %g", i, j, d)
+			}
+		}
+	}
+	xs, err := st.SolveLS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	xf, err := f.SolveLS(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < nrhs; j++ {
+			if d := math.Abs(xs.At(i, j) - xf.At(i, j)); d > tol {
+				t.Fatalf("stream LS solution disagrees with one-shot at (%d,%d): %g", i, j, d)
+			}
+		}
+	}
+	var direct float64 // ‖b − A·x‖_F over the rows Qᵀb leaves below the top n
+	for i := n; i < rows; i++ {
+		for j := 0; j < nrhs; j++ {
+			direct += qf.At(i, j) * qf.At(i, j)
+		}
+	}
+	if resid, err := st.ResidualNorm(); err != nil || math.Abs(resid-math.Sqrt(direct)) > tol*math.Sqrt(direct) {
+		t.Fatalf("stream residual %g (err %v), one-shot %g", resid, err, math.Sqrt(direct))
 	}
 	if _, err := NewStreamOf[complex64](64, auto); err != nil {
 		t.Fatal(err)

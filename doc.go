@@ -109,26 +109,26 @@
 //
 // Under AlgorithmAuto, TileSize = 0 and InnerBlock = 0 mean "choose for
 // me"; setting either nonzero pins that dimension while the rest is still
-// tuned, and the Kernels field is chosen by the tuner (streams keep
-// honoring it). Options.Resolve exposes the decision: it returns the
-// concrete options an Auto factorization of that shape would use, which
-// reproduce the Auto result bit for bit. Decisions are deterministic per
-// (shape, width, precision) within a process, so FactorInto/Refactor
-// serving fleets keep hitting the engine's plan/arena reuse path. `qrperf
-// -tune` prints the full decision table with predicted-vs-measured error,
-// and `make bench-gate` (run in CI) guards the calibration's foundation:
-// it fails when any measured kernel series regresses beyond tolerance
-// against the committed BENCH_kernels.json baseline.
+// tuned, and the Kernels field is chosen by the tuner (an Auto stream merges
+// batches with TS kernels). Options.Resolve exposes the decision: it
+// returns the concrete options an Auto factorization of that shape would use, which reproduce the Auto result bit for bit. Decisions
+// are deterministic per (shape, width, precision) within a process, so
+// FactorInto/Refactor serving fleets keep hitting the engine's plan/arena
+// reuse path. `qrperf -tune` prints the full decision table with
+// predicted-vs-measured error, and `make bench-gate` (run in CI) guards
+// the calibration's foundation: it fails when any measured kernel series
+// regresses beyond tolerance against the committed BENCH_kernels.json
+// baseline.
 //
 // # Streaming (incremental) factorization
 //
 // Stream[T] factors a matrix whose rows arrive over time — the incremental
-// mode of communication-avoiding TSQR, built from the same
-// triangle-on-triangle kernels the paper's algorithms use. Each appended
-// batch is tiled, panel-factored with GEQRT, binary-tree-reduced within
-// each column, and merged into a resident n×n triangle with TTQRT/TTMQR,
-// scheduled by the same work-stealing runtime and critical-path priorities
-// as a one-shot factorization:
+// mode of communication-avoiding TSQR. Each appended batch is tiled and
+// merged into a resident n×n triangle along one of the paper's elimination
+// trees, scheduled by the same work-stealing runtime and critical-path
+// priorities as a one-shot factorization: a binary tree in the
+// Options.Kernels family, or under AlgorithmAuto the flat tree with TS
+// kernels, each batch tile eliminated straight into the triangle:
 //
 //	s, _ := tiledqr.NewStreamOf[float64](nFeatures, tiledqr.Options{})
 //	for batch, rhs := range observations {   // r×n rows + r×nrhs targets

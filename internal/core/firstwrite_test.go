@@ -107,30 +107,20 @@ func TestFirstWritesOneShot(t *testing.T) {
 	}
 }
 
-// TestFirstWritesStream: the merge DAGs of a stream satisfy the same
-// invariant, and every live batch tile — all of them for a row batch, the
-// upper ones for a triangular block — is first-written, since the stream
-// fills exactly those from the appended rows.
+// TestFirstWritesStream: the merge DAGs of a stream, in every tree, satisfy
+// the same invariant, and every live batch tile — all of them for a row
+// batch, the upper ones for a triangular block — is first-written, since
+// the stream fills exactly those from the appended rows.
 func TestFirstWritesStream(t *testing.T) {
-	for _, kern := range []Kernels{TT, TS} {
-		for _, q := range []int{1, 2, 5} {
-			for _, pb := range []int{1, 2, 5} {
-				for _, tri := range []bool{false, true} {
-					if tri && pb != q {
-						continue
-					}
-					what := fmt.Sprintf("%v q=%d pb=%d tri=%v", kern, q, pb, tri)
-					got := checkFirstWrites(t, what, BuildStreamDAG(q, pb, kern, tri))
-					for i := 1; i <= pb; i++ {
-						for k := 1; k <= q; k++ {
-							live := !tri || k >= i
-							if x := (q+i-1)*q + k - 1; got[x] != live {
-								t.Fatalf("%s: batch tile (%d,%d) first-written = %v, want %v", what, q+i, k, got[x], live)
-							}
-						}
-					}
+	mergeShapes(5, 5, func(what string, alg Algorithm, kern Kernels, q, pb int, tri bool) {
+		got := checkFirstWrites(t, what, BuildStreamDAG(q, pb, alg, kern, tri))
+		for i := 1; i <= pb; i++ {
+			for k := 1; k <= q; k++ {
+				live := !tri || k >= i
+				if x := (q+i-1)*q + k - 1; got[x] != live {
+					t.Fatalf("%s: batch tile (%d,%d) first-written = %v, want %v", what, q+i, k, got[x], live)
 				}
 			}
 		}
-	}
+	})
 }

@@ -1,136 +1,267 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
 
-// TestBuildStreamDAGStructure checks the invariants of the streaming merge
-// graph: resident rows are never factored or zeroed, every batch tile is
-// zeroed exactly once per column, and task IDs stay topologically ordered.
-func TestBuildStreamDAGStructure(t *testing.T) {
-	for _, kern := range []Kernels{TT, TS} {
-		for _, shape := range []struct{ q, pb int }{
-			{1, 1}, {1, 5}, {3, 1}, {3, 2}, {4, 7}, {8, 3},
-		} {
-			q, pb := shape.q, shape.pb
-			d := BuildStreamDAG(q, pb, kern, false)
-			gers, zeroed := 0, make(map[[2]int]int)
-			for id, task := range d.Tasks {
-				for _, p := range d.Preds(id) {
-					if p >= int32(id) {
-						t.Fatalf("%v q=%d pb=%d: task %d has predecessor %d (not topological)", kern, q, pb, id, p)
-					}
-				}
-				switch task.Kind {
-				case KGEQRT:
-					gers++
-					if task.I <= q {
-						t.Fatalf("%v q=%d pb=%d: GEQRT on resident row %d", kern, q, pb, task.I)
-					}
-				case KTSQRT, KTTQRT:
-					if task.I <= q {
-						t.Fatalf("%v q=%d pb=%d: resident row %d zeroed by %v", kern, q, pb, task.I, task)
-					}
-					zeroed[[2]int{task.I, task.K}]++
-				}
-				// Resident rows appear only as the pivot of column K — their
-				// structurally zero sub-diagonal tiles are never referenced.
-				if task.I <= q && task.I != task.K {
-					t.Fatalf("%v q=%d pb=%d: task %v touches resident row %d outside column %d", kern, q, pb, task, task.I, task.I)
-				}
-				if task.Piv > 0 && task.Piv <= q && task.Piv != task.K {
-					t.Fatalf("%v q=%d pb=%d: task %v pivots on resident row %d outside column %d", kern, q, pb, task, task.Piv, task.K)
-				}
+// refStreamDAG is BuildStreamDAG as it was before merges became elimination
+// lists: a hand-written binary tree over the batch rows of each column whose
+// survivor is merged into the resident row. It is kept as the reference the
+// BinaryTree merge list must reproduce task for task and edge for edge.
+func refStreamDAG(q, pb int, kernels Kernels, tri bool) *DAG {
+	b := newDAGBuilder(q+pb, q, kernels)
+	for i := 1; i <= q; i++ {
+		for k := 1; k <= q; k++ {
+			b.tri[b.idx(i, k)] = true
+		}
+		if tri {
+			b.tri[b.idx(q+i, i)] = true
+		}
+	}
+	alive := make([]int, 0, pb)
+	next := make([]int, 0, pb)
+	for k := 1; k <= q; k++ {
+		live := pb
+		if tri {
+			live = k
+		}
+		alive = alive[:0]
+		for i := 0; i < live; i++ {
+			alive = append(alive, q+1+i)
+		}
+		for len(alive) > 1 {
+			next = next[:0]
+			for j := 0; j+1 < len(alive); j += 2 {
+				b.elim(Elim{I: alive[j+1], Piv: alive[j], K: k}, kernels)
+				next = append(next, alive[j])
 			}
-			for k := 1; k <= q; k++ {
-				for i := q + 1; i <= q+pb; i++ {
-					if zeroed[[2]int{i, k}] != 1 {
-						t.Fatalf("%v q=%d pb=%d: batch tile (%d,%d) zeroed %d times", kern, q, pb, i, k, zeroed[[2]int{i, k}])
-					}
-					if d.ZeroTask(i, k) < 0 {
-						t.Fatalf("%v q=%d pb=%d: no zero task recorded for (%d,%d)", kern, q, pb, i, k)
+			if len(alive)%2 == 1 {
+				next = append(next, alive[len(alive)-1])
+			}
+			alive = append(alive[:0], next...)
+		}
+		b.elim(Elim{I: alive[0], Piv: k, K: k}, kernels)
+	}
+	return b.d
+}
+
+// mergeShapes calls f for every tree, kernel family and merge shape with
+// q ≤ maxQ and pb ≤ maxPB, triangular blocks (pb = q) included.
+func mergeShapes(maxQ, maxPB int, f func(what string, alg Algorithm, kern Kernels, q, pb int, tri bool)) {
+	for _, alg := range MergeAlgorithms {
+		for _, kern := range []Kernels{TT, TS} {
+			for q := 1; q <= maxQ; q++ {
+				for pb := 1; pb <= maxPB; pb++ {
+					for _, tri := range []bool{false, true} {
+						if tri && pb != q {
+							continue
+						}
+						f(fmt.Sprintf("%v/%v q=%d pb=%d tri=%v", alg, kern, q, pb, tri), alg, kern, q, pb, tri)
 					}
 				}
-			}
-			if kern == TT && gers != pb*q {
-				t.Fatalf("TT q=%d pb=%d: %d GEQRT tasks, want %d (every batch row in every column)", q, pb, gers, pb*q)
 			}
 		}
 	}
 }
 
-// TestBuildStreamDAGWeight pins the merge cost: eliminating pb batch rows in
-// column k costs pb·(GEQRT+TTQRT) = 6·pb units plus pb·(UNMQR+TTMQR) =
-// 12·pb units per trailing column, in both kernel families — 2·r·n² flops
-// per appended r-row batch, independent of rows ingested before.
-func TestBuildStreamDAGWeight(t *testing.T) {
-	for _, kern := range []Kernels{TT, TS} {
-		for _, shape := range []struct{ q, pb int }{{1, 1}, {3, 2}, {5, 4}, {6, 1}} {
-			q, pb := shape.q, shape.pb
-			want := 0
-			for k := 1; k <= q; k++ {
-				want += pb * (6 + 12*(q-k))
+// TestMergeBinaryTreeMatchesReference: the BinaryTree merge list expands to
+// exactly the DAG the hand-written reduction built — the same tasks in the
+// same order with the same predecessors, zero tasks and first writes — so
+// every stream that keeps BinaryTree runs unchanged merges.
+func TestMergeBinaryTreeMatchesReference(t *testing.T) {
+	mergeShapes(5, 8, func(what string, alg Algorithm, kern Kernels, q, pb int, tri bool) {
+		if alg != BinaryTree {
+			return
+		}
+		got, want := BuildStreamDAG(q, pb, BinaryTree, kern, tri), refStreamDAG(q, pb, kern, tri)
+		if !slices.Equal(got.Tasks, want.Tasks) {
+			t.Fatalf("%s: tasks differ from the reference:\n got %v\nwant %v", what, got.Tasks, want.Tasks)
+		}
+		for id := range got.Tasks {
+			if !slices.Equal(got.Preds(id), want.Preds(id)) || !slices.Equal(got.FirstWrites(id), want.FirstWrites(id)) {
+				t.Fatalf("%s: task %v has preds %v, first writes %v; the reference %v, %v", what, got.Tasks[id],
+					got.Preds(id), got.FirstWrites(id), want.Preds(id), want.FirstWrites(id))
 			}
-			if got := BuildStreamDAG(q, pb, kern, false).TotalWeight(); got != want {
-				t.Fatalf("%v q=%d pb=%d: total weight %d, want %d", kern, q, pb, got, want)
+		}
+		if !slices.Equal(got.zeroTask, want.zeroTask) {
+			t.Fatalf("%s: zero tasks %v, the reference %v", what, got.zeroTask, want.zeroTask)
+		}
+	})
+}
+
+// checkMergeDAG checks the invariants of a merge graph: resident rows are
+// never factored or zeroed and appear only as the pivot of their own
+// column, every live batch tile is zeroed exactly once, a triangular
+// block's structurally zero tiles are never referenced nor its diagonal
+// triangles re-factored, and task IDs stay topologically ordered.
+func checkMergeDAG(t *testing.T, what string, d *DAG, q, pb int, tri bool) {
+	t.Helper()
+	zeroed := make(map[[2]int]int)
+	for id, task := range d.Tasks {
+		for _, p := range d.Preds(id) {
+			if p >= int32(id) {
+				t.Fatalf("%s: task %d has predecessor %d (not topological)", what, id, p)
+			}
+		}
+		for _, ref := range [][2]int{{task.I, task.K}, {task.I, task.J}, {task.Piv, task.K}, {task.Piv, task.J}} {
+			i, k := ref[0], ref[1]
+			if i == 0 || k == 0 {
+				continue
+			}
+			if i <= q && k < i || tri && i > q && k < i-q {
+				t.Fatalf("%s: %v references structurally zero tile (%d,%d)", what, task, i, k)
+			}
+		}
+		switch task.Kind {
+		case KGEQRT:
+			if task.I <= q || tri && task.I-q == task.K {
+				t.Fatalf("%s: %v re-factors a triangle", what, task)
+			}
+		case KTSQRT, KTTQRT:
+			if task.I <= q {
+				t.Fatalf("%s: resident row %d zeroed by %v", what, task.I, task)
+			}
+			zeroed[[2]int{task.I, task.K}]++
+		}
+		if task.I <= q && task.I != task.K {
+			t.Fatalf("%s: %v touches resident row %d outside its column", what, task, task.I)
+		}
+		if task.Piv > 0 && task.Piv <= q && task.Piv != task.K {
+			t.Fatalf("%s: %v pivots on resident row %d outside its column", what, task, task.Piv)
+		}
+	}
+	for k := 1; k <= q; k++ {
+		for i := 1; i <= pb; i++ {
+			want := 1
+			if tri && i > k {
+				want = 0
+			}
+			if zeroed[[2]int{q + i, k}] != want {
+				t.Fatalf("%s: batch tile (%d,%d) zeroed %d times, want %d", what, q+i, k, zeroed[[2]int{q + i, k}], want)
+			}
+			if want == 1 && d.ZeroTask(q+i, k) < 0 {
+				t.Fatalf("%s: no zero task recorded for (%d,%d)", what, q+i, k)
 			}
 		}
 	}
+}
+
+// TestBuildStreamDAGStructure checks the row-batch merge graphs of every
+// tree and family (checkMergeDAG); in TT mode every batch tile is
+// triangularized by GEQRT in every column.
+func TestBuildStreamDAGStructure(t *testing.T) {
+	mergeShapes(5, 8, func(what string, alg Algorithm, kern Kernels, q, pb int, tri bool) {
+		if tri {
+			return
+		}
+		d := BuildStreamDAG(q, pb, alg, kern, false)
+		checkMergeDAG(t, what, d, q, pb, false)
+		gers := 0
+		for _, task := range d.Tasks {
+			if task.Kind == KGEQRT {
+				gers++
+			}
+		}
+		if kern == TT && gers != pb*q {
+			t.Fatalf("%s: %d GEQRT tasks, want %d (every batch tile)", what, gers, pb*q)
+		}
+	})
+}
+
+// TestBuildStreamDAGWeight pins the merge cost in every tree and family:
+// each live batch tile of column k costs 6 + 12(q−k) units, so a row batch
+// weighs pb·Σ(6 + 12(q−k)) — 2·r·n² flops per appended r-row batch,
+// independent of rows ingested before.
+func TestBuildStreamDAGWeight(t *testing.T) {
+	mergeShapes(6, 9, func(what string, alg Algorithm, kern Kernels, q, pb int, tri bool) {
+		if tri {
+			return
+		}
+		want := 0
+		for k := 1; k <= q; k++ {
+			want += pb * (6 + 12*(q-k))
+		}
+		if got := BuildStreamDAG(q, pb, alg, kern, false).TotalWeight(); got != want {
+			t.Fatalf("%s: total weight %d, want %d", what, got, want)
+		}
+	})
 }
 
 // TestBuildStreamDAGTriangular covers the triangle-on-triangle merge a
-// sliding window re-reduces with: the incoming block is itself upper
-// triangular, so its sub-diagonal tiles are never referenced, its diagonal
-// tiles are never re-factored, every live tile is zeroed exactly once, and
-// the whole merge weighs a third of a full q-row batch in both families.
+// sliding window re-reduces with, in every tree and family: the incoming
+// block is itself upper triangular, so its sub-diagonal tiles are never
+// referenced, its diagonal tiles are never re-factored, every live tile is
+// zeroed exactly once (checkMergeDAG), and the whole merge weighs a third of
+// a full q-row batch.
 func TestBuildStreamDAGTriangular(t *testing.T) {
-	for _, kern := range []Kernels{TT, TS} {
-		for _, q := range []int{1, 2, 4, 7} {
-			d := BuildStreamDAG(q, q, kern, true)
-			zeroed := make(map[[2]int]int)
-			for id, task := range d.Tasks {
-				for _, p := range d.Preds(id) {
-					if p >= int32(id) {
-						t.Fatalf("%v q=%d: task %d has predecessor %d (not topological)", kern, q, id, p)
-					}
+	mergeShapes(7, 7, func(what string, alg Algorithm, kern Kernels, q, pb int, tri bool) {
+		if !tri {
+			return
+		}
+		d := BuildStreamDAG(q, q, alg, kern, true)
+		checkMergeDAG(t, what, d, q, q, true)
+		want := 0
+		for k := 1; k <= q; k++ {
+			want += (k-1)*(4+6*(q-k)) + k*(2+6*(q-k))
+		}
+		if got, full := d.TotalWeight(), BuildStreamDAG(q, q, alg, kern, false).TotalWeight(); got != want || 3*got != full {
+			t.Fatalf("%s: total weight %d of a full batch's %d, want %d, a third", what, got, full, want)
+		}
+	})
+	if got := BuildStreamDAG(4, 4, BinaryTree, TT, true).TotalWeight(); got != 128 {
+		t.Fatalf("q=4: triangular merge weighs %d units, want 128", got)
+	}
+}
+
+// criticalPath is the merge DAG's longest path in Table 1 weight units.
+func criticalPath(d *DAG) int {
+	fin, cp := make([]int, d.NumTasks()), 0
+	for id := range fin {
+		for _, p := range d.Preds(id) {
+			fin[id] = max(fin[id], fin[p])
+		}
+		fin[id] += d.Tasks[id].Kind.Weight()
+		cp = max(cp, fin[id])
+	}
+	return cp
+}
+
+// TestMergeCriticalPathGoldens pins the critical path (Table 1 units) of a
+// row-batch merge per tree on a (q, pb) grid, in both kernel families. The
+// flat tree's path grows linearly in pb, the binary tree's logarithmically;
+// with few batch rows the flat tree's chain is the shorter one.
+func TestMergeCriticalPathGoldens(t *testing.T) {
+	pbs := []int{1, 2, 3, 4, 8, 9, 32}
+	// golden[kern][q-1][x] is (flat, binary) at pb = pbs[x].
+	golden := map[Kernels][][][2]int{
+		TT: {
+			{{6, 6}, {8, 8}, {10, 10}, {12, 10}, {20, 12}, {22, 14}, {68, 16}},
+			{{22, 22}, {28, 30}, {34, 38}, {40, 38}, {64, 46}, {70, 54}, {208, 62}},
+			{{38, 38}, {44, 52}, {50, 66}, {56, 66}, {80, 80}, {86, 94}, {224, 108}},
+			{{54, 54}, {60, 74}, {66, 94}, {72, 94}, {96, 114}, {102, 134}, {240, 154}},
+		},
+		TS: {
+			{{6, 6}, {12, 12}, {18, 18}, {24, 14}, {48, 16}, {54, 22}, {192, 20}},
+			{{24, 24}, {36, 40}, {48, 58}, {60, 48}, {108, 56}, {120, 74}, {396, 72}},
+			{{42, 42}, {54, 68}, {66, 98}, {78, 82}, {126, 96}, {138, 126}, {414, 124}},
+			{{60, 60}, {72, 96}, {84, 138}, {96, 116}, {144, 136}, {156, 178}, {432, 176}},
+		},
+	}
+	for kern, byQ := range golden {
+		for qi, row := range byQ {
+			q := qi + 1
+			for x, want := range row {
+				pb := pbs[x]
+				var got [2]int
+				for a, alg := range MergeAlgorithms {
+					got[a] = criticalPath(BuildStreamDAG(q, pb, alg, kern, false))
 				}
-				for _, ref := range [][2]int{{task.I, task.K}, {task.I, task.J}, {task.Piv, task.K}, {task.Piv, task.J}} {
-					i, k := ref[0], ref[1]
-					if i == 0 || k == 0 {
-						continue
-					}
-					if i <= q && k < i || i > q && k < i-q {
-						t.Fatalf("%v q=%d: %v references structurally zero tile (%d,%d)", kern, q, task, i, k)
-					}
+				if got != want {
+					t.Errorf("%v q=%d pb=%d: critical paths (flat, binary) %v, want %v", kern, q, pb, got, want)
 				}
-				switch task.Kind {
-				case KGEQRT:
-					if task.I <= q || task.I-q == task.K {
-						t.Fatalf("%v q=%d: %v re-factors a triangle", kern, q, task)
-					}
-				case KTSQRT, KTTQRT:
-					if task.I <= q {
-						t.Fatalf("%v q=%d: resident row zeroed by %v", kern, q, task)
-					}
-					zeroed[[2]int{task.I, task.K}]++
-				}
-			}
-			want := 0
-			for k := 1; k <= q; k++ {
-				for i := 1; i <= k; i++ {
-					if zeroed[[2]int{q + i, k}] != 1 {
-						t.Fatalf("%v q=%d: block tile (%d,%d) zeroed %d times", kern, q, i, k, zeroed[[2]int{q + i, k}])
-					}
-				}
-				want += (k-1)*(4+6*(q-k)) + k*(2+6*(q-k))
-			}
-			if len(zeroed) != q*(q+1)/2 {
-				t.Fatalf("%v q=%d: %d tiles zeroed, want %d", kern, q, len(zeroed), q*(q+1)/2)
-			}
-			if got := d.TotalWeight(); got != want {
-				t.Fatalf("%v q=%d: total weight %d, want %d", kern, q, got, want)
 			}
 		}
-	}
-	if got, full := BuildStreamDAG(4, 4, TT, true).TotalWeight(), BuildStreamDAG(4, 4, TT, false).TotalWeight(); got != 128 || full != 384 {
-		t.Fatalf("q=4: triangular merge weighs %d of %d units, want 128 of 384", got, full)
 	}
 }

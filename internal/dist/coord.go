@@ -22,8 +22,9 @@ import (
 )
 
 // Config shapes a distributed run. Zero values take the documented
-// defaults. Each worker streams its shard into a stream.Core with TT
-// kernels, and the reduction tree merges their aggregates.
+// defaults. Each worker streams its shard into a stream.Core along the
+// flat tree with TS kernels, and the reduction tree merges their
+// aggregates with TT kernels.
 type Config struct {
 	Workers      int    // worker processes to expect (default 2)
 	NB           int    // tile size inside each shard (default 128)

@@ -283,60 +283,68 @@ func TestDistFailedWorker(t *testing.T) {
 }
 
 // TestDistFaultedWorker injects a failure, an error and then a panic, into
-// the first d TTQRT task of the run. Every worker kernel runs through
-// engine.ExecTask, where the injector sits: Run must return a named worker
-// failure within 5s, both workers must exit within 5s, the faulted one
-// with the injected cause, and nothing may be left running. (Run reports
-// the first failure it reads, which may be the other worker's: a rank 0
-// that faults before rank 1 has dialed it fails that dial.)
+// the first d task of one factor kernel of the run: TSQRT, which only the
+// shard appends run (flat tree, TS kernels), and TTQRT, which only rank 0's
+// triangle merge of rank 1's aggregate runs. Every worker kernel runs
+// through engine.ExecTask, where the injector sits: Run must return a named
+// worker failure within 5s, both workers must exit within 5s, the faulted
+// one with the injected cause, and nothing may be left running. (Run
+// reports the first failure it reads, which may be the other worker's: a
+// rank 0 that faults in its shard append before rank 1 has dialed it fails
+// that dial.)
 func TestDistFaultedWorker(t *testing.T) {
-	named := regexp.MustCompile(`worker \d+ failed: `)
 	for _, mode := range []fault.Mode{fault.ModeError, fault.ModePanic} {
 		t.Run(mode.String(), func(t *testing.T) {
-			fault.Set(fault.Config{Mode: mode, Kind: core.KTTQRT, Prec: "d", Index: 0, Times: 1})
-			defer fault.Reset()
-			const W = 2
-			c, err := NewCoordinator(Config{Workers: W, NB: 32, IB: 8, Rounds: 4, LocalWorkers: 1})
-			if err != nil {
-				t.Fatal(err)
+			for _, kind := range []core.Kind{core.KTSQRT, core.KTTQRT} {
+				t.Run(kind.String(), func(t *testing.T) { faultWorker(t, kind, mode) })
 			}
-			start := time.Now()
-			errs := SpawnLocal(context.Background(), c.Addr(), W)
-			runErr := make(chan error, 1)
-			go func() {
-				_, err := Run(context.Background(), c, tile.RandDense[float64](256, 32, 1), tile.RandDense[float64](256, 1, 2))
-				runErr <- err
-			}()
-			select {
-			case err := <-runErr:
-				if err == nil || !named.MatchString(err.Error()) {
-					t.Fatalf("Run returned %v, want a named worker failure", err)
-				}
-				t.Log(err)
-			case <-time.After(5 * time.Second):
-				t.Fatal("Run did not return within 5s of the fault")
-			}
-			var causes []string
-			for i := 0; i < W; i++ {
-				select {
-				case err := <-errs:
-					if err == nil {
-						t.Fatal("a worker reported success in a failed run")
-					}
-					causes = append(causes, err.Error())
-				case <-time.After(5*time.Second - time.Since(start)):
-					t.Fatal("a worker still running 5s after the fault")
-				}
-			}
-			if want := "fault injection: injected " + mode.String(); !strings.Contains(strings.Join(causes, "\n"), want) {
-				t.Errorf("no worker exited with %q:\n%s", want, strings.Join(causes, "\n"))
-			}
-			if n := fault.Injected(); n != 1 {
-				t.Errorf("%d faults injected, want 1", n)
-			}
-			assertNoGoroutines(t)
 		})
 	}
+}
+
+func faultWorker(t *testing.T, kind core.Kind, mode fault.Mode) {
+	fault.Set(fault.Config{Mode: mode, Kind: kind, Prec: "d", Index: 0, Times: 1})
+	defer fault.Reset()
+	const W = 2
+	c, err := NewCoordinator(Config{Workers: W, NB: 32, IB: 8, Rounds: 4, LocalWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	errs := SpawnLocal(context.Background(), c.Addr(), W)
+	runErr := make(chan error, 1)
+	go func() {
+		_, err := Run(context.Background(), c, tile.RandDense[float64](256, 32, 1), tile.RandDense[float64](256, 1, 2))
+		runErr <- err
+	}()
+	select {
+	case err := <-runErr:
+		if err == nil || !regexp.MustCompile(`worker \d+ failed: `).MatchString(err.Error()) {
+			t.Fatalf("Run returned %v, want a named worker failure", err)
+		}
+		t.Log(err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return within 5s of the fault")
+	}
+	var causes []string
+	for i := 0; i < W; i++ {
+		select {
+		case err := <-errs:
+			if err == nil {
+				t.Fatal("a worker reported success in a failed run")
+			}
+			causes = append(causes, err.Error())
+		case <-time.After(5*time.Second - time.Since(start)):
+			t.Fatal("a worker still running 5s after the fault")
+		}
+	}
+	if want := "fault injection: injected " + mode.String(); !strings.Contains(strings.Join(causes, "\n"), want) {
+		t.Errorf("no worker exited with %q:\n%s", want, strings.Join(causes, "\n"))
+	}
+	if n := fault.Injected(); n != 1 {
+		t.Errorf("%d faults injected, want 1", n)
+	}
+	assertNoGoroutines(t)
 }
 
 // assertNoGoroutines requires every goroutine the package started to be

@@ -29,7 +29,8 @@ type helloMsg struct {
 
 // wireConfig is the coordinator's reply: everything a worker needs to run
 // its shard — rank, the peer table for the reduction tree, and the shard
-// shape. Each worker streams its shard into a TT-kernel stream.Core.
+// shape. Each worker streams its shard into a stream.Core (flat tree, TS
+// kernels) and merges aggregates with TT kernels.
 type wireConfig struct {
 	Proto        int      `json:"proto"`
 	Rank         int      `json:"rank"`

@@ -1,10 +1,12 @@
 // The worker side of the distributed CAQR runtime: one process (or
 // goroutine) owning a row shard of the global matrix and one node of the
-// binomial TSQR reduction tree. A worker is a stream.Core (TT kernels, on
-// the worker's own scheduler runtime) reused across rounds: a round resets
-// it, appends the shard with its RHS rows — the stream's replay folds Qᵀb
-// and the residual — merges the aggregates of its tree children and ships
-// its own to its parent, or from rank 0 to the coordinator. Workers run
+// binomial TSQR reduction tree. A worker is a stream.Core on the worker's
+// own scheduler runtime, reused across rounds: a round resets it, appends
+// the shard with its RHS rows along the flat tree with TS kernels — each
+// shard tile TSQRT'd straight into the resident triangle; the stream's
+// replay folds Qᵀb and the residual — merges the aggregates of its tree
+// children triangle on triangle (BinaryTree, TT kernels) and ships its own
+// to its parent, or from rank 0 to the coordinator. Workers run
 // their rounds without waiting for the coordinator; a sender that has
 // queued its aggregate starts the next round at once, so with Rounds > 1
 // the wire time can hide behind the next append, and the per-worker stats
@@ -139,7 +141,7 @@ func runShard[T vec.Scalar](ctx context.Context, cancel context.CancelCauseFunc,
 		}
 	}
 	nd.core, err = stream.NewCore[T](n, stream.Config{
-		NB: cfg.NB, IB: cfg.IB, Kernels: core.TT, Env: engine.Env{Runtime: rt},
+		NB: cfg.NB, IB: cfg.IB, Kernels: core.TT, FlatMerge: true, Env: engine.Env{Runtime: rt},
 	})
 	if err != nil {
 		return err

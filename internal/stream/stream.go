@@ -2,15 +2,17 @@
 // of a set of rows, the top n rows of their Qᵀb and the residual norm
 // rotated out below them, in O(n² + batch) memory however many rows were
 // ingested — and the one step that combines aggregates (Demmel et al.):
-// incoming rows, an appended batch panel-factored with GEQRT or another
-// aggregate's triangle, are merged into the resident triangle with the
-// paper's triangle-on-triangle kernels (TPQRT/TPMQRT, l = m) along the
+// incoming rows, an appended batch or another aggregate's triangle, are
+// merged into the resident triangle with the paper's kernels along the
 // task DAG of core.BuildStreamDAG on internal/sched, then replayed over the
-// Qᵀb rows. An accrete-only stream is the flat reduction tree; each worker
-// of internal/dist is a Core in a binomial one, exporting its aggregate
-// through CopyR, CopyQTB, ResidualNorm and Rows and folding in its
-// children's with Merge. Tasks dispatch through the shared engine.Source
-// loop, generically over all four scalar domains.
+// Qᵀb rows. A row batch merges along BinaryTree in the configured kernel
+// family, or along FlatTree with TS kernels (Config.FlatMerge); a triangle
+// always merges along BinaryTree in the configured family. An accrete-only
+// stream is the flat reduction tree; each worker of internal/dist is a Core
+// in a binomial one, exporting its aggregate through CopyR, CopyQTB,
+// ResidualNorm and Rows and folding in its children's with Merge. Tasks
+// dispatch through the shared engine.Source loop, generically over all four
+// scalar domains.
 //
 // Beyond pure accretion the Core supports revocation: with retention
 // enabled (Config.Window) appended batches are kept in a compact row
@@ -48,9 +50,15 @@ const RetainAll = -1
 // Config carries the streaming parameters beyond the column count.
 type Config struct {
 	NB, IB  int
-	Kernels core.Kernels
+	Kernels core.Kernels // kernel family of triangle merges, and of row-batch merges without FlatMerge
 	Env     engine.Env
 	Check   bool // validate batches, fail fast on breakdown
+
+	// FlatMerge merges row batches along FlatTree with TS kernels, every
+	// batch tile TSQRT'd straight into the resident row: the fewest and
+	// cheapest tasks, at the price of a critical path linear in the batch
+	// height. Without it row batches merge along BinaryTree in Kernels.
+	FlatMerge bool
 
 	// Window selects the retention policy: 0 retains nothing (appends are
 	// irrevocable, the historical behavior), a positive value keeps a
@@ -102,6 +110,11 @@ type Core[T vec.Scalar] struct {
 	env       engine.Env
 	kernels   core.Kernels
 	check     bool // Options.CheckHealth: validate batches, fail fast on breakdown
+
+	// rowTree and rowKernels are the tree and kernel family of a row-batch
+	// merge (see Config.FlatMerge).
+	rowTree    core.Algorithm
+	rowKernels core.Kernels
 
 	window int     // retention policy (see Config.Window)
 	forget float64 // per-append forgetting factor λ (0 = off)
@@ -177,6 +190,10 @@ func NewCore[T vec.Scalar](n int, cfg Config) (*Core[T], error) {
 		for k := i; k < g.Q; k++ {
 			c.triLen += g.TileRows(i) * g.TileCols(k)
 		}
+	}
+	c.rowTree, c.rowKernels = core.BinaryTree, cfg.Kernels
+	if cfg.FlatMerge {
+		c.rowTree, c.rowKernels = core.FlatTree, core.TS
 	}
 	c.back = c.getAgg()
 	return c, nil
@@ -313,11 +330,11 @@ func (c *Core[T]) plan(pb int) *sched.Plan {
 	if p, ok := c.plans[pb]; ok {
 		return p
 	}
-	tileRows := pb
+	alg, kern, tileRows := c.rowTree, c.rowKernels, pb
 	if pb == 0 {
-		tileRows = c.grid.Q
+		alg, kern, tileRows = core.BinaryTree, c.kernels, c.grid.Q
 	}
-	p := sched.NewPlan(core.BuildStreamDAG(c.grid.Q, tileRows, c.kernels, pb == 0))
+	p := sched.NewPlan(core.BuildStreamDAG(c.grid.Q, tileRows, alg, kern, pb == 0))
 	c.plans[pb] = p
 	return p
 }

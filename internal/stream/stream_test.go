@@ -85,8 +85,9 @@ func (h *harness[T]) forget(lambda float64) {
 }
 
 // check compares everything the stream serves with a one-shot
-// factorization of the surviving weighted rows: R up to row signs, the
-// least-squares solution and its residual when there are enough rows.
+// factorization of the surviving weighted rows: R up to row signs, and when
+// there are enough rows Qᵀb up to the same signs, the least-squares
+// solution and its residual.
 func (h *harness[T]) check(when string) {
 	h.t.Helper()
 	m, n := len(h.live), h.n
@@ -122,11 +123,13 @@ func (h *harness[T]) check(when string) {
 	}
 	ref := f.R()
 	var worst float64
+	signs := make([]T, n)
 	for i := 0; i < n; i++ {
 		sign := vec.FromParts[T](1, 0)
 		if i < ref.Rows && vec.RealPart(r.At(i, i))*vec.RealPart(ref.At(i, i)) < 0 {
 			sign = vec.FromParts[T](-1, 0)
 		}
+		signs[i] = sign
 		for j := i; j < n; j++ {
 			var want T // rows past the m-th of a short window are zero
 			if i < ref.Rows {
@@ -140,6 +143,21 @@ func (h *harness[T]) check(when string) {
 	}
 	if h.nrhs == 0 || m < n {
 		return
+	}
+	qtb, qtbRef := tile.NewDense[T](n, h.nrhs), b.Clone()
+	if err := h.c.CopyQTB(qtb.Data, qtb.Stride); err != nil {
+		h.t.Fatal(err)
+	}
+	if err := f.Apply(nil, qtbRef, true); err != nil {
+		h.t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < h.nrhs; j++ {
+			if d := vec.Abs(signs[i]*qtb.At(i, j) - qtbRef.At(i, j)); d > h.tol {
+				h.t.Errorf("%s: Qᵀb differs from the one-shot factor's by %.3e (tol %.0e)", when, d, h.tol)
+				return
+			}
+		}
 	}
 	x := tile.NewDense[T](n, h.nrhs)
 	if err := h.c.SolveLS(x.Data, x.Stride); err != nil {

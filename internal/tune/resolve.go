@@ -26,7 +26,6 @@ type Request struct {
 type Candidate struct {
 	Algorithm    core.Algorithm
 	Kernels      core.Kernels
-	Family       string // vec kernel family whose calibration scored this candidate
 	NB, IB       int
 	P, Q         int     // tile grid at NB
 	PredictedSec float64 // model-predicted factorization wall time
@@ -50,7 +49,6 @@ const (
 type decKey struct {
 	prec, family  string
 	stream        bool
-	kernels       core.Kernels // streams only (factor decisions choose it)
 	m, n, workers int
 	pinNB, pinIB  int
 }
@@ -103,13 +101,8 @@ func Rank[T vec.Scalar](req Request) []Candidate {
 					continue
 				}
 				for _, fam := range []core.Kernels{core.TT, core.TS} {
-					d := core.BuildDAG(list, fam)
-					w := sim.KindWeights(d, secs)
-					for i := range w {
-						w[i] += dispatchSec
-					}
-					sec := sim.ListSchedule(d, req.Workers, w, sim.PriorityBLevel)
-					out = append(out, Candidate{Algorithm: alg, Kernels: fam, Family: family,
+					sec := predict(core.BuildDAG(list, fam), req.Workers, secs)
+					out = append(out, Candidate{Algorithm: alg, Kernels: fam,
 						NB: pt.nb, IB: pt.ib, P: p, Q: q, PredictedSec: sec, Simulated: true})
 				}
 			}
@@ -132,7 +125,7 @@ func Rank[T vec.Scalar](req Request) []Candidate {
 				cp := float64(cpUnitsApprox(alg, fam, p, q))
 				sec := max(totalUnits*unitSec/float64(req.Workers), cp*unitSec) +
 					dispatchSec*float64(est)/float64(req.Workers)
-				out = append(out, Candidate{Algorithm: alg, Kernels: fam, Family: family,
+				out = append(out, Candidate{Algorithm: alg, Kernels: fam,
 					NB: pt.nb, IB: pt.ib, P: p, Q: q, PredictedSec: sec})
 			}
 		}
@@ -141,12 +134,25 @@ func Rank[T vec.Scalar](req Request) []Candidate {
 	return out
 }
 
-// ResolveStream picks (nb, ib) for a streaming TSQR over n columns: the
-// per-row merge cost of a one-tile-row batch (per tile column: GEQRT plus a
-// triangle merge, plus trailing updates), divided by the column parallelism
-// the width can exploit. The kernel family is the caller's (streams honor
-// Options.Kernels); decisions are cached like factor resolutions.
-func ResolveStream[T vec.Scalar](n, workers, pinNB, pinIB int, fam core.Kernels) (Candidate, error) {
+// predict list-schedules d at the given width with the calibrated seconds
+// of each task plus the scheduler's dispatch overhead.
+func predict(d *core.DAG, workers int, secs map[core.Kind]float64) float64 {
+	w := sim.KindWeights(d, secs)
+	for i := range w {
+		w[i] += dispatchSec
+	}
+	return sim.ListSchedule(d, workers, w, sim.PriorityBLevel)
+}
+
+// ResolveStream picks (nb, ib) for a streaming TSQR over n columns under
+// AlgorithmAuto: the tile size at which the merge of a one-tile-row batch —
+// FlatTree with TS kernels, as Auto streams merge row batches, so each
+// column is one TSQRT straight into the resident triangle plus its TSMQR
+// updates — costs the least per row. The merge DAG is list-scheduled at the
+// execution width, as Rank scores factorizations; above simTaskLimit tasks
+// its work and critical path bound it instead. PredictedSec is that per-row
+// time. Decisions are cached like Resolve's.
+func ResolveStream[T vec.Scalar](n, workers, pinNB, pinIB int) (Candidate, error) {
 	if n < 1 {
 		return Candidate{}, fmt.Errorf("tiledqr: tune: invalid stream width n=%d", n)
 	}
@@ -154,31 +160,28 @@ func ResolveStream[T vec.Scalar](n, workers, pinNB, pinIB int, fam core.Kernels)
 		workers = sched.DefaultWorkers()
 	}
 	family := vec.ActiveFamily()
-	key := decKey{prec: precKey[T](), family: family, stream: true, kernels: fam,
+	key := decKey{prec: precKey[T](), family: family, stream: true,
 		n: n, workers: workers, pinNB: pinNB, pinIB: pinIB}
 	if c, ok := decided.Load(key); ok {
 		return c.(Candidate), nil
 	}
 	pts := ForFamily[T](family)
-	mergeQ, mergeM := core.KTTQRT, core.KTTMQR
-	if fam == core.TS {
-		mergeQ, mergeM = core.KTSQRT, core.KTSMQR
-	}
 	var best Candidate
 	for _, pt := range candidatePoints(n, n, pinNB, pinIB) {
 		q := (n + pt.nb - 1) / pt.nb
 		secs := secsAt[T](pts, pt.nb)
+		qrt, mqr := secs[core.KTSQRT]+dispatchSec, secs[core.KTSMQR]+dispatchSec
+		tasks := q * (q + 1) / 2
 		var batchSec float64
-		for k := 1; k <= q; k++ {
-			batchSec += secs[core.KGEQRT] + secs[mergeQ] +
-				float64(q-k)*(secs[core.KUNMQR]+secs[mergeM])
+		if tasks <= simTaskLimit {
+			batchSec = predict(core.BuildStreamDAG(q, 1, core.FlatTree, core.TS, false), workers, secs)
+		} else {
+			work := float64(q)*qrt + float64(tasks-q)*mqr
+			batchSec = max(work/float64(workers), float64(q)*qrt+float64(q-1)*mqr)
 		}
-		par := min(workers, q)
-		batchSec = batchSec/float64(par) + dispatchSec*float64(q*q)
-		perRow := batchSec / float64(pt.nb)
-		if best.NB == 0 || perRow < best.PredictedSec {
-			best = Candidate{Kernels: fam, Family: family, NB: pt.nb, IB: pt.ib, P: 1, Q: q,
-				PredictedSec: perRow, Simulated: false}
+		if perRow := batchSec / float64(pt.nb); best.NB == 0 || perRow < best.PredictedSec {
+			best = Candidate{Algorithm: core.FlatTree, Kernels: core.TS, NB: pt.nb, IB: pt.ib,
+				P: 1, Q: q, PredictedSec: perRow, Simulated: tasks <= simTaskLimit}
 		}
 	}
 	decided.Store(key, best)

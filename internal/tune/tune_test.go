@@ -416,29 +416,61 @@ func TestInterpGflops(t *testing.T) {
 func TestResolveStream(t *testing.T) {
 	t.Setenv(EnvCalibration, "off")
 	withHook(t, func(string, string) []Point { return synthPoints() })
-	d, err := ResolveStream[float64](300, 4, 0, 0, core.TT)
+	d, err := ResolveStream[float64](300, 4, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.NB < 1 || d.NB > 300 || d.IB < 1 || d.IB > d.NB {
 		t.Fatalf("stream decision out of range: %+v", d)
 	}
-	d2, err := ResolveStream[float64](300, 4, 0, 0, core.TT)
+	d2, err := ResolveStream[float64](300, 4, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d != d2 {
 		t.Fatalf("stream resolution not deterministic: %+v vs %+v", d, d2)
 	}
-	pinned, err := ResolveStream[float64](300, 4, 96, 24, core.TS)
+	pinned, err := ResolveStream[float64](300, 4, 96, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pinned.NB != 96 || pinned.IB != 24 {
 		t.Fatalf("stream pins not honored: %+v", pinned)
 	}
-	if _, err := ResolveStream[float64](0, 4, 0, 0, core.TT); err == nil {
+	if _, err := ResolveStream[float64](0, 4, 0, 0); err == nil {
 		t.Fatal("ResolveStream accepted n=0")
+	}
+}
+
+// TestResolveStreamPricesMergeDAG: a stream decision is priced on the merge
+// DAG a one-tile-row batch really runs under Auto — FlatTree with TS
+// kernels, the batch tile TSQRT'd straight into the resident triangle, with
+// no GEQRT and no UNMQR — so at width 1 its per-row time times nb is exactly
+// the sum of that DAG's task seconds. That holds for the work bound too,
+// which prices a merge of more than simTaskLimit tasks (q = 400 at a pinned
+// nb = 48).
+func TestResolveStreamPricesMergeDAG(t *testing.T) {
+	withGoldenRates(t)
+	for _, tc := range []struct{ n, pinNB int }{{64, 0}, {256, 0}, {300, 0}, {400 * 48, 48}} {
+		c, err := ResolveStream[float64](tc.n, 1, tc.pinNB, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := (tc.n + c.NB - 1) / c.NB
+		if c.Algorithm != core.FlatTree || c.Kernels != core.TS || c.Simulated != (q < 400) {
+			t.Errorf("n=%d: priced %v %v (simulated %v), want FlatTree TS (simulated %v)",
+				tc.n, c.Algorithm, c.Kernels, c.Simulated, q < 400)
+		}
+		d := core.BuildStreamDAG(q, 1, core.FlatTree, core.TS, false)
+		if sum := goldenTaskSecs(d, c.NB); math.Abs(c.PredictedSec*float64(c.NB)-sum) > 1e-10*sum {
+			t.Errorf("n=%d: predicted %.9g s per row at nb=%d, the merge DAG's tasks sum to %.9g s per batch",
+				tc.n, c.PredictedSec, c.NB, sum)
+		}
+		for _, task := range d.Tasks {
+			if task.Kind != core.KTSQRT && task.Kind != core.KTSMQR {
+				t.Fatalf("n=%d: the one-tile-row merge runs %v", tc.n, task)
+			}
+		}
 	}
 }
 
@@ -482,7 +514,7 @@ func TestDefaultWidthHonoursEnv(t *testing.T) {
 	if _, err := Resolve[float64](Request{M: 1024, N: 256}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ResolveStream[float64](300, 0, 0, 0, core.TT); err != nil {
+	if _, err := ResolveStream[float64](300, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	decided.Range(func(k, _ any) bool {
@@ -507,14 +539,8 @@ func goldenRates(nb int) map[string]float64 {
 	return g
 }
 
-// TestResolveGoldens pins, without a clock, what Resolve picks from a fixed
-// calibration on tile grids 4×2 through 40×4 (m×n = 64p × 64q) at widths 1
-// and 4, and checks the model under the picks: at width 1 nothing overlaps,
-// so the predicted time of a pick is exactly the sum over its DAG's tasks of
-// the calibrated seconds of each task plus the dispatch overhead. A change
-// to the schedule model or the candidate grid moves a golden on purpose;
-// the measured envelope of the picks is `qrperf -tune -measure`'s.
-func TestResolveGoldens(t *testing.T) {
+// withGoldenRates installs goldenRates as the calibration for the test.
+func withGoldenRates(t *testing.T) {
 	t.Setenv(EnvCalibration, "off")
 	withHook(t, func(string, string) []Point {
 		var pts []Point
@@ -523,6 +549,17 @@ func TestResolveGoldens(t *testing.T) {
 		}
 		return pts
 	})
+}
+
+// TestResolveGoldens pins, without a clock, what Resolve picks from a fixed
+// calibration on tile grids 4×2 through 40×4 (m×n = 64p × 64q) at widths 1
+// and 4, and checks the model under the picks: at width 1 nothing overlaps,
+// so the predicted time of a pick is exactly the sum over its DAG's tasks of
+// the calibrated seconds of each task plus the dispatch overhead. A change
+// to the schedule model or the candidate grid moves a golden on purpose;
+// the measured envelope of the picks is `qrperf -tune -measure`'s.
+func TestResolveGoldens(t *testing.T) {
+	withGoldenRates(t)
 	type pick struct {
 		alg core.Algorithm
 		kk  core.Kernels
@@ -563,13 +600,20 @@ func TestResolveGoldens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rates, cube := goldenRates(c.NB), float64(c.NB*c.NB*c.NB)
-		var sum float64
-		for _, task := range core.BuildDAG(list, c.Kernels).Tasks {
-			sum += float64(task.Kind.Weight())*cube/3/(rates[task.Kind.String()]*1e9) + dispatchSec
-		}
-		if math.Abs(c.PredictedSec-sum) > 1e-12*sum {
+		if sum := goldenTaskSecs(core.BuildDAG(list, c.Kernels), c.NB); math.Abs(c.PredictedSec-sum) > 1e-12*sum {
 			t.Errorf("%d×%d tiles at width 1: predicted %.9g s, the pick's tasks sum to %.9g s", tc.p, tc.q, c.PredictedSec, sum)
 		}
 	}
+}
+
+// goldenTaskSecs is what a width-1 schedule of d costs under goldenRates:
+// nothing overlaps, so each task's calibrated seconds plus the dispatch
+// overhead, summed.
+func goldenTaskSecs(d *core.DAG, nb int) float64 {
+	rates, cube := goldenRates(nb), float64(nb*nb*nb)
+	var sum float64
+	for _, task := range d.Tasks {
+		sum += float64(task.Kind.Weight())*cube/3/(rates[task.Kind.String()]*1e9) + dispatchSec
+	}
+	return sum
 }

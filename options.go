@@ -162,8 +162,8 @@ func (k Kernels) core() core.Kernels {
 type Options struct {
 	Algorithm Algorithm
 	// Kernels selects the elimination kernel family. Ignored under
-	// AlgorithmAuto for one-shot factorizations (the tuner picks TT vs TS);
-	// streams always honor it.
+	// AlgorithmAuto: the tuner picks TT vs TS for each factorization, and
+	// an Auto stream merges row batches with TS and triangles with TT.
 	Kernels Kernels
 	// TileSize (nb) and InnerBlock (ib): the paper uses nb=200 (80..200 is
 	// typical, §2) and ib=32. Zero means the package defaults — except

@@ -50,12 +50,11 @@ func streamAppend[T vec.Scalar](ctx context.Context, c *stream.Core[T], batch, r
 // batch) no matter how many rows are ingested, so a Stream can absorb
 // millions of observations that would never fit as one matrix.
 //
-// Each batch is tiled, panel-factored with GEQRT, and merged into the
-// resident triangle with the paper's triangle-on-triangle kernels — the
-// merge primitive of communication-avoiding TSQR (Demmel, Grigori,
-// Hoemmen, Langou) — along a task DAG executed by the work-stealing runtime
-// with critical-path priorities, so batches spanning several tile rows
-// reduce in parallel.
+// Each batch is tiled and merged into the resident triangle along one of
+// the paper's elimination trees — the merge primitive of
+// communication-avoiding TSQR (Demmel, Grigori, Hoemmen, Langou) — as a
+// task DAG executed by the work-stealing runtime with critical-path
+// priorities, so the independent tile tasks of a batch run in parallel.
 //
 // Streams can also unlearn. With Options.WindowRows set, appended rows are
 // retained (compactly, outside the triangle) and the stream keeps a
@@ -74,10 +73,14 @@ func streamAppend[T vec.Scalar](ctx context.Context, c *stream.Core[T], batch, r
 // nothing can break down. Memory is at most about twice the retained rows
 // plus O(n²), whatever the batch size.
 //
-// Options.TileSize, InnerBlock, Workers, Kernels, WindowRows and Forget
-// are honored; Algorithm and BS are ignored (the per-column reduction tree
-// of a streaming merge is a binary tree, the optimal shape for
-// single-column reductions). A Stream is not safe for concurrent use.
+// Options.TileSize, InnerBlock, Workers, WindowRows and Forget are honored.
+// With an explicit Algorithm every merge reduces each column's batch tiles
+// by a binary tree in the Options.Kernels family, whatever the Algorithm
+// and BS. Under AlgorithmAuto the tuner picks the tile shape; batches then
+// merge along FlatTree with TS kernels, each batch tile eliminated straight
+// into the resident triangle (the fewest, cheapest tasks), and the triangle
+// merges of a windowed stream along a binary tree with TT kernels.
+// A Stream is not safe for concurrent use.
 type Stream[T Scalar] struct {
 	c *stream.Core[T]
 }
@@ -92,11 +95,11 @@ func NewStreamOf[T Scalar](n int, opt Options) (*Stream[T], error) {
 	if err := opt.validateStream(); err != nil {
 		return nil, err
 	}
-	// AlgorithmAuto picks the tile shape for streams too: the per-column
-	// merge tree is structurally fixed (binary), so the tuner only chooses
-	// nb/ib — by estimated merge throughput at the stream's width — while
-	// Options.Kernels keeps selecting the merge kernel family.
-	if opt.Algorithm == AlgorithmAuto && n >= 1 {
+	// AlgorithmAuto picks the tile shape for streams too, by the per-row
+	// time of a one-tile-row merge at the stream's width; row batches then
+	// merge flat with TS kernels (stream FlatMerge).
+	auto := opt.Algorithm == AlgorithmAuto
+	if auto && n >= 1 {
 		// Pinned sizes obey the same constraints as explicit ones (matching
 		// resolveAuto): an inner block wider than a pinned tile is an
 		// error, not a silent clamp.
@@ -105,12 +108,12 @@ func NewStreamOf[T Scalar](n int, opt Options) (*Stream[T], error) {
 				return nil, err
 			}
 		}
-		dec, err := tune.ResolveStream[T](n, opt.autoWidth(),
-			opt.TileSize, opt.InnerBlock, opt.Kernels.core())
+		dec, err := tune.ResolveStream[T](n, opt.autoWidth(), opt.TileSize, opt.InnerBlock)
 		if err != nil {
 			return nil, err
 		}
-		opt.Algorithm = Greedy // streams ignore the tree; record a concrete value
+		// Triangle merges take BinaryTree with TT.
+		opt.Algorithm, opt.Kernels = BinaryTree, TT
 		opt.TileSize, opt.InnerBlock = dec.NB, dec.IB
 	}
 	opt = opt.withDefaults()
@@ -118,13 +121,14 @@ func NewStreamOf[T Scalar](n int, opt Options) (*Stream[T], error) {
 		return nil, err
 	}
 	c, err := stream.NewCore[T](n, stream.Config{
-		NB:      opt.TileSize,
-		IB:      opt.InnerBlock,
-		Kernels: opt.Kernels.core(),
-		Env:     opt.execEnv(),
-		Check:   opt.CheckHealth,
-		Window:  opt.WindowRows,
-		Forget:  opt.Forget,
+		NB:        opt.TileSize,
+		IB:        opt.InnerBlock,
+		Kernels:   opt.Kernels.core(),
+		FlatMerge: auto,
+		Env:       opt.execEnv(),
+		Check:     opt.CheckHealth,
+		Window:    opt.WindowRows,
+		Forget:    opt.Forget,
 	})
 	if err != nil {
 		return nil, err
