@@ -309,70 +309,73 @@ func TestCancelLeavesFactorizationSticky(t *testing.T) {
 // ErrRuntimeClosed (never hangs), double Close is safe, Drain rejects
 // new work with ErrRuntimeDraining, and an expired Drain deadline
 // returns ctx.Err() while the in-flight job keeps running to completion.
+// Each holds for a job on the pool and for a chain — a single-tile Factor
+// is one GEQRT — which the runtime runs on its submitter but admits and
+// counts like any other job.
 func TestRuntimeLifecycle(t *testing.T) {
-	a := RandomDense(40, 24, 1)
 	opt := func(rt *Runtime) Options { return Options{TileSize: 8, InnerBlock: 4, Runtime: rt} }
+	for _, a := range []*Dense{RandomDense(40, 24, 1), RandomDense(8, 8, 1)} {
+		shape := fmt.Sprintf("%d×%d", a.Rows, a.Cols)
 
-	t.Run("closed-submit", func(t *testing.T) {
-		rt := NewRuntime(2)
-		rt.Close()
-		rt.Close() // double Close: defined, idempotent
-		done := make(chan error, 1)
-		go func() {
-			_, err := Factor(a, opt(rt))
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			if !errors.Is(err, ErrRuntimeClosed) {
-				t.Errorf("err = %v, want ErrRuntimeClosed", err)
+		t.Run("closed-submit", func(t *testing.T) {
+			rt := NewRuntime(2)
+			rt.Close()
+			rt.Close() // double Close: defined, idempotent
+			done := make(chan error, 1)
+			go func() {
+				_, err := Factor(a, opt(rt))
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrRuntimeClosed) {
+					t.Errorf("%s: err = %v, want ErrRuntimeClosed", shape, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s: submit on a closed runtime hung", shape)
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("submit on a closed runtime hung")
-		}
-	})
+		})
 
-	t.Run("drain-idle", func(t *testing.T) {
-		rt := NewRuntime(2)
-		defer rt.Close()
-		if err := rt.Drain(context.Background()); err != nil {
-			t.Fatalf("Drain on an idle runtime: %v", err)
-		}
-		if _, err := Factor(a, opt(rt)); !errors.Is(err, ErrRuntimeDraining) {
-			t.Errorf("submit after Drain: err = %v, want ErrRuntimeDraining", err)
-		}
-	})
+		t.Run("drain-idle", func(t *testing.T) {
+			rt := NewRuntime(2)
+			defer rt.Close()
+			if err := rt.Drain(context.Background()); err != nil {
+				t.Fatalf("Drain on an idle runtime: %v", err)
+			}
+			if _, err := Factor(a, opt(rt)); !errors.Is(err, ErrRuntimeDraining) {
+				t.Errorf("%s: submit after Drain: err = %v, want ErrRuntimeDraining", shape, err)
+			}
+		})
 
-	t.Run("drain-deadline", func(t *testing.T) {
-		rt := NewRuntime(2)
-		fault.Set(fault.Config{Mode: fault.ModeStall, Kind: fault.AnyKind, Prec: "d", Index: -1,
-			Stall: 5 * time.Millisecond})
-		defer fault.Reset()
-		started := make(chan struct{})
-		finished := make(chan error, 1)
-		go func() {
-			close(started)
-			_, err := Factor(RandomDense(64, 48, 2), opt(rt))
-			finished <- err
-		}()
-		<-started
-		time.Sleep(10 * time.Millisecond) // let the job get in flight
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-		defer cancel()
-		if err := rt.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("Drain = %v, want context.DeadlineExceeded", err)
-		}
-		// The stalled job was not killed by the expired Drain: it finishes,
-		// and an unbounded Drain then reports idle.
-		fault.Reset()
-		if err := <-finished; err != nil {
-			t.Errorf("in-flight job failed after expired Drain: %v", err)
-		}
-		if err := rt.Drain(context.Background()); err != nil {
-			t.Errorf("second Drain after the job finished: %v", err)
-		}
-		rt.Close()
-	})
+		t.Run("drain-deadline", func(t *testing.T) {
+			rt := NewRuntime(2)
+			fault.Set(fault.Config{Mode: fault.ModeStall, Kind: fault.AnyKind, Prec: "d", Index: 0, Times: 1,
+				Stall: 200 * time.Millisecond})
+			defer fault.Reset()
+			finished := make(chan error, 1)
+			go func() {
+				_, err := Factor(a, opt(rt))
+				finished <- err
+			}()
+			for rt.Stats().InFlightJobs == 0 { // let the job get in flight
+				time.Sleep(time.Millisecond)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			defer cancel()
+			if err := rt.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("%s: Drain = %v, want context.DeadlineExceeded", shape, err)
+			}
+			// The stalled job was not killed by the expired Drain: it finishes,
+			// and an unbounded Drain then reports idle.
+			if err := <-finished; err != nil {
+				t.Errorf("%s: in-flight job failed after expired Drain: %v", shape, err)
+			}
+			if err := rt.Drain(context.Background()); err != nil {
+				t.Errorf("%s: second Drain after the job finished: %v", shape, err)
+			}
+			rt.Close()
+		})
+	}
 }
 
 // streamProbe drives one precision's stream wrapper through the sticky-

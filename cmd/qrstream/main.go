@@ -38,7 +38,6 @@ var (
 	flagRHS     = flag.Int("rhs", 0, "right-hand-side columns to track (0 = R only)")
 	flagComplex = flag.Bool("complex", false, "stream complex128 rows")
 	flagVerify  = flag.Bool("verify", false, "re-factor the represented rows one-shot and compare R")
-	flagTS      = flag.Bool("ts", false, "use TS kernels for the intra-batch reduction")
 	flagWindow  = flag.Int("window", 0, "sliding window: keep only the most recent rows (0 = keep everything, irrevocably)")
 	flagForget  = flag.Float64("forget", 0, "exponential forgetting factor λ in (0,1] applied per append (0 = off)")
 )
@@ -81,9 +80,6 @@ func run[T tiledqr.Scalar](domain string, elemBytes int) error {
 	opt := tiledqr.Options{
 		TileSize: *flagNB, InnerBlock: *flagIB, Workers: *flagWorkers,
 		WindowRows: *flagWindow, Forget: *flagForget,
-	}
-	if *flagTS {
-		opt.Kernels = tiledqr.TS
 	}
 	s, err := tiledqr.NewStreamOf[T](n, opt)
 	if err != nil {

@@ -110,7 +110,7 @@
 // Under AlgorithmAuto, TileSize = 0 and InnerBlock = 0 mean "choose for
 // me"; setting either nonzero pins that dimension while the rest is still
 // tuned, and the Kernels field is chosen by the tuner (an Auto stream merges
-// batches with TS kernels). Options.Resolve exposes the decision: it
+// triangles with TT kernels). Options.Resolve exposes the decision: it
 // returns the concrete options an Auto factorization of that shape would use, which reproduce the Auto result bit for bit. Decisions
 // are deterministic per (shape, width, precision) within a process, so
 // FactorInto/Refactor serving fleets keep hitting the engine's plan/arena
@@ -124,11 +124,10 @@
 //
 // Stream[T] factors a matrix whose rows arrive over time — the incremental
 // mode of communication-avoiding TSQR. Each appended batch is tiled and
-// merged into a resident n×n triangle along one of the paper's elimination
-// trees, scheduled by the same work-stealing runtime and critical-path
-// priorities as a one-shot factorization: a binary tree in the
-// Options.Kernels family, or under AlgorithmAuto the flat tree with TS
-// kernels, each batch tile eliminated straight into the triangle:
+// merged into a resident n×n triangle along the paper's flat tree with TS
+// kernels, each batch tile eliminated straight into the triangle, and
+// scheduled by the same work-stealing runtime and critical-path priorities
+// as a one-shot factorization:
 //
 //	s, _ := tiledqr.NewStreamOf[float64](nFeatures, tiledqr.Options{})
 //	for batch, rhs := range observations {   // r×n rows + r×nrhs targets

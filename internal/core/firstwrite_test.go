@@ -107,13 +107,13 @@ func TestFirstWritesOneShot(t *testing.T) {
 	}
 }
 
-// TestFirstWritesStream: the merge DAGs of a stream, in every tree, satisfy
+// TestFirstWritesStream: the merge DAGs of a stream, in both families, satisfy
 // the same invariant, and every live batch tile — all of them for a row
 // batch, the upper ones for a triangular block — is first-written, since
 // the stream fills exactly those from the appended rows.
 func TestFirstWritesStream(t *testing.T) {
-	mergeShapes(5, 5, func(what string, alg Algorithm, kern Kernels, q, pb int, tri bool) {
-		got := checkFirstWrites(t, what, BuildStreamDAG(q, pb, alg, kern, tri))
+	mergeShapes(5, 5, func(what string, kern Kernels, q, pb int, tri bool) {
+		got := checkFirstWrites(t, what, BuildStreamDAG(q, pb, kern, tri))
 		for i := 1; i <= pb; i++ {
 			for k := 1; k <= q; k++ {
 				live := !tri || k >= i

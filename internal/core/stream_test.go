@@ -6,29 +6,24 @@ import (
 	"testing"
 )
 
-// refStreamDAG is BuildStreamDAG as it was before merges became elimination
-// lists: a hand-written binary tree over the batch rows of each column whose
-// survivor is merged into the resident row. It is kept as the reference the
-// BinaryTree merge list must reproduce task for task and edge for edge.
-func refStreamDAG(q, pb int, kernels Kernels, tri bool) *DAG {
-	b := newDAGBuilder(q+pb, q, kernels)
+// refStreamDAG is the triangle merge of BuildStreamDAG as it was before
+// merges became elimination lists: a hand-written binary tree over the
+// live block rows of each column whose survivor is merged into the
+// resident row. It is kept as the reference the triangle merge list must
+// reproduce task for task and edge for edge.
+func refStreamDAG(q int, kernels Kernels) *DAG {
+	b := newDAGBuilder(2*q, q, kernels)
 	for i := 1; i <= q; i++ {
 		for k := 1; k <= q; k++ {
 			b.tri[b.idx(i, k)] = true
 		}
-		if tri {
-			b.tri[b.idx(q+i, i)] = true
-		}
+		b.tri[b.idx(q+i, i)] = true
 	}
-	alive := make([]int, 0, pb)
-	next := make([]int, 0, pb)
+	alive := make([]int, 0, q)
+	next := make([]int, 0, q)
 	for k := 1; k <= q; k++ {
-		live := pb
-		if tri {
-			live = k
-		}
 		alive = alive[:0]
-		for i := 0; i < live; i++ {
+		for i := 0; i < k; i++ {
 			alive = append(alive, q+1+i)
 		}
 		for len(alive) > 1 {
@@ -47,35 +42,33 @@ func refStreamDAG(q, pb int, kernels Kernels, tri bool) *DAG {
 	return b.d
 }
 
-// mergeShapes calls f for every tree, kernel family and merge shape with
+// mergeShapes calls f for every kernel family and merge shape with
 // q ≤ maxQ and pb ≤ maxPB, triangular blocks (pb = q) included.
-func mergeShapes(maxQ, maxPB int, f func(what string, alg Algorithm, kern Kernels, q, pb int, tri bool)) {
-	for _, alg := range MergeAlgorithms {
-		for _, kern := range []Kernels{TT, TS} {
-			for q := 1; q <= maxQ; q++ {
-				for pb := 1; pb <= maxPB; pb++ {
-					for _, tri := range []bool{false, true} {
-						if tri && pb != q {
-							continue
-						}
-						f(fmt.Sprintf("%v/%v q=%d pb=%d tri=%v", alg, kern, q, pb, tri), alg, kern, q, pb, tri)
+func mergeShapes(maxQ, maxPB int, f func(what string, kern Kernels, q, pb int, tri bool)) {
+	for _, kern := range []Kernels{TT, TS} {
+		for q := 1; q <= maxQ; q++ {
+			for pb := 1; pb <= maxPB; pb++ {
+				for _, tri := range []bool{false, true} {
+					if tri && pb != q {
+						continue
 					}
+					f(fmt.Sprintf("%v q=%d pb=%d tri=%v", kern, q, pb, tri), kern, q, pb, tri)
 				}
 			}
 		}
 	}
 }
 
-// TestMergeBinaryTreeMatchesReference: the BinaryTree merge list expands to
-// exactly the DAG the hand-written reduction built — the same tasks in the
-// same order with the same predecessors, zero tasks and first writes — so
-// every stream that keeps BinaryTree runs unchanged merges.
+// TestMergeBinaryTreeMatchesReference: the triangle merge list expands to
+// exactly the DAG the hand-written binary reduction built — the same tasks
+// in the same order with the same predecessors, zero tasks and first
+// writes — so window and dist tree merges run unchanged.
 func TestMergeBinaryTreeMatchesReference(t *testing.T) {
-	mergeShapes(5, 8, func(what string, alg Algorithm, kern Kernels, q, pb int, tri bool) {
-		if alg != BinaryTree {
+	mergeShapes(8, 8, func(what string, kern Kernels, q, pb int, tri bool) {
+		if !tri {
 			return
 		}
-		got, want := BuildStreamDAG(q, pb, BinaryTree, kern, tri), refStreamDAG(q, pb, kern, tri)
+		got, want := BuildStreamDAG(q, q, kern, true), refStreamDAG(q, kern)
 		if !slices.Equal(got.Tasks, want.Tasks) {
 			t.Fatalf("%s: tasks differ from the reference:\n got %v\nwant %v", what, got.Tasks, want.Tasks)
 		}
@@ -148,15 +141,15 @@ func checkMergeDAG(t *testing.T, what string, d *DAG, q, pb int, tri bool) {
 	}
 }
 
-// TestBuildStreamDAGStructure checks the row-batch merge graphs of every
-// tree and family (checkMergeDAG); in TT mode every batch tile is
-// triangularized by GEQRT in every column.
+// TestBuildStreamDAGStructure checks the row-batch merge graphs of both
+// families (checkMergeDAG); in TT mode every batch tile is triangularized
+// by GEQRT in every column, in TS mode none is.
 func TestBuildStreamDAGStructure(t *testing.T) {
-	mergeShapes(5, 8, func(what string, alg Algorithm, kern Kernels, q, pb int, tri bool) {
+	mergeShapes(5, 8, func(what string, kern Kernels, q, pb int, tri bool) {
 		if tri {
 			return
 		}
-		d := BuildStreamDAG(q, pb, alg, kern, false)
+		d := BuildStreamDAG(q, pb, kern, false)
 		checkMergeDAG(t, what, d, q, pb, false)
 		gers := 0
 		for _, task := range d.Tasks {
@@ -164,18 +157,18 @@ func TestBuildStreamDAGStructure(t *testing.T) {
 				gers++
 			}
 		}
-		if kern == TT && gers != pb*q {
-			t.Fatalf("%s: %d GEQRT tasks, want %d (every batch tile)", what, gers, pb*q)
+		if want := map[Kernels]int{TT: pb * q, TS: 0}[kern]; gers != want {
+			t.Fatalf("%s: %d GEQRT tasks, want %d", what, gers, want)
 		}
 	})
 }
 
-// TestBuildStreamDAGWeight pins the merge cost in every tree and family:
+// TestBuildStreamDAGWeight pins the row-batch merge cost in both families:
 // each live batch tile of column k costs 6 + 12(q−k) units, so a row batch
 // weighs pb·Σ(6 + 12(q−k)) — 2·r·n² flops per appended r-row batch,
 // independent of rows ingested before.
 func TestBuildStreamDAGWeight(t *testing.T) {
-	mergeShapes(6, 9, func(what string, alg Algorithm, kern Kernels, q, pb int, tri bool) {
+	mergeShapes(6, 9, func(what string, kern Kernels, q, pb int, tri bool) {
 		if tri {
 			return
 		}
@@ -183,34 +176,34 @@ func TestBuildStreamDAGWeight(t *testing.T) {
 		for k := 1; k <= q; k++ {
 			want += pb * (6 + 12*(q-k))
 		}
-		if got := BuildStreamDAG(q, pb, alg, kern, false).TotalWeight(); got != want {
+		if got := BuildStreamDAG(q, pb, kern, false).TotalWeight(); got != want {
 			t.Fatalf("%s: total weight %d, want %d", what, got, want)
 		}
 	})
 }
 
 // TestBuildStreamDAGTriangular covers the triangle-on-triangle merge a
-// sliding window re-reduces with, in every tree and family: the incoming
+// sliding window re-reduces with, in both families: the incoming
 // block is itself upper triangular, so its sub-diagonal tiles are never
 // referenced, its diagonal tiles are never re-factored, every live tile is
 // zeroed exactly once (checkMergeDAG), and the whole merge weighs a third of
 // a full q-row batch.
 func TestBuildStreamDAGTriangular(t *testing.T) {
-	mergeShapes(7, 7, func(what string, alg Algorithm, kern Kernels, q, pb int, tri bool) {
+	mergeShapes(7, 7, func(what string, kern Kernels, q, pb int, tri bool) {
 		if !tri {
 			return
 		}
-		d := BuildStreamDAG(q, q, alg, kern, true)
+		d := BuildStreamDAG(q, q, kern, true)
 		checkMergeDAG(t, what, d, q, q, true)
 		want := 0
 		for k := 1; k <= q; k++ {
 			want += (k-1)*(4+6*(q-k)) + k*(2+6*(q-k))
 		}
-		if got, full := d.TotalWeight(), BuildStreamDAG(q, q, alg, kern, false).TotalWeight(); got != want || 3*got != full {
+		if got, full := d.TotalWeight(), BuildStreamDAG(q, q, kern, false).TotalWeight(); got != want || 3*got != full {
 			t.Fatalf("%s: total weight %d of a full batch's %d, want %d, a third", what, got, full, want)
 		}
 	})
-	if got := BuildStreamDAG(4, 4, BinaryTree, TT, true).TotalWeight(); got != 128 {
+	if got := BuildStreamDAG(4, 4, TT, true).TotalWeight(); got != 128 {
 		t.Fatalf("q=4: triangular merge weighs %d units, want 128", got)
 	}
 }
@@ -229,24 +222,23 @@ func criticalPath(d *DAG) int {
 }
 
 // TestMergeCriticalPathGoldens pins the critical path (Table 1 units) of a
-// row-batch merge per tree on a (q, pb) grid, in both kernel families. The
-// flat tree's path grows linearly in pb, the binary tree's logarithmically;
-// with few batch rows the flat tree's chain is the shorter one.
+// row-batch merge on a (q, pb) grid, in both kernel families: the flat
+// tree's path grows linearly in pb.
 func TestMergeCriticalPathGoldens(t *testing.T) {
 	pbs := []int{1, 2, 3, 4, 8, 9, 32}
-	// golden[kern][q-1][x] is (flat, binary) at pb = pbs[x].
-	golden := map[Kernels][][][2]int{
+	// golden[kern][q-1][x] is the path at pb = pbs[x].
+	golden := map[Kernels][][]int{
 		TT: {
-			{{6, 6}, {8, 8}, {10, 10}, {12, 10}, {20, 12}, {22, 14}, {68, 16}},
-			{{22, 22}, {28, 30}, {34, 38}, {40, 38}, {64, 46}, {70, 54}, {208, 62}},
-			{{38, 38}, {44, 52}, {50, 66}, {56, 66}, {80, 80}, {86, 94}, {224, 108}},
-			{{54, 54}, {60, 74}, {66, 94}, {72, 94}, {96, 114}, {102, 134}, {240, 154}},
+			{6, 8, 10, 12, 20, 22, 68},
+			{22, 28, 34, 40, 64, 70, 208},
+			{38, 44, 50, 56, 80, 86, 224},
+			{54, 60, 66, 72, 96, 102, 240},
 		},
 		TS: {
-			{{6, 6}, {12, 12}, {18, 18}, {24, 14}, {48, 16}, {54, 22}, {192, 20}},
-			{{24, 24}, {36, 40}, {48, 58}, {60, 48}, {108, 56}, {120, 74}, {396, 72}},
-			{{42, 42}, {54, 68}, {66, 98}, {78, 82}, {126, 96}, {138, 126}, {414, 124}},
-			{{60, 60}, {72, 96}, {84, 138}, {96, 116}, {144, 136}, {156, 178}, {432, 176}},
+			{6, 12, 18, 24, 48, 54, 192},
+			{24, 36, 48, 60, 108, 120, 396},
+			{42, 54, 66, 78, 126, 138, 414},
+			{60, 72, 84, 96, 144, 156, 432},
 		},
 	}
 	for kern, byQ := range golden {
@@ -254,12 +246,8 @@ func TestMergeCriticalPathGoldens(t *testing.T) {
 			q := qi + 1
 			for x, want := range row {
 				pb := pbs[x]
-				var got [2]int
-				for a, alg := range MergeAlgorithms {
-					got[a] = criticalPath(BuildStreamDAG(q, pb, alg, kern, false))
-				}
-				if got != want {
-					t.Errorf("%v q=%d pb=%d: critical paths (flat, binary) %v, want %v", kern, q, pb, got, want)
+				if got := criticalPath(BuildStreamDAG(q, pb, kern, false)); got != want {
+					t.Errorf("%v q=%d pb=%d: critical path %d, want %d", kern, q, pb, got, want)
 				}
 			}
 		}

@@ -141,7 +141,7 @@ func runShard[T vec.Scalar](ctx context.Context, cancel context.CancelCauseFunc,
 		}
 	}
 	nd.core, err = stream.NewCore[T](n, stream.Config{
-		NB: cfg.NB, IB: cfg.IB, Kernels: core.TT, FlatMerge: true, Env: engine.Env{Runtime: rt},
+		NB: cfg.NB, IB: cfg.IB, Kernels: core.TT, Env: engine.Env{Runtime: rt},
 	})
 	if err != nil {
 		return err

@@ -11,11 +11,11 @@
 // Execution placement goes through Env: a shared persistent sched.Runtime
 // (the default — many factorizations, one worker pool), a per-call pool
 // (the explicit-Workers path), or inline on the calling goroutine
-// (Workers == 1, and DAGs too small to be worth a cross-goroutine hop).
-// Kernel workspaces are owned by
-// the workers themselves — one grow-only buffer per arithmetic domain in
-// each worker's sched.Local — so repeated factorizations allocate no
-// scratch.
+// (Workers == 1). A runtime itself runs a chain-shaped DAG, which no pool
+// could overlap, inline on the submitter (sched.Plan.Serial). Kernel
+// workspaces are owned by the workers themselves — one grow-only buffer
+// per arithmetic domain in each worker's sched.Local — so repeated
+// factorizations allocate no scratch.
 package engine
 
 import (
@@ -65,24 +65,20 @@ type RunOpts struct {
 
 // run executes the plan's DAG under the Env's placement policy.
 func (e Env) run(p *sched.Plan, opts RunOpts, exec sched.Exec) (*sched.Trace, error) {
+	o := sched.Options{Trace: opts.Trace, Ctx: opts.Ctx, Stats: opts.Stats}
 	if e.Runtime != nil {
-		return e.Runtime.Exec(p, sched.Options{Trace: opts.Trace, Ctx: opts.Ctx, Stats: opts.Stats}, exec)
+		return e.Runtime.Exec(p, o, exec)
 	}
 	workers := e.Workers
 	if workers <= 0 {
 		workers = sched.DefaultWorkers()
 	}
 	if workers == 1 {
-		tr, err := sched.RunInline(opts.Ctx, p.DAG(), opts.Trace, exec)
-		if opts.Stats != nil {
-			// Inline runs have no idle worker time: busy equals wall.
-			*opts.Stats = sched.JobStats{Tasks: int64(p.DAG().NumTasks()), Busy: tr.Elapsed, Wall: tr.Elapsed}
-		}
-		return tr, err
+		return sched.RunInline(p.DAG(), o, exec)
 	}
 	rt := sched.NewRuntime(workers)
 	defer rt.Close()
-	return rt.Exec(p, sched.Options{Trace: opts.Trace, Ctx: opts.Ctx, Stats: opts.Stats}, exec)
+	return rt.Exec(p, o, exec)
 }
 
 // WorkerWS returns worker-local kernel scratch of length n, growing the

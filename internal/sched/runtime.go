@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -92,6 +93,7 @@ type Plan struct {
 	indeg0  []int32 // initial in-degrees
 	indeg   []int32 // working counters, reset from indeg0 at submit
 	sources []int32 // zero-indegree tasks, by descending priority
+	serial  bool    // every task t > 0 depends on t − 1 (see Serial)
 }
 
 // NewPlan prepares a DAG for execution on a Runtime.
@@ -99,10 +101,15 @@ func NewPlan(d *core.DAG) *Plan {
 	n := d.NumTasks()
 	p := &Plan{d: d, prio: Priorities(d), indeg0: make([]int32, n), indeg: make([]int32, n)}
 	p.succOff, p.succs = d.Succs()
+	p.serial = true
 	for t := 0; t < n; t++ {
-		p.indeg0[t] = int32(len(d.Preds(t)))
+		preds := d.Preds(t)
+		p.indeg0[t] = int32(len(preds))
 		if p.indeg0[t] == 0 {
 			p.sources = append(p.sources, int32(t))
+		}
+		if t > 0 && !slices.Contains(preds, int32(t-1)) {
+			p.serial = false
 		}
 	}
 	sort.Slice(p.sources, func(a, b int) bool { return p.prio[p.sources[a]] > p.prio[p.sources[b]] })
@@ -111,6 +118,12 @@ func NewPlan(d *core.DAG) *Plan {
 
 // DAG returns the plan's task DAG.
 func (p *Plan) DAG() *core.DAG { return p.d }
+
+// Serial reports whether the plan's DAG is a chain: every task t > 0 lists
+// t − 1 among its predecessors (vacuously so with fewer than two tasks).
+// No pool can overlap the tasks of a chain, so Exec runs it on the
+// submitting goroutine instead of paying a worker wake-up per task.
+func (p *Plan) Serial() bool { return p.serial }
 
 // job is one submitted DAG execution in flight on a runtime.
 type job struct {
@@ -533,7 +546,9 @@ func (rt *Runtime) wakeOne() {
 // error, or is canceled by Options.Ctx. Safe for concurrent use from any
 // number of goroutines; each call is an independent job under the fair
 // cross-job discipline. The returned Trace has Spans only when opt.Trace
-// is set.
+// is set. A Serial plan runs on the calling goroutine through RunInline,
+// still admitted and counted in flight like any other job, so Close and
+// Drain wait for it.
 //
 // On cancellation (task error, panic, or context) the job's in-flight
 // tasks run to completion, its queued tasks are dropped un-executed, and
@@ -567,6 +582,11 @@ func (rt *Runtime) Exec(p *Plan, opt Options, exec Exec) (*Trace, error) {
 	n := p.d.NumTasks()
 	if n == 0 {
 		return &Trace{Workers: rt.workers}, nil
+	}
+	if p.serial {
+		tr, err := RunInline(p.d, opt, exec)
+		tr.Workers = rt.workers
+		return tr, err
 	}
 	j := &job{
 		plan:    p,
@@ -779,46 +799,53 @@ func (j *job) runTask(t int32, loc *Local) (err error) {
 var inlineLocals = sync.Pool{New: func() any { return &Local{} }}
 
 // RunInline executes every task of the DAG sequentially in topological
-// (ID) order on the calling goroutine: the deterministic Workers == 1 path,
-// also used for DAGs too small to be worth a cross-goroutine hop. Stops at
-// the first task error or panic, and — when ctx is non-nil — at the first
-// task boundary after ctx is done, returning ctx.Err(). A nil (or
-// never-canceled background) ctx costs nothing per task.
-func RunInline(ctx context.Context, d *core.DAG, trace bool, exec Exec) (*Trace, error) {
+// (ID) order on the calling goroutine: the deterministic Workers == 1
+// path, and Exec's path for Serial plans. Stops at the first task error or
+// panic, and — when opt.Ctx is non-nil — at the first task boundary after
+// it is done, returning its error. A nil (or never-canceled background)
+// ctx costs nothing per task. opt.Stats counts the tasks that ran, the
+// failing one included; busy time equals wall time.
+func RunInline(d *core.DAG, opt Options, exec Exec) (*Trace, error) {
 	loc := inlineLocals.Get().(*Local)
 	defer inlineLocals.Put(loc)
 	var cancelCh <-chan struct{}
-	if ctx != nil {
-		cancelCh = ctx.Done()
+	if opt.Ctx != nil {
+		cancelCh = opt.Ctx.Done()
 	}
 	start := time.Now()
 	tr := &Trace{Workers: 1}
-	if trace {
+	if opt.Trace {
 		tr.Spans = make([]Span, 0, d.NumTasks())
 	}
-	for t := 0; t < d.NumTasks(); t++ {
+	ran := 0
+	var err error
+tasks:
+	for ; ran < d.NumTasks(); ran++ {
 		if cancelCh != nil {
 			select {
 			case <-cancelCh:
-				tr.Elapsed = time.Since(start)
-				return tr, ctx.Err()
+				err = opt.Ctx.Err()
+				break tasks
 			default:
 			}
 		}
 		var t0 time.Duration
-		if trace {
+		if opt.Trace {
 			t0 = time.Since(start)
 		}
-		if err := runInlineTask(d, int32(t), loc, exec); err != nil {
-			tr.Elapsed = time.Since(start)
-			return tr, err
+		if err = runInlineTask(d, int32(ran), loc, exec); err != nil {
+			ran++ // the failing task ran too
+			break
 		}
-		if trace {
-			tr.Spans = append(tr.Spans, Span{Task: int32(t), Worker: 0, Start: t0, End: time.Since(start)})
+		if opt.Trace {
+			tr.Spans = append(tr.Spans, Span{Task: int32(ran), Worker: 0, Start: t0, End: time.Since(start)})
 		}
 	}
 	tr.Elapsed = time.Since(start)
-	return tr, nil
+	if opt.Stats != nil {
+		*opt.Stats = JobStats{Tasks: int64(ran), Busy: tr.Elapsed, Wall: tr.Elapsed}
+	}
+	return tr, err
 }
 
 // runInlineTask runs one task inline, converting panics into errors.

@@ -231,7 +231,7 @@ func TestPlanReuse(t *testing.T) {
 func TestRunInlineStopsOnError(t *testing.T) {
 	d := core.BuildDAG(core.GreedyList(6, 3), core.TT)
 	ran := 0
-	_, err := RunInline(nil, d, false, func(task int32, _ *Local) error {
+	_, err := RunInline(d, Options{}, func(task int32, _ *Local) error {
 		if task == 4 {
 			return errors.New("boom")
 		}

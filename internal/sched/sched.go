@@ -8,7 +8,8 @@
 // goroutines executes the DAGs of any number of concurrent factorizations,
 // with critical-path priorities inside each DAG and weighted-fair admission
 // across DAGs. A per-call pool is just an ephemeral Runtime (NewRuntime,
-// Exec, Close), and RunInline is the deterministic single-goroutine path.
+// Exec, Close), and RunInline is the deterministic single-goroutine path,
+// which Exec also takes for a chain-shaped DAG (Plan.Serial).
 package sched
 
 import (

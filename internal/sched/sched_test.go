@@ -22,7 +22,7 @@ func runDAG(d *core.DAG, workers int, trace bool, exec func(task int32, worker i
 		return nil
 	}
 	if workers == 1 {
-		return RunInline(nil, d, trace, wrapped)
+		return RunInline(d, Options{Trace: trace}, wrapped)
 	}
 	rt := NewRuntime(workers)
 	defer rt.Close()

@@ -14,27 +14,30 @@ import (
 
 // TestAppendFailurePoisons: an append whose merge DAG fails before its
 // first writers have filled every batch tile — cancelled, or an injected
-// error or panic on the first GEQRT, which first-writes a batch tile —
+// error or panic on the first TSQRT, which first-writes a batch tile —
 // poisons the stream with the original cause, as every mid-merge failure
-// does: later appends, merges and reads refuse. The caller's batch is
+// does: later appends, merges and reads refuse. So does a window read
+// whose triangle merge fails at its first TTQRT. The caller's batch is
 // never modified.
 func TestAppendFailurePoisons(t *testing.T) {
 	const n, r = 24, 40
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	cases := []struct {
-		name  string
-		ctx   context.Context
-		fault *fault.Config
-		cause string
+		name   string
+		window int // a windowed stream, whose first read merges triangles
+		ctx    context.Context
+		fault  *fault.Config
+		cause  string
 	}{
 		{name: "canceled", ctx: canceled, cause: "context canceled"},
-		{name: "error", fault: &fault.Config{Mode: fault.ModeError, Kind: core.KGEQRT, Prec: "d", Index: 0, Times: 1}, cause: "injected error"},
-		{name: "panic", fault: &fault.Config{Mode: fault.ModePanic, Kind: core.KGEQRT, Prec: "d", Index: 0, Times: 1}, cause: "injected panic"},
+		{name: "error", fault: &fault.Config{Mode: fault.ModeError, Kind: core.KTSQRT, Prec: "d", Index: 0, Times: 1}, cause: "injected error"},
+		{name: "panic", fault: &fault.Config{Mode: fault.ModePanic, Kind: core.KTSQRT, Prec: "d", Index: 0, Times: 1}, cause: "injected panic"},
+		{name: "window read", window: r + n, fault: &fault.Config{Mode: fault.ModeError, Kind: core.KTTQRT, Prec: "d", Index: 0, Times: 1}, cause: "injected error"},
 	}
 	for _, env := range []engine.Env{{Workers: 1}, {Workers: 2}} {
 		for _, tc := range cases {
-			c, err := NewCore[float64](n, Config{NB: 8, IB: 4, Kernels: core.TT, Env: env})
+			c, err := NewCore[float64](n, Config{NB: 8, IB: 4, Kernels: core.TT, Env: env, Window: tc.window})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,15 +50,22 @@ func TestAppendFailurePoisons(t *testing.T) {
 				fault.Set(*tc.fault)
 			}
 			err = c.Append(tc.ctx, r, a.Data[r*n:], n, b.Data[r:], 1, 1)
+			if tc.window != 0 {
+				if err != nil {
+					fault.Reset()
+					t.Fatalf("workers=%d %s: Append = %v before any triangle merge", env.Workers, tc.name, err)
+				}
+				err = c.CopyR(make([]float64, n*n), n)
+			}
 			fault.Reset()
 			if err == nil || !strings.Contains(err.Error(), tc.cause) {
-				t.Fatalf("workers=%d %s: Append = %v, want a failure citing %q", env.Workers, tc.name, err, tc.cause)
+				t.Fatalf("workers=%d %s: failed merge = %v, want a failure citing %q", env.Workers, tc.name, err, tc.cause)
 			}
 			if tc.ctx != nil && !errors.Is(c.Err(), context.Canceled) {
 				t.Errorf("workers=%d %s: Err() = %v, want the sticky cancellation", env.Workers, tc.name, c.Err())
 			}
 			if c.Err() == nil {
-				t.Fatalf("workers=%d %s: the failed append did not poison the stream", env.Workers, tc.name)
+				t.Fatalf("workers=%d %s: the failed merge did not poison the stream", env.Workers, tc.name)
 			}
 			if err := c.Append(nil, r, a.Data, n, b.Data, 1, 1); err == nil {
 				t.Errorf("workers=%d %s: a poisoned stream accepted an append", env.Workers, tc.name)

@@ -5,14 +5,14 @@
 // incoming rows, an appended batch or another aggregate's triangle, are
 // merged into the resident triangle with the paper's kernels along the
 // task DAG of core.BuildStreamDAG on internal/sched, then replayed over the
-// Qᵀb rows. A row batch merges along BinaryTree in the configured kernel
-// family, or along FlatTree with TS kernels (Config.FlatMerge); a triangle
-// always merges along BinaryTree in the configured family. An accrete-only
-// stream is the flat reduction tree; each worker of internal/dist is a Core
-// in a binomial one, exporting its aggregate through CopyR, CopyQTB,
-// ResidualNorm and Rows and folding in its children's with Merge. Tasks
-// dispatch through the shared engine.Source loop, generically over all four
-// scalar domains.
+// Qᵀb rows. A row batch merges along FlatTree with TS kernels, each batch
+// tile TSQRT'd straight into the resident row: the fewest and cheapest
+// tasks. A triangle merges along BinaryTree in the configured kernel
+// family. An accrete-only stream is the flat reduction tree; each worker
+// of internal/dist is a Core in a binomial one, exporting its aggregate
+// through CopyR, CopyQTB, ResidualNorm and Rows and folding in its
+// children's with Merge. Tasks dispatch through the shared engine.Source
+// loop, generically over all four scalar domains.
 //
 // Beyond pure accretion the Core supports revocation: with retention
 // enabled (Config.Window) appended batches are kept in a compact row
@@ -37,11 +37,6 @@ import (
 	"tiledqr/internal/vec"
 )
 
-// seqTaskThreshold is the DAG size below which a batch merge runs on the
-// scheduler's deterministic sequential path: tiny merges (a one-tile-row
-// batch into a narrow triangle) are dominated by goroutine wake-up cost.
-const seqTaskThreshold = 64
-
 // RetainAll configures Config.Window to retain the full row history without
 // a sliding window: rows are kept (and memory grows with them) until the
 // caller removes them with Downdate.
@@ -50,15 +45,9 @@ const RetainAll = -1
 // Config carries the streaming parameters beyond the column count.
 type Config struct {
 	NB, IB  int
-	Kernels core.Kernels // kernel family of triangle merges, and of row-batch merges without FlatMerge
+	Kernels core.Kernels // kernel family of triangle merges (row batches always merge with TS)
 	Env     engine.Env
 	Check   bool // validate batches, fail fast on breakdown
-
-	// FlatMerge merges row batches along FlatTree with TS kernels, every
-	// batch tile TSQRT'd straight into the resident row: the fewest and
-	// cheapest tasks, at the price of a critical path linear in the batch
-	// height. Without it row batches merge along BinaryTree in Kernels.
-	FlatMerge bool
 
 	// Window selects the retention policy: 0 retains nothing (appends are
 	// irrevocable, the historical behavior), a positive value keeps a
@@ -111,11 +100,6 @@ type Core[T vec.Scalar] struct {
 	kernels   core.Kernels
 	check     bool // Options.CheckHealth: validate batches, fail fast on breakdown
 
-	// rowTree and rowKernels are the tree and kernel family of a row-batch
-	// merge (see Config.FlatMerge).
-	rowTree    core.Algorithm
-	rowKernels core.Kernels
-
 	window int     // retention policy (see Config.Window)
 	forget float64 // per-append forgetting factor λ (0 = off)
 
@@ -160,7 +144,8 @@ type Core[T vec.Scalar] struct {
 
 // NewCore creates the streaming state for an n-column system. cfg.Env
 // selects where merge DAGs execute (shared runtime, per-call pool, or
-// inline).
+// inline), as it does for a factorization; a runtime runs a chain-shaped
+// merge, such as any merge into a one-tile triangle, on the caller.
 func NewCore[T vec.Scalar](n int, cfg Config) (*Core[T], error) {
 	if n < 1 {
 		return nil, fmt.Errorf("tiledqr: stream: need at least one column (n=%d)", n)
@@ -190,10 +175,6 @@ func NewCore[T vec.Scalar](n int, cfg Config) (*Core[T], error) {
 		for k := i; k < g.Q; k++ {
 			c.triLen += g.TileRows(i) * g.TileCols(k)
 		}
-	}
-	c.rowTree, c.rowKernels = core.BinaryTree, cfg.Kernels
-	if cfg.FlatMerge {
-		c.rowTree, c.rowKernels = core.FlatTree, core.TS
 	}
 	c.back = c.getAgg()
 	return c, nil
@@ -330,11 +311,13 @@ func (c *Core[T]) plan(pb int) *sched.Plan {
 	if p, ok := c.plans[pb]; ok {
 		return p
 	}
-	alg, kern, tileRows := c.rowTree, c.rowKernels, pb
+	var d *core.DAG
 	if pb == 0 {
-		alg, kern, tileRows = core.BinaryTree, c.kernels, c.grid.Q
+		d = core.BuildStreamDAG(c.grid.Q, c.grid.Q, c.kernels, true)
+	} else {
+		d = core.BuildStreamDAG(c.grid.Q, pb, core.TS, false)
 	}
-	p := sched.NewPlan(core.BuildStreamDAG(c.grid.Q, tileRows, alg, kern, pb == 0))
+	p := sched.NewPlan(d)
 	c.plans[pb] = p
 	return p
 }
@@ -531,13 +514,7 @@ func (c *Core[T]) exec(ctx context.Context, dst *agg[T], st *staging[T], p *sche
 	c.allocT(d, st)
 	c.dst, c.cur = dst, st
 	defer func() { c.dst, c.cur = nil, nil }()
-	env := c.env
-	if d.NumTasks() < seqTaskThreshold {
-		// Tiny merges are dominated by cross-goroutine wake-up cost: run
-		// them inline on the calling goroutine.
-		env = engine.Env{Workers: 1}
-	}
-	if _, err := engine.ExecTasks[T](c, p, env,
+	if _, err := engine.ExecTasks[T](c, p, c.env,
 		engine.RunOpts{Ctx: ctx, Check: c.check}, fill, c.ib, len(c.rws)); err != nil {
 		return err
 	}

@@ -146,7 +146,7 @@ func predict(d *core.DAG, workers int, secs map[core.Kind]float64) float64 {
 
 // ResolveStream picks (nb, ib) for a streaming TSQR over n columns under
 // AlgorithmAuto: the tile size at which the merge of a one-tile-row batch —
-// FlatTree with TS kernels, as Auto streams merge row batches, so each
+// FlatTree with TS kernels, as every stream merges row batches, so each
 // column is one TSQRT straight into the resident triangle plus its TSMQR
 // updates — costs the least per row. The merge DAG is list-scheduled at the
 // execution width, as Rank scores factorizations; above simTaskLimit tasks
@@ -174,7 +174,7 @@ func ResolveStream[T vec.Scalar](n, workers, pinNB, pinIB int) (Candidate, error
 		tasks := q * (q + 1) / 2
 		var batchSec float64
 		if tasks <= simTaskLimit {
-			batchSec = predict(core.BuildStreamDAG(q, 1, core.FlatTree, core.TS, false), workers, secs)
+			batchSec = predict(core.BuildStreamDAG(q, 1, core.TS, false), workers, secs)
 		} else {
 			work := float64(q)*qrt + float64(tasks-q)*mqr
 			batchSec = max(work/float64(workers), float64(q)*qrt+float64(q-1)*mqr)

@@ -461,7 +461,7 @@ func TestResolveStreamPricesMergeDAG(t *testing.T) {
 			t.Errorf("n=%d: priced %v %v (simulated %v), want FlatTree TS (simulated %v)",
 				tc.n, c.Algorithm, c.Kernels, c.Simulated, q < 400)
 		}
-		d := core.BuildStreamDAG(q, 1, core.FlatTree, core.TS, false)
+		d := core.BuildStreamDAG(q, 1, core.TS, false)
 		if sum := goldenTaskSecs(d, c.NB); math.Abs(c.PredictedSec*float64(c.NB)-sum) > 1e-10*sum {
 			t.Errorf("n=%d: predicted %.9g s per row at nb=%d, the merge DAG's tasks sum to %.9g s per batch",
 				tc.n, c.PredictedSec, c.NB, sum)

@@ -161,9 +161,11 @@ func (k Kernels) core() core.Kernels {
 // on the process-wide shared runtime (DefaultRuntime).
 type Options struct {
 	Algorithm Algorithm
-	// Kernels selects the elimination kernel family. Ignored under
-	// AlgorithmAuto: the tuner picks TT vs TS for each factorization, and
-	// an Auto stream merges row batches with TS and triangles with TT.
+	// Kernels selects the elimination kernel family: of a factorization,
+	// and of a windowed stream's triangle merges (a stream merges row
+	// batches with TS whatever it says). Ignored under AlgorithmAuto: the
+	// tuner picks TT vs TS for each factorization, and an Auto stream
+	// merges triangles with TT.
 	Kernels Kernels
 	// TileSize (nb) and InnerBlock (ib): the paper uses nb=200 (80..200 is
 	// typical, §2) and ib=32. Zero means the package defaults — except

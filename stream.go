@@ -50,8 +50,8 @@ func streamAppend[T vec.Scalar](ctx context.Context, c *stream.Core[T], batch, r
 // batch) no matter how many rows are ingested, so a Stream can absorb
 // millions of observations that would never fit as one matrix.
 //
-// Each batch is tiled and merged into the resident triangle along one of
-// the paper's elimination trees — the merge primitive of
+// Each batch is tiled and merged into the resident triangle along the
+// paper's flat elimination tree — the merge primitive of
 // communication-avoiding TSQR (Demmel, Grigori, Hoemmen, Langou) — as a
 // task DAG executed by the work-stealing runtime with critical-path
 // priorities, so the independent tile tasks of a batch run in parallel.
@@ -74,12 +74,11 @@ func streamAppend[T vec.Scalar](ctx context.Context, c *stream.Core[T], batch, r
 // plus O(n²), whatever the batch size.
 //
 // Options.TileSize, InnerBlock, Workers, WindowRows and Forget are honored.
-// With an explicit Algorithm every merge reduces each column's batch tiles
-// by a binary tree in the Options.Kernels family, whatever the Algorithm
-// and BS. Under AlgorithmAuto the tuner picks the tile shape; batches then
-// merge along FlatTree with TS kernels, each batch tile eliminated straight
-// into the resident triangle (the fewest, cheapest tasks), and the triangle
-// merges of a windowed stream along a binary tree with TT kernels.
+// Every batch merges along FlatTree with TS kernels, each batch tile
+// eliminated straight into the resident triangle (the fewest, cheapest
+// tasks), whatever the Algorithm and BS. The triangle merges of a windowed
+// stream reduce along a binary tree in the Options.Kernels family (TT
+// under AlgorithmAuto, where the tuner picks the tile shape).
 // A Stream is not safe for concurrent use.
 type Stream[T Scalar] struct {
 	c *stream.Core[T]
@@ -96,10 +95,8 @@ func NewStreamOf[T Scalar](n int, opt Options) (*Stream[T], error) {
 		return nil, err
 	}
 	// AlgorithmAuto picks the tile shape for streams too, by the per-row
-	// time of a one-tile-row merge at the stream's width; row batches then
-	// merge flat with TS kernels (stream FlatMerge).
-	auto := opt.Algorithm == AlgorithmAuto
-	if auto && n >= 1 {
+	// time of a one-tile-row merge at the stream's width.
+	if opt.Algorithm == AlgorithmAuto && n >= 1 {
 		// Pinned sizes obey the same constraints as explicit ones (matching
 		// resolveAuto): an inner block wider than a pinned tile is an
 		// error, not a silent clamp.
@@ -121,14 +118,13 @@ func NewStreamOf[T Scalar](n int, opt Options) (*Stream[T], error) {
 		return nil, err
 	}
 	c, err := stream.NewCore[T](n, stream.Config{
-		NB:        opt.TileSize,
-		IB:        opt.InnerBlock,
-		Kernels:   opt.Kernels.core(),
-		FlatMerge: auto,
-		Env:       opt.execEnv(),
-		Check:     opt.CheckHealth,
-		Window:    opt.WindowRows,
-		Forget:    opt.Forget,
+		NB:      opt.TileSize,
+		IB:      opt.InnerBlock,
+		Kernels: opt.Kernels.core(),
+		Env:     opt.execEnv(),
+		Check:   opt.CheckHealth,
+		Window:  opt.WindowRows,
+		Forget:  opt.Forget,
 	})
 	if err != nil {
 		return nil, err
