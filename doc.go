@@ -266,17 +266,21 @@
 // across worker processes (qrdist -worker starts one per shard: itself
 // with -connect) or in-process goroutines, and each worker is one node of
 // a binomial TSQR reduction tree. A node is the streaming core, reused
-// across rounds: it appends its shard and right-hand side, which leaves its
-// aggregate — the n×n R, the top block of Qᵀb and the residual norm — and
-// merges its children's aggregates into it with the same
-// triangle-on-triangle merge streams use, until rank 0 holds the global
-// aggregate, from which the coordinator solves the least-squares system and
+// across rounds. The coordinator streams every worker its shard at once in
+// chunks of whole tile rows, which the worker reads into place and appends
+// with their right-hand-side rows as they arrive (a later round re-appends
+// the kept shard). That leaves the node's aggregate — the n×n R, the top
+// block of Qᵀb and the residual norm — into which it merges its children's
+// aggregates with the same triangle-on-triangle merge streams use, until
+// rank 0 holds the global aggregate, from which the coordinator solves the least-squares system and
 // reports the residual ‖b − A·x‖_F. Only aggregates travel, one frame per
 // tree edge per round: for tall shards the communication volume is O(n²)
 // per worker per round against O(rows·n²) of local compute, which is the
 // communication-avoiding trade. Frames are length-prefixed binary over
-// plain TCP in all four precisions, buffers are pooled on both the send and
-// receive paths (zero steady-state allocations per round). Workers run
+// plain TCP in all four precisions; shard chunks go from the caller's
+// matrix to the worker's shard without a pack or unpack copy, and
+// aggregate buffers are pooled on both the send and receive paths (zero
+// steady-state allocations per round). Workers run
 // their rounds without waiting for the coordinator; the bounded send queue
 // to a rank's one tree parent is the only flow control. With more than one
 // round, a worker whose tree role is done starts the next shard append

@@ -1,10 +1,12 @@
 // The coordinator of the distributed CAQR runtime: it shards the global
 // matrix row-wise across worker processes, hands each worker its rank and
-// the peer table of the reduction tree, ships the shards, and collects
-// every worker's stats and, each round, one aggregate frame from the tree
-// root: the global R, the top block of Qᵀb, the residual norm and the row
-// count. Workers run their rounds on their own; the coordinator sends
-// nothing more until Done.
+// the peer table of the reduction tree, streams every worker its shard at
+// once — chunks of whole tile rows written straight from the caller's
+// matrix, which the worker merges as they arrive — and collects every
+// worker's stats and, each round, one aggregate frame from the tree root:
+// the global R, the top block of Qᵀb, the residual norm and the row count.
+// Workers run their rounds on their own; after the shard the coordinator
+// sends nothing more until Done.
 // Cancelling a run, or any worker failing, closes every worker connection,
 // so the whole run stops promptly with an error.
 package dist
@@ -13,7 +15,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
+	"sync"
 	"time"
 
 	"tiledqr/internal/engine"
@@ -139,10 +143,16 @@ func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T])
 	if err != nil {
 		return nil, err
 	}
+	// Closing the connections ends every reader and shipper goroutine;
+	// none outlives Run.
+	runDone := make(chan struct{})
+	var wg sync.WaitGroup
 	defer func() {
+		close(runDone)
 		for _, w := range workers {
 			_ = w.conn.Close()
 		}
+		wg.Wait()
 	}()
 
 	// Configure every worker: rank, peer table, shape.
@@ -160,34 +170,15 @@ func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T])
 			return nil, fmt.Errorf("dist: configuring rank %d: %w", r, err)
 		}
 	}
-	// Ship each worker its shard (and RHS rows) exactly once.
-	row := 0
-	for r, w := range workers {
-		rows := shardRows[r]
-		buf := packDense(KindShard, 0, a.Data[row*a.Stride:], a.Stride, rows, n)
-		_, err := w.conn.Write(buf)
-		putBuf(buf)
-		if err != nil {
-			return nil, fmt.Errorf("dist: shipping shard to rank %d: %w", r, err)
-		}
-		if nrhs > 0 {
-			buf = packDense(KindRHS, 0, b.Data[row*b.Stride:], b.Stride, rows, nrhs)
-			_, err = w.conn.Write(buf)
-			putBuf(buf)
-			if err != nil {
-				return nil, fmt.Errorf("dist: shipping rhs to rank %d: %w", r, err)
-			}
-		}
-		row += rows
-	}
 
-	// Per-worker readers feed one event stream; the run loop below writes
-	// nothing more until Done.
+	// Per-worker readers feed one event stream. They start before the
+	// shards do, so a worker that fails mid-shipment is reported by its own
+	// Err frame rather than by the write it broke.
 	events := make(chan coordEvent, 4*W)
-	runDone := make(chan struct{})
-	defer close(runDone)
 	for r, w := range workers {
+		wg.Add(1)
 		go func(rank int, conn net.Conn) {
+			defer wg.Done()
 			for {
 				f, buf, err := ReadFrame(conn, getBuf(0))
 				ev := coordEvent{rank: rank, f: f, buf: buf, err: err}
@@ -206,6 +197,22 @@ func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T])
 				}
 			}
 		}(r, w.conn)
+	}
+	// Ship every worker its shard (and RHS rows) at once, exactly once.
+	// A failed write ends a shipment silently: the connection it broke is
+	// the one its reader reports.
+	if nrhs == 0 {
+		b = nil
+	}
+	step := chunkRows[T](n, cfg.NB)
+	row := 0
+	for r, w := range workers {
+		wg.Add(1)
+		go func(conn net.Conn, first, rows int) {
+			defer wg.Done()
+			_ = shipShard(conn, a, b, first, rows, step)
+		}(w.conn, row, shardRows[r])
+		row += shardRows[r]
 	}
 
 	res := &Result[T]{R: tile.NewDense[T](n, n)}
@@ -271,6 +278,37 @@ func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T])
 		}
 	}
 	return res, nil
+}
+
+// chunkBytes is the payload a shard chunk aims at: large enough that
+// per-frame and per-merge overheads stay small, small enough that a worker
+// starts factoring long before its whole shard has arrived.
+const chunkBytes = 256 << 10
+
+// chunkRows is the height of a shard chunk of a cols-wide matrix of T:
+// about chunkBytes of payload, rounded down to whole nb-row tiles, and at
+// least one tile row.
+func chunkRows[T vec.Scalar](cols, nb int) int {
+	return max(1, chunkBytes/(cols*scalarBytes[T]())/nb) * nb
+}
+
+// shipShard writes rows first … first+rows−1 of a as chunks of at most
+// step rows, each followed by the chunk of the same rows of b when b is
+// not nil. A chunk's Seq is its first row within the shard.
+func shipShard[T vec.Scalar](w io.Writer, a, b *tile.Dense[T], first, rows, step int) error {
+	for i := 0; i < rows; i += step {
+		k, at := min(step, rows-i), first+i
+		if err := writeRows(w, KindShard, uint32(i), a.Data[at*a.Stride:], a.Stride, k, a.Cols); err != nil {
+			return err
+		}
+		if b == nil {
+			continue
+		}
+		if err := writeRows(w, KindRHS, uint32(i), b.Data[at*b.Stride:], b.Stride, k, b.Cols); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // acceptWorkers waits for W workers to connect and say hello, assigning

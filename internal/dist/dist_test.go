@@ -66,7 +66,16 @@ func runDistVsLocal[T vec.Scalar](t *testing.T, m, n, nrhs, W, rounds int, tol f
 	if nrhs > 0 {
 		b = tile.RandDense[T](m, nrhs, 8)
 	}
+	runDist(t, a, b, W, rounds, tol)
+}
 
+// runDist is runDistVsLocal on a given a and b (nil for R alone).
+func runDist[T vec.Scalar](t *testing.T, a, b *tile.Dense[T], W, rounds int, tol float64) {
+	t.Helper()
+	m, n, nrhs := a.Rows, a.Cols, 0
+	if b != nil {
+		nrhs = b.Cols
+	}
 	c, err := NewCoordinator(Config{
 		Workers: W, NB: 32, IB: 8, Rounds: rounds, LocalWorkers: 1,
 	})
@@ -145,11 +154,40 @@ func runDistVsLocal[T vec.Scalar](t *testing.T, m, n, nrhs, W, rounds int, tol f
 // non-power-of-two worker count and multiple free-running rounds, and a
 // run without right-hand side must return R alone.
 func TestDistMatchesLocal(t *testing.T) {
-	t.Run("double", func(t *testing.T) { runDistVsLocal[float64](t, 256, 64, 2, 3, 2, 1e-12) })
-	t.Run("double-complex", func(t *testing.T) { runDistVsLocal[complex128](t, 256, 64, 2, 3, 2, 1e-12) })
-	t.Run("single", func(t *testing.T) { runDistVsLocal[float32](t, 256, 64, 2, 3, 2, 2e-4) })
-	t.Run("single-complex", func(t *testing.T) { runDistVsLocal[complex64](t, 256, 64, 2, 3, 2, 2e-4) })
+	t.Run("double", distAgreement[float64](1e-12))
+	t.Run("double-complex", distAgreement[complex128](1e-12))
+	t.Run("single", distAgreement[float32](2e-4))
+	t.Run("single-complex", distAgreement[complex64](2e-4))
 	t.Run("double-R-only", func(t *testing.T) { runDistVsLocal[float64](t, 256, 64, 0, 3, 2, 1e-12) })
+}
+
+// distAgreement is one precision's agreement suite: shards of one chunk
+// over two rounds, then three workers whose shards span three chunks, the
+// last of them ragged (not whole tiles), in one round — the streamed
+// appends alone make the result — for 0, 1 and 3 right-hand sides; the
+// same with a and b strided, which the coordinator packs before it ships
+// them; the same with the packing wire path forced on both sides, the one
+// a big-endian host takes; and two rounds, the second of which re-appends
+// the retained shard.
+func distAgreement[T vec.Scalar](tol float64) func(*testing.T) {
+	return func(t *testing.T) {
+		runDistVsLocal[T](t, 256, 64, 2, 3, 2, tol)
+		const n, W = 64, 3
+		step := chunkRows[T](n, 32)
+		m := W*(2*step+43) + 1 // the last chunk 43 or 44 rows
+		for _, nrhs := range []int{0, 1, 3} {
+			t.Run(fmt.Sprintf("chunked-nrhs=%d", nrhs), func(t *testing.T) { runDistVsLocal[T](t, m, n, nrhs, W, 1, tol) })
+		}
+		t.Run("strided", func(t *testing.T) {
+			runDist(t, tile.RandDense[T](m, n+3, 7).View(0, 0, m, n), tile.RandDense[T](m, 5, 8).View(0, 0, m, 2), W, 1, tol)
+		})
+		t.Run("packed", func(t *testing.T) {
+			defer func(le bool) { hostLittleEndian = le }(hostLittleEndian)
+			hostLittleEndian = false
+			runDistVsLocal[T](t, m, n, 1, W, 1, tol)
+		})
+		t.Run("rounds=2", func(t *testing.T) { runDistVsLocal[T](t, m, n, 1, W, 2, tol) })
+	}
 }
 
 // TestDistSingleWorker degenerates the tree to nothing: one shard, no
@@ -285,13 +323,14 @@ func TestDistFailedWorker(t *testing.T) {
 // TestDistFaultedWorker injects a failure, an error and then a panic, into
 // the first d task of one factor kernel of the run: TSQRT, which only the
 // shard appends run (flat tree, TS kernels), and TTQRT, which only rank 0's
-// triangle merge of rank 1's aggregate runs. Every worker kernel runs
-// through engine.ExecTask, where the injector sits: Run must return a named
-// worker failure within 5s, both workers must exit within 5s, the faulted
-// one with the injected cause, and nothing may be left running. (Run
-// reports the first failure it reads, which may be the other worker's: a
-// rank 0 that faults in its shard append before rank 1 has dialed it fails
-// that dial.)
+// triangle merge of rank 1's aggregate runs. Each shard is three chunks, so
+// TSQRT faults in the first chunk's merge while the rest are still in
+// flight. Every worker kernel runs through engine.ExecTask, where the
+// injector sits: Run must return a named worker failure — the worker's own
+// Err frame, not the shipment it broke — within 5s, both workers must exit
+// within 5s, the faulted one with the injected cause, and nothing may be
+// left running. (Run reports the first failure it reads, which may be the
+// other worker's.)
 func TestDistFaultedWorker(t *testing.T) {
 	for _, mode := range []fault.Mode{fault.ModeError, fault.ModePanic} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -314,7 +353,8 @@ func faultWorker(t *testing.T, kind core.Kind, mode fault.Mode) {
 	errs := SpawnLocal(context.Background(), c.Addr(), W)
 	runErr := make(chan error, 1)
 	go func() {
-		_, err := Run(context.Background(), c, tile.RandDense[float64](256, 32, 1), tile.RandDense[float64](256, 1, 2))
+		m := W * 3 * chunkRows[float64](32, 32)
+		_, err := Run(context.Background(), c, tile.RandDense[float64](m, 32, 1), tile.RandDense[float64](m, 1, 2))
 		runErr <- err
 	}()
 	select {
@@ -413,4 +453,106 @@ func TestDistRejectsThinShards(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "single-node") {
 		t.Fatalf("thin shards must be rejected with a single-node hint, got %v", err)
 	}
+}
+
+// TestDistWorkerRefusesBadChunks drives one worker from a hand-rolled
+// coordinator — hello, the config of a 12×4 float64 shard with one
+// right-hand side, then frames that do not fit it. Each must end the worker
+// with a named error, also reported to the coordinator in an Err frame,
+// and never with a panic or a silently zero-filled shard.
+func TestDistWorkerRefusesBadChunks(t *testing.T) {
+	const rows, n = 12, 4
+	chunk := func(kind, prec byte, seq, r, c int) *Frame {
+		return &Frame{Kind: kind, Prec: prec, Seq: uint32(seq), Rows: uint32(r), Cols: uint32(c), Payload: make([]byte, r*c*8)}
+	}
+	for _, tc := range []struct {
+		name   string
+		frames []*Frame
+		want   string
+	}{
+		{"too-many-rows", []*Frame{chunk(KindShard, 'd', 0, rows+3, n)}, "chunk of 15 rows at row 0, want 1 to 12"},
+		{"wrong-seq", []*Frame{chunk(KindShard, 'd', 4, 4, n)}, "chunk starts at row 4, want row 0"},
+		{"wrong-cols", []*Frame{chunk(KindShard, 'd', 0, 4, n+1)}, "chunk of 5 columns, want 4"},
+		{"wrong-precision", []*Frame{chunk(KindShard, 's', 0, 4, n)}, `precision 's' at row 0, want 'd'`},
+		{"short-payload", []*Frame{{Kind: KindShard, Prec: 'd', Rows: 4, Cols: n, Payload: make([]byte, 4*n*8-8)}}, "chunk of 4×4 in 120 bytes, want 128"},
+		{"rhs-rows-differ", []*Frame{chunk(KindShard, 'd', 0, 8, n), chunk(KindRHS, 'd', 0, 4, 1)}, "RHS chunk of 4 rows at row 0, shard chunk of 8"},
+		{"early-frame", []*Frame{chunk(KindShard, 'd', 0, 8, n), chunk(KindRHS, 'd', 0, 8, 1), {Kind: KindDone}}, "frame kind 8 at row 8, want kind 3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			werr := SpawnLocal(context.Background(), ln.Addr().String(), 1)
+			conn, err := ln.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			var hello helloMsg
+			if _, err := readJSON(conn, nil, KindHello, &hello); err != nil {
+				t.Fatal(err)
+			}
+			wc := wireConfig{Proto: protoVersion, Workers: 1, Peers: []string{hello.PeerAddr}, Prec: "d",
+				ShardRows: rows, N: n, NRHS: 1, NB: 4, IB: 2, Rounds: 1, LocalWorkers: 1}
+			if err := writeJSON(conn, KindConfig, 0, &wc); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range tc.frames {
+				if _, err := WriteFrame(conn, f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			// readJSON surfaces an Err frame as the error it carries.
+			if _, err := readJSON(conn, nil, KindErr, new(errMsg)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("coordinator read %v, want the worker's Err frame naming %q", err, tc.want)
+			}
+			select {
+			case err := <-werr:
+				if err == nil || !errors.Is(err, errBadChunk) || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("worker exited with %v, want %q", err, tc.want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("worker still running 5s after a bad chunk")
+			}
+			assertNoGoroutines(t)
+		})
+	}
+}
+
+// TestDistRunAllocations holds a distributed run to its input: a warm
+// 2-worker Run of dist_round's 4096×128 with one right-hand side may
+// allocate, coordinator and both workers together, less than 1.5× the
+// bytes of the matrix and RHS. The workers' retained shards alone are those
+// bytes, so a shard-sized frame buffer, pack or unpack copy breaks the
+// bound. The least of three runs counts, since a collection mid-run can
+// empty the pools; under the race detector the runs are only run.
+func TestDistRunAllocations(t *testing.T) {
+	const m, n, W = 4096, 128, 2
+	a, b := tile.RandDense[float64](m, n, 1), tile.RandDense[float64](m, 1, 2)
+	run := func() float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := NewCoordinator(Config{Workers: W, NB: 64, IB: 16, LocalWorkers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := SpawnLocal(context.Background(), c.Addr(), W)
+		if _, err := Run(context.Background(), c, a, b); err != nil {
+			t.Fatal(err)
+		}
+		joinWorkers(t, errs, W)
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	run() // warms the frame, staging and plan pools
+	got := min(run(), run(), run())
+	input := float64((m*n + m) * 8)
+	t.Logf("a warm run allocated %.2f MB for %.2f MB of input", got/1e6, input/1e6)
+	if got >= 1.5*input && !raceEnabled {
+		t.Errorf("a warm run allocated %.2f MB, want < 1.5 × %.2f MB of input", got/1e6, input/1e6)
+	}
+	assertNoGoroutines(t)
 }

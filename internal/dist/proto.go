@@ -18,7 +18,9 @@ import (
 // in that mode never sends. Version 3 dropped the round-credit frames: a
 // version-2 worker would wait forever for an allowance. Version 4 made a
 // round one aggregate frame per tree edge and renumbered the frame kinds.
-const protoVersion = 4
+// Version 5 shards arrive in chunks: a version-4 worker would take the
+// first chunk for its whole shard.
+const protoVersion = 5
 
 // helloMsg is the worker's opening frame: its protocol version and the
 // address its peer listener accepts reduction-tree connections on.
@@ -63,8 +65,8 @@ type WorkerStats struct {
 	ComputeNS  int64 `json:"compute_ns"`   // shard appends: local factor + Qᵀb fold
 	CombineNS  int64 `json:"combine_ns"`   // merges of the children's aggregates
 	SendNS     int64 `json:"send_ns"`      // writer goroutines blocked in Write
-	RecvWaitNS int64 `json:"recv_wait_ns"` // combine loop waiting on partner frames
-	WallNS     int64 `json:"wall_ns"`      // whole round loop
+	RecvWaitNS int64 `json:"recv_wait_ns"` // waiting on shard chunks and partner frames
+	WallNS     int64 `json:"wall_ns"`      // first shard chunk to the last round's end
 	BytesSent  int64 `json:"bytes_sent"`
 	BytesRecv  int64 `json:"bytes_recv"`
 }

@@ -4,8 +4,12 @@
 // goes on the wire, so a reduction-tree edge carries one TSQR aggregate per
 // round: the packed R triangle (n(n+1)/2 scalars, not n² and never the
 // trailing matrix), the n×nrhs Qᵀb block, the residual norm and the row
-// count. Every send and receive goes through pooled buffers so the steady
-// state of a multi-round run allocates nothing per frame.
+// count. The shard is the one bulk transfer: it travels as chunks of whole
+// tile rows, each written from a byte view of the caller's matrix and read
+// straight into its place in the worker's shard (writeRows, readRows), so
+// no shard byte is copied in user space on the way. Aggregates go through
+// pooled buffers, so the steady state of a multi-round run allocates
+// nothing per frame.
 //
 // Frame layout (all integers little-endian):
 //
@@ -14,7 +18,7 @@
 //	4       1     kind (frame kinds below)
 //	5       1     precision letter ('d','s','z','c'; 0 for control frames)
 //	6       2     reserved (zero)
-//	8       4     seq   (round number, or kind-specific)
+//	8       4     seq   (kind-specific, see the frame kinds)
 //	12      4     rows
 //	16      4     cols
 //	20      4     payload length in bytes
@@ -22,31 +26,36 @@
 //
 // Scalars are packed little-endian in row-major order; complex values as
 // interleaved (re, im) pairs, so a complex64 costs 8 bytes and a
-// complex128 costs 16. Control frames (hello, config, stats, errors)
-// carry JSON payloads; bulk frames (shards, aggregates) carry packed
-// scalars.
+// complex128 costs 16 — on a little-endian host exactly their layout in
+// memory. Control frames (hello, config, stats, errors) carry JSON
+// payloads; bulk frames (shard chunks, aggregates) carry packed scalars.
 package dist
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"sync"
 	"unsafe"
 
 	"tiledqr/internal/vec"
 )
 
-// Frame kinds. The handshake is Hello → Config → Shard (→ RHS); each round
-// moves one Agg frame up every edge of the reduction tree and one from the
-// tree root to the coordinator; a worker ends with Stats (or Err) and the
-// coordinator answers the whole run with Done.
+// Frame kinds. The handshake is Hello → Config; then the shard arrives as
+// chunks of whole tile rows, each Shard frame followed by the RHS frame of
+// the same rows when the run has right-hand sides, and the worker merges
+// every chunk as it arrives. Each round moves one Agg frame up every edge
+// of the reduction tree and one from the tree root to the coordinator; a
+// worker ends with Stats (or Err) and the coordinator answers the whole run
+// with Done.
 const (
 	KindHello     byte = iota + 1 // worker → coordinator: JSON helloMsg
 	KindConfig                    // coordinator → worker: JSON wireConfig
-	KindShard                     // coordinator → worker: packed shard rows
-	KindRHS                       // coordinator → worker: packed RHS rows
+	KindShard                     // coordinator → worker: shard rows; seq = first row in the shard
+	KindRHS                       // coordinator → worker: RHS rows; seq = first row in the shard
 	KindAgg                       // one TSQR aggregate (packAgg); seq = round
 	KindPeerHello                 // worker → worker: seq = sender rank
 	KindStats                     // worker → coordinator: JSON WorkerStats
@@ -121,12 +130,30 @@ func packFrame(f *Frame, payloadLen int, fill func(dst []byte)) []byte {
 // (bad magic, unknown kind, oversized payload) as a descriptive error
 // before any payload is read.
 func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
-	var hdr [HeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	f, plen, err := readHeader(r)
+	if err != nil {
 		return Frame{}, buf, err
 	}
+	if cap(buf) < plen {
+		buf = make([]byte, plen)
+	}
+	buf = buf[:plen]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return Frame{}, buf, noEOF(err)
+	}
+	f.Payload = buf
+	return f, buf, nil
+}
+
+// readHeader reads and validates one frame header from r and returns the
+// frame (without payload) and its payload length, which is still unread.
+func readHeader(r io.Reader) (Frame, int, error) {
+	var hdr [HeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return Frame{}, 0, err
+	}
 	if [4]byte(hdr[:4]) != magic {
-		return Frame{}, buf, fmt.Errorf("dist: bad frame magic %q", hdr[:4])
+		return Frame{}, 0, fmt.Errorf("dist: bad frame magic %q", hdr[:4])
 	}
 	f := Frame{
 		Kind: hdr[4],
@@ -136,24 +163,22 @@ func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
 		Cols: binary.LittleEndian.Uint32(hdr[16:]),
 	}
 	if f.Kind == 0 || f.Kind > kindMax {
-		return Frame{}, buf, fmt.Errorf("dist: unknown frame kind %d", f.Kind)
+		return Frame{}, 0, fmt.Errorf("dist: unknown frame kind %d", f.Kind)
 	}
 	plen := binary.LittleEndian.Uint32(hdr[20:])
 	if plen > MaxPayload {
-		return Frame{}, buf, fmt.Errorf("dist: frame payload %d exceeds limit %d", plen, MaxPayload)
+		return Frame{}, 0, fmt.Errorf("dist: frame payload %d exceeds limit %d", plen, MaxPayload)
 	}
-	if cap(buf) < int(plen) {
-		buf = make([]byte, plen)
+	return f, int(plen), nil
+}
+
+// noEOF turns an EOF inside a frame into io.ErrUnexpectedEOF: only a
+// stream that ends between frames ends cleanly.
+func noEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
 	}
-	buf = buf[:plen]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Frame{}, buf, err
-	}
-	f.Payload = buf
-	return f, buf, nil
+	return err
 }
 
 // bufPool recycles framed send buffers and received payload copies; the
@@ -278,34 +303,87 @@ func UnpackTriangle[T vec.Scalar](r []T, ldr, n int, src []byte) error {
 	return nil
 }
 
-// packDense frames a rows×cols block of scalars (row stride ld) as kind k
-// with sequence seq into a pooled buffer.
-func packDense[T vec.Scalar](k byte, seq uint32, a []T, ld, rows, cols int) []byte {
-	sz := scalarBytes[T]()
-	f := &Frame{Kind: k, Prec: vec.Prec[T]().Tag()[0], Seq: seq, Rows: uint32(rows), Cols: uint32(cols)}
-	return packFrame(f, rows*cols*sz, func(dst []byte) {
-		off := 0
-		for i := 0; i < rows; i++ {
-			off += PackScalars(dst[off:], a[i*ld:i*ld+cols])
-		}
-	})
+// hostLittleEndian reports whether scalars sit in memory in their wire
+// encoding, so that rows can go to and come off the socket unpacked.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// byteView reinterprets s as the bytes it occupies in memory.
+func byteView[T vec.Scalar](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*scalarBytes[T]())
 }
 
-// unpackDense decodes a packDense payload into a (row stride ld).
-func unpackDense[T vec.Scalar](a []T, ld int, f *Frame) error {
-	rows, cols := int(f.Rows), int(f.Cols)
-	sz := scalarBytes[T]()
-	if need := rows * cols * sz; len(f.Payload) < need {
-		return fmt.Errorf("dist: dense payload %d bytes, need %d", len(f.Payload), need)
+// writeRows sends rows×cols scalars of a (row stride ld) as one frame of
+// kind k with sequence seq. Contiguous rows on a little-endian host go out
+// as the header and a byte view of a itself, in one vectored write;
+// strided rows, or any row on a big-endian host, are packed first into a
+// pooled buffer.
+func writeRows[T vec.Scalar](w io.Writer, k byte, seq uint32, a []T, ld, rows, cols int) error {
+	f := &Frame{Kind: k, Prec: vec.Prec[T]().Tag()[0], Seq: seq, Rows: uint32(rows), Cols: uint32(cols)}
+	rowBytes := cols * scalarBytes[T]()
+	if !hostLittleEndian || (ld != cols && rows > 1) {
+		buf := packFrame(f, rows*rowBytes, func(dst []byte) {
+			for i := 0; i < rows; i++ {
+				PackScalars(dst[i*rowBytes:], a[i*ld:i*ld+cols])
+			}
+		})
+		_, err := w.Write(buf)
+		putBuf(buf)
+		return err
 	}
-	off := 0
-	for i := 0; i < rows; i++ {
-		if err := UnpackScalars(a[i*ld:i*ld+cols], f.Payload[off:off+cols*sz]); err != nil {
-			return err
+	hdr := make([]byte, HeaderLen)
+	putHeader(hdr, f, rows*rowBytes)
+	bufs := net.Buffers{hdr, byteView(a[:rows*cols])}
+	_, err := bufs.WriteTo(w)
+	return err
+}
+
+// errBadChunk marks a shard or RHS frame whose header does not fit the
+// rows it should carry.
+var errBadChunk = errors.New("dist: bad shard chunk")
+
+// readRows reads from r one frame of kind k that carries rows seq, seq+1,
+// … of a cols-wide block, and decodes it into dst, which holds the rows
+// still due (row stride cols). The header is checked before any payload
+// is read: the kind, T's precision, Seq, the columns, 1 ≤ rows ≤
+// len(dst)/cols and the payload length must all fit, or the frame is
+// refused with errBadChunk. On a little-endian host the payload is read
+// straight into dst. It returns the rows read.
+func readRows[T vec.Scalar](r io.Reader, k byte, seq uint32, dst []T, cols int) (int, error) {
+	f, plen, err := readHeader(r)
+	if err != nil {
+		return 0, err
+	}
+	prec, rows, due := vec.Prec[T]().Tag()[0], int(f.Rows), len(dst)/cols
+	switch {
+	case f.Kind != k:
+		err = fmt.Errorf("%w: frame kind %d at row %d, want kind %d", errBadChunk, f.Kind, seq, k)
+	case f.Prec != prec:
+		err = fmt.Errorf("%w: precision %q at row %d, want %q", errBadChunk, f.Prec, seq, prec)
+	case f.Seq != seq:
+		err = fmt.Errorf("%w: kind %d chunk starts at row %d, want row %d", errBadChunk, k, f.Seq, seq)
+	case int(f.Cols) != cols:
+		err = fmt.Errorf("%w: kind %d chunk of %d columns, want %d", errBadChunk, k, f.Cols, cols)
+	case rows < 1 || rows > due:
+		err = fmt.Errorf("%w: kind %d chunk of %d rows at row %d, want 1 to %d", errBadChunk, k, rows, seq, due)
+	case plen != rows*cols*scalarBytes[T]():
+		err = fmt.Errorf("%w: kind %d chunk of %d×%d in %d bytes, want %d", errBadChunk, k, rows, cols, plen, rows*cols*scalarBytes[T]())
+	}
+	if err != nil {
+		return 0, err
+	}
+	out := dst[:rows*cols]
+	if hostLittleEndian {
+		if _, err := io.ReadFull(r, byteView(out)); err != nil {
+			return 0, noEOF(err)
 		}
-		off += cols * sz
+		return rows, nil
 	}
-	return nil
+	buf := getBuf(plen)
+	defer putBuf(buf)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return 0, noEOF(err)
+	}
+	return rows, UnpackScalars(out, buf)
 }
 
 // aggLen is the payload length of an aggregate over n columns and nrhs

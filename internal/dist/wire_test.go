@@ -239,7 +239,9 @@ func TestFrameRejectsCorrupt(t *testing.T) {
 // FuzzTileFrame feeds arbitrary bytes to the frame reader: it must reject
 // or accept without panicking, and anything it accepts must survive a
 // re-encode/re-decode round trip bit-for-bit — the no-corruption contract
-// the reduction tree relies on.
+// the reduction tree relies on. Accepted aggregate frames also go through
+// their decoder, and accepted shard and RHS frames through the chunk
+// reader (fuzzReadRows).
 func FuzzTileFrame(f *testing.F) {
 	// Seed corpus: one valid frame per traffic class, plus corruptions.
 	seed := func(fr *Frame) []byte {
@@ -256,6 +258,8 @@ func FuzzTileFrame(f *testing.F) {
 	bad := seed(&Frame{Kind: KindDone})
 	bad[1] = '?' // corrupt magic
 	f.Add(bad)
+	f.Add(seed(&Frame{Kind: KindShard, Prec: 'd', Seq: 3, Rows: 2, Cols: fuzzCols, Payload: make([]byte, 2*fuzzCols*8)}))
+	f.Add(seed(&Frame{Kind: KindRHS, Prec: 'd', Rows: fuzzRows + 1, Cols: fuzzCols, Payload: make([]byte, (fuzzRows+1)*fuzzCols*8)}))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		fr, _, err := ReadFrame(bytes.NewReader(raw), nil)
@@ -286,5 +290,39 @@ func FuzzTileFrame(f *testing.F) {
 				}
 			}
 		}
+		if fr.Kind == KindShard || fr.Kind == KindRHS {
+			fuzzReadRows(t, raw, &fr)
+		}
 	})
+}
+
+// The destination fuzzReadRows decodes shard and RHS frames into: room for
+// fuzzRows rows of fuzzCols float64s.
+const fuzzRows, fuzzCols = 4, 3
+
+// fuzzReadRows decodes an accepted shard or RHS frame with readRows into a
+// fuzzRows×fuzzCols float64 destination followed by a guard element. It
+// must accept exactly the frames whose geometry fits — precision 'd',
+// fuzzCols columns, 1 to fuzzRows rows, the payload those imply — and
+// decode them bit for bit, refuse any other, and never write past the
+// destination; a Seq other than the one expected is always refused.
+func fuzzReadRows(t *testing.T, raw []byte, fr *Frame) {
+	const guard = -7.25
+	buf := make([]float64, fuzzRows*fuzzCols+1)
+	buf[len(buf)-1] = guard
+	dst := buf[:fuzzRows*fuzzCols]
+	rows, err := readRows(bytes.NewReader(raw), fr.Kind, fr.Seq, dst, fuzzCols)
+	fits := fr.Prec == 'd' && fr.Cols == fuzzCols && fr.Rows >= 1 && fr.Rows <= fuzzRows &&
+		len(fr.Payload) == int(fr.Rows)*fuzzCols*8
+	switch {
+	case buf[len(buf)-1] != guard:
+		t.Fatalf("readRows wrote past its %d-element destination", len(dst))
+	case fits != (err == nil):
+		t.Fatalf("%q %d×%d chunk of %d bytes: readRows err = %v", fr.Prec, fr.Rows, fr.Cols, len(fr.Payload), err)
+	case err == nil && (rows != int(fr.Rows) || !bytes.Equal(byteView(dst[:rows*fuzzCols]), fr.Payload)):
+		t.Fatalf("readRows decoded %d rows that differ from the frame's %d", rows, fr.Rows)
+	}
+	if _, err := readRows(bytes.NewReader(raw), fr.Kind, fr.Seq+1, dst, fuzzCols); err == nil {
+		t.Fatalf("readRows accepted a chunk at row %d where row %d was due", fr.Seq, fr.Seq+1)
+	}
 }

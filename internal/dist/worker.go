@@ -1,12 +1,15 @@
 // The worker side of the distributed CAQR runtime: one process (or
 // goroutine) owning a row shard of the global matrix and one node of the
 // binomial TSQR reduction tree. A worker is a stream.Core on the worker's
-// own scheduler runtime, reused across rounds: a round resets it, appends
-// the shard with its RHS rows along the flat tree with TS kernels — each
-// shard tile TSQRT'd straight into the resident triangle; the stream's
-// replay folds Qᵀb and the residual — merges the aggregates of its tree
-// children triangle on triangle (BinaryTree, TT kernels) and ships its own
-// to its parent, or from rank 0 to the coordinator. Workers run
+// own scheduler runtime, reused across rounds. The first round appends the
+// shard chunk by chunk as the coordinator's chunks arrive, each read
+// straight into its place in the retained shard; a later round resets the
+// Core and appends the whole retained shard. Every append merges along the
+// flat tree with TS kernels — each shard tile TSQRT'd straight into the
+// resident triangle; the stream's replay folds Qᵀb and the residual. A
+// round then merges the aggregates of its tree children triangle on
+// triangle (BinaryTree, TT kernels) and ships its own to its parent, or
+// from rank 0 to the coordinator. Workers run
 // their rounds without waiting for the coordinator; a sender that has
 // queued its aggregate starts the next round at once, so with Rounds > 1
 // the wire time can hide behind the next append, and the per-worker stats
@@ -24,7 +27,6 @@ import (
 	"tiledqr/internal/engine"
 	"tiledqr/internal/sched"
 	"tiledqr/internal/stream"
-	"tiledqr/internal/tile"
 	"tiledqr/internal/vec"
 )
 
@@ -119,37 +121,17 @@ func runShard[T vec.Scalar](ctx context.Context, cancel context.CancelCauseFunc,
 	rt := sched.NewRuntime(cfg.LocalWorkers)
 	defer rt.Close()
 
-	// Shard data, shipped once by the coordinator.
-	shard := tile.NewDense[T](cfg.ShardRows, n)
-	fr, buf, err := ReadFrame(conn, nil)
-	if err != nil || fr.Kind != KindShard {
-		return fmt.Errorf("dist: rank %d reading shard: kind=%d err=%w", rank, fr.Kind, err)
-	}
-	if err := unpackDense(shard.Data, shard.Stride, &fr); err != nil {
-		return err
-	}
 	nd := &node[T]{r: make([]T, n*n)}
-	var rhs []T
 	if nrhs > 0 {
-		rhs, nd.qtb = make([]T, cfg.ShardRows*nrhs), make([]T, n*nrhs)
-		fr, _, err = ReadFrame(conn, buf)
-		if err != nil || fr.Kind != KindRHS {
-			return fmt.Errorf("dist: rank %d reading rhs: kind=%d err=%w", rank, fr.Kind, err)
-		}
-		if err := unpackDense(rhs, nrhs, &fr); err != nil {
-			return err
-		}
+		nd.qtb = make([]T, n*nrhs)
 	}
+	var err error
 	nd.core, err = stream.NewCore[T](n, stream.Config{
 		NB: cfg.NB, IB: cfg.IB, Kernels: core.TT, Env: engine.Env{Runtime: rt},
 	})
 	if err != nil {
 		return err
 	}
-
-	done := make(chan struct{})
-	go watch(conn, cancel, done)
-
 	rh := newRecvHub(ctx, peerLn)
 	var sh *sendHub
 	if rank > 0 { // the tree parent is rank − lowbit(rank)
@@ -158,16 +140,31 @@ func runShard[T vec.Scalar](ctx context.Context, cancel context.CancelCauseFunc,
 		}
 	}
 
+	// The shard, shipped once by the coordinator in chunks of whole tile
+	// rows, is kept for the rounds after the first; each chunk is read
+	// into its place in it and merged as it arrives.
+	shard := make([]T, cfg.ShardRows*n)
+	var rhs []T
+	if nrhs > 0 {
+		rhs = make([]T, cfg.ShardRows*nrhs)
+	}
 	st := WorkerStats{Rank: rank, ShardRows: cfg.ShardRows}
 	start := time.Now()
+	if err := recvShard(ctx, conn, nd.core, shard, rhs, nrhs, &st); err != nil {
+		return fmt.Errorf("dist: rank %d round 0: %w", rank, err)
+	}
+	// The shard is in: the coordinator sends nothing more but Done.
+	done := make(chan struct{})
+	go watch(conn, cancel, done)
 	for r := 0; r < cfg.Rounds; r++ {
-		t0 := time.Now()
-		nd.core.Reset()
-		if err := nd.core.Append(ctx, cfg.ShardRows, shard.Data, n, rhs, nrhs, nrhs); err != nil {
-			return fmt.Errorf("dist: rank %d round %d: %w", rank, r, err)
+		if r > 0 {
+			t0 := time.Now()
+			nd.core.Reset()
+			if err := nd.core.Append(ctx, cfg.ShardRows, shard, n, rhs, nrhs, nrhs); err != nil {
+				return fmt.Errorf("dist: rank %d round %d: %w", rank, r, err)
+			}
+			st.ComputeNS += int64(time.Since(t0))
 		}
-		st.ComputeNS += int64(time.Since(t0))
-
 		if err := treeRound(ctx, nd, sh, rh, &st, rank, W, uint32(r)); err != nil {
 			return err
 		}
@@ -210,6 +207,41 @@ func runShard[T vec.Scalar](ctx context.Context, cancel context.CancelCauseFunc,
 	case <-ctx.Done():
 		return context.Cause(ctx)
 	}
+}
+
+// recvShard reads the shard from the coordinator chunk by chunk — each
+// shard chunk, then the RHS chunk of the same rows when rhs is not nil —
+// into shard and rhs (row strides c.N() and nrhs), and appends every
+// chunk to c as soon as it is in. A chunk whose header does not fit the
+// rows still due is refused before its payload is read.
+func recvShard[T vec.Scalar](ctx context.Context, conn net.Conn, c *stream.Core[T], shard, rhs []T, nrhs int, st *WorkerStats) error {
+	n := c.N()
+	for got, rows := 0, len(shard)/n; got < rows; {
+		t0 := time.Now()
+		k, err := readRows(conn, KindShard, uint32(got), shard[got*n:], n)
+		var chunkRHS []T
+		if err == nil && nrhs > 0 {
+			chunkRHS = rhs[got*nrhs : (got+k)*nrhs]
+			var kr int
+			if kr, err = readRows(conn, KindRHS, uint32(got), chunkRHS, nrhs); err == nil && kr != k {
+				err = fmt.Errorf("%w: RHS chunk of %d rows at row %d, shard chunk of %d", errBadChunk, kr, got, k)
+			}
+		}
+		st.RecvWaitNS += int64(time.Since(t0))
+		switch {
+		case errors.Is(err, errBadChunk):
+			return err
+		case err != nil:
+			return fmt.Errorf("dist: coordinator connection lost: %w", err)
+		}
+		t0 = time.Now()
+		if err := c.Append(ctx, k, shard[got*n:], n, chunkRHS, nrhs, nrhs); err != nil {
+			return err
+		}
+		st.ComputeNS += int64(time.Since(t0))
+		got += k
+	}
+	return nil
 }
 
 // node is a worker's place in the reduction tree: its Core, and the dense
