@@ -34,11 +34,14 @@ loc:
 # compiled out entirely and once with the binary intact but the vector
 # backend disabled at startup. Both passes include internal/kernel's panel
 # conformance table (TestPanelConformance), which is what holds the generic
-# family's column-contiguous panel path to the ε-scaled bounds.
+# family's column-contiguous panel path to the ε-scaled bounds. The second
+# pass runs with -count=1: internal/vec reads TILEDQR_SIMD in an init, before
+# the test log records the environment, so the test cache does not key on it
+# and would replay a SIMD-on result.
 test-noasm:
 	$(GO) build -tags noasm ./...
 	$(GO) test -tags noasm ./...
-	TILEDQR_SIMD=off $(GO) test ./...
+	TILEDQR_SIMD=off $(GO) test -count=1 ./...
 
 # race runs every package under the race detector — including
 # internal/stream's retention suite (windows, downdates and forgetting

@@ -123,11 +123,12 @@
 // # Streaming (incremental) factorization
 //
 // Stream[T] factors a matrix whose rows arrive over time — the incremental
-// mode of communication-avoiding TSQR. Each appended batch is tiled and
-// merged into a resident n×n triangle along the paper's flat tree with TS
-// kernels, each batch tile eliminated straight into the triangle, and
-// scheduled by the same work-stealing runtime and critical-path priorities
-// as a one-shot factorization:
+// mode of communication-avoiding TSQR. Each appended batch is tiled, in
+// tiles two tile rows (2·nb) tall, where the TS kernels run faster per
+// flop than on square ones, and merged into a resident n×n triangle along
+// the paper's flat tree with TS kernels, each batch tile eliminated
+// straight into the triangle, and scheduled by the same work-stealing
+// runtime and critical-path priorities as a one-shot factorization:
 //
 //	s, _ := tiledqr.NewStreamOf[float64](nFeatures, tiledqr.Options{})
 //	for batch, rhs := range observations {   // r×n rows + r×nrhs targets

@@ -7,7 +7,9 @@ import "fmt"
 // step of communication-avoiding TSQR (Demmel et al.). Rows are 1-based
 // over the stacked (q+pb)×q grid [R; B]. In column k only resident row k,
 // the root, and the live block rows take part. The resident rows are never
-// zeroed, so the list does not pass Validate.
+// zeroed, so the list does not pass Validate. The list does not depend on
+// tile heights: internal/stream stages a row batch in tile rows 2·nb tall,
+// so there pb is ⌈r/(2·nb)⌉ for an r-row batch.
 //
 // A row batch (tri unset) merges along FlatTree: each batch tile is zeroed
 // against the root. With tri set the block is itself a q×q upper
@@ -45,10 +47,12 @@ func MergeList(q, pb int, tri bool) List {
 // block tiles) marked triangular, so they are never factored. In TS mode a
 // block tile zeroed before it pivots is TSQRT'd straight into its pivot, so
 // a row batch is all TSQRT and a triangle only on its first level.
-// Whatever the family, a live block tile of column k costs 6 + 12(q−k)
-// weight units: a row batch pb·Σ(6 + 12(q−k)) — 2·r·n² flops for r rows,
-// independent of the rows ingested before — and a triangular block a third
-// of that.
+// Weights count nb-row tiles. Whatever the family, a live block tile of
+// column k costs 6 + 12(q−k) units: a row batch of pb nb-row tile rows
+// pb·Σ(6 + 12(q−k)) — 2·r·n² flops for r rows, independent of the rows
+// ingested before — and a triangular block a third of that. A stream's
+// batch tile rows are 2·nb tall, so there each batch task does twice the
+// flops its weight counts.
 func BuildStreamDAG(q, pb int, kernels Kernels, tri bool) *DAG {
 	list := MergeList(q, pb, tri)
 	b := newDAGBuilder(q+pb, q, kernels)

@@ -310,26 +310,32 @@ func ExecTask[T vec.Scalar](src Source[T], d *core.DAG, t int32, ib int, ws []T,
 // its kernel runs. The conversion to tile layout thus runs on every worker,
 // overlapped with the first kernels, right before the first kernel that
 // reads each tile. Tile (i, j) (1-based) is copied from
-// row (i−Skip−1)·NB, column (j−1)·NB of Src on; tile rows 1..Skip (a
-// stream's resident triangle) hold state and are not filled. The copy is
-// scaled by Scale (a plain copy at 1; 0 zeroes the tiles). The zero Fill
-// fills nothing: the tiles already hold their data.
+// row (i−Skip−1)·RowNB, column (j−1)·NB of Src on, RowNB defaulting to NB
+// (a stream stages its batches in tiles taller than wide); tile rows
+// 1..Skip (a stream's resident triangle) hold state and are not filled.
+// The copy is scaled by Scale (a plain copy at 1; 0 zeroes the tiles). The
+// zero Fill fills nothing: the tiles already hold their data.
 type Fill[T vec.Scalar] struct {
 	Src   tile.Dense[T]
 	Skip  int
 	NB    int
+	RowNB int // height of the filled tile rows; 0 means NB
 	Scale float64
 }
 
 // tiles fills the tiles task t writes first.
 func (fl Fill[T]) tiles(src Source[T], d *core.DAG, t int32) {
+	rowNB := fl.RowNB
+	if rowNB == 0 {
+		rowNB = fl.NB
+	}
 	for _, x := range d.FirstWrites(int(t)) {
 		i, j := int(x)/d.Q+1, int(x)%d.Q+1
 		if i <= fl.Skip {
 			continue
 		}
 		dst := src.TileAt(i, j)
-		r0, c0 := (i-fl.Skip-1)*fl.NB, (j-1)*fl.NB
+		r0, c0 := (i-fl.Skip-1)*rowNB, (j-1)*fl.NB
 		for r := 0; r < dst.Rows; r++ {
 			from := fl.Src.Data[(r0+r)*fl.Src.Stride+c0:]
 			ScaleCopy(dst.Data[r*dst.Stride:r*dst.Stride+dst.Cols], from[:dst.Cols], fl.Scale)

@@ -11,9 +11,12 @@ import (
 )
 
 // BenchmarkKernels times the four kernels a TT elimination tree runs —
-// GEQRT, TTQRT, UNMQR, TTMQR — in double and double complex at three tile
-// shapes (nb=32 the tiny-tile regime, where per-call overheads weigh
-// most), on scratch of WorkLen(nb, ib) as the engine hands a worker:
+// GEQRT, TTQRT, UNMQR, TTMQR — and the two of a stream's row-batch merge,
+// TSQRT and TSMQR, with B (and C2) nb and 2·nb rows tall, in double and
+// double complex at three tile shapes (nb=32 the tiny-tile regime, where
+// per-call overheads weigh most), on scratch of WorkLen(nb, ib) as the
+// engine hands a worker, stretched to ApplyWorkLen(2·nb, ib, nb) as a
+// stream's merge of 2·nb-row tiles does:
 //
 //	go test -run '^$' -bench Kernels -benchtime 300x ./internal/kernel
 //
@@ -36,7 +39,7 @@ func benchKernels[T vec.Scalar](b *testing.B, nb, ib int) {
 	if vec.IsComplex[T]() {
 		flopScale = 4
 	}
-	work := make([]T, WorkLen(nb, ib))
+	work := make([]T, max(WorkLen(nb, ib), ApplyWorkLen(2*nb, ib, nb)))
 	full := tile.RandDense[T](nb, nb, 1).Data
 	tri, tri2 := randUpperTri[T](nb, 2).Data, randUpperTri[T](nb, 3).Data
 	v := slices.Clone(full)
@@ -45,19 +48,34 @@ func benchKernels[T vec.Scalar](b *testing.B, nb, ib int) {
 	vtt, ttt := slices.Clone(tri2), make([]T, ib*nb)
 	TTQRT(nb, nb, ib, slices.Clone(tri), nb, vtt, nb, ttt, nb, work)
 	c1, c2 := tile.RandDense[T](nb, nb, 4).Data, tile.RandDense[T](nb, nb, 5).Data
-	x, y, tf := make([]T, nb*nb), make([]T, nb*nb), make([]T, ib*nb)
+	x, y, tf := make([]T, nb*nb), make([]T, 2*nb*nb), make([]T, ib*nb)
 	inPlace := func() {}
-	for _, c := range []struct {
+	type bench struct {
 		name    string
 		weight  int // units of nb³/3 flops
 		restore func()
 		f       func()
-	}{
+	}
+	cases := []bench{
 		{"GEQRT", 4, func() { copy(x, full) }, func() { GEQRT(nb, nb, ib, x, nb, tf, nb, work) }},
 		{"TTQRT", 2, func() { copy(x, tri); copy(y, tri2) }, func() { TTQRT(nb, nb, ib, x, nb, y, nb, tf, nb, work) }},
 		{"UNMQR", 6, inPlace, func() { UNMQR(true, nb, nb, ib, v, nb, tv, nb, c1, nb, nb, work) }},
 		{"TTMQR", 6, inPlace, func() { TTMQR(true, nb, nb, ib, vtt, nb, ttt, nb, c1, nb, c2, nb, nb, work) }},
-	} {
+	}
+	// TS kernels with an m-row B: TSQRT costs 6·m/nb units, TSMQR 12·m/nb.
+	for _, h := range []int{1, 2} {
+		m := h * nb
+		tall := tile.RandDense[T](m, nb, 6).Data
+		vts, tts := slices.Clone(tall), make([]T, ib*nb)
+		TSQRT(m, nb, ib, slices.Clone(tri), nb, vts, nb, tts, nb, work)
+		c2ts := tile.RandDense[T](m, nb, 7).Data
+		cases = append(cases,
+			bench{fmt.Sprintf("TSQRT/B=%dnb", h), 6 * h, func() { copy(x, tri); copy(y, tall) },
+				func() { TSQRT(m, nb, ib, x, nb, y, nb, tf, nb, work) }},
+			bench{fmt.Sprintf("TSMQR/B=%dnb", h), 12 * h, inPlace,
+				func() { TSMQR(true, m, nb, ib, vts, nb, tts, nb, c1, nb, c2ts, nb, nb, work) }})
+	}
+	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c.restore()

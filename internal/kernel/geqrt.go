@@ -470,9 +470,9 @@ func WorkLen(n, ib int) int {
 // the tile is so much taller than wide that its ib-column panel copy and
 // rotated reflector (at most (ib+1)·m elements) outgrow the pack region.
 // It is monotone in each argument, so callers whose tiles are not
-// square-ish — a stream's nb-row batch tiles over a narrow system — size
-// worker scratch from their largest tile shape with it; for m, ib ≤ n it
-// is WorkLen(n, ib).
+// square-ish — a stream's batch tiles, up to 2·nb rows tall over nb or
+// fewer columns — size worker scratch from their largest tile shape with
+// it; for m, ib ≤ n it is WorkLen(n, ib).
 func FactorWorkLen(m, n, ib int) int {
 	return max(WorkLen(n, ib), ib*(n+1)+(ib+1)*m)
 }

@@ -141,9 +141,9 @@ func TestNarrowAppliersMatchGeneralPath(t *testing.T) {
 // solve: one right-hand side takes the vector form (applyPanelNarrow,
 // applyPentPanelNarrow), eight take the block-reflector form, for UNMQR,
 // TSMQR and TTMQR in both directions, every precision and vec family. At
-// the full tile width, and in the factor kernels' in-tile updates on
-// WorkLen scratch, every panel takes the GEMM heads with SIMD on and the
-// sweeps without.
+// the full tile width, in the factor kernels' in-tile updates on WorkLen
+// scratch, and in TSQRT and TSMQR on a stream's 2·nb-row batch tile, every
+// panel takes the GEMM heads with SIMD on and the sweeps without.
 func TestApplyFormByWidth(t *testing.T) {
 	const nb, ib = 64, 16
 	var forms [3]int
@@ -210,5 +210,23 @@ func applyForms[T vec.Scalar](t *testing.T, nb, ib int, forms *[3]int) {
 			t.Fatalf("%s: in-tile updates took forms %v, want all %d on the GEMM heads iff SIMD (%v)",
 				k.name, *forms, updates, simd)
 		}
+	}
+	// A stream stages batch tiles 2·nb rows tall and sizes its merge
+	// scratch FactorWorkLen stretched to ApplyWorkLen at that height: there
+	// TSQRT's in-tile updates and TSMQR from its reflectors onto a full
+	// tile take the GEMM heads as on a square tile.
+	h := 2 * nb
+	work = make([]T, max(FactorWorkLen(h, nb, ib), ApplyWorkLen(h, ib, nb)))
+	b, tb := tile.RandDense[T](h, nb, 13), make([]T, ib*nb)
+	*forms = [3]int{}
+	TSQRT(h, nb, ib, randUpperTri[T](nb, 14).Data, nb, b.Data, nb, tb, nb, work)
+	if updates := nb/ib - 1; forms[formNarrow] != 0 || forms[formGemm]+forms[formSweeps] != updates || (forms[formGemm] == updates) != simd {
+		t.Fatalf("TSQRT m=%d: in-tile updates took forms %v, want all %d on the GEMM heads iff SIMD (%v)",
+			h, *forms, updates, simd)
+	}
+	*forms = [3]int{}
+	TSMQR(true, h, nb, ib, b.Data, nb, tb, nb, tile.RandDense[T](nb, nb, 15).Data, nb, tile.RandDense[T](h, nb, 16).Data, nb, nb, work)
+	if forms[formNarrow] != 0 || forms[formGemm]+forms[formSweeps] != nb/ib || (forms[formGemm] == nb/ib) != simd {
+		t.Fatalf("TSMQR m=%d: forms %v, want all %d panels on the GEMM heads iff SIMD (%v)", h, *forms, nb/ib, simd)
 	}
 }

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"tiledqr/internal/core"
+	"tiledqr/internal/engine"
+	"tiledqr/internal/fault"
+	"tiledqr/internal/tile"
 	"tiledqr/internal/vec"
 )
 
@@ -38,5 +41,44 @@ func merges[T vec.Scalar](t *testing.T, cfg Config, tol float64) {
 	for i, r := range []int{1, 8, 13, 40, 3, 70} {
 		h.append(r)
 		h.check(fmt.Sprintf("window %d, append %d (%d rows)", cfg.Window, i, r))
+	}
+}
+
+// TestBatchTileHeight: a row batch is staged in tiles batchTileRows·nb
+// rows tall, so one 256-row batch into an n = 256, nb = 64 stream (q = 4)
+// builds and runs only the two-tile-row merge plan — 8 TSQRT and 12 TSMQR,
+// 20 tasks — and not the 40 of four nb-row tile rows. The executed tasks
+// are counted by the fault injector armed to stall every float64 task for
+// no time.
+func TestBatchTileHeight(t *testing.T) {
+	const n, nb, ib, r = 256, 64, 16, 256
+	c, err := NewCore[float64](n, Config{NB: nb, IB: ib, Env: engine.Env{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := tile.RandDense[float64](r, n, 3)
+	fault.Set(fault.Config{Mode: fault.ModeStall, Kind: fault.AnyKind, Prec: "d", Index: -1})
+	err = c.Append(nil, r, a.Data, n, nil, 0, 0)
+	ran := fault.Injected()
+	fault.Reset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.plans) != 1 || c.plans[2] == nil {
+		keys := make([]int, 0, len(c.plans))
+		for pb := range c.plans {
+			keys = append(keys, pb)
+		}
+		t.Fatalf("merge plans built for pb = %v, want only pb = 2", keys)
+	}
+	kinds := map[core.Kind]int{}
+	for _, task := range c.plans[2].DAG().Tasks {
+		kinds[task.Kind]++
+	}
+	if kinds[core.KTSQRT] != 8 || kinds[core.KTSMQR] != 12 || len(kinds) != 2 {
+		t.Errorf("pb = 2 merge plan has tasks %v, want 8 TSQRT and 12 TSMQR", kinds)
+	}
+	if ran != 20 {
+		t.Errorf("the append ran %d tasks, want 20", ran)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // a fleet of thousands of mostly-idle streams pays for its resident
 // triangles and windows, not for per-stream append scratch.
 type staging[T vec.Scalar] struct {
-	g      tile.Grid
+	pb, h  int             // tile rows of the staged block, and the height of all but its last
 	tiles  []tile.Dense[T] // tiled batch views into arena
 	tg     [][]T           // GEQRT T factors by stacked tile index
 	t2     [][]T           // TSQRT/TTQRT T factors by stacked tile index

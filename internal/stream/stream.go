@@ -5,13 +5,15 @@
 // incoming rows, an appended batch or another aggregate's triangle, are
 // merged into the resident triangle with the paper's kernels along the
 // task DAG of core.BuildStreamDAG on internal/sched, then replayed over the
-// Qᵀb rows. A row batch merges along FlatTree with TS kernels, each batch
-// tile TSQRT'd straight into the resident row: the fewest and cheapest
-// tasks. A triangle merges along BinaryTree in the configured kernel
-// family. An accrete-only stream is the flat reduction tree; each worker
-// of internal/dist is a Core in a binomial one, exporting its aggregate
-// through CopyR, CopyQTB, ResidualNorm and Rows and folding in its
-// children's with Merge. Tasks dispatch through the shared engine.Source
+// Qᵀb rows. A row batch is staged in tiles two tile rows (2·nb) tall and
+// merges along FlatTree with TS kernels, each batch tile TSQRT'd straight
+// into the resident row: the fewest and cheapest tasks, each on a block
+// where the TS kernels run faster per flop than on a square one
+// (batchTileRows). A triangle merges along BinaryTree in the configured
+// kernel family. An accrete-only stream is the flat reduction tree; each
+// worker of internal/dist is a Core in a binomial one, exporting its
+// aggregate through CopyR, CopyQTB, ResidualNorm and Rows and folding in
+// its children's with Merge. Tasks dispatch through the shared engine.Source
 // loop, generically over all four scalar domains.
 //
 // Beyond pure accretion the Core supports revocation: with retention
@@ -36,6 +38,18 @@ import (
 	"tiledqr/internal/tile"
 	"tiledqr/internal/vec"
 )
+
+// batchTileRows is the height, in tile rows, of the tiles a row batch is
+// staged in; the last is ragged, and a batch shorter than that is one tile
+// of its own height. TSQRT and TSMQR take a B block of any height, and at
+// 2·nb rows they run faster per flop than at nb — f64, ib = nb/4, median
+// GFLOP/s of BenchmarkKernels' TS rows over 15 rounds on a 2-vCPU Xeon:
+// TSQRT 7.0 → 9.2 at nb = 64 and 10.0 → 10.8 at nb = 128, TSMQR 12.6 →
+// 14.8 and 17.3 → 18.9 — so a batch merges in half the TS tasks, each on
+// the faster shape. Four tile rows gain as much per flop but leave a
+// 256-row batch at nb = 64 a single tile row, whose merge loses the
+// wavefront in which two tile rows overlap on two workers.
+const batchTileRows = 2
 
 // RetainAll configures Config.Window to retain the full row history without
 // a sliding window: rows are kept (and memory grows with them) until the
@@ -130,8 +144,8 @@ type Core[T vec.Scalar] struct {
 	freeBlocks  []block[T]
 	gather      []T // rows, then RHS rows, of a multi-block chunk staged for one merge
 
-	plans map[int]*sched.Plan // merge plans keyed by batch tile rows pb (0: a triangular block)
-	rws   []T                 // replay scratch for the Qᵀb fold; its length also sizes the merge workers' scratch
+	plans map[int]*sched.Plan // merge plans keyed by staged tile rows pb (0: a triangular block)
+	rws   []T                 // replay scratch for the Qᵀb fold: the packed appliers' onto nrhs columns
 
 	// dst and cur are the target aggregate and the pooled staging of the
 	// merge in flight (the Source methods need them).
@@ -168,8 +182,6 @@ func NewCore[T vec.Scalar](n int, cfg Config) (*Core[T], error) {
 		window: cfg.Window, forget: cfg.Forget,
 		grid:  g,
 		plans: make(map[int]*sched.Plan),
-		// Batch tiles are up to NB rows tall however narrow the system is.
-		rws: make([]T, kernel.FactorWorkLen(cfg.NB, min(cfg.NB, n), cfg.IB)),
 	}
 	for i := 0; i < g.Q; i++ {
 		for k := i; k < g.Q; k++ {
@@ -251,7 +263,7 @@ func (c *Core[T]) ResidualNorm() (float64, error) {
 // streams, not owned here); with it, the retained rows plus at most one
 // aggregate per n of them.
 func (c *Core[T]) Footprint() int {
-	total := len(c.rwork) + len(c.xcol) + len(c.rws) + cap(c.gather)
+	total := len(c.rwork) + len(c.xcol) + cap(c.rws) + cap(c.gather)
 	aggs := 1 + len(c.freeAggs)
 	if c.view != nil && c.view != c.back {
 		aggs++
@@ -280,19 +292,21 @@ func grow[S any](buf []S, n int) []S {
 }
 
 // tileBatch lays the staging out for an r×n batch: tile views over the
-// pooled arena, which the merge DAG's first writers fill from the batch
-// (engine.Fill), and, when the stream tracks any, its RHS rows (stride
-// ldr), scaled by scale, copied compact for the Qᵀb replay.
+// pooled arena, batchTileRows·nb rows tall and nb columns wide, which the
+// merge DAG's first writers fill from the batch (engine.Fill), and, when
+// the stream tracks any, its RHS rows (stride ldr), scaled by scale,
+// copied compact for the Qᵀb replay.
 func (c *Core[T]) tileBatch(st *staging[T], r int, rhs []T, ldr int, scale float64) {
-	g := tile.NewGrid(r, c.n, c.nb)
-	st.g = g
-	st.tiles = grow(st.tiles, g.P*g.Q)
+	h, q := batchTileRows*c.nb, c.grid.Q
+	st.pb, st.h = (r+h-1)/h, min(h, r)
+	st.tiles = grow(st.tiles, st.pb*q)
 	st.arena = grow(st.arena, r*c.n)
 	off := 0
-	for ti := 0; ti < g.P; ti++ {
-		for tk := 0; tk < g.Q; tk++ {
-			tr, tc := g.TileRows(ti), g.TileCols(tk)
-			st.tiles[ti*g.Q+tk] = tile.Dense[T]{Rows: tr, Cols: tc, Stride: tc, Data: st.arena[off : off+tr*tc]}
+	for ti := 0; ti < st.pb; ti++ {
+		tr := min(h, r-ti*h)
+		for tk := 0; tk < q; tk++ {
+			tc := c.grid.TileCols(tk)
+			st.tiles[ti*q+tk] = tile.Dense[T]{Rows: tr, Cols: tc, Stride: tc, Data: st.arena[off : off+tr*tc]}
 			off += tr * tc
 		}
 	}
@@ -301,6 +315,22 @@ func (c *Core[T]) tileBatch(st *staging[T], r int, rhs []T, ldr int, scale float
 	for i := 0; i < r && nrhs > 0; i++ {
 		engine.ScaleCopy(st.rhs[i*nrhs:i*nrhs+nrhs], rhs[i*ldr:i*ldr+nrhs], scale)
 	}
+}
+
+// workLen is the kernel scratch of a merge whose staged tiles are at most h
+// rows tall: TSQRT of an h-row B (kernel.FactorWorkLen) and, in packed form
+// (kernel.ApplyWorkLen), the updates of h-row reflectors onto tile columns
+// w = min(nb, n) wide — TSMQR onto the other tile columns, and TSQRT's own
+// trailing updates past its first ib columns. A triangle no wider than ib
+// has neither. At h = nb over nb-wide tile columns it is WorkLen(nb, ib),
+// what a factorization's workers get; only a taller staged tile grows it.
+func (c *Core[T]) workLen(h int) int {
+	w := min(c.nb, c.n)
+	n := kernel.FactorWorkLen(h, w, c.ib)
+	if c.grid.Q > 1 || w > c.ib {
+		n = max(n, kernel.ApplyWorkLen(h, c.ib, w))
+	}
+	return n
 }
 
 // plan returns the cached merge execution plan for a pb-tile-row batch, or
@@ -349,7 +379,7 @@ func (c *Core[T]) tidx(i, k int) int { return (i-1)*c.grid.Q + (k - 1) }
 // each panel block) is written by the factor kernel of the same merge
 // before any applier reads it.
 func (c *Core[T]) allocT(d *core.DAG, st *staging[T]) {
-	p := c.grid.Q + st.g.P
+	p := c.grid.Q + st.pb
 	st.tg = grow(st.tg, p*c.grid.Q)
 	st.t2 = grow(st.t2, p*c.grid.Q)
 	need := 0
@@ -450,8 +480,8 @@ func (c *Core[T]) merge(ctx context.Context, dst *agg[T], r int, data []T, ld in
 	defer putStaging(st)
 	c.tileBatch(st, r, rhs, ldr, scale)
 	fill := engine.Fill[T]{Src: tile.Dense[T]{Rows: r, Cols: c.n, Stride: ld, Data: data},
-		Skip: c.grid.Q, NB: c.nb, Scale: scale}
-	return c.exec(ctx, dst, st, c.plan(st.g.P), fill)
+		Skip: c.grid.Q, NB: c.nb, RowNB: st.h, Scale: scale}
+	return c.exec(ctx, dst, st, c.plan(st.pb), fill)
 }
 
 // mergeAgg merges the aggregate src into dst, triangle on triangle: src's
@@ -460,7 +490,7 @@ func (c *Core[T]) merge(ctx context.Context, dst *agg[T], r int, data []T, ld in
 func (c *Core[T]) mergeAgg(ctx context.Context, dst, src *agg[T]) error {
 	st := getStaging[T]()
 	defer putStaging(st)
-	st.g = c.grid
+	st.pb, st.h = c.grid.Q, c.nb
 	st.tiles = grow(st.tiles, c.grid.Q*c.grid.Q)
 	st.arena = grow(st.arena, c.triLen)
 	c.carveTri(st.tiles, st.arena)
@@ -514,21 +544,24 @@ func (c *Core[T]) exec(ctx context.Context, dst *agg[T], st *staging[T], p *sche
 	c.allocT(d, st)
 	c.dst, c.cur = dst, st
 	defer func() { c.dst, c.cur = nil, nil }()
+	wsLen := c.workLen(st.h)
 	if _, err := engine.ExecTasks[T](c, p, c.env,
-		engine.RunOpts{Ctx: ctx, Check: c.check}, fill, c.ib, len(c.rws)); err != nil {
+		engine.RunOpts{Ctx: ctx, Check: c.check}, fill, c.ib, wsLen); err != nil {
 		return err
 	}
 	nrhs := c.nrhs
 	if nrhs == 0 {
 		return nil
 	}
-	// row returns the stacked RHS rows of tile row i.
+	// row returns the stacked RHS rows of tile row i: nb per resident tile
+	// row, st.h per staged one.
 	row := func(i int) ([]T, int) {
 		if i <= c.grid.Q {
 			return dst.qtb[(i-1)*c.nb*nrhs:], nrhs
 		}
-		return st.rhs[(i-c.grid.Q-1)*c.nb*nrhs:], nrhs
+		return st.rhs[(i-c.grid.Q-1)*st.h*nrhs:], nrhs
 	}
+	c.rws = grow(c.rws, kernel.ApplyWorkLen(st.h, c.ib, nrhs))
 	if err := engine.Replay[T](ctx, c, d, true, row, nrhs, c.ib, c.rws); err != nil {
 		return err
 	}

@@ -148,10 +148,13 @@ func predict(d *core.DAG, workers int, secs map[core.Kind]float64) float64 {
 // AlgorithmAuto: the tile size at which the merge of a one-tile-row batch —
 // FlatTree with TS kernels, as every stream merges row batches, so each
 // column is one TSQRT straight into the resident triangle plus its TSMQR
-// updates — costs the least per row. The merge DAG is list-scheduled at the
-// execution width, as Rank scores factorizations; above simTaskLimit tasks
-// its work and critical path bound it instead. PredictedSec is that per-row
-// time. Decisions are cached like Resolve's.
+// updates — costs the least per row. It prices nb-row batch tiles at the
+// calibrated nb×nb kernel rates, although a stream stages its batches in
+// tiles 2·nb rows tall, where the TS kernels run faster per flop. The merge
+// DAG is list-scheduled at the execution width, as Rank scores
+// factorizations; above simTaskLimit tasks its work and critical path
+// bound it instead. PredictedSec is that per-row time. Decisions are cached
+// like Resolve's.
 func ResolveStream[T vec.Scalar](n, workers, pinNB, pinIB int) (Candidate, error) {
 	if n < 1 {
 		return Candidate{}, fmt.Errorf("tiledqr: tune: invalid stream width n=%d", n)

@@ -74,11 +74,12 @@ func streamAppend[T vec.Scalar](ctx context.Context, c *stream.Core[T], batch, r
 // plus O(n²), whatever the batch size.
 //
 // Options.TileSize, InnerBlock, Workers, WindowRows and Forget are honored.
-// Every batch merges along FlatTree with TS kernels, each batch tile
-// eliminated straight into the resident triangle (the fewest, cheapest
-// tasks), whatever the Algorithm and BS. The triangle merges of a windowed
-// stream reduce along a binary tree in the Options.Kernels family (TT
-// under AlgorithmAuto, where the tuner picks the tile shape).
+// Every batch merges along FlatTree with TS kernels, each batch tile — two
+// tile rows tall — eliminated straight into the resident triangle (the
+// fewest, cheapest tasks), whatever the Algorithm and BS. The triangle
+// merges of a windowed stream reduce along a binary tree in the
+// Options.Kernels family (TT under AlgorithmAuto, where the tuner picks the
+// tile shape).
 // A Stream is not safe for concurrent use.
 type Stream[T Scalar] struct {
 	c *stream.Core[T]

@@ -1,10 +1,14 @@
 package tiledqr
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"tiledqr/internal/tile"
+	"tiledqr/internal/vec"
 )
 
 // batchSchedule returns the row counts of each batch for one of the three
@@ -250,43 +254,66 @@ func TestStreamMemoryBound(t *testing.T) {
 	}
 }
 
-// TestNarrowStreamAppendAllocs: a stream narrower than its tile size still
-// merges batch tiles nb rows tall, and the factor kernels' panel copy is
-// sized by a tile's height, not its width — the merge scratch must be sized
-// from that shape, or every TSQRT task allocates a fresh workspace
-// (ib·nb elements, 32 KB here) on every append.
+// TestNarrowStreamAppendAllocs: a stream stages its batches in tiles up to
+// two tile rows tall however narrow the system is, and the kernels' scratch
+// grows with a tile's height — TSQRT's panel copy and, for a wide stream,
+// TSMQR's packed update. The merge scratch must follow the staged height,
+// or every task allocates a fresh workspace (≥ ib·nb elements) on every
+// append. The narrow row (n = 32 < nb, 128-row batches: one tile of the
+// batch's own height) is a one-tile triangle, whose chain-shaped merge runs
+// on the caller whatever the pool; the wide row (n = 256, q = 4, 256-row
+// batches: two 128-row tile rows) runs its merge on a persistent runtime,
+// as a per-call pool (Options.Workers > 1) starts fresh workers with fresh
+// scratch on every append.
 func TestNarrowStreamAppendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation volume is not meaningful under the race detector (sync.Pool drops Puts at random)")
 	}
-	const n, nb, ib = 32, 128, 32
-	for _, workers := range []int{1, 2} {
-		s, err := NewStreamOf[float64](n, Options{TileSize: nb, InnerBlock: ib, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch := RandomDense(nb, n, 5)
-		appendOne := func() {
-			if err := s.AppendRows(batch); err != nil {
+	// runs is how many runs of appends are measured, the least counting.
+	// The narrow row's figure is one run: a GC that empties the staging
+	// pool in mid-measurement (one regrowth spread over all appends) stays
+	// under the bound. A wide batch's staging is 0.6 MB, over the bound
+	// however it is spread, and a GC or the caller moving to another P can
+	// leave the pool empty for one append; a per-task workspace is in every
+	// run, so the wide row's figure is the least of three.
+	for _, tc := range []struct{ n, nb, ib, rows, runs int }{{32, 128, 32, 128, 1}, {256, 64, 16, 256, 3}} {
+		for _, workers := range []int{1, 2} {
+			opt := Options{TileSize: tc.nb, InnerBlock: tc.ib, Workers: workers}
+			if tc.n > tc.nb && workers > 1 {
+				rt := NewRuntime(workers)
+				defer rt.Close()
+				opt.Workers, opt.Runtime = 0, rt
+			}
+			s, err := NewStreamOf[float64](tc.n, opt)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		for i := 0; i < 3; i++ { // warm the staging pool and the workers' scratch
-			appendOne()
-		}
-		const appends = 20
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < appends; i++ {
-			appendOne()
-		}
-		runtime.ReadMemStats(&after)
-		// One fresh kernel workspace is ≥ ib·nb elements = 32 KB; the bound
-		// sits at half of that, so a GC that empties the staging pool in
-		// mid-measurement (one regrowth spread over all appends) stays under.
-		if perAppend := (after.TotalAlloc - before.TotalAlloc) / appends; perAppend > ib*nb*8/2 {
-			t.Errorf("workers=%d: %d B allocated per %d×%d append at nb=%d ib=%d, want no per-task workspace (≤ %d B)",
-				workers, perAppend, nb, n, nb, ib, ib*nb*8/2)
+			batch := RandomDense(tc.rows, tc.n, 5)
+			appendOne := func() {
+				if err := s.AppendRows(batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 3; i++ { // warm the staging pool and the workers' scratch
+				appendOne()
+			}
+			const appends = 20
+			perAppend := uint64(math.MaxUint64)
+			for run := 0; run < tc.runs; run++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < appends; i++ {
+					appendOne()
+				}
+				runtime.ReadMemStats(&after)
+				perAppend = min(perAppend, (after.TotalAlloc-before.TotalAlloc)/appends)
+			}
+			// One fresh kernel workspace is ≥ ib·nb elements; the bound sits
+			// at half of that.
+			if bound := uint64(tc.ib * tc.nb * 8 / 2); perAppend > bound {
+				t.Errorf("n=%d workers=%d: %d B allocated per %d×%d append at nb=%d ib=%d, want no per-task workspace (≤ %d B)",
+					tc.n, workers, perAppend, tc.rows, tc.n, tc.nb, tc.ib, bound)
+			}
 		}
 	}
 }
@@ -483,5 +510,173 @@ func TestStreamRowsOnly(t *testing.T) {
 	}
 	if resid, err := s.ResidualNorm(); err != nil || resid != 0 {
 		t.Fatalf("rows-only stream should report zero residual, got (%v, %v)", resid, err)
+	}
+}
+
+// TestStreamRaggedBatchHeights feeds streams batches of every height around
+// the tiles a batch is staged in — one row, nb ± 1, 2·nb ± 1 around the
+// staged height 2·nb, and 5·nb + 3 (two full staged tiles and a ragged
+// third) — in all four precisions, with 0, 1 and 3 right-hand sides, on an
+// accrete-only stream, a sliding window and a retaining stream cut by
+// DowndateRows. One more shape, a complex one-tile-column triangle wider
+// than ib (n = nb = 64, ib = 16) fed 4·nb-row batches, runs TSQRT's own
+// trailing updates on the staged 2·nb-row tiles at a width where the
+// packed form needs the scratch stretched to that height. Each is held to
+// the rows it represents: RᴴR to AᴴA, and with a right-hand side the
+// least-squares solution and the residual norm to a one-shot
+// factorization's, each within 16·ε·m (m the represented rows, ε T's unit
+// roundoff; x relative to ‖x‖ + 1).
+func TestStreamRaggedBatchHeights(t *testing.T) {
+	type prec struct {
+		name string
+		run  func(t *testing.T, sh raggedShape, window int, downdate bool, r, nrhs int)
+	}
+	precs := []prec{{"d", raggedAgree[float64]}, {"z", raggedAgree[complex128]}, {"s", raggedAgree[float32]}, {"c", raggedAgree[complex64]}}
+	const nb = 8
+	shapes := []struct {
+		sh    raggedShape
+		rs    []int
+		precs []prec
+	}{
+		{raggedShape{20, nb, 4}, []int{1, nb - 1, nb, nb + 1, 2*nb - 1, 2 * nb, 2*nb + 1, 5*nb + 3}, precs},
+		{raggedShape{64, 64, 16}, []int{4 * 64}, precs[1:2]},
+	}
+	streams := []struct {
+		name     string
+		window   func(n int) int
+		downdate bool
+	}{
+		{"accrete", func(int) int { return 0 }, false},
+		{"window", func(n int) int { return 9 * n / 4 }, false}, // 45 rows at n = 20
+		{"downdate", func(int) int { return RetainAll }, true},
+	}
+	for _, sh := range shapes {
+		for _, st := range streams {
+			for _, nrhs := range []int{0, 1, 3} {
+				for _, r := range sh.rs {
+					for _, p := range sh.precs {
+						t.Run(fmt.Sprintf("n=%d/%s/nrhs=%d/r=%d/%s", sh.sh.n, st.name, nrhs, r, p.name), func(t *testing.T) {
+							p.run(t, sh.sh, st.window(sh.sh.n), st.downdate, r, nrhs)
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
+// raggedShape is a stream's width, tile size and inner block.
+type raggedShape struct{ n, nb, ib int }
+
+// raggedAgree appends whole r-row batches, at least 3n rows in all, to a
+// stream (window rows retained; downdate drops the oldest third after) and
+// checks it against the rows it represents.
+func raggedAgree[T Scalar](t *testing.T, sh raggedShape, window int, downdate bool, r, nrhs int) {
+	n, nb, ib := sh.n, sh.nb, sh.ib
+	m := (3*n + r - 1) / r * r
+	a := RandomMat[T](m, n, int64(r))
+	var b *Mat[T]
+	if nrhs > 0 {
+		b = RandomMat[T](m, nrhs, int64(100+r))
+	}
+	s, err := NewStreamOf[T](n, Options{TileSize: nb, InnerBlock: ib, Workers: 2, WindowRows: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r0 := 0; r0 < m; r0 += r {
+		if b == nil {
+			err = s.AppendRows(rowsOfG(a, r0, r))
+		} else {
+			err = s.AppendRHS(rowsOfG(a, r0, r), rowsOfG(b, r0, r))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	lo := 0
+	switch {
+	case downdate:
+		lo = m / 3
+		if err := s.DowndateRows(lo); err != nil {
+			t.Fatal(err)
+		}
+	case window > 0:
+		lo = max(0, m-window)
+	}
+	rows := m - lo
+	if s.Rows() != int64(rows) {
+		t.Fatalf("stream represents %d rows, want %d", s.Rows(), rows)
+	}
+	eps := 0x1p-53
+	if vec.Prec[T]()%2 == 0 { // float32, complex64
+		eps = 0x1p-24
+	}
+	tol := 16 * eps * float64(rows)
+	aLive := rowsOfG(a, lo, rows)
+
+	// ‖RᴴR − AᴴA‖_F against ‖A‖_F², the factor's backward error.
+	rs, err := s.R()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var diff, norm2 float64
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			var rr, aa T
+			for k := 0; k <= min(i, j); k++ {
+				rr += vec.Conj(rs.At(k, i)) * rs.At(k, j)
+			}
+			for k := 0; k < rows; k++ {
+				aa += vec.Conj(aLive.At(k, i)) * aLive.At(k, j)
+			}
+			diff += vec.Abs2(rr - aa)
+		}
+		for k := 0; k < rows; k++ {
+			norm2 += vec.Abs2(aLive.At(k, i))
+		}
+	}
+	if g := math.Sqrt(diff) / norm2; g > tol {
+		t.Errorf("‖RᴴR − AᴴA‖/‖A‖² = %.3e over %d rows (tol %.1e)", g, rows, tol)
+	}
+	if b == nil {
+		return
+	}
+
+	bLive := rowsOfG(b, lo, rows)
+	f, err := FactorOf(nil, aLive, Options{TileSize: nb, InnerBlock: ib, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xRef, err := f.SolveLS(bLive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := s.SolveLS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var xNorm float64
+	for i := 0; i < n; i++ {
+		for j := 0; j < nrhs; j++ {
+			xNorm = math.Max(xNorm, vec.Abs(xRef.At(i, j)))
+		}
+	}
+	if d := maxDiffG(x, xRef); d > tol*(1+xNorm) {
+		t.Errorf("x differs from the one-shot solution by %.3e (tol %.1e)", d, tol*(1+xNorm))
+	}
+	resid, err := s.ResidualNorm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ax := tile.Mul((*tile.Dense[T])(aLive), (*tile.Dense[T])(xRef))
+	var direct float64
+	for i := 0; i < rows; i++ {
+		for j := 0; j < nrhs; j++ {
+			direct += vec.Abs2(ax.At(i, j) - bLive.At(i, j))
+		}
+	}
+	direct = math.Sqrt(direct)
+	if math.Abs(resid-direct) > tol*(1+direct) {
+		t.Errorf("residual norm %.9e, direct %.9e (tol %.1e)", resid, direct, tol*(1+direct))
 	}
 }
