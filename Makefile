@@ -126,9 +126,10 @@ bench-gate:
 tune:
 	$(GO) run ./cmd/qrperf -tune -measure
 
-# bench-smoke is the CI-sized benchmark run: one iteration of the kernel,
-# least-squares solve, streaming and served-request (body decode, whole
-# solve handler) figures, a tiny qrstream ingestion with verification (plain and
+# bench-smoke is the CI-sized benchmark run: one iteration of the kernel
+# (the paper's Figures 4 and 5, and BenchmarkKernels' tile kernels at every
+# tile size it covers), least-squares solve, streaming and served-request
+# (body decode, whole solve handler) figures, a tiny qrstream ingestion with verification (plain and
 # sliding-window/forgetting modes), a traced complex qrfactor run that
 # must print its Gantt chart, and the paper's tables (all but banded's 4 s
 # of exhaustive search; cmd/qrperf's tests hold them to the paper's numbers)
@@ -137,7 +138,7 @@ tune:
 # example writes no cache file), failing on any nonzero exit. CI runs this
 # target; it keeps no copy of the commands.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Figure4|Figure5KernelsDouble$$|^BenchmarkSolveLS$$|StreamAppendDouble$$|^BenchmarkDecodeBody$$|^BenchmarkHandleSolve$$' -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench 'Figure4|Figure5KernelsDouble$$|^BenchmarkKernels$$|^BenchmarkSolveLS$$|StreamAppendDouble$$|^BenchmarkDecodeBody$$|^BenchmarkHandleSolve$$' -benchtime 1x ./...
 	$(GO) run ./cmd/qrstream -n 96 -nb 32 -batch 64 -batches 6 -rhs 1 -verify
 	$(GO) run ./cmd/qrstream -n 96 -nb 32 -batch 64 -batches 8 -rhs 1 -window 192 -forget 0.99 -verify
 	$(GO) run ./cmd/qrfactor -m 300 -n 100 -nb 50 -workers 2 -complex -gantt | grep '^w0 '

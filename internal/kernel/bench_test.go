@@ -13,8 +13,9 @@ import (
 // BenchmarkKernels times the four kernels a TT elimination tree runs —
 // GEQRT, TTQRT, UNMQR, TTMQR — and the two of a stream's row-batch merge,
 // TSQRT and TSMQR, with B (and C2) nb and 2·nb rows tall, in double and
-// double complex at three tile shapes (nb=32 the tiny-tile regime, where
-// per-call overheads weigh most), on scratch of WorkLen(nb, ib) as the
+// double complex at four tile shapes (nb=32 the tiny-tile regime, where
+// per-call overheads weigh most, and nb=48 the tuner's smallest
+// calibration point), on scratch of WorkLen(nb, ib) as the
 // engine hands a worker, stretched to ApplyWorkLen(2·nb, ib, nb) as a
 // stream's merge of 2·nb-row tiles does:
 //
@@ -26,7 +27,7 @@ import (
 // in place (Qᴴ keeps C's norm). To compare two builds, compile both with
 // go test -c and alternate them, comparing the minimum kernel-µs/op.
 func BenchmarkKernels(b *testing.B) {
-	for _, sh := range []struct{ nb, ib int }{{32, 8}, {64, 16}, {128, 32}} {
+	for _, sh := range []struct{ nb, ib int }{{32, 8}, {48, 12}, {64, 16}, {128, 32}} {
 		b.Run(fmt.Sprintf("nb=%d", sh.nb), func(b *testing.B) {
 			b.Run("f64", func(b *testing.B) { benchKernels[float64](b, sh.nb, sh.ib) })
 			b.Run("c128", func(b *testing.B) { benchKernels[complex128](b, sh.nb, sh.ib) })

@@ -199,10 +199,12 @@ const (
 	formNarrow applyForm = iota // vector form along V's rows
 	formSweeps                  // sweeps along C's rows
 	formGemm                    // every structural row in packed products
+	formTriW                    // a GEMM head's T·W on triMulW's sweeps
 )
 
 // applyHook, when non-nil, is told the form of every applyPanel and
-// applyPentPanel call. Tests set it to assert which form a shape takes.
+// applyPentPanel call, and formTriW whenever triMulGemm falls back. Tests
+// set it to assert which form a shape takes.
 var applyHook func(applyForm)
 
 // applyPanelGemm is applyPanel's packed form. The panel's structural V
@@ -261,9 +263,14 @@ func headSplit[T vec.Scalar](rows, kb, nc int, pack []T) (vp, tp, tw, gp []T, ok
 // triangular block in columns tc0:tc0+kb of t: one packed product of W
 // with tp, a copy of T's triangle zero-padded below the diagonal, into
 // tw. When the micro-GEMM declines the kb×nc×kb shape it falls back to
-// triMulW's sweeps over W in place, and returns W.
+// triMulW's sweeps over W in place, and returns W; past headSplit's checks
+// only short scratch on a panel with fewer structural rows than kb can
+// make it decline.
 func triMulGemm[T vec.Scalar](trans bool, kb int, t []T, ldt, tc0 int, w []T, nc int, tp, tw, gp []T) []T {
 	if !vec.GemmOK[T](kb, nc, kb, len(gp)) {
+		if applyHook != nil {
+			applyHook(formTriW)
+		}
 		triMulW(trans, kb, t, ldt, tc0, w, nc)
 		return w
 	}

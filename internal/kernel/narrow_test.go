@@ -136,28 +136,41 @@ func TestNarrowAppliersMatchGeneralPath(t *testing.T) {
 	})
 }
 
-// TestApplyFormByWidth pins which form the appliers take at the paper's
-// least-squares tile (nb=64, ib=16) with the scratch the engine hands a
-// solve: one right-hand side takes the vector form (applyPanelNarrow,
-// applyPentPanelNarrow), eight take the block-reflector form, for UNMQR,
-// TSMQR and TTMQR in both directions, every precision and vec family. At
-// the full tile width, in the factor kernels' in-tile updates on WorkLen
-// scratch, and in TSQRT and TSMQR on a stream's 2·nb-row batch tile, every
-// panel takes the GEMM heads with SIMD on and the sweeps without.
+// TestApplyFormByWidth pins which form the appliers take at (nb, ib) =
+// (32, 8), (48, 12), (64, 16) and (128, 32) — small_fleet's tile, the
+// tuner's smallest, the paper's and the library default — with the
+// scratch the engine hands a solve: one right-hand side takes the
+// vector form (applyPanelNarrow, applyPentPanelNarrow), eight and a whole
+// tile width take the block-reflector form, for UNMQR, TSMQR and TTMQR in
+// both directions, every precision and vec family. In the block form, in
+// the factor kernels' in-tile updates on WorkLen scratch, and in TSQRT and
+// TSMQR on a stream's 2·nb-row batch tile, every panel takes the GEMM
+// heads, T·W included, with SIMD on and the sweeps without.
 func TestApplyFormByWidth(t *testing.T) {
-	const nb, ib = 64, 16
-	var forms [3]int
+	var forms [4]int
 	applyHook = func(f applyForm) { forms[f]++ }
 	defer func() { applyHook = nil }()
 	eachFamily(t, func(t *testing.T) {
-		t.Run("s", func(t *testing.T) { applyForms[float32](t, nb, ib, &forms) })
-		t.Run("d", func(t *testing.T) { applyForms[float64](t, nb, ib, &forms) })
-		t.Run("c", func(t *testing.T) { applyForms[complex64](t, nb, ib, &forms) })
-		t.Run("z", func(t *testing.T) { applyForms[complex128](t, nb, ib, &forms) })
+		t.Run("s", func(t *testing.T) { applyForms[float32](t, &forms) })
+		t.Run("d", func(t *testing.T) { applyForms[float64](t, &forms) })
+		t.Run("c", func(t *testing.T) { applyForms[complex64](t, &forms) })
+		t.Run("z", func(t *testing.T) { applyForms[complex128](t, &forms) })
 	})
 }
 
-func applyForms[T vec.Scalar](t *testing.T, nb, ib int, forms *[3]int) {
+func applyForms[T vec.Scalar](t *testing.T, forms *[4]int) {
+	for _, sh := range []struct{ nb, ib int }{{32, 8}, {48, 12}, {64, 16}, {128, 32}} {
+		applyFormsAt[T](t, sh.nb, sh.ib, forms)
+	}
+}
+
+// onHeads reports whether forms shows all of panels block-form applies on
+// the GEMM heads, T·W included.
+func onHeads(forms *[4]int, panels int) bool {
+	return forms[formGemm] == panels && forms[formTriW] == 0
+}
+
+func applyFormsAt[T vec.Scalar](t *testing.T, nb, ib int, forms *[4]int) {
 	v := tile.RandDense[T](nb, nb, 1)
 	tv := make([]T, ib*nb)
 	GEQRT(nb, nb, ib, v.Data, nb, tv, nb, nil)
@@ -176,16 +189,16 @@ func applyForms[T vec.Scalar](t *testing.T, nb, ib int, forms *[3]int) {
 				{"TSMQR", func() { TSMQR(trans, nb, nb, ib, vts.Data, nb, tts, nb, c1.Data, nc, c2.Data, nc, nc, work) }},
 				{"TTMQR", func() { TTMQR(trans, nb, nb, ib, vtt.Data, nb, ttt, nb, c1.Data, nc, c2.Data, nc, nc, work) }},
 			} {
-				*forms = [3]int{}
+				*forms = [4]int{}
 				k.apply()
 				narrow, block := forms[formNarrow], forms[formSweeps]+forms[formGemm]
 				if nc == 1 && (narrow != nb/ib || block != 0) || nc > 1 && (narrow != 0 || block != nb/ib) {
-					t.Fatalf("%s nc=%d trans=%v: %d panels in the vector form, %d in the block form",
-						k.name, nc, trans, narrow, block)
+					t.Fatalf("nb=%d %s nc=%d trans=%v: %d panels in the vector form, %d in the block form",
+						nb, k.name, nc, trans, narrow, block)
 				}
-				if nc == nb && (forms[formGemm] == nb/ib) != simd {
-					t.Fatalf("%s nc=%d trans=%v: forms %v, want every panel on the GEMM heads iff SIMD (%v)",
-						k.name, nc, trans, *forms, simd)
+				if nc > 1 && onHeads(forms, nb/ib) != simd {
+					t.Fatalf("nb=%d %s nc=%d trans=%v: forms %v, want every panel on the GEMM heads iff SIMD (%v)",
+						nb, k.name, nc, trans, *forms, simd)
 				}
 			}
 		}
@@ -203,12 +216,12 @@ func applyForms[T vec.Scalar](t *testing.T, nb, ib int, forms *[3]int) {
 			TTQRT(nb, nb, ib, randUpperTri[T](nb, 11).Data, nb, randUpperTri[T](nb, 12).Data, nb, make([]T, ib*nb), nb, work)
 		}},
 	} {
-		*forms = [3]int{}
+		*forms = [4]int{}
 		k.factor()
 		updates := nb/ib - 1 // the last panel has no trailing columns
-		if forms[formNarrow] != 0 || forms[formGemm]+forms[formSweeps] != updates || (forms[formGemm] == updates) != simd {
-			t.Fatalf("%s: in-tile updates took forms %v, want all %d on the GEMM heads iff SIMD (%v)",
-				k.name, *forms, updates, simd)
+		if forms[formNarrow] != 0 || forms[formGemm]+forms[formSweeps] != updates || onHeads(forms, updates) != simd {
+			t.Fatalf("nb=%d %s: in-tile updates took forms %v, want all %d on the GEMM heads iff SIMD (%v)",
+				nb, k.name, *forms, updates, simd)
 		}
 	}
 	// A stream stages batch tiles 2·nb rows tall and sizes its merge
@@ -218,15 +231,15 @@ func applyForms[T vec.Scalar](t *testing.T, nb, ib int, forms *[3]int) {
 	h := 2 * nb
 	work = make([]T, max(FactorWorkLen(h, nb, ib), ApplyWorkLen(h, ib, nb)))
 	b, tb := tile.RandDense[T](h, nb, 13), make([]T, ib*nb)
-	*forms = [3]int{}
+	*forms = [4]int{}
 	TSQRT(h, nb, ib, randUpperTri[T](nb, 14).Data, nb, b.Data, nb, tb, nb, work)
-	if updates := nb/ib - 1; forms[formNarrow] != 0 || forms[formGemm]+forms[formSweeps] != updates || (forms[formGemm] == updates) != simd {
-		t.Fatalf("TSQRT m=%d: in-tile updates took forms %v, want all %d on the GEMM heads iff SIMD (%v)",
-			h, *forms, updates, simd)
+	if updates := nb/ib - 1; forms[formNarrow] != 0 || forms[formGemm]+forms[formSweeps] != updates || onHeads(forms, updates) != simd {
+		t.Fatalf("nb=%d TSQRT m=%d: in-tile updates took forms %v, want all %d on the GEMM heads iff SIMD (%v)",
+			nb, h, *forms, updates, simd)
 	}
-	*forms = [3]int{}
+	*forms = [4]int{}
 	TSMQR(true, h, nb, ib, b.Data, nb, tb, nb, tile.RandDense[T](nb, nb, 15).Data, nb, tile.RandDense[T](h, nb, 16).Data, nb, nb, work)
-	if forms[formNarrow] != 0 || forms[formGemm]+forms[formSweeps] != nb/ib || (forms[formGemm] == nb/ib) != simd {
-		t.Fatalf("TSMQR m=%d: forms %v, want all %d panels on the GEMM heads iff SIMD (%v)", h, *forms, nb/ib, simd)
+	if forms[formNarrow] != 0 || forms[formGemm]+forms[formSweeps] != nb/ib || onHeads(forms, nb/ib) != simd {
+		t.Fatalf("nb=%d TSMQR m=%d: forms %v, want all %d panels on the GEMM heads iff SIMD (%v)", nb, h, *forms, nb/ib, simd)
 	}
 }

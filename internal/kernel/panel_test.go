@@ -412,7 +412,7 @@ func conformTPMQRT[T vec.Scalar](t *testing.T, m, k, l, ib, nc int) {
 // with the SIMD family in every domain (including the first TT panel,
 // whose full rows are one), never in the generic family.
 func conformApplies[T vec.Scalar](t *testing.T) {
-	var forms [3]int
+	var forms [4]int
 	applyHook = func(f applyForm) { forms[f]++ }
 	defer func() { applyHook = nil }()
 	const nb, ib = 64, 16

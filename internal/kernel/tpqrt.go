@@ -90,10 +90,10 @@ func applyPentPanel[T vec.Scalar](trans bool, m, l int, v []T, ldv, vc0, kb int,
 // nothing outside the trapezoid is read and each sweep over C2 is one
 // packed product: W = C1[vc0:vc0+kb] + Vᴴ·C2, then T·W (triMulGemm), then
 // C1 −= T·W and C2 −= V·(T·W). Covering every structural row in the one
-// product is what lets a TT panel whose full rows are few (the first panel
-// of a square TTQRT has one) pass vec.GemmOK at all. It reports false,
-// touching nothing, when the micro-GEMM declines the shapes or the
-// scratch.
+// product keeps a TT panel whose full rows are few (the first panel of a
+// square TTQRT has one) to one product per sweep, with no staircase left
+// to the vector primitives. It reports false, touching nothing, when the
+// micro-GEMM declines the shapes or the scratch.
 func applyPentPanelGemm[T vec.Scalar](trans bool, m, l int, v []T, ldv, vc0, kb int,
 	t []T, ldt int,
 	c1 []T, ldc1, c1c0 int,

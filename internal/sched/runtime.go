@@ -58,9 +58,10 @@ var (
 
 // Local is the per-worker scratch box handed to Exec callbacks. Exactly one
 // task uses a given Local at a time (pool workers own one each; inline runs
-// borrow one from a pool), so callers may cache grow-only buffers in Slots
-// without synchronization — the engine keeps one kernel workspace per
-// arithmetic domain there, reused across every job the worker executes.
+// borrow one from a free list), so callers may cache grow-only buffers in
+// Slots without synchronization — the engine keeps one kernel workspace
+// per arithmetic domain there, reused across every job the worker
+// executes.
 type Local struct {
 	ID    int // pool worker index in [0, Workers); 0 on inline runs
 	Slots [NumLocalSlots]any
@@ -795,9 +796,6 @@ func (j *job) runTask(t int32, loc *Local) (err error) {
 	return err
 }
 
-// inlineLocals lends Local boxes to inline (caller-goroutine) runs.
-var inlineLocals = sync.Pool{New: func() any { return &Local{} }}
-
 // RunInline executes every task of the DAG sequentially in topological
 // (ID) order on the calling goroutine: the deterministic Workers == 1
 // path, and Exec's path for Serial plans. Stops at the first task error or
@@ -806,8 +804,11 @@ var inlineLocals = sync.Pool{New: func() any { return &Local{} }}
 // ctx costs nothing per task. opt.Stats counts the tasks that ran, the
 // failing one included; busy time equals wall time.
 func RunInline(d *core.DAG, opt Options, exec Exec) (*Trace, error) {
-	loc := inlineLocals.Get().(*Local)
-	defer inlineLocals.Put(loc)
+	loc, ok := inlineLocals.Get()
+	if !ok {
+		loc = &Local{}
+	}
+	defer putInlineLocal(loc)
 	var cancelCh <-chan struct{}
 	if opt.Ctx != nil {
 		cancelCh = opt.Ctx.Done()

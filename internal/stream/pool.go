@@ -1,8 +1,9 @@
 package stream
 
 import (
-	"sync"
+	"unsafe"
 
+	"tiledqr/internal/sched"
 	"tiledqr/internal/tile"
 	"tiledqr/internal/vec"
 )
@@ -10,9 +11,10 @@ import (
 // staging is the per-append merge scratch: the tiled copy of the in-flight
 // batch, the T factor tables and arena its merge DAG demands, and the RHS
 // staging rows. None of it outlives one merge, so it is borrowed from a
-// package-level pool shared by every stream of the same scalar domain:
-// a fleet of thousands of mostly-idle streams pays for its resident
-// triangles and windows, not for per-stream append scratch.
+// package-level free list shared by every stream of the same scalar
+// domain: a fleet of thousands of mostly-idle streams pays for its
+// resident triangles and windows, not for per-stream append scratch, and a
+// warm stream finds its staging again after a garbage collection.
 type staging[T vec.Scalar] struct {
 	pb, h  int             // tile rows of the staged block, and the height of all but its last
 	tiles  []tile.Dense[T] // tiled batch views into arena
@@ -23,17 +25,20 @@ type staging[T vec.Scalar] struct {
 	rhs    []T             // batch RHS staging
 }
 
-// stagingPools holds one sync.Pool per scalar domain (package-level
+// stagingLists holds one free list per scalar domain (package-level
 // variables cannot be generic), indexed by vec.Prec.
-var stagingPools [4]sync.Pool
+var stagingLists [4]sched.FreeList[any]
 
 func getStaging[T vec.Scalar]() *staging[T] {
-	if v := stagingPools[vec.Prec[T]()].Get(); v != nil {
+	if v, ok := stagingLists[vec.Prec[T]()].Get(); ok {
 		return v.(*staging[T])
 	}
 	return &staging[T]{}
 }
 
+// putStaging returns st, counting its backing arrays as retained bytes.
 func putStaging[T vec.Scalar](st *staging[T]) {
-	stagingPools[vec.Prec[T]()].Put(st)
+	var z T
+	n := (cap(st.arena) + cap(st.tArena) + cap(st.rhs)) * int(unsafe.Sizeof(z))
+	stagingLists[vec.Prec[T]()].Put(st, n)
 }

@@ -36,7 +36,8 @@ import "unsafe"
 // cover the two shapes the QR updates need: C += α·A·B (GemmNN) and
 // C += α·Aᴴ·B (GemmTN, A stored k×m; Aᵀ in the real domains). Callers
 // must keep their generic loops as the fallback for the reasons a call can
-// decline: backend off, degenerate or too-small shape, short scratch.
+// decline: backend off, C narrower than GemmMinCols, short scratch — never
+// size alone (see GemmMinCols).
 
 // Micro-tile shapes. float64: 4×8 (8 ymm / 16 NEON q accumulators);
 // float32: 4×16 (same register budget at twice the lane count). The complex
@@ -47,16 +48,16 @@ const (
 	gemmNR32 = 16
 )
 
-// gemmMinWork gates dispatch by m·n·k: below this the packing pass costs
-// more than the vector win. The bound also rejects degenerate shapes, and
-// skinny-C calls (n < GemmMinCols) are declined separately — a 1-column
-// "GEMM" would waste 7/8 of every micro-tile on padding.
-const gemmMinWork = 4096
-
 // GemmMinCols is the narrowest C the packed path accepts. The Q-application
 // kernels share it as the width below which they drop the block-reflector
 // sweeps along C's rows for the vector form along V's rows (GemvTc /
-// GemvNSub), so the two regimes meet at one constant.
+// GemvNSub), so the two regimes meet at one constant. A C of 4 to 7
+// columns leaves part of every float64 micro-tile empty and still applies
+// a panel in about half the sweeps' time. The packed form reads slower
+// only on a panel whose V is its 8×8 unit triangle alone (UNMQR's last
+// panel, TTQRT's and TTMQR's first at ib = 8), and there only in float64,
+// float32 and complex128 at C widths that are no multiple of 8: by a
+// median 2–15 % of about a microsecond, too little for a rule of its own.
 const GemmMinCols = gemmMR
 
 func roundUpTo(v, q int) int { return (v + q - 1) / q * q }
@@ -115,7 +116,7 @@ func GemmOK[T Scalar](m, n, k, packLen int) bool {
 	if m <= 0 || n <= 0 || k <= 0 {
 		return false
 	}
-	if !simdEnabled.Load() || n < GemmMinCols || m*n*k < gemmMinWork {
+	if !simdEnabled.Load() || n < GemmMinCols {
 		return false
 	}
 	return packLen >= GemmPackLen[T](m, n, k)

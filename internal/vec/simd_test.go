@@ -337,9 +337,10 @@ func randOf[T Scalar](n int, rng *rand.Rand) []T {
 	return x
 }
 
-// testGemmAgree holds the packed driver in domain T (below the dispatch
-// size gate, which GemmNN/GemmTN would apply) against gemmRef across shapes
-// that leave ragged edge strips in both directions, with padded strides.
+// testGemmAgree holds the packed driver in domain T (called past
+// GemmNN/GemmTN's dispatch gates, so even below GemmMinCols) against
+// gemmRef across shapes that leave ragged edge strips in both directions,
+// with padded strides.
 func testGemmAgree[T Scalar](t *testing.T, tol float64, alphas []T) {
 	rng := rand.New(rand.NewSource(26))
 	shapes := [][3]int{
@@ -399,8 +400,16 @@ func TestGemmDispatchGates(t *testing.T) {
 	if GemmTN(64, 64, 64, 1, zz, 64, zz, 64, zz, 64, zpack) || GemmNN(64, 64, 64, 1, cc, 64, cc, 64, cc, 64, cpack) {
 		t.Error("a complex product was handled with the backend disabled")
 	}
+	// 8×8×8 is the smallest product a block-reflector apply at ib = 8
+	// hands the packed path; size alone never declines it.
+	if GemmNN(8, 8, 8, 1.0, a, 64, a, 64, a, 64, pack) {
+		t.Error("GemmNN handled an 8×8×8 product with the backend disabled")
+	}
 	if SIMDSupported() {
 		SetSIMD(true)
+		if !GemmNN(8, 8, 8, 1.0, a, 64, a, 64, a, 64, pack) || !GemmTN(8, 8, 8, 1, zz, 64, zz, 64, zz, 64, zpack) {
+			t.Error("an 8×8×8 product with enough pack scratch was declined")
+		}
 		if GemmNN(64, 64, 64, 1.0, a, 64, a, 64, a, 64, pack[:4]) {
 			t.Error("GemmNN handled a product with insufficient pack scratch")
 		}

@@ -34,18 +34,16 @@ const (
 // simdAgreeLegs are the tilings of the cross-backend suite, each with the
 // shapes its Factor and SolveLS tests use. The tile size must be large
 // enough that the vector backend actually engages (row updates at nc ≥ 16
-// pass the slice-length dispatch gate); nb 24 / ib 8 keeps the grids
-// multi-tile at small shapes, but of its products only TSMQR's on whole
-// tiles (8·24·24) pass the micro-GEMM's work gate, and its 2-column solves
-// take the vector form. The packed leg, nb 64 / ib 16, is the one whose
-// factor and update kernels — and, at 8 right-hand sides, whose solves —
-// run their bulk rows on the packed micro-GEMM in every precision.
-var simdAgreeLegs = []struct {
-	nb, ib, m, n, lsN, nrhs int
-	packed                  bool
-}{
+// pass the slice-length dispatch gate). Both legs run every factor and
+// update kernel's block-reflector applies on the packed micro-GEMM in
+// every precision: nb 24 / ib 8 keeps the grids multi-tile at small shapes
+// and puts the small-tile products there, down to the 8×16×16 of a GEQRT's
+// first in-tile update and the 8×nc×8 T·W, while its 2-column solves take
+// the vector form; nb 64 / ib 16 does the same at the paper's tile and, at
+// 8 right-hand sides, runs its solves on the packed path too.
+var simdAgreeLegs = []struct{ nb, ib, m, n, lsN, nrhs int }{
 	{nb: 24, ib: 8, m: 96, n: 48, lsN: 24, nrhs: 2},
-	{nb: 64, ib: 16, m: 160, n: 96, lsN: 96, nrhs: 8, packed: true},
+	{nb: 64, ib: 16, m: 160, n: 96, lsN: 96, nrhs: 8},
 }
 
 // simdAgreeOpts is the algorithm grid of the cross-backend suite at one
@@ -61,7 +59,8 @@ func simdAgreeOpts(nb, ib int) []Options {
 }
 
 // requirePackedGemm fails unless the first in-tile update of a GEQRT on an
-// nb×nb tile — an ib×(nb−ib)×(nb−ib) product, 16×48×48 for the packed leg —
+// nb×nb tile — an ib×(nb−ib)×(nb−ib) product, 8×16×16 and 16×48×48 for the
+// two legs —
 // takes the packed micro-GEMM in every precision with the workspace the
 // engine gives a worker. Were the pack bound to slip below a domain's need,
 // that domain would silently drop to its scalar sweeps and the agreement
@@ -108,12 +107,12 @@ func bothFamilies(t *testing.T, f func(t *testing.T, family string)) {
 func TestSIMDFamilyAgreementFactor(t *testing.T) {
 	for _, leg := range simdAgreeLegs {
 		t.Run(fmt.Sprintf("nb=%d", leg.nb), func(t *testing.T) {
-			testFamilyAgreementFactor(t, leg.m, leg.n, leg.nb, leg.ib, leg.packed)
+			testFamilyAgreementFactor(t, leg.m, leg.n, leg.nb, leg.ib)
 		})
 	}
 }
 
-func testFamilyAgreementFactor(t *testing.T, m, n, nb, ib int, packed bool) {
+func testFamilyAgreementFactor(t *testing.T, m, n, nb, ib int) {
 	a := RandomDense(m, n, 41)
 	za := RandomMat[complex128](m, n, 42)
 	a32 := NewMat[float32](m, n)
@@ -133,7 +132,7 @@ func testFamilyAgreementFactor(t *testing.T, m, n, nb, ib int, packed bool) {
 		r32s := map[string]*Dense32{}
 		crs := map[string]*CDense{}
 		bothFamilies(t, func(t *testing.T, fam string) {
-			if packed && fam == vec.FamilySIMD {
+			if fam == vec.FamilySIMD {
 				requirePackedGemm(t, nb, ib)
 			}
 			f, err := Factor(a, opt)
@@ -210,12 +209,12 @@ func testFamilyAgreementFactor(t *testing.T, m, n, nb, ib int, packed bool) {
 func TestSIMDFamilyAgreementSolveLS(t *testing.T) {
 	for _, leg := range simdAgreeLegs {
 		t.Run(fmt.Sprintf("nb=%d", leg.nb), func(t *testing.T) {
-			testFamilyAgreementSolveLS(t, leg.m, leg.lsN, leg.nrhs, leg.nb, leg.ib, leg.packed)
+			testFamilyAgreementSolveLS(t, leg.m, leg.lsN, leg.nrhs, leg.nb, leg.ib)
 		})
 	}
 }
 
-func testFamilyAgreementSolveLS(t *testing.T, m, n, nrhs, nb, ib int, packed bool) {
+func testFamilyAgreementSolveLS(t *testing.T, m, n, nrhs, nb, ib int) {
 	opt := Options{Algorithm: Greedy, TileSize: nb, InnerBlock: ib, Workers: 2}
 	a := RandomDense(m, n, 43)
 	b := RandomDense(m, nrhs, 44)
@@ -240,7 +239,7 @@ func testFamilyAgreementSolveLS(t *testing.T, m, n, nrhs, nb, ib int, packed boo
 	x32s := map[string]*Dense32{}
 	cxs := map[string]*CDense{}
 	bothFamilies(t, func(t *testing.T, fam string) {
-		if packed && fam == vec.FamilySIMD {
+		if fam == vec.FamilySIMD {
 			requirePackedGemm(t, nb, ib)
 		}
 		f, err := Factor(a, opt)
