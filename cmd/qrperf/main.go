@@ -181,11 +181,11 @@ func main() {
 }
 
 // familyBanner names the active vec kernel family, with its instruction set
-// when that is the SIMD one.
+// and micro-GEMM tile when that is the SIMD one.
 func familyBanner() string {
 	fam := vec.ActiveFamily()
 	if isa := vec.SIMDName(); isa != "" && fam == vec.FamilySIMD {
-		fam += " (" + isa + ")"
+		fam += " (" + isa + ", micro-GEMM " + vec.GemmTile() + ")"
 	}
 	return fam
 }

@@ -368,7 +368,9 @@
 // at startup). The block-reflector updates run every row of the reflector
 // block, and the triangular T product, through a register-blocked packed
 // micro-GEMM in the same family, which is where the bulk of the
-// factorization's flops live. In the real domains the micro-kernel reads
+// factorization's flops live. Its register tile is 4×8 in double (4×16 in
+// single), or twice as wide on an amd64 host with AVX-512F, chosen once at
+// startup by CPUID. In the real domains the micro-kernel reads
 // its B operand in place and only A is packed; on an AVX2 host the
 // double-precision factor kernels run 2–3× and the update kernels 3–4×
 // faster than the generic loops. The complex domains run on the same real

@@ -49,7 +49,10 @@
 // zero-padded, so that each sweep is one packed GEMM over every row, and
 // T·W one more on a zero-padded copy of T. The micro-GEMM reads the
 // sweeps' other operand (C, then T·W) in place in the real domains and
-// packs only A, so the padded head costs one small copy per panel. The
+// packs only A, so the padded head costs one small copy per panel. Its
+// tile is 4×8 reals in double (4×16 in single), 4×16 (4×32) on AVX-512F,
+// where a last strip of half that width or less runs on the 4×8 (4×16)
+// kernel; at nb = 64 and 128 every in-tile product is whole strips. The
 // block-reflector sweeps along C's rows on the vector primitives remain
 // the fallback when the micro-GEMM declines (backend off, short scratch).
 //

@@ -52,8 +52,11 @@ import (
 // and apply kernels are 1.2–2× faster since). Version 6, no field: it
 // retires the real rates measured before the real block-reflector applies
 // joined the packed GEMM with B read in place (the double factor and apply
-// kernels are 1.1–1.7× faster since).
-const SchemaVersion = 6
+// kernels are 1.1–1.7× faster since). Version 7, no field: it retires the
+// rates measured on the AVX2 micro-tile alone, before AVX-512F hosts ran
+// every packed product on the 4×16 (float32 4×32) zmm tile, which would
+// otherwise rank candidates on the old GEMM.
+const SchemaVersion = 7
 
 // EnvCalibration overrides the calibration cache location. Set it to a file
 // path to relocate the cache, or to "off" to disable persistence (the

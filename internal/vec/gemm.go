@@ -1,6 +1,9 @@
 package vec
 
-import "unsafe"
+import (
+	"strconv"
+	"unsafe"
+)
 
 // Packed register-blocked micro-GEMM, the bulk engine behind the
 // trailing-matrix update kernels. The drivers follow the classic BLIS
@@ -14,7 +17,9 @@ import "unsafe"
 //   - in the real domains B is read in place: the micro-kernel takes B's
 //     k-step stride, so every full nr-column strip is the operand as the
 //     caller stores it, and only a ragged last strip is packed (k·nr
-//     contiguous elements, zero-padded at the right edge);
+//     contiguous elements, zero-padded at the right edge); a tile with a
+//     half-width kernel runs a last strip of at most nr/2 columns on it,
+//     in place when it is exactly nr/2 wide;
 //   - the mr×nr micro-kernel (simd_<arch>.s) keeps the C tile in vector
 //     registers across the whole k loop — full tiles accumulate straight
 //     into C, edge tiles into a zeroed mr×nr scratch whose valid region is
@@ -39,14 +44,37 @@ import "unsafe"
 // decline: backend off, C narrower than GemmMinCols, short scratch — never
 // size alone (see GemmMinCols).
 
-// Micro-tile shapes. float64: 4×8 (8 ymm / 16 NEON q accumulators);
-// float32: 4×16 (same register budget at twice the lane count). The complex
-// domains use their component type's tile, nr counted in reals.
+// Micro-tile shapes. Every tile is mr = 4 rows tall; its width nr, in
+// reals, is the backend's. The base tile, on every backend, is float64 4×8
+// (8 ymm / 16 NEON q accumulators) and float32 4×16 (the same register
+// budget at twice the lane count). An amd64 host with AVX-512F runs the
+// wide tile instead, float64 4×16 and float32 4×32 in 8 zmm accumulators,
+// chosen once at startup (archGemmTile, simd_amd64.go). The complex domains use their
+// component type's tile, nr counted in reals.
 const (
-	gemmMR   = 4
-	gemmNR64 = 8
-	gemmNR32 = 16
+	gemmMR    = 4
+	gemmNRMax = 32 // the widest nr of any tile: the wide float32 one
 )
+
+// gemmKernels is one micro-tile: its float64 and float32 mr×nr
+// micro-kernels, their widths nr in reals, and optionally kernels nr/2
+// wide for a product's narrow last strip (see gemm).
+type gemmKernels struct {
+	f64, half64 func(k int, a, b *float64, ldb int, c *float64, ldc int)
+	f32, half32 func(k int, a, b *float32, ldb int, c *float32, ldc int)
+	nr64, nr32  int
+}
+
+// gemmBase is the base tile; gemmActive is the one the packed products run
+// on, the architecture's pick (archGemmTile) for this host.
+var (
+	gemmBase   = gemmKernels{f64: gemmKerF64, f32: gemmKerF32, nr64: 8, nr32: 16}
+	gemmActive = archGemmTile()
+)
+
+// GemmTile names the float64 micro-tile the packed products run on, "4x8"
+// or "4x16", for diagnostics; float32's is twice as wide.
+func GemmTile() string { return strconv.Itoa(gemmMR) + "x" + strconv.Itoa(gemmActive.nr64) }
 
 // GemmMinCols is the narrowest C the packed path accepts. The Q-application
 // kernels share it as the width below which they drop the block-reflector
@@ -56,24 +84,29 @@ const (
 // a panel in about half the sweeps' time. The packed form reads slower
 // only on a panel whose V is its 8×8 unit triangle alone (UNMQR's last
 // panel, TTQRT's and TTMQR's first at ib = 8), and there only in float64,
-// float32 and complex128 at C widths that are no multiple of 8: by a
-// median 2–15 % of about a microsecond, too little for a rule of its own.
+// float32 and complex128 at C widths that are no multiple of 8. Measured
+// on both tiles (widths 4…32, two passes): at those widths the heads take
+// a median 1.15–1.19× the sweeps' time in float64, 1.0–1.13× in float32
+// and 1.02–1.06× (wide tile) or 1.21× (base tile) in complex128, of about
+// 1.5–2.5 µs; multiples of 8, kb = 12 (0.78–0.90×) and complex64
+// (≤ 0.57×) win everywhere, and the wide tile moves the class by only
+// 0.95–1.05× (0.86–0.88× in complex128). Too little for a rule of its own.
 const GemmMinCols = gemmMR
 
 func roundUpTo(v, q int) int { return (v + q - 1) / q * q }
 
-// gemmTile returns T's micro-tile width nr, in reals, and the number of
-// reals per element of T (1 real, 2 complex).
-func gemmTile[T Scalar]() (nr, parts int) {
+// gemmTile returns the width nr, in reals, of g's micro-kernel for T and
+// the number of reals per element of T (1 real, 2 complex).
+func gemmTile[T Scalar](g *gemmKernels) (nr, parts int) {
 	switch any(x0[T]()).(type) {
 	case float64:
-		return gemmNR64, 1
+		return g.nr64, 1
 	case float32:
-		return gemmNR32, 1
+		return g.nr32, 1
 	case complex128:
-		return gemmNR64, 2
+		return g.nr64, 2
 	}
-	return gemmNR32, 2
+	return g.nr32, 2
 }
 
 // GemmPackLen returns the scratch length (in elements of T) GemmNN/GemmTN
@@ -84,10 +117,15 @@ func gemmTile[T Scalar]() (nr, parts int) {
 // mr·nr/2. It is monotone in each dimension, so sizing for upper bounds
 // covers every smaller call.
 func GemmPackLen[T Scalar](m, n, k int) int {
+	return gemmPackLen[T](&gemmActive, m, n, k)
+}
+
+// gemmPackLen is GemmPackLen on tile g.
+func gemmPackLen[T Scalar](g *gemmKernels, m, n, k int) int {
 	if m <= 0 || n <= 0 || k <= 0 {
 		return 0
 	}
-	nr, parts := gemmTile[T]()
+	nr, parts := gemmTile[T](g)
 	bLen := k * nr // a ragged last strip; the full strips are read in place
 	if parts == 2 {
 		bLen = k * roundUpTo(2*n, nr) // the whole 1m expansion
@@ -95,17 +133,18 @@ func GemmPackLen[T Scalar](m, n, k int) int {
 	return roundUpTo(m, gemmMR)*k + bLen + gemmMR*nr/parts
 }
 
-// GemmPackBound bounds GemmPackLen over all domains for any product whose
-// dimensions are at most maxM×maxN×maxK: the complex B panel, 2n reals
-// padded to the wider float32 tile, is the largest B, and the float32 edge
-// tile the largest tile. It is monotone in each argument, so workspace
-// sized from upper bounds (kernel.WorkLen does this) covers every smaller
-// call in every T without being generic itself.
+// GemmPackBound bounds GemmPackLen over all domains and all tiles for any
+// product whose dimensions are at most maxM×maxN×maxK: the complex B
+// panel, 2n reals padded to the widest tile (gemmNRMax), is the largest B,
+// and that tile's edge scratch the largest. It is host-independent and
+// monotone in each argument, so workspace sized from upper bounds
+// (kernel.WorkLen does this) covers every smaller call in every T without
+// being generic itself.
 func GemmPackBound(maxM, maxN, maxK int) int {
 	if maxM <= 0 || maxN <= 0 || maxK <= 0 {
 		return 0
 	}
-	return roundUpTo(maxM, gemmMR)*maxK + maxK*roundUpTo(2*maxN, gemmNR32) + gemmMR*gemmNR32
+	return roundUpTo(maxM, gemmMR)*maxK + maxK*roundUpTo(2*maxN, gemmNRMax) + gemmMR*gemmNRMax
 }
 
 // GemmOK reports whether a GemmNN/GemmTN call of shape m×n×k with packLen
@@ -148,22 +187,22 @@ func gemmDispatch[T Scalar](m, n, k int, alpha T, a []T, lda int, transA bool, b
 	if alpha == 0 || !GemmOK[T](m, n, k, len(pack)) {
 		return false
 	}
-	gemmPacked(m, n, k, alpha, a, lda, transA, b, ldb, c, ldc, pack)
+	gemmPacked(&gemmActive, m, n, k, alpha, a, lda, transA, b, ldb, c, ldc, pack)
 	return true
 }
 
 // gemmPacked runs the packed product past every gate (m, n, k ≥ 1 and
-// len(pack) ≥ GemmPackLen assumed), on the micro-kernel of T's component
-// type.
-func gemmPacked[T Scalar](m, n, k int, alpha T, a []T, lda int, transA bool, b []T, ldb int, c []T, ldc int, pack []T) {
+// len(pack) ≥ gemmPackLen[T](g, m, n, k) assumed), on tile g's
+// micro-kernel for T's component type.
+func gemmPacked[T Scalar](g *gemmKernels, m, n, k int, alpha T, a []T, lda int, transA bool, b []T, ldb int, c []T, ldc int, pack []T) {
 	ar, ai := RealPart(alpha), ImagPart(alpha)
-	nr, parts := gemmTile[T]()
+	nr, parts := gemmTile[T](g)
 	switch any(alpha).(type) {
 	case float64, complex128:
-		gemm(gemmKerF64, nr, parts, m, n, k, ar, ai, realView[float64](a), lda, transA,
+		gemm(g.f64, g.half64, nr, parts, m, n, k, ar, ai, realView[float64](a), lda, transA,
 			realView[float64](b), ldb, realView[float64](c), ldc, realView[float64](pack))
 	default:
-		gemm(gemmKerF32, nr, parts, m, n, k, float32(ar), float32(ai), realView[float32](a), lda, transA,
+		gemm(g.f32, g.half32, nr, parts, m, n, k, float32(ar), float32(ai), realView[float32](a), lda, transA,
 			realView[float32](b), ldb, realView[float32](c), ldc, realView[float32](pack))
 	}
 }
@@ -180,63 +219,85 @@ func realView[F float32 | float64, T Scalar](x []T) []F {
 // gemm is the one packed driver, over the real views of its operands:
 // parts = 2 marks complex data, whose strides still count complex elements
 // and which is packed in the 1m layout. ker is the real mr×nr micro-kernel,
-// reading B's k steps ldb reals apart. The real product it runs is
-// m×(parts·n)×(parts·k).
-func gemm[F float32 | float64](ker func(k int, a, b *F, ldb int, c *F, ldc int), nr, parts int,
+// reading B's k steps ldb reals apart; half, if not nil, is one nr/2 wide.
+// The real product it runs is m×(parts·n)×(parts·k).
+func gemm[F float32 | float64](ker, half func(k int, a, b *F, ldb int, c *F, ldc int), nr, parts int,
 	m, n, k int, ar, ai F, a []F, lda int, transA bool, b []F, ldb int, c []F, ldc int, pack []F) {
 	const mr = gemmMR
 	nR, kR := parts*n, parts*k
 	mp := roundUpTo(m, mr)
 	ap := pack[:mp*kR]
+	// Columns 0:full of C's real view are nr-wide strips. The tail full:nR,
+	// narrower than nr, runs on half when it fits in nr/2: the same
+	// instructions per k step as ker, on a strip half as wide, so a tail of
+	// exactly nr/2 is read in place and a shorter one packs half the zeros.
+	full := nR / nr * nr
+	tailKer, tailNR := ker, nr
+	if half != nil && nR-full <= nr/2 {
+		tailKer, tailNR = half, nr/2
+	}
 	// bp holds the strips B is not read in place for: the 1m expansion of
-	// all of B in the complex domains, the ragged last strip (if any) in
-	// the real ones. Either way its strips step nr reals per k step.
+	// all of B in the complex domains, the ragged tail (if any) in the real
+	// ones. Either way a strip steps its width in reals per k step.
 	bp := pack[mp*kR:]
-	full := 0 // columns 0:full of the real view of B are read in place
+	inPlace := 0 // columns 0:inPlace of the real view of B are read in place
 	if parts == 1 {
-		full = n / nr * nr
-		if full < n {
-			packB(b[full:], ldb, n-full, k, nr, bp)
+		inPlace = full
+		if tail := n - full; tail == tailNR {
+			inPlace = n
+		} else if tail > 0 {
+			packB(b[full:], ldb, tail, k, tailNR, bp)
 		}
 		packA(ar, a, lda, transA, m, k, ap)
-		bp = bp[:k*nr]
+		bp = bp[:k*tailNR]
 	} else {
-		bp = bp[:kR*roundUpTo(nR, nr)]
-		packB1m(b, ldb, n, k, nr, bp)
+		packB1m(b, ldb, full/2, k, nr, bp)
+		if full < nR {
+			packB1m(b[full:], ldb, (nR-full)/2, k, tailNR, bp[kR*full:])
+			bp = bp[:kR*(full+tailNR)]
+		} else {
+			bp = bp[:kR*full]
+		}
 		packA1m(ar, ai, a, lda, transA, m, k, ap)
 	}
 	tmp := pack[mp*kR+len(bp) : mp*kR+len(bp)+mr*nr]
-	if full > 0 {
+	if inPlace > 0 {
 		// The last element the last in-place strip reads, the furthest of
 		// any strip's: checked here so that the assembly never runs off B.
-		_ = b[(k-1)*ldb+full-1]
+		_ = b[(k-1)*ldb+inPlace-1]
 	}
 
 	ldc *= parts
 	for i0 := 0; i0 < m; i0 += mr {
 		h := min(mr, m-i0)
 		as := ap[i0*kR:] // strip i0/mr
-		for j0 := 0; j0 < nR; j0 += nr {
-			w := min(nr, nR-j0)
+		for j0 := 0; j0 < nR; {
+			kr, s := ker, nr
+			if j0 >= full {
+				kr, s = tailKer, tailNR
+			}
+			w := min(s, nR-j0)
 			var bs *F
 			ldbs := ldb
-			if j0 < full {
+			if j0 < inPlace {
 				bs = &b[j0]
 			} else {
-				bs, ldbs = &bp[(j0-full)*kR], nr // strip (j0−full)/nr of bp
+				bs, ldbs = &bp[(j0-inPlace)*kR], s // strips before j0 take kR reals per column
 			}
-			if h == mr && w == nr {
-				ker(kR, &as[0], bs, ldbs, &c[i0*ldc+j0], ldc)
-				continue
-			}
-			clear(tmp)
-			ker(kR, &as[0], bs, ldbs, &tmp[0], nr)
-			for r := 0; r < h; r++ {
-				crow := c[(i0+r)*ldc+j0 : (i0+r)*ldc+j0+w]
-				for j, v := range tmp[r*nr : r*nr+w] {
-					crow[j] += v
+			if h == mr && w == s {
+				kr(kR, &as[0], bs, ldbs, &c[i0*ldc+j0], ldc)
+			} else {
+				et := tmp[:mr*s]
+				clear(et)
+				kr(kR, &as[0], bs, ldbs, &et[0], s)
+				for r := 0; r < h; r++ {
+					crow := c[(i0+r)*ldc+j0 : (i0+r)*ldc+j0+w]
+					for j, v := range et[r*s : r*s+w] {
+						crow[j] += v
+					}
 				}
 			}
+			j0 += s
 		}
 	}
 }

@@ -17,8 +17,10 @@
 //     measure both families on a live process.
 //
 // On amd64 the backend requires AVX2+FMA with OS-enabled YMM state
-// (detected via CPUID/XGETBV at init); on arm64 NEON is architecturally
-// baseline, so the backend is always available unless compiled out.
+// (detected via CPUID/XGETBV at init), and a host that also has AVX-512F
+// runs the packed micro-GEMM on a tile twice as wide, with no change of
+// name or family; on arm64 NEON is architecturally baseline, so the
+// backend is always available unless compiled out.
 package vec
 
 import (

@@ -13,6 +13,11 @@
 //     avoids SSE/AVX transition stalls), so the Go dispatch layer never
 //     needs a separate remainder pass;
 //   - VZEROUPPER before every return, as required around ABI0 calls.
+//
+// The two AVX-512F micro-GEMM kernels at the end (zmm registers, EVEX
+// encoded) run only on hosts whose CPUID and XCR0 report AVX-512F
+// (simd_amd64.go); the k loops of all four micro-kernels start on a 64-byte
+// boundary (PCALIGN), so their placement does not move with unrelated code.
 
 // func dotF64(x, y *float64, n int) float64
 TEXT ·dotF64(SB), NOSPLIT, $0-32
@@ -475,6 +480,8 @@ TEXT ·gemmKerF64(SB), NOSPLIT, $0-48
 	VMOVUPD (R9), Y6
 	VMOVUPD 32(R9), Y7
 
+	PCALIGN $64
+
 gk64loop:
 	VMOVUPD (DI), Y8
 	VMOVUPD 32(DI), Y9
@@ -537,6 +544,8 @@ TEXT ·gemmKerF32(SB), NOSPLIT, $0-48
 	VMOVUPS (R9), Y6
 	VMOVUPS 32(R9), Y7
 
+	PCALIGN $64
+
 gk32loop:
 	VMOVUPS (DI), Y8
 	VMOVUPS 32(DI), Y9
@@ -569,5 +578,136 @@ gk32loop:
 	ADDQ R8, R9
 	VMOVUPS Y6, (R9)
 	VMOVUPS Y7, 32(R9)
+	VZEROUPPER
+	RET
+
+// func gemmKerF64x16(k int, a, b *float64, ldb int, c *float64, ldc int)
+//
+// AVX-512F 4×16 micro-kernel: gemmKerF64 at twice the width, the C tile in
+// 8 zmm accumulators (two 8-lane zmm per C row); each k step is 2 B loads,
+// 4 A broadcasts and 8 FMAs. Only Z0–Z11 are used, so the closing
+// VZEROUPPER leaves no dirty upper state behind. Caller guarantees k ≥ 1,
+// a full 4×16 tile and a host with AVX-512F (simd_amd64.go).
+TEXT ·gemmKerF64x16(SB), NOSPLIT, $0-48
+	MOVQ k+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DI
+	MOVQ ldb+24(FP), R10
+	SHLQ $3, R10
+	MOVQ c+32(FP), DX
+	MOVQ ldc+40(FP), R8
+	SHLQ $3, R8
+
+	MOVQ DX, R9
+	VMOVUPD (R9), Z0
+	VMOVUPD 64(R9), Z1
+	ADDQ R8, R9
+	VMOVUPD (R9), Z2
+	VMOVUPD 64(R9), Z3
+	ADDQ R8, R9
+	VMOVUPD (R9), Z4
+	VMOVUPD 64(R9), Z5
+	ADDQ R8, R9
+	VMOVUPD (R9), Z6
+	VMOVUPD 64(R9), Z7
+
+	PCALIGN $64
+
+gz64loop:
+	VMOVUPD (DI), Z8
+	VMOVUPD 64(DI), Z9
+	VBROADCASTSD (SI), Z10
+	VBROADCASTSD 8(SI), Z11
+	VFMADD231PD Z8, Z10, Z0
+	VFMADD231PD Z9, Z10, Z1
+	VFMADD231PD Z8, Z11, Z2
+	VFMADD231PD Z9, Z11, Z3
+	VBROADCASTSD 16(SI), Z10
+	VBROADCASTSD 24(SI), Z11
+	VFMADD231PD Z8, Z10, Z4
+	VFMADD231PD Z9, Z10, Z5
+	VFMADD231PD Z8, Z11, Z6
+	VFMADD231PD Z9, Z11, Z7
+	ADDQ $32, SI
+	ADDQ R10, DI
+	DECQ CX
+	JNE  gz64loop
+
+	MOVQ DX, R9
+	VMOVUPD Z0, (R9)
+	VMOVUPD Z1, 64(R9)
+	ADDQ R8, R9
+	VMOVUPD Z2, (R9)
+	VMOVUPD Z3, 64(R9)
+	ADDQ R8, R9
+	VMOVUPD Z4, (R9)
+	VMOVUPD Z5, 64(R9)
+	ADDQ R8, R9
+	VMOVUPD Z6, (R9)
+	VMOVUPD Z7, 64(R9)
+	VZEROUPPER
+	RET
+
+// func gemmKerF32x32(k int, a, b *float32, ldb int, c *float32, ldc int)
+//
+// 4×32 AVX-512F micro-kernel, the float32 twin of gemmKerF64x16 (two
+// 16-lane zmm per C row).
+TEXT ·gemmKerF32x32(SB), NOSPLIT, $0-48
+	MOVQ k+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DI
+	MOVQ ldb+24(FP), R10
+	SHLQ $2, R10
+	MOVQ c+32(FP), DX
+	MOVQ ldc+40(FP), R8
+	SHLQ $2, R8
+
+	MOVQ DX, R9
+	VMOVUPS (R9), Z0
+	VMOVUPS 64(R9), Z1
+	ADDQ R8, R9
+	VMOVUPS (R9), Z2
+	VMOVUPS 64(R9), Z3
+	ADDQ R8, R9
+	VMOVUPS (R9), Z4
+	VMOVUPS 64(R9), Z5
+	ADDQ R8, R9
+	VMOVUPS (R9), Z6
+	VMOVUPS 64(R9), Z7
+
+	PCALIGN $64
+
+gz32loop:
+	VMOVUPS (DI), Z8
+	VMOVUPS 64(DI), Z9
+	VBROADCASTSS (SI), Z10
+	VBROADCASTSS 4(SI), Z11
+	VFMADD231PS Z8, Z10, Z0
+	VFMADD231PS Z9, Z10, Z1
+	VFMADD231PS Z8, Z11, Z2
+	VFMADD231PS Z9, Z11, Z3
+	VBROADCASTSS 8(SI), Z10
+	VBROADCASTSS 12(SI), Z11
+	VFMADD231PS Z8, Z10, Z4
+	VFMADD231PS Z9, Z10, Z5
+	VFMADD231PS Z8, Z11, Z6
+	VFMADD231PS Z9, Z11, Z7
+	ADDQ $16, SI
+	ADDQ R10, DI
+	DECQ CX
+	JNE  gz32loop
+
+	MOVQ DX, R9
+	VMOVUPS Z0, (R9)
+	VMOVUPS Z1, 64(R9)
+	ADDQ R8, R9
+	VMOVUPS Z2, (R9)
+	VMOVUPS Z3, 64(R9)
+	ADDQ R8, R9
+	VMOVUPS Z4, (R9)
+	VMOVUPS Z5, 64(R9)
+	ADDQ R8, R9
+	VMOVUPS Z6, (R9)
+	VMOVUPS Z7, 64(R9)
 	VZEROUPPER
 	RET

@@ -12,6 +12,9 @@ const simdArchName = "neon"
 
 const simdArchSupported = true
 
+// NEON runs the base micro-GEMM tile (gemm.go).
+func archGemmTile() gemmKernels { return gemmBase }
+
 // Assembly kernels (simd_arm64.s); same contracts as the amd64 ones.
 
 //go:noescape

@@ -11,6 +11,10 @@ const simdArchName = ""
 
 const simdArchSupported = false
 
+// archGemmTile is the base tile: GemmPackLen sizes by it, though no product
+// runs on it in this build.
+func archGemmTile() gemmKernels { return gemmBase }
+
 func unreachableKernel() { panic("vec: SIMD kernel called without a backend") }
 
 func dotF64(x, y *float64, n int) float64 { unreachableKernel(); return 0 }

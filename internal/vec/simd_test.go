@@ -337,18 +337,23 @@ func randOf[T Scalar](n int, rng *rand.Rand) []T {
 	return x
 }
 
-// testGemmAgree holds the packed driver in domain T (called past
+// gemmAgreeShapes leave ragged edge strips in both directions at every
+// tile width. n ≡ 8 (mod 16) (8, 24, 40, 56, 72) leaves a half strip at
+// nr = 16, several at k = 1, and n = 16 one at float32's nr = 32: the
+// strips a wide tile runs on its half-width kernel, in place.
+var gemmAgreeShapes = [][3]int{
+	{1, 4, 1}, {1, 8, 3}, {3, 7, 2}, {4, 8, 1}, {4, 8, 5}, {5, 9, 4},
+	{7, 15, 7}, {8, 16, 8}, {9, 17, 3}, {12, 24, 11}, {13, 33, 16},
+	{16, 40, 32}, {31, 63, 17}, {32, 64, 32}, {37, 53, 29},
+	{4, 24, 1}, {5, 24, 1}, {8, 24, 8}, {3, 40, 1}, {9, 56, 6}, {4, 72, 13},
+}
+
+// testGemmAgree holds the packed driver on tile g in domain T (called past
 // GemmNN/GemmTN's dispatch gates, so even below GemmMinCols) against
-// gemmRef across shapes that leave ragged edge strips in both directions,
-// with padded strides.
-func testGemmAgree[T Scalar](t *testing.T, tol float64, alphas []T) {
+// gemmRef across gemmAgreeShapes, with padded strides.
+func testGemmAgree[T Scalar](t *testing.T, g *gemmKernels, tol float64, alphas []T) {
 	rng := rand.New(rand.NewSource(26))
-	shapes := [][3]int{
-		{1, 4, 1}, {1, 8, 3}, {3, 7, 2}, {4, 8, 1}, {4, 8, 5}, {5, 9, 4},
-		{7, 15, 7}, {8, 16, 8}, {9, 17, 3}, {12, 24, 11}, {13, 33, 16},
-		{16, 40, 32}, {31, 63, 17}, {32, 64, 32}, {37, 53, 29},
-	}
-	for _, sh := range shapes {
+	for _, sh := range gemmAgreeShapes {
 		m, n, k := sh[0], sh[1], sh[2]
 		for _, transA := range []bool{false, true} {
 			for _, alpha := range alphas {
@@ -359,7 +364,7 @@ func testGemmAgree[T Scalar](t *testing.T, tol float64, alphas []T) {
 				ldb, ldc := n+1, n+3
 				a, b, c := randOf[T](arows*lda, rng), randOf[T](k*ldb, rng), randOf[T](m*ldc, rng)
 				want, scale, _ := gemmRef(m, n, k, alpha, a, lda, transA, b, ldb, c, ldc)
-				gemmPacked(m, n, k, alpha, a, lda, transA, b, ldb, c, ldc, make([]T, GemmPackLen[T](m, n, k)))
+				gemmPacked(g, m, n, k, alpha, a, lda, transA, b, ldb, c, ldc, make([]T, gemmPackLen[T](g, m, n, k)))
 				for o, v := range c {
 					got := complex(RealPart(v), ImagPart(v))
 					if cmplx.Abs(got-want[o]) > tol*scale[o] {
@@ -372,14 +377,44 @@ func testGemmAgree[T Scalar](t *testing.T, tol float64, alphas []T) {
 	}
 }
 
-// TestSIMDGemmAgree covers the packed driver in all four domains; for the
-// complex ones that is the 1m layout, and transA is the conjugate transpose.
+// gemmTileCase is a micro-tile under test and, when this host cannot run
+// it, why.
+type gemmTileCase struct {
+	g    *gemmKernels
+	skip string
+}
+
+func (c gemmTileCase) name() string { return fmt.Sprintf("%dx%d", gemmMR, c.g.nr64) }
+
+// gemmTileCases lists every micro-tile of this build: the base tile, then
+// the wider ones of the architecture (wideGemmTileCases).
+func gemmTileCases() []gemmTileCase {
+	base := gemmTileCase{g: &gemmBase}
+	if !SIMDSupported() {
+		base.skip = "no SIMD backend in this build or on this host"
+	}
+	return append([]gemmTileCase{base}, wideGemmTileCases()...)
+}
+
+// TestSIMDGemmAgree covers the packed driver on every micro-tile this host
+// can run, whichever one its products take, in all four domains; for the
+// complex ones that is the 1m layout, and transA is the conjugate
+// transpose. Each tile is a subtest named by its float64 shape that says
+// which kernels ran, or why it was skipped.
 func TestSIMDGemmAgree(t *testing.T) {
-	requireSIMD(t)
-	testGemmAgree(t, tolF64, []float64{1, -1, 0.5})
-	testGemmAgree(t, tolF32, []float32{1, -1, 0.5})
-	testGemmAgree(t, tolF64, []complex128{1, -1, 0.5 - 2i})
-	testGemmAgree(t, tolF32, []complex64{1, -1, 0.5 - 2i})
+	for _, tc := range gemmTileCases() {
+		t.Run(tc.name(), func(t *testing.T) {
+			if tc.skip != "" {
+				t.Skip(tc.skip)
+			}
+			g := tc.g
+			testGemmAgree(t, g, tolF64, []float64{1, -1, 0.5})
+			testGemmAgree(t, g, tolF32, []float32{1, -1, 0.5})
+			testGemmAgree(t, g, tolF64, []complex128{1, -1, 0.5 - 2i})
+			testGemmAgree(t, g, tolF32, []complex64{1, -1, 0.5 - 2i})
+			t.Logf("ran float64 %dx%d and float32 %dx%d (active: %v)", gemmMR, g.nr64, gemmMR, g.nr32, g.nr64 == gemmActive.nr64)
+		})
+	}
 }
 
 func TestGemmDispatchGates(t *testing.T) {
@@ -427,15 +462,18 @@ func TestGemmDispatchGates(t *testing.T) {
 // region from the one non-generic bound, so the bound must dominate each
 // domain's exact need.
 func TestGemmPackBoundCoversLen(t *testing.T) {
-	dims := []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 48, 64, 65, 127, 128}
-	for _, m := range dims {
-		for _, n := range dims {
-			for _, k := range dims {
-				bound := GemmPackBound(m, n, k)
-				for _, need := range []int{GemmPackLen[float32](m, n, k), GemmPackLen[float64](m, n, k),
-					GemmPackLen[complex64](m, n, k), GemmPackLen[complex128](m, n, k)} {
-					if need > bound {
-						t.Fatalf("GemmPackBound(%d,%d,%d) = %d < a domain's GemmPackLen %d", m, n, k, bound, need)
+	dims := []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 48, 64, 65, 127, 128}
+	for _, tc := range gemmTileCases() { // sizing needs no CPU support
+		g := tc.g
+		for _, m := range dims {
+			for _, n := range dims {
+				for _, k := range dims {
+					bound := GemmPackBound(m, n, k)
+					for _, need := range []int{gemmPackLen[float32](g, m, n, k), gemmPackLen[float64](g, m, n, k),
+						gemmPackLen[complex64](g, m, n, k), gemmPackLen[complex128](g, m, n, k)} {
+						if need > bound {
+							t.Fatalf("GemmPackBound(%d,%d,%d) = %d < tile %s's GemmPackLen %d", m, n, k, bound, tc.name(), need)
+						}
 					}
 				}
 			}
@@ -583,7 +621,7 @@ func fuzzGemm[T float64 | complex128](t *testing.T, m, n, k, ldb int, transA boo
 		alpha = -1
 	}
 	want, scale, finite := gemmRef(m, n, k, alpha, a, lda, transA, b, ldb, c, n)
-	gemmPacked(m, n, k, alpha, a, lda, transA, b, ldb, c, n, make([]T, GemmPackLen[T](m, n, k)))
+	gemmPacked(&gemmActive, m, n, k, alpha, a, lda, transA, b, ldb, c, n, make([]T, GemmPackLen[T](m, n, k)))
 	what := fmt.Sprintf("%s m=%d n=%d k=%d ldb=%d transA=%v", Prec[T]().Tag(), m, n, k, ldb, transA)
 	for o, v := range c {
 		got := complex(RealPart(v), ImagPart(v))
@@ -603,20 +641,31 @@ func fuzzGemm[T float64 | complex128](t *testing.T, m, n, k, ldb int, transA boo
 
 // TestGemmInPlaceBoundsCheck: the real driver reads B's full strips in
 // place from assembly, so a B slice one element short of the product's
-// last read must panic in Go rather than let the micro-kernel run off it.
+// last read must panic in Go rather than let the micro-kernel run off it,
+// on every tile.
 func TestGemmInPlaceBoundsCheck(t *testing.T) {
-	requireSIMD(t)
-	const m, n, k, ldb = 8, 16, 8, 20
-	a, c := make([]float64, m*k), make([]float64, m*n)
-	b := make([]float64, (k-1)*ldb+n)
-	pack := make([]float64, GemmPackLen[float64](m, n, k))
-	gemmPacked(m, n, k, 1.0, a, k, false, b, ldb, c, n, pack)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a B one element short of the last in-place read did not panic")
-		}
-	}()
-	gemmPacked(m, n, k, 1.0, a, k, false, b[:len(b)-1], ldb, c, n, pack)
+	for _, tc := range gemmTileCases() {
+		t.Run(tc.name(), func(t *testing.T) {
+			if tc.skip != "" {
+				t.Skip(tc.skip)
+			}
+			// Every strip in place: two full ones and, on a tile with a
+			// half kernel, a tail of half a strip.
+			const m, k = 8, 8
+			n := 2*tc.g.nr64 + 8
+			ldb := n + 4
+			a, c := make([]float64, m*k), make([]float64, m*n)
+			b := make([]float64, (k-1)*ldb+n)
+			pack := make([]float64, gemmPackLen[float64](tc.g, m, n, k))
+			gemmPacked(tc.g, m, n, k, 1.0, a, k, false, b, ldb, c, n, pack)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("a B one element short of the last in-place read did not panic")
+				}
+			}()
+			gemmPacked(tc.g, m, n, k, 1.0, a, k, false, b[:len(b)-1], ldb, c, n, pack)
+		})
+	}
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
