@@ -2,12 +2,14 @@
 // QR as a service. It exposes one-shot factorization and least-squares
 // endpoints and session-oriented streaming TSQR (rows arrive in batches,
 // solves are served from the resident triangle, optionally over a sliding
-// window), in all four precisions, with per-tenant admission quotas,
-// queue-depth backpressure (429 + Retry-After), same-matrix solve
-// coalescing (solves that arrive while an identical matrix is being
-// factored share that factorization), and a graceful SIGTERM drain:
-// in-flight requests finish, new ones get 503, and the runtime quiesces
-// before the process exits.
+// window), in all four precisions, with fail-fast backpressure (429 +
+// Retry-After when the runtime's task backlog or the request bodies in
+// flight pass their bounds), same-matrix solve coalescing (solves that
+// arrive while an identical matrix is being factored share that
+// factorization), and a graceful SIGTERM drain: in-flight requests finish,
+// new ones get 503, and the runtime quiesces before the process exits.
+// Every connection reads its request under a deadline shorter than the
+// default drain timeout, so no stalled client outlasts a drain.
 //
 //	qrserve -addr :8787
 //	curl -s localhost:8787/healthz
@@ -40,14 +42,23 @@ var (
 	flagWorkers  = flag.Int("workers", 0, "runtime workers (0 = TILEDQR_WORKERS or GOMAXPROCS)")
 
 	flagQueueDepth = flag.Int("max-queue", 0, "runtime task-backlog bound for 429 backpressure (0 = 512×workers, <0 disables)")
-	flagTenantAct  = flag.Int("tenant-active", 0, "per-tenant concurrent requests (0 = default 32, <0 disables quotas)")
-	flagTenantQ    = flag.Int("tenant-queued", 0, "per-tenant waiting requests (0 = default 64)")
 
 	flagSessionTTL  = flag.Duration("session-ttl", 0, "idle session eviction TTL (0 = default 5m)")
 	flagMaxSessions = flag.Int("max-sessions", 0, "session table bound (0 = default 1024)")
 
 	flagDrainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight work on SIGTERM")
 	flagDrainGrace   = flag.Duration("drain-grace", 0, "keep answering 503 for this long after the drain completes before closing the listener")
+)
+
+// Connection deadlines. readTimeout bounds reading a whole request, headers
+// and body: a 64 MiB body (serve's default MaxBodyBytes) needs a client
+// that sends about 2.7 MB/s, and it ends before the default -drain-timeout
+// of 30 s, so a stalled body never outlasts a drain. idleTimeout closes
+// kept-alive connections that send nothing.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 25 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -65,8 +76,6 @@ func run() error {
 	srv := serve.New(serve.Config{
 		Runtime:       rt,
 		MaxQueueDepth: *flagQueueDepth,
-		TenantActive:  *flagTenantAct,
-		TenantQueued:  *flagTenantQ,
 		SessionTTL:    *flagSessionTTL,
 		MaxSessions:   *flagMaxSessions,
 	})
@@ -81,7 +90,12 @@ func run() error {
 			return err
 		}
 	}
-	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 	log.Printf("listening on %s (%d workers)", ln.Addr(), rt.Workers())

@@ -247,9 +247,10 @@
 // least-squares endpoints and session-oriented streaming TSQR, all four
 // precisions on the wire (complex data travels as interleaved re/im
 // pairs). The server layers serving concerns
-// over the runtime's weighted-fair admission: per-tenant concurrency
-// quotas, 429 + Retry-After backpressure when the runtime's task backlog
-// exceeds a bound, and coalescing: solves that arrive while an identical
+// over the runtime's weighted-fair admission: 429 + Retry-After
+// backpressure when the runtime's task backlog or the request-body bytes
+// in flight exceed their bounds, a read deadline on every request, and
+// coalescing: solves that arrive while an identical
 // design matrix is being factored share that factorization and a single
 // multi-column SolveLS. On SIGTERM it drains gracefully — in-flight requests finish,
 // new ones get 503, and Runtime.Drain quiesces the pool before exit.

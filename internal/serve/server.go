@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tiledqr"
@@ -21,11 +22,12 @@ import (
 type Config struct {
 	// Runtime is the shared worker pool every request's DAG executes on.
 	// Admission across concurrent requests is the runtime's weighted-fair
-	// scheduler; the server layers per-tenant quotas and queue-depth
-	// backpressure on top.
+	// scheduler; the server adds only two fail-fast bounds, on the runtime
+	// backlog and on request-body bytes in flight (compute).
 	Runtime *tiledqr.Runtime
 
-	// MaxBodyBytes bounds a request body (default 64 MiB).
+	// MaxBodyBytes bounds a request body (default 64 MiB). The bodies of
+	// all requests in flight share a budget of bodyBudget such bodies.
 	MaxBodyBytes int64
 	// MaxElements bounds rows·cols of any one wire matrix (default 4M).
 	MaxElements int
@@ -34,12 +36,6 @@ type Config struct {
 	// requests are rejected with 429 + Retry-After (default 512 × workers;
 	// negative disables).
 	MaxQueueDepth int
-	// TenantActive and TenantQueued bound one tenant (X-Tenant header,
-	// "default" when absent) to TenantActive concurrent requests plus
-	// TenantQueued waiting ones (defaults 32 and 64; TenantActive < 0
-	// disables quotas).
-	TenantActive int
-	TenantQueued int
 
 	// SessionTTL evicts sessions idle longer than this (default 5m);
 	// MaxSessions bounds the table (default 1024).
@@ -57,12 +53,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueueDepth == 0 {
 		c.MaxQueueDepth = 512 * c.Runtime.Workers()
 	}
-	if c.TenantActive == 0 {
-		c.TenantActive = 32
-	}
-	if c.TenantQueued == 0 {
-		c.TenantQueued = 64
-	}
 	if c.SessionTTL == 0 {
 		c.SessionTTL = 5 * time.Minute
 	}
@@ -72,6 +62,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// bodyBudget is how many bodies of Config.MaxBodyBytes the requests in
+// flight may declare between them before the next one is refused.
+const bodyBudget = 32
+
 // Server is the HTTP serving layer: construct with New, mount Handler, and
 // on shutdown call StartDrain + AwaitIdle before draining the runtime.
 type Server struct {
@@ -79,9 +73,10 @@ type Server struct {
 	rt       *tiledqr.Runtime
 	mux      *http.ServeMux
 	sessions *sessionTable
-	limiter  *limiter
 	coal     *coalescer
 	stats    serverStats
+
+	bodyBytes atomic.Int64 // request-body bytes reserved by requests in flight
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -103,7 +98,6 @@ func New(cfg Config) *Server {
 		rt:       cfg.Runtime,
 		mux:      http.NewServeMux(),
 		sessions: newSessionTable(cfg.SessionTTL, cfg.MaxSessions),
-		limiter:  newLimiter(cfg.TenantActive, cfg.TenantQueued),
 		coal:     newCoalescer(),
 	}
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
@@ -157,8 +151,8 @@ func (s *Server) AwaitIdle(ctx context.Context) error {
 }
 
 // Close cancels the server's base context, under which coalesced batches
-// factor and solve: one still in flight fails, for every request waiting on
-// it. It does not touch the runtime.
+// factor and solve and session appends merge: one still in flight fails,
+// for every request waiting on it. It does not touch the runtime.
 func (s *Server) Close() { s.cancel() }
 
 // InFlight returns the number of compute requests currently being served.
@@ -232,8 +226,6 @@ func (s *Server) failErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, tiledqr.ErrRuntimeDraining), errors.Is(err, tiledqr.ErrRuntimeClosed):
 		s.fail(w, http.StatusServiceUnavailable, "%v", err)
-	case errors.Is(err, errThrottled):
-		s.fail(w, http.StatusTooManyRequests, "%v", err)
 	case errors.Is(err, errNoSession):
 		s.fail(w, http.StatusNotFound, "%v", err)
 	case errors.Is(err, errSessionLimit):
@@ -246,8 +238,16 @@ func (s *Server) failErr(w http.ResponseWriter, err error) {
 }
 
 // compute wraps a handler with the shared serving concerns: drain gating,
-// in-flight accounting, queue-depth backpressure, per-tenant quotas, and
-// latency recording (hist may be nil for cheap administrative endpoints).
+// in-flight accounting, admission, and latency recording (hist may be nil
+// for cheap administrative endpoints, which skip the backlog bound).
+//
+// Admission is two fail-fast 429s with Retry-After, counted as throttled:
+// the runtime's ready-task backlog past MaxQueueDepth, and request bodies
+// past their budget. A request reserves its declared Content-Length, or
+// MaxBodyBytes when it does not declare one, for as long as its handler
+// runs, so the requests in flight have declared at most bodyBudget ×
+// MaxBodyBytes bytes between them. Nothing is kept per client and nothing
+// waits: a stalled body holds only its own bytes.
 func (s *Server) compute(hist *Histogram, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
@@ -277,16 +277,19 @@ func (s *Server) compute(hist *Histogram, h http.HandlerFunc) http.HandlerFunc {
 				return
 			}
 		}
-		tenant := r.Header.Get("X-Tenant")
-		if tenant == "" {
-			tenant = "default"
+		n := r.ContentLength // -1 when chunked
+		if n < 0 || n > s.cfg.MaxBodyBytes {
+			n = s.cfg.MaxBodyBytes // at most this much is ever read
 		}
-		release, err := s.limiter.acquire(r.Context(), tenant)
-		if err != nil {
-			s.failErr(w, err)
-			return
+		if n > 0 {
+			if s.bodyBytes.Add(n) > bodyBudget*s.cfg.MaxBodyBytes {
+				s.bodyBytes.Add(-n)
+				s.fail(w, http.StatusTooManyRequests,
+					"request bodies in flight exceed %d bytes", bodyBudget*s.cfg.MaxBodyBytes)
+				return
+			}
+			defer s.bodyBytes.Add(-n)
 		}
-		defer release()
 
 		s.stats.requests.Add(1)
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
@@ -554,7 +557,10 @@ func (s *Server) handleStreamRows(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	sess.mu.Lock()
-	err := sess.stream.Append(r.Context(), req.Batch, req.RHS)
+	// A merge stopped midway poisons the stream for every client of the
+	// session, so the append runs under the server's context: a client
+	// that hangs up loses only its reply.
+	err := sess.stream.Append(s.baseCtx, req.Batch, req.RHS)
 	rows := sess.stream.Rows()
 	sess.mu.Unlock()
 	if err != nil {

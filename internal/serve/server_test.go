@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -340,93 +339,6 @@ func TestSessionLimit429(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
-	}
-}
-
-func TestLimiterQuota(t *testing.T) {
-	l := newLimiter(1, 1)
-	release1, err := l.acquire(context.Background(), "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Second request parks in the wait queue.
-	acquired := make(chan error, 1)
-	go func() {
-		release2, err := l.acquire(context.Background(), "a")
-		if err == nil {
-			release2()
-		}
-		acquired <- err
-	}()
-	// Wait for the goroutine to take the one queue token, then a third
-	// request finds both the slot and the queue full.
-	g := l.gate("a")
-	deadline := time.Now().Add(time.Second)
-	for len(g.queued) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("second acquire never joined the wait queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, err := l.acquire(context.Background(), "a"); err != errThrottled {
-		t.Fatalf("third acquire: %v, want errThrottled", err)
-	}
-	// Another tenant is unaffected.
-	releaseB, err := l.acquire(context.Background(), "b")
-	if err != nil {
-		t.Fatalf("tenant b: %v", err)
-	}
-	releaseB()
-	// Releasing the slot admits the queued request.
-	release1()
-	if err := <-acquired; err != nil {
-		t.Fatalf("queued acquire: %v", err)
-	}
-	// A canceled context abandons the queue promptly.
-	r3, _ := l.acquire(context.Background(), "a")
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := l.acquire(ctx, "a"); err != context.Canceled {
-		t.Fatalf("canceled acquire: %v, want context.Canceled", err)
-	}
-	r3()
-}
-
-// TestTenantRouting holds the handler to the X-Tenant header: a tenant whose
-// slot and wait queue are both taken is refused, while another tenant and a
-// request without the header (tenant "default") are served.
-func TestTenantRouting(t *testing.T) {
-	s, ts := newTestServer(t, Config{TenantActive: 1, TenantQueued: 1})
-	body := `{"matrix":{"rows":3,"cols":2,"data":[1,0,1,1,1,2]},"rhs":{"rows":3,"cols":1,"data":[1,2,3]}}`
-	solve := func(tenant string) *http.Response {
-		t.Helper()
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/solve", strings.NewReader(body))
-		if tenant != "" {
-			req.Header.Set("X-Tenant", tenant)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp
-	}
-	g := s.limiter.gate("a")
-	g.slots <- struct{}{}
-	g.queued <- struct{}{}
-	if resp := solve("a"); resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("tenant a with its gate full: status %d, Retry-After %q; want 429 with Retry-After",
-			resp.StatusCode, resp.Header.Get("Retry-After"))
-	}
-	for _, tenant := range []string{"b", ""} {
-		if resp := solve(tenant); resp.StatusCode != http.StatusOK {
-			t.Errorf("tenant %q beside a full tenant a: status %d, want 200", tenant, resp.StatusCode)
-		}
-	}
-	<-g.slots
-	<-g.queued
-	if resp := solve("a"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("tenant a after its gate drained: status %d, want 200", resp.StatusCode)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package serve implements the HTTP serving layer behind cmd/qrserve: JSON
 // wire encoding for matrices in all four precisions, one-shot factor/solve
-// handlers, streaming-TSQR sessions, per-tenant admission quotas, runtime
-// queue-depth backpressure, same-matrix solve coalescing (solves that
+// handlers, streaming-TSQR sessions, fail-fast admission (a runtime
+// queue-depth bound and a server-wide budget on request-body bytes in
+// flight; compute in server.go), same-matrix solve coalescing (solves that
 // arrive while an identical matrix is being factored share that
 // factorization; coalesce.go), and latency statistics. Everything is plain
 // net/http over the public tiledqr API, so the package is unit-testable
