@@ -17,7 +17,7 @@ import (
 // The chaos suite proves the runtime's failure-containment properties: an
 // injected fault (error, panic, stall, NaN poison) in one job's kernels
 // fails that job with a descriptive error while every concurrent job on
-// the same shared runtime completes bit-identical to per-call execution,
+// the same shared runtime completes bit-identical to inline execution,
 // and no goroutines leak. The fault injector is process-global, so these
 // tests never run in parallel with each other (no t.Parallel) and always
 // disarm it before returning.
@@ -44,7 +44,7 @@ type bystander struct {
 	run  func(rt *Runtime) error
 }
 
-// makeBystanders precomputes per-call reference results (before the
+// makeBystanders precomputes inline reference results (before the
 // injector is armed!) for a float32, complex64 and complex128 job, and
 // returns closures that re-run each on the shared runtime and compare
 // bit-for-bit.
@@ -53,7 +53,7 @@ func makeBystanders(t *testing.T, check bool) []bystander {
 	opt := func(rt *Runtime) Options {
 		return Options{TileSize: 8, InnerBlock: 4, Runtime: rt, CheckHealth: check}
 	}
-	ref := func() Options { return Options{TileSize: 8, InnerBlock: 4, Workers: 2, CheckHealth: check} }
+	ref := func() Options { return Options{TileSize: 8, InnerBlock: 4, Workers: 1, CheckHealth: check} }
 
 	a32 := RandomMat[float32](40, 24, 7)
 	f32, err := FactorOf(nil, a32, ref())
@@ -83,7 +83,7 @@ func makeBystanders(t *testing.T, check bool) []bystander {
 				return err
 			}
 			if !equalData(f.R().Data, want32) {
-				return errors.New("float32 bystander R differs from per-call R")
+				return errors.New("float32 bystander R differs from inline R")
 			}
 			return nil
 		}},
@@ -93,7 +93,7 @@ func makeBystanders(t *testing.T, check bool) []bystander {
 				return err
 			}
 			if !equalData(f.R().Data, wantC) {
-				return errors.New("complex64 bystander R differs from per-call R")
+				return errors.New("complex64 bystander R differs from inline R")
 			}
 			return nil
 		}},
@@ -103,7 +103,7 @@ func makeBystanders(t *testing.T, check bool) []bystander {
 				return err
 			}
 			if !equalData(f.R().Data, wantZ) {
-				return errors.New("complex128 bystander R differs from per-call R")
+				return errors.New("complex128 bystander R differs from inline R")
 			}
 			return nil
 		}},
@@ -114,7 +114,7 @@ func makeBystanders(t *testing.T, check bool) []bystander {
 // shared runtime suffers exactly one injected fault and fails with a
 // descriptive error, while concurrent jobs in the other three precisions
 // (which the precision filter never matches) complete bit-identical to
-// per-call execution — run under -race this is the containment proof.
+// inline execution — run under -race this is the containment proof.
 func TestChaosFaultIsolation(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -174,7 +174,7 @@ func TestChaosFaultIsolation(t *testing.T) {
 				t.Fatalf("runtime unusable after injected %s: %v", tc.name, err)
 			}
 			if !equalData(f.R().Data, refR(a, Options{TileSize: 8, InnerBlock: 4}).Data) {
-				t.Error("post-fault R differs from per-call R")
+				t.Error("post-fault R differs from inline R")
 			}
 			rt.Close()
 			checkNoGoroutineLeak(t, before)
@@ -217,7 +217,7 @@ func TestCancelPromptness(t *testing.T) {
 	defer rt.Close()
 
 	az := RandomMat[complex128](40, 24, 3)
-	refOpt := Options{TileSize: 8, InnerBlock: 4, Workers: 2}
+	refOpt := Options{TileSize: 8, InnerBlock: 4, Workers: 1}
 	fref, err := FactorComplex(az, refOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +258,7 @@ func TestCancelPromptness(t *testing.T) {
 	if zerr != nil {
 		t.Errorf("concurrent job failed during cancellation: %v", zerr)
 	} else if !equalData(zr.Data, wantZ) {
-		t.Error("concurrent job R differs from per-call R during cancellation")
+		t.Error("concurrent job R differs from inline R during cancellation")
 	}
 
 	// A context dead before the call: ctx.Err() without a single task run.
@@ -301,7 +301,7 @@ func TestCancelLeavesFactorizationSticky(t *testing.T) {
 		t.Errorf("Err() = %v after successful Refactor, want nil", err)
 	}
 	if !equalData(f.R().Data, refR(a, Options{TileSize: 8, InnerBlock: 4}).Data) {
-		t.Error("recovered R differs from per-call R")
+		t.Error("recovered R differs from inline R")
 	}
 }
 

@@ -214,7 +214,7 @@
 // factorization cannot starve a fleet of small ones, while a lone job
 // still gets every worker. Within a job, critical-path priorities order
 // the tasks exactly as in a dedicated pool, and results are bit-identical
-// to per-call execution. A kernel error or panic cancels that job's
+// to sequential execution. A kernel error or panic cancels that job's
 // outstanding tasks promptly without touching other jobs.
 //
 // For a serving workload — many same-shaped problems at high QPS — pair
@@ -235,9 +235,11 @@
 // structural options match, so steady-state refactorization performs O(1)
 // allocations; kernel workspaces live with the runtime's workers (one
 // grow-only buffer per precision each) and are shared by every job.
-// Setting Options.Workers > 0 instead opts out of sharing: that call gets
-// a private pool built and torn down around it (Workers == 1 is the
-// deterministic sequential path). The small_fleet and tsqr_panel workloads
+// Setting Options.Workers > 1 instead runs the call on the resident runtime
+// of that width, started on first use and kept for the life of the process
+// like the default one, so its workers and their scratch stay warm across
+// calls (Workers == 1 is the deterministic sequential path on the calling
+// goroutine). The small_fleet and tsqr_panel workloads
 // of `go run ./bench` measure the fleet scenario and the reuse path.
 //
 // # Serving

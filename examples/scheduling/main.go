@@ -109,7 +109,7 @@ func sharedRuntimeDemo(algorithm tiledqr.Algorithm) {
 		}(c)
 	}
 	wg.Wait()
-	fmt.Printf("  fleet done in %v (per-call pools would have spawned %d×%d workers)\n",
+	fmt.Printf("  fleet done in %v (a pool per caller would have spawned %d×%d workers)\n",
 		time.Since(start).Round(time.Millisecond), fleet, rt.Workers())
 
 	// Steady-state serving: reuse one factorization's storage across

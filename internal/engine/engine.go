@@ -8,21 +8,22 @@
 // QR[T]; internal/stream reuses ExecTasks/Replay for its resident-triangle
 // merges.
 //
-// Execution placement goes through Env: a shared persistent sched.Runtime
-// (the default — many factorizations, one worker pool), a per-call pool
-// (the explicit-Workers path), or inline on the calling goroutine
-// (Workers == 1). A runtime itself runs a chain-shaped DAG, which no pool
-// could overlap, inline on the submitter (sched.Plan.Serial). Kernel
-// workspaces are owned by the workers themselves — one grow-only buffer
-// per arithmetic domain in each worker's sched.Local — so repeated
-// factorizations allocate no scratch.
+// Execution placement goes through Env, and has two outcomes: a persistent
+// sched.Runtime — the caller's own, or else the process-wide one of the
+// requested width (sched.Shared), so many factorizations share one worker
+// pool — or inline on the calling goroutine (Workers == 1). A runtime
+// itself runs a chain-shaped DAG, which no pool could overlap, inline on
+// the submitter (sched.Plan.Serial). Kernel workspaces live in
+// sched.Locals — one grow-only buffer per arithmetic domain in each — that
+// pool workers own and every other goroutine (inline runs, Q applications,
+// solves) borrows from sched.GetLocal, so repeated factorizations and
+// solves allocate no scratch.
 package engine
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"tiledqr/internal/core"
@@ -35,13 +36,26 @@ import (
 
 // Env selects where a DAG executes.
 type Env struct {
-	// Runtime, when non-nil, is the shared persistent pool to execute on.
+	// Runtime, when non-nil, is the persistent pool to execute on.
 	Runtime *sched.Runtime
-	// Workers is honored only when Runtime is nil: a per-call pool of that
-	// size is built and torn down around the execution (0 =
-	// sched.DefaultWorkers: TILEDQR_WORKERS if set, else GOMAXPROCS); one
-	// worker runs inline on the calling goroutine, deterministically.
+	// Workers is honored only when Runtime is nil: one worker runs inline
+	// on the calling goroutine, deterministically; any other value runs on
+	// the process-wide runtime of that width, kept for the life of the
+	// process (≤ 0 = sched.DefaultWorkers: TILEDQR_WORKERS if set, else
+	// GOMAXPROCS).
 	Workers int
+}
+
+// Width returns the number of workers a DAG run under e executes on — the
+// width run places it at, and the one the autotuner prices.
+func (e Env) Width() int {
+	if e.Runtime != nil {
+		return e.Runtime.Workers()
+	}
+	if e.Workers > 0 {
+		return e.Workers
+	}
+	return sched.DefaultWorkers()
 }
 
 // RunOpts carries the per-execution policies a DAG run honors: context
@@ -63,28 +77,32 @@ type RunOpts struct {
 	Stats *sched.JobStats
 }
 
-// run executes the plan's DAG under the Env's placement policy.
-func (e Env) run(p *sched.Plan, opts RunOpts, exec sched.Exec) (*sched.Trace, error) {
-	o := sched.Options{Trace: opts.Trace, Ctx: opts.Ctx, Stats: opts.Stats}
-	if e.Runtime != nil {
-		return e.Runtime.Exec(p, o, exec)
+// runtime returns the runtime a DAG run under e executes on, or nil when
+// it runs inline on the calling goroutine.
+func (e Env) runtime() *sched.Runtime {
+	if e.Runtime != nil || e.Workers == 1 {
+		return e.Runtime
 	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = sched.DefaultWorkers()
-	}
-	if workers == 1 {
-		return sched.RunInline(p.DAG(), o, exec)
-	}
-	rt := sched.NewRuntime(workers)
-	defer rt.Close()
-	return rt.Exec(p, o, exec)
+	return sched.Shared(e.Width())
 }
 
-// WorkerWS returns worker-local kernel scratch of length n, growing the
-// worker's cached buffer when a larger factorization comes through. Only
-// the owning worker touches a Local, so no synchronization is needed, and
-// steady-state executions allocate nothing here.
+// run executes the plan's DAG where e places it: on its runtime, or inline.
+func (e Env) run(p *sched.Plan, opts RunOpts, exec sched.Exec) (*sched.Trace, error) {
+	o := sched.Options{Trace: opts.Trace, Ctx: opts.Ctx, Stats: opts.Stats}
+	if rt := e.runtime(); rt != nil {
+		return rt.Exec(p, o, exec)
+	}
+	return sched.RunInline(p.DAG(), o, exec)
+}
+
+// newWS makes the kernel scratch sched.Runtime.Reserve gives workers.
+func newWS[T vec.Scalar](n int) any { return make([]T, n) }
+
+// WorkerWS returns kernel scratch of length n from loc, growing its cached
+// buffer when a larger factorization or solve comes through. Only the
+// Local's owner — a pool worker, or the goroutine that borrowed it —
+// touches it, so no synchronization is needed, and steady-state executions
+// allocate nothing here.
 func WorkerWS[T vec.Scalar](loc *sched.Local, n int) []T {
 	s := &loc.Slots[vec.Prec[T]()]
 	if ws, ok := (*s).([]T); ok && cap(ws) >= n {
@@ -357,14 +375,19 @@ func ScaleCopy[T vec.Scalar](dst, src []T, scale float64) {
 
 // ExecTasks runs every task of the plan's DAG under env, dispatching
 // through ExecTask with the executing worker's own kernel workspace, after
-// the task's share of fill's copy-in. The first dispatch error, kernel
-// panic, health-check failure, or context cancellation cancels the job's
-// outstanding tasks and is returned promptly — the scheduler does not
-// drain the rest of the DAG first. Tiles whose first writer never ran are
-// then left unfilled, so a failed run's tiles must not be served.
+// the task's share of fill's copy-in. On a runtime it first reserves wsLen
+// for every worker: the first run of a size allocates all the workspaces,
+// later runs none. The first dispatch error, kernel panic, health-check
+// failure, or context cancellation cancels the job's outstanding tasks and
+// is returned promptly — the scheduler does not drain the rest of the DAG
+// first. Tiles whose first writer never ran are then left unfilled, so a
+// failed run's tiles must not be served.
 func ExecTasks[T vec.Scalar](src Source[T], p *sched.Plan, env Env, opts RunOpts, fill Fill[T], ib, wsLen int) (*sched.Trace, error) {
 	d := p.DAG()
 	check := opts.Check
+	if rt := env.runtime(); rt != nil && !p.Serial() { // a Serial plan runs on the caller
+		rt.Reserve(int(vec.Prec[T]()), wsLen, newWS[T])
+	}
 	return env.run(p, opts, func(t int32, loc *sched.Local) error {
 		if fill.Src.Data != nil {
 			fill.tiles(src, d, t)
@@ -387,11 +410,14 @@ func ExecTasks[T vec.Scalar](src Source[T], p *sched.Plan, env Env, opts RunOpts
 // returning ctx.Err() — the partially transformed RHS is then garbage, so
 // callers must not serve it.
 func Replay[T vec.Scalar](ctx context.Context, src Source[T], d *core.DAG, trans bool, row func(i int) ([]T, int), nrhs, ib int, ws []T) error {
-	var cancelCh <-chan struct{}
-	if ctx != nil {
-		cancelCh = ctx.Done()
-	}
-	applyOne := func(task core.Task) {
+	for k := range d.Tasks {
+		if ctx != nil && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		task := d.Tasks[k]
+		if !trans {
+			task = d.Tasks[len(d.Tasks)-1-k]
+		}
 		switch task.Kind {
 		case core.KGEQRT:
 			v := src.TileAt(task.I, task.K)
@@ -411,32 +437,6 @@ func Replay[T vec.Scalar](ctx context.Context, src Source[T], d *core.DAG, trans
 			kernel.TPMQRT(trans, m, kRef, l, ib, v.Data, v.Stride,
 				src.T2Factor(task.I, task.K), kRef,
 				c1, ldc1, c2, ldc2, nrhs, ws)
-		}
-	}
-	canceled := func() bool {
-		if cancelCh == nil {
-			return false
-		}
-		select {
-		case <-cancelCh:
-			return true
-		default:
-			return false
-		}
-	}
-	if trans {
-		for _, task := range d.Tasks {
-			if canceled() {
-				return ctx.Err()
-			}
-			applyOne(task)
-		}
-	} else {
-		for t := len(d.Tasks) - 1; t >= 0; t-- {
-			if canceled() {
-				return ctx.Err()
-			}
-			applyOne(d.Tasks[t])
 		}
 	}
 	return nil
@@ -623,31 +623,6 @@ func (f *Factorization[T]) T2Factor(i, k int) []T { return f.t2[f.tidx(i, k)] }
 // KCols returns the column count of tile column k (1-based).
 func (f *Factorization[T]) KCols(k int) int { return f.grid.TileCols(k - 1) }
 
-// scratchPools holds the ApplyQ/ApplyQH/SolveLS scratch, one pool per
-// scalar domain (package-level variables cannot be generic; indexed by
-// vec.Prec like the worker workspaces). They are package-level on purpose:
-// a sync.Pool embedded in a Factorization is registered with the runtime on
-// its first Put and keeps its owner — tile arena included — reachable until
-// two garbage collections later, so cold factorizations that each solve
-// once pile up dead arenas.
-var scratchPools [4]sync.Pool
-
-// getScratch fetches a pooled scratch slice of at least n elements;
-// putScratch returns it. Steady-state Q applications and solves allocate
-// nothing here.
-func getScratch[T vec.Scalar](n int) *[]T {
-	p, _ := scratchPools[vec.Prec[T]()].Get().(*[]T)
-	if p == nil {
-		p = new([]T)
-	}
-	if len(*p) < n {
-		*p = make([]T, n)
-	}
-	return p
-}
-
-func putScratch[T vec.Scalar](p *[]T) { scratchPools[vec.Prec[T]()].Put(p) }
-
 // errEmpty is what every entry point but FactorInto reports on a
 // factorization that has never been factored (the zero value).
 func errEmpty(op string) error {
@@ -724,9 +699,9 @@ func (f *Factorization[T]) Apply(ctx context.Context, b *tile.Dense[T], trans bo
 	if b.Rows != f.grid.M {
 		return fmt.Errorf("tiledqr: ApplyQ: b has %d rows, want %d", b.Rows, f.grid.M)
 	}
-	ws := getScratch[T](f.applyWorkLen(b.Cols))
-	defer putScratch(ws)
-	return f.replay(ctx, b.Data, b.Stride, b.Cols, trans, *ws)
+	loc := sched.GetLocal()
+	defer sched.PutLocal(loc)
+	return f.replay(ctx, b.Data, b.Stride, b.Cols, trans, WorkerWS[T](loc, f.applyWorkLen(b.Cols)))
 }
 
 // applyWorkLen is the kernel scratch a replay over nrhs columns needs.
@@ -782,14 +757,15 @@ func (f *Factorization[T]) SolveLS(ctx context.Context, b *tile.Dense[T]) (*tile
 	if b.Rows != m {
 		return nil, fmt.Errorf("tiledqr: SolveLS: b has %d rows, want %d", b.Rows, m)
 	}
-	// One pooled block holds everything but the result: kernel scratch, the
-	// working copy of b, the n×n copy of R's upper triangle and one solution
-	// column.
+	// One borrowed block holds everything but the result: kernel scratch,
+	// the working copy of b, the n×n copy of R's upper triangle and one
+	// solution column.
 	nrhs := b.Cols
 	wsLen := f.applyWorkLen(nrhs)
-	scratch := getScratch[T](wsLen + m*nrhs + n*n + n)
-	defer putScratch(scratch)
-	ws, rest := (*scratch)[:wsLen], (*scratch)[wsLen:]
+	loc := sched.GetLocal()
+	defer sched.PutLocal(loc)
+	scratch := WorkerWS[T](loc, wsLen+m*nrhs+n*n+n)
+	ws, rest := scratch[:wsLen], scratch[wsLen:]
 	qtb, rest := rest[:m*nrhs], rest[m*nrhs:]
 	r, xcol := rest[:n*n], rest[n*n:n*n+n]
 	for i := 0; i < m; i++ {

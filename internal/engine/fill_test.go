@@ -12,7 +12,6 @@ import (
 
 	"tiledqr/internal/core"
 	"tiledqr/internal/fault"
-	"tiledqr/internal/sched"
 	"tiledqr/internal/tile"
 	"tiledqr/internal/vec"
 )
@@ -82,20 +81,16 @@ func sameFactors[T vec.Scalar](f, g *Factorization[T], b *tile.Dense[T]) string 
 	return ""
 }
 
-// fillEnvs are the placements the fill must be exact under: a shared
+// fillEnvs are the placements the fill must be exact under: the shared
 // two-worker runtime and the inline path.
-func fillEnvs(t *testing.T) map[string]Env {
-	rt := sched.NewRuntime(2)
-	t.Cleanup(rt.Close)
-	return map[string]Env{"shared": {Runtime: rt}, "inline": {Workers: 1}}
-}
+var fillEnvs = map[string]Env{"shared": {Workers: 2}, "inline": {Workers: 1}}
 
 // fillShapes are a tall tile-aligned grid and a ragged one (both edges
 // partial, p < q in tiles).
 var fillShapes = [][2]int{{48, 16}, {21, 35}}
 
 func checkReuseBitIdentity[T vec.Scalar](t *testing.T) {
-	for name, env := range fillEnvs(t) {
+	for name, env := range fillEnvs {
 		for _, kern := range []core.Kernels{core.TT, core.TS} {
 			for _, s := range fillShapes {
 				m, n := s[0], s[1]
@@ -151,7 +146,7 @@ func TestFillReuseBitIdentity(t *testing.T) {
 // TestFillRetainsNoInput: once FactorInto returns, nothing the
 // factorization or the runtime keeps points at the input matrix.
 func TestFillRetainsNoInput(t *testing.T) {
-	for name, env := range fillEnvs(t) {
+	for name, env := range fillEnvs {
 		cfg := testConfig()
 		cfg.Env = env
 		f := &Factorization[float64]{}
@@ -197,7 +192,7 @@ func TestFillFailureInvalidates(t *testing.T) {
 		{name: "error", fault: &fault.Config{Mode: fault.ModeError, Kind: core.KGEQRT, Prec: "d", Index: 0, Times: 1}},
 		{name: "panic", fault: &fault.Config{Mode: fault.ModePanic, Kind: core.KGEQRT, Prec: "d", Index: 0, Times: 1}},
 	}
-	for name, env := range fillEnvs(t) {
+	for name, env := range fillEnvs {
 		for _, tc := range cases {
 			what := name + "/" + tc.name
 			cfg := testConfig()

@@ -52,17 +52,28 @@ func (l *FreeList[E]) Put(e E, n int) {
 	l.bytes += n
 }
 
-// inlineLocals lends Local boxes to inline (caller-goroutine) runs.
-var inlineLocals FreeList[*Local]
+// locals lends Local boxes to goroutines that run work outside a pool
+// worker: inline runs, and the engine's Q applications and solves.
+var locals FreeList[*Local]
 
-// putInlineLocal returns loc, counting the slices its Slots hold (the
-// engine's kernel workspaces) as its retained bytes.
-func putInlineLocal(loc *Local) {
+// GetLocal borrows a Local, warm with the scratch its last borrower grew
+// when the list has one. A goroutine holds at most one at a time and gives
+// it back with PutLocal.
+func GetLocal() *Local {
+	if loc, ok := locals.Get(); ok {
+		return loc
+	}
+	return &Local{}
+}
+
+// PutLocal returns loc, counting the slices its Slots hold (the engine's
+// kernel workspaces) as its retained bytes.
+func PutLocal(loc *Local) {
 	n := 0
 	for _, s := range loc.Slots {
 		if v := reflect.ValueOf(s); v.Kind() == reflect.Slice {
 			n += v.Cap() * int(v.Type().Elem().Size())
 		}
 	}
-	inlineLocals.Put(loc, n)
+	locals.Put(loc, n)
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -58,10 +59,10 @@ func TestInlineLocalKeepsScratch(t *testing.T) {
 	if second != first {
 		t.Fatal("a GC between two inline runs lost the warm Local")
 	}
-	inlineLocals.mu.Lock()
-	defer inlineLocals.mu.Unlock()
-	if inlineLocals.bytes < 8000 {
-		t.Fatalf("the list counts %d bytes for a Local holding 8000", inlineLocals.bytes)
+	locals.mu.Lock()
+	defer locals.mu.Unlock()
+	if locals.bytes < 8000 {
+		t.Fatalf("the list counts %d bytes for a Local holding 8000", locals.bytes)
 	}
 }
 
@@ -88,5 +89,29 @@ func TestFreeListConcurrent(t *testing.T) {
 	wg.Wait()
 	if len(l.items) > freeEntries || l.bytes > freeBytes || l.bytes != len(l.items)<<20 {
 		t.Fatalf("%d values retaining %d bytes after the run", len(l.items), l.bytes)
+	}
+}
+
+// TestReserveGrowsEveryWorker: Reserve makes the scratch of every worker
+// at once, and none for a size an earlier Reserve of the slot covered;
+// whichever worker runs a task then holds the reserved scratch.
+func TestReserveGrowsEveryWorker(t *testing.T) {
+	rt := NewRuntime(3)
+	defer rt.Close()
+	made := 0
+	mk := func(n int) any { made++; return make([]byte, n) }
+	rt.Reserve(2, 100, mk)
+	rt.Reserve(2, 50, mk)
+	if made != 3 {
+		t.Fatalf("Reserve made %d scratch buffers, want one per worker (3)", made)
+	}
+	d := core.BuildDAG(core.GreedyList(12, 6), core.TT)
+	if _, err := rt.Exec(NewPlan(d), Options{}, func(_ int32, loc *Local) error {
+		if s, _ := loc.Slots[2].([]byte); len(s) != 100 {
+			return fmt.Errorf("worker %d holds %d bytes of scratch after Reserve(100)", loc.ID, len(s))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -57,14 +57,15 @@ var (
 )
 
 // Local is the per-worker scratch box handed to Exec callbacks. Exactly one
-// task uses a given Local at a time (pool workers own one each; inline runs
-// borrow one from a free list), so callers may cache grow-only buffers in
-// Slots without synchronization — the engine keeps one kernel workspace
-// per arithmetic domain there, reused across every job the worker
-// executes.
+// task uses a given Local at a time (pool workers own one each; any other
+// goroutine borrows one with GetLocal), so callers may cache grow-only
+// buffers in Slots without synchronization — the engine keeps one kernel
+// workspace per arithmetic domain there, reused across every job the
+// worker executes.
 type Local struct {
-	ID    int // pool worker index in [0, Workers); 0 on inline runs
+	ID    int // pool worker index in [0, Workers); 0 on a borrowed Local
 	Slots [NumLocalSlots]any
+	next  [NumLocalSlots]atomic.Pointer[any] // a pool worker's: Reserve's scratch, taken before its next task
 }
 
 // Exec executes one task using the per-worker scratch loc. A non-nil error
@@ -338,8 +339,8 @@ func (q *deque) stealFair() (*job, int32, bool) {
 const fairQuantum = 64
 
 // Runtime is a persistent pool of worker goroutines executing the task
-// DAGs of concurrently submitted jobs. Create one per process (see
-// Default) or per isolation domain; Close releases the workers.
+// DAGs of concurrently submitted jobs. Share one per width (see Shared) or
+// create one per isolation domain; Close releases the workers.
 type Runtime struct {
 	workers  int
 	deques   []deque
@@ -348,15 +349,17 @@ type Runtime struct {
 	parked   atomic.Int32
 	shutdown chan struct{}
 
-	mu       sync.Mutex
-	closed   bool
-	draining bool
-	inflight int             // jobs submitted and not yet completed
-	idlers   []chan struct{} // waiters (Close/Drain) signaled when inflight hits 0
-	active   []*job          // jobs in flight, for the admission vt floor
-	wg       sync.WaitGroup  // worker goroutines
-	seq      atomic.Uint64
-	isDef    bool
+	mu        sync.Mutex
+	closed    bool
+	draining  bool
+	inflight  int             // jobs submitted and not yet completed
+	idlers    []chan struct{} // waiters (Close/Drain) signaled when inflight hits 0
+	active    []*job          // jobs in flight, for the admission vt floor
+	wg        sync.WaitGroup  // worker goroutines
+	seq       atomic.Uint64
+	shared    bool // a Shared runtime: Close and Drain never stop it
+	reserveMu sync.Mutex
+	reserved  [NumLocalSlots]atomic.Int64 // scratch every worker holds, per slot (see Reserve)
 }
 
 // DefaultWorkers returns the worker count a runtime sized with workers ≤ 0
@@ -399,19 +402,27 @@ func NewRuntime(workers int) *Runtime {
 }
 
 var (
-	defaultOnce sync.Once
-	defaultRT   *Runtime
+	sharedMu sync.Mutex
+	shared   = map[int]*Runtime{}
 )
 
-// Default returns the process-wide shared runtime (DefaultWorkers workers,
-// honoring TILEDQR_WORKERS), started on first use. Closing it is a no-op:
-// it lives for the process.
-func Default() *Runtime {
-	defaultOnce.Do(func() {
-		defaultRT = NewRuntime(0)
-		defaultRT.isDef = true
-	})
-	return defaultRT
+// Shared returns the process-wide runtime of the given width (≤ 0 means
+// DefaultWorkers, so Shared(0) is the default runtime), started on first
+// use under a mutex, so concurrent first calls start one runtime. Close is
+// a no-op on it and Drain never refuses it work: it lives for the process.
+func Shared(workers int) *Runtime {
+	if workers < 1 {
+		workers = DefaultWorkers()
+	}
+	sharedMu.Lock()
+	defer sharedMu.Unlock()
+	rt := shared[workers]
+	if rt == nil {
+		rt = NewRuntime(workers)
+		rt.shared = true
+		shared[workers] = rt
+	}
+	return rt
 }
 
 // Workers returns the size of the worker pool.
@@ -455,9 +466,9 @@ func (rt *Runtime) Stats() Stats {
 // Close waits for in-flight jobs to complete, then stops every worker and
 // waits for them to exit. Further Exec calls return an error. Close is
 // idempotent: concurrent and repeated calls all block until the workers
-// are gone and then return. Closing the Default runtime is a no-op.
+// are gone and then return. Closing a Shared runtime is a no-op.
 func (rt *Runtime) Close() {
-	if rt.isDef {
+	if rt.shared {
 		return
 	}
 	rt.mu.Lock()
@@ -478,11 +489,11 @@ func (rt *Runtime) Close() {
 // completed or ctx expires, returning ctx.Err() in the latter case — the
 // deadline-bounded shutdown a serving front end needs. Jobs still running
 // at the deadline keep running (cancel them through their own contexts);
-// a subsequent Close reaps the workers. On the Default runtime Drain only
-// waits for the runtime to go idle — the process-wide pool never refuses
+// a subsequent Close reaps the workers. On a Shared runtime Drain only
+// waits for the runtime to go idle — a process-wide pool never refuses
 // admission.
 func (rt *Runtime) Drain(ctx context.Context) error {
-	if !rt.isDef {
+	if !rt.shared {
 		rt.mu.Lock()
 		rt.draining = true
 		rt.mu.Unlock()
@@ -674,6 +685,28 @@ func (rt *Runtime) Exec(p *Plan, opt Options, exec Exec) (*Trace, error) {
 	return tr, j.loadErr()
 }
 
+// Reserve gives every worker, for Slots[slot], the scratch mk(n) makes,
+// unless an earlier Reserve of the slot made at least n. Each worker takes
+// it before its next task. Called before every job, it makes the first job
+// of a size allocate the scratch of all workers at once, so no later job
+// allocates any for a worker that got none of the first one's tasks.
+// Scratch that tasks grow themselves must stay within what was reserved.
+func (rt *Runtime) Reserve(slot, n int, mk func(n int) any) {
+	if rt.reserved[slot].Load() >= int64(n) {
+		return
+	}
+	rt.reserveMu.Lock()
+	defer rt.reserveMu.Unlock()
+	if rt.reserved[slot].Load() >= int64(n) {
+		return
+	}
+	for i := range rt.locals {
+		v := mk(n)
+		rt.locals[i].next[slot].Store(&v)
+	}
+	rt.reserved[slot].Store(int64(n))
+}
+
 // scan tries the worker's own deque (fair order), then steals a leaf from
 // every victim in turn.
 func (rt *Runtime) scan(id int) (*job, int32, bool) {
@@ -727,6 +760,11 @@ func (rt *Runtime) worker(id int) {
 			}
 		}
 		budget -= weight(j.plan.d.Tasks[t].Kind)
+		for s := range loc.next {
+			if loc.next[s].Load() != nil {
+				loc.Slots[s] = *loc.next[s].Swap(nil)
+			}
+		}
 		rt.runOne(j, t, loc, self)
 	}
 }
@@ -800,19 +838,12 @@ func (j *job) runTask(t int32, loc *Local) (err error) {
 // (ID) order on the calling goroutine: the deterministic Workers == 1
 // path, and Exec's path for Serial plans. Stops at the first task error or
 // panic, and — when opt.Ctx is non-nil — at the first task boundary after
-// it is done, returning its error. A nil (or never-canceled background)
-// ctx costs nothing per task. opt.Stats counts the tasks that ran, the
-// failing one included; busy time equals wall time.
+// it is done, returning its error. A nil ctx costs nothing per task.
+// opt.Stats counts the tasks that ran, the failing one included; busy time
+// equals wall time.
 func RunInline(d *core.DAG, opt Options, exec Exec) (*Trace, error) {
-	loc, ok := inlineLocals.Get()
-	if !ok {
-		loc = &Local{}
-	}
-	defer putInlineLocal(loc)
-	var cancelCh <-chan struct{}
-	if opt.Ctx != nil {
-		cancelCh = opt.Ctx.Done()
-	}
+	loc := GetLocal()
+	defer PutLocal(loc)
 	start := time.Now()
 	tr := &Trace{Workers: 1}
 	if opt.Trace {
@@ -820,14 +851,10 @@ func RunInline(d *core.DAG, opt Options, exec Exec) (*Trace, error) {
 	}
 	ran := 0
 	var err error
-tasks:
 	for ; ran < d.NumTasks(); ran++ {
-		if cancelCh != nil {
-			select {
-			case <-cancelCh:
-				err = opt.Ctx.Err()
-				break tasks
-			default:
+		if opt.Ctx != nil {
+			if err = opt.Ctx.Err(); err != nil {
+				break
 			}
 		}
 		var t0 time.Duration

@@ -166,7 +166,7 @@ func TestRuntimeCancelPrompt(t *testing.T) {
 }
 
 // TestRuntimeCloseRejectsAndIsIdempotent: Exec after Close fails; double
-// Close is safe; Close of the Default runtime is a no-op.
+// Close is safe; Close of a Shared runtime is a no-op.
 func TestRuntimeCloseRejectsAndIsIdempotent(t *testing.T) {
 	rt := NewRuntime(2)
 	rt.Close()
@@ -175,10 +175,10 @@ func TestRuntimeCloseRejectsAndIsIdempotent(t *testing.T) {
 	if _, err := rt.Exec(NewPlan(d), Options{}, func(int32, *Local) error { return nil }); err == nil {
 		t.Error("Exec on a closed runtime succeeded")
 	}
-	def := Default()
+	def := Shared(0)
 	def.Close()
 	if _, err := def.Exec(NewPlan(d), Options{}, func(int32, *Local) error { return nil }); err != nil {
-		t.Errorf("Default runtime unusable after Close: %v", err)
+		t.Errorf("Shared(0) runtime unusable after Close: %v", err)
 	}
 }
 

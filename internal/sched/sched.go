@@ -7,9 +7,9 @@
 // The pool is persistent (see Runtime in runtime.go): one set of worker
 // goroutines executes the DAGs of any number of concurrent factorizations,
 // with critical-path priorities inside each DAG and weighted-fair admission
-// across DAGs. A per-call pool is just an ephemeral Runtime (NewRuntime,
-// Exec, Close), and RunInline is the deterministic single-goroutine path,
-// which Exec also takes for a chain-shaped DAG (Plan.Serial).
+// across DAGs. Shared keeps one such runtime per width for the life of the
+// process, and RunInline is the deterministic single-goroutine path, which
+// Exec also takes for a chain-shaped DAG (Plan.Serial).
 package sched
 
 import (

@@ -13,9 +13,9 @@ func testDAG() *core.DAG {
 	return core.BuildDAG(core.GreedyList(10, 5), core.TT)
 }
 
-// runDAG executes the DAG once the way the engine places a per-call job:
-// inline for one worker, otherwise on a pool built for this call and torn
-// down afterwards. exec sees the executing worker's id.
+// runDAG executes the DAG once inline for one worker, otherwise on a
+// runtime of that width built for this call and closed afterwards. exec
+// sees the executing worker's id.
 func runDAG(d *core.DAG, workers int, trace bool, exec func(task int32, worker int)) (*Trace, error) {
 	wrapped := func(t int32, loc *Local) error {
 		exec(t, loc.ID)

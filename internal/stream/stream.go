@@ -157,9 +157,9 @@ type Core[T vec.Scalar] struct {
 }
 
 // NewCore creates the streaming state for an n-column system. cfg.Env
-// selects where merge DAGs execute (shared runtime, per-call pool, or
-// inline), as it does for a factorization; a runtime runs a chain-shaped
-// merge, such as any merge into a one-tile triangle, on the caller.
+// selects where merge DAGs execute (a runtime, or inline), as it does for
+// a factorization; a runtime runs a chain-shaped merge, such as any merge
+// into a one-tile triangle, on the caller.
 func NewCore[T vec.Scalar](n int, cfg Config) (*Core[T], error) {
 	if n < 1 {
 		return nil, fmt.Errorf("tiledqr: stream: need at least one column (n=%d)", n)

@@ -6,7 +6,6 @@ import (
 
 	"tiledqr/internal/core"
 	"tiledqr/internal/engine"
-	"tiledqr/internal/sched"
 	"tiledqr/internal/tune"
 	"tiledqr/internal/vec"
 )
@@ -181,9 +180,10 @@ type Options struct {
 	Runtime *Runtime
 
 	// Workers is honored only when Runtime is nil and Workers > 0: the
-	// call gets a private pool of that size, built and torn down around it
-	// (the pre-runtime behavior). Workers == 1 selects the deterministic
-	// sequential path on the calling goroutine.
+	// call runs on the process-wide resident runtime of that width, started
+	// on first use and kept for the life of the process, so every call of
+	// one width shares its workers and their warm scratch. Workers == 1
+	// selects the deterministic sequential path on the calling goroutine.
 	Workers int
 
 	BS      int // PlasmaTree domain size, 1..p
@@ -226,17 +226,15 @@ type Options struct {
 // DowndateRows, and memory grows with the rows retained.
 const RetainAll = -1
 
-// execEnv resolves the execution placement: an explicit runtime wins, an
-// explicit worker count selects a per-call pool, and the default is the
-// process-wide shared runtime.
+// execEnv is the execution placement: Runtime when set, inline at
+// Workers == 1, else the process-wide runtime of width Workers (the default
+// one at Workers ≤ 0). Its Width is the width the autotuner prices.
 func (o Options) execEnv() engine.Env {
+	env := engine.Env{Workers: o.Workers}
 	if o.Runtime != nil {
-		return engine.Env{Runtime: o.Runtime.s}
+		env.Runtime = o.Runtime.s
 	}
-	if o.Workers > 0 {
-		return engine.Env{Workers: o.Workers}
-	}
-	return engine.Env{Runtime: sched.Default()}
+	return env
 }
 
 // DefaultTileSize and DefaultInnerBlock are the defaults applied by
@@ -291,21 +289,6 @@ func (o Options) validateStream() error {
 	return nil
 }
 
-// autoWidth returns the execution width a factorization under these
-// options will actually run at — the quantity the autotuner's
-// bounded-processor schedule model needs. It must not spin up the default
-// runtime as a side effect, so the default case reports the default
-// runtime's sizing (TILEDQR_WORKERS if set, else GOMAXPROCS) directly.
-func (o Options) autoWidth() int {
-	if o.Runtime != nil {
-		return o.Runtime.Workers()
-	}
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return sched.DefaultWorkers()
-}
-
 // resolveAuto turns AlgorithmAuto into a concrete (algorithm, kernel
 // family, tile size, inner block) tuple for an m×n factorization in T's
 // domain, honoring pinned nonzero TileSize/InnerBlock. Non-auto options
@@ -326,7 +309,7 @@ func resolveAuto[T vec.Scalar](m, n int, opt Options) (Options, error) {
 	}
 	dec, err := tune.Resolve[T](tune.Request{
 		M: m, N: n,
-		Workers: opt.autoWidth(),
+		Workers: opt.execEnv().Width(),
 		PinNB:   opt.TileSize,
 		PinIB:   opt.InnerBlock,
 	})

@@ -18,10 +18,11 @@ import (
 //
 // Most programs never construct one: with Options.Runtime nil and
 // Options.Workers zero, calls share the process-wide DefaultRuntime.
-// Construct a dedicated Runtime to bound a subsystem's parallelism or to
-// isolate latency-sensitive work, and Close it when done. Setting
-// Options.Workers > 1 instead opts out of sharing entirely: a private pool
-// is built and torn down around that one call — the explicit-width path.
+// Setting Options.Workers > 1 instead runs the call on the process-wide
+// runtime of that width, started on first use and kept for the life of the
+// process like the default one. Construct a dedicated Runtime to bound a
+// subsystem's parallelism or to isolate latency-sensitive work, and Close
+// it when done.
 type Runtime struct {
 	s *sched.Runtime
 }
@@ -47,7 +48,7 @@ var (
 // the process.
 func DefaultRuntime() *Runtime {
 	defaultRuntimeOnce.Do(func() {
-		defaultRuntime = &Runtime{s: sched.Default()}
+		defaultRuntime = &Runtime{s: sched.Shared(0)}
 	})
 	return defaultRuntime
 }

@@ -8,12 +8,14 @@ import (
 	"time"
 )
 
-// refR computes the reference R with the legacy per-call pool — the
-// baseline the shared runtime must reproduce bit-identically (same DAG,
-// same dataflow, so every float is determined regardless of schedule).
+// refR computes the reference R inline on the calling goroutine
+// (Workers == 1: task-ID order, no deques, no stealing) — the baseline a
+// runtime must reproduce bit-identically (same DAG, same dataflow, so
+// every float is determined regardless of schedule), computed by no
+// scheduler code it could share a fault with.
 func refR(a *Dense, opt Options) *Dense {
 	opt.Runtime = nil
-	opt.Workers = 2
+	opt.Workers = 1
 	f, err := Factor(a, opt)
 	if err != nil {
 		panic(err)
@@ -23,7 +25,7 @@ func refR(a *Dense, opt Options) *Dense {
 
 // TestSharedRuntimeConcurrentStress factors many different matrices in
 // mixed precisions and both kernel families concurrently on one shared
-// runtime, asserting each result is bit-identical to per-call execution.
+// runtime, asserting each result is bit-identical to inline execution.
 // Run under -race this is the end-to-end check of the multi-DAG runtime.
 func TestSharedRuntimeConcurrentStress(t *testing.T) {
 	rt := NewRuntime(4)
@@ -50,7 +52,7 @@ func TestSharedRuntimeConcurrentStress(t *testing.T) {
 					}
 					want := refR(a, opt)
 					if !equalData(f.R().Data, want.Data) {
-						errs <- fmt.Errorf("g%d rep%d: shared-runtime R differs from per-call R", g, rep)
+						errs <- fmt.Errorf("g%d rep%d: shared-runtime R differs from inline R", g, rep)
 						return
 					}
 					b := RandomDense(m, 2, seed+1)
@@ -206,7 +208,7 @@ func TestRefactorAllocsO1(t *testing.T) {
 		t.Errorf("Refactor did %.1f allocs/run, want O(1) ≤ 16", allocs)
 	}
 	if !equalData(f.R().Data, refR(a2, opt).Data) {
-		t.Error("steady-state Refactor R differs from per-call R")
+		t.Error("steady-state Refactor R differs from inline R")
 	}
 	// The same bound holds with a solve riding on every refactorization: its
 	// scratch comes from the package-level pools, so only the returned
@@ -283,7 +285,7 @@ func TestFactorIntoRebuildsOnNewShape(t *testing.T) {
 		}
 		want := refR(a, Options{TileSize: 8, InnerBlock: 4})
 		if !equalData(f.R().Data, want.Data) {
-			t.Errorf("shape %v: FactorInto R differs from per-call R", sh)
+			t.Errorf("shape %v: FactorInto R differs from inline R", sh)
 		}
 	}
 	// Changing a structural option must also rebuild.
@@ -293,7 +295,7 @@ func TestFactorIntoRebuildsOnNewShape(t *testing.T) {
 	}
 	want := refR(a, Options{TileSize: 8, InnerBlock: 4, Kernels: TS})
 	if !equalData(f.R().Data, want.Data) {
-		t.Error("TS rebuild: FactorInto R differs from per-call R")
+		t.Error("TS rebuild: FactorInto R differs from inline R")
 	}
 }
 
@@ -331,7 +333,7 @@ func TestRefactorKeepsTrace(t *testing.T) {
 }
 
 // TestNegativeWorkersUsesSharedRuntime: Workers < 0 must behave like the
-// default (shared runtime), not build a private pool.
+// default: it runs on the default runtime.
 func TestNegativeWorkersUsesSharedRuntime(t *testing.T) {
 	a := RandomDense(40, 24, 5)
 	f, err := Factor(a, Options{TileSize: 8, InnerBlock: 4, Workers: -1})
@@ -358,6 +360,6 @@ func TestDefaultRuntimeShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !equalData(f.R().Data, refR(a, Options{TileSize: 8, InnerBlock: 4}).Data) {
-		t.Error("default-runtime R differs from per-call R")
+		t.Error("default-runtime R differs from inline R")
 	}
 }

@@ -106,7 +106,7 @@ func NewStreamOf[T Scalar](n int, opt Options) (*Stream[T], error) {
 				return nil, err
 			}
 		}
-		dec, err := tune.ResolveStream[T](n, opt.autoWidth(), opt.TileSize, opt.InnerBlock)
+		dec, err := tune.ResolveStream[T](n, opt.execEnv().Width(), opt.TileSize, opt.InnerBlock)
 		if err != nil {
 			return nil, err
 		}

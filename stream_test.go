@@ -262,9 +262,8 @@ func TestStreamMemoryBound(t *testing.T) {
 // append. The narrow row (n = 32 < nb, 128-row batches: one tile of the
 // batch's own height) is a one-tile triangle, whose chain-shaped merge runs
 // on the caller whatever the pool; the wide row (n = 256, q = 4, 256-row
-// batches: two 128-row tile rows) runs its merge on a persistent runtime,
-// as a per-call pool (Options.Workers > 1) starts fresh workers with fresh
-// scratch on every append.
+// batches: two 128-row tile rows) runs its merge on the resident runtime
+// of width 2 at Workers: 2.
 func TestNarrowStreamAppendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation volume is not meaningful under the race detector (sync.Pool drops Puts at random)")
@@ -276,11 +275,6 @@ func TestNarrowStreamAppendAllocs(t *testing.T) {
 	for _, tc := range []struct{ n, nb, ib, rows int }{{32, 128, 32, 128}, {256, 64, 16, 256}} {
 		for _, workers := range []int{1, 2} {
 			opt := Options{TileSize: tc.nb, InnerBlock: tc.ib, Workers: workers}
-			if tc.n > tc.nb && workers > 1 {
-				rt := NewRuntime(workers)
-				defer rt.Close()
-				opt.Workers, opt.Runtime = 0, rt
-			}
 			s, err := NewStreamOf[float64](tc.n, opt)
 			if err != nil {
 				t.Fatal(err)
