@@ -141,6 +141,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Figure4|Figure5KernelsDouble$$|^BenchmarkKernels$$|^BenchmarkSolveLS$$|StreamAppendDouble$$|^BenchmarkDecodeBody$$|^BenchmarkHandleSolve$$' -benchtime 1x ./...
 	$(GO) run ./cmd/qrstream -n 96 -nb 32 -batch 64 -batches 6 -rhs 1 -verify
 	$(GO) run ./cmd/qrstream -n 96 -nb 32 -batch 64 -batches 8 -rhs 1 -window 192 -forget 0.99 -verify
+	$(GO) run ./cmd/qrstream -n 100 -nb 32 -rhs 3 -verify
 	$(GO) run ./cmd/qrfactor -m 300 -n 100 -nb 50 -workers 2 -complex -gantt | grep '^w0 '
 	for e in table2 table3 table4a table4b table5 grasap; do $(GO) run ./cmd/qrperf -experiment $$e || exit 1; done
 	$(GO) run ./cmd/qrperf -experiment fig5 -sizes 128

@@ -51,7 +51,8 @@
 //	internal/tile   — generic dense matrices, PLASMA tile layout, norms
 //	internal/engine — the one Factorization[T]: DAG execution loop (task →
 //	                  kernel dispatch with error reporting), ApplyQ/ApplyQH
-//	                  replay, SolveLS, workspace pooling, tracing
+//	                  replay, SolveLS, workspace pooling, tracing, and
+//	                  the stream's merges of [A b] on the same loop
 //	public API      — one QR[T] (FactorOf[T], FactorIntoOf[T]), one
 //	                  Stream[T] (NewStreamOf[T]) and one Mat[T] (NewMat,
 //	                  RandomMat and the *Of check helpers). Dense,
@@ -143,7 +144,7 @@
 // the whole matrix, so wide trailing updates amortize better and Q can be
 // applied afterwards. Use a stream when rows keep arriving, the history is
 // too large to hold, or rolling least-squares estimates are needed: memory
-// stays O(n² + batch) — the triangle, Qᵀb, and per-worker scratch; nothing
+// stays O(n² + batch) — the triangle of [A b] and per-worker scratch; nothing
 // scales with rows ingested (Footprint makes the bound observable, and a
 // test asserts it). Appending r rows costs 2·r·n² flops regardless of how
 // many rows came before; Q is never materialized, but the running
@@ -174,11 +175,11 @@
 // every triangle served is a product of orthogonal merges of rows still
 // retained, so the window is exactly as stable as a one-shot factorization
 // of its rows — no breakdown test, no rebuild path, no drift after any
-// number of slides — and the residual is summed up the tree rather than
-// derived from ‖b‖² − ‖Qᵀb‖². Memory is the retained rows plus one triangle
-// per n of them — at most about twice the rows — plus O(n²), observable
-// via Footprint and asserted flat by the test suite after hundreds of
-// batches. What the design does not suit is a window fed a row or two at a
+// number of slides — and the residual is the norm of a triangle merged
+// up the tree, not ‖b‖² − ‖Qᵀb‖². Memory is the retained rows plus one
+// triangle per n of them — at most about twice the rows — plus O(n²),
+// observable via Footprint and asserted flat by the test suite after
+// hundreds of batches. What the design does not suit is a window fed a row or two at a
 // time and read after every append: each read then pays the O(n³) merge.
 //
 // Options.WindowRows = RetainAll keeps the full row history without
@@ -188,7 +189,7 @@
 // history is kept and DowndateRows reports a descriptive error.
 //
 // Options.Forget = λ (0 < λ ≤ 1) applies exponential forgetting: each
-// append first scales the resident triangle, Qᵀb and the running residual
+// append first scales the resident triangle (Qᵀb and residual included)
 // by √λ, so a row appended k batches ago contributes with weight λᵏ — the
 // classic RLS forgetting factor, giving smoothly decaying influence
 // instead of (or in addition to) the window's hard cutoff. Stream.Forget

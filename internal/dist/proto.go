@@ -62,7 +62,7 @@ type WorkerStats struct {
 	Rank       int   `json:"rank"`
 	Rounds     int   `json:"rounds"`
 	ShardRows  int   `json:"shard_rows"`
-	ComputeNS  int64 `json:"compute_ns"`   // shard appends: local factor + Qᵀb fold
+	ComputeNS  int64 `json:"compute_ns"`   // shard appends: local factor of [A b]
 	CombineNS  int64 `json:"combine_ns"`   // merges of the children's aggregates
 	SendNS     int64 `json:"send_ns"`      // writer goroutines blocked in Write
 	RecvWaitNS int64 `json:"recv_wait_ns"` // waiting on shard chunks and partner frames

@@ -7,7 +7,8 @@
 // Core and appends the whole retained shard. Every append merges along the
 // flat tree with TS kernels — each shard tile, 2·nb rows tall as every
 // stream stages its batches, TSQRT'd straight into the resident triangle;
-// the stream's replay folds Qᵀb and the residual. A
+// the right-hand sides are the triangle's trailing columns, so the same
+// merge DAG carries Qᵀb and the residual. A
 // round then merges the aggregates of its tree children triangle on
 // triangle (BinaryTree, TT kernels) and ships its own to its parent, or
 // from rank 0 to the coordinator. Workers run

@@ -1,12 +1,12 @@
 // Package engine holds the one generic tiled-QR execution core shared by
 // every public precision: the DAG execution loop (dispatching core tasks to
 // the generic tile kernels through a Source, each task first copying in
-// the tiles it writes first through a Fill), the Q application replay used
-// by ApplyQ/ApplyQH and the streaming Qᵀb fold, one-shot factorization
-// state (R extraction, thin/full Q, least squares, workspace pooling), and
-// tracing. The public package wraps Factorization[T] in its one generic
-// QR[T]; internal/stream reuses ExecTasks/Replay for its resident-triangle
-// merges.
+// the tiles it writes first through a Fill), one-shot factorization state
+// (R extraction, the Q application replay behind ApplyQ/ApplyQH and
+// SolveLS, thin/full Q, least squares, workspace pooling), and tracing.
+// The public package wraps Factorization[T] in its one generic QR[T];
+// internal/stream runs its resident-triangle merges, right-hand sides
+// included as trailing columns, through ExecTasks.
 //
 // Execution placement goes through Env, and has two outcomes: a persistent
 // sched.Runtime — the caller's own, or else the process-wide one of the
@@ -331,6 +331,8 @@ func ExecTask[T vec.Scalar](src Source[T], d *core.DAG, t int32, ib int, ws []T,
 // row (i−Skip−1)·RowNB, column (j−1)·NB of Src on, RowNB defaulting to NB
 // (a stream stages its batches in tiles taller than wide); tile rows
 // 1..Skip (a stream's resident triangle) hold state and are not filled.
+// Each copy stops at column Src.Cols: a stream's tiles span its
+// right-hand sides too, which it writes itself.
 // The copy is scaled by Scale (a plain copy at 1; 0 zeroes the tiles). The
 // zero Fill fills nothing: the tiles already hold their data.
 type Fill[T vec.Scalar] struct {
@@ -354,9 +356,10 @@ func (fl Fill[T]) tiles(src Source[T], d *core.DAG, t int32) {
 		}
 		dst := src.TileAt(i, j)
 		r0, c0 := (i-fl.Skip-1)*rowNB, (j-1)*fl.NB
-		for r := 0; r < dst.Rows; r++ {
+		w := min(dst.Cols, fl.Src.Cols-c0)
+		for r := 0; r < dst.Rows && w > 0; r++ {
 			from := fl.Src.Data[(r0+r)*fl.Src.Stride+c0:]
-			ScaleCopy(dst.Data[r*dst.Stride:r*dst.Stride+dst.Cols], from[:dst.Cols], fl.Scale)
+			ScaleCopy(dst.Data[r*dst.Stride:r*dst.Stride+w], from[:w], fl.Scale)
 		}
 	}
 }
@@ -394,52 +397,6 @@ func ExecTasks[T vec.Scalar](src Source[T], p *sched.Plan, env Env, opts RunOpts
 		}
 		return ExecTask(src, d, t, ib, WorkerWS[T](loc, wsLen), check)
 	})
-}
-
-// Replay applies the Q transformations recorded in the DAG's factor tasks
-// to a stacked block-row right-hand side: row(i) returns the RHS rows of
-// tile row i (1-based) and their row stride. trans replays Qᴴ in execution
-// order; !trans replays Q by walking the tasks backwards (task IDs are
-// topological). Update-kernel tasks (UNMQR/TSMQR/TTMQR) carry no new
-// reflectors and are skipped. The replay is sequential on the calling
-// goroutine. ws is kernel scratch: any length ≥ ib·nrhs works, and
-// kernel.ApplyWorkLen(nb, ib, nrhs) lets wide right-hand sides use the
-// packed bulk path; nrhs < vec.GemmMinCols runs the kernels' vector form,
-// which needs ib elements and costs ≈ 4 flops per stored reflector entry
-// per column. A non-nil ctx cancels the replay at the next task boundary,
-// returning ctx.Err() — the partially transformed RHS is then garbage, so
-// callers must not serve it.
-func Replay[T vec.Scalar](ctx context.Context, src Source[T], d *core.DAG, trans bool, row func(i int) ([]T, int), nrhs, ib int, ws []T) error {
-	for k := range d.Tasks {
-		if ctx != nil && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		task := d.Tasks[k]
-		if !trans {
-			task = d.Tasks[len(d.Tasks)-1-k]
-		}
-		switch task.Kind {
-		case core.KGEQRT:
-			v := src.TileAt(task.I, task.K)
-			c, ldc := row(task.I)
-			kernel.UNMQR(trans, v.Rows, min(v.Rows, v.Cols), ib, v.Data, v.Stride,
-				src.TFactor(task.I, task.K), v.Cols, c, ldc, nrhs, ws)
-		case core.KTSQRT, core.KTTQRT:
-			v := src.TileAt(task.I, task.K)
-			c1, ldc1 := row(task.Piv)
-			c2, ldc2 := row(task.I)
-			kRef := src.KCols(task.K)
-			m, l := v.Rows, 0
-			if task.Kind == core.KTTQRT {
-				m = min(v.Rows, kRef)
-				l = m
-			}
-			kernel.TPMQRT(trans, m, kRef, l, ib, v.Data, v.Stride,
-				src.T2Factor(task.I, task.K), kRef,
-				c1, ldc1, c2, ldc2, nrhs, ws)
-		}
-	}
-	return nil
 }
 
 // Factorization is the generic one-shot tiled QR state: the factored tiles
@@ -709,11 +666,47 @@ func (f *Factorization[T]) applyWorkLen(nrhs int) int {
 	return kernel.ApplyWorkLen(f.grid.NB, f.ib, max(nrhs, 1))
 }
 
-// replay runs Replay over the m×nrhs block b (row stride ldb) with the
-// plain grid mapping: tile row i (1-based) is rows (i−1)·nb onward.
+// replay applies the Q transformations recorded in the DAG's factor tasks
+// to the m×nrhs block b (row stride ldb), whose tile row i (1-based) is
+// rows (i−1)·nb onward. trans replays Qᴴ in execution order; !trans
+// replays Q by walking the tasks backwards (task IDs are topological).
+// Update-kernel tasks (UNMQR/TSMQR/TTMQR) carry no new reflectors and are
+// skipped. The replay is sequential on the calling goroutine. ws is kernel
+// scratch: any length ≥ ib·nrhs works, and applyWorkLen(nrhs) lets wide
+// right-hand sides use the packed bulk path; nrhs < vec.GemmMinCols runs
+// the kernels' vector form, which needs ib elements and costs ≈ 4 flops per
+// stored reflector entry per column. A non-nil ctx cancels the replay at
+// the next task boundary, returning ctx.Err() — the partially transformed
+// b is then garbage, so callers must not serve it.
 func (f *Factorization[T]) replay(ctx context.Context, b []T, ldb, nrhs int, trans bool, ws []T) error {
-	row := func(i int) ([]T, int) { return b[(i-1)*f.grid.NB*ldb:], ldb }
-	return Replay[T](ctx, f, f.dag, trans, row, nrhs, f.ib, ws)
+	d, ib, rows := f.dag, f.ib, f.grid.NB*ldb
+	for k := range d.Tasks {
+		if ctx != nil && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		task := d.Tasks[k]
+		if !trans {
+			task = d.Tasks[len(d.Tasks)-1-k]
+		}
+		switch task.Kind {
+		case core.KGEQRT:
+			v := f.TileAt(task.I, task.K)
+			kernel.UNMQR(trans, v.Rows, min(v.Rows, v.Cols), ib, v.Data, v.Stride,
+				f.TFactor(task.I, task.K), v.Cols, b[(task.I-1)*rows:], ldb, nrhs, ws)
+		case core.KTSQRT, core.KTTQRT:
+			v := f.TileAt(task.I, task.K)
+			kRef := f.KCols(task.K)
+			m, l := v.Rows, 0
+			if task.Kind == core.KTTQRT {
+				m = min(v.Rows, kRef)
+				l = m
+			}
+			kernel.TPMQRT(trans, m, kRef, l, ib, v.Data, v.Stride,
+				f.T2Factor(task.I, task.K), kRef,
+				b[(task.Piv-1)*rows:], ldb, b[(task.I-1)*rows:], ldb, nrhs, ws)
+		}
+	}
+	return nil
 }
 
 // Q returns the full m×m orthogonal (unitary) factor, built by applying Q

@@ -47,38 +47,49 @@ func merges[T vec.Scalar](t *testing.T, cfg Config, tol float64) {
 // TestBatchTileHeight: a row batch is staged in tiles batchTileRows·nb
 // rows tall, so one 256-row batch into an n = 256, nb = 64 stream (q = 4)
 // builds and runs only the two-tile-row merge plan — 8 TSQRT and 12 TSMQR,
-// 20 tasks — and not the 40 of four nb-row tile rows. The executed tasks
-// are counted by the fault injector armed to stall every float64 task for
-// no time.
+// 20 tasks — and not the 40 of four nb-row tile rows. A right-hand side is
+// a fifth tile column of the same plan (q = 5): 10 TSQRT and 20 TSMQR. The
+// executed tasks are counted by the fault injector armed to stall every
+// float64 task for no time.
 func TestBatchTileHeight(t *testing.T) {
 	const n, nb, ib, r = 256, 64, 16, 256
-	c, err := NewCore[float64](n, Config{NB: nb, IB: ib, Env: engine.Env{Workers: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := tile.RandDense[float64](r, n, 3)
-	fault.Set(fault.Config{Mode: fault.ModeStall, Kind: fault.AnyKind, Prec: "d", Index: -1})
-	err = c.Append(nil, r, a.Data, n, nil, 0, 0)
-	ran := fault.Injected()
-	fault.Reset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.plans) != 1 || c.plans[2] == nil {
-		keys := make([]int, 0, len(c.plans))
-		for pb := range c.plans {
-			keys = append(keys, pb)
+	for _, tc := range []struct{ nrhs, tsqrt, tsmqr int }{{0, 8, 12}, {1, 10, 20}} {
+		c, err := NewCore[float64](n, Config{NB: nb, IB: ib, Env: engine.Env{Workers: 1}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("merge plans built for pb = %v, want only pb = 2", keys)
-	}
-	kinds := map[core.Kind]int{}
-	for _, task := range c.plans[2].DAG().Tasks {
-		kinds[task.Kind]++
-	}
-	if kinds[core.KTSQRT] != 8 || kinds[core.KTSMQR] != 12 || len(kinds) != 2 {
-		t.Errorf("pb = 2 merge plan has tasks %v, want 8 TSQRT and 12 TSMQR", kinds)
-	}
-	if ran != 20 {
-		t.Errorf("the append ran %d tasks, want 20", ran)
+		a := tile.RandDense[float64](r, n, 3)
+		var rhs []float64
+		if tc.nrhs > 0 {
+			rhs = tile.RandDense[float64](r, tc.nrhs, 4).Data
+		}
+		fault.Set(fault.Config{Mode: fault.ModeStall, Kind: fault.AnyKind, Prec: "d", Index: -1})
+		err = c.Append(nil, r, a.Data, n, rhs, tc.nrhs, tc.nrhs)
+		ran := fault.Injected()
+		fault.Reset()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.plans) != 1 || c.plans[2] == nil {
+			keys := make([]int, 0, len(c.plans))
+			for pb := range c.plans {
+				keys = append(keys, pb)
+			}
+			t.Fatalf("nrhs=%d: merge plans built for pb = %v, want only pb = 2", tc.nrhs, keys)
+		}
+		d := c.plans[2].DAG()
+		kinds := map[core.Kind]int{}
+		for _, task := range d.Tasks {
+			kinds[task.Kind]++
+		}
+		if q := 4 + tc.nrhs; d.Q != q {
+			t.Errorf("nrhs=%d: merge plan over %d tile columns, want %d", tc.nrhs, d.Q, q)
+		}
+		if kinds[core.KTSQRT] != tc.tsqrt || kinds[core.KTSMQR] != tc.tsmqr || len(kinds) != 2 {
+			t.Errorf("nrhs=%d: pb = 2 merge plan has tasks %v, want %d TSQRT and %d TSMQR", tc.nrhs, kinds, tc.tsqrt, tc.tsmqr)
+		}
+		if want := int64(tc.tsqrt + tc.tsmqr); ran != want {
+			t.Errorf("nrhs=%d: the append ran %d tasks, want %d", tc.nrhs, ran, want)
+		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // staging is the per-append merge scratch: the tiled copy of the in-flight
-// batch, the T factor tables and arena its merge DAG demands, and the RHS
-// staging rows. None of it outlives one merge, so it is borrowed from a
+// batch, right-hand sides in its trailing columns, and the T factor tables
+// and arena its merge DAG demands. None of it outlives one merge, so it is borrowed from a
 // package-level free list shared by every stream of the same scalar
 // domain: a fleet of thousands of mostly-idle streams pays for its
 // resident triangles and windows, not for per-stream append scratch, and a
@@ -22,7 +22,6 @@ type staging[T vec.Scalar] struct {
 	t2     [][]T           // TSQRT/TTQRT T factors by stacked tile index
 	arena  []T             // backing storage for the tiled batch copy
 	tArena []T             // backing storage for the T factors
-	rhs    []T             // batch RHS staging
 }
 
 // stagingLists holds one free list per scalar domain (package-level
@@ -39,6 +38,6 @@ func getStaging[T vec.Scalar]() *staging[T] {
 // putStaging returns st, counting its backing arrays as retained bytes.
 func putStaging[T vec.Scalar](st *staging[T]) {
 	var z T
-	n := (cap(st.arena) + cap(st.tArena) + cap(st.rhs)) * int(unsafe.Sizeof(z))
+	n := (cap(st.arena) + cap(st.tArena)) * int(unsafe.Sizeof(z))
 	stagingLists[vec.Prec[T]()].Put(st, n)
 }

@@ -1,11 +1,14 @@
-// Package stream holds the TSQR aggregate — the n×n upper triangular factor
-// of a set of rows, the top n rows of their Qᵀb and the residual norm
-// rotated out below them, in O(n² + batch) memory however many rows were
+// Package stream holds the TSQR aggregate — the upper triangular factor of
+// a set of rows of [A b], in O(n² + batch) memory however many rows were
 // ingested — and the one step that combines aggregates (Demmel et al.):
 // incoming rows, an appended batch or another aggregate's triangle, are
 // merged into the resident triangle with the paper's kernels along the
-// task DAG of core.BuildStreamDAG on internal/sched, then replayed over the
-// Qᵀb rows. A row batch is staged in tiles two tile rows (2·nb) tall and
+// task DAG of core.BuildStreamDAG on internal/sched. Right-hand sides are
+// trailing columns of that triangle: its leading n×n block is R, the n
+// rows beside it are Qᵀb, and the nrhs×nrhs triangle S below those holds
+// the components rotated out of them, so the residual norm is ‖S‖_F. A
+// right-hand side's updates are thus ordinary tasks of the merge DAG.
+// A row batch is staged in tiles two tile rows (2·nb) tall and
 // merges along FlatTree with TS kernels, each batch tile TSQRT'd straight
 // into the resident row: the fewest and cheapest tasks, each on a block
 // where the TS kernels run faster per flop than on a square one
@@ -75,16 +78,14 @@ type Config struct {
 	Forget float64
 }
 
-// agg is one aggregate of the reduction: the n×n upper triangular factor of
-// a set of rows, the top n rows of their Qᵀb, and the squared norm of the
-// Qᵀb components rotated out below them. An accrete-only stream is a single
+// agg is one aggregate of the reduction: the upper triangular factor of a
+// set of rows of [A b], n + nrhs columns wide — R, their Qᵀb beside it and
+// the residual triangle S below that. An accrete-only stream is a single
 // aggregate; a windowed one keeps several (window.go). Every aggregate of a
-// Core has the same tile layout, so one is cloned by two copies.
+// Core has the same tile layout, so one is cloned by one copy.
 type agg[T vec.Scalar] struct {
-	res    []tile.Dense[T] // row-major q×q views into data; only tiles with i ≤ k exist
-	data   []T
-	qtb    []T     // row-major with stride nrhs
-	resid2 float64 // ‖b − A·X‖_F² over the aggregated rows
+	res  []tile.Dense[T] // row-major q×q views into data; only tiles with i ≤ k exist
+	data []T
 }
 
 // set overwrites a with a copy of src, or with the aggregate of no rows
@@ -92,22 +93,19 @@ type agg[T vec.Scalar] struct {
 func (a *agg[T]) set(src *agg[T]) {
 	if src == nil {
 		clear(a.data)
-		clear(a.qtb)
-		a.resid2 = 0
 		return
 	}
 	copy(a.data, src.data)
-	copy(a.qtb, src.qtb)
-	a.resid2 = src.resid2
 }
 
 // Core is the domain-generic streaming state: the aggregate appends merge
 // into, the optional row history with the reduction over it, and cached
 // merge plans keyed by batch shape. Kernel workspaces live with the
 // executing workers (engine.WorkerWS), and per-merge staging (the tiled
-// batch copy and its T factors) is borrowed from a package-level pool
-// shared by every stream, so the idle footprint of one Core is O(n²)
-// without retention and about twice the retained rows with it.
+// batch copy, right-hand sides in its trailing columns, and its T factors)
+// is borrowed from a package-level pool shared by every stream, so the
+// idle footprint of one Core is O(n²) without retention and about twice
+// the retained rows with it.
 type Core[T vec.Scalar] struct {
 	n, nb, ib int
 	env       engine.Env
@@ -123,13 +121,13 @@ type Core[T vec.Scalar] struct {
 	// recovery path — a poisoned stream must be replaced.
 	err error
 
-	grid   tile.Grid // q×q grid over an n×n triangle
+	grid   tile.Grid // q×q grid over the (n+nrhs)×(n+nrhs) triangle of [A b]
 	triLen int       // scalars in the upper tiles of grid: len(agg.data)
 
 	// back is the aggregate appends merge into: every row ingested when
 	// nothing is retained, the rows appended since the last flip otherwise.
 	back *agg[T]
-	nrhs int
+	nrhs int   // right-hand sides, fixed by the first append
 	rows int64 // rows currently represented (ingested − evicted)
 
 	// Retention state (window.go). While window == 0 it stays empty and view,
@@ -145,14 +143,13 @@ type Core[T vec.Scalar] struct {
 	gather      []T // rows, then RHS rows, of a multi-block chunk staged for one merge
 
 	plans map[int]*sched.Plan // merge plans keyed by staged tile rows pb (0: a triangular block)
-	rws   []T                 // replay scratch for the Qᵀb fold: the packed appliers' onto nrhs columns
 
 	// dst and cur are the target aggregate and the pooled staging of the
 	// merge in flight (the Source methods need them).
 	dst *agg[T]
 	cur *staging[T]
 
-	rwork []T // contiguous R for back-substitution
+	rwork []T // the top n rows of the triangle, [R Qᵀb], for back-substitution
 	xcol  []T // back-substitution column scratch
 }
 
@@ -176,20 +173,32 @@ func NewCore[T vec.Scalar](n int, cfg Config) (*Core[T], error) {
 	if cfg.Forget == 1 {
 		cfg.Forget = 0 // λ = 1 is a no-op; skip the scaling pass entirely
 	}
-	g := tile.NewGrid(n, n, cfg.NB)
 	c := &Core[T]{
 		n: n, nb: cfg.NB, ib: cfg.IB, env: cfg.Env, kernels: cfg.Kernels, check: cfg.Check,
 		window: cfg.Window, forget: cfg.Forget,
-		grid:  g,
 		plans: make(map[int]*sched.Plan),
 	}
-	for i := 0; i < g.Q; i++ {
-		for k := i; k < g.Q; k++ {
-			c.triLen += g.TileRows(i) * g.TileCols(k)
+	c.track(0)
+	return c, nil
+}
+
+// track lays the resident grid over the n + nrhs columns of [A b] and
+// starts from the aggregate of no rows: at construction, and when the
+// first append fixes nrhs, on a Core that represents no rows. Aggregates
+// and plans of the old width are dropped.
+func (c *Core[T]) track(nrhs int) {
+	c.nrhs = nrhs
+	c.grid = tile.NewGrid(c.n+nrhs, c.n+nrhs, c.nb)
+	c.triLen = 0
+	for i := 0; i < c.grid.Q; i++ {
+		for k := i; k < c.grid.Q; k++ {
+			c.triLen += c.grid.TileRows(i) * c.grid.TileCols(k)
 		}
 	}
+	clear(c.plans)
+	c.freeAggs = nil
 	c.back = c.getAgg()
-	return c, nil
+	c.back.set(nil)
 }
 
 // carveTri points the upper tiles (i ≤ k) of the resident grid at
@@ -215,9 +224,6 @@ func (c *Core[T]) getAgg() *agg[T] {
 	} else {
 		a = &agg[T]{res: make([]tile.Dense[T], c.grid.Q*c.grid.Q), data: make([]T, c.triLen)}
 		c.carveTri(a.res, a.data)
-	}
-	if len(a.qtb) != c.n*c.nrhs { // nrhs is decided by the first append
-		a.qtb = make([]T, c.n*c.nrhs)
 	}
 	return a
 }
@@ -245,15 +251,17 @@ func (c *Core[T]) Rows() int64 { return c.rows }
 func (c *Core[T]) NRHS() int { return c.nrhs }
 
 // ResidualNorm returns ‖b − A·X‖_F of the least-squares system currently
-// represented, summed over all tracked right-hand-side columns: the norm of
-// the Qᵀb components rotated out of the retained top block, summed up the
-// reduction. Zero when no right-hand side is tracked.
+// represented, over all tracked right-hand-side columns: ‖S‖_F, the norm
+// of the residual triangle, computed without squaring an entry. Zero when
+// no right-hand side is tracked.
 func (c *Core[T]) ResidualNorm() (float64, error) {
 	a, err := c.resident()
 	if err != nil {
 		return 0, err
 	}
-	return math.Sqrt(a.resid2), nil
+	var s float64
+	c.segments(a, c.n, c.grid.N, c.n, c.grid.N, func(_, _ int, seg []T) { s = math.Hypot(s, vec.Nrm2(seg)) })
+	return s, nil
 }
 
 // Footprint returns the number of scalars retained across appends: every
@@ -263,7 +271,7 @@ func (c *Core[T]) ResidualNorm() (float64, error) {
 // streams, not owned here); with it, the retained rows plus at most one
 // aggregate per n of them.
 func (c *Core[T]) Footprint() int {
-	total := len(c.rwork) + len(c.xcol) + cap(c.rws) + cap(c.gather)
+	total := len(c.rwork) + len(c.xcol) + cap(c.gather)
 	aggs := 1 + len(c.freeAggs)
 	if c.view != nil && c.view != c.back {
 		aggs++
@@ -273,7 +281,7 @@ func (c *Core[T]) Footprint() int {
 			aggs++
 		}
 	}
-	total += aggs * (c.triLen + c.n*c.nrhs)
+	total += aggs * c.triLen
 	for _, blocks := range [][]block[T]{c.hist, c.front, c.freeBlocks} {
 		for _, b := range blocks {
 			total += cap(b.data) + cap(b.rhs)
@@ -291,41 +299,43 @@ func grow[S any](buf []S, n int) []S {
 	return buf[:n]
 }
 
-// tileBatch lays the staging out for an r×n batch: tile views over the
-// pooled arena, batchTileRows·nb rows tall and nb columns wide, which the
-// merge DAG's first writers fill from the batch (engine.Fill), and, when
-// the stream tracks any, its RHS rows (stride ldr), scaled by scale,
-// copied compact for the Qᵀb replay.
+// tileBatch lays the staging out for an r-row batch of [A b]: tile views
+// over the pooled arena, batchTileRows·nb rows tall and nb columns wide.
+// The merge DAG's first writers fill the columns of A from the batch
+// (engine.Fill); the RHS rows (stride ldr), scaled by scale, are written
+// into the trailing nrhs columns here.
 func (c *Core[T]) tileBatch(st *staging[T], r int, rhs []T, ldr int, scale float64) {
-	h, q := batchTileRows*c.nb, c.grid.Q
+	h, q, nb := batchTileRows*c.nb, c.grid.Q, c.nb
 	st.pb, st.h = (r+h-1)/h, min(h, r)
 	st.tiles = grow(st.tiles, st.pb*q)
-	st.arena = grow(st.arena, r*c.n)
+	st.arena = grow(st.arena, r*c.grid.N)
 	off := 0
 	for ti := 0; ti < st.pb; ti++ {
 		tr := min(h, r-ti*h)
 		for tk := 0; tk < q; tk++ {
 			tc := c.grid.TileCols(tk)
-			st.tiles[ti*q+tk] = tile.Dense[T]{Rows: tr, Cols: tc, Stride: tc, Data: st.arena[off : off+tr*tc]}
+			t := tile.Dense[T]{Rows: tr, Cols: tc, Stride: tc, Data: st.arena[off : off+tr*tc]}
+			st.tiles[ti*q+tk] = t
 			off += tr * tc
+			if lo := max(c.n, tk*nb); lo < tk*nb+tc { // the tile holds RHS columns from lo on
+				for i := 0; i < tr; i++ {
+					src := rhs[(ti*h+i)*ldr+lo-c.n:]
+					engine.ScaleCopy(t.Data[i*tc+lo-tk*nb:(i+1)*tc], src[:tk*nb+tc-lo], scale)
+				}
+			}
 		}
-	}
-	nrhs := c.nrhs
-	st.rhs = grow(st.rhs, r*nrhs)
-	for i := 0; i < r && nrhs > 0; i++ {
-		engine.ScaleCopy(st.rhs[i*nrhs:i*nrhs+nrhs], rhs[i*ldr:i*ldr+nrhs], scale)
 	}
 }
 
 // workLen is the kernel scratch of a merge whose staged tiles are at most h
 // rows tall: TSQRT of an h-row B (kernel.FactorWorkLen) and, in packed form
 // (kernel.ApplyWorkLen), the updates of h-row reflectors onto tile columns
-// w = min(nb, n) wide — TSMQR onto the other tile columns, and TSQRT's own
+// w = min(nb, n + nrhs) wide — TSMQR onto the other tile columns, and TSQRT's own
 // trailing updates past its first ib columns. A triangle no wider than ib
 // has neither. At h = nb over nb-wide tile columns it is WorkLen(nb, ib),
 // what a factorization's workers get; only a taller staged tile grows it.
 func (c *Core[T]) workLen(h int) int {
-	w := min(c.nb, c.n)
+	w := min(c.nb, c.grid.N)
 	n := kernel.FactorWorkLen(h, w, c.ib)
 	if c.grid.Q > 1 || w > c.ib {
 		n = max(n, kernel.ApplyWorkLen(h, c.ib, w))
@@ -408,10 +418,10 @@ func (c *Core[T]) allocT(d *core.DAG, st *staging[T]) {
 }
 
 // Append merges an r×n row batch (row stride ld) into the resident
-// triangle, and, when the stream tracks right-hand sides, folds the
-// matching r×nrhs RHS rows (stride ldr) into the retained Qᵀb block. The
-// caller's slices are never modified. rhs must be nil exactly when the
-// stream tracks no RHS; tracking is decided by the first append. Append is
+// triangle, with the matching r×nrhs RHS rows (stride ldr) as its trailing
+// columns when the stream tracks right-hand sides. The caller's slices are
+// never modified. rhs must be nil exactly when the stream tracks no RHS;
+// tracking is decided by the first append. Append is
 // not safe for concurrent use. A non-nil ctx cancels the merge: validation
 // failures leave the stream intact, but a cancellation (or task failure)
 // once the merge DAG is running poisons the stream permanently.
@@ -444,8 +454,8 @@ func (c *Core[T]) Append(ctx context.Context, r int, data []T, ld int, rhs []T, 
 		case c.nrhs == 0 && c.rows > 0:
 			return fmt.Errorf("tiledqr: stream: right-hand sides must be supplied from the first batch onwards")
 		case c.nrhs == 0:
-			c.nrhs = nrhs
-			c.back.qtb = make([]T, c.n*nrhs)
+			c.Reset()
+			c.track(nrhs)
 		case nrhs != c.nrhs:
 			return fmt.Errorf("tiledqr: stream: right-hand side has %d columns, want %d", nrhs, c.nrhs)
 		}
@@ -485,8 +495,7 @@ func (c *Core[T]) merge(ctx context.Context, dst *agg[T], r int, data []T, ld in
 }
 
 // mergeAgg merges the aggregate src into dst, triangle on triangle: src's
-// tiles and Qᵀb are staged as an upper triangular block of n rows and its
-// residual joins dst's. src is left untouched.
+// tiles are staged as an upper triangular block. src is left untouched.
 func (c *Core[T]) mergeAgg(ctx context.Context, dst, src *agg[T]) error {
 	st := getStaging[T]()
 	defer putStaging(st)
@@ -495,8 +504,6 @@ func (c *Core[T]) mergeAgg(ctx context.Context, dst, src *agg[T]) error {
 	st.arena = grow(st.arena, c.triLen)
 	c.carveTri(st.tiles, st.arena)
 	copy(st.arena, src.data)
-	st.rhs = append(st.rhs[:0], src.qtb...)
-	dst.resid2 += src.resid2
 	return c.exec(ctx, dst, st, c.plan(0), engine.Fill[T]{})
 }
 
@@ -506,8 +513,10 @@ func (c *Core[T]) mergeAgg(ctx context.Context, dst, src *agg[T]) error {
 // top n rows of its Qᵀb (row stride ldq, one column per RHS the stream
 // tracks; nil when it tracks none), its residual norm and its row count.
 // The stream then holds both row sets, as if it had appended the others:
-// one triangle-on-triangle merge, which forgetting does not decay. A
-// retaining stream refuses; a failure once the merge runs poisons it.
+// one triangle-on-triangle merge, which forgetting does not decay. The
+// residual goes in as S(0,0), the rest of S as zero: the merge reads S
+// only through ‖S‖_F, so that is exact. A retaining stream refuses; a
+// failure once the merge runs poisons it.
 func (c *Core[T]) Merge(ctx context.Context, r []T, ldr int, qtb []T, ldq int, resid float64, rows int64) error {
 	if c.err != nil {
 		return c.err
@@ -521,11 +530,12 @@ func (c *Core[T]) Merge(ctx context.Context, r []T, ldr int, qtb []T, ldq int, r
 	a := c.getAgg()
 	defer c.putAgg(a)
 	clear(a.data)
-	c.copyTri(a, r, ldr, false)
-	for i := 0; i < c.n; i++ {
-		copy(a.qtb[i*c.nrhs:(i+1)*c.nrhs], qtb[i*ldq:])
+	n, N := c.n, c.grid.N
+	c.copyBlock(a, r, ldr, 0, n, false)
+	c.copyBlock(a, qtb, ldq, n, N, false)
+	if c.nrhs > 0 {
+		c.segments(a, n, n+1, n, n+1, func(_, _ int, s00 []T) { s00[0] = vec.FromParts[T](resid, 0) })
 	}
-	a.resid2 = resid * resid
 	if err := c.mergeAgg(ctx, c.back, a); err != nil {
 		return c.poisoned(err)
 	}
@@ -534,46 +544,19 @@ func (c *Core[T]) Merge(ctx context.Context, r []T, ldr int, qtb []T, ldq int, r
 }
 
 // exec runs merge plan p over the stack [dst; staged block], its first
-// writers filling the staged tiles through fill, then replays it over
-// [dst.qtb; staged RHS rows] via the shared engine.Replay (task IDs are
-// topological). What is left in the staged RHS rows are exactly the Qᵀb
-// coordinates orthogonal to the retained top block; their squared norm
-// joins dst's residual.
+// writers filling the staged tiles through fill.
 func (c *Core[T]) exec(ctx context.Context, dst *agg[T], st *staging[T], p *sched.Plan, fill engine.Fill[T]) error {
-	d := p.DAG()
-	c.allocT(d, st)
+	c.allocT(p.DAG(), st)
 	c.dst, c.cur = dst, st
 	defer func() { c.dst, c.cur = nil, nil }()
-	wsLen := c.workLen(st.h)
-	if _, err := engine.ExecTasks[T](c, p, c.env,
-		engine.RunOpts{Ctx: ctx, Check: c.check}, fill, c.ib, wsLen); err != nil {
-		return err
-	}
-	nrhs := c.nrhs
-	if nrhs == 0 {
-		return nil
-	}
-	// row returns the stacked RHS rows of tile row i: nb per resident tile
-	// row, st.h per staged one.
-	row := func(i int) ([]T, int) {
-		if i <= c.grid.Q {
-			return dst.qtb[(i-1)*c.nb*nrhs:], nrhs
-		}
-		return st.rhs[(i-c.grid.Q-1)*st.h*nrhs:], nrhs
-	}
-	c.rws = grow(c.rws, kernel.ApplyWorkLen(st.h, c.ib, nrhs))
-	if err := engine.Replay[T](ctx, c, d, true, row, nrhs, c.ib, c.rws); err != nil {
-		return err
-	}
-	for _, v := range st.rhs {
-		dst.resid2 += vec.Abs2(v)
-	}
-	return nil
+	_, err := engine.ExecTasks[T](c, p, c.env,
+		engine.RunOpts{Ctx: ctx, Check: c.check}, fill, c.ib, c.workLen(st.h))
+	return err
 }
 
 // scaleForget decays the represented system by the forgetting factor λ:
-// every live aggregate's triangle and Qᵀb scale by √λ (so the implicit rows
-// do too), its residual² by λ, and every retained block's weight by √λ.
+// every live aggregate's triangle scales by √λ (so the implicit rows do
+// too), and every retained block's weight by √λ.
 func (c *Core[T]) scaleForget(lambda float64) {
 	s := math.Sqrt(lambda)
 	f := vec.FromParts[T](s, 0)
@@ -581,10 +564,6 @@ func (c *Core[T]) scaleForget(lambda float64) {
 		for j := range a.data {
 			a.data[j] *= f
 		}
-		for j := range a.qtb {
-			a.qtb[j] *= f
-		}
-		a.resid2 *= lambda
 	}
 	scale(c.back)
 	if c.window == 0 {
@@ -643,34 +622,40 @@ func (c *Core[T]) CopyR(dst []T, ld int) error {
 	if err != nil {
 		return err
 	}
-	c.copyTri(a, dst, ld, true)
+	c.copyBlock(a, dst, ld, 0, c.n, true)
 	return nil
 }
 
-// copyTri copies the upper triangle of a's factor out to the n×n matrix d
-// (row stride ld) when out is set, and in from d otherwise. Neither side's
-// strictly lower part is read or written.
-func (c *Core[T]) copyTri(a *agg[T], d []T, ld int, out bool) {
-	q, nb := c.grid.Q, c.nb
-	for ti := 0; ti < q; ti++ {
-		for tk := ti; tk < q; tk++ {
+// segments calls fn on the stored stretch of each row i in [r0, r1) of a's
+// triangle within columns [c0, c1) — from column max(i, c0) on, as nothing
+// left of the diagonal is stored — one tile at a time: seg holds row i
+// from column j on.
+func (c *Core[T]) segments(a *agg[T], r0, r1, c0, c1 int, fn func(i, j int, seg []T)) {
+	nb, q := c.nb, c.grid.Q
+	for i := r0; i < r1; i++ {
+		ti, li := i/nb, i%nb
+		for j := max(i, c0); j < c1; {
+			tk := j / nb
 			t := &a.res[ti*q+tk]
-			r0, c0 := ti*nb, tk*nb
-			for rr := 0; rr < t.Rows; rr++ {
-				start := 0
-				if ti == tk {
-					start = rr // diagonal tile: skip the zero lower part
-				}
-				dr := d[(r0+rr)*ld+c0+start : (r0+rr)*ld+c0+t.Cols]
-				tr := t.Data[rr*t.Stride+start : rr*t.Stride+t.Cols]
-				if out {
-					copy(dr, tr)
-				} else {
-					copy(tr, dr)
-				}
-			}
+			end := min(c1, tk*nb+t.Cols)
+			fn(i, j, t.Data[li*t.Stride+j-tk*nb:li*t.Stride+end-tk*nb])
+			j = end
 		}
 	}
+}
+
+// copyBlock copies the top n rows of a's triangle in columns [c0, c1) out
+// to d (row stride ld, column c0 first) when out is set, and in from d
+// otherwise. Neither side's part left of the diagonal is read or written.
+func (c *Core[T]) copyBlock(a *agg[T], d []T, ld, c0, c1 int, out bool) {
+	c.segments(a, 0, c.n, c0, c1, func(i, j int, seg []T) {
+		dr := d[i*ld+j-c0 : i*ld+j-c0+len(seg)]
+		if out {
+			copy(dr, seg)
+		} else {
+			copy(seg, dr)
+		}
+	})
 }
 
 // CopyQTB writes the retained top n rows of Qᵀb into dst (n×nrhs, row
@@ -680,14 +665,12 @@ func (c *Core[T]) CopyQTB(dst []T, ld int) error {
 	if err != nil {
 		return err
 	}
-	for i := 0; i < c.n; i++ {
-		copy(dst[i*ld:i*ld+c.nrhs], a.qtb[i*c.nrhs:(i+1)*c.nrhs])
-	}
+	c.copyBlock(a, dst, ld, c.n, c.grid.N, true)
 	return nil
 }
 
-// SolveLS back-substitutes the resident triangle against the retained Qᵀb,
-// writing the n×nrhs least-squares solution to x (row stride ldx).
+// SolveLS back-substitutes R against the retained Qᵀb beside it, writing
+// the n×nrhs least-squares solution to x (row stride ldx).
 func (c *Core[T]) SolveLS(x []T, ldx int) error {
 	if c.err != nil {
 		return c.err
@@ -702,10 +685,11 @@ func (c *Core[T]) SolveLS(x []T, ldx int) error {
 	if err != nil {
 		return err
 	}
+	n, N := c.n, c.grid.N
 	if c.rwork == nil {
-		c.rwork = make([]T, c.n*c.n)
-		c.xcol = make([]T, c.n)
+		c.rwork = make([]T, n*N)
+		c.xcol = make([]T, n)
 	}
-	c.copyTri(a, c.rwork, c.n, true)
-	return engine.SolveUpper(c.n, c.nrhs, c.rwork, c.n, a.qtb, c.nrhs, x, ldx, c.xcol)
+	c.copyBlock(a, c.rwork, N, 0, N, true)
+	return engine.SolveUpper(n, c.nrhs, c.rwork, N, c.rwork[n:], N, x, ldx, c.xcol)
 }

@@ -11,9 +11,10 @@ import (
 // TestPlacementAllocs counts, with no clock in the measurement, the bytes
 // and mallocs one warm operation allocates on each placement: inline
 // (Workers: 1), the resident runtime of width 2 that Workers: 2 selects,
-// and a runtime of the caller's own. The stream append is warm scratch
-// only: its staging, the merge plan and every worker's workspace are
-// reused, so what is left is the job's bookkeeping. The cold Factor +
+// and a runtime of the caller's own. The stream appends, with and without
+// a right-hand side, are warm scratch only: their staging, the merge plan
+// and every worker's workspace are reused, so what is left is the job's
+// bookkeeping. The cold Factor +
 // SolveLS (small_fleet's shape) allocates its tile arena, DAG and plan on
 // every call; the placement must add nothing to that. A per-call pool
 // showed here as a fresh set of workers and workspaces on every
@@ -44,6 +45,19 @@ func TestPlacementAllocs(t *testing.T) {
 				}
 			}
 		},
+		"AppendRHS 256x256 nb=64": func(t *testing.T, opt Options) func() {
+			opt.TileSize, opt.InnerBlock = 64, 16
+			s, err := NewStreamOf[float64](256, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, rhs := RandomDense(256, 256, 5), RandomDense(256, 1, 6)
+			return func() {
+				if err := s.AppendRHS(batch, rhs); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
 		"Factor+SolveLS 256x128 nb=32": func(t *testing.T, opt Options) func() {
 			opt.TileSize, opt.InnerBlock = 32, 8
 			a, b := RandomDense(256, 128, 3), RandomDense(256, 1, 4)
@@ -65,6 +79,9 @@ func TestPlacementAllocs(t *testing.T) {
 		{"append 256x256 nb=64", "Workers=1", 4 << 10, 8},
 		{"append 256x256 nb=64", "Workers=2", 4 << 10, 8},
 		{"append 256x256 nb=64", "NewRuntime(2)", 4 << 10, 8},
+		{"AppendRHS 256x256 nb=64", "Workers=1", 4 << 10, 8},
+		{"AppendRHS 256x256 nb=64", "Workers=2", 4 << 10, 8},
+		{"AppendRHS 256x256 nb=64", "NewRuntime(2)", 4 << 10, 8},
 		{"Factor+SolveLS 256x128 nb=32", "Workers=1", 420 << 10, 52},
 		{"Factor+SolveLS 256x128 nb=32", "Workers=2", 420 << 10, 52},
 		{"Factor+SolveLS 256x128 nb=32", "NewRuntime(2)", 420 << 10, 52},

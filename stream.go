@@ -44,9 +44,9 @@ func streamAppend[T vec.Scalar](ctx context.Context, c *stream.Core[T], batch, r
 }
 
 // Stream is an incremental (streaming) tiled QR factorization over any
-// supported scalar domain: rows arrive in batches and only the n×n upper
-// triangular factor R — plus, optionally, the top n rows of Qᵀb for online
-// least squares — is retained. Without retention, memory stays O(n² +
+// supported scalar domain: rows arrive in batches and only the upper
+// triangular factor of [A b] — R, plus for online least squares Qᵀb and
+// the residual — is retained. Without retention, memory stays O(n² +
 // batch) no matter how many rows are ingested, so a Stream can absorb
 // millions of observations that would never fit as one matrix.
 //
@@ -239,10 +239,10 @@ func (s *Stream[T]) N() int { return s.c.N() }
 
 // ResidualNorm returns the running least-squares residual of the
 // represented system: ‖b − A·X‖_F over all tracked right-hand-side columns
-// (0 when no RHS is tracked). The components of Qᵀb rotated beyond the
-// retained top block accumulate here instead of being stored — per
-// aggregate of a windowed stream's tree, so nothing cancels when rows
-// leave. After a failure, ResidualNorm returns the original error.
+// (0 when no RHS is tracked): the Frobenius norm of the triangle the
+// right-hand-side columns leave below Qᵀb, merged up a windowed stream's
+// tree like the rest, so nothing cancels when rows leave. After a failure,
+// ResidualNorm returns the original error.
 func (s *Stream[T]) ResidualNorm() (float64, error) { return s.c.ResidualNorm() }
 
 // Footprint returns the number of scalars retained across appends — the

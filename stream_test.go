@@ -513,21 +513,25 @@ func TestStreamRowsOnly(t *testing.T) {
 // the rows it represents: RᴴR to AᴴA, and with a right-hand side the
 // least-squares solution and the residual norm to a one-shot
 // factorization's, each within 16·ε·m (m the represented rows, ε T's unit
-// roundoff; x relative to ‖x‖ + 1).
+// roundoff; x relative to ‖x‖ + 1). The scale rows stream the rows times
+// 1e150 and 1e160, where squaring an entry of b overflows, and hold R and
+// the residual norm divided by the scale to the same bounds.
 func TestStreamRaggedBatchHeights(t *testing.T) {
 	type prec struct {
 		name string
-		run  func(t *testing.T, sh raggedShape, window int, downdate bool, r, nrhs int)
+		run  func(t *testing.T, sh raggedShape, window int, downdate bool, r, nrhs int, scale float64)
 	}
 	precs := []prec{{"d", raggedAgree[float64]}, {"z", raggedAgree[complex128]}, {"s", raggedAgree[float32]}, {"c", raggedAgree[complex64]}}
 	const nb = 8
 	shapes := []struct {
-		sh    raggedShape
-		rs    []int
-		precs []prec
+		sh     raggedShape
+		rs     []int
+		precs  []prec
+		scales []float64 // nil: the rows as drawn, no scale in the name
 	}{
-		{raggedShape{20, nb, 4}, []int{1, nb - 1, nb, nb + 1, 2*nb - 1, 2 * nb, 2*nb + 1, 5*nb + 3}, precs},
-		{raggedShape{64, 64, 16}, []int{4 * 64}, precs[1:2]},
+		{raggedShape{20, nb, 4}, []int{1, nb - 1, nb, nb + 1, 2*nb - 1, 2 * nb, 2*nb + 1, 5*nb + 3}, precs, nil},
+		{raggedShape{64, 64, 16}, []int{4 * 64}, precs[1:2], nil},
+		{raggedShape{24, nb, 4}, []int{2*nb + 1}, precs[:2], []float64{1, 1e150, 1e160}},
 	}
 	streams := []struct {
 		name     string
@@ -543,9 +547,15 @@ func TestStreamRaggedBatchHeights(t *testing.T) {
 			for _, nrhs := range []int{0, 1, 3} {
 				for _, r := range sh.rs {
 					for _, p := range sh.precs {
-						t.Run(fmt.Sprintf("n=%d/%s/nrhs=%d/r=%d/%s", sh.sh.n, st.name, nrhs, r, p.name), func(t *testing.T) {
-							p.run(t, sh.sh, st.window(sh.sh.n), st.downdate, r, nrhs)
-						})
+						name := fmt.Sprintf("n=%d/%s/nrhs=%d/r=%d/%s", sh.sh.n, st.name, nrhs, r, p.name)
+						if sh.scales == nil {
+							t.Run(name, func(t *testing.T) { p.run(t, sh.sh, st.window(sh.sh.n), st.downdate, r, nrhs, 1) })
+						}
+						for _, scale := range sh.scales {
+							t.Run(fmt.Sprintf("%s/scale=%g", name, scale), func(t *testing.T) {
+								p.run(t, sh.sh, st.window(sh.sh.n), st.downdate, r, nrhs, scale)
+							})
+						}
 					}
 				}
 			}
@@ -556,10 +566,11 @@ func TestStreamRaggedBatchHeights(t *testing.T) {
 // raggedShape is a stream's width, tile size and inner block.
 type raggedShape struct{ n, nb, ib int }
 
-// raggedAgree appends whole r-row batches, at least 3n rows in all, to a
-// stream (window rows retained; downdate drops the oldest third after) and
-// checks it against the rows it represents.
-func raggedAgree[T Scalar](t *testing.T, sh raggedShape, window int, downdate bool, r, nrhs int) {
+// raggedAgree appends whole r-row batches, at least 3n rows in all, each
+// times scale, to a stream (window rows retained; downdate drops the
+// oldest third after) and checks it, scaled back, against the rows it
+// represents.
+func raggedAgree[T Scalar](t *testing.T, sh raggedShape, window int, downdate bool, r, nrhs int, scale float64) {
 	n, nb, ib := sh.n, sh.nb, sh.ib
 	m := (3*n + r - 1) / r * r
 	a := RandomMat[T](m, n, int64(r))
@@ -571,11 +582,18 @@ func raggedAgree[T Scalar](t *testing.T, sh raggedShape, window int, downdate bo
 	if err != nil {
 		t.Fatal(err)
 	}
+	scaled := func(m *Mat[T], r0 int) *Mat[T] {
+		out := rowsOfG(m, r0, r)
+		for i := range out.Data {
+			out.Data[i] *= vec.FromParts[T](scale, 0)
+		}
+		return out
+	}
 	for r0 := 0; r0 < m; r0 += r {
 		if b == nil {
-			err = s.AppendRows(rowsOfG(a, r0, r))
+			err = s.AppendRows(scaled(a, r0))
 		} else {
-			err = s.AppendRHS(rowsOfG(a, r0, r), rowsOfG(b, r0, r))
+			err = s.AppendRHS(scaled(a, r0), scaled(b, r0))
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -606,6 +624,9 @@ func raggedAgree[T Scalar](t *testing.T, sh raggedShape, window int, downdate bo
 	rs, err := s.R()
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := range rs.Data {
+		rs.Data[i] /= vec.FromParts[T](scale, 0)
 	}
 	var diff, norm2 float64
 	for i := 0; i < n; i++ {
@@ -656,6 +677,7 @@ func raggedAgree[T Scalar](t *testing.T, sh raggedShape, window int, downdate bo
 	if err != nil {
 		t.Fatal(err)
 	}
+	resid /= scale
 	ax := tile.Mul((*tile.Dense[T])(aLive), (*tile.Dense[T])(xRef))
 	var direct float64
 	for i := 0; i < rows; i++ {
