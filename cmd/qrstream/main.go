@@ -14,7 +14,9 @@
 // — windowed runs re-factor only the retained window, forgetful runs weight
 // each batch by its decay λ^(k/2) — and the reported deviation is the max
 // elementwise difference of the two R factors after per-row sign alignment
-// (should sit at rounding level).
+// (should sit at rounding level). With -rhs the stream's least-squares
+// solution and residual norm are checked too, against the one-shot
+// factorization's SolveLS and ‖b − A·x‖_F.
 package main
 
 import (
@@ -37,7 +39,7 @@ var (
 	flagWorkers = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	flagRHS     = flag.Int("rhs", 0, "right-hand-side columns to track (0 = R only)")
 	flagComplex = flag.Bool("complex", false, "stream complex128 rows")
-	flagVerify  = flag.Bool("verify", false, "re-factor the represented rows one-shot and compare R")
+	flagVerify  = flag.Bool("verify", false, "re-factor the represented rows one-shot and compare R (and, with -rhs, x and the residual)")
 	flagWindow  = flag.Int("window", 0, "sliding window: keep only the most recent rows (0 = keep everything, irrevocably)")
 	flagForget  = flag.Float64("forget", 0, "exponential forgetting factor λ in (0,1] applied per append (0 = off)")
 )
@@ -124,7 +126,7 @@ func run[T tiledqr.Scalar](domain string, elemBytes int) error {
 	fmt.Printf("retained footprint: %d scalars (%.1f MiB) — %s\n",
 		s.Footprint(), float64(s.Footprint())*float64(elemBytes)/(1<<20), bound)
 	if *flagVerify {
-		return verify(s, data, opt)
+		return verify(s, data, rhs, opt)
 	}
 	return nil
 }
@@ -133,16 +135,17 @@ func run[T tiledqr.Scalar](domain string, elemBytes int) error {
 // recent -window rows (all of them without a window), each batch weighted
 // by its accumulated forgetting decay — and compares R factors after
 // per-row sign alignment (the reflector construction keeps the diagonal
-// real in the complex domains too, so the row ambiguity is ±1).
-func verify[T tiledqr.Scalar](s *tiledqr.Stream[T], data []*tiledqr.Mat[T], opt tiledqr.Options) error {
-	n, batch, batches := *flagN, *flagBatch, *flagBatches
+// real in the complex domains too, so the row ambiguity is ±1). With
+// right-hand sides it compares the solution and the residual norm too.
+func verify[T tiledqr.Scalar](s *tiledqr.Stream[T], data, rhs []*tiledqr.Mat[T], opt tiledqr.Options) error {
+	n, batch, batches, nrhs := *flagN, *flagBatch, *flagBatches, *flagRHS
 	total := batch * batches
 	kept := total
 	if *flagWindow > 0 && *flagWindow < total {
 		kept = *flagWindow
 	}
 	first := total - kept
-	all := tiledqr.NewMat[T](kept, n)
+	all, b := tiledqr.NewMat[T](kept, n), tiledqr.NewMat[T](kept, max(nrhs, 1))
 	for r := first; r < total; r++ {
 		bi := r / batch
 		w := 1.0
@@ -151,6 +154,9 @@ func verify[T tiledqr.Scalar](s *tiledqr.Stream[T], data []*tiledqr.Mat[T], opt 
 		}
 		for c := 0; c < n; c++ {
 			all.Set(r-first, c, vec.FromParts[T](w, 0)*data[bi].At(r%batch, c))
+		}
+		for c := 0; c < nrhs; c++ {
+			b.Set(r-first, c, vec.FromParts[T](w, 0)*rhs[bi].At(r%batch, c))
 		}
 	}
 	refOpt := opt
@@ -184,6 +190,43 @@ func verify[T tiledqr.Scalar](s *tiledqr.Stream[T], data []*tiledqr.Mat[T], opt 
 	}
 	if worst > tol {
 		return fmt.Errorf("verification failed: deviation %.3e", worst)
+	}
+	if nrhs == 0 || kept < n {
+		return nil
+	}
+	x, err := s.SolveLS()
+	if err != nil {
+		return err
+	}
+	xRef, err := f.SolveLS(b)
+	if err != nil {
+		return err
+	}
+	resid, err := s.ResidualNorm()
+	if err != nil {
+		return err
+	}
+	// The reference residual ‖b − A·x‖_F, from the one-shot solution.
+	ax := tiledqr.MulOf(all, xRef)
+	for i := 0; i < kept; i++ {
+		for c := 0; c < nrhs; c++ {
+			ax.Set(i, c, b.At(i, c)-ax.At(i, c))
+		}
+	}
+	residRef := tiledqr.FrobeniusNormOf(ax)
+	var dx, xMax float64
+	for i := 0; i < n; i++ {
+		for c := 0; c < nrhs; c++ {
+			dx = math.Max(dx, vec.Abs(x.At(i, c)-xRef.At(i, c)))
+			xMax = math.Max(xMax, vec.Abs(xRef.At(i, c)))
+		}
+	}
+	dx /= xMax
+	dr := math.Abs(resid-residRef) / residRef
+	fmt.Printf("verify: max |x_stream − x_oneshot| / max |x_oneshot| = %.3e, residual %.6e vs %.6e (relative %.3e)\n",
+		dx, resid, residRef, dr)
+	if dx > tol || dr > tol {
+		return fmt.Errorf("verification failed: solution deviation %.3e, residual deviation %.3e", dx, dr)
 	}
 	return nil
 }

@@ -327,10 +327,11 @@ func ExecTask[T vec.Scalar](src Source[T], d *core.DAG, t int32, ib int, ws []T,
 // writes first (core.DAG.FirstWrites) from the dense matrix Src just before
 // its kernel runs. The conversion to tile layout thus runs on every worker,
 // overlapped with the first kernels, right before the first kernel that
-// reads each tile. Tile (i, j) (1-based) is copied from
-// row (i−Skip−1)·RowNB, column (j−1)·NB of Src on, RowNB defaulting to NB
-// (a stream stages its batches in tiles taller than wide); tile rows
-// 1..Skip (a stream's resident triangle) hold state and are not filled.
+// reads each tile. Tile (i, j) (1-based) is copied from row
+// Grid.RowStart(i−Skip−1), column (j−1)·Grid.NB of Src on: Grid is the
+// geometry of the filled tile rows, a factorization's own grid or a
+// stream's batch grid; tile rows 1..Skip (a stream's resident triangle)
+// hold state and are not filled.
 // Each copy stops at column Src.Cols: a stream's tiles span its
 // right-hand sides too, which it writes itself.
 // The copy is scaled by Scale (a plain copy at 1; 0 zeroes the tiles). The
@@ -338,24 +339,19 @@ func ExecTask[T vec.Scalar](src Source[T], d *core.DAG, t int32, ib int, ws []T,
 type Fill[T vec.Scalar] struct {
 	Src   tile.Dense[T]
 	Skip  int
-	NB    int
-	RowNB int // height of the filled tile rows; 0 means NB
+	Grid  tile.Grid
 	Scale float64
 }
 
 // tiles fills the tiles task t writes first.
 func (fl Fill[T]) tiles(src Source[T], d *core.DAG, t int32) {
-	rowNB := fl.RowNB
-	if rowNB == 0 {
-		rowNB = fl.NB
-	}
 	for _, x := range d.FirstWrites(int(t)) {
 		i, j := int(x)/d.Q+1, int(x)%d.Q+1
 		if i <= fl.Skip {
 			continue
 		}
 		dst := src.TileAt(i, j)
-		r0, c0 := (i-fl.Skip-1)*rowNB, (j-1)*fl.NB
+		r0, c0 := fl.Grid.RowStart(i-fl.Skip-1), (j-1)*fl.Grid.NB
 		w := min(dst.Cols, fl.Src.Cols-c0)
 		for r := 0; r < dst.Rows && w > 0; r++ {
 			from := fl.Src.Data[(r0+r)*fl.Src.Stride+c0:]
@@ -463,7 +459,7 @@ func FactorInto[T vec.Scalar](f *Factorization[T], a *tile.Dense[T], cfg Config)
 	// A factorization left invalid by a failed run never reuses its
 	// half-written storage: rebuild from scratch.
 	if f.mat == nil || !f.valid || f.key != key {
-		if err := f.rebuild(cfg, key); err != nil {
+		if err := f.rebuild(tile.FactorGrid(key.m, key.n, cfg.TileSize), cfg, key); err != nil {
 			return err
 		}
 	}
@@ -482,7 +478,7 @@ func FactorInto[T vec.Scalar](f *Factorization[T], a *tile.Dense[T], cfg Config)
 	// any applier reads it, so no zeroing of reused storage is needed.
 	trace, err := ExecTasks[T](f, f.plan, f.env,
 		RunOpts{Ctx: cfg.Ctx, Trace: cfg.Trace, Check: cfg.CheckHealth, Stats: cfg.Stats},
-		Fill[T]{Src: *a, NB: f.grid.NB, Scale: 1}, f.ib, f.wsLen)
+		Fill[T]{Src: *a, Grid: f.grid, Scale: 1}, f.ib, f.wsLen)
 	if err != nil {
 		f.ferr = err
 		return err
@@ -515,12 +511,11 @@ func (f *Factorization[T]) RefactorCtx(ctx context.Context, a *tile.Dense[T]) er
 	return FactorInto(f, a, cfg)
 }
 
-// rebuild allocates the factorization's storage for a new structural key:
-// DAG, execution plan, and one contiguous arena holding every tile payload
-// followed by every T factor (replacing the former p×q individual
-// allocations).
-func (f *Factorization[T]) rebuild(cfg Config, key reuseKey) error {
-	g := tile.NewGrid(key.m, key.n, cfg.TileSize)
+// rebuild allocates the factorization's storage for a new structural key
+// on grid g (tile.FactorGrid of the key's shape): DAG, execution plan, and
+// one contiguous arena holding every tile payload followed by every T
+// factor.
+func (f *Factorization[T]) rebuild(g tile.Grid, cfg Config, key reuseKey) error {
 	list, err := core.Generate(cfg.Algorithm, g.P, g.Q, cfg.CoreOpts)
 	if err != nil {
 		return err
@@ -531,8 +526,10 @@ func (f *Factorization[T]) rebuild(cfg Config, key reuseKey) error {
 	f.ib = cfg.InnerBlock
 	// Size worker scratch by the tiles that actually occur: a TileSize far
 	// beyond the matrix (legal — the grid is then a single tile) must not
-	// inflate the quadratic micro-GEMM pack bound inside WorkLen.
-	f.wsLen = kernel.WorkLen(min(cfg.TileSize, max(g.M, g.N)), f.ib)
+	// inflate the quadratic micro-GEMM pack bound inside WorkLen, and tile
+	// rows taller than wide need the GEMM heads of their height.
+	w := min(cfg.TileSize, max(g.M, g.N))
+	f.wsLen = kernel.TileWorkLen(max(w, min(g.MB, g.M)), w, f.ib)
 	f.key = key
 
 	tNeed := 0
@@ -627,7 +624,7 @@ func (f *Factorization[T]) R() *tile.Dense[T] {
 
 // copyR writes the upper triangle (trapezoid) of R into dst at row stride
 // ldr, one copy per tile-row segment; dst's strictly lower part is not
-// touched.
+// touched. R's rows lie in the top q tile rows, nb tall on every grid.
 func (f *Factorization[T]) copyR(dst []T, ldr int) {
 	nb, k := f.grid.NB, min(f.grid.M, f.grid.N)
 	for i := 0; i < k; i++ {
@@ -663,13 +660,14 @@ func (f *Factorization[T]) Apply(ctx context.Context, b *tile.Dense[T], trans bo
 
 // applyWorkLen is the kernel scratch a replay over nrhs columns needs.
 func (f *Factorization[T]) applyWorkLen(nrhs int) int {
-	return kernel.ApplyWorkLen(f.grid.NB, f.ib, max(nrhs, 1))
+	return kernel.ApplyWorkLen(f.grid.MB, f.ib, max(nrhs, 1))
 }
 
 // replay applies the Q transformations recorded in the DAG's factor tasks
 // to the m×nrhs block b (row stride ldb), whose tile row i (1-based) is
-// rows (i−1)·nb onward. trans replays Qᴴ in execution order; !trans
-// replays Q by walking the tasks backwards (task IDs are topological).
+// rows grid.RowStart(i−1) onward. trans replays Qᴴ in execution order;
+// !trans replays Q by walking the tasks backwards (task IDs are
+// topological).
 // Update-kernel tasks (UNMQR/TSMQR/TTMQR) carry no new reflectors and are
 // skipped. The replay is sequential on the calling goroutine. ws is kernel
 // scratch: any length ≥ ib·nrhs works, and applyWorkLen(nrhs) lets wide
@@ -679,7 +677,7 @@ func (f *Factorization[T]) applyWorkLen(nrhs int) int {
 // the next task boundary, returning ctx.Err() — the partially transformed
 // b is then garbage, so callers must not serve it.
 func (f *Factorization[T]) replay(ctx context.Context, b []T, ldb, nrhs int, trans bool, ws []T) error {
-	d, ib, rows := f.dag, f.ib, f.grid.NB*ldb
+	d, ib, g := f.dag, f.ib, f.grid
 	for k := range d.Tasks {
 		if ctx != nil && ctx.Err() != nil {
 			return ctx.Err()
@@ -692,7 +690,7 @@ func (f *Factorization[T]) replay(ctx context.Context, b []T, ldb, nrhs int, tra
 		case core.KGEQRT:
 			v := f.TileAt(task.I, task.K)
 			kernel.UNMQR(trans, v.Rows, min(v.Rows, v.Cols), ib, v.Data, v.Stride,
-				f.TFactor(task.I, task.K), v.Cols, b[(task.I-1)*rows:], ldb, nrhs, ws)
+				f.TFactor(task.I, task.K), v.Cols, b[g.RowStart(task.I-1)*ldb:], ldb, nrhs, ws)
 		case core.KTSQRT, core.KTTQRT:
 			v := f.TileAt(task.I, task.K)
 			kRef := f.KCols(task.K)
@@ -703,7 +701,7 @@ func (f *Factorization[T]) replay(ctx context.Context, b []T, ldb, nrhs int, tra
 			}
 			kernel.TPMQRT(trans, m, kRef, l, ib, v.Data, v.Stride,
 				f.T2Factor(task.I, task.K), kRef,
-				b[(task.Piv-1)*rows:], ldb, b[(task.I-1)*rows:], ldb, nrhs, ws)
+				b[g.RowStart(task.Piv-1)*ldb:], ldb, b[g.RowStart(task.I-1)*ldb:], ldb, nrhs, ws)
 		}
 	}
 	return nil

@@ -38,18 +38,18 @@ func sameBits[T vec.Scalar](a, b *tile.Dense[T]) bool {
 	return true
 }
 
-// serialFactor is the copy-in flow that preceded the in-DAG fill: the whole
-// matrix is converted to tile layout up front (tile.FromDense), then the
-// DAG runs with no fill.
-func serialFactor[T vec.Scalar](t *testing.T, a *tile.Dense[T], cfg Config) *Factorization[T] {
+// serialFactor is the copy-in flow that preceded the in-DAG fill, on grid
+// g: the whole matrix is converted to tile layout up front
+// (tile.Matrix.CopyFrom), then the DAG runs with no fill.
+func serialFactor[T vec.Scalar](t *testing.T, a *tile.Dense[T], cfg Config, g tile.Grid) *Factorization[T] {
 	t.Helper()
 	f := &Factorization[T]{}
 	key := reuseKey{m: a.Rows, n: a.Cols, algorithm: cfg.Algorithm, kernels: cfg.Kernels,
 		coreOpts: cfg.CoreOpts, tileSize: cfg.TileSize, innerBlock: cfg.InnerBlock}
-	if err := f.rebuild(cfg, key); err != nil {
+	if err := f.rebuild(g, cfg, key); err != nil {
 		t.Fatal(err)
 	}
-	f.mat = tile.FromDense(a, cfg.TileSize)
+	f.mat.CopyFrom(a)
 	if _, err := ExecTasks[T](f, f.plan, cfg.Env, RunOpts{}, Fill[T]{}, f.ib, f.wsLen); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func checkReuseBitIdentity[T vec.Scalar](t *testing.T) {
 				if d := sameFactors(f, fresh, rhs); d != "" {
 					t.Errorf("%s: reused FactorInto differs from a fresh Factor in %s", what, d)
 				}
-				if d := sameFactors(fresh, serialFactor(t, b, cfg), rhs); d != "" {
+				if d := sameFactors(fresh, serialFactor(t, b, cfg, tile.FactorGrid(b.Rows, b.Cols, cfg.TileSize)), rhs); d != "" {
 					t.Errorf("%s: in-DAG fill differs from the serial copy-in in %s", what, d)
 				}
 				if !sameBits(a, aWas) || !sameBits(b, bWas) {

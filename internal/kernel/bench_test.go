@@ -15,9 +15,12 @@ import (
 // TSQRT and TSMQR, with B (and C2) nb and 2·nb rows tall, in double and
 // double complex at four tile shapes (nb=32 the tiny-tile regime, where
 // per-call overheads weigh most, and nb=48 the tuner's smallest
-// calibration point), on scratch of WorkLen(nb, ib) as the
-// engine hands a worker, stretched to ApplyWorkLen(2·nb, ib, nb) as a
-// stream's merge of 2·nb-row tiles does:
+// calibration point). GEQRT/A=2nb and A=4nb factor the tiles of a
+// factorization's tall tile rows (tile.FactorGrid), the work of 2·GEQRT +
+// TTQRT and of 4·GEQRT + 3·TTQRT on nb rows; UNMQR/C=2nb applies such a
+// tile's reflectors, the work of 2·UNMQR + TTMQR. All run on the scratch
+// the engine hands a worker of a grid with 4·nb-row tiles,
+// TileWorkLen(4·nb, nb, ib):
 //
 //	go test -run '^$' -bench Kernels -benchtime 300x ./internal/kernel
 //
@@ -40,7 +43,7 @@ func benchKernels[T vec.Scalar](b *testing.B, nb, ib int) {
 	if vec.IsComplex[T]() {
 		flopScale = 4
 	}
-	work := make([]T, max(WorkLen(nb, ib), ApplyWorkLen(2*nb, ib, nb)))
+	work := make([]T, TileWorkLen(4*nb, nb, ib))
 	full := tile.RandDense[T](nb, nb, 1).Data
 	tri, tri2 := randUpperTri[T](nb, 2).Data, randUpperTri[T](nb, 3).Data
 	v := slices.Clone(full)
@@ -49,7 +52,7 @@ func benchKernels[T vec.Scalar](b *testing.B, nb, ib int) {
 	vtt, ttt := slices.Clone(tri2), make([]T, ib*nb)
 	TTQRT(nb, nb, ib, slices.Clone(tri), nb, vtt, nb, ttt, nb, work)
 	c1, c2 := tile.RandDense[T](nb, nb, 4).Data, tile.RandDense[T](nb, nb, 5).Data
-	x, y, tf := make([]T, nb*nb), make([]T, 2*nb*nb), make([]T, ib*nb)
+	x, y, tf := make([]T, nb*nb), make([]T, 4*nb*nb), make([]T, ib*nb)
 	inPlace := func() {}
 	type bench struct {
 		name    string
@@ -63,6 +66,19 @@ func benchKernels[T vec.Scalar](b *testing.B, nb, ib int) {
 		{"UNMQR", 6, inPlace, func() { UNMQR(true, nb, nb, ib, v, nb, tv, nb, c1, nb, nb, work) }},
 		{"TTMQR", 6, inPlace, func() { TTMQR(true, nb, nb, ib, vtt, nb, ttt, nb, c1, nb, c2, nb, nb, work) }},
 	}
+	// GEQRT on an m-row tile costs 6·m/nb − 2 units, UNMQR of its
+	// reflectors 12·m/nb − 6.
+	tallA := tile.RandDense[T](4*nb, nb, 8).Data
+	for _, h := range []int{2, 4} {
+		m := h * nb
+		cases = append(cases, bench{fmt.Sprintf("GEQRT/A=%dnb", h), 6*h - 2, func() { copy(y[:m*nb], tallA) },
+			func() { GEQRT(m, nb, ib, y, nb, tf, nb, work) }})
+	}
+	vTall, tTall := slices.Clone(tallA[:2*nb*nb]), make([]T, ib*nb)
+	GEQRT(2*nb, nb, ib, vTall, nb, tTall, nb, work)
+	cTall := tile.RandDense[T](2*nb, nb, 9).Data
+	cases = append(cases, bench{"UNMQR/C=2nb", 18, inPlace,
+		func() { UNMQR(true, 2*nb, nb, ib, vTall, nb, tTall, nb, cTall, nb, nb, work) }})
 	// TS kernels with an m-row B: TSQRT costs 6·m/nb units, TSMQR 12·m/nb.
 	for _, h := range []int{1, 2} {
 		m := h * nb

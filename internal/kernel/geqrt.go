@@ -494,6 +494,18 @@ func ApplyWorkLen(m, ib, nc int) int {
 	return ib*nc + headLen(m, ib, nc) + max(vec.GemmPackBound(ib, nc, m), vec.GemmPackBound(m, nc, ib))
 }
 
+// TileWorkLen returns the scratch that covers every kernel, packed paths
+// included, on tiles at most m rows tall and n columns wide (m ≥ n): the
+// factor kernels' own need (FactorWorkLen) and the GEMM heads of an
+// m-row reflector block applied across an n-wide tile (ApplyWorkLen),
+// both of which WorkLen(n, ib) covers only for m = n. It is WorkLen(n, ib)
+// at m = n. A worker handed WorkLen(n, ib) for taller tiles still computes
+// the same result, but its applies fall back from the GEMM heads to the
+// sweeps.
+func TileWorkLen(m, n, ib int) int {
+	return max(FactorWorkLen(m, n, ib), ApplyWorkLen(m, ib, n))
+}
+
 // clampIB normalizes the inner blocking factor to 1 ≤ ib ≤ k.
 func clampIB(ib, k int) int {
 	if ib <= 0 || ib > k {

@@ -10,6 +10,7 @@ import (
 	"container/heap"
 
 	"tiledqr/internal/core"
+	"tiledqr/internal/tile"
 )
 
 // Schedule is the result of an ASAP simulation: per-task start/finish times
@@ -195,11 +196,35 @@ func UnitWeights(d *core.DAG) []float64 {
 }
 
 // KindWeights builds a task weight slice from a per-kind duration table
-// (e.g. measured kernel seconds).
+// (e.g. measured kernel seconds) for a DAG on a square grid, every tile
+// row nb tall.
 func KindWeights(d *core.DAG, dur map[core.Kind]float64) []float64 {
 	w := make([]float64, d.NumTasks())
 	for t := range w {
 		w[t] = dur[d.Tasks[t].Kind]
+	}
+	return w
+}
+
+// GridWeights is KindWeights for a DAG run on grid g, with dur priced at
+// nb-row tiles. GEQRT, UNMQR, TSQRT and TSMQR factor or update their whole
+// tile (TSQRT and TSMQR the B tile, in tile row I), so on the tile rows
+// below g.Top their weight scales by MB/NB. TTQRT and TTMQR act on the top
+// nb rows of a tile whatever its height, and keep theirs. As on a square
+// grid, a ragged last row is priced at the full height.
+func GridWeights(d *core.DAG, g tile.Grid, dur map[core.Kind]float64) []float64 {
+	w := KindWeights(d, dur)
+	if g.MB == g.NB {
+		return w
+	}
+	scale := float64(g.MB) / float64(g.NB)
+	for t, task := range d.Tasks {
+		switch task.Kind {
+		case core.KGEQRT, core.KUNMQR, core.KTSQRT, core.KTSMQR:
+			if task.I > g.Top {
+				w[t] *= scale
+			}
+		}
 	}
 	return w
 }

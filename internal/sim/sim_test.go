@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tiledqr/internal/core"
+	"tiledqr/internal/tile"
 )
 
 // --- Table 3: tiled time-steps for a 15×6 matrix (TT kernels) ---------------
@@ -314,6 +315,53 @@ func TestTSvsTTCriticalPaths(t *testing.T) {
 			ts := CriticalPathList(list, core.TS)
 			if ts < tt {
 				t.Errorf("%v %dx%d: TS CP %d < TT CP %d", alg, s[0], s[1], ts, tt)
+			}
+		}
+	}
+}
+
+// TestGridWeightsTallRows: under Table 1 units, a tile row 2·nb tall weighs
+// what the two nb-row tile rows it replaces weigh. On FlatTree with TS
+// kernels each row below the diagonal is one TSQRT per column and the
+// TSMQRs right of it, so the square grid runs every task of a tall row
+// twice, at half the weight. The elimination kernels of the TT family act
+// on a tile's top nb rows and keep their weight on tall rows; its GEQRT and
+// UNMQR scale with the row.
+func TestGridWeightsTallRows(t *testing.T) {
+	units := map[core.Kind]float64{}
+	for k := core.KGEQRT; k <= core.KTTMQR; k++ {
+		units[k] = float64(k.Weight())
+	}
+	perKind := func(g tile.Grid, d *core.DAG) map[core.Kind]float64 {
+		sum := map[core.Kind]float64{}
+		for t, w := range GridWeights(d, g, units) {
+			sum[d.Tasks[t].Kind] += w
+		}
+		return sum
+	}
+	const nb, below = 16, 6
+	for q := 1; q <= 3; q++ {
+		sq := tile.NewGrid((q+2*below)*nb, q*nb, nb)
+		tall := tile.NewTallGrid(sq.M, sq.N, nb, 2*nb, q)
+		if tall.P != q+below || tall.Top != q || tall.TileRows(q) != 2*nb {
+			t.Fatalf("q=%d: tall grid %+v, want %d tile rows, the last %d of them %d tall", q, tall, q+below, below, 2*nb)
+		}
+		sqW := perKind(sq, core.BuildDAG(core.FlatTreeList(sq.P, sq.Q), core.TS))
+		tallW := perKind(tall, core.BuildDAG(core.FlatTreeList(tall.P, tall.Q), core.TS))
+		for k := core.KGEQRT; k <= core.KTTMQR; k++ {
+			if sqW[k] != tallW[k] {
+				t.Errorf("q=%d, FlatTree TS: %v weighs %g units on the tall grid, %g on the square one", q, k, tallW[k], sqW[k])
+			}
+		}
+		d := core.BuildDAG(core.GreedyList(tall.P, tall.Q), core.TT)
+		w := GridWeights(d, tall, units)
+		for i, task := range d.Tasks {
+			want := units[task.Kind]
+			if task.I > q && (task.Kind == core.KGEQRT || task.Kind == core.KUNMQR) {
+				want *= 2
+			}
+			if w[i] != want {
+				t.Errorf("q=%d, Greedy TT: %v weighs %g units, want %g", q, task, w[i], want)
 			}
 		}
 	}

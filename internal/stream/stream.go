@@ -299,19 +299,20 @@ func grow[S any](buf []S, n int) []S {
 	return buf[:n]
 }
 
-// tileBatch lays the staging out for an r-row batch of [A b]: tile views
-// over the pooled arena, batchTileRows·nb rows tall and nb columns wide.
-// The merge DAG's first writers fill the columns of A from the batch
-// (engine.Fill); the RHS rows (stride ldr), scaled by scale, are written
-// into the trailing nrhs columns here.
-func (c *Core[T]) tileBatch(st *staging[T], r int, rhs []T, ldr int, scale float64) {
-	h, q, nb := batchTileRows*c.nb, c.grid.Q, c.nb
-	st.pb, st.h = (r+h-1)/h, min(h, r)
+// tileBatch lays the staging out for an r-row batch of [A b] and returns
+// its grid: tile views over the pooled arena, batchTileRows·nb rows tall
+// and nb columns wide. The merge DAG's first writers fill the columns of A
+// from the batch through that grid (engine.Fill); the RHS rows (stride
+// ldr), scaled by scale, are written into the trailing nrhs columns here.
+func (c *Core[T]) tileBatch(st *staging[T], r int, rhs []T, ldr int, scale float64) tile.Grid {
+	q, nb := c.grid.Q, c.nb
+	g := tile.NewTallGrid(r, c.grid.N, nb, batchTileRows*nb, 0)
+	st.pb, st.h = g.P, g.TileRows(0)
 	st.tiles = grow(st.tiles, st.pb*q)
 	st.arena = grow(st.arena, r*c.grid.N)
 	off := 0
 	for ti := 0; ti < st.pb; ti++ {
-		tr := min(h, r-ti*h)
+		tr, r0 := g.TileRows(ti), g.RowStart(ti)
 		for tk := 0; tk < q; tk++ {
 			tc := c.grid.TileCols(tk)
 			t := tile.Dense[T]{Rows: tr, Cols: tc, Stride: tc, Data: st.arena[off : off+tr*tc]}
@@ -319,28 +320,28 @@ func (c *Core[T]) tileBatch(st *staging[T], r int, rhs []T, ldr int, scale float
 			off += tr * tc
 			if lo := max(c.n, tk*nb); lo < tk*nb+tc { // the tile holds RHS columns from lo on
 				for i := 0; i < tr; i++ {
-					src := rhs[(ti*h+i)*ldr+lo-c.n:]
+					src := rhs[(r0+i)*ldr+lo-c.n:]
 					engine.ScaleCopy(t.Data[i*tc+lo-tk*nb:(i+1)*tc], src[:tk*nb+tc-lo], scale)
 				}
 			}
 		}
 	}
+	return g
 }
 
 // workLen is the kernel scratch of a merge whose staged tiles are at most h
-// rows tall: TSQRT of an h-row B (kernel.FactorWorkLen) and, in packed form
-// (kernel.ApplyWorkLen), the updates of h-row reflectors onto tile columns
-// w = min(nb, n + nrhs) wide — TSMQR onto the other tile columns, and TSQRT's own
-// trailing updates past its first ib columns. A triangle no wider than ib
-// has neither. At h = nb over nb-wide tile columns it is WorkLen(nb, ib),
-// what a factorization's workers get; only a taller staged tile grows it.
+// rows tall over tile columns w = min(nb, n + nrhs) wide: TSQRT of an h-row
+// B and, in packed form, the updates of h-row reflectors — TSMQR onto the
+// other tile columns, and TSQRT's own trailing updates past its first ib
+// columns (kernel.TileWorkLen, what a factorization's workers get for its
+// tiles of that height). A triangle no wider than ib has no updates, and
+// needs only TSQRT's own scratch.
 func (c *Core[T]) workLen(h int) int {
 	w := min(c.nb, c.grid.N)
-	n := kernel.FactorWorkLen(h, w, c.ib)
 	if c.grid.Q > 1 || w > c.ib {
-		n = max(n, kernel.ApplyWorkLen(h, c.ib, w))
+		return kernel.TileWorkLen(h, w, c.ib)
 	}
-	return n
+	return kernel.FactorWorkLen(h, w, c.ib)
 }
 
 // plan returns the cached merge execution plan for a pb-tile-row batch, or
@@ -488,9 +489,9 @@ func (c *Core[T]) Append(ctx context.Context, r int, data []T, ld int, rhs []T, 
 func (c *Core[T]) merge(ctx context.Context, dst *agg[T], r int, data []T, ld int, rhs []T, ldr int, scale float64) error {
 	st := getStaging[T]()
 	defer putStaging(st)
-	c.tileBatch(st, r, rhs, ldr, scale)
+	g := c.tileBatch(st, r, rhs, ldr, scale)
 	fill := engine.Fill[T]{Src: tile.Dense[T]{Rows: r, Cols: c.n, Stride: ld, Data: data},
-		Skip: c.grid.Q, NB: c.nb, RowNB: st.h, Scale: scale}
+		Skip: c.grid.Q, Grid: g, Scale: scale}
 	return c.exec(ctx, dst, st, c.plan(st.pb), fill)
 }
 

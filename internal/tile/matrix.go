@@ -6,22 +6,80 @@ import (
 	"tiledqr/internal/vec"
 )
 
-// Grid describes the partition of an m×n matrix into p×q tiles with nominal
-// tile size nb. Interior tiles are nb×nb; the last tile row/column may be
-// smaller (ragged edges). Tile indices are 0-based here; the paper-facing
-// packages use 1-based indices and convert at the boundary.
+// Grid describes the partition of an m×n matrix into p×q tiles. Tile
+// columns are NB wide. The first Top tile rows are NB tall and every tile
+// row below them is MB tall; on a square grid (NewGrid) MB = NB and Top is
+// 0. The last tile row and column may be smaller (ragged edges). Tile
+// indices are 0-based here; the paper-facing packages use 1-based indices
+// and convert at the boundary. RowStart and TileRows are the one place the
+// row geometry is read from.
 type Grid struct {
 	M, N int // element dimensions
-	NB   int // nominal tile size
+	NB   int // tile width, and the height of the top Top tile rows
+	MB   int // height of the tile rows below the top Top
+	Top  int // leading tile rows NB tall
 	P, Q int // tile dimensions
 }
 
-// NewGrid computes the tile grid for an m×n matrix with tile size nb.
-func NewGrid(m, n, nb int) Grid {
-	if m <= 0 || n <= 0 || nb <= 0 {
-		panic(fmt.Sprintf("tile: invalid grid m=%d n=%d nb=%d", m, n, nb))
+// NewGrid computes the square tile grid for an m×n matrix with tile size
+// nb: every tile row nb tall.
+func NewGrid(m, n, nb int) Grid { return NewTallGrid(m, n, nb, nb, 0) }
+
+// NewTallGrid computes the grid for an m×n matrix with nb-wide tile
+// columns whose first top tile rows are nb tall and whose other tile rows
+// are mb tall.
+func NewTallGrid(m, n, nb, mb, top int) Grid {
+	if m <= 0 || n <= 0 || nb <= 0 || mb <= 0 || top < 0 {
+		panic(fmt.Sprintf("tile: invalid grid m=%d n=%d nb=%d mb=%d top=%d", m, n, nb, mb, top))
 	}
-	return Grid{M: m, N: n, NB: nb, P: (m + nb - 1) / nb, Q: (n + nb - 1) / nb}
+	if mb == nb {
+		top = 0 // one row height: the square grid, whatever top says
+	}
+	p := (m + nb - 1) / nb
+	if top < p {
+		p = top + (m-top*nb+mb-1)/mb
+	} else {
+		top = p
+	}
+	return Grid{M: m, N: n, NB: nb, MB: mb, Top: top, P: p, Q: (n + nb - 1) / nb}
+}
+
+// minTallRows is the fewest tile rows FactorGrid leaves below the top q
+// when it makes them taller than nb. List-scheduled in Table 1 units, the
+// whole-tile kernels priced by row height (sim.GridWeights), Greedy/TT on
+// 2 workers runs 21–32 % shorter on tall_ls's 2560×256 at nb = 64 with
+// c = 2 and 4, and 24 % shorter on a 16384×128 panel at nb = 128 with
+// c = 4. At 48 workers the same choices cost at most 8 % while 16 or more
+// rows remain below the diagonal, and 48–53 % once only 9 or 10 do.
+const minTallRows = 16
+
+// FactorGrid returns the grid a factorization of an m×n matrix with tile
+// size nb runs on. The top q tile rows, which hold the diagonal, are nb×nb
+// tiles. The rows below them are cut into tiles MB = c·nb rows tall, c the
+// largest of 4, 2 and 1 that leaves at least minTallRows of them: fewer,
+// taller tiles mean fewer factor and elimination tasks, and GEQRT on a
+// c·nb-row tile runs faster than the c GEQRTs and c−1 TTQRTs it replaces.
+// c depends on the shape alone, never on the worker count, so every
+// placement of one factorization runs the same tasks and gives the same
+// bits. A matrix with fewer than minTallRows tile rows below the diagonal
+// (and any wide one) keeps the square grid.
+func FactorGrid(m, n, nb int) Grid {
+	g := NewGrid(m, n, nb)
+	for _, c := range []int{4, 2} {
+		if (g.P-g.Q+c-1)/c >= minTallRows {
+			return NewTallGrid(m, n, nb, c*nb, g.Q)
+		}
+	}
+	return g
+}
+
+// RowStart returns the first matrix row of tile row i; RowStart(P) is M.
+func (g Grid) RowStart(i int) int {
+	r := i * g.NB
+	if i > g.Top {
+		r = g.Top*g.NB + (i-g.Top)*g.MB
+	}
+	return min(r, g.M)
 }
 
 // TileRows returns the height of tile row i.
@@ -29,10 +87,7 @@ func (g Grid) TileRows(i int) int {
 	if i < 0 || i >= g.P {
 		panic(fmt.Sprintf("tile: tile row %d out of range [0,%d)", i, g.P))
 	}
-	if i == g.P-1 {
-		return g.M - (g.P-1)*g.NB
-	}
-	return g.NB
+	return g.RowStart(i+1) - g.RowStart(i)
 }
 
 // TileCols returns the width of tile column j.
@@ -105,7 +160,7 @@ func (m *Matrix[T]) CopyFrom(a *Dense[T]) {
 	for ti := 0; ti < m.P; ti++ {
 		for tj := 0; tj < m.Q; tj++ {
 			blk := m.Tile(ti, tj)
-			r0, c0 := ti*m.NB, tj*m.NB
+			r0, c0 := m.RowStart(ti), tj*m.NB
 			for r := 0; r < blk.Rows; r++ {
 				copy(blk.Data[r*blk.Stride:r*blk.Stride+blk.Cols],
 					a.Data[(r0+r)*a.Stride+c0:(r0+r)*a.Stride+c0+blk.Cols])
@@ -127,7 +182,7 @@ func (m *Matrix[T]) ToDense() *Dense[T] {
 	for ti := 0; ti < m.P; ti++ {
 		for tj := 0; tj < m.Q; tj++ {
 			blk := m.Tile(ti, tj)
-			r0, c0 := ti*m.NB, tj*m.NB
+			r0, c0 := m.RowStart(ti), tj*m.NB
 			for r := 0; r < blk.Rows; r++ {
 				copy(a.Data[(r0+r)*a.Stride+c0:(r0+r)*a.Stride+c0+blk.Cols],
 					blk.Data[r*blk.Stride:r*blk.Stride+blk.Cols])

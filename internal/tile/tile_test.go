@@ -247,3 +247,68 @@ func TestGridPanicsOnBadTileIndex(t *testing.T) {
 		}()
 	}
 }
+
+// TestFactorGridRule pins the row height tile.FactorGrid picks from the
+// shape alone: c = 4 on a 16384×128 panel at nb = 128, c = 2 on 2560×256
+// and 2560×128 at nb = 64, and the square grid wherever fewer than
+// minTallRows rows of 2·nb would remain below the top q (256×128 at
+// nb = 32, 1024×128 and 512×128 at nb = 128) and on wide matrices.
+func TestFactorGridRule(t *testing.T) {
+	for _, c := range []struct {
+		m, n, nb int
+		mb, p    int
+	}{
+		{16384, 128, 128, 512, 33},
+		{2560, 256, 64, 128, 22},
+		{2560, 128, 64, 128, 21},
+		{256, 128, 32, 32, 8},
+		{1024, 128, 128, 128, 8},
+		{512, 128, 128, 128, 4},
+		{200, 800, 8, 8, 25},
+		{32*(1+29) + 1, 32, 32, 32, 31},  // 30 rows below q: 15 of 2·nb are too few
+		{32*(1+30) + 1, 32, 32, 64, 17},  // 31 rows below q: 16 of 2·nb, the last ragged
+		{32*(1+60) + 1, 32, 32, 128, 17}, // 61 rows below q: 16 of 4·nb, the last ragged
+	} {
+		g := FactorGrid(c.m, c.n, c.nb)
+		if g.MB != c.mb || g.P != c.p {
+			t.Errorf("FactorGrid(%d,%d,%d): %d tile rows, MB=%d; want %d, MB=%d", c.m, c.n, c.nb, g.P, g.MB, c.p, c.mb)
+		}
+		if c.mb == c.nb && g != NewGrid(c.m, c.n, c.nb) {
+			t.Errorf("FactorGrid(%d,%d,%d) = %+v, want the square grid", c.m, c.n, c.nb, g)
+		}
+	}
+}
+
+// TestTallGridRows: the top Top tile rows are NB tall, the rest MB tall
+// but the ragged last, RowStart is their running sum, and a tall tiled
+// matrix round-trips a dense one exactly.
+func TestTallGridRows(t *testing.T) {
+	for _, c := range []struct{ m, n, nb, mb, top int }{
+		{100, 20, 8, 16, 3}, {101, 20, 8, 32, 3}, {24, 20, 8, 32, 3}, {20, 20, 8, 32, 3}, {50, 7, 4, 12, 0},
+	} {
+		g := NewTallGrid(c.m, c.n, c.nb, c.mb, c.top)
+		start := 0
+		for i := 0; i < g.P; i++ {
+			if g.RowStart(i) != start {
+				t.Fatalf("%+v: tile row %d starts at %d, want %d", g, i, g.RowStart(i), start)
+			}
+			want := c.nb
+			if i >= g.Top {
+				want = c.mb
+			}
+			if h := g.TileRows(i); h != want && (i != g.P-1 || h > want || h < 1) {
+				t.Fatalf("%+v: tile row %d is %d tall, want %d", g, i, h, want)
+			}
+			start += g.TileRows(i)
+		}
+		if start != c.m || g.RowStart(g.P) != c.m {
+			t.Fatalf("%+v: tile rows cover %d rows, want %d", g, start, c.m)
+		}
+		a := RandDense[float64](c.m, c.n, 3)
+		m := NewMatrix[float64](g)
+		m.CopyFrom(a)
+		if MaxAbsDiff(a, m.ToDense()) != 0 {
+			t.Errorf("%+v: tall round trip differs", g)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"tiledqr/internal/model"
 	"tiledqr/internal/sched"
 	"tiledqr/internal/sim"
+	"tiledqr/internal/tile"
 	"tiledqr/internal/vec"
 )
 
@@ -27,7 +28,7 @@ type Candidate struct {
 	Algorithm    core.Algorithm
 	Kernels      core.Kernels
 	NB, IB       int
-	P, Q         int     // tile grid at NB
+	P, Q         int     // tile grid run at NB (tile.FactorGrid)
 	PredictedSec float64 // model-predicted factorization wall time
 	Simulated    bool    // true: full DAG list-scheduling; false: roofline bound
 }
@@ -90,8 +91,8 @@ func Rank[T vec.Scalar](req Request) []Candidate {
 	pts := ForFamily[T](family)
 	var out []Candidate
 	for _, pt := range candidatePoints(req.M, req.N, req.PinNB, req.PinIB) {
-		p := (req.M + pt.nb - 1) / pt.nb
-		q := (req.N + pt.nb - 1) / pt.nb
+		g := tile.FactorGrid(req.M, req.N, pt.nb)
+		p, q := g.P, g.Q
 		secs := secsAt[T](pts, pt.nb)
 		est := estTasks(p, q)
 		if est <= simTaskLimit {
@@ -101,7 +102,8 @@ func Rank[T vec.Scalar](req Request) []Candidate {
 					continue
 				}
 				for _, fam := range []core.Kernels{core.TT, core.TS} {
-					sec := predict(core.BuildDAG(list, fam), req.Workers, secs)
+					d := core.BuildDAG(list, fam)
+					sec := predict(d, sim.GridWeights(d, g, secs), req.Workers)
 					out = append(out, Candidate{Algorithm: alg, Kernels: fam,
 						NB: pt.nb, IB: pt.ib, P: p, Q: q, PredictedSec: sec, Simulated: true})
 				}
@@ -109,10 +111,12 @@ func Rank[T vec.Scalar](req Request) []Candidate {
 			continue
 		}
 		// Roofline path for huge grids: γ_pred's max(area, critical path)
-		// with the paper's closed-form critical-path bounds. Asap has no
-		// closed form (its list generation is itself a simulation), so it
-		// is not considered here.
-		totalUnits := float64(model.TotalUnits(p, q))
+		// with the paper's closed-form critical-path bounds, on the square
+		// grid: the area is the flop count whatever the row heights. Asap
+		// has no closed form (its list generation is itself a simulation),
+		// so it is not considered here.
+		sp := tile.NewGrid(req.M, req.N, pt.nb).P
+		totalUnits := float64(model.TotalUnits(sp, q))
 		for _, alg := range core.Algorithms {
 			if alg == core.Asap {
 				continue
@@ -122,7 +126,7 @@ func Rank[T vec.Scalar](req Request) []Candidate {
 				if fam == core.TS {
 					unitSec = secs[core.KTSMQR] / 12
 				}
-				cp := float64(cpUnitsApprox(alg, fam, p, q))
+				cp := float64(cpUnitsApprox(alg, fam, sp, q))
 				sec := max(totalUnits*unitSec/float64(req.Workers), cp*unitSec) +
 					dispatchSec*float64(est)/float64(req.Workers)
 				out = append(out, Candidate{Algorithm: alg, Kernels: fam,
@@ -134,10 +138,9 @@ func Rank[T vec.Scalar](req Request) []Candidate {
 	return out
 }
 
-// predict list-schedules d at the given width with the calibrated seconds
-// of each task plus the scheduler's dispatch overhead.
-func predict(d *core.DAG, workers int, secs map[core.Kind]float64) float64 {
-	w := sim.KindWeights(d, secs)
+// predict list-schedules d at the given width with w, the calibrated
+// seconds of each task, plus the scheduler's dispatch overhead.
+func predict(d *core.DAG, w []float64, workers int) float64 {
 	for i := range w {
 		w[i] += dispatchSec
 	}
@@ -177,7 +180,8 @@ func ResolveStream[T vec.Scalar](n, workers, pinNB, pinIB int) (Candidate, error
 		tasks := q * (q + 1) / 2
 		var batchSec float64
 		if tasks <= simTaskLimit {
-			batchSec = predict(core.BuildStreamDAG(q, 1, core.TS, false), workers, secs)
+			d := core.BuildStreamDAG(q, 1, core.TS, false)
+			batchSec = predict(d, sim.KindWeights(d, secs), workers)
 		} else {
 			work := float64(q)*qrt + float64(tasks-q)*mqr
 			batchSec = max(work/float64(workers), float64(q)*qrt+float64(q-1)*mqr)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"tiledqr/internal/core"
+	"tiledqr/internal/tile"
 	"tiledqr/internal/vec"
 )
 
@@ -462,7 +463,7 @@ func TestResolveStreamPricesMergeDAG(t *testing.T) {
 				tc.n, c.Algorithm, c.Kernels, c.Simulated, q < 400)
 		}
 		d := core.BuildStreamDAG(q, 1, core.TS, false)
-		if sum := goldenTaskSecs(d, c.NB); math.Abs(c.PredictedSec*float64(c.NB)-sum) > 1e-10*sum {
+		if sum := goldenTaskSecs(d, tile.NewGrid(c.NB, c.NB, c.NB)); math.Abs(c.PredictedSec*float64(c.NB)-sum) > 1e-10*sum {
 			t.Errorf("n=%d: predicted %.9g s per row at nb=%d, the merge DAG's tasks sum to %.9g s per batch",
 				tc.n, c.PredictedSec, c.NB, sum)
 		}
@@ -583,7 +584,10 @@ func TestResolveGoldens(t *testing.T) {
 		{16, 2, 4, pick{core.BinaryTree, core.TS, 64}},
 		{10, 4, 4, pick{core.FlatTree, core.TS, 64}},
 		{20, 4, 4, pick{core.FlatTree, core.TS, 64}},
-		{40, 4, 4, pick{core.FlatTree, core.TS, 64}},
+		// At nb = 64 the 36 tile rows below the diagonal run as 18 rows
+		// 128 tall (tile.FactorGrid): half the eliminations, and a
+		// binary tree over them is short enough to fill four workers.
+		{40, 4, 4, pick{core.BinaryTree, core.TS, 64}},
 	} {
 		c, err := Resolve[float64](Request{M: 64 * tc.p, N: 64 * tc.q, Workers: tc.workers})
 		if err != nil {
@@ -600,20 +604,52 @@ func TestResolveGoldens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sum := goldenTaskSecs(core.BuildDAG(list, c.Kernels), c.NB); math.Abs(c.PredictedSec-sum) > 1e-12*sum {
+		g := tile.FactorGrid(64*tc.p, 64*tc.q, c.NB)
+		if g.P != c.P || g.Q != c.Q {
+			t.Errorf("%d×%d tiles: the pick reports a %d×%d grid, its DAG runs on %d×%d", tc.p, tc.q, c.P, c.Q, g.P, g.Q)
+		}
+		if sum := goldenTaskSecs(core.BuildDAG(list, c.Kernels), g); math.Abs(c.PredictedSec-sum) > 1e-12*sum {
 			t.Errorf("%d×%d tiles at width 1: predicted %.9g s, the pick's tasks sum to %.9g s", tc.p, tc.q, c.PredictedSec, sum)
+		}
+	}
+	// Below the diagonal of an 80×2-tile matrix lie 78 tile rows, which run
+	// as 20 rows 256 tall: every candidate at nb = 64 is priced on that
+	// grid, its whole-tile kernels at four times their nb-row seconds. (The
+	// TT trees tie there at width 1, so the pick itself is not pinned.)
+	for _, c := range Rank[float64](Request{M: 64 * 80, N: 64 * 2, Workers: 1}) {
+		if c.NB != 64 || !c.Simulated {
+			continue
+		}
+		g := tile.FactorGrid(64*80, 64*2, 64)
+		if g.P != 22 || c.P != 22 {
+			t.Fatalf("80×2 tiles at nb=64: candidate on %d tile rows, grid %d; want 22", c.P, g.P)
+		}
+		list, err := core.Generate(c.Algorithm, c.P, c.Q, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := goldenTaskSecs(core.BuildDAG(list, c.Kernels), g); math.Abs(c.PredictedSec-sum) > 1e-12*sum {
+			t.Errorf("80×2 tiles, %v %v at width 1: predicted %.9g s, its tasks sum to %.9g s", c.Algorithm, c.Kernels, c.PredictedSec, sum)
 		}
 	}
 }
 
-// goldenTaskSecs is what a width-1 schedule of d costs under goldenRates:
-// nothing overlaps, so each task's calibrated seconds plus the dispatch
-// overhead, summed.
-func goldenTaskSecs(d *core.DAG, nb int) float64 {
-	rates, cube := goldenRates(nb), float64(nb*nb*nb)
+// goldenTaskSecs is what a width-1 schedule of d on grid g costs under
+// goldenRates: nothing overlaps, so each task's calibrated seconds plus the
+// dispatch overhead, summed, the whole-tile kernels of the rows below g.Top
+// scaled by MB/NB.
+func goldenTaskSecs(d *core.DAG, g tile.Grid) float64 {
+	rates, cube := goldenRates(g.NB), float64(g.NB*g.NB*g.NB)
 	var sum float64
 	for _, task := range d.Tasks {
-		sum += float64(task.Kind.Weight())*cube/3/(rates[task.Kind.String()]*1e9) + dispatchSec
+		units := float64(task.Kind.Weight())
+		switch task.Kind {
+		case core.KGEQRT, core.KUNMQR, core.KTSQRT, core.KTSMQR:
+			if task.I > g.Top {
+				units *= float64(g.MB) / float64(g.NB)
+			}
+		}
+		sum += units*cube/3/(rates[task.Kind.String()]*1e9) + dispatchSec
 	}
 	return sum
 }

@@ -169,7 +169,12 @@ type Options struct {
 	// TileSize (nb) and InnerBlock (ib): the paper uses nb=200 (80..200 is
 	// typical, §2) and ib=32. Zero means the package defaults — except
 	// under AlgorithmAuto, where zero means "let the autotuner choose" and
-	// a nonzero value pins that dimension of the decision.
+	// a nonzero value pins that dimension of the decision. Tiles are nb
+	// wide. The top q = ⌈n/nb⌉ tile rows, which hold the diagonal, are nb
+	// tall; the rows below them are MB = c·nb tall, c the largest of 4, 2
+	// and 1 that leaves at least 16 tile rows there, chosen from m, n and
+	// nb alone (a tall matrix runs fewer, faster tasks, and every
+	// placement the same ones).
 	TileSize   int
 	InnerBlock int
 
@@ -186,7 +191,7 @@ type Options struct {
 	// selects the deterministic sequential path on the calling goroutine.
 	Workers int
 
-	BS      int // PlasmaTree domain size, 1..p
+	BS      int // PlasmaTree/HadriTree domain size, 1..p (p counts the tile rows as run, see QR.Grid)
 	GrasapK int // Grasap: number of trailing Asap columns
 	Trace   bool
 

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tiledqr/internal/core"
 )
 
 // TestPlacementAllocs counts, with no clock in the measurement, the bytes
@@ -18,7 +20,11 @@ import (
 // SolveLS (small_fleet's shape) allocates its tile arena, DAG and plan on
 // every call; the placement must add nothing to that. A per-call pool
 // showed here as a fresh set of workers and workspaces on every
-// operation: ~378 KB per append.
+// operation: ~378 KB per append. The 2048×64 rows run on tile rows 4·nb
+// tall below the diagonal (tile.FactorGrid): the warm FactorInto reuses
+// everything, the cold Factor + SolveLS allocates the 1 MiB arena it
+// factors in, and every worker's scratch covers the tall tiles from the
+// first job on. Their task count is exact: the 18-tile-row DAG's.
 func TestPlacementAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation volume is not meaningful under the race detector")
@@ -58,6 +64,35 @@ func TestPlacementAllocs(t *testing.T) {
 				}
 			}
 		},
+		"FactorInto 2048x64 nb=32": func(t *testing.T, opt Options) func() {
+			opt.TileSize, opt.InnerBlock = 32, 8
+			a, f := RandomDense(2048, 64, 7), new(QR[float64])
+			op := func() {
+				if err := FactorIntoOf(nil, f, a, opt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			op()
+			checkTallTasks(t, f)
+			return op
+		},
+		"Factor+SolveLS 2048x64 nb=32": func(t *testing.T, opt Options) func() {
+			opt.TileSize, opt.InnerBlock = 32, 8
+			a, b := RandomDense(2048, 64, 7), RandomDense(2048, 1, 8)
+			var f *QR[float64]
+			op := func() {
+				var err error
+				if f, err = Factor(a, opt); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.SolveLS(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			op()
+			checkTallTasks(t, f)
+			return op
+		},
 		"Factor+SolveLS 256x128 nb=32": func(t *testing.T, opt Options) func() {
 			opt.TileSize, opt.InnerBlock = 32, 8
 			a, b := RandomDense(256, 128, 3), RandomDense(256, 1, 4)
@@ -85,6 +120,12 @@ func TestPlacementAllocs(t *testing.T) {
 		{"Factor+SolveLS 256x128 nb=32", "Workers=1", 420 << 10, 52},
 		{"Factor+SolveLS 256x128 nb=32", "Workers=2", 420 << 10, 52},
 		{"Factor+SolveLS 256x128 nb=32", "NewRuntime(2)", 420 << 10, 52},
+		{"FactorInto 2048x64 nb=32", "Workers=1", 4 << 10, 8},
+		{"FactorInto 2048x64 nb=32", "Workers=2", 4 << 10, 8},
+		{"FactorInto 2048x64 nb=32", "NewRuntime(2)", 4 << 10, 8},
+		{"Factor+SolveLS 2048x64 nb=32", "Workers=1", 1280 << 10, 56},
+		{"Factor+SolveLS 2048x64 nb=32", "Workers=2", 1280 << 10, 56},
+		{"Factor+SolveLS 2048x64 nb=32", "NewRuntime(2)", 1280 << 10, 56},
 	} {
 		op := shapes[tc.shape](t, placements[tc.placement])
 		for i := 0; i < 3; i++ {
@@ -104,6 +145,17 @@ func TestPlacementAllocs(t *testing.T) {
 			t.Errorf("%s on %s: %d B in %d mallocs per warm operation, want ≤ %d B in ≤ %d",
 				tc.shape, tc.placement, bytes, mallocs, tc.maxBytes, tc.maxMallocs)
 		}
+	}
+}
+
+// checkTallTasks holds a 2048×64 factorization at nb = 32 to the task
+// count of the DAG on its 18 tile rows: the top two 32 tall, sixteen 128
+// tall below them.
+func checkTallTasks(t *testing.T, f *QR[float64]) {
+	t.Helper()
+	want := core.BuildDAG(core.GreedyList(18, 2), core.TT).NumTasks()
+	if p, q, _ := f.Grid(); p != 18 || q != 2 || f.TaskCount() != want {
+		t.Fatalf("2048×64 at nb=32: %d tasks on a %d×%d grid, want %d on 18×2", f.TaskCount(), p, q, want)
 	}
 }
 

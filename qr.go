@@ -66,7 +66,7 @@ func FactorIntoOf[T Scalar](ctx context.Context, f *QR[T], a *Mat[T], opt Option
 	if err != nil {
 		return err
 	}
-	if err := opt.validate(tile.NewGrid(a.Rows, a.Cols, opt.TileSize).P); err != nil {
+	if err := opt.validate(tile.FactorGrid(a.Rows, a.Cols, opt.TileSize).P); err != nil {
 		return err
 	}
 	return engine.FactorInto(f.eng(), (*tile.Dense[T])(a), engine.Config{
@@ -154,5 +154,9 @@ func (f *QR[T]) Utilization() sched.Utilization { return f.eng().Utilization() }
 // TaskCount returns the number of kernel tasks the factorization executed.
 func (f *QR[T]) TaskCount() int { return f.eng().TaskCount() }
 
-// Grid returns the tile grid dimensions (p×q) and tile size.
+// Grid returns the tile grid the factorization ran on: p tile rows, q tile
+// columns, and the tile size nb. p counts the tile rows as run: the top q
+// are nb tall and the rows below them MB = c·nb tall, c ∈ {1, 2, 4}
+// chosen from the shape (see Options.TileSize), so p = q + ⌈(m − q·nb)/MB⌉
+// on a tall matrix.
 func (f *QR[T]) Grid() (p, q, nb int) { return f.eng().Grid() }
