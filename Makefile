@@ -91,7 +91,7 @@ fuzz-smoke:
 # trajectory in BENCH_kernels.json. The file's "baseline" object (seed
 # figures) is preserved across regenerations, so the float64/complex128
 # maps stay comparable to the pre-generic numbers. Whole operations —
-# factorizations, stream appends, served requests, distributed rounds — are
+# factorizations, stream appends, served requests, distributed solves — are
 # bench-e2e's.
 bench:
 	$(GO) run ./cmd/qrperf -kernels-json BENCH_kernels.json
@@ -158,8 +158,9 @@ serve-smoke:
 # dist-smoke proves the distributed CAQR stack end to end: build qrdist,
 # factor 2048×256 across a coordinator and 2 worker processes (qrdist
 # -worker re-executes itself with -connect) with -verify (R and x must match single-process Factor), then
-# SIGTERM a long multi-round run and assert a prompt stop — qrdist exits
-# nonzero within 5 s, names the interruption, and no worker process outlives it.
+# SIGTERM a run made long by the stall injector (TILEDQR_FAULT, 20 ms a
+# task) and assert a prompt stop — qrdist exits nonzero within 5 s, names
+# the interruption, and no worker process outlives it.
 dist-smoke:
 	GO="$(GO)" sh scripts/dist_smoke.sh
 

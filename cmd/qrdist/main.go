@@ -2,20 +2,19 @@
 // starts the coordinator, spawns the workers (in-process goroutines by
 // default, or with -worker separate processes of this same program), shards
 // a random m×n system row-wise across them, and reports the result —
-// rows/sec, bytes moved through the reduction tree, and how much of the
-// wire time multi-round runs hid behind local factorization.
+// rows/sec, bytes moved through the reduction tree, and where the workers'
+// time went.
 //
 //	qrdist -m 2048 -n 256 -workers 2 -verify        # 2 in-process shards, check vs Factor
-//	qrdist -workers 4 -rounds 8                      # multi-round run
 //	qrdist -worker ...                               # one worker process per shard
 //	qrdist -connect 127.0.0.1:7421                   # be one worker of that coordinator
 //
 // With -connect the program is one shard of somebody else's run: it
 // connects to that coordinator, receives its rank, shard and reduction-tree
-// peer table, and runs its rounds: it streams the shard into a TSQR
-// aggregate (R, Qᵀb, residual) and sends it up the reduction tree. Every
-// parameter comes over the wire, so no other flag applies. A worker whose
-// coordinator connection drops aborts mid-round and exits 1.
+// peer table, streams the shard into a TSQR aggregate (R, Qᵀb, residual)
+// and sends it up the reduction tree, once. Every parameter comes over the
+// wire, so no other flag applies. A worker whose coordinator connection
+// drops aborts mid-run and exits 1.
 //
 // SIGTERM/SIGINT stops the run: the coordinator closes every worker
 // connection, qrdist waits until every worker has exited, prints one line
@@ -48,7 +47,6 @@ var (
 	flagIB      = flag.Int("ib", 32, "inner blocking")
 	flagWorkers = flag.Int("workers", 2, "worker shards")
 	flagLocal   = flag.Int("local-workers", 0, "scheduler width per worker (0 = default)")
-	flagRounds  = flag.Int("rounds", 1, "factor+reduce rounds")
 	flagRHS     = flag.Int("rhs", 1, "right-hand-side columns (0 = R only)")
 	flagPrec    = flag.String("prec", "d", "precision: d, s, z or c")
 	flagSeed    = flag.Int64("seed", 1, "matrix seed")
@@ -89,7 +87,7 @@ func main() {
 func run[T vec.Scalar](ctx context.Context) error {
 	m, n, W := *flagM, *flagN, *flagWorkers
 	coord, err := dist.NewCoordinator(dist.Config{
-		Workers: W, NB: *flagNB, IB: *flagIB, Rounds: *flagRounds, LocalWorkers: *flagLocal,
+		Workers: W, NB: *flagNB, IB: *flagIB, LocalWorkers: *flagLocal,
 	})
 	if err != nil {
 		return err
@@ -143,12 +141,12 @@ func run[T vec.Scalar](ctx context.Context) error {
 	}
 
 	st := res.Stats
-	rowsPerSec := float64(m) * float64(*flagRounds) / elapsed.Seconds()
+	rowsPerSec := float64(m) / elapsed.Seconds()
 	fmt.Printf("qrdist: %d×%d over %d workers (%s), nb=%d ib=%d\n", m, n, W, *flagPrec, *flagNB, *flagIB)
-	fmt.Printf("  %d rounds, %.2fs wall, %.0f rows/sec (%.0f rows/sec/shard)\n",
-		*flagRounds, elapsed.Seconds(), rowsPerSec, rowsPerSec/float64(W))
-	fmt.Printf("  wire: %.1f KiB sent, %.1f KiB received, overlap %.0f%% of comm hidden\n",
-		float64(st.BytesSent)/1024, float64(st.BytesRecv)/1024, 100*st.OverlapFrac)
+	fmt.Printf("  %.2fs wall, %.0f rows/sec (%.0f rows/sec/shard)\n",
+		elapsed.Seconds(), rowsPerSec, rowsPerSec/float64(W))
+	fmt.Printf("  wire: %.1f KiB sent, %.1f KiB received\n",
+		float64(st.BytesSent)/1024, float64(st.BytesRecv)/1024)
 	fmt.Printf("  compute %.3fs, combine %.3fs, send %.3fs, recv-wait %.3fs across workers\n",
 		float64(st.ComputeNS)/1e9, float64(st.CombineNS)/1e9,
 		float64(st.SendNS)/1e9, float64(st.RecvWaitNS)/1e9)

@@ -40,7 +40,7 @@
 //	                                     -kernels-json files
 //
 // Whole operations (Factor+SolveLS, stream appends, served requests,
-// distributed rounds) are timed by `go run ./bench`, not here.
+// distributed solves) are timed by `go run ./bench`, not here.
 //
 // Flags -p, -nb, -ib, -workers scale the Section 4 experiments (defaults are
 // a laptop-sized version of the paper's p=40, nb=200, ib=32, P=48); -sizes,

@@ -1,12 +1,13 @@
 // The coordinator of the distributed CAQR runtime: it shards the global
 // matrix row-wise across worker processes, hands each worker its rank and
 // the peer table of the reduction tree, streams every worker its shard at
-// once — chunks of whole tile rows written straight from the caller's
+// once — chunks of whole batch tiles written straight from the caller's
 // matrix, which the worker merges as they arrive — and collects every
-// worker's stats and, each round, one aggregate frame from the tree root:
-// the global R, the top block of Qᵀb, the residual norm and the row count.
-// Workers run their rounds on their own; after the shard the coordinator
-// sends nothing more until Done.
+// worker's stats and one aggregate frame from the tree root: the global R,
+// the top block of Qᵀb, the residual norm and the row count. A run is one
+// pass: each worker factors its shard once and the tree carries W−1
+// triangles. After the shard the coordinator sends nothing more until
+// Done.
 // Cancelling a run, or any worker failing, closes every worker connection,
 // so the whole run stops promptly with an error.
 package dist
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"tiledqr/internal/engine"
+	"tiledqr/internal/stream"
 	"tiledqr/internal/tile"
 	"tiledqr/internal/vec"
 )
@@ -33,9 +35,12 @@ type Config struct {
 	Workers      int    // worker processes to expect (default 2)
 	NB           int    // tile size inside each shard (default 128)
 	IB           int    // inner block size (default 32)
-	Rounds       int    // factor+reduce rounds per run (default 1)
 	LocalWorkers int    // scheduler width inside each worker (0 = default)
 	Addr         string // listen address (default "127.0.0.1:0")
+
+	// Rounds must be 0 or 1: a run is one pass. The field stays only
+	// because the benchmark harness sets it, and goes with Yardstick v2a (a).
+	Rounds int
 }
 
 func (c *Config) defaults() {
@@ -47,9 +52,6 @@ func (c *Config) defaults() {
 	}
 	if c.IB <= 0 {
 		c.IB = 32
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 1
 	}
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:0"
@@ -65,6 +67,9 @@ type Coordinator struct {
 
 // NewCoordinator applies cfg's defaults and starts listening.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
+	if cfg.Rounds != 0 && cfg.Rounds != 1 {
+		return nil, fmt.Errorf("dist: Config.Rounds = %d: a distributed run is one pass (Rounds must be 0 or 1)", cfg.Rounds)
+	}
 	cfg.defaults()
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
@@ -104,10 +109,10 @@ type coordEvent struct {
 
 // Run executes one distributed factorization: wait for cfg.Workers workers
 // to connect, shard a (m×n, row-wise) and b (m×nrhs, optional) across
-// them, run the configured rounds, and return the global R, the Qᵀb top
-// block, the least-squares solution X = R⁻¹(Qᵀb)[:n] and its residual
+// them, reduce their aggregates once, and return the global R, the Qᵀb
+// top block, the least-squares solution X = R⁻¹(Qᵀb)[:n] and its residual
 // norm. Cancelling ctx closes every worker connection and returns
-// ctx.Err() at once; the workers abort mid-round.
+// ctx.Err() at once; the workers abort mid-run.
 func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T]) (*Result[T], error) {
 	defer c.Close()
 	cfg := c.cfg
@@ -164,7 +169,7 @@ func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T])
 		wc := wireConfig{
 			Proto: protoVersion, Rank: r, Workers: W, Peers: peers,
 			Prec: vec.Prec[T]().Tag(), ShardRows: shardRows[r], N: n, NRHS: nrhs,
-			NB: cfg.NB, IB: cfg.IB, Rounds: cfg.Rounds, LocalWorkers: cfg.LocalWorkers,
+			NB: cfg.NB, IB: cfg.IB, LocalWorkers: cfg.LocalWorkers,
 		}
 		if err := writeJSON(w.conn, KindConfig, 0, &wc); err != nil {
 			return nil, fmt.Errorf("dist: configuring rank %d: %w", r, err)
@@ -221,9 +226,9 @@ func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T])
 		res.QTB = tile.NewDense[T](n, nrhs)
 		qtb = res.QTB.Data
 	}
-	gotResults := 0
+	gotAgg := false
 	statsBy := make([]WorkerStats, 0, W)
-	for gotResults < cfg.Rounds || len(statsBy) < W {
+	for !gotAgg || len(statsBy) < W {
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -241,6 +246,10 @@ func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T])
 				putBuf(ev.buf)
 				return nil, err
 			case KindAgg:
+				if gotAgg {
+					putBuf(ev.buf)
+					return nil, fmt.Errorf("dist: worker %d sent a second aggregate", ev.rank)
+				}
 				resid, rows, err := unpackAgg(&ev.f, n, nrhs, res.R.Data, qtb)
 				putBuf(ev.buf)
 				if err == nil && rows != int64(m) {
@@ -250,7 +259,7 @@ func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T])
 					return nil, err
 				}
 				res.Residual = resid
-				gotResults++
+				gotAgg = true
 			case KindStats:
 				var ws WorkerStats
 				err := json.Unmarshal(ev.f.Payload, &ws)
@@ -268,7 +277,7 @@ func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T])
 	for _, w := range workers {
 		_, _ = WriteFrame(w.conn, &Frame{Kind: KindDone})
 	}
-	res.Stats = aggregate(statsBy, cfg.Rounds)
+	res.Stats = aggregate(statsBy)
 	if nrhs > 0 {
 		res.X = tile.NewDense[T](n, nrhs)
 		xcol := make([]T, n)
@@ -286,10 +295,13 @@ func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T])
 const chunkBytes = 256 << 10
 
 // chunkRows is the height of a shard chunk of a cols-wide matrix of T:
-// about chunkBytes of payload, rounded down to whole nb-row tiles, and at
-// least one tile row.
+// about chunkBytes of payload, rounded down to whole batch tiles of the
+// worker's stream (stream.BatchTileRows·nb rows), and at least one. The
+// coordinator cuts chunks at this height and each worker sizes its one
+// receive buffer by it.
 func chunkRows[T vec.Scalar](cols, nb int) int {
-	return max(1, chunkBytes/(cols*scalarBytes[T]())/nb) * nb
+	h := stream.BatchTileRows * nb
+	return max(1, chunkBytes/(cols*scalarBytes[T]())/h) * h
 }
 
 // shipShard writes rows first … first+rows−1 of a as chunks of at most

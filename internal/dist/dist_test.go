@@ -59,25 +59,25 @@ func joinWorkers(t *testing.T, errs <-chan error, w int) {
 // canonicalization) and the least-squares solution to agree to tol
 // relative to the input's scale, and the residual norm to agree with the
 // one-shot ‖b − A·x̂‖_F to tol relative. nrhs = 0 runs R alone.
-func runDistVsLocal[T vec.Scalar](t *testing.T, m, n, nrhs, W, rounds int, tol float64) {
+func runDistVsLocal[T vec.Scalar](t *testing.T, m, n, nrhs, W int, tol float64) {
 	t.Helper()
 	a := tile.RandDense[T](m, n, 7)
 	var b *tile.Dense[T]
 	if nrhs > 0 {
 		b = tile.RandDense[T](m, nrhs, 8)
 	}
-	runDist(t, a, b, W, rounds, tol)
+	runDist(t, a, b, W, tol)
 }
 
 // runDist is runDistVsLocal on a given a and b (nil for R alone).
-func runDist[T vec.Scalar](t *testing.T, a, b *tile.Dense[T], W, rounds int, tol float64) {
+func runDist[T vec.Scalar](t *testing.T, a, b *tile.Dense[T], W int, tol float64) {
 	t.Helper()
 	m, n, nrhs := a.Rows, a.Cols, 0
 	if b != nil {
 		nrhs = b.Cols
 	}
 	c, err := NewCoordinator(Config{
-		Workers: W, NB: 32, IB: 8, Rounds: rounds, LocalWorkers: 1,
+		Workers: W, NB: 32, IB: 8, LocalWorkers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,11 +88,6 @@ func runDist[T vec.Scalar](t *testing.T, a, b *tile.Dense[T], W, rounds int, tol
 		t.Fatal(err)
 	}
 	joinWorkers(t, errs, W)
-	for _, ws := range res.Stats.PerWorker {
-		if ws.Rounds != rounds {
-			t.Fatalf("rank %d completed %d rounds, want %d", ws.Rank, ws.Rounds, rounds)
-		}
-	}
 
 	f, err := engine.Factor(a, engine.Config{
 		Algorithm: core.Greedy, TileSize: 32, InnerBlock: 8,
@@ -151,72 +146,75 @@ func runDist[T vec.Scalar](t *testing.T, a, b *tile.Dense[T], W, rounds int, tol
 // TestDistMatchesLocal is the heart of the acceptance criteria: the
 // multi-process CAQR result — R, x and the residual norm — must agree with
 // the single-process engine in all four precisions, including a
-// non-power-of-two worker count and multiple free-running rounds, and a
-// run without right-hand side must return R alone.
+// non-power-of-two worker count, and a run without right-hand side must
+// return R alone.
 func TestDistMatchesLocal(t *testing.T) {
 	t.Run("double", distAgreement[float64](1e-12))
 	t.Run("double-complex", distAgreement[complex128](1e-12))
 	t.Run("single", distAgreement[float32](2e-4))
 	t.Run("single-complex", distAgreement[complex64](2e-4))
-	t.Run("double-R-only", func(t *testing.T) { runDistVsLocal[float64](t, 256, 64, 0, 3, 2, 1e-12) })
+	t.Run("double-R-only", func(t *testing.T) { runDistVsLocal[float64](t, 256, 64, 0, 3, 1e-12) })
 }
 
-// distAgreement is one precision's agreement suite: shards of one chunk
-// over two rounds, then three workers whose shards span three chunks, the
-// last of them ragged (not whole tiles), in one round — the streamed
-// appends alone make the result — for 0, 1 and 3 right-hand sides; the
-// same with a and b strided, which the coordinator packs before it ships
-// them; the same with the packing wire path forced on both sides, the one
-// a big-endian host takes; and two rounds, the second of which re-appends
-// the retained shard.
+// distAgreement is one precision's agreement suite: shards of one chunk,
+// then three workers whose shards span three chunks, the last of them
+// ragged (not whole tiles), for 0, 1 and 3 right-hand sides; the same with
+// a and b strided, which the coordinator packs before it ships them; and
+// the same with the packing wire path forced on both sides, the one a
+// big-endian host takes.
 func distAgreement[T vec.Scalar](tol float64) func(*testing.T) {
 	return func(t *testing.T) {
-		runDistVsLocal[T](t, 256, 64, 2, 3, 2, tol)
+		runDistVsLocal[T](t, 256, 64, 2, 3, tol)
 		const n, W = 64, 3
 		step := chunkRows[T](n, 32)
 		m := W*(2*step+43) + 1 // the last chunk 43 or 44 rows
 		for _, nrhs := range []int{0, 1, 3} {
-			t.Run(fmt.Sprintf("chunked-nrhs=%d", nrhs), func(t *testing.T) { runDistVsLocal[T](t, m, n, nrhs, W, 1, tol) })
+			t.Run(fmt.Sprintf("chunked-nrhs=%d", nrhs), func(t *testing.T) { runDistVsLocal[T](t, m, n, nrhs, W, tol) })
 		}
 		t.Run("strided", func(t *testing.T) {
-			runDist(t, tile.RandDense[T](m, n+3, 7).View(0, 0, m, n), tile.RandDense[T](m, 5, 8).View(0, 0, m, 2), W, 1, tol)
+			runDist(t, tile.RandDense[T](m, n+3, 7).View(0, 0, m, n), tile.RandDense[T](m, 5, 8).View(0, 0, m, 2), W, tol)
 		})
 		t.Run("packed", func(t *testing.T) {
 			defer func(le bool) { hostLittleEndian = le }(hostLittleEndian)
 			hostLittleEndian = false
-			runDistVsLocal[T](t, m, n, 1, W, 1, tol)
+			runDistVsLocal[T](t, m, n, 1, W, tol)
 		})
-		t.Run("rounds=2", func(t *testing.T) { runDistVsLocal[T](t, m, n, 1, W, 2, tol) })
 	}
 }
 
 // TestDistSingleWorker degenerates the tree to nothing: one shard, no
 // peer traffic, still the right answer.
 func TestDistSingleWorker(t *testing.T) {
-	runDistVsLocal[float64](t, 128, 32, 1, 1, 1, 1e-12)
+	runDistVsLocal[float64](t, 128, 32, 1, 1, 1e-12)
 }
 
-// TestDistPowerOfTwoWorkers runs the full-depth binary tree for enough
-// free-running rounds that the bounded send queues fill and apply
-// backpressure, then requires that nothing is left running.
+// TestDistPowerOfTwoWorkers runs the full-depth binary tree of four
+// workers, then requires that nothing is left running.
 func TestDistPowerOfTwoWorkers(t *testing.T) {
-	runDistVsLocal[float64](t, 512, 64, 1, 4, 16, 1e-12)
+	runDistVsLocal[float64](t, 512, 64, 1, 4, 1e-12)
 	assertNoGoroutines(t)
 }
 
-// TestDistCancel cancels a long run in the middle of a round: Run returns
-// context.Canceled at once, and every worker aborts mid-round with an
-// error naming the lost coordinator connection — the SIGTERM semantics of
-// cmd/qrdist.
+// TestDistCancel cancels a long run in the middle: Run returns
+// context.Canceled at once, and every worker aborts mid-pass with an error
+// naming the lost coordinator connection — the SIGTERM semantics of
+// cmd/qrdist. The stall injector holds every float64 task for 20 ms, so the
+// run lasts seconds and a task in flight at the cancel ends within 20 ms of
+// it. A worker still receiving its shard sees the loss only once it has
+// merged the chunks already in its socket buffer; at n = nb = 128 without
+// right-hand side a 256 KiB chunk is one batch tile, one task, so that
+// takes some 20 ms per chunk.
 func TestDistCancel(t *testing.T) {
-	// Far more rounds than any host finishes before the cancel below fires
-	// (a round of this shape is ~0.25 ms). The 192×32 matrix is shipped
-	// once, 96 rows a worker.
-	const W, rounds = 2, 1_000_000
-	c, err := NewCoordinator(Config{Workers: W, NB: 32, IB: 8, Rounds: rounds, LocalWorkers: 1})
+	fault.Set(fault.Config{Mode: fault.ModeStall, Kind: fault.AnyKind, Prec: "d", Index: -1, Stall: 20 * time.Millisecond})
+	defer fault.Reset()
+	// 96 chunks a worker: some 2 s of stalls, far past the cancel below,
+	// and far more than the socket buffers hold.
+	const W, m, n = 2, 2 * 96 * 256, 128
+	c, err := NewCoordinator(Config{Workers: W, NB: n, IB: 32, LocalWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := tile.RandDense[float64](m, n, 42)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	errs := SpawnLocal(context.Background(), c.Addr(), W)
@@ -226,7 +224,7 @@ func TestDistCancel(t *testing.T) {
 		cancelled <- time.Now()
 		cancel()
 	}()
-	_, err = Run(ctx, c, tile.RandDense[float64](192, 32, 42), tile.RandDense[float64](192, 1, 43))
+	_, err = Run(ctx, c, a, nil)
 	at := <-cancelled
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Run returned %v, want context.Canceled", err)
@@ -345,7 +343,7 @@ func faultWorker(t *testing.T, kind core.Kind, mode fault.Mode) {
 	fault.Set(fault.Config{Mode: mode, Kind: kind, Prec: "d", Index: 0, Times: 1})
 	defer fault.Reset()
 	const W = 2
-	c, err := NewCoordinator(Config{Workers: W, NB: 32, IB: 8, Rounds: 4, LocalWorkers: 1})
+	c, err := NewCoordinator(Config{Workers: W, NB: 32, IB: 8, LocalWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,26 +455,35 @@ func TestDistRejectsThinShards(t *testing.T) {
 
 // TestDistWorkerRefusesBadChunks drives one worker from a hand-rolled
 // coordinator — hello, the config of a 12×4 float64 shard with one
-// right-hand side, then frames that do not fit it. Each must end the worker
-// with a named error, also reported to the coordinator in an Err frame,
-// and never with a panic or a silently zero-filled shard.
+// right-hand side, then frames that do not fit it; or a config that cannot
+// be run. Each must end the worker with a named error, also reported to
+// the coordinator in an Err frame, and never with a panic or a silently
+// zero-filled shard. At 4096 columns the worker's chunk buffer holds 8 of
+// the 12 rows, so a 9-row chunk is refused though the rows are due.
 func TestDistWorkerRefusesBadChunks(t *testing.T) {
 	const rows, n = 12, 4
 	chunk := func(kind, prec byte, seq, r, c int) *Frame {
 		return &Frame{Kind: kind, Prec: prec, Seq: uint32(seq), Rows: uint32(r), Cols: uint32(c), Payload: make([]byte, r*c*8)}
 	}
+	wide := func(c *wireConfig) { c.N = 4096 }
 	for _, tc := range []struct {
 		name   string
+		config func(*wireConfig) // nil: the 12×4 shard as is
 		frames []*Frame
+		is     error
 		want   string
 	}{
-		{"too-many-rows", []*Frame{chunk(KindShard, 'd', 0, rows+3, n)}, "chunk of 15 rows at row 0, want 1 to 12"},
-		{"wrong-seq", []*Frame{chunk(KindShard, 'd', 4, 4, n)}, "chunk starts at row 4, want row 0"},
-		{"wrong-cols", []*Frame{chunk(KindShard, 'd', 0, 4, n+1)}, "chunk of 5 columns, want 4"},
-		{"wrong-precision", []*Frame{chunk(KindShard, 's', 0, 4, n)}, `precision 's' at row 0, want 'd'`},
-		{"short-payload", []*Frame{{Kind: KindShard, Prec: 'd', Rows: 4, Cols: n, Payload: make([]byte, 4*n*8-8)}}, "chunk of 4×4 in 120 bytes, want 128"},
-		{"rhs-rows-differ", []*Frame{chunk(KindShard, 'd', 0, 8, n), chunk(KindRHS, 'd', 0, 4, 1)}, "RHS chunk of 4 rows at row 0, shard chunk of 8"},
-		{"early-frame", []*Frame{chunk(KindShard, 'd', 0, 8, n), chunk(KindRHS, 'd', 0, 8, 1), {Kind: KindDone}}, "frame kind 8 at row 8, want kind 3"},
+		{"too-many-rows", nil, []*Frame{chunk(KindShard, 'd', 0, rows+3, n)}, errBadChunk, "chunk of 15 rows at row 0, want 1 to 12"},
+		{"taller-than-buffer", wide, []*Frame{{Kind: KindShard, Prec: 'd', Rows: 9, Cols: 4096}}, errBadChunk, "chunk of 9 rows at row 0, want 1 to 8"},
+		{"wrong-seq", nil, []*Frame{chunk(KindShard, 'd', 4, 4, n)}, errBadChunk, "chunk starts at row 4, want row 0"},
+		{"wrong-cols", nil, []*Frame{chunk(KindShard, 'd', 0, 4, n+1)}, errBadChunk, "chunk of 5 columns, want 4"},
+		{"wrong-precision", nil, []*Frame{chunk(KindShard, 's', 0, 4, n)}, errBadChunk, `precision 's' at row 0, want 'd'`},
+		{"short-payload", nil, []*Frame{{Kind: KindShard, Prec: 'd', Rows: 4, Cols: n, Payload: make([]byte, 4*n*8-8)}}, errBadChunk, "chunk of 4×4 in 120 bytes, want 128"},
+		{"rhs-rows-differ", nil, []*Frame{chunk(KindShard, 'd', 0, 8, n), chunk(KindRHS, 'd', 0, 4, 1)}, errBadChunk, "RHS chunk of 4 rows at row 0, shard chunk of 8"},
+		{"early-frame", nil, []*Frame{chunk(KindShard, 'd', 0, 8, n), chunk(KindRHS, 'd', 0, 8, 1), {Kind: KindDone}}, errBadChunk, "frame kind 8 at row 8, want kind 3"},
+		{"rank-out-of-range", func(c *wireConfig) { c.Rank = 1 }, nil, errBadConfig, "rank 1 of 1 workers"},
+		{"negative-nrhs", func(c *wireConfig) { c.NRHS = -1 }, nil, errBadConfig, "-1 right-hand sides"},
+		{"no-shard-rows", func(c *wireConfig) { c.ShardRows = 0 }, nil, errBadConfig, "0 shard rows"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -495,7 +502,10 @@ func TestDistWorkerRefusesBadChunks(t *testing.T) {
 				t.Fatal(err)
 			}
 			wc := wireConfig{Proto: protoVersion, Workers: 1, Peers: []string{hello.PeerAddr}, Prec: "d",
-				ShardRows: rows, N: n, NRHS: 1, NB: 4, IB: 2, Rounds: 1, LocalWorkers: 1}
+				ShardRows: rows, N: n, NRHS: 1, NB: 4, IB: 2, LocalWorkers: 1}
+			if tc.config != nil {
+				tc.config(&wc)
+			}
 			if err := writeJSON(conn, KindConfig, 0, &wc); err != nil {
 				t.Fatal(err)
 			}
@@ -511,7 +521,7 @@ func TestDistWorkerRefusesBadChunks(t *testing.T) {
 			}
 			select {
 			case err := <-werr:
-				if err == nil || !errors.Is(err, errBadChunk) || !strings.Contains(err.Error(), tc.want) {
+				if err == nil || !errors.Is(err, tc.is) || !strings.Contains(err.Error(), tc.want) {
 					t.Errorf("worker exited with %v, want %q", err, tc.want)
 				}
 			case <-time.After(5 * time.Second):
@@ -522,37 +532,107 @@ func TestDistWorkerRefusesBadChunks(t *testing.T) {
 	}
 }
 
-// TestDistRunAllocations holds a distributed run to its input: a warm
-// 2-worker Run of dist_round's 4096×128 with one right-hand side may
-// allocate, coordinator and both workers together, less than 1.5× the
-// bytes of the matrix and RHS. The workers' retained shards alone are those
-// bytes, so a shard-sized frame buffer, pack or unpack copy breaks the
-// bound. The least of three runs counts, since a collection mid-run can
-// empty the pools; under the race detector the runs are only run.
+// TestDistRounds: a run is one pass, so Config.Rounds takes 0 or 1 and
+// anything else is refused before the coordinator listens.
+func TestDistRounds(t *testing.T) {
+	for _, tc := range []struct {
+		rounds int
+		ok     bool
+	}{{0, true}, {1, true}, {2, false}, {-1, false}} {
+		c, err := NewCoordinator(Config{Workers: 1, Rounds: tc.rounds})
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("Rounds %d refused: %v", tc.rounds, err)
+		case tc.ok:
+			c.Close()
+		case err == nil || !strings.Contains(err.Error(), "one pass"):
+			t.Errorf("Rounds %d: got %v, want a refusal saying a run is one pass", tc.rounds, err)
+		}
+	}
+}
+
+// TestDistRunAllocations counts what a warm float64 run moves and
+// allocates, one row per shape and counter:
+//   - sent: the bytes the workers send on the tree edges and to the
+//     coordinator are exactly W aggregate frames and W−1 peer hellos —
+//     one message per tree edge (Demmel et al.) and the root's result.
+//   - alloc: the bytes a warm 2-worker run of dist_round's 4096×128 with
+//     one right-hand side allocates, coordinator and workers together,
+//     stay under 0.75 × the bytes of the matrix and RHS: a worker holds one
+//     chunk, never its shard, so a shard-sized buffer, frame or copy breaks
+//     the bound. The least of three runs counts, since a collection mid-run
+//     can empty the pools; under the race detector, where sync.Pool drops
+//     puts at random, the row is only run.
 func TestDistRunAllocations(t *testing.T) {
-	const m, n, W = 4096, 128, 2
-	a, b := tile.RandDense[float64](m, n, 1), tile.RandDense[float64](m, 1, 2)
-	run := func() float64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		c, err := NewCoordinator(Config{Workers: W, NB: 64, IB: 16, LocalWorkers: 1})
+	type shape struct{ m, n, nrhs, w int }
+	type counter struct {
+		name  string
+		exact bool // the bound is the exact count, not an exclusive upper bound
+		count func(t *testing.T, w int, a, b *tile.Dense[float64]) float64
+	}
+	// run solves a and b (nil for R alone) on w workers.
+	run := func(t *testing.T, w int, a, b *tile.Dense[float64]) *Result[float64] {
+		c, err := NewCoordinator(Config{Workers: w, NB: 64, IB: 16, LocalWorkers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		errs := SpawnLocal(context.Background(), c.Addr(), W)
-		if _, err := Run(context.Background(), c, a, b); err != nil {
+		errs := SpawnLocal(context.Background(), c.Addr(), w)
+		res, err := Run(context.Background(), c, a, b)
+		if err != nil {
 			t.Fatal(err)
 		}
-		joinWorkers(t, errs, W)
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc - before.TotalAlloc)
+		joinWorkers(t, errs, w)
+		return res
 	}
-	run() // warms the frame, staging and plan pools
-	got := min(run(), run(), run())
-	input := float64((m*n + m) * 8)
-	t.Logf("a warm run allocated %.2f MB for %.2f MB of input", got/1e6, input/1e6)
-	if got >= 1.5*input && !raceEnabled {
-		t.Errorf("a warm run allocated %.2f MB, want < 1.5 × %.2f MB of input", got/1e6, input/1e6)
+	sent := counter{"sent", true, func(t *testing.T, w int, a, b *tile.Dense[float64]) float64 {
+		return float64(run(t, w, a, b).Stats.BytesSent)
+	}}
+	alloc := counter{"alloc", false, func(t *testing.T, w int, a, b *tile.Dense[float64]) float64 {
+		warm := func() float64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run(t, w, a, b)
+			runtime.ReadMemStats(&after)
+			return float64(after.TotalAlloc - before.TotalAlloc)
+		}
+		warm() // warms the frame, staging and plan pools
+		return min(warm(), warm(), warm())
+	}}
+	type row struct {
+		shape   shape
+		counter counter
+		bound   float64
+	}
+	var rows []row
+	for w := 1; w <= 4; w++ {
+		for _, nrhs := range []int{0, 1, 3} {
+			const m, n = 4096, 128
+			frames := w*(HeaderLen+aggLen[float64](n, nrhs)) + (w-1)*HeaderLen
+			rows = append(rows, row{shape{m, n, nrhs, w}, sent, float64(frames)})
+		}
+	}
+	rows = append(rows, row{shape{4096, 128, 1, 2}, alloc, 0.75 * (4096*128 + 4096) * 8})
+	for _, tc := range rows {
+		sh := tc.shape
+		t.Run(fmt.Sprintf("%s/%dx%d/nrhs=%d/W=%d", tc.counter.name, sh.m, sh.n, sh.nrhs, sh.w), func(t *testing.T) {
+			a := tile.RandDense[float64](sh.m, sh.n, 1)
+			var b *tile.Dense[float64]
+			if sh.nrhs > 0 {
+				b = tile.RandDense[float64](sh.m, sh.nrhs, 2)
+			}
+			got := tc.counter.count(t, sh.w, a, b)
+			switch {
+			case tc.counter.exact && got != tc.bound:
+				t.Errorf("%s %.0f bytes, want %.0f", tc.counter.name, got, tc.bound)
+			case tc.counter.exact:
+			case raceEnabled: // sync.Pool drops puts at random
+				t.Logf("%s %.2f MB, bound %.2f MB not asserted under -race", tc.counter.name, got/1e6, tc.bound/1e6)
+			case got >= tc.bound:
+				t.Errorf("%s %.2f MB, want < %.2f MB", tc.counter.name, got/1e6, tc.bound/1e6)
+			default:
+				t.Logf("%s %.2f MB, bound %.2f MB", tc.counter.name, got/1e6, tc.bound/1e6)
+			}
+		})
 	}
 	assertNoGoroutines(t)
 }

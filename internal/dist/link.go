@@ -1,12 +1,11 @@
 // Reduction-tree connection plumbing. Every rank but 0 has exactly one
-// tree parent, rank − lowbit(rank), so a worker sends on one connection
-// through one writer goroutine: a sender can start its next shard append
-// while its aggregate frame is still in flight (which only matters when
-// Rounds > 1), and the bounded queue is the run's only flow control. A
-// receive hub demultiplexes incoming peer frames by sender rank. Both
-// sides watch the worker's context, so a run that is cancelled or loses
-// its coordinator aborts mid-round. Buffers are pooled on both sides; the
-// steady state moves zero allocations per round.
+// tree parent, rank − lowbit(rank), and sends it one aggregate frame on one
+// connection, written by the worker's own goroutine. A receive hub accepts
+// the children's connections and delivers each child's frame by sender
+// rank. Both sides watch the worker's context, so a run that is cancelled
+// or loses its coordinator aborts at once: cancelling closes the
+// connections, which ends any read or write blocked on them. Received
+// frames land in pooled buffers.
 package dist
 
 import (
@@ -18,11 +17,6 @@ import (
 	"time"
 )
 
-// sendQueueDepth bounds the frames queued to the parent. A round sends one
-// aggregate frame per edge, so a sender runs at most about two rounds ahead
-// of its parent before it blocks.
-const sendQueueDepth = 2
-
 // peerLinkError marks a failed reduction-tree connection. It is usually a
 // symptom: the peer aborted because its coordinator connection dropped, or
 // it failed and reported that to the coordinator, which then drops the run.
@@ -30,83 +24,21 @@ type peerLinkError struct{ error }
 
 func (e peerLinkError) Unwrap() error { return e.error }
 
-// sendHub is a worker's edge to its tree parent: the connection, the
-// writer goroutine's queue, and its accounting.
-type sendHub struct {
-	ctx  context.Context
-	rank int
-	conn net.Conn
-	ch   chan []byte
-	done chan struct{} // closed when the writer exits; err is set before
-
-	err       error
-	bytesSent int64
-	sendNS    int64
-}
-
-// dialParent connects rank to its tree parent at addr and starts the
-// writer. The first frame is a PeerHello identifying this sender.
-func dialParent(ctx context.Context, rank int, addr string) (*sendHub, error) {
+// dialParent connects rank to its tree parent at addr and sends the
+// PeerHello identifying this sender; the aggregate follows on the same
+// connection. Cancelling ctx closes the connection.
+func dialParent(ctx context.Context, rank int, addr string) (net.Conn, error) {
 	d := net.Dialer{Timeout: 10 * time.Second}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("dist: rank %d dialing parent: %w", rank, err)
 	}
 	context.AfterFunc(ctx, func() { _ = conn.Close() })
-	h := &sendHub{ctx: ctx, rank: rank, conn: conn,
-		ch: make(chan []byte, sendQueueDepth), done: make(chan struct{})}
-	h.ch <- packFrame(&Frame{Kind: KindPeerHello, Seq: uint32(rank)}, 0, func([]byte) {})
-	go h.writer()
-	return h, nil
-}
-
-// send enqueues a framed buffer for the parent; ownership transfers (the
-// writer recycles it). It blocks while the queue is full.
-func (h *sendHub) send(framed []byte) error {
-	select {
-	case h.ch <- framed:
-		return nil
-	case <-h.done:
-		putBuf(framed)
-		return h.err
-	case <-h.ctx.Done():
-		putBuf(framed)
-		return context.Cause(h.ctx)
+	if _, err := WriteFrame(conn, &Frame{Kind: KindPeerHello, Seq: uint32(rank)}); err != nil {
+		_ = conn.Close()
+		return nil, peerLinkError{fmt.Errorf("dist: rank %d peer send: %w", rank, err)}
 	}
-}
-
-// writer drains the queue onto the connection until close or a failure.
-func (h *sendHub) writer() {
-	defer close(h.done)
-	defer h.conn.Close()
-	for {
-		select {
-		case buf, ok := <-h.ch:
-			if !ok {
-				return
-			}
-			t0 := time.Now()
-			n, err := h.conn.Write(buf)
-			h.sendNS += int64(time.Since(t0))
-			h.bytesSent += int64(n)
-			putBuf(buf)
-			if err != nil {
-				h.err = peerLinkError{fmt.Errorf("dist: rank %d peer send: %w", h.rank, err)}
-				return
-			}
-		case <-h.ctx.Done():
-			h.err = context.Cause(h.ctx)
-			return
-		}
-	}
-}
-
-// close flushes the queue and waits for the writer, so every frame is on
-// the wire (or the edge has failed) before the worker reports its stats.
-func (h *sendHub) close() error {
-	close(h.ch)
-	<-h.done
-	return h.err
+	return conn, nil
 }
 
 // recvMsg is one delivered peer frame; buf owns the payload and goes back
@@ -145,22 +77,22 @@ func newRecvHub(ctx context.Context, ln net.Listener) *recvHub {
 }
 
 // queueFor get-or-creates the delivery queue of a sender rank (the accept
-// goroutine and the combine loop race to be first).
+// goroutine and the combine loop race to be first). A sender delivers one
+// frame, so the queue holds one.
 func (h *recvHub) queueFor(rank int) chan recvMsg {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	ch := h.senders[rank]
 	if ch == nil {
-		ch = make(chan recvMsg, sendQueueDepth)
+		ch = make(chan recvMsg, 1)
 		h.senders[rank] = ch
 	}
 	return ch
 }
 
-// serve reads one peer connection: a PeerHello naming the sender, then a
-// stream of bulk frames delivered in order to that sender's queue. Each
-// frame lands in its own pooled buffer because ownership transfers to the
-// consumer.
+// serve reads one peer connection: a PeerHello naming the sender, then
+// the sender's aggregate frame, delivered to that sender's queue in a
+// pooled buffer whose ownership transfers to the consumer.
 func (h *recvHub) serve(conn net.Conn) {
 	defer conn.Close()
 	context.AfterFunc(h.ctx, func() { _ = conn.Close() })
@@ -171,29 +103,22 @@ func (h *recvHub) serve(conn net.Conn) {
 		return // not a valid peer: drop the connection
 	}
 	setDeadline(conn, 0)
-	ch := h.queueFor(int(hello.Seq))
-	for {
-		f, fbuf, err := ReadFrame(conn, getBuf(0))
-		m := recvMsg{f: f, buf: fbuf, err: err}
-		if err != nil {
-			putBuf(fbuf)
-			m.buf = nil
-		} else {
-			h.bytesRecv.Add(int64(HeaderLen + len(f.Payload)))
-		}
-		select {
-		case ch <- m:
-		case <-h.ctx.Done():
-			putBuf(m.buf)
-			return
-		}
-		if err != nil {
-			return
-		}
+	f, buf, err := ReadFrame(conn, getBuf(0))
+	m := recvMsg{f: f, buf: buf, err: err}
+	if err != nil {
+		putBuf(buf)
+		m.buf = nil
+	} else {
+		h.bytesRecv.Add(int64(2*HeaderLen + len(f.Payload)))
+	}
+	select {
+	case h.queueFor(int(hello.Seq)) <- m:
+	case <-h.ctx.Done():
+		putBuf(m.buf)
 	}
 }
 
-// recv waits for the next frame from a sender rank. The returned buffer
+// recv waits for the frame of a sender rank. The returned buffer
 // must be recycled with putBuf after the payload is consumed.
 func (h *recvHub) recv(from int) (Frame, []byte, error) {
 	select {

@@ -1,15 +1,14 @@
 // The wire layer of the distributed CAQR runtime: length-prefixed binary
 // frames over plain TCP carrying packed tile payloads. The format is as
 // small as correctness allows — communication avoidance starts with what
-// goes on the wire, so a reduction-tree edge carries one TSQR aggregate per
-// round: the packed R triangle (n(n+1)/2 scalars, not n² and never the
+// goes on the wire, so a reduction-tree edge carries one TSQR aggregate:
+// the packed R triangle (n(n+1)/2 scalars, not n² and never the
 // trailing matrix), the n×nrhs Qᵀb block, the residual norm and the row
 // count. The shard is the one bulk transfer: it travels as chunks of whole
 // tile rows, each written from a byte view of the caller's matrix and read
 // straight into its place in the worker's shard (writeRows, readRows), so
 // no shard byte is copied in user space on the way. Aggregates go through
-// pooled buffers, so the steady state of a multi-round run allocates
-// nothing per frame.
+// pooled buffers.
 //
 // Frame layout (all integers little-endian):
 //
@@ -47,16 +46,16 @@ import (
 // Frame kinds. The handshake is Hello → Config; then the shard arrives as
 // chunks of whole tile rows, each Shard frame followed by the RHS frame of
 // the same rows when the run has right-hand sides, and the worker merges
-// every chunk as it arrives. Each round moves one Agg frame up every edge
-// of the reduction tree and one from the tree root to the coordinator; a
-// worker ends with Stats (or Err) and the coordinator answers the whole run
-// with Done.
+// every chunk as it arrives. A run moves one Agg frame up every edge of the
+// reduction tree and one from the tree root to the coordinator; a worker
+// ends with Stats (or Err) and the coordinator answers the whole run with
+// Done.
 const (
 	KindHello     byte = iota + 1 // worker → coordinator: JSON helloMsg
 	KindConfig                    // coordinator → worker: JSON wireConfig
 	KindShard                     // coordinator → worker: shard rows; seq = first row in the shard
 	KindRHS                       // coordinator → worker: RHS rows; seq = first row in the shard
-	KindAgg                       // one TSQR aggregate (packAgg); seq = round
+	KindAgg                       // one TSQR aggregate (packAgg); seq = 0
 	KindPeerHello                 // worker → worker: seq = sender rank
 	KindStats                     // worker → coordinator: JSON WorkerStats
 	KindDone                      // coordinator → worker: run complete, disconnect
@@ -181,8 +180,8 @@ func noEOF(err error) error {
 	return err
 }
 
-// bufPool recycles framed send buffers and received payload copies; the
-// steady state of a multi-round run allocates no wire memory.
+// bufPool recycles framed send buffers and received payload copies, so a
+// warm run allocates no wire memory.
 var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 func getBuf(n int) []byte {
@@ -393,11 +392,11 @@ func aggLen[T vec.Scalar](n, nrhs int) int {
 	return (TriLen(n)+n*nrhs)*scalarBytes[T]() + 16
 }
 
-// packAgg frames the TSQR aggregate of round seq into a pooled buffer: the
+// packAgg frames a TSQR aggregate into a pooled buffer: the
 // packed upper triangle of r (n×n, row stride n), the n×nrhs Qᵀb block qtb
 // (row stride nrhs), the residual norm and the number of rows represented.
-func packAgg[T vec.Scalar](seq uint32, n, nrhs int, r, qtb []T, resid float64, rows int64) []byte {
-	f := &Frame{Kind: KindAgg, Prec: vec.Prec[T]().Tag()[0], Seq: seq, Rows: uint32(n), Cols: uint32(nrhs)}
+func packAgg[T vec.Scalar](n, nrhs int, r, qtb []T, resid float64, rows int64) []byte {
+	f := &Frame{Kind: KindAgg, Prec: vec.Prec[T]().Tag()[0], Rows: uint32(n), Cols: uint32(nrhs)}
 	return packFrame(f, aggLen[T](n, nrhs), func(dst []byte) {
 		off := PackTriangle(dst, r, n, n)
 		off += PackScalars(dst[off:], qtb[:n*nrhs])

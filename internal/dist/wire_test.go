@@ -113,9 +113,9 @@ func TestTriangleRoundTrip(t *testing.T) {
 func aggRoundTrip[T vec.Scalar](t *testing.T) {
 	const n, nrhs = 9, 2
 	src, qtb := tile.RandDense[T](n, n, 3), tile.RandDense[T](n, nrhs, 4)
-	buf := packAgg(5, n, nrhs, src.Data, qtb.Data, 12.5, 1<<40)
+	buf := packAgg(n, nrhs, src.Data, qtb.Data, 12.5, 1<<40)
 	f, _, err := ReadFrame(bytes.NewReader(buf), nil)
-	if err != nil || f.Kind != KindAgg || f.Seq != 5 {
+	if err != nil || f.Kind != KindAgg || f.Seq != 0 {
 		t.Fatalf("read back kind %d seq %d: %v", f.Kind, f.Seq, err)
 	}
 	poison := vec.FromParts[T](-12345, 54321)
@@ -249,8 +249,8 @@ func FuzzTileFrame(f *testing.F) {
 		_, _ = WriteFrame(&b, fr)
 		return b.Bytes()
 	}
-	f.Add(packAgg(3, 3, 1, []float64{1, 2, 3, 0, 4, 5, 0, 0, 6}, []float64{7, 8, 9}, 0.5, 40))
-	f.Add(packAgg(1, 2, 2, []complex128{1 + 2i, 3 - 4i, 0, 6}, []complex128{1 + 2i, 3 - 4i, -5i, 6}, 2, 7))
+	f.Add(packAgg(3, 1, []float64{1, 2, 3, 0, 4, 5, 0, 0, 6}, []float64{7, 8, 9}, 0.5, 40))
+	f.Add(packAgg(2, 2, []complex128{1 + 2i, 3 - 4i, 0, 6}, []complex128{1 + 2i, 3 - 4i, -5i, 6}, 2, 7))
 	f.Add(seed(&Frame{Kind: KindHello, Payload: []byte(`{"proto":1,"peer_addr":"127.0.0.1:1"}`)}))
 	f.Add(seed(&Frame{Kind: KindErr, Payload: []byte(`{"rank":1,"error":"x"}`)}))
 	short := seed(&Frame{Kind: KindShard, Prec: 's', Rows: 2, Cols: 2, Payload: make([]byte, 16)})

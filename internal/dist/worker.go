@@ -1,21 +1,15 @@
 // The worker side of the distributed CAQR runtime: one process (or
 // goroutine) owning a row shard of the global matrix and one node of the
-// binomial TSQR reduction tree. A worker is a stream.Core on the worker's
-// own scheduler runtime, reused across rounds. The first round appends the
-// shard chunk by chunk as the coordinator's chunks arrive, each read
-// straight into its place in the retained shard; a later round resets the
-// Core and appends the whole retained shard. Every append merges along the
-// flat tree with TS kernels — each shard tile, 2·nb rows tall as every
-// stream stages its batches, TSQRT'd straight into the resident triangle;
-// the right-hand sides are the triangle's trailing columns, so the same
-// merge DAG carries Qᵀb and the residual. A
-// round then merges the aggregates of its tree children triangle on
-// triangle (BinaryTree, TT kernels) and ships its own to its parent, or
-// from rank 0 to the coordinator. Workers run
-// their rounds without waiting for the coordinator; a sender that has
-// queued its aggregate starts the next round at once, so with Rounds > 1
-// the wire time can hide behind the next append, and the per-worker stats
-// measure how much of it did.
+// binomial TSQR reduction tree. A run is one pass. The worker's
+// stream.Core, on the worker's own scheduler runtime, appends the shard
+// chunk by chunk as the coordinator's chunks arrive, each read into one
+// reused buffer and merged along the flat tree with TS kernels — each
+// shard tile, 2·nb rows tall as every stream stages its batches, TSQRT'd
+// straight into the resident triangle; the right-hand sides are the
+// triangle's trailing columns, so the same merge DAG carries Qᵀb and the
+// residual. The worker then merges the aggregates of its tree children
+// triangle on triangle (BinaryTree, TT kernels) and writes its own to its
+// parent, or from rank 0 to the coordinator, and reports its stats.
 package dist
 
 import (
@@ -39,7 +33,7 @@ const peerLossGrace = 500 * time.Millisecond
 // RunWorker connects to a coordinator, runs the configured shard to
 // completion, and returns. It is the body of `qrdist -connect` and of the
 // in-process workers bench/ and the tests spawn as goroutines. Cancelling
-// ctx, or losing the coordinator connection, aborts the run mid-round; the
+// ctx, or losing the coordinator connection, aborts the run mid-pass; the
 // error then names the cause.
 func RunWorker(ctx context.Context, coordAddr string) error {
 	conn, err := net.DialTimeout("tcp", coordAddr, 10*time.Second)
@@ -103,8 +97,8 @@ func RunWorker(ctx context.Context, coordAddr string) error {
 
 // watch reads the coordinator connection for the rest of the run. The
 // coordinator sends one more frame, Done, after every worker's stats; any
-// other outcome cancels ctx with its cause, so the append, a merge and
-// every peer wait abort mid-round.
+// other outcome cancels ctx with its cause, so a merge and every peer
+// wait or write abort at once.
 func watch(conn net.Conn, cancel context.CancelCauseFunc, done chan<- struct{}) {
 	f, _, err := ReadFrame(conn, nil)
 	switch {
@@ -117,8 +111,11 @@ func watch(conn net.Conn, cancel context.CancelCauseFunc, done chan<- struct{}) 
 	}
 }
 
-// runShard executes one worker's rounds at a concrete precision.
+// runShard executes one worker's pass at a concrete precision.
 func runShard[T vec.Scalar](ctx context.Context, cancel context.CancelCauseFunc, conn net.Conn, cfg *wireConfig, peerLn net.Listener) error {
+	if err := cfg.check(); err != nil {
+		return err
+	}
 	rank, W, n, nrhs := cfg.Rank, cfg.Workers, cfg.N, cfg.NRHS
 	rt := sched.NewRuntime(cfg.LocalWorkers)
 	defer rt.Close()
@@ -135,70 +132,48 @@ func runShard[T vec.Scalar](ctx context.Context, cancel context.CancelCauseFunc,
 		return err
 	}
 	rh := newRecvHub(ctx, peerLn)
-	var sh *sendHub
-	if rank > 0 { // the tree parent is rank − lowbit(rank)
-		if sh, err = dialParent(ctx, rank, cfg.Peers[rank&(rank-1)]); err != nil {
+	st := WorkerStats{Rank: rank, ShardRows: cfg.ShardRows}
+	// The aggregate goes to the tree parent, rank − lowbit(rank), or from
+	// the root to the coordinator.
+	out := conn
+	if rank > 0 {
+		parent, err := dialParent(ctx, rank, cfg.Peers[rank&(rank-1)])
+		if err != nil {
 			return err
 		}
+		defer parent.Close()
+		out = parent
+		st.BytesSent += HeaderLen
 	}
 
-	// The shard, shipped once by the coordinator in chunks of whole tile
-	// rows, is kept for the rounds after the first; each chunk is read
-	// into its place in it and merged as it arrives.
-	shard := make([]T, cfg.ShardRows*n)
-	var rhs []T
-	if nrhs > 0 {
-		rhs = make([]T, cfg.ShardRows*nrhs)
-	}
-	st := WorkerStats{Rank: rank, ShardRows: cfg.ShardRows}
 	start := time.Now()
-	if err := recvShard(ctx, conn, nd.core, shard, rhs, nrhs, &st); err != nil {
-		return fmt.Errorf("dist: rank %d round 0: %w", rank, err)
+	if err := recvShard(ctx, conn, nd.core, cfg, &st); err != nil {
+		return fmt.Errorf("dist: rank %d: %w", rank, err)
 	}
 	// The shard is in: the coordinator sends nothing more but Done.
 	done := make(chan struct{})
 	go watch(conn, cancel, done)
-	for r := 0; r < cfg.Rounds; r++ {
-		if r > 0 {
-			t0 := time.Now()
-			nd.core.Reset()
-			if err := nd.core.Append(ctx, cfg.ShardRows, shard, n, rhs, nrhs, nrhs); err != nil {
-				return fmt.Errorf("dist: rank %d round %d: %w", rank, r, err)
-			}
-			st.ComputeNS += int64(time.Since(t0))
-		}
-		if err := treeRound(ctx, nd, sh, rh, &st, rank, W, uint32(r)); err != nil {
-			return err
-		}
-		if rank == 0 {
-			// The tree root ships the global aggregate to the coordinator;
-			// this send is on the round's critical path only for the
-			// coordinator, not for the next local append.
-			t0 := time.Now()
-			buf, err := nd.pack(uint32(r))
-			if err != nil {
-				return err
-			}
-			nw, err := conn.Write(buf)
-			putBuf(buf)
-			st.BytesSent += int64(nw)
-			if err != nil {
-				return fmt.Errorf("dist: coordinator connection lost: %w", err)
-			}
-			st.SendNS += int64(time.Since(t0))
-		}
-		st.Rounds++
+	if err := reduce(ctx, nd, rh, &st, rank, W); err != nil {
+		return err
+	}
+	buf, err := nd.pack()
+	if err != nil {
+		return err
+	}
+	t0 := time.Now()
+	nw, err := out.Write(buf)
+	putBuf(buf)
+	st.BytesSent += int64(nw)
+	st.SendNS += int64(time.Since(t0))
+	switch {
+	case err != nil && rank > 0:
+		return peerLinkError{fmt.Errorf("dist: rank %d peer send: %w", rank, err)}
+	case err != nil:
+		return fmt.Errorf("dist: coordinator connection lost: %w", err)
 	}
 	st.WallNS = int64(time.Since(start))
-	if sh != nil {
-		if err := sh.close(); err != nil {
-			return err
-		}
-		st.SendNS += sh.sendNS
-		st.BytesSent += sh.bytesSent
-	}
-	st.BytesRecv += rh.bytesRecv.Load()
-	if err := writeJSON(conn, KindStats, uint32(st.Rounds), &st); err != nil {
+	st.BytesRecv = rh.bytesRecv.Load()
+	if err := writeJSON(conn, KindStats, 0, &st); err != nil {
 		return fmt.Errorf("dist: coordinator connection lost: %w", err)
 	}
 	// Done follows once every worker has reported; a coordinator that
@@ -212,18 +187,21 @@ func runShard[T vec.Scalar](ctx context.Context, cancel context.CancelCauseFunc,
 }
 
 // recvShard reads the shard from the coordinator chunk by chunk — each
-// shard chunk, then the RHS chunk of the same rows when rhs is not nil —
-// into shard and rhs (row strides c.N() and nrhs), and appends every
-// chunk to c as soon as it is in. A chunk whose header does not fit the
-// rows still due is refused before its payload is read.
-func recvShard[T vec.Scalar](ctx context.Context, conn net.Conn, c *stream.Core[T], shard, rhs []T, nrhs int, st *WorkerStats) error {
-	n := c.N()
-	for got, rows := 0, len(shard)/n; got < rows; {
+// shard chunk, then the RHS chunk of the same rows when the run has
+// right-hand sides — into one reused buffer for each, and appends every
+// chunk to c as soon as it is in. The buffers hold a chunk of the height
+// the coordinator cuts (chunkRows); a chunk taller than that, or than the
+// rows still due, is refused before its payload is read.
+func recvShard[T vec.Scalar](ctx context.Context, conn net.Conn, c *stream.Core[T], cfg *wireConfig, st *WorkerStats) error {
+	n, nrhs, rows := cfg.N, cfg.NRHS, cfg.ShardRows
+	step := min(chunkRows[T](n, cfg.NB), rows)
+	buf, rhs := make([]T, step*n), make([]T, step*nrhs)
+	for got := 0; got < rows; {
 		t0 := time.Now()
-		k, err := readRows(conn, KindShard, uint32(got), shard[got*n:], n)
+		k, err := readRows(conn, KindShard, uint32(got), buf[:min(step, rows-got)*n], n)
 		var chunkRHS []T
 		if err == nil && nrhs > 0 {
-			chunkRHS = rhs[got*nrhs : (got+k)*nrhs]
+			chunkRHS = rhs[:k*nrhs]
 			var kr int
 			if kr, err = readRows(conn, KindRHS, uint32(got), chunkRHS, nrhs); err == nil && kr != k {
 				err = fmt.Errorf("%w: RHS chunk of %d rows at row %d, shard chunk of %d", errBadChunk, kr, got, k)
@@ -237,7 +215,7 @@ func recvShard[T vec.Scalar](ctx context.Context, conn net.Conn, c *stream.Core[
 			return fmt.Errorf("dist: coordinator connection lost: %w", err)
 		}
 		t0 = time.Now()
-		if err := c.Append(ctx, k, shard[got*n:], n, chunkRHS, nrhs, nrhs); err != nil {
+		if err := c.Append(ctx, k, buf, n, chunkRHS, nrhs, nrhs); err != nil {
 			return err
 		}
 		st.ComputeNS += int64(time.Since(t0))
@@ -253,8 +231,8 @@ type node[T vec.Scalar] struct {
 	r, qtb []T // n×n, row stride n; n×nrhs, row stride nrhs (nil when nrhs = 0)
 }
 
-// pack frames the Core's aggregate as round seq's (pooled buffer).
-func (nd *node[T]) pack(seq uint32) ([]byte, error) {
+// pack frames the Core's aggregate (pooled buffer).
+func (nd *node[T]) pack() ([]byte, error) {
 	c := nd.core
 	if err := c.CopyR(nd.r, c.N()); err != nil {
 		return nil, err
@@ -266,48 +244,40 @@ func (nd *node[T]) pack(seq uint32) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return packAgg(seq, c.N(), c.NRHS(), nd.r, nd.qtb, resid, c.Rows()), nil
+	return packAgg(c.N(), c.NRHS(), nd.r, nd.qtb, resid, c.Rows()), nil
 }
 
-// treeRound runs one round of the binomial reduction tree for this rank:
-// at each level the rank is a pivot (receive its partner's aggregate and
-// merge it), a sender (queue its aggregate for its parent, the pivot of that
-// level, and finish the round — the sender is then free to start its next
-// append while the frame is in flight), or idle at that level (no partner
-// in range).
-func treeRound[T vec.Scalar](ctx context.Context, nd *node[T], sh *sendHub, rh *recvHub, st *WorkerStats, rank, W int, seq uint32) error {
-	for step := 1; step < W; step <<= 1 {
-		switch {
-		case rank%(2*step) == step:
-			buf, err := nd.pack(seq)
-			if err != nil {
-				return err
-			}
-			return sh.send(buf)
-		case rank%(2*step) == 0 && rank+step < W:
-			partner := rank + step
-			t0 := time.Now()
-			f, buf, err := rh.recv(partner)
-			st.RecvWaitNS += int64(time.Since(t0))
-			if err != nil {
-				return err
-			}
-			if f.Kind != KindAgg || f.Seq != seq {
-				putBuf(buf)
-				return fmt.Errorf("dist: rank %d expected the aggregate of round %d from rank %d, got kind=%d seq=%d",
-					rank, seq, partner, f.Kind, f.Seq)
-			}
-			c0 := time.Now()
-			n, nrhs := nd.core.N(), nd.core.NRHS()
-			resid, rows, err := unpackAgg(&f, n, nrhs, nd.r, nd.qtb)
+// reduce runs this rank's part of the binomial reduction tree: at each
+// level whose step divides the rank, the rank is that level's pivot and
+// merges the aggregate of its partner rank + step, when there is one. At
+// the first level that does not divide it (step = lowbit(rank)) the rank is
+// a sender, and its aggregate, now whole, is the caller's to send.
+func reduce[T vec.Scalar](ctx context.Context, nd *node[T], rh *recvHub, st *WorkerStats, rank, W int) error {
+	for step := 1; step < W && rank&step == 0; step <<= 1 {
+		partner := rank + step
+		if partner >= W {
+			continue
+		}
+		t0 := time.Now()
+		f, buf, err := rh.recv(partner)
+		st.RecvWaitNS += int64(time.Since(t0))
+		if err != nil {
+			return err
+		}
+		if f.Kind != KindAgg {
 			putBuf(buf)
-			if err == nil {
-				err = nd.core.Merge(ctx, nd.r, n, nd.qtb, nrhs, resid, rows)
-			}
-			st.CombineNS += int64(time.Since(c0))
-			if err != nil {
-				return err
-			}
+			return fmt.Errorf("dist: rank %d expected an aggregate from rank %d, got kind=%d", rank, partner, f.Kind)
+		}
+		c0 := time.Now()
+		n, nrhs := nd.core.N(), nd.core.NRHS()
+		resid, rows, err := unpackAgg(&f, n, nrhs, nd.r, nd.qtb)
+		putBuf(buf)
+		if err == nil {
+			err = nd.core.Merge(ctx, nd.r, n, nd.qtb, nrhs, resid, rows)
+		}
+		st.CombineNS += int64(time.Since(c0))
+		if err != nil {
+			return err
 		}
 	}
 	return nil

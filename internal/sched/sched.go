@@ -46,8 +46,7 @@ type Options struct {
 	// Stats, when non-nil, is filled on completion with the job's execution
 	// accounting: tasks run, summed kernel time across workers, and wall
 	// clock. Far cheaper than Trace (two clock reads per task, no span
-	// storage) — the compute side of comms-vs-compute overlap accounting in
-	// the distributed layer.
+	// storage).
 	Stats *JobStats
 }
 
@@ -59,14 +58,6 @@ type JobStats struct {
 	Tasks int64         // tasks executed (dropped tasks of a canceled job excluded)
 	Busy  time.Duration // summed task execution time across all workers
 	Wall  time.Duration // submission to completion
-}
-
-// Add accumulates another job's stats — callers tracking a whole session of
-// executions (one per round in the distributed layer) fold each job in.
-func (s *JobStats) Add(o JobStats) {
-	s.Tasks += o.Tasks
-	s.Busy += o.Busy
-	s.Wall += o.Wall
 }
 
 // Priorities returns the critical-path priority of every task: its Table 1

@@ -44,7 +44,7 @@ func merges[T vec.Scalar](t *testing.T, cfg Config, tol float64) {
 	}
 }
 
-// TestBatchTileHeight: a row batch is staged in tiles batchTileRows·nb
+// TestBatchTileHeight: a row batch is staged in tiles BatchTileRows·nb
 // rows tall, so one 256-row batch into an n = 256, nb = 64 stream (q = 4)
 // builds and runs only the two-tile-row merge plan — 8 TSQRT and 12 TSMQR,
 // 20 tasks — and not the 40 of four nb-row tile rows. A right-hand side is

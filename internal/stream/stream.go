@@ -12,7 +12,7 @@
 // merges along FlatTree with TS kernels, each batch tile TSQRT'd straight
 // into the resident row: the fewest and cheapest tasks, each on a block
 // where the TS kernels run faster per flop than on a square one
-// (batchTileRows). A triangle merges along BinaryTree in the configured
+// (BatchTileRows). A triangle merges along BinaryTree in the configured
 // kernel family. An accrete-only stream is the flat reduction tree; each
 // worker of internal/dist is a Core in a binomial one, exporting its
 // aggregate through CopyR, CopyQTB, ResidualNorm and Rows and folding in
@@ -42,7 +42,7 @@ import (
 	"tiledqr/internal/vec"
 )
 
-// batchTileRows is the height, in tile rows, of the tiles a row batch is
+// BatchTileRows is the height, in tile rows, of the tiles a row batch is
 // staged in; the last is ragged, and a batch shorter than that is one tile
 // of its own height. TSQRT and TSMQR take a B block of any height, and at
 // 2·nb rows they run faster per flop than at nb — f64, ib = nb/4, median
@@ -51,8 +51,9 @@ import (
 // 14.8 and 17.3 → 18.9 — so a batch merges in half the TS tasks, each on
 // the faster shape. Four tile rows gain as much per flop but leave a
 // 256-row batch at nb = 64 a single tile row, whose merge loses the
-// wavefront in which two tile rows overlap on two workers.
-const batchTileRows = 2
+// wavefront in which two tile rows overlap on two workers. internal/dist
+// cuts its shard chunks in whole tiles of this height.
+const BatchTileRows = 2
 
 // RetainAll configures Config.Window to retain the full row history without
 // a sliding window: rows are kept (and memory grows with them) until the
@@ -300,13 +301,13 @@ func grow[S any](buf []S, n int) []S {
 }
 
 // tileBatch lays the staging out for an r-row batch of [A b] and returns
-// its grid: tile views over the pooled arena, batchTileRows·nb rows tall
+// its grid: tile views over the pooled arena, BatchTileRows·nb rows tall
 // and nb columns wide. The merge DAG's first writers fill the columns of A
 // from the batch through that grid (engine.Fill); the RHS rows (stride
 // ldr), scaled by scale, are written into the trailing nrhs columns here.
 func (c *Core[T]) tileBatch(st *staging[T], r int, rhs []T, ldr int, scale float64) tile.Grid {
 	q, nb := c.grid.Q, c.nb
-	g := tile.NewTallGrid(r, c.grid.N, nb, batchTileRows*nb, 0)
+	g := tile.NewTallGrid(r, c.grid.N, nb, BatchTileRows*nb, 0)
 	st.pb, st.h = g.P, g.TileRows(0)
 	st.tiles = grow(st.tiles, st.pb*q)
 	st.arena = grow(st.arena, r*c.grid.N)

@@ -330,30 +330,23 @@ func measureAll[T vec.Scalar]() []Point {
 // calibration stays well under a second per precision.
 const calWindow = 8 * time.Millisecond
 
-// TimeKernel returns seconds per run() call, doubling the repetition count
-// until the sample window is long enough to trust. restore puts the kernel's
-// inputs back before every call; its cost is then timed alone over the same
-// repetition count and subtracted, so the figure is the kernel's, not the
-// kernel's plus a tile copy.
+// TimeKernel returns seconds per run() call, sampling calls until their
+// summed time passes the window (or 1<<17 calls). restore puts the
+// kernel's inputs back before every call, outside the call's own
+// stopwatch, so the figure is the kernel's, not the kernel's plus a tile
+// copy, and cannot go negative.
 func TimeKernel(restore, run func(), window time.Duration) float64 {
 	restore()
 	run() // warm up
-	for reps := 1; ; reps *= 2 {
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			restore()
-			run()
-		}
-		el := time.Since(start)
-		if el > window || reps >= 1<<16 {
-			start = time.Now()
-			for i := 0; i < reps; i++ {
-				restore()
-			}
-			el -= time.Since(start)
-			return max(el.Seconds(), 1e-9) / float64(reps)
-		}
+	var el time.Duration
+	reps := 0
+	for ; el <= window && reps < 1<<17; reps++ {
+		restore()
+		t0 := time.Now()
+		run()
+		el += time.Since(t0)
 	}
+	return el.Seconds() / float64(reps)
 }
 
 // Gflops converts between the seconds one call of a kernel of the given

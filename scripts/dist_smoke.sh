@@ -3,9 +3,14 @@
 # qrdist, factor a 2048×256 matrix across a coordinator and 2 worker
 # processes (qrdist -worker re-executes itself with -connect) on localhost
 # with -verify (R, x and the residual must agree with single-process
-# Factor to 1e-12), then SIGTERM a long multi-round run and require a
-# prompt stop: qrdist exits within 5 s, names the interruption, and leaves
-# no worker process behind.
+# Factor to 1e-12), then SIGTERM a long run and require a prompt stop:
+# qrdist exits within 5 s, names the interruption, and leaves no worker
+# process behind. The run is long because the stall injector holds every
+# kernel task for 20 ms (TILEDQR_FAULT, inherited by the -worker
+# processes): 64 shard chunks a worker, each one batch tile of 256 rows and
+# three tasks, some 4 s in all. A worker still receiving its shard sees the
+# loss once it has merged the chunks already in its socket buffer, about
+# 60 ms each.
 set -eu
 
 GO=${GO:-go}
@@ -22,16 +27,16 @@ echo "dist-smoke: building qrdist"
 $GO build -o "$tmp/qrdist" ./cmd/qrdist
 
 echo "dist-smoke: 2048x256 over coordinator + 2 worker processes, verified"
-"$tmp/qrdist" -m 2048 -n 256 -workers 2 -rounds 2 -verify \
+"$tmp/qrdist" -m 2048 -n 256 -workers 2 -verify \
     -worker | tee "$tmp/run.log"
 grep -q "verify: R, x and residual agree" "$tmp/run.log" || {
     echo "dist-smoke: verification marker missing from output" >&2
     exit 1
 }
 
-echo "dist-smoke: SIGTERM of a long multi-round run"
-"$tmp/qrdist" -m 1024 -n 128 -nb 64 -workers 2 -rounds 100000 \
-    -worker >"$tmp/term.log" 2>&1 &
+echo "dist-smoke: SIGTERM of a long run (every task stalled 20 ms)"
+TILEDQR_FAULT="mode=stall;stall=20ms" "$tmp/qrdist" -m 32768 -n 128 -nb 128 \
+    -workers 2 -worker >"$tmp/term.log" 2>&1 &
 dist_pid=$!
 sleep 1
 kill -TERM "$dist_pid"
