@@ -131,21 +131,22 @@ tune:
 # tile size it covers), least-squares solve, streaming and served-request
 # (body decode, whole solve handler) figures, a tiny qrstream ingestion with verification (plain and
 # sliding-window/forgetting modes), a traced complex qrfactor run that
-# must print its Gantt chart, and the paper's tables (all but banded's 4 s
-# of exhaustive search; cmd/qrperf's tests hold them to the paper's numbers)
-# with one tile size of Figure 5, to prove the harnesses still work; then it
-# runs every program under examples/ (calibration off, so the autotune
-# example writes no cache file), failing on any nonzero exit. CI runs this
-# target; it keeps no copy of the commands.
+# must print its Gantt chart, a tall qrfactor run that must report the grid
+# it runs (21×1, not the square 40×1), and the paper's tables (all but
+# banded's 4 s of exhaustive search; cmd/qrperf's tests hold them to the
+# paper's numbers) with one tile size of Figure 5, to prove the harnesses
+# still work; then it runs every program under examples/, failing on any
+# nonzero exit. CI runs this target; it keeps no copy of the commands.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Figure4|Figure5KernelsDouble$$|^BenchmarkKernels$$|^BenchmarkSolveLS$$|StreamAppendDouble$$|^BenchmarkDecodeBody$$|^BenchmarkHandleSolve$$' -benchtime 1x ./...
 	$(GO) run ./cmd/qrstream -n 96 -nb 32 -batch 64 -batches 6 -rhs 1 -verify
 	$(GO) run ./cmd/qrstream -n 96 -nb 32 -batch 64 -batches 8 -rhs 1 -window 192 -forget 0.99 -verify
 	$(GO) run ./cmd/qrstream -n 100 -nb 32 -rhs 3 -verify
 	$(GO) run ./cmd/qrfactor -m 300 -n 100 -nb 50 -workers 2 -complex -gantt | grep '^w0 '
+	$(GO) run ./cmd/qrfactor -m 2560 -n 64 -nb 64 -alg PlasmaTree | grep '21×1 tiles of 64 (rows below the top 1 are 128 tall)'
 	for e in table2 table3 table4a table4b table5 grasap; do $(GO) run ./cmd/qrperf -experiment $$e || exit 1; done
 	$(GO) run ./cmd/qrperf -experiment fig5 -sizes 128
-	for e in examples/*/; do echo "example $$e"; TILEDQR_CALIBRATION=off $(GO) run ./$$e > /dev/null || exit 1; done
+	for e in examples/*/; do echo "example $$e"; $(GO) run ./$$e > /dev/null || exit 1; done
 
 # serve-smoke proves the QR-as-a-service stack end to end (~10–15 s): 2 s of
 # the benchmark's serve_mix workload against a spawned qrserve (it exits

@@ -2,22 +2,10 @@ package tiledqr
 
 import (
 	"math"
-	"path/filepath"
 	"testing"
 
 	"tiledqr/internal/tile"
-	"tiledqr/internal/tune"
 )
-
-// isolateCalibration points the calibration cache at a per-test temp file,
-// so `go test` never reads the developer's real cache (test outcomes must
-// not depend on it) and never overwrites it with figures measured on a
-// test-loaded machine. The in-process calibration survives across tests, so
-// the kernels are micro-benchmarked at most once per test binary.
-func isolateCalibration(t *testing.T) {
-	t.Helper()
-	t.Setenv(tune.EnvCalibration, filepath.Join(t.TempDir(), "calibration.json"))
-}
 
 // The autotuning acceptance suite: AlgorithmAuto must resolve to a
 // concrete, stable tuple; factoring with Auto must be bit-for-bit the
@@ -27,7 +15,6 @@ func isolateCalibration(t *testing.T) {
 // `qrperf -tune -measure`'s.
 
 func TestAutoResolveIsConcreteAndStable(t *testing.T) {
-	isolateCalibration(t)
 	auto := Options{Algorithm: AlgorithmAuto}
 	r1, err := auto.Resolve(300, 200)
 	if err != nil {
@@ -78,7 +65,6 @@ func TestAutoResolveIsConcreteAndStable(t *testing.T) {
 // with AlgorithmAuto and zero nb/ib is the same computation as Factor with
 // the hand-picked resolved tuple — identical bits in R and in Qᵀb.
 func TestAutoMatchesResolvedBitForBit(t *testing.T) {
-	isolateCalibration(t)
 	const m, n = 200, 120
 	auto := Options{Algorithm: AlgorithmAuto}
 	resolved, err := auto.Resolve(m, n)
@@ -123,7 +109,6 @@ func TestAutoMatchesResolvedBitForBit(t *testing.T) {
 // the resolved tuple, so the arena/DAG/plan are reused) and keeps producing
 // the same bits.
 func TestAutoFactorIntoReuses(t *testing.T) {
-	isolateCalibration(t)
 	const m, n = 200, 120
 	auto := Options{Algorithm: AlgorithmAuto}
 	a := RandomDense(m, n, 3)
@@ -159,7 +144,6 @@ func TestAutoFactorIntoReuses(t *testing.T) {
 // the two 64-bit domains must agree on |R| for real-valued data (they may
 // legitimately resolve different tuples — R is unique up to row signs).
 func TestAutoAllPrecisions(t *testing.T) {
-	isolateCalibration(t)
 	const m, n = 96, 64
 	auto := Options{Algorithm: AlgorithmAuto}
 	a := RandomDense(m, n, 5)
@@ -217,7 +201,6 @@ func complexAbs(z complex128) complex128 {
 // signs, the least-squares solution and the residual. The batches run from
 // one row to several tile rows.
 func TestAutoStream(t *testing.T) {
-	isolateCalibration(t)
 	const n, nrhs = 100, 2
 	heights := []int{1, 37, 64, 150, 7, 200, 3}
 	rows := 0

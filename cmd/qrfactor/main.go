@@ -62,20 +62,25 @@ func main() {
 		opt = resolved
 		alg, *nb = resolved.Algorithm, resolved.TileSize
 	}
-	p := (*m + *nb - 1) / *nb
-	q := (*n + *nb - 1) / *nb
+	// The grid the factorization runs: below the top q tile rows, rows
+	// MB = c·nb tall on tall matrices.
+	g := tile.FactorGrid(*m, *n, *nb)
 	if alg == tiledqr.PlasmaTree && *bs == 0 {
-		best, _ := tiledqr.BestPlasmaBS(p, q, kernels)
+		best, _ := tiledqr.BestPlasmaBS(g.P, g.Q, kernels)
 		opt.BS = best
 		fmt.Printf("PlasmaTree: using BS=%d (best critical path)\n", best)
 	}
 
-	cp, err := tiledqr.CriticalPath(alg, p, q, opt)
+	cp, err := tiledqr.CriticalPath(alg, g.P, g.Q, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%v(%v): %d×%d, %d×%d tiles of %d, critical path %d units\n",
-		opt.Algorithm, opt.Kernels, *m, *n, p, q, *nb, cp)
+	tall := ""
+	if g.MB != g.NB {
+		tall = fmt.Sprintf(" (rows below the top %d are %d tall)", g.Top, g.MB)
+	}
+	fmt.Printf("%v(%v): %d×%d, %d×%d tiles of %d%s, critical path %d units of nb-row tiles\n",
+		opt.Algorithm, opt.Kernels, *m, *n, g.P, g.Q, *nb, tall, cp)
 
 	if *complexArith {
 		err = run[complex128](*m, *n, *seed, opt, model.ComplexFlops(*m, *n), *verify, *gantt)

@@ -28,7 +28,7 @@ var tuneShapes = [][2]int{
 func runTune(measure bool) {
 	workers := sched.DefaultWorkers()
 	fmt.Printf("autotuner decision table — float64, width %d (TILEDQR_WORKERS or GOMAXPROCS), kernel family %s\n", workers, familyBanner())
-	fmt.Printf("calibration: %s\n\n", tune.CacheLocation())
+	fmt.Print("calibration: measured in-process, each (nb, ib) point on first use\n\n")
 	w := tabwriter.NewWriter(os.Stdout, 8, 0, 2, ' ', tabwriter.AlignRight)
 	hdr := "m\tn\talgorithm\tkernels\tnb\tib\tgrid\tpred ms\tmargin\t"
 	if measure {

@@ -103,19 +103,16 @@
 //
 //	f, err := tiledqr.Factor(a, tiledqr.Options{Algorithm: tiledqr.AlgorithmAuto})
 //
-// On first use per precision, the library measures the host's sequential
-// kernel throughput (GEQRT/UNMQR/TSQRT/TSMQR/TTQRT/TTMQR) at a few
-// candidate tile sizes — a few hundred milliseconds of micro-benchmarks —
-// and persists the calibration to a versioned cache at
-// <user cache dir>/tiledqr/calibration.json (override the location with the
-// TILEDQR_CALIBRATION environment variable, or set it to "off" to keep the
-// calibration in process memory only). A corrupt or schema-incompatible
-// cache file is silently re-measured, and concurrent first uses calibrate
-// exactly once. Each Auto factorization then list-schedules the candidate
-// task DAGs with the calibrated kernel durations at the execution width it
-// will actually run at (falling back to the paper's closed-form roofline
-// bounds for grids too large to simulate) and picks the predicted-fastest
-// (algorithm, TT-vs-TS, nb, ib) tuple.
+// The library times the host's sequential kernels
+// (GEQRT/UNMQR/TSQRT/TSMQR/TTQRT/TTMQR) at each candidate (tile size,
+// inner block) a decision prices — tens of milliseconds of micro-benchmarks
+// per point, the first time the process prices it — and keeps the times in
+// process memory; nothing is written to disk, and concurrent first uses
+// measure a point exactly once. Each Auto factorization then list-schedules
+// the candidate task DAGs with the measured kernel durations at the
+// execution width it will actually run at (falling back to the paper's
+// closed-form roofline bounds for grids too large to simulate) and picks
+// the predicted-fastest (algorithm, TT-vs-TS, nb, ib) tuple.
 //
 // Under AlgorithmAuto, TileSize = 0 and InnerBlock = 0 mean "choose for
 // me"; setting either nonzero pins that dimension while the rest is still

@@ -1,8 +1,8 @@
 // Command autotune demonstrates model-guided autotuning: AlgorithmAuto
 // lets the library pick the elimination tree, kernel family, tile size and
 // inner blocking per matrix shape, using a per-host kernel calibration
-// (measured once, cached under the user cache directory) combined with the
-// paper's bounded-processor schedule model.
+// (measured in process, each tile size the first time a decision prices
+// it) combined with the paper's bounded-processor schedule model.
 package main
 
 import (

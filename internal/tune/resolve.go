@@ -81,19 +81,18 @@ func Resolve[T vec.Scalar](req Request) (Candidate, error) {
 }
 
 // Rank scores every candidate configuration for the request and returns
-// them sorted fastest-predicted first. Candidate order is deterministic, so
-// ties resolve identically on every call.
+// them sorted fastest-predicted first, measuring each candidate (nb, ib)
+// point the process has not measured yet. Candidate order is
+// deterministic, so ties resolve identically on every call.
 func Rank[T vec.Scalar](req Request) []Candidate {
 	if req.Workers < 1 {
 		req.Workers = sched.DefaultWorkers()
 	}
-	family := vec.ActiveFamily()
-	pts := ForFamily[T](family)
 	var out []Candidate
 	for _, pt := range candidatePoints(req.M, req.N, req.PinNB, req.PinIB) {
 		g := tile.FactorGrid(req.M, req.N, pt.nb)
 		p, q := g.P, g.Q
-		secs := secsAt[T](pts, pt.nb)
+		secs := pointSecs[T](pt.nb, pt.ib)
 		est := estTasks(p, q)
 		if est <= simTaskLimit {
 			for _, alg := range core.Algorithms {
@@ -152,7 +151,7 @@ func predict(d *core.DAG, w []float64, workers int) float64 {
 // FlatTree with TS kernels, as every stream merges row batches, so each
 // column is one TSQRT straight into the resident triangle plus its TSMQR
 // updates — costs the least per row. It prices nb-row batch tiles at the
-// calibrated nb×nb kernel rates, although a stream stages its batches in
+// measured nb×nb kernel times, although a stream stages its batches in
 // tiles 2·nb rows tall, where the TS kernels run faster per flop. The merge
 // DAG is list-scheduled at the execution width, as Rank scores
 // factorizations; above simTaskLimit tasks its work and critical path
@@ -165,17 +164,15 @@ func ResolveStream[T vec.Scalar](n, workers, pinNB, pinIB int) (Candidate, error
 	if workers < 1 {
 		workers = sched.DefaultWorkers()
 	}
-	family := vec.ActiveFamily()
-	key := decKey{prec: precKey[T](), family: family, stream: true,
+	key := decKey{prec: precKey[T](), family: vec.ActiveFamily(), stream: true,
 		n: n, workers: workers, pinNB: pinNB, pinIB: pinIB}
 	if c, ok := decided.Load(key); ok {
 		return c.(Candidate), nil
 	}
-	pts := ForFamily[T](family)
 	var best Candidate
 	for _, pt := range candidatePoints(n, n, pinNB, pinIB) {
 		q := (n + pt.nb - 1) / pt.nb
-		secs := secsAt[T](pts, pt.nb)
+		secs := pointSecs[T](pt.nb, pt.ib)
 		qrt, mqr := secs[core.KTSQRT]+dispatchSec, secs[core.KTSMQR]+dispatchSec
 		tasks := q * (q + 1) / 2
 		var batchSec float64
@@ -199,9 +196,9 @@ func ResolveStream[T vec.Scalar](n, workers, pinNB, pinIB int) (Candidate, error
 type candidatePoint struct{ nb, ib int }
 
 // candidatePoints returns the (nb, ib) grid honoring pins: a pinned nb is
-// the single candidate; otherwise the calibration tile sizes, clamped so nb
-// never exceeds the matrix (a single right-sized tile replaces every
-// larger-than-the-matrix candidate) and never dips below a pinned ib.
+// the single candidate; otherwise calNBs, clamped so nb never exceeds the
+// matrix (a single right-sized tile replaces every larger-than-the-matrix
+// candidate) and never dips below a pinned ib.
 func candidatePoints(m, n, pinNB, pinIB int) []candidatePoint {
 	if pinNB > 0 {
 		ib := pinIB
@@ -245,41 +242,6 @@ func estTasks(p, q int) int {
 		est += 2 * (p - k + 1) * (q - k + 1)
 	}
 	return est
-}
-
-// secsAt converts the calibrated GFLOP/s into seconds per kernel call at an
-// arbitrary tile size, interpolating throughput piecewise-linearly in nb
-// between calibration points (clamped at the ends). Sensitivity to ib
-// within a point is ignored — the calibration grid follows IBFor, and
-// pinned inner blocks reuse the nearest measured throughput.
-func secsAt[T vec.Scalar](pts []Point, nb int) map[core.Kind]float64 {
-	out := make(map[core.Kind]float64, 6)
-	for k := core.Kind(0); k < 6; k++ {
-		g := interpGflops(pts, nb, k.String())
-		if g <= 0 {
-			g = 1 // defensive: a missing series predicts 1 GFLOP/s rather than dividing by zero
-		}
-		out[k] = Gflops[T](k.Weight(), nb, g) // the inverse direction: GFLOP/s in, seconds out
-	}
-	return out
-}
-
-// interpGflops linearly interpolates one kernel's GFLOP/s at tile size nb.
-func interpGflops(pts []Point, nb int, kind string) float64 {
-	if len(pts) == 0 {
-		return 0
-	}
-	if nb <= pts[0].NB {
-		return pts[0].Gflops[kind]
-	}
-	for i := 1; i < len(pts); i++ {
-		if nb <= pts[i].NB {
-			lo, hi := pts[i-1], pts[i]
-			t := float64(nb-lo.NB) / float64(hi.NB-lo.NB)
-			return lo.Gflops[kind] + t*(hi.Gflops[kind]-lo.Gflops[kind])
-		}
-	}
-	return pts[len(pts)-1].Gflops[kind]
 }
 
 // cpUnitsApprox returns a closed-form critical-path estimate in Table 1

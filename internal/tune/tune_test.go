@@ -1,13 +1,11 @@
 package tune
 
 import (
-	"encoding/json"
+	"maps"
 	"math"
 	"os"
-	"path/filepath"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"tiledqr/internal/core"
@@ -15,31 +13,21 @@ import (
 	"tiledqr/internal/vec"
 )
 
-// synthPoints builds a plausible synthetic calibration: throughput mildly
+// synthSecs is a plausible synthetic calibration point: throughput mildly
 // increasing with nb, so larger tiles win on pure efficiency and the
 // dispatch-overhead term is what pushes small shapes to small tiles.
-func synthPoints() []Point {
-	var pts []Point
-	for _, nb := range []int{48, 64, 96, 128, 192} {
-		g := map[string]float64{}
-		for k := core.Kind(0); k < 6; k++ {
-			g[k.String()] = 2 + float64(nb)/128
-		}
-		pts = append(pts, Point{NB: nb, IB: IBFor(nb), Gflops: g})
+func synthSecs(_, _ string, nb, _ int) map[core.Kind]float64 {
+	secs := map[core.Kind]float64{}
+	for k := core.Kind(0); k < 6; k++ {
+		secs[k] = Gflops[float64](k.Weight(), nb, 2+float64(nb)/128)
 	}
-	return pts
-}
-
-// fam1 wraps one family's points in the on-disk layout, under the family
-// the vec backend currently dispatches to (what ForPrecision will look up).
-func fam1(pts []Point) map[string]map[string][]Point {
-	return map[string]map[string][]Point{vec.ActiveFamily(): {"float64": pts}}
+	return secs
 }
 
 // withHook installs a synthetic measurement function for the test and
 // resets all in-process calibration state around it. Tests using it must
 // not run in parallel (package-level state).
-func withHook(t *testing.T, f func(family, prec string) []Point) {
+func withHook(t *testing.T, f func(family, prec string, nb, ib int) map[core.Kind]float64) {
 	t.Helper()
 	measureHook = f
 	Reset()
@@ -49,232 +37,156 @@ func withHook(t *testing.T, f func(family, prec string) []Point) {
 	})
 }
 
-func TestCalibrationCorruptionFallsBackToMeasurement(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "calibration.json")
-	t.Setenv(EnvCalibration, path)
+// point is one calibration point as the measurement hook sees it.
+type point struct {
+	family, prec string
+	nb, ib       int
+}
 
-	good, _ := json.Marshal(fileFormat{Version: SchemaVersion, Families: fam1(synthPoints())})
-	cases := map[string][]byte{
-		"truncated":      good[:len(good)/2],
-		"garbage":        []byte("{{{ not json at all"),
-		"empty":          {},
-		"wrong-version":  mustJSON(fileFormat{Version: SchemaVersion + 1, Families: fam1(synthPoints())}),
-		"no-points":      mustJSON(fileFormat{Version: SchemaVersion, Families: map[string]map[string][]Point{}}),
-		"zero-gflops":    mustJSON(fileFormat{Version: SchemaVersion, Families: fam1([]Point{{NB: 64, IB: 16, Gflops: map[string]float64{"GEQRT": 0}}})}),
-		"ib-exceeds-nb":  mustJSON(fileFormat{Version: SchemaVersion, Families: fam1([]Point{{NB: 16, IB: 64, Gflops: map[string]float64{"GEQRT": 1}}})}),
-		"negative-sizes": mustJSON(fileFormat{Version: SchemaVersion, Families: fam1([]Point{{NB: -1, IB: -1, Gflops: map[string]float64{"GEQRT": 1}}})}),
-		// The exact layout written by schema version 1, before the kernel
-		// family axis: must be ignored (recalibrated), never misread.
-		"stale-v1-schema": []byte(`{"version":1,"precisions":{"float64":[{"nb":64,"ib":16,"gflops":{"GEQRT":3}}]}}`),
-		// Version 3's layout is today's, but its complex SIMD rates predate
-		// the packed complex GEMM: a well-formed v3 file must recalibrate too.
-		"stale-v3-schema": mustJSON(fileFormat{Version: 3, Families: fam1(synthPoints())}),
+// countPoints installs synthSecs behind a hook that counts the points it
+// measures, and returns a reader of the counts.
+func countPoints(t *testing.T) func() map[point]int {
+	var mu sync.Mutex
+	seen := map[point]int{}
+	withHook(t, func(family, prec string, nb, ib int) map[core.Kind]float64 {
+		mu.Lock()
+		seen[point{family, prec, nb, ib}]++
+		mu.Unlock()
+		return synthSecs(family, prec, nb, ib)
+	})
+	return func() map[point]int {
+		mu.Lock()
+		defer mu.Unlock()
+		return maps.Clone(seen)
 	}
-	for name, raw := range cases {
-		t.Run(name, func(t *testing.T) {
-			var calls atomic.Int32
-			withHook(t, func(string, string) []Point { calls.Add(1); return synthPoints() })
-			if err := os.WriteFile(path, raw, 0o644); err != nil {
+}
+
+// TestCalibrationPoints pins, without a clock, which (nb, ib) points each
+// request measures: only the tile sizes its decision prices, each once,
+// however many callers ask at the same time, and afresh under the other
+// kernel family.
+func TestCalibrationPoints(t *testing.T) {
+	fam, other := vec.ActiveFamily(), vec.FamilySIMD
+	if fam == vec.FamilySIMD {
+		other = vec.FamilyGeneric
+	}
+	d := func(nb, ib int) point { return point{fam, "float64", nb, ib} }
+	var grid []point
+	for _, nb := range calNBs {
+		grid = append(grid, d(nb, IBFor(nb)))
+	}
+	resolve := func(req Request) func(*testing.T) {
+		return func(t *testing.T) {
+			if _, err := Resolve[float64](req); err != nil {
 				t.Fatal(err)
 			}
-			pts := ForPrecision[float64]()
-			if len(pts) == 0 {
-				t.Fatal("no calibration points after corrupt cache")
+		}
+	}
+	tall := Request{M: 2048, N: 256, Workers: 2}
+	pinned := Request{M: 2048, N: 256, Workers: 2, PinNB: 100}
+	for _, tc := range []struct {
+		name string
+		run  func(*testing.T)
+		want []point
+	}{
+		{"pinned-nb", resolve(pinned), []point{d(100, 25)}},
+		{"pinned-nb-ib", resolve(Request{M: 2048, N: 256, Workers: 2, PinNB: 100, PinIB: 20}), []point{d(100, 20)}},
+		{"unpinned-tall", resolve(tall), grid},
+		{"under-192", resolve(Request{M: 150, N: 100, Workers: 2}),
+			[]point{d(48, 12), d(64, 16), d(96, 24), d(128, 32), d(150, 37)}},
+		// Above the largest candidate a pin is priced from that point.
+		{"pinned-above-grid", resolve(Request{M: 2048, N: 256, Workers: 2, PinNB: 400}), []point{d(192, 48)}},
+		{"pinned-stream", func(t *testing.T) {
+			if _, err := ResolveStream[float64](300, 2, 96, 24); err != nil {
+				t.Fatal(err)
 			}
-			if calls.Load() != 1 {
-				t.Fatalf("corrupt cache %q: measured %d times, want 1 (recalibration)", name, calls.Load())
+		}, []point{d(96, 24)}},
+		{"simd-flip", func(t *testing.T) {
+			if !vec.SIMDSupported() {
+				t.Skip("no vector backend: the kernel family cannot flip")
 			}
-			// The recalibration must have repaired the file on disk.
-			if got := loadCalibration(vec.ActiveFamily(), "float64"); got == nil {
-				t.Fatalf("corrupt cache %q: recalibration did not persist a valid file", name)
+			resolve(pinned)(t)
+			prev := vec.SIMDEnabled()
+			vec.SetSIMD(!prev)
+			defer vec.SetSIMD(prev)
+			resolve(pinned)(t)
+			n := 0
+			decided.Range(func(any, any) bool { n++; return true })
+			if n != 2 {
+				t.Errorf("%d decisions cached across the flip, want 2 (one per family)", n)
+			}
+		}, []point{d(100, 25), {other, "float64", 100, 25}}},
+		{"concurrent-first-callers", func(t *testing.T) {
+			const callers = 8
+			decs := make([]Candidate, callers)
+			var wg sync.WaitGroup
+			for i := range decs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					c, err := Resolve[float64](tall)
+					if err != nil {
+						t.Error(err)
+					}
+					decs[i] = c
+				}()
+			}
+			wg.Wait()
+			for i := range decs {
+				if decs[i] != decs[0] {
+					t.Fatalf("concurrent Resolve diverged: %+v vs %+v", decs[i], decs[0])
+				}
+			}
+		}, grid},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			counts := countPoints(t)
+			tc.run(t)
+			got := counts()
+			for _, p := range tc.want {
+				if got[p] != 1 {
+					t.Errorf("point %+v measured %d times, want 1", p, got[p])
+				}
+				delete(got, p)
+			}
+			for p, n := range got {
+				t.Errorf("measured %+v (%d times), which the request does not price", p, n)
 			}
 		})
 	}
 }
 
-func mustJSON(v any) []byte {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return raw
-}
-
-func TestCalibrationRoundTripAndReuse(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cal.json")
-	t.Setenv(EnvCalibration, path)
-	var calls atomic.Int32
-	withHook(t, func(string, string) []Point { calls.Add(1); return synthPoints() })
-
-	first := ForPrecision[float64]()
-	Reset() // drop in-process state; the next call must load from disk
-	second := ForPrecision[float64]()
-	if calls.Load() != 1 {
-		t.Fatalf("measured %d times, want 1 (second run loads the cache)", calls.Load())
-	}
-	if len(first) != len(second) {
-		t.Fatalf("cache round trip changed point count: %d vs %d", len(first), len(second))
-	}
-	for i := range first {
-		if first[i].NB != second[i].NB || first[i].IB != second[i].IB {
-			t.Fatalf("cache round trip changed point %d: %+v vs %+v", i, first[i], second[i])
-		}
-		for k, v := range first[i].Gflops {
-			if second[i].Gflops[k] != v {
-				t.Fatalf("cache round trip changed %s@nb=%d", k, first[i].NB)
-			}
-		}
-	}
-}
-
-func TestCalibrationMergesPrecisions(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cal.json")
-	t.Setenv(EnvCalibration, path)
-	withHook(t, func(string, string) []Point { return synthPoints() })
-	ForPrecision[float64]()
-	ForPrecision[complex128]()
-	raw, err := os.ReadFile(path)
+// TestCalibrationWritesNothing runs a real pinned resolution, micro-
+// benchmarks and all, with the user's home and cache directories pointed
+// at an empty directory, which must stay empty: calibration lives in the
+// process.
+func TestCalibrationWritesNothing(t *testing.T) {
+	home := t.TempDir()
+	t.Setenv("HOME", home)
+	t.Setenv("XDG_CACHE_HOME", home)
+	Reset()
+	t.Cleanup(Reset)
+	c, err := Resolve[float64](Request{M: 256, N: 64, Workers: 1, PinNB: 32, PinIB: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var f fileFormat
-	if err := json.Unmarshal(raw, &f); err != nil {
-		t.Fatal(err)
+	if c.NB != 32 || c.IB != 8 || !(c.PredictedSec > 0) {
+		t.Fatalf("pinned resolution: %+v", c)
 	}
-	fam := vec.ActiveFamily()
-	for _, prec := range []string{"float64", "complex128"} {
-		if len(f.Families[fam][prec]) == 0 {
-			t.Errorf("cache file lost precision %s: have %v", prec, f.Families)
-		}
-	}
-}
-
-// TestCalibrationPerFamily checks the cache keeps the two kernel families'
-// points apart and that ForFamily measures exactly the family it was asked
-// for (flipping the vec backend if needed, restoring it afterwards).
-func TestCalibrationPerFamily(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cal.json")
-	t.Setenv(EnvCalibration, path)
-	var families []string
-	withHook(t, func(family, prec string) []Point {
-		families = append(families, family)
-		return synthPoints()
-	})
-	before := vec.ActiveFamily()
-	generic := ForFamily[float64](vec.FamilyGeneric)
-	active := ForPrecision[float64]()
-	if vec.ActiveFamily() != before {
-		t.Fatalf("calibration changed the active family: %s → %s", before, vec.ActiveFamily())
-	}
-	if len(generic) == 0 || len(active) == 0 {
-		t.Fatal("missing calibration points")
-	}
-	wantFams := []string{vec.FamilyGeneric}
-	if before != vec.FamilyGeneric {
-		wantFams = append(wantFams, before)
-	}
-	if len(families) != len(wantFams) {
-		t.Fatalf("measured families %v, want %v", families, wantFams)
-	}
-	for i, f := range wantFams {
-		if families[i] != f {
-			t.Fatalf("measured families %v, want %v", families, wantFams)
-		}
-	}
-	raw, err := os.ReadFile(path)
+	entries, err := os.ReadDir(home)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var f fileFormat
-	if err := json.Unmarshal(raw, &f); err != nil {
-		t.Fatal(err)
-	}
-	for _, fam := range wantFams {
-		if len(f.Families[fam]["float64"]) == 0 {
-			t.Errorf("cache file missing family %s: have %v", fam, f.Families)
-		}
+	for _, e := range entries {
+		t.Errorf("calibration left %s behind", e.Name())
 	}
 }
 
-// TestForFamilyUnsupportedSIMDDegrades pins the contract that asking for
-// the SIMD family on a host without a vector backend serves the generic
-// calibration instead of inventing one (meaningful on the noasm build).
-func TestForFamilyUnsupportedSIMDDegrades(t *testing.T) {
-	if vec.SIMDSupported() {
-		t.Skip("host has a SIMD backend; degradation path not reachable")
-	}
-	t.Setenv(EnvCalibration, "off")
-	var calls atomic.Int32
-	withHook(t, func(family, prec string) []Point {
-		calls.Add(1)
-		if family != vec.FamilyGeneric {
-			t.Errorf("measured family %q on a host without SIMD", family)
-		}
-		return synthPoints()
-	})
-	ForFamily[float64](vec.FamilySIMD)
-	ForFamily[float64](vec.FamilyGeneric)
-	if calls.Load() != 1 {
-		t.Fatalf("measured %d times, want 1 (simd request degrades to the generic entry)", calls.Load())
-	}
-}
-
-func TestCalibrationPersistenceOff(t *testing.T) {
-	t.Setenv(EnvCalibration, "off")
-	withHook(t, func(string, string) []Point { return synthPoints() })
-	if pts := ForPrecision[float64](); len(pts) == 0 {
-		t.Fatal("persistence off must still calibrate in process")
-	}
-}
-
-func TestCacheLocation(t *testing.T) {
-	t.Setenv(EnvCalibration, "off")
-	if got := CacheLocation(); got != "in-process only ($"+EnvCalibration+"=off)" {
-		t.Errorf("off sentinel described as %q", got)
-	}
-	t.Setenv(EnvCalibration, "/tmp/somewhere.json")
-	if got := CacheLocation(); got != "/tmp/somewhere.json ($"+EnvCalibration+")" {
-		t.Errorf("env override described as %q", got)
-	}
-}
-
-// TestCalibrationSingleFlight hammers first-use calibration from many
-// goroutines (run under -race in CI): the micro-benchmark must run exactly
-// once and everyone must observe the same points.
-func TestCalibrationSingleFlight(t *testing.T) {
-	t.Setenv(EnvCalibration, filepath.Join(t.TempDir(), "cal.json"))
-	var calls atomic.Int32
-	withHook(t, func(string, string) []Point { calls.Add(1); return synthPoints() })
-
-	const goroutines = 16
-	results := make([][]Point, goroutines)
-	var wg sync.WaitGroup
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = ForPrecision[float64]()
-		}(i)
-	}
-	wg.Wait()
-	if calls.Load() != 1 {
-		t.Fatalf("calibration ran %d times under concurrency, want 1", calls.Load())
-	}
-	for i := 1; i < goroutines; i++ {
-		if &results[i][0] != &results[0][0] {
-			t.Fatalf("goroutine %d observed a different calibration slice", i)
-		}
-	}
-}
-
-// TestConcurrentResolveSingleFlightsPerPrecision mixes Resolve calls across
-// precisions and shapes under the race detector: one measurement per
+// TestConcurrentResolveSingleFlights mixes Resolve calls across precisions
+// and shapes under the race detector: each point measured once per
 // precision, identical decisions per shape.
 func TestConcurrentResolveSingleFlights(t *testing.T) {
-	t.Setenv(EnvCalibration, "off")
-	var calls atomic.Int32
-	withHook(t, func(string, string) []Point { calls.Add(1); return synthPoints() })
+	counts := countPoints(t)
 
 	const per = 8
 	decs := make([]Candidate, per)
@@ -295,8 +207,14 @@ func TestConcurrentResolveSingleFlights(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if calls.Load() != 2 {
-		t.Fatalf("calibrated %d times, want 2 (one per precision)", calls.Load())
+	got := counts()
+	if len(got) != 2*len(calNBs) {
+		t.Errorf("measured %d points, want %d (the candidate grid per precision)", len(got), 2*len(calNBs))
+	}
+	for p, n := range got {
+		if n != 1 {
+			t.Errorf("point %+v measured %d times, want 1", p, n)
+		}
 	}
 	for i := 1; i < per; i++ {
 		if decs[i] != decs[0] {
@@ -306,8 +224,7 @@ func TestConcurrentResolveSingleFlights(t *testing.T) {
 }
 
 func TestResolveDeterministicAndPinned(t *testing.T) {
-	t.Setenv(EnvCalibration, "off")
-	withHook(t, func(string, string) []Point { return synthPoints() })
+	withHook(t, synthSecs)
 
 	a, err := Resolve[float64](Request{M: 512, N: 256, Workers: 4})
 	if err != nil {
@@ -338,8 +255,7 @@ func TestResolveDeterministicAndPinned(t *testing.T) {
 }
 
 func TestRankSortedAndExhaustive(t *testing.T) {
-	t.Setenv(EnvCalibration, "off")
-	withHook(t, func(string, string) []Point { return synthPoints() })
+	withHook(t, synthSecs)
 	ranked := Rank[float64](Request{M: 512, N: 256, Workers: 4})
 	if len(ranked) == 0 {
 		t.Fatal("empty ranking")
@@ -363,8 +279,7 @@ func TestRankSortedAndExhaustive(t *testing.T) {
 // TestRankRooflineForHugeGrids checks the resolver does not try to build
 // million-task DAGs: huge shapes use the closed-form roofline path.
 func TestRankRooflineForHugeGrids(t *testing.T) {
-	t.Setenv(EnvCalibration, "off")
-	withHook(t, func(string, string) []Point { return synthPoints() })
+	withHook(t, synthSecs)
 	ranked := Rank[float64](Request{M: 100_000, N: 50_000, Workers: 48})
 	if len(ranked) == 0 {
 		t.Fatal("empty ranking for huge shape")
@@ -399,24 +314,8 @@ func TestCandidatePoints(t *testing.T) {
 	}
 }
 
-func TestInterpGflops(t *testing.T) {
-	pts := []Point{
-		{NB: 64, Gflops: map[string]float64{"GEQRT": 2}},
-		{NB: 128, Gflops: map[string]float64{"GEQRT": 4}},
-	}
-	for _, tc := range []struct {
-		nb   int
-		want float64
-	}{{32, 2}, {64, 2}, {96, 3}, {128, 4}, {256, 4}} {
-		if got := interpGflops(pts, tc.nb, "GEQRT"); got != tc.want {
-			t.Errorf("interp at nb=%d: %g, want %g", tc.nb, got, tc.want)
-		}
-	}
-}
-
 func TestResolveStream(t *testing.T) {
-	t.Setenv(EnvCalibration, "off")
-	withHook(t, func(string, string) []Point { return synthPoints() })
+	withHook(t, synthSecs)
 	d, err := ResolveStream[float64](300, 4, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -499,9 +398,8 @@ func TestEstTasksMatchesDAG(t *testing.T) {
 // names no width is scored at sched.DefaultWorkers — TILEDQR_WORKERS when
 // set — by Rank, Resolve and ResolveStream alike, not at GOMAXPROCS.
 func TestDefaultWidthHonoursEnv(t *testing.T) {
-	t.Setenv(EnvCalibration, "off")
 	t.Setenv("TILEDQR_WORKERS", "3")
-	withHook(t, func(string, string) []Point { return synthPoints() })
+	withHook(t, synthSecs)
 
 	dflt := Rank[float64](Request{M: 1024, N: 256})
 	if want := Rank[float64](Request{M: 1024, N: 256, Workers: 3}); !slices.Equal(dflt, want) {
@@ -530,25 +428,24 @@ func TestDefaultWidthHonoursEnv(t *testing.T) {
 // six kernels at distinct GFLOP/s, in the order the paper's measurements
 // put them (the update kernels outrun the panel kernels, and the TS pair
 // outruns the TT pair), each mildly faster on larger tiles.
-func goldenRates(nb int) map[string]float64 {
+func goldenRates(nb int) map[core.Kind]float64 {
 	base := map[core.Kind]float64{core.KGEQRT: 4, core.KUNMQR: 8, core.KTSQRT: 5,
 		core.KTSMQR: 10, core.KTTQRT: 3, core.KTTMQR: 7}
-	g := map[string]float64{}
+	g := map[core.Kind]float64{}
 	for k, r := range base {
-		g[k.String()] = r * (0.75 + float64(nb)/256)
+		g[k] = r * (0.75 + float64(nb)/256)
 	}
 	return g
 }
 
 // withGoldenRates installs goldenRates as the calibration for the test.
 func withGoldenRates(t *testing.T) {
-	t.Setenv(EnvCalibration, "off")
-	withHook(t, func(string, string) []Point {
-		var pts []Point
-		for _, nb := range calNBs {
-			pts = append(pts, Point{NB: nb, IB: IBFor(nb), Gflops: goldenRates(nb)})
+	withHook(t, func(_, _ string, nb, _ int) map[core.Kind]float64 {
+		secs := map[core.Kind]float64{}
+		for k, r := range goldenRates(nb) {
+			secs[k] = Gflops[float64](k.Weight(), nb, r)
 		}
-		return pts
+		return secs
 	})
 }
 
@@ -649,7 +546,7 @@ func goldenTaskSecs(d *core.DAG, g tile.Grid) float64 {
 				units *= float64(g.MB) / float64(g.NB)
 			}
 		}
-		sum += units*cube/3/(rates[task.Kind.String()]*1e9) + dispatchSec
+		sum += units*cube/3/(rates[task.Kind]*1e9) + dispatchSec
 	}
 	return sum
 }

@@ -33,9 +33,9 @@ import (
 // backend when set to "off" (read once at process start).
 const EnvSIMD = "TILEDQR_SIMD"
 
-// Kernel family names, as recorded in the autotuner's calibration cache and
+// Kernel family names, as keyed in the autotuner's calibration and
 // accepted by SetFamily and the -family flag of qrperf. The
-// "simd" name is ISA-neutral on purpose: the calibration cache is per-host,
+// "simd" name is ISA-neutral on purpose: a calibration is per-host,
 // and a single name lets the tuner and the bench JSON treat AVX2 and NEON
 // hosts uniformly. SIMDName reports the concrete ISA for diagnostics.
 const (

@@ -36,8 +36,9 @@ const (
 	// The paper finds PLASMA's anchoring identical or better.
 	HadriTree
 	// AlgorithmAuto asks the library to choose: the autotuner combines a
-	// per-host kernel calibration (measured once and cached, see the
-	// package documentation) with the paper's bounded-processor schedule
+	// per-host kernel calibration (measured in process, one tile size at a
+	// time, the first time a decision prices it; see the package
+	// documentation) with the paper's bounded-processor schedule
 	// model to pick the predicted-fastest algorithm and kernel family for
 	// the actual matrix shape and execution width. With AlgorithmAuto,
 	// TileSize = 0 and InnerBlock = 0 additionally mean "choose for me"
